@@ -176,6 +176,13 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
 int main(int argc, char** argv) {
     std::printf("=== Figure 7: weak scaling with the vascular geometry ===\n");
     const std::string metricsPath = obs::metricsJsonPathFromArgs(argc, argv);
+    sim::CheckpointOptions ckptOpt;
+    try {
+        ckptOpt = sim::CheckpointOptions::fromArgs(argc, argv);
+    } catch (const sim::OptionError& e) {
+        std::fprintf(stderr, "fig7_weak_vascular: %s\n", e.what());
+        return 2;
+    }
     const auto tree = makeTree();
     const auto phi = tree.implicitDistance();
     std::printf("synthetic tree: %zu segments, bbox fluid fraction %.2f%%\n",
@@ -277,7 +284,6 @@ int main(int argc, char** argv) {
     std::vector<RealRunRecord> records;
     // Under a checkpoint/restart drill only the largest world runs (the
     // checkpoint file is per-invocation; three worlds would clobber it).
-    const sim::CheckpointOptions ckptOpt = sim::CheckpointOptions::fromArgs(argc, argv);
     if (ckptOpt.any())
         records.push_back(realRun(*phi, 8, overlap, ckptOpt));
     else

@@ -6,10 +6,16 @@
 ///   * sparse strategies: conditional vs cell-list vs line-interval,
 ///   * full vs direction-sliced ghost-layer packing,
 ///   * triangle octree vs brute-force closest-triangle queries,
-///   * graph partitioner throughput.
+///   * graph partitioner throughput,
+///   * slice-by-16 vs byte-wise CRC-32 and the one-writer checkpoint save.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+
+#include "blockforest/SetupBlockForest.h"
+#include "core/Crc32.h"
 #include "core/Random.h"
 #include "core/Timer.h"
 #include "geometry/Primitives.h"
@@ -25,8 +31,11 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "partition/Partitioner.h"
+#include "sim/Checkpoint.h"
+#include "sim/DistributedSimulation.h"
 #include "vmpi/BufferSystem.h"
 #include "vmpi/SerialComm.h"
+#include "vmpi/ThreadComm.h"
 
 namespace {
 
@@ -430,6 +439,66 @@ void BM_GraphPartition(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * g.numVertices());
 }
 BENCHMARK(BM_GraphPartition)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+
+// ---- checkpoint I/O ------------------------------------------------------------
+
+/// CRC-32 throughput over an in-cache (1 KB) and a memory-bound (64 MB)
+/// buffer: the slice-by-16 implementation against the byte-wise reference.
+template <bool kSliceBy16>
+void BM_Crc32(benchmark::State& state) {
+    std::vector<std::uint8_t> data(std::size_t(state.range(0)));
+    Random rng(13);
+    for (auto& b : data) b = std::uint8_t(rng.uniformInt(256));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kSliceBy16 ? crc32(data.data(), data.size())
+                                            : crc32Bytewise(data.data(), data.size()));
+    state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(data.size()));
+}
+BENCHMARK(BM_Crc32<true>)->Arg(1 << 10)->Arg(64 << 20);
+BENCHMARK(BM_Crc32<false>)->Arg(1 << 10)->Arg(64 << 20)->Unit(benchmark::kMillisecond);
+
+/// One collective checkpoint save of 4 ThreadComm ranks x one 32^3 block:
+/// exact-size contribution, gather to rank 0, streamed write and rename.
+/// Timed on rank 0 from a barrier to the broadcast outcome.
+void BM_CheckpointSave(benchmark::State& state) {
+    constexpr std::uint32_t kRanks = 4;
+    bf::SetupConfig cfg;
+    cfg.domain = AABB(0, 0, 0, 32.0 * kRanks, 32, 32);
+    cfg.rootBlocksX = kRanks;
+    cfg.rootBlocksY = cfg.rootBlocksZ = 1;
+    cfg.cellsPerBlockX = cfg.cellsPerBlockY = cfg.cellsPerBlockZ = 32;
+    auto setup = bf::SetupBlockForest::create(cfg);
+    setup.balanceMorton(kRanks);
+    const auto allFluid = [](field::FlagField& flags, const lbm::BoundaryFlags& masks,
+                             const bf::BlockForest::Block&, const geometry::CellMapping&) {
+        flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            flags.addFlag(x, y, z, masks.fluid);
+        });
+    };
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "walb_bm_checkpoint.wckp").string();
+    std::size_t fileBytes = 0;
+    for (auto _ : state) {
+        double seconds = 0;
+        vmpi::ThreadCommWorld::launch(int(kRanks), [&](vmpi::Comm& comm) {
+            sim::DistributedSimulation simulation(comm, setup, allFluid);
+            comm.barrier(); // walb-lint: allow(blocking): benchmark timing rendezvous
+            Timer t;
+            t.start();
+            std::size_t written = 0;
+            if (!sim::checkpointSave(simulation, path, 0, &written) && comm.rank() == 0)
+                state.SkipWithError("checkpoint save failed");
+            t.stop();
+            if (comm.rank() != 0) return;
+            seconds = t.total();
+            fileBytes = written;
+        });
+        state.SetIterationTime(seconds);
+    }
+    std::remove(path.c_str());
+    state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(fileBytes));
+}
+BENCHMARK(BM_CheckpointSave)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 } // namespace
 

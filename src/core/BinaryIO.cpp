@@ -14,10 +14,38 @@ struct FileCloser {
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 } // namespace
 
+FileWriter::FileWriter(const std::string& path)
+    : path_(path), tmpPath_(path + ".tmp"), file_(std::fopen(tmpPath_.c_str(), "wb")) {}
+
+FileWriter::~FileWriter() { abandon(); }
+
+void FileWriter::abandon() {
+    if (!file_) return;
+    std::fclose(file_);
+    file_ = nullptr;
+    std::remove(tmpPath_.c_str());
+}
+
+bool FileWriter::write(const void* data, std::size_t n) {
+    if (file_ && n > 0 && std::fwrite(data, 1, n, file_) != n) abandon();
+    return ok();
+}
+
+bool FileWriter::commit() {
+    if (!file_) return false;
+    const bool closed = std::fclose(file_) == 0;
+    file_ = nullptr;
+    if (!closed || std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
+        std::remove(tmpPath_.c_str());
+        return false;
+    }
+    return true;
+}
+
 bool writeFile(const std::string& path, const SendBuffer& buf) {
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f) return false;
-    return std::fwrite(buf.data(), 1, buf.size(), f.get()) == buf.size();
+    FileWriter w(path);
+    w.write(buf.data(), buf.size());
+    return w.commit();
 }
 
 bool readFile(const std::string& path, std::vector<std::uint8_t>& out) {

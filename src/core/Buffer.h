@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/Debug.h"
@@ -152,51 +153,74 @@ private:
     std::vector<std::uint8_t> data_;
 };
 
-/// Read-only view over a received byte sequence.
+/// Read-only cursor over a byte sequence: either owned (a received message,
+/// moved in) or borrowed (a span inside a larger buffer the caller keeps
+/// alive, e.g. one rank's contribution inside a loaded checkpoint file).
+/// Move-only: a copy would have to re-point the view at the copied storage.
 class RecvBuffer {
 public:
     RecvBuffer() = default;
-    explicit RecvBuffer(std::vector<std::uint8_t> data) : data_(std::move(data)) {}
+    explicit RecvBuffer(std::vector<std::uint8_t> data) : data_(std::move(data)), view_(data_) {}
+    /// Borrows `bytes` without copying them. The caller keeps the bytes
+    /// alive and unchanged while this buffer reads them.
+    explicit RecvBuffer(std::span<const std::uint8_t> bytes) : view_(bytes) {}
+
+    // Moving a vector keeps its heap storage, so the view stays valid; the
+    // source is left empty.
+    RecvBuffer(RecvBuffer&& o) noexcept
+        : data_(std::move(o.data_)), view_(std::exchange(o.view_, {})),
+          pos_(std::exchange(o.pos_, 0)) {}
+    RecvBuffer& operator=(RecvBuffer&& o) noexcept {
+        data_ = std::move(o.data_);
+        view_ = std::exchange(o.view_, {});
+        pos_ = std::exchange(o.pos_, 0);
+        return *this;
+    }
+    RecvBuffer(const RecvBuffer&) = delete;
+    RecvBuffer& operator=(const RecvBuffer&) = delete;
 
     void assign(std::vector<std::uint8_t> data) {
         data_ = std::move(data);
+        view_ = data_;
         pos_ = 0;
     }
 
     /// Surrenders the underlying storage (typically after the payload has
     /// been fully deserialized) so the exchange layer can recycle it as a
-    /// send buffer. The buffer is left empty.
+    /// send buffer. The buffer is left empty; a borrowing buffer returns an
+    /// empty vector.
     std::vector<std::uint8_t> release() {
         pos_ = 0;
+        view_ = {};
         return std::move(data_);
     }
 
-    std::size_t remaining() const { return data_.size() - pos_; }
-    bool atEnd() const { return pos_ == data_.size(); }
-    std::size_t size() const { return data_.size(); }
+    std::size_t remaining() const { return view_.size() - pos_; }
+    bool atEnd() const { return pos_ == view_.size(); }
+    std::size_t size() const { return view_.size(); }
 
     void getBytes(void* dst, std::size_t n) {
-        if (n > data_.size() - pos_) throw BufferError(n, remaining());
+        if (n > view_.size() - pos_) throw BufferError(n, remaining());
         // n == 0 must not reach memcpy: an empty caller buffer hands over
         // dst == nullptr, which is UB even for zero-length copies.
         if (n == 0) return;
-        std::memcpy(dst, data_.data() + pos_, n);
+        std::memcpy(dst, view_.data() + pos_, n);
         pos_ += n;
     }
 
     /// Advances past `n` bytes without copying them (e.g. another rank's
     /// payload inside a shared file). Same bounds contract as getBytes.
     void skip(std::size_t n) {
-        if (n > data_.size() - pos_) throw BufferError(n, remaining());
+        if (n > view_.size() - pos_) throw BufferError(n, remaining());
         pos_ += n;
     }
 
     /// Pointer to the next unread byte (valid for remaining() bytes).
-    const std::uint8_t* cursor() const { return data_.data() + pos_; }
+    const std::uint8_t* cursor() const { return view_.data() + pos_; }
 
     std::uint64_t getCompact(unsigned nBytes) {
-        if (nBytes > data_.size() - pos_) throw BufferError(nBytes, remaining());
-        const std::uint64_t v = detail::getLE(data_.data() + pos_, nBytes);
+        if (nBytes > view_.size() - pos_) throw BufferError(nBytes, remaining());
+        const std::uint64_t v = detail::getLE(view_.data() + pos_, nBytes);
         pos_ += nBytes;
         return v;
     }
@@ -246,7 +270,8 @@ public:
     }
 
 private:
-    std::vector<std::uint8_t> data_;
+    std::vector<std::uint8_t> data_;        ///< owned storage (empty when borrowing)
+    std::span<const std::uint8_t> view_;    ///< the bytes being read
     std::size_t pos_ = 0;
 };
 

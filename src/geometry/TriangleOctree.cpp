@@ -76,12 +76,12 @@ void TriangleOctree::search(std::int32_t nodeIdx, const Vec3& p,
     if (node.firstChild < 0) {
         for (std::uint32_t i = node.trianglesBegin; i < node.trianglesEnd; ++i) {
             const std::size_t t = triangleIds_[i];
-            ++lastEvaluations_;
+            ++best.evaluations;
             const ClosestPointResult r = closestPointOnTriangle(
                 p, mesh_.triangleVertex(t, 0), mesh_.triangleVertex(t, 1),
                 mesh_.triangleVertex(t, 2));
             if (!best.valid() || r.sqrDistance < best.sqrDistance)
-                best = {t, r.point, r.sqrDistance, r.feature};
+                best = {t, r.point, r.sqrDistance, r.feature, best.evaluations};
         }
         return;
     }
@@ -100,7 +100,6 @@ void TriangleOctree::search(std::int32_t nodeIdx, const Vec3& p,
 }
 
 ClosestTriangleResult TriangleOctree::closestTriangle(const Vec3& p) const {
-    lastEvaluations_ = 0;
     ClosestTriangleResult best;
     best.sqrDistance = real_c(1e300);
     search(0, p, best);

@@ -19,6 +19,9 @@ struct ClosestTriangleResult {
     Vec3 point;                    ///< closest point on that triangle
     real_t sqrDistance = real_c(0);
     TriFeature feature = TriFeature::Face;
+    /// Point-triangle distance evaluations this query performed — exposed
+    /// for the octree efficiency tests and the geometry micro-benchmark.
+    std::size_t evaluations = 0;
     bool valid() const { return triangle != ~std::size_t(0); }
 };
 
@@ -38,11 +41,6 @@ public:
     std::size_t numNodes() const { return nodes_.size(); }
     const AABB& rootBox() const { return nodes_[0].box; }
 
-    /// Number of point-triangle distance evaluations performed by the last
-    /// query on this thread-unsafe counter — exposed for the octree
-    /// efficiency tests and the geometry micro-benchmark.
-    std::size_t lastQueryEvaluations() const { return lastEvaluations_; }
-
 private:
     struct Node {
         AABB box;
@@ -57,7 +55,6 @@ private:
     const TriangleMesh& mesh_;
     std::vector<Node> nodes_;
     std::vector<std::size_t> triangleIds_;
-    mutable std::size_t lastEvaluations_ = 0;
 };
 
 } // namespace walb::geometry

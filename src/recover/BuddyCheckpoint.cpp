@@ -20,7 +20,11 @@ void BuddyCheckpoint::refresh(sim::DistributedSimulation& sim, vmpi::Comm& comm,
     const int n = comm.size();
     const int me = comm.rank();
 
+    std::size_t bytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b)
+        bytes += sim::blockRecordBytes(sim, b);
     SendBuffer mine;
+    mine.reserve(bytes);
     mine << std::uint32_t(me) << std::uint64_t(step)
          << std::uint32_t(sim.forest().numLocalBlocks());
     for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b)
@@ -52,7 +56,7 @@ bool BuddyCheckpoint::restoreOwnBlocks(sim::DistributedSimulation& sim,
         return false;
     }
     try {
-        RecvBuffer rb{std::vector<std::uint8_t>(selfCopy_)};
+        RecvBuffer rb{std::span<const std::uint8_t>(selfCopy_)};
         std::uint32_t rank = 0, numBlocks = 0;
         std::uint64_t step = 0;
         rb >> rank >> step >> numBlocks;
@@ -95,7 +99,7 @@ bool BuddyCheckpoint::partnerBlocks(std::vector<BlockRecord>& out,
         return false;
     }
     try {
-        RecvBuffer rb{std::vector<std::uint8_t>(partnerCopy_)};
+        RecvBuffer rb{std::span<const std::uint8_t>(partnerCopy_)};
         std::uint32_t rank = 0, numBlocks = 0;
         std::uint64_t step = 0;
         rb >> rank >> step >> numBlocks;

@@ -279,7 +279,7 @@ bool RecoveryManager::restoreFromBuddy(const std::vector<std::uint32_t>& ownerWo
         return it == byId.end() ? nullptr : it->second;
     };
     auto applyRecord = [&](const BuddyCheckpoint::BlockRecord& r) {
-        RecvBuffer rb{std::vector<std::uint8_t>(r.bytes)};
+        RecvBuffer rb{std::span<const std::uint8_t>(r.bytes)};
         std::string recordError;
         if (sim::applyBlockRecord(sim_, rb, &recordError) != 1)
             throw RecoveryError("rank " + std::to_string(world_.rank()) +

@@ -33,11 +33,17 @@
 /// is therefore identical across tiers.
 ///
 /// Writing follows the paper's one-writer file strategy (§2.2): rank 0
-/// gathers all contributions and performs a single write; loading reads the
-/// file once on rank 0 and broadcasts. Blocks are matched by BlockID, not by
-/// rank, so a restart may use a different load balancing than the save.
+/// gathers all contributions and streams them into `<path>.tmp`, which is
+/// renamed over `path` only when every write succeeded — a failed or
+/// interrupted save leaves the previous checkpoint intact. Loading reads the
+/// file once on rank 0 and broadcasts; every rank then parses it in place,
+/// verifies all of its records and only then applies them, so a truncated
+/// or corrupted file leaves the live state untouched. Blocks are matched by
+/// BlockID, not by rank, so a restart may use a different load balancing
+/// than the save.
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "core/Buffer.h"
@@ -84,6 +90,10 @@ bool checkpointPeek(const std::string& path, CheckpointHeader& out,
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
                        SendBuffer& buf);
 
+/// Exact number of bytes appendBlockRecord appends for `block`, so callers
+/// can size a buffer once instead of letting it regrow.
+std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block);
+
 /// Consumes one block record from `rb`. When the named block is local, the
 /// CRC is verified *before* the payload touches the live fields and the
 /// block is restored; a record for a block owned elsewhere is skipped.
@@ -107,6 +117,13 @@ std::uint64_t checkpointDigest(DistributedSimulation& sim);
 
 // ---- driver wiring ---------------------------------------------------------
 
+/// Malformed checkpoint flag (non-numeric or negative count, missing value);
+/// the message names the flag.
+class OptionError : public std::invalid_argument {
+public:
+    using std::invalid_argument::invalid_argument;
+};
+
 /// Command-line surface shared by the fig6/fig7 drivers (and the ctest
 /// kill-and-restart smoke):
 ///   --checkpoint-every N    save every N steps (and at the end of the run)
@@ -126,6 +143,7 @@ struct CheckpointOptions {
         return every > 0 || !restartFrom.empty() || stopAfter > 0 || steps > 0;
     }
 
+    /// Throws OptionError on a malformed value.
     static CheckpointOptions fromArgs(int argc, char** argv);
 };
 

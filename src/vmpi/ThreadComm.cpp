@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
 namespace walb::vmpi {
 
@@ -125,11 +126,12 @@ bool ThreadComm::tryRecv(int src, int tag, std::vector<std::uint8_t>& out) {
 void ThreadComm::barrier() { world_->barrier_.arrive_and_wait(); }
 
 void ThreadComm::broadcast(std::vector<std::uint8_t>& data, int root) {
-    auto& slots = world_->byteSlots_;
-    if (rank_ == root) slots[uint_c(root)] = data;
+    // Non-roots copy straight out of the root's buffer: one copy per
+    // receiving rank, none staged through a slot.
+    if (rank_ == root) world_->bcastSource_ = &data;
     barrier(); // walb-lint: allow(blocking): base-transport rendezvous; deadlines live in the decorators above
-    if (rank_ != root) data = slots[uint_c(root)];
-    barrier(); // root may not clear/reuse its slot until all ranks copied — walb-lint: allow(blocking): base-transport rendezvous
+    if (rank_ != root) data = *world_->bcastSource_;
+    barrier(); // root's buffer must outlive every copy — walb-lint: allow(blocking): base-transport rendezvous
 }
 
 namespace {
@@ -183,8 +185,13 @@ std::vector<std::vector<std::uint8_t>> ThreadComm::gatherv(std::span<const std::
                                                            int root) {
     world_->byteSlots_[uint_c(rank_)].assign(mine.begin(), mine.end());
     barrier(); // walb-lint: allow(blocking): base-transport rendezvous; deadlines live in the decorators above
+    // The root moves the slots out instead of copying them: each
+    // contribution is copied once, by its own rank, in parallel. Only the
+    // root touches the slots between the two barriers.
     std::vector<std::vector<std::uint8_t>> result;
-    if (rank_ == root) result = world_->byteSlots_;
+    if (rank_ == root)
+        result = std::exchange(world_->byteSlots_,
+                               std::vector<std::vector<std::uint8_t>>(uint_c(world_->numRanks_)));
     barrier(); // walb-lint: allow(blocking): base-transport rendezvous; deadlines live in the decorators above
     return result;
 }

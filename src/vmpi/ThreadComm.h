@@ -104,8 +104,11 @@ private:
     std::vector<std::unique_ptr<Mailbox>> mailboxes_;
     std::barrier<> barrier_;
 
-    // Collective scratch: slot r written only by rank r between barriers.
+    // Collective scratch: slot r written only by rank r between barriers
+    // (gatherv's root then moves them all out before the closing barrier).
     std::vector<std::vector<std::uint8_t>> byteSlots_;
+    // broadcast: the root's buffer, read by the other ranks between barriers.
+    const std::vector<std::uint8_t>* bcastSource_ = nullptr;
     std::vector<std::vector<double>> doubleSlots_;
     std::vector<std::vector<std::uint64_t>> u64Slots_;
 };

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <random>
 
 #include "core/BinaryIO.h"
 #include "core/Buffer.h"
@@ -89,6 +93,31 @@ TEST(Crc32Test, SeedChainingEqualsOneShot) {
     chained = crc32(data + 3, 5, chained);
     EXPECT_EQ(oneShot, chained);
     EXPECT_NE(crc32(data, 7), oneShot);
+}
+
+TEST(Crc32Test, SliceBy16MatchesBytewiseReference) {
+    constexpr std::uint8_t kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+    static_assert(crc32(kCheck, 9) == 0xCBF43926u);
+    static_assert(crc32Bytewise(kCheck, 9) == 0xCBF43926u);
+
+    std::mt19937 rng(2013);
+    std::vector<std::uint8_t> data(4096 + 16);
+    for (auto& b : data) b = std::uint8_t(rng());
+    std::uniform_int_distribution<std::size_t> randomLength(0, 4096);
+    // Every length 0..40 (all tail lengths around one and two 16-byte
+    // strides), then random lengths up to 4096; each at all 16 start
+    // misalignments, each check seeded with the previous CRC (chaining).
+    std::uint32_t seed = 0;
+    for (std::size_t trial = 0; trial < 100; ++trial) {
+        const std::size_t n = trial <= 40 ? trial : randomLength(rng);
+        for (std::size_t offset = 0; offset < 16; ++offset) {
+            const std::uint8_t* p = data.data() + offset;
+            const std::uint32_t fast = crc32(p, n, seed);
+            ASSERT_EQ(fast, crc32Bytewise(p, n, seed))
+                << "length " << n << " offset " << offset << " seed " << seed;
+            seed = fast;
+        }
+    }
 }
 
 // ---- recv deadlines --------------------------------------------------------
@@ -433,6 +462,205 @@ TEST(CheckpointFormat, BadMagicAndTruncationFailCleanly) {
     EXPECT_FALSE(sim::checkpointPeek(path, h, &err));
     EXPECT_NE(err.find("magic"), std::string::npos) << err;
     std::remove(path.c_str());
+}
+
+/// Cavity setup of `ranks` ranks with two blocks each.
+struct TwoBlocksPerRank {
+    explicit TwoBlocksPerRank(std::uint32_t ranks)
+        : setup(makeCavitySetup(2 * ranks)), flags(cavityFlags(2 * ranks)) {
+        setup.balanceMorton(ranks);
+    }
+    bf::SetupBlockForest setup;
+    sim::DistributedSimulation::FlagInitializer flags;
+};
+
+TEST(CheckpointFormat, FileIsByteIdenticalToTheSendBufferLayout) {
+    // The streaming writer must produce exactly the bytes of the original
+    // assembly: each contribution grown in a SendBuffer from
+    // appendBlockRecord, the file built with the vector operator<<.
+    const TRT op = TRT::fromOmegaAndMagic(1.4);
+    for (const sim::KernelTier tier : {sim::KernelTier::Simd, sim::KernelTier::AaSimd}) {
+        for (const std::uint32_t ranks : {1u, 2u, 4u}) {
+            SCOPED_TRACE("tier " + std::to_string(int(tier)) + ", " +
+                         std::to_string(ranks) + " ranks");
+            const std::string path = testing::TempDir() + "/walb_layout.wckp";
+            const TwoBlocksPerRank cavity(ranks);
+            std::vector<std::uint8_t> reference;
+            vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
+                sim::DistributedSimulation simulation(comm, cavity.setup, cavity.flags, tier);
+                simulation.setWallVelocity({0.03, 0, 0});
+                simulation.run(3, op); // odd: AA storage is parity-swapped
+                ASSERT_TRUE(simulation.saveCheckpoint(path));
+
+                const bf::BlockForest& forest = simulation.forest();
+                SendBuffer mine;
+                mine << std::uint32_t(comm.rank()) << std::uint32_t(forest.numLocalBlocks());
+                for (std::size_t b = 0; b < forest.numLocalBlocks(); ++b)
+                    sim::appendBlockRecord(simulation, b, mine);
+                const auto all =
+                    comm.gatherv(std::span<const std::uint8_t>(mine.data(), mine.size()), 0);
+                if (comm.rank() != 0) return;
+                SendBuffer file;
+                file << sim::kCheckpointMagic << sim::kCheckpointVersion
+                     << std::uint32_t(comm.size()) << std::uint32_t(forest.cellsX())
+                     << std::uint32_t(forest.cellsY()) << std::uint32_t(forest.cellsZ())
+                     << simulation.currentStep() << std::uint32_t(all.size());
+                for (const auto& contribution : all) file << contribution;
+                reference = file.release();
+            });
+            std::vector<std::uint8_t> written;
+            ASSERT_TRUE(readFile(path, written));
+            ASSERT_EQ(written.size(), reference.size());
+            EXPECT_TRUE(written == reference);
+            std::remove(path.c_str());
+        }
+    }
+}
+
+/// Offsets of every record boundary of a checkpoint file: the end of the
+/// header, of each contribution's length prefix and rank/block-count words,
+/// and of each block record's fixed header and payload. The file's own end
+/// is excluded.
+std::vector<std::size_t> recordBoundaries(const std::vector<std::uint8_t>& bytes) {
+    RecvBuffer file{std::span<const std::uint8_t>(bytes)};
+    sim::CheckpointHeader h;
+    std::uint32_t magic = 0;
+    file >> magic >> h.version >> h.worldSize >> h.cellsX >> h.cellsY >> h.cellsZ >> h.step >>
+        h.numRankContributions;
+    std::vector<std::size_t> cuts;
+    const auto here = [&] { return bytes.size() - file.remaining(); };
+    cuts.push_back(here());
+    for (std::uint32_t c = 0; c < h.numRankContributions; ++c) {
+        std::uint64_t length = 0;
+        std::uint32_t rank = 0, numBlocks = 0;
+        file >> length;
+        cuts.push_back(here());
+        file >> rank >> numBlocks;
+        cuts.push_back(here());
+        for (std::uint32_t b = 0; b < numBlocks; ++b) {
+            std::uint32_t root = 0, crc = 0;
+            std::uint8_t level = 0;
+            std::uint64_t path = 0, pdfBytes = 0, flagBytes = 0;
+            file >> root >> level >> path >> pdfBytes >> flagBytes >> crc;
+            cuts.push_back(here());
+            file.skip(std::size_t(pdfBytes + flagBytes));
+            cuts.push_back(here());
+        }
+    }
+    EXPECT_TRUE(file.atEnd());
+    cuts.pop_back(); // the end of the last record is the end of the file
+    return cuts;
+}
+
+TEST(CheckpointFormat, TruncationAtEveryRecordBoundaryLeavesTheStateUntouched) {
+    const TRT op = TRT::fromOmegaAndMagic(1.4);
+    for (const sim::KernelTier tier : {sim::KernelTier::Simd, sim::KernelTier::AaSimd}) {
+        SCOPED_TRACE("tier " + std::to_string(int(tier)));
+        const std::string path = testing::TempDir() + "/walb_truncated.wckp";
+        const TwoBlocksPerRank cavity(2);
+        vmpi::ThreadCommWorld::launch(2, [&](vmpi::Comm& comm) {
+            sim::DistributedSimulation simulation(comm, cavity.setup, cavity.flags, tier);
+            simulation.setWallVelocity({0.03, 0, 0});
+            simulation.run(3, op);
+            ASSERT_TRUE(simulation.saveCheckpoint(path));
+            std::vector<std::uint8_t> whole;
+            if (comm.rank() == 0) {
+                EXPECT_TRUE(readFile(path, whole));
+            }
+            comm.broadcast(whole, 0);
+            // Move on, so that any partial restore would show in the digest
+            // (and, for the AA tiers, in the step parity).
+            simulation.run(2, op);
+            const std::uint64_t digest = simulation.stateDigest();
+            const std::vector<std::size_t> cuts = recordBoundaries(whole);
+            // Header end, then per contribution 2 cuts plus 2 per record,
+            // minus the end of the file.
+            EXPECT_EQ(cuts.size(), 1u + 2u * (2u + 2u * 2u) - 1u);
+            for (const std::size_t cut : cuts) {
+                if (comm.rank() == 0) {
+                    SendBuffer truncated;
+                    truncated.putBytes(whole.data(), cut);
+                    ASSERT_TRUE(writeFile(path, truncated));
+                }
+                std::string err;
+                EXPECT_FALSE(simulation.loadCheckpoint(path, &err)) << "cut at " << cut;
+                EXPECT_NE(err.find("truncated"), std::string::npos) << "cut at " << cut << ": "
+                                                                   << err;
+                EXPECT_EQ(simulation.currentStep(), 5u) << "cut at " << cut;
+                EXPECT_EQ(simulation.stateDigest(), digest) << "cut at " << cut;
+            }
+        });
+        std::remove(path.c_str());
+    }
+}
+
+TEST(CheckpointFormat, FailedOrInterruptedSaveLeavesThePreviousFileLoadable) {
+    const std::string path = testing::TempDir() + "/walb_durable.wckp";
+    const std::string tmp = path + ".tmp";
+    auto setup = makeCavitySetup(1);
+    const TRT op = TRT::fromOmegaAndMagic(1.4);
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(comm, setup, cavityFlags(1));
+    simulation.setWallVelocity({0.03, 0, 0});
+    simulation.run(3, op);
+    ASSERT_TRUE(simulation.saveCheckpoint(path));
+    const std::uint64_t saved = simulation.stateDigest();
+    simulation.run(2, op);
+
+    const auto expectPreviousLoads = [&] {
+        vmpi::SerialComm comm2;
+        sim::DistributedSimulation resumed(comm2, setup, cavityFlags(1));
+        resumed.setWallVelocity({0.03, 0, 0});
+        std::string err;
+        ASSERT_TRUE(resumed.loadCheckpoint(path, &err)) << err;
+        EXPECT_EQ(resumed.currentStep(), 3u);
+        EXPECT_EQ(resumed.stateDigest(), saved);
+    };
+
+    // A save that cannot write its temporary fails on every rank and does
+    // not touch the previous checkpoint.
+    ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+    std::string err;
+    EXPECT_FALSE(simulation.saveCheckpoint(path, &err));
+    EXPECT_NE(err.find("failed to write"), std::string::npos) << err;
+    ASSERT_EQ(::rmdir(tmp.c_str()), 0);
+    expectPreviousLoads();
+
+    // A writer that dies mid-file (never commits) leaves the previous file
+    // in place and cleans up its temporary.
+    {
+        FileWriter torn(path);
+        ASSERT_TRUE(torn.ok());
+        const std::uint8_t half[4] = {'W', 'C', 'K', 'P'};
+        EXPECT_TRUE(torn.write(half, sizeof(half)));
+    }
+    EXPECT_NE(::access(tmp.c_str(), F_OK), 0);
+    expectPreviousLoads();
+
+    // A writer whose file cannot be created reports it at commit.
+    FileWriter nowhere(testing::TempDir() + "/no_such_dir/x.wckp");
+    EXPECT_FALSE(nowhere.ok());
+    EXPECT_FALSE(nowhere.commit());
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointOptionsTest, RejectsMalformedCountsNamingTheFlag) {
+    const std::vector<std::vector<std::string>> bad = {
+        {"--checkpoint-every", "abc"}, {"--checkpoint-every", "-1"},
+        {"--stop-after=-5"},           {"--steps", "12x"},
+        {"--steps="},                  {"--stop-after", "99999999999999999999999"},
+        {"--checkpoint-every"}};
+    for (const auto& args : bad) {
+        std::vector<char*> argv{const_cast<char*>("prog")};
+        for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+        const std::string flag = args[0].substr(0, args[0].find('='));
+        try {
+            (void)sim::CheckpointOptions::fromArgs(int(argv.size()), argv.data());
+            ADD_FAILURE() << "accepted " << args[0];
+        } catch (const sim::OptionError& e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+        }
+    }
 }
 
 TEST(CheckpointOptionsTest, ParsesBothFlagStyles) {

@@ -187,6 +187,47 @@ TEST_P(ThreadCommTest, GathervOnlyRootReceives) {
     });
 }
 
+TEST_P(ThreadCommTest, BackToBackGathervAndBroadcastWithChangingSizes) {
+    // gatherv's root moves the collective slots out and broadcast reads the
+    // root's own buffer: later collectives with other sizes, roots and
+    // kinds must still see fresh, correctly sized slots.
+    const int n = GetParam();
+    ThreadCommWorld::launch(n, [&](Comm& comm) {
+        const auto bytesOf = [](int round, int rank) {
+            return std::size_t((round * 7 + rank * 3) % 11);
+        };
+        for (int round = 0; round < 8; ++round) {
+            const int root = round % n;
+            const std::vector<std::uint8_t> mine(bytesOf(round, comm.rank()),
+                                                 std::uint8_t(comm.rank() + round));
+            const auto gathered = comm.gatherv(mine, root);
+            if (comm.rank() == root) {
+                ASSERT_EQ(gathered.size(), std::size_t(n));
+                for (int r = 0; r < n; ++r)
+                    EXPECT_EQ(gathered[std::size_t(r)],
+                              std::vector<std::uint8_t>(bytesOf(round, r),
+                                                        std::uint8_t(r + round)))
+                        << "round " << round << " rank " << r;
+            } else {
+                EXPECT_TRUE(gathered.empty());
+            }
+
+            // Non-roots start from a stale buffer of another size.
+            const std::vector<std::uint8_t> want(std::size_t(round * 5 + 1),
+                                                 std::uint8_t(round));
+            std::vector<std::uint8_t> data{0xFF, 0xFF, 0xFF};
+            if (comm.rank() == root) data = want;
+            comm.broadcast(data, root);
+            EXPECT_EQ(data, want) << "round " << round;
+
+            const auto everyone = comm.allgatherv(mine);
+            ASSERT_EQ(everyone.size(), std::size_t(n));
+            for (int r = 0; r < n; ++r)
+                EXPECT_EQ(everyone[std::size_t(r)].size(), bytesOf(round, r));
+        }
+    });
+}
+
 TEST_P(ThreadCommTest, BarrierSeparatesPhases) {
     const int n = GetParam();
     std::atomic<int> phase1{0};
