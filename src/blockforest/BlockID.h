@@ -65,6 +65,19 @@ public:
 
     static unsigned pathBytes(unsigned level) { return (3 * level + 7) / 8; }
 
+    /// Fixed-width wire form (u32 root index, u8 level, u64 path) shared by
+    /// the ghost exchange, block migration and checkpoint records.
+    static constexpr std::size_t kWireBytes =
+        sizeof(std::uint32_t) + sizeof(std::uint8_t) + sizeof(std::uint64_t);
+
+    void toWire(SendBuffer& buf) const { buf << rootIndex_ << level_ << path_; }
+
+    static BlockID fromWire(RecvBuffer& buf) {
+        BlockID id;
+        buf >> id.rootIndex_ >> id.level_ >> id.path_;
+        return id;
+    }
+
 private:
     BlockID(std::uint32_t rootIndex, std::uint8_t level, std::uint64_t path)
         : rootIndex_(rootIndex), level_(level), path_(path) {}

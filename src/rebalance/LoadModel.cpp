@@ -34,7 +34,7 @@ std::vector<double> LoadModel::gatherGlobal(vmpi::Comm& comm,
     SendBuffer mine;
     mine << std::uint32_t(ewma_.size());
     for (const auto& [id, seconds] : ewma_) {
-        mine << id.rootIndex() << std::uint8_t(id.level()) << id.path();
+        id.toWire(mine);
         mine << seconds;
     }
     const auto all =
@@ -53,14 +53,9 @@ std::vector<double> LoadModel::gatherGlobal(vmpi::Comm& comm,
         std::uint32_t n = 0;
         rb >> n;
         for (std::uint32_t e = 0; e < n; ++e) {
-            std::uint32_t root = 0;
-            std::uint8_t level = 0;
-            std::uint64_t path = 0;
+            const bf::BlockID id = bf::BlockID::fromWire(rb);
             double seconds = 0.0;
-            rb >> root >> level >> path >> seconds;
-            bf::BlockID id = bf::BlockID::root(root);
-            for (unsigned l = level; l > 0; --l)
-                id = id.child((path >> (3 * (l - 1))) & 7u);
+            rb >> seconds;
             const auto it = indexOf.find(id);
             WALB_ASSERT(it != indexOf.end(), "load report for unknown block");
             weights[it->second] = seconds;

@@ -34,20 +34,6 @@ void unpackInterior(field::Field<T>& f, RecvBuffer& buf) {
                 buf.getBytes(f.dataAt(0, y, z, c), std::size_t(f.xSize()) * sizeof(T));
 }
 
-void serializeBlockId(SendBuffer& buf, const bf::BlockID& id) {
-    buf << id.rootIndex() << std::uint8_t(id.level()) << id.path();
-}
-
-bf::BlockID deserializeBlockId(RecvBuffer& buf) {
-    std::uint32_t root = 0;
-    std::uint8_t level = 0;
-    std::uint64_t path = 0;
-    buf >> root >> level >> path;
-    bf::BlockID id = bf::BlockID::root(root);
-    for (unsigned l = level; l > 0; --l) id = id.child((path >> (3 * (l - 1))) & 7u);
-    return id;
-}
-
 /// Order-sensitive hash of the assignment, for the cross-rank agreement
 /// check — a rank acting on a divergent assignment would silently corrupt
 /// the block structure, so divergence must abort loudly instead.
@@ -138,7 +124,7 @@ MigrationStats migrate(sim::DistributedSimulation& sim,
         }
         packInterior(flags, payload);
         SendBuffer& msg = outgoing[newOwner[i]];
-        serializeBlockId(msg, forest.blocks()[b].id);
+        forest.blocks()[b].id.toWire(msg);
         msg << crc32(payload.data(), payload.size()) << std::uint64_t(payload.size());
         msg.putBytes(payload.data(), payload.size());
         ++outgoingBlocks[newOwner[i]];
@@ -184,7 +170,7 @@ MigrationStats migrate(sim::DistributedSimulation& sim,
                                            << srcRank << " carries " << count
                                            << " blocks, expected " << numBlocks);
         for (std::uint32_t k = 0; k < count; ++k) {
-            const bf::BlockID id = deserializeBlockId(msg);
+            const bf::BlockID id = bf::BlockID::fromWire(msg);
             std::uint32_t storedCrc = 0;
             std::uint64_t payloadBytes = 0;
             msg >> storedCrc >> payloadBytes;
