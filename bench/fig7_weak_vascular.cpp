@@ -177,8 +177,12 @@ int main(int argc, char** argv) {
     std::printf("=== Figure 7: weak scaling with the vascular geometry ===\n");
     const std::string metricsPath = obs::metricsJsonPathFromArgs(argc, argv);
     sim::CheckpointOptions ckptOpt;
+    rebalance::RebalanceOptions rbOpt;
+    recover::RecoveryOptions rcOpt;
     try {
         ckptOpt = sim::CheckpointOptions::fromArgs(argc, argv);
+        rbOpt = rebalance::RebalanceOptions::fromArgs(argc, argv);
+        rcOpt = recover::RecoveryOptions::fromArgs(argc, argv);
     } catch (const sim::OptionError& e) {
         std::fprintf(stderr, "fig7_weak_vascular: %s\n", e.what());
         return 2;
@@ -195,8 +199,6 @@ int main(int argc, char** argv) {
     // Rebalance drill (--rebalance-every N [--rebalance-policy ...]): skewed
     // 4-rank assignment, reference vs live-rebalanced run, digest-invariance
     // and imbalance trajectory — see bench/rebalance_drill.h.
-    const rebalance::RebalanceOptions rbOpt =
-        rebalance::RebalanceOptions::fromArgs(argc, argv);
     if (rbOpt.any()) {
         const int drillRanks = 4;
         auto search = bf::findWeakScalingPartition(*phi, AABB(0, 0, 0, 1, 1, 1),
@@ -233,7 +235,6 @@ int main(int argc, char** argv) {
     // Self-healing drill (--recover [--kill-rank R] [--kill-step S] ...):
     // reference vs kill-and-heal vs transient-faults runs on a 4-rank
     // vascular partition — see bench/recovery_drill.h.
-    const recover::RecoveryOptions rcOpt = recover::RecoveryOptions::fromArgs(argc, argv);
     if (rcOpt.enabled) {
         int killRank = 2;
         std::uint64_t killStep = 13;

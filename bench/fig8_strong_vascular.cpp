@@ -105,6 +105,13 @@ BestPoint evaluate(const std::vector<Candidate>& candidates, const ScalingModel&
 int main(int argc, char** argv) {
     std::printf("=== Figure 8: strong scaling with the vascular geometry ===\n");
     const std::string metricsPath = obs::metricsJsonPathFromArgs(argc, argv);
+    rebalance::RebalanceOptions rbOpt;
+    try {
+        rbOpt = rebalance::RebalanceOptions::fromArgs(argc, argv);
+    } catch (const sim::OptionError& e) {
+        std::fprintf(stderr, "fig8_strong_vascular: %s\n", e.what());
+        return 2;
+    }
 
     // Modeled best points collected for the JSON exporter.
     struct ExportPoint {
@@ -130,8 +137,6 @@ int main(int argc, char** argv) {
     // size, skewed 4-rank assignment, reference vs live-rebalanced run (the
     // strong-scaling case is where measured-load rebalancing matters most —
     // the most-loaded rank alone sets the time per step).
-    const rebalance::RebalanceOptions rbOpt =
-        rebalance::RebalanceOptions::fromArgs(argc, argv);
     if (rbOpt.any()) {
         const int drillRanks = 4;
         bf::ScalingSearchResult search = bf::findStrongScalingPartition(

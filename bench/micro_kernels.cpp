@@ -7,7 +7,8 @@
 ///   * full vs direction-sliced ghost-layer packing,
 ///   * triangle octree vs brute-force closest-triangle queries,
 ///   * graph partitioner throughput,
-///   * slice-by-16 vs byte-wise CRC-32 and the one-writer checkpoint save.
+///   * slice-by-16 vs byte-wise CRC-32 and the one-writer checkpoint save,
+///   * boundary links and same-rank ghost copies at team sizes 1 and 4.
 
 #include <benchmark/benchmark.h>
 
@@ -319,6 +320,57 @@ void BM_Pack_FullPdfSet(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_Pack_FullPdfSet)->Unit(benchmark::kMillisecond);
+
+// ---- per-rank phases on the OpenMP team -------------------------------------
+// Boundary links and same-rank ghost copies are orphaned worksharing loops
+// that the distributed driver runs on the rank's team; Arg = team size, so
+// the 1 -> 4 ratio is each phase's team speed-up in isolation.
+
+/// One 128^3 cavity block: fluid interior, no-slip ghost layer except the
+/// UBB lid on top (about 490k links).
+void BM_BoundaryApply(benchmark::State& state) {
+    constexpr cell_idx_t N = 128;
+    field::FlagField flags(N, N, N, 1);
+    const BoundaryFlags masks = BoundaryFlags::registerOn(flags);
+    flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        if (flags.interior().contains(Cell{x, y, z})) flags.addFlag(x, y, z, masks.fluid);
+        else flags.addFlag(x, y, z, z >= N ? masks.ubb : masks.noSlip);
+    });
+    BoundaryHandling<D3Q19> bh(flags, masks);
+    bh.setWallVelocity({0.05, 0, 0});
+    PdfField f = makePdfField<D3Q19>(N, N, N, 1.0, {0.01, 0, 0});
+    const int threads = int(state.range(0));
+    for (auto _ : state) {
+#pragma omp parallel num_threads(threads)
+        bh.apply(f);
+        benchmark::DoNotOptimize(f.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["threads"] = threads;
+    state.SetItemsProcessed(state.iterations() * std::int64_t(bh.numLinks()));
+}
+BENCHMARK(BM_BoundaryApply)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The ghost fill across one x-face between two 128^3 blocks: 5 slots x 128
+/// z-planes, each plane 128 strided 8-byte elements.
+void BM_LocalGhostCopyXFace(benchmark::State& state) {
+    constexpr cell_idx_t N = 128;
+    const PdfField from = makePdfField<D3Q19>(N, N, N, 1.0, {0.01, 0, 0});
+    PdfField to = makePdfField<D3Q19>(N, N, N, 1.0, {0, 0, 0});
+    LocalCopyPlan plan;
+    addLocalCopy<D3Q19>(plan, from, to, {-1, 0, 0});
+    const int threads = int(state.range(0));
+    for (auto _ : state) {
+#pragma omp parallel num_threads(threads)
+        plan.run();
+        benchmark::DoNotOptimize(to.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["threads"] = threads;
+    state.SetBytesProcessed(state.iterations() * std::int64_t(plan.numPlanes()) * N *
+                            std::int64_t(sizeof(real_t)));
+}
+BENCHMARK(BM_LocalGhostCopyXFace)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---- fluid-run construction and the core/shell split ------------------------
 

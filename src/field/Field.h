@@ -24,11 +24,24 @@ enum class Layout { fzyx, zyxf };
 
 inline const char* layoutName(Layout l) { return l == Layout::fzyx ? "fzyx(SoA)" : "zyxf(AoS)"; }
 
+/// Constructor tag: allocate without writing a single value. The caller
+/// must write every slot itself before reading any — e.g. from the OpenMP
+/// thread that later works on each page, so first touch places the page on
+/// that thread's NUMA node.
+struct NoFill {};
+inline constexpr NoFill noFill{};
+
 template <typename T>
 class Field {
 public:
     Field(cell_idx_t xSize, cell_idx_t ySize, cell_idx_t zSize, uint_t fSize, Layout layout,
           T initValue = T{}, cell_idx_t ghostLayers = 0)
+        : Field(xSize, ySize, zSize, fSize, layout, noFill, ghostLayers) {
+        fill(initValue);
+    }
+
+    Field(cell_idx_t xSize, cell_idx_t ySize, cell_idx_t zSize, uint_t fSize, Layout layout,
+          NoFill, cell_idx_t ghostLayers = 0)
         : xSize_(xSize),
           ySize_(ySize),
           zSize_(zSize),
@@ -50,13 +63,11 @@ public:
             yStride_ = xAlloc_ * fSize_;
             zStride_ = xAlloc_ * yAlloc_ * fSize_;
         }
-        const std::size_t n = std::size_t(xAlloc_ * yAlloc_ * zAlloc_ * fSize_);
-        data_ = allocateAligned<T>(n);
-        std::fill(data_.get(), data_.get() + n, initValue);
+        data_ = allocateAligned<T>(allocCells());
     }
 
     Field(const Field& o)
-        : Field(o.xSize_, o.ySize_, o.zSize_, uint_c(o.fSize_), o.layout_, T{}, o.ghost_) {
+        : Field(o.xSize_, o.ySize_, o.zSize_, uint_c(o.fSize_), o.layout_, noFill, o.ghost_) {
         std::copy(o.data_.get(), o.data_.get() + allocCells(), data_.get());
     }
     Field& operator=(const Field&) = delete;

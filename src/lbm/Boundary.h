@@ -16,8 +16,24 @@
 ///
 /// so the interior kernel stays branch-free and vectorizable. Link lists
 /// are precomputed from the flag field once after voxelization.
+///
+/// Threading: the link loops of every entry point are orphaned OpenMP
+/// worksharing loops. Called by every thread of a parallel region, an
+/// entry point shares its links over that team — the distributed driver
+/// opens one region per boundary phase for all of a rank's blocks; called
+/// outside a parallel region (or on a 1-thread team) it runs serially, in
+/// list order. This is bit-exact for any team size because each link
+/// writes its own (cell, slot) and no link writes a slot that any link
+/// reads: the two-grid links write boundary cells and read only fluid
+/// cells; the AA even map writes (xf, d) and reads boundary slots plus
+/// (xf + e_a, a), which would be another link's write only if xf were that
+/// link's boundary cell; the AA odd map writes boundary cells and reads
+/// fluid cells. The link kinds, and successive entry points on the same or
+/// other blocks, therefore run without a barrier between them; the
+/// enclosing region's closing barrier publishes the writes.
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -79,6 +95,9 @@ public:
 
     /// Per-cell wall velocity (e.g. a parabolic inflow profile), evaluated
     /// at the boundary cell's coordinates; overrides the uniform velocity.
+    /// The UBB links run on the OpenMP team, so the profile is called
+    /// concurrently from several threads: it must be reentrant (a pure
+    /// function of the cell, no unsynchronized mutable captures).
     void setWallVelocityProfile(std::function<Vec3(const Cell&)> profile) {
         uWallProfile_ = std::move(profile);
     }
@@ -110,6 +129,7 @@ public:
         split(noSlipLinks_, coreNoSlip_, shellNoSlip_);
         split(ubbLinks_, coreUbb_, shellUbb_);
         split(pressureLinks_, corePressure_, shellPressure_);
+        aaShellPressureStash_.assign(shellPressure_.size(), real_t(0));
         partitioned_ = true;
     }
 
@@ -161,17 +181,11 @@ public:
     // produced by xf itself or its own push targets, never by communication.
 
     void applyAa(PdfField& src, AaParity parity) const {
-        if (parity == AaParity::Even)
-            applyLinksAaEven(src, noSlipLinks_, ubbLinks_, pressureLinks_);
-        else
-            applyLinksAaOdd(src, noSlipLinks_, ubbLinks_, pressureLinks_);
+        applyLinksAa(src, parity, noSlipLinks_, ubbLinks_, pressureLinks_);
     }
     void applyAaCore(PdfField& src, AaParity parity) const {
         WALB_DASSERT(partitioned_);
-        if (parity == AaParity::Even)
-            applyLinksAaEven(src, coreNoSlip_, coreUbb_, corePressure_);
-        else
-            applyLinksAaOdd(src, coreNoSlip_, coreUbb_, corePressure_);
+        applyLinksAa(src, parity, coreNoSlip_, coreUbb_, corePressure_);
     }
     /// Computes the shell-partition pressure boundary values from the
     /// pre-sweep state and stashes them for applyAaShell(). The in-place
@@ -186,46 +200,70 @@ public:
     /// stays in applyAaShell(), after finishExchange.
     void precomputeAaShellPressure(const PdfField& src, AaParity parity) const {
         WALB_DASSERT(partitioned_);
-        aaShellPressureStash_.resize(shellPressure_.size());
-        for (std::size_t i = 0; i < shellPressure_.size(); ++i)
-            aaShellPressureStash_[i] = parity == AaParity::Even
-                                           ? aaPressureValueEven(src, shellPressure_[i])
-                                           : aaPressureValueOdd(src, shellPressure_[i]);
-        aaShellStashValid_ = true;
+        forEachShellPressure([&](std::size_t i, const Link& l) {
+            aaShellPressureStash_[i] = parity == AaParity::Even ? aaPressureValueEven(src, l)
+                                                                : aaPressureValueOdd(src, l);
+        });
     }
 
     /// Requires a matching precomputeAaShellPressure() call earlier in the
     /// same step whenever shell pressure links exist: by the time this runs
     /// the core sweep has already rewritten the slots their gather reads.
+    /// Both loop over the stash with the same static schedule, so within
+    /// one parallel region each thread reads back only its own stash
+    /// entries and no barrier is needed between the two.
     void applyAaShell(PdfField& src, AaParity parity) const {
         WALB_DASSERT(partitioned_);
-        WALB_DASSERT(aaShellStashValid_ || shellPressure_.empty());
-        if (parity == AaParity::Even) {
-            applyLinksAaEven(src, shellNoSlip_, shellUbb_, kNoLinks_);
-            for (std::size_t i = 0; i < shellPressure_.size(); ++i)
-                src.get(fluidCell(shellPressure_[i]),
-                        cell_idx_c(shellPressure_[i].dir)) = aaShellPressureStash_[i];
-        } else {
-            applyLinksAaOdd(src, shellNoSlip_, shellUbb_, kNoLinks_);
-            for (std::size_t i = 0; i < shellPressure_.size(); ++i)
-                src.get(shellPressure_[i].boundary,
-                        cell_idx_c(M::inv[shellPressure_[i].dir])) =
-                    aaShellPressureStash_[i];
-        }
-        aaShellStashValid_ = false;
+        applyLinksAa(src, parity, shellNoSlip_, shellUbb_, kNoLinks_);
+        forEachShellPressure([&](std::size_t i, const Link& l) {
+            if (parity == AaParity::Even)
+                src.get(fluidCell(l), cell_idx_c(l.dir)) = aaShellPressureStash_[i];
+            else
+                src.get(l.boundary, cell_idx_c(M::inv[l.dir])) = aaShellPressureStash_[i];
+        });
     }
 
 private:
+    /// Runs fn(link) for every link of `links` as an orphaned worksharing
+    /// loop without a closing barrier (see the file comment).
+    template <typename Fn>
+    static void forEachLink(const std::vector<Link>& links, Fn&& fn) {
+        const auto n = std::int64_t(links.size());
+#ifdef _OPENMP
+#pragma omp for schedule(static) nowait
+#endif
+        for (std::int64_t i = 0; i < n; ++i) fn(links[std::size_t(i)]);
+    }
+
+    /// forEachLink over the shell pressure links, also passing the index.
+    template <typename Fn>
+    void forEachShellPressure(Fn&& fn) const {
+        const auto n = std::int64_t(shellPressure_.size());
+#ifdef _OPENMP
+#pragma omp for schedule(static) nowait
+#endif
+        for (std::int64_t i = 0; i < n; ++i) fn(std::size_t(i), shellPressure_[std::size_t(i)]);
+    }
+
+    void applyLinksAa(PdfField& src, AaParity parity, const std::vector<Link>& noSlipLinks,
+                      const std::vector<Link>& ubbLinks,
+                      const std::vector<Link>& pressureLinks) const {
+        if (parity == AaParity::Even)
+            applyLinksAaEven(src, noSlipLinks, ubbLinks, pressureLinks);
+        else
+            applyLinksAaOdd(src, noSlipLinks, ubbLinks, pressureLinks);
+    }
+
     /// Even-step prep: write the boundary value into the *fluid* cell's own
     /// slot (xf, d), reading the reflected population from (xb, dbar).
     void applyLinksAaEven(PdfField& src, const std::vector<Link>& noSlipLinks,
                           const std::vector<Link>& ubbLinks,
                           const std::vector<Link>& pressureLinks) const {
-        for (const Link& l : noSlipLinks) {
+        forEachLink(noSlipLinks, [&](const Link& l) {
             const Cell f = fluidCell(l);
             src.get(f, cell_idx_c(l.dir)) = src.get(l.boundary, cell_idx_c(M::inv[l.dir]));
-        }
-        for (const Link& l : ubbLinks) {
+        });
+        forEachLink(ubbLinks, [&](const Link& l) {
             const Cell f = fluidCell(l);
             const Vec3 uw = uWallProfile_ ? uWallProfile_(l.boundary) : uWall_;
             const real_t eu = real_c(M::c[l.dir][0]) * uw[0] +
@@ -234,9 +272,10 @@ private:
             src.get(f, cell_idx_c(l.dir)) =
                 src.get(l.boundary, cell_idx_c(M::inv[l.dir])) +
                 real_c(6) * M::w[l.dir] * rho0_ * eu;
-        }
-        for (const Link& l : pressureLinks)
+        });
+        forEachLink(pressureLinks, [&](const Link& l) {
             src.get(fluidCell(l), cell_idx_c(l.dir)) = aaPressureValueEven(src, l);
+        });
     }
 
     /// Anti-bounce-back value for an even-step pressure link, computed from
@@ -265,11 +304,11 @@ private:
     void applyLinksAaOdd(PdfField& src, const std::vector<Link>& noSlipLinks,
                          const std::vector<Link>& ubbLinks,
                          const std::vector<Link>& pressureLinks) const {
-        for (const Link& l : noSlipLinks) {
+        forEachLink(noSlipLinks, [&](const Link& l) {
             const Cell f = fluidCell(l);
             src.get(l.boundary, cell_idx_c(M::inv[l.dir])) = src.get(f, cell_idx_c(l.dir));
-        }
-        for (const Link& l : ubbLinks) {
+        });
+        forEachLink(ubbLinks, [&](const Link& l) {
             const Cell f = fluidCell(l);
             const Vec3 uw = uWallProfile_ ? uWallProfile_(l.boundary) : uWall_;
             const real_t eu = real_c(M::c[l.dir][0]) * uw[0] +
@@ -277,9 +316,10 @@ private:
                               real_c(M::c[l.dir][2]) * uw[2];
             src.get(l.boundary, cell_idx_c(M::inv[l.dir])) =
                 src.get(f, cell_idx_c(l.dir)) + real_c(6) * M::w[l.dir] * rho0_ * eu;
-        }
-        for (const Link& l : pressureLinks)
+        });
+        forEachLink(pressureLinks, [&](const Link& l) {
             src.get(l.boundary, cell_idx_c(M::inv[l.dir])) = aaPressureValueOdd(src, l);
+        });
     }
 
     /// Anti-bounce-back value for an odd-step pressure link; same pre-sweep
@@ -302,11 +342,11 @@ private:
     void applyLinks(PdfField& src, const std::vector<Link>& noSlipLinks,
                     const std::vector<Link>& ubbLinks,
                     const std::vector<Link>& pressureLinks) const {
-        for (const Link& l : noSlipLinks) {
+        forEachLink(noSlipLinks, [&](const Link& l) {
             const Cell f = fluidCell(l);
             src.get(l.boundary, cell_idx_c(l.dir)) = src.get(f, cell_idx_c(M::inv[l.dir]));
-        }
-        for (const Link& l : ubbLinks) {
+        });
+        forEachLink(ubbLinks, [&](const Link& l) {
             const Cell f = fluidCell(l);
             const Vec3 uw = uWallProfile_ ? uWallProfile_(l.boundary) : uWall_;
             const real_t eu = real_c(M::c[l.dir][0]) * uw[0] +
@@ -314,8 +354,8 @@ private:
                               real_c(M::c[l.dir][2]) * uw[2];
             src.get(l.boundary, cell_idx_c(l.dir)) =
                 src.get(f, cell_idx_c(M::inv[l.dir])) + real_c(6) * M::w[l.dir] * rho0_ * eu;
-        }
-        for (const Link& l : pressureLinks) {
+        });
+        forEachLink(pressureLinks, [&](const Link& l) {
             const Cell f = fluidCell(l);
             // Velocity extrapolated from the adjacent fluid cell.
             const auto pdfs = getPdfs<M>(src, f.x, f.y, f.z);
@@ -326,7 +366,7 @@ private:
                 -src.get(f, cell_idx_c(M::inv[l.dir])) +
                 real_c(2) * M::w[l.dir] * rhoWall_ *
                     (real_c(1) + real_c(4.5) * eu * eu - real_c(1.5) * u.dot(u));
-        }
+        });
     }
 
     Cell fluidCell(const Link& l) const {
@@ -341,7 +381,6 @@ private:
     std::vector<Link> shellNoSlip_, shellUbb_, shellPressure_;
     const std::vector<Link> kNoLinks_;
     mutable std::vector<real_t> aaShellPressureStash_;
-    mutable bool aaShellStashValid_ = false;
     bool partitioned_ = false;
     std::function<Vec3(const Cell&)> uWallProfile_;
     Vec3 uWall_{0, 0, 0};

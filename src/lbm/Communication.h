@@ -13,6 +13,7 @@
 ///    baseline for the communication-volume ablation benchmark.
 
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -219,38 +220,107 @@ void unpackPdfs(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf,
                     buf >> f.get(x, y, z, cell_idx_c(a));
 }
 
-/// Direct block-to-block copy for neighbors living on the same process
-/// ("fast local communication", paper §2.3): the ghost slice of `to` facing
-/// direction d is filled from the interior slice of `from` facing -d.
-/// Contiguous x-rows are bulk-copied like in packPdfs.
+// ---- same-process ghost copies ---------------------------------------------
+
+/// One slot-to-slot slice copy of a same-process ghost exchange: slot
+/// `toSlot` of the cells `dst` of `to` receives slot `fromSlot` of the
+/// equally shaped cells `src` of `from`.
+struct SliceCopy {
+    const PdfField* from = nullptr;
+    cell_idx_t fromSlot = 0;
+    CellInterval src;
+    PdfField* to = nullptr;
+    cell_idx_t toSlot = 0;
+    CellInterval dst;
+
+    /// Copies the z-plane `z` (in `to`'s frame) of the slice, row by row:
+    /// one bulk copy per contiguous x-row (fzyx), element-wise otherwise
+    /// (zyxf rows and the single-cell rows of x-faces).
+    void copyPlane(cell_idx_t z) const {
+        const Cell o = src.min() - dst.min();
+        real_t* d = to->dataAt(dst.min().x, dst.min().y, z, toSlot);
+        const real_t* s = from->dataAt(src.min().x, src.min().y, z + o.z, fromSlot);
+        const cell_idx_t nx = dst.xSize(), ny = dst.ySize();
+        const cell_idx_t dx = to->xStride(), sx = from->xStride();
+        const cell_idx_t dy = to->yStride(), sy = from->yStride();
+        const bool bulk = nx > 1 && dx == 1 && sx == 1;
+        for (cell_idx_t y = 0; y < ny; ++y, d += dy, s += sy) {
+            if (bulk) {
+                std::memcpy(d, s, std::size_t(nx) * sizeof(real_t));
+            } else {
+                for (cell_idx_t x = 0; x < nx; ++x) d[x * dx] = s[x * sx];
+            }
+        }
+    }
+};
+
+/// The slice copies of one same-process exchange, run as one job. Every
+/// list the add*LocalCopy functions below build for a single exchange mode
+/// writes pairwise-disjoint (cell, slot)s that no copy of the list reads
+/// (ghost fills read interiors and write ghosts; the AA reverse copies read
+/// ghosts and write trimmed interiors, each slot from exactly one
+/// neighbor), so the copies may run in any order and on any threads.
+class LocalCopyPlan {
+public:
+    /// Appends one copy; empty slices (the AA reverse trim can empty one)
+    /// are dropped.
+    void add(const SliceCopy& c) {
+        if (c.dst.empty()) return;
+        WALB_DASSERT(c.src.numCells() == c.dst.numCells());
+        for (cell_idx_t z = c.dst.min().z; z <= c.dst.max().z; ++z)
+            planes_.push_back({copies_.size(), z});
+        copies_.push_back(c);
+    }
+
+    /// Work items of run(): the (copy, z-plane) pairs of all copies.
+    std::size_t numPlanes() const { return planes_.size(); }
+
+    /// Executes every copy as one orphaned worksharing loop over the
+    /// (copy, z-plane) pairs: called by every thread of a parallel region it
+    /// shares them over that team (static schedule, closing barrier);
+    /// called outside a region it copies serially, in list order. Strided
+    /// x-face planes are latency-bound, so a larger team keeps
+    /// proportionally more misses in flight.
+    void run() const {
+        const auto n = std::int64_t(planes_.size());
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+        for (std::int64_t i = 0; i < n; ++i) {
+            const Plane& p = planes_[std::size_t(i)];
+            copies_[p.copy].copyPlane(p.z);
+        }
+    }
+
+private:
+    struct Plane {
+        std::size_t copy; ///< index into copies_
+        cell_idx_t z;     ///< in the destination's frame
+    };
+    std::vector<SliceCopy> copies_;
+    std::vector<Plane> planes_;
+};
+
+/// Plans the direct block-to-block copy for neighbors living on the same
+/// process ("fast local communication", paper §2.3): the ghost slice of
+/// `to` facing direction d is filled from the interior slice of `from`
+/// facing -d, one copy per population crossing the interface.
 template <LatticeModel M>
-void copyPdfsLocal(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+void addLocalCopy(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
+                  const std::array<int, 3>& d) {
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
     const CellInterval srcCi = sendInterval(from, senderDir);
     const CellInterval dstCi = recvInterval(to, d);
-    const std::vector<uint_t> dirs = commDirections<M>(senderDir);
-    if (dirs.empty()) return;
+    for (uint_t a : commDirections<M>(senderDir))
+        plan.add({&from, cell_idx_c(a), srcCi, &to, cell_idx_c(a), dstCi});
+}
 
-    WALB_DASSERT(srcCi.numCells() == dstCi.numCells());
-    const Cell offset = srcCi.min() - dstCi.min();
-    const bool contiguous = from.xStride() == 1 && to.xStride() == 1;
-    const std::size_t rowBytes =
-        std::size_t(dstCi.max().x - dstCi.min().x + 1) * sizeof(real_t);
-    for (uint_t a : dirs)
-        for (cell_idx_t z = dstCi.min().z; z <= dstCi.max().z; ++z)
-            for (cell_idx_t y = dstCi.min().y; y <= dstCi.max().y; ++y) {
-                if (contiguous) {
-                    std::memcpy(to.dataAt(dstCi.min().x, y, z, cell_idx_c(a)),
-                                from.dataAt(dstCi.min().x + offset.x, y + offset.y,
-                                            z + offset.z, cell_idx_c(a)),
-                                rowBytes);
-                } else {
-                    for (cell_idx_t x = dstCi.min().x; x <= dstCi.max().x; ++x)
-                        to.get(x, y, z, cell_idx_c(a)) =
-                            from.get(x + offset.x, y + offset.y, z + offset.z,
-                                     cell_idx_c(a));
-                }
-            }
+/// Runs one addLocalCopy (serially outside a parallel region).
+template <LatticeModel M>
+void copyPdfsLocal(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+    LocalCopyPlan plan;
+    addLocalCopy<M>(plan, from, to, d);
+    plan.run();
 }
 
 /// Generic whole-slot slice copy for any field type: the ghost slice of
@@ -276,7 +346,9 @@ void copySliceLocal(const field::Field<T>& from, field::Field<T>& to,
 /// one-block periodic domain. Used by single-block physics tests.
 template <LatticeModel M>
 void applyPeriodicAll(PdfField& f) {
-    for (const auto& d : neighborhood26) copyPdfsLocal<M>(f, f, d);
+    LocalCopyPlan plan;
+    for (const auto& d : neighborhood26) addLocalCopy<M>(plan, f, f, d);
+    plan.run();
 }
 
 // ---- AA-pattern (in-place) exchange --------------------------------------
@@ -371,33 +443,6 @@ inline void unpackSlice(PdfField& f, const CellInterval& ci, cell_idx_t slot,
                 buf >> f.get(x, y, z, slot);
 }
 
-/// Slot-to-slot slice copy with per-slice offset (from-frame = to-frame +
-/// offset), bulk row copies when both fields are fzyx.
-inline void copySlice(const PdfField& from, cell_idx_t fromSlot, const CellInterval& srcCi,
-                      PdfField& to, cell_idx_t toSlot, const CellInterval& dstCi) {
-    if (dstCi.min().x > dstCi.max().x || dstCi.min().y > dstCi.max().y ||
-        dstCi.min().z > dstCi.max().z)
-        return;
-    WALB_DASSERT(srcCi.numCells() == dstCi.numCells());
-    const Cell offset = srcCi.min() - dstCi.min();
-    const bool contiguous = from.xStride() == 1 && to.xStride() == 1;
-    const std::size_t rowBytes =
-        std::size_t(dstCi.max().x - dstCi.min().x + 1) * sizeof(real_t);
-    for (cell_idx_t z = dstCi.min().z; z <= dstCi.max().z; ++z)
-        for (cell_idx_t y = dstCi.min().y; y <= dstCi.max().y; ++y) {
-            if (contiguous) {
-                std::memcpy(to.dataAt(dstCi.min().x, y, z, toSlot),
-                            from.dataAt(dstCi.min().x + offset.x, y + offset.y,
-                                        z + offset.z, fromSlot),
-                            rowBytes);
-            } else {
-                for (cell_idx_t x = dstCi.min().x; x <= dstCi.max().x; ++x)
-                    to.get(x, y, z, toSlot) =
-                        from.get(x + offset.x, y + offset.y, z + offset.z, fromSlot);
-            }
-        }
-}
-
 } // namespace detail
 
 /// AA forward pack: interior slice toward d, population set of d, sender
@@ -439,41 +484,59 @@ void unpackPdfsAaReverse(PdfField& f, const std::array<int, 3>& d, RecvBuffer& b
         detail::unpackSlice(f, aaReverseTrim<M>(base, d, a), cell_idx_c(a), buf);
 }
 
-/// AA forward local copy — copyPdfsLocal with the opposing slot on both
+/// AA forward local copy — addLocalCopy with the opposing slot on both
 /// sides: the ghost slice of `to` facing d is filled from the interior
 /// slice of `from` facing -d.
 template <LatticeModel M>
-void aaCopyPdfsLocalForward(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+void addLocalCopyAaForward(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
+                           const std::array<int, 3>& d) {
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
     const CellInterval srcCi = sendInterval(from, senderDir);
     const CellInterval dstCi = recvInterval(to, d);
     for (uint_t a : commDirections<M>(senderDir))
-        detail::copySlice(from, cell_idx_c(M::inv[a]), srcCi, to, cell_idx_c(M::inv[a]),
-                          dstCi);
+        plan.add({&from, cell_idx_c(M::inv[a]), srcCi, &to, cell_idx_c(M::inv[a]), dstCi});
 }
 
 /// AA reverse local copy: d is the direction from `from` toward `to`; the
 /// trimmed ghost slice of `from` facing d lands on the trimmed interior
 /// slice of `to` facing -d, natural slots.
 template <LatticeModel M>
-void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+void addLocalCopyAaReverse(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
+                           const std::array<int, 3>& d) {
     const CellInterval srcBase = recvInterval(from, d);
     const std::array<int, 3> back = {-d[0], -d[1], -d[2]};
     const CellInterval dstBase = sendInterval(to, back);
     for (uint_t a : commDirections<M>(d))
-        detail::copySlice(from, cell_idx_c(a), aaReverseTrim<M>(srcBase, d, a), to,
-                          cell_idx_c(a), aaReverseTrim<M>(dstBase, d, a));
+        plan.add({&from, cell_idx_c(a), aaReverseTrim<M>(srcBase, d, a), &to, cell_idx_c(a),
+                  aaReverseTrim<M>(dstBase, d, a)});
+}
+
+template <LatticeModel M>
+void aaCopyPdfsLocalForward(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+    LocalCopyPlan plan;
+    addLocalCopyAaForward<M>(plan, from, to, d);
+    plan.run();
+}
+template <LatticeModel M>
+void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+    LocalCopyPlan plan;
+    addLocalCopyAaReverse<M>(plan, from, to, d);
+    plan.run();
 }
 
 /// Single-block periodic wrap under AA parity — the AA counterparts of
 /// applyPeriodicAll, one per exchange mode.
 template <LatticeModel M>
 void applyPeriodicAllAaForward(PdfField& f) {
-    for (const auto& d : neighborhood26) aaCopyPdfsLocalForward<M>(f, f, d);
+    LocalCopyPlan plan;
+    for (const auto& d : neighborhood26) addLocalCopyAaForward<M>(plan, f, f, d);
+    plan.run();
 }
 template <LatticeModel M>
 void applyPeriodicAllAaReverse(PdfField& f) {
-    for (const auto& d : neighborhood26) aaCopyPdfsLocalReverse<M>(f, f, d);
+    LocalCopyPlan plan;
+    for (const auto& d : neighborhood26) addLocalCopyAaReverse<M>(plan, f, f, d);
+    plan.run();
 }
 
 /// Bytes a block sends toward direction d (for communication-graph edge

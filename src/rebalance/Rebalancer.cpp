@@ -3,6 +3,7 @@
 #include "core/Debug.h"
 #include "core/Logging.h"
 #include "rebalance/Migrator.h"
+#include "sim/Checkpoint.h"
 #include "sim/DistributedSimulation.h"
 
 namespace walb::rebalance {
@@ -97,24 +98,16 @@ bool Rebalancer::runEpoch(std::uint64_t step, const std::vector<double>& weights
 }
 
 RebalanceOptions RebalanceOptions::fromArgs(int argc, char** argv) {
-    auto valueOf = [&](const std::string& flag, int i) -> std::string {
-        const std::string arg = argv[i];
-        if (arg == flag && i + 1 < argc) return argv[i + 1];
-        const std::string prefix = flag + "=";
-        if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-        return "";
-    };
     RebalanceOptions opt;
     for (int i = 1; i < argc; ++i) {
-        std::string v;
-        if (!(v = valueOf("--rebalance-every", i)).empty())
-            opt.every = std::stoull(v);
-        else if (!(v = valueOf("--rebalance-policy", i)).empty())
-            opt.policy = v;
-        else if (!(v = valueOf("--imbalance-threshold", i)).empty())
-            opt.imbalanceThreshold = std::stod(v);
-        else if (!(v = valueOf("--rebalance-max-moves", i)).empty())
-            opt.maxMoves = std::uint32_t(std::stoul(v));
+        if (auto v = sim::flagValue(argc, argv, i, "--rebalance-every"))
+            opt.every = sim::parseFlagValue<std::uint64_t>("--rebalance-every", *v);
+        else if ((v = sim::flagValue(argc, argv, i, "--rebalance-policy")))
+            opt.policy = *v;
+        else if ((v = sim::flagValue(argc, argv, i, "--imbalance-threshold")))
+            opt.imbalanceThreshold = sim::parseFlagValue<double>("--imbalance-threshold", *v);
+        else if ((v = sim::flagValue(argc, argv, i, "--rebalance-max-moves")))
+            opt.maxMoves = sim::parseFlagValue<std::uint32_t>("--rebalance-max-moves", *v);
     }
     return opt;
 }

@@ -46,6 +46,7 @@ struct RebalanceOptions {
     std::uint32_t maxMoves = 8;
 
     bool any() const { return every > 0; }
+    /// Throws sim::OptionError on a malformed or missing value.
     static RebalanceOptions fromArgs(int argc, char** argv);
 };
 

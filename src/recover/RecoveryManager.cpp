@@ -7,6 +7,7 @@
 
 #include "core/Logging.h"
 #include "rebalance/Policy.h"
+#include "sim/Checkpoint.h"
 
 namespace walb::recover {
 
@@ -29,26 +30,19 @@ std::string rankList(const std::vector<int>& ranks) {
 } // namespace
 
 RecoveryOptions RecoveryOptions::fromArgs(int argc, char** argv) {
-    auto valueOf = [&](const std::string& flag, int i) -> std::string {
-        const std::string arg = argv[i];
-        if (arg == flag && i + 1 < argc) return argv[i + 1];
-        const std::string prefix = flag + "=";
-        if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-        return "";
-    };
     RecoveryOptions opt;
     for (int i = 1; i < argc; ++i) {
-        std::string v;
         if (std::string(argv[i]) == "--recover")
             opt.enabled = true;
-        else if (!(v = valueOf("--buddy-every", i)).empty())
-            opt.buddyEvery = std::stoull(v);
-        else if (!(v = valueOf("--agree-timeout-ms", i)).empty())
-            opt.agreeTimeout = std::chrono::milliseconds(std::stoll(v));
-        else if (!(v = valueOf("--max-recoveries", i)).empty())
-            opt.maxRecoveries = std::stoi(v);
-        else if (!(v = valueOf("--recover-disk-fallback", i)).empty())
-            opt.diskFallback = v;
+        else if (auto v = sim::flagValue(argc, argv, i, "--buddy-every"))
+            opt.buddyEvery = sim::parseFlagValue<std::uint64_t>("--buddy-every", *v);
+        else if ((v = sim::flagValue(argc, argv, i, "--agree-timeout-ms")))
+            opt.agreeTimeout = std::chrono::milliseconds(
+                sim::parseFlagValue<std::uint32_t>("--agree-timeout-ms", *v));
+        else if ((v = sim::flagValue(argc, argv, i, "--max-recoveries")))
+            opt.maxRecoveries = sim::parseFlagValue<int>("--max-recoveries", *v);
+        else if ((v = sim::flagValue(argc, argv, i, "--recover-disk-fallback")))
+            opt.diskFallback = *v;
     }
     return opt;
 }

@@ -73,6 +73,7 @@ struct RecoveryOptions {
     int agreeMaxAttempts = 2;
     std::string diskFallback;
 
+    /// Throws sim::OptionError on a malformed or missing value.
     static RecoveryOptions fromArgs(int argc, char** argv);
 };
 

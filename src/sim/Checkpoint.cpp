@@ -355,37 +355,32 @@ std::uint64_t checkpointDigest(DistributedSimulation& sim) {
 }
 // walb-lint: end(deterministic)
 
+std::optional<std::string> flagValue(int argc, char** argv, int i, const std::string& flag) {
+    const std::string arg = argv[i];
+    std::optional<std::string> v;
+    if (arg == flag) {
+        if (i + 1 >= argc) throw OptionError(flag + ": missing value");
+        v = argv[i + 1];
+    } else if (arg.rfind(flag + "=", 0) == 0) {
+        v = arg.substr(flag.size() + 1);
+    }
+    if (v && v->empty()) throw OptionError(flag + ": missing value");
+    return v;
+}
+
 CheckpointOptions CheckpointOptions::fromArgs(int argc, char** argv) {
-    // The value of `flag` at argv[i] ("--flag V" or "--flag=V"), nullopt
-    // when argv[i] is another argument.
-    auto valueOf = [&](const std::string& flag, int i) -> std::optional<std::string> {
-        const std::string arg = argv[i];
-        if (arg == flag) {
-            if (i + 1 >= argc) throw OptionError(flag + ": missing value");
-            return std::string(argv[i + 1]);
-        }
-        const std::string prefix = flag + "=";
-        if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-        return std::nullopt;
-    };
-    auto count = [](const std::string& flag, const std::string& v) {
-        std::uint64_t n = 0;
-        const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-        if (ec != std::errc() || end != v.data() + v.size())
-            throw OptionError(flag + ": expected an integer in [0, 2^64), got '" + v + "'");
-        return n;
-    };
+    const auto count = parseFlagValue<std::uint64_t>;
     CheckpointOptions opt;
     for (int i = 1; i < argc; ++i) {
-        if (auto v = valueOf("--checkpoint-every", i))
+        if (auto v = flagValue(argc, argv, i, "--checkpoint-every"))
             opt.every = count("--checkpoint-every", *v);
-        else if ((v = valueOf("--checkpoint-path", i)))
+        else if ((v = flagValue(argc, argv, i, "--checkpoint-path")))
             opt.path = *v;
-        else if ((v = valueOf("--restart-from", i)))
+        else if ((v = flagValue(argc, argv, i, "--restart-from")))
             opt.restartFrom = *v;
-        else if ((v = valueOf("--stop-after", i)))
+        else if ((v = flagValue(argc, argv, i, "--stop-after")))
             opt.stopAfter = count("--stop-after", *v);
-        else if ((v = valueOf("--steps", i)))
+        else if ((v = flagValue(argc, argv, i, "--steps")))
             opt.steps = count("--steps", *v);
     }
     return opt;

@@ -42,9 +42,14 @@
 /// BlockID, not by rank, so a restart may use a different load balancing
 /// than the save.
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "core/Buffer.h"
 
@@ -117,12 +122,36 @@ std::uint64_t checkpointDigest(DistributedSimulation& sim);
 
 // ---- driver wiring ---------------------------------------------------------
 
-/// Malformed checkpoint flag (non-numeric or negative count, missing value);
-/// the message names the flag.
+/// Malformed command-line flag (non-numeric, negative or out-of-range
+/// value, missing value); the message names the flag. The drivers exit 2
+/// on it.
 class OptionError : public std::invalid_argument {
 public:
     using std::invalid_argument::invalid_argument;
 };
+
+/// The value of `flag` at argv[i] ("--flag V" or "--flag=V"), nullopt when
+/// argv[i] is another argument. Throws OptionError when the value is
+/// missing or empty.
+std::optional<std::string> flagValue(int argc, char** argv, int i, const std::string& flag);
+
+/// Parses all of `v` as a T with std::from_chars (no sign on unsigned
+/// types, no blanks, no trailing characters, no overflow, finite floats);
+/// throws OptionError naming `flag` otherwise.
+template <typename T>
+T parseFlagValue(const std::string& flag, const std::string& v) {
+    T n{};
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+    bool ok = ec == std::errc() && end == v.data() + v.size();
+    std::string expected = "a finite number";
+    if constexpr (std::is_integral_v<T>)
+        expected = "an integer in [" + std::to_string(std::numeric_limits<T>::min()) + ", " +
+                   std::to_string(std::numeric_limits<T>::max()) + "]";
+    else
+        ok = ok && std::isfinite(n);
+    if (!ok) throw OptionError(flag + ": expected " + expected + ", got '" + v + "'");
+    return n;
+}
 
 /// Command-line surface shared by the fig6/fig7 drivers (and the ctest
 /// kill-and-restart smoke):

@@ -65,19 +65,31 @@ public:
           bufferSystem_(comm, vmpi::tags::kGhostExchange) {
         bufferSystem_.setReceiverInfo(std::vector<int>(forest.neighborProcesses().begin(),
                                                        forest.neighborProcesses().end()));
-        // Map (sender block id, sender direction) -> local receiving block.
-        for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
-            for (const auto& n : forest_.blocks()[b].neighbors)
-                if (n.localIndex < 0)
+        // Map (sender block id, sender direction) -> local receiving block;
+        // plan the same-rank copies of every exchange mode.
+        for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
+            const lbm::PdfField& src = forest_.getData<lbm::PdfField>(b, srcId_);
+            for (const auto& n : forest_.blocks()[b].neighbors) {
+                if (n.localIndex < 0) {
                     remoteSources_[{n.id, inverseDirIndex(n.dir)}] = b;
+                    continue;
+                }
+                lbm::PdfField& dst =
+                    forest_.getData<lbm::PdfField>(std::size_t(n.localIndex), srcId_);
+                // The neighbor's ghost slice facing us is in direction
+                // -n.dir from its perspective; the reverse mode's ghost
+                // pushes of `src` toward n travel into the neighbor's
+                // interior along n.dir.
+                const std::array<int, 3> toMe = {-n.dir[0], -n.dir[1], -n.dir[2]};
+                lbm::addLocalCopy<M>(localCopies(ExchangeMode::TwoGrid), src, dst, toMe);
+                lbm::addLocalCopyAaForward<M>(localCopies(ExchangeMode::AaForward), src, dst,
+                                              toMe);
+                lbm::addLocalCopyAaReverse<M>(localCopies(ExchangeMode::AaReverse), src, dst,
+                                              n.dir);
+            }
+        }
     }
 
-    /// Direct ghost copies between same-rank neighbor blocks. Pure local
-    /// memory traffic — no message leaves the rank — so the drivers account
-    /// it separately from the exposed communication time. Must complete
-    /// before any cell whose stencil reads a locally-backed ghost slice is
-    /// swept (such cells are *core* in the overlap split, so this runs
-    /// before the core sweep).
     void setExchangeMode(ExchangeMode mode) {
         WALB_ASSERT(mode == ExchangeMode::TwoGrid || !fullPdfSet_,
                     "AA exchange modes are direction-sliced only");
@@ -85,29 +97,20 @@ public:
     }
     ExchangeMode exchangeMode() const { return mode_; }
 
+    /// Direct ghost copies between same-rank neighbor blocks. Pure local
+    /// memory traffic — no message leaves the rank — so the drivers account
+    /// it separately from the exposed communication time. Must complete
+    /// before any cell whose stencil reads a locally-backed ghost slice is
+    /// swept (such cells are *core* in the overlap split, so this runs
+    /// before the core sweep). The (neighbor, slot, z) planes of all the
+    /// rank's blocks are shared over the rank's OpenMP team, so a few large
+    /// blocks balance as well as many small ones.
     void copyLocalGhosts() {
-        const auto& blocks = forest_.blocks();
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            lbm::PdfField& src = forest_.getData<lbm::PdfField>(b, srcId_);
-            for (const auto& n : blocks[b].neighbors) {
-                if (n.localIndex < 0) continue;
-                lbm::PdfField& dst =
-                    forest_.getData<lbm::PdfField>(std::size_t(n.localIndex), srcId_);
-                if (mode_ == ExchangeMode::AaReverse) {
-                    // Ghost pushes of `src` toward n travel into the
-                    // neighbor's interior; n.dir is src -> neighbor.
-                    lbm::aaCopyPdfsLocalReverse<M>(src, dst, n.dir);
-                    continue;
-                }
-                // The neighbor's ghost slice facing us is in direction
-                // -n.dir from its perspective.
-                const std::array<int, 3> toMe = {-n.dir[0], -n.dir[1], -n.dir[2]};
-                if (mode_ == ExchangeMode::AaForward)
-                    lbm::aaCopyPdfsLocalForward<M>(src, dst, toMe);
-                else
-                    lbm::copyPdfsLocal<M>(src, dst, toMe);
-            }
-        }
+        const lbm::LocalCopyPlan& plan = localCopies(mode_);
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
+        plan.run();
     }
 
     /// Packs one message per remote neighbor rank, ships them all and
@@ -231,6 +234,10 @@ private:
         }
     }
 
+    lbm::LocalCopyPlan& localCopies(ExchangeMode mode) {
+        return localCopies_[std::size_t(mode)];
+    }
+
     vmpi::CommError makeCorruptError(int rank, const std::string& detail) const {
         return vmpi::CommError(vmpi::CommError::Kind::Corrupt, rank,
                                vmpi::tags::kGhostExchange, 0.0,
@@ -244,6 +251,7 @@ private:
     ExchangeMode mode_ = ExchangeMode::TwoGrid;
     vmpi::BufferSystem bufferSystem_;
     std::map<std::pair<bf::BlockID, std::uint8_t>, std::size_t> remoteSources_;
+    std::array<lbm::LocalCopyPlan, 3> localCopies_; ///< indexed by ExchangeMode
     std::size_t bytesLastExchange_ = 0;
 };
 
@@ -932,6 +940,11 @@ private:
         {
             ScopedTimer t(timing_["boundary"]);
             obs::ScopedTrace tr(trace_, "boundary");
+            // One team region for all blocks: each entry point shares its
+            // links over the team (Boundary.h).
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
             for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
                 auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
                 if (usesAaPattern()) boundaries_[b]->applyAa(src, aaParity());
@@ -997,6 +1010,9 @@ private:
         {
             ScopedTimer t(timing_["boundary"]);
             obs::ScopedTrace tr(trace_, "boundary");
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
             for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
                 auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
                 if (usesAaPattern()) {
@@ -1051,6 +1067,9 @@ private:
         {
             ScopedTimer t(timing_["boundary"]);
             obs::ScopedTrace tr(trace_, "boundary");
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
             for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
                 auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
                 if (usesAaPattern()) boundaries_[b]->applyAaShell(src, aaParity());
@@ -1079,15 +1098,23 @@ private:
     /// and applyBlockAssignment().
     void buildBlockData() {
         const cell_idx_t cx = forest_.cellsX(), cy = forest_.cellsY(), cz = forest_.cellsZ();
-        srcId_ = forest_.addBlockData<lbm::PdfField>([&](const auto&) {
-            return std::make_unique<lbm::PdfField>(lbm::makePdfField<M>(cx, cy, cz));
-        });
+        // Uniform equilibrium including ghosts is also a valid AA state at
+        // the initial parity (Even): pdf(x, a) = P(x - e_a, a) holds
+        // trivially when every cell carries the same PDF set. After a
+        // mid-run rebuild the migrator restores the real state on top
+        // before any sweep runs. One pass per field on the rank's team.
+        const auto makeEquilibrium = [&] {
+            return std::make_unique<lbm::PdfField>(
+                lbm::makePdfField<M>(cx, cy, cz, real_c(1), Vec3{0, 0, 0}));
+        };
+        srcId_ = forest_.addBlockData<lbm::PdfField>(
+            [&](const auto&) { return makeEquilibrium(); });
         // The AA tiers update in place — the shadow grid shrinks to a token
         // allocation and the per-block PDF footprint halves.
         dstId_ = forest_.addBlockData<lbm::PdfField>([&](const auto&) {
-            return std::make_unique<lbm::PdfField>(
-                usesAaPattern() ? lbm::makePdfField<M>(1, 1, 1)
-                                : lbm::makePdfField<M>(cx, cy, cz));
+            return usesAaPattern()
+                       ? std::make_unique<lbm::PdfField>(lbm::makePdfField<M>(1, 1, 1))
+                       : makeEquilibrium();
         });
         flagId_ = forest_.addBlockData<field::FlagField>([&](const bf::BlockForest::Block& b) {
             auto ff = std::make_unique<field::FlagField>(cx, cy, cz, 1);
@@ -1101,17 +1128,6 @@ private:
             boundaries_.back()->setWallVelocity(wallVelocity_);
             boundaries_.back()->setPressureDensity(pressureDensity_);
             runs_.push_back(lbm::buildFluidRuns(flags, masks_.fluid));
-            cellLists_.push_back(lbm::buildFluidCellList(flags, masks_.fluid));
-            // Uniform equilibrium including ghosts is also a valid AA state
-            // at the initial parity (Even): pdf(x, a) = P(x - e_a, a) holds
-            // trivially when every cell carries the same PDF set. After a
-            // mid-run rebuild the migrator restores the real state on top
-            // before any sweep runs.
-            lbm::initEquilibrium<M>(forest_.getData<lbm::PdfField>(b, srcId_), 1.0, {0, 0, 0});
-            if (!usesAaPattern())
-                lbm::initEquilibrium<M>(forest_.getData<lbm::PdfField>(b, dstId_), 1.0,
-                                        {0, 0, 0});
-
             // Split plan for the overlapped schedule (always built — cheap,
             // and rebalance migrations rebuild it here automatically). A
             // ghost region backed by a block on *another rank* is filled by
@@ -1121,8 +1137,15 @@ private:
                 if (n.localIndex < 0) remote[lbm::dirIndex26(n.dir)] = true;
             coreShellRuns_.push_back(
                 lbm::splitFluidRuns<M>(runs_[b], cx, cy, cz, remote));
-            coreShellCells_.push_back(
-                lbm::splitFluidCellList<M>(cellLists_[b], cx, cy, cz, remote));
+            // Only the cell-list tiers sweep the cell lists; the others keep
+            // them empty (24 bytes per fluid cell, twice, saved).
+            cellLists_.emplace_back();
+            coreShellCells_.emplace_back();
+            if (sweepsCellLists()) {
+                cellLists_.back() = lbm::buildFluidCellList(flags, masks_.fluid);
+                coreShellCells_.back() =
+                    lbm::splitFluidCellList<M>(cellLists_.back(), cx, cy, cz, remote);
+            }
             // Boundary links whose boundary cell sits in a remote-backed
             // ghost slice are overwritten by the unpack: apply them after
             // finishExchange (their unique readers are shell cells).
@@ -1144,6 +1167,12 @@ private:
                          forest_.getData<lbm::PdfField>(b, dstId_).allocCells()) *
                         sizeof(real_t);
         metrics_.gauge("mem.pdf_bytes").set(double(pdfBytes));
+    }
+
+    /// The tiers whose sweep reads cellLists_/coreShellCells_ rather than
+    /// the fluid runs.
+    bool sweepsCellLists() const {
+        return tier_ == KernelTier::D3Q19 || tier_ == KernelTier::Aa;
     }
 
     /// Points the ghost-exchange scheme at the mode matching the kernel

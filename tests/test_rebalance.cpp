@@ -112,6 +112,25 @@ TEST(RebalanceOptionsTest, DefaultIsDisabled) {
     EXPECT_DOUBLE_EQ(opt.imbalanceThreshold, 1.10);
 }
 
+TEST(RebalanceOptionsTest, RejectsMalformedValuesNamingTheFlag) {
+    const std::vector<std::vector<std::string>> bad = {
+        {"--rebalance-every", "abc"},      {"--rebalance-every", "-3"},
+        {"--rebalance-every=7x"},          {"--imbalance-threshold", "fast"},
+        {"--imbalance-threshold=inf"},     {"--rebalance-max-moves", "99999999999"},
+        {"--rebalance-max-moves="},        {"--rebalance-policy"}};
+    for (const auto& args : bad) {
+        std::vector<char*> argv{const_cast<char*>("prog")};
+        for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+        const std::string flag = args[0].substr(0, args[0].find('='));
+        try {
+            (void)rebalance::RebalanceOptions::fromArgs(int(argv.size()), argv.data());
+            ADD_FAILURE() << "accepted " << args[0];
+        } catch (const sim::OptionError& e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+        }
+    }
+}
+
 TEST(RebalanceOptionsTest, UnknownPolicyNameIsRejectedByFactory) {
     EXPECT_EQ(rebalance::makePolicy("round-robin"), nullptr);
     EXPECT_NE(rebalance::makePolicy("morton"), nullptr);

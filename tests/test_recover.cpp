@@ -389,6 +389,25 @@ TEST(RecoveryOptionsTest, FromArgsParsesTheWholeSurface) {
     EXPECT_FALSE(recover::RecoveryOptions::fromArgs(1, const_cast<char**>(off)).enabled);
 }
 
+TEST(RecoveryOptionsTest, RejectsMalformedValuesNamingTheFlag) {
+    const std::vector<std::vector<std::string>> bad = {
+        {"--buddy-every", "abc"},         {"--buddy-every=-1"},
+        {"--agree-timeout-ms", "1.5"},    {"--agree-timeout-ms", "-300"},
+        {"--max-recoveries", "many"},     {"--max-recoveries", "99999999999"},
+        {"--recover-disk-fallback="},     {"--max-recoveries"}};
+    for (const auto& args : bad) {
+        std::vector<char*> argv{const_cast<char*>("prog")};
+        for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+        const std::string flag = args[0].substr(0, args[0].find('='));
+        try {
+            (void)recover::RecoveryOptions::fromArgs(int(argv.size()), argv.data());
+            ADD_FAILURE() << "accepted " << args[0];
+        } catch (const sim::OptionError& e) {
+            EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+        }
+    }
+}
+
 // ---- end-to-end: kill-and-heal and transient-only drills -------------------
 
 std::uint64_t uninterruptedDigest(const bf::SetupBlockForest& setup, int ranks,
