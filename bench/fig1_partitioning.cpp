@@ -14,17 +14,27 @@
 /// full-JUQUEEN 458752) run.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "blockforest/ScalingSetup.h"
 #include "core/Timer.h"
 #include "geometry/CoronaryTree.h"
+#include "sim/Checkpoint.h"
 
 using namespace walb;
 
 int main(int argc, char** argv) {
     std::printf("=== Figure 1: one-block-per-process partitioning of the coronary tree "
                 "===\n");
+    std::vector<uint_t> targets = {512, 4096, 32768};
+    // Larger scales (e.g. full-JUQUEEN 458752, ~minutes of search) opt-in:
+    if (argc > 1) {
+        try {
+            targets.push_back(uint_t(sim::parseFlagValue<std::uint64_t>("target", argv[1])));
+        } catch (const sim::OptionError& e) {
+            std::fprintf(stderr, "fig1_partitioning: %s\n", e.what());
+            return 2;
+        }
+    }
 
     geometry::CoronaryTreeParams params;
     params.seed = 2013;
@@ -38,10 +48,6 @@ int main(int argc, char** argv) {
                 "%.2f%% (paper's CTA geometry: ~0.3%%)\n\n",
                 tree.segments().size(), tree.numLeaves(),
                 100.0 * tree.boundingBoxFluidFraction());
-
-    std::vector<uint_t> targets = {512, 4096, 32768};
-    // Larger scales (e.g. full-JUQUEEN 458752, ~minutes of search) opt-in:
-    if (argc > 1) targets.push_back(uint_t(std::strtoull(argv[1], nullptr, 10)));
 
     std::printf("%10s %10s %10s %9s %10s\n", "processes", "blocks", "dx", "achieved",
                 "search[s]");

@@ -702,13 +702,19 @@ int main(int argc, char** argv) {
     bool overlap = false, overlapSmoke = false, perfdiagSmoke = false;
     int delayMs = 0;
     std::string wfrPrefix = "walb_perfdiag_smoke";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--overlap") overlap = true;
-        else if (arg == "--overlap-smoke") overlapSmoke = true;
-        else if (arg == "--perfdiag-smoke") perfdiagSmoke = true;
-        else if (arg == "--wfr-prefix" && i + 1 < argc) wfrPrefix = argv[++i];
-        else if (arg == "--delay-ms" && i + 1 < argc) delayMs = std::atoi(argv[++i]);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--overlap") overlap = true;
+            else if (arg == "--overlap-smoke") overlapSmoke = true;
+            else if (arg == "--perfdiag-smoke") perfdiagSmoke = true;
+            else if (arg == "--wfr-prefix" && i + 1 < argc) wfrPrefix = argv[++i];
+            else if (auto v = sim::flagValue(argc, argv, i, "--delay-ms"))
+                delayMs = int(sim::parseFlagValue<std::uint16_t>("--delay-ms", *v));
+        }
+    } catch (const sim::OptionError& e) {
+        std::fprintf(stderr, "fig6_weak_dense: %s\n", e.what());
+        return 2;
     }
     if (overlapSmoke) return overlapSmokeRun(metricsPath, delayMs);
     if (perfdiagSmoke) return perfdiagSmokeRun(metricsPath, wfrPrefix);

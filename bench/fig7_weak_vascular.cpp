@@ -179,10 +179,19 @@ int main(int argc, char** argv) {
     sim::CheckpointOptions ckptOpt;
     rebalance::RebalanceOptions rbOpt;
     recover::RecoveryOptions rcOpt;
+    // Victim of the --recover drill.
+    int killRank = 2;
+    std::uint64_t killStep = 13;
     try {
         ckptOpt = sim::CheckpointOptions::fromArgs(argc, argv);
         rbOpt = rebalance::RebalanceOptions::fromArgs(argc, argv);
         rcOpt = recover::RecoveryOptions::fromArgs(argc, argv);
+        for (int i = 1; i < argc; ++i) {
+            if (auto v = sim::flagValue(argc, argv, i, "--kill-rank"))
+                killRank = sim::parseFlagValue<int>("--kill-rank", *v);
+            else if ((v = sim::flagValue(argc, argv, i, "--kill-step")))
+                killStep = sim::parseFlagValue<std::uint64_t>("--kill-step", *v);
+        }
     } catch (const sim::OptionError& e) {
         std::fprintf(stderr, "fig7_weak_vascular: %s\n", e.what());
         return 2;
@@ -236,13 +245,6 @@ int main(int argc, char** argv) {
     // reference vs kill-and-heal vs transient-faults runs on a 4-rank
     // vascular partition — see bench/recovery_drill.h.
     if (rcOpt.enabled) {
-        int killRank = 2;
-        std::uint64_t killStep = 13;
-        for (int i = 1; i + 1 < argc; ++i) {
-            if (std::string(argv[i]) == "--kill-rank") killRank = std::atoi(argv[i + 1]);
-            if (std::string(argv[i]) == "--kill-step")
-                killStep = std::uint64_t(std::atoll(argv[i + 1]));
-        }
         const int drillRanks = 4;
         const uint_t drillSteps = uint_t(3 * rcOpt.buddyEvery);
         auto search = bf::findWeakScalingPartition(*phi, AABB(0, 0, 0, 1, 1, 1),

@@ -8,7 +8,8 @@
 ///   * triangle octree vs brute-force closest-triangle queries,
 ///   * graph partitioner throughput,
 ///   * slice-by-16 vs byte-wise CRC-32 and the one-writer checkpoint save,
-///   * boundary links and same-rank ghost copies at team sizes 1 and 4.
+///   * boundary links and same-rank ghost copies at team sizes 1 and 4,
+///   * the fluid-aware exchange plan: its build cost and its sparse copies.
 
 #include <benchmark/benchmark.h>
 
@@ -352,7 +353,7 @@ void BM_BoundaryApply(benchmark::State& state) {
 BENCHMARK(BM_BoundaryApply)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The ghost fill across one x-face between two 128^3 blocks: 5 slots x 128
-/// z-planes, each plane 128 strided 8-byte elements.
+/// z-planes, each one run of 128 strided 8-byte elements.
 void BM_LocalGhostCopyXFace(benchmark::State& state) {
     constexpr cell_idx_t N = 128;
     const PdfField from = makePdfField<D3Q19>(N, N, N, 1.0, {0.01, 0, 0});
@@ -367,10 +368,85 @@ void BM_LocalGhostCopyXFace(benchmark::State& state) {
         benchmark::ClobberMemory();
     }
     state.counters["threads"] = threads;
-    state.SetBytesProcessed(state.iterations() * std::int64_t(plan.numPlanes()) * N *
+    state.SetBytesProcessed(state.iterations() * std::int64_t(plan.numSlots()) *
                             std::int64_t(sizeof(real_t)));
 }
 BENCHMARK(BM_LocalGhostCopyXFace)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// One 32^3 block of a coronary run: a vessel-like tube (radius 5 cells)
+/// crosses it diagonally, so it meets faces and edges; ~8% of the cells are
+/// fluid.
+struct TubeBlock {
+    static constexpr cell_idx_t N = 32;
+    field::FlagField flags{N, N, N, 1};
+    BoundaryFlags masks = BoundaryFlags::registerOn(flags);
+    PdfField from = makePdfField<D3Q19>(N, N, N, 1.0, {0.01, 0, 0});
+    PdfField to = makePdfField<D3Q19>(N, N, N, 1.0, {0, 0, 0});
+
+    TubeBlock() {
+        const Vec3 p0{0, 6, 4}, axis = Vec3{1, 0.6, 0.8} / std::sqrt(real_c(2));
+        flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            const Vec3 r = Vec3{real_c(x), real_c(y), real_c(z)} - p0;
+            const Vec3 radial = r - axis * r.dot(axis);
+            if (radial.dot(radial) < real_c(25)) flags.addFlag(x, y, z, masks.fluid);
+        });
+    }
+    /// The block's receive mask toward neighbor direction d.
+    ReceiveMask mask(const std::array<int, 3>& d) const {
+        return ReceiveMask::fromCells(
+            flags, d, [&](const Cell& c) { return (flags.get(c) & masks.fluid) != 0; });
+    }
+};
+
+/// The per-block plan cost every job pays once per block assignment: for
+/// each of the 26 neighbors, the block's receive mask plus the two-grid
+/// pack and unpack runs of that link.
+void BM_ExchangePlanBuild(benchmark::State& state) {
+    const TubeBlock block;
+    std::vector<StridedRun> runs;
+    std::size_t slots = 0;
+    for (auto _ : state) {
+        runs.clear();
+        slots = 0;
+        for (const auto& d : neighborhood26) {
+            const ReceiveMask m = block.mask(d);
+            slots += planExchangeRuns<D3Q19>(ExchangeMode::TwoGrid, block.from, block.to, d, m,
+                                             RunEnds::Unpack, runs);
+            slots += planExchangeRuns<D3Q19>(ExchangeMode::TwoGrid, block.from, block.to, d, m,
+                                             RunEnds::Pack, runs);
+        }
+        benchmark::DoNotOptimize(runs.data());
+    }
+    state.counters["runs"] = double(runs.size());
+    state.counters["slots"] = double(slots);
+}
+BENCHMARK(BM_ExchangePlanBuild)->Unit(benchmark::kMicrosecond);
+
+/// Same-rank ghost fill of the tube block from all 26 neighbors, limited to
+/// the slots its fluid cells read.
+void BM_LocalGhostCopySparse(benchmark::State& state) {
+    TubeBlock block;
+    LocalCopyPlan plan;
+    std::vector<StridedRun> runs;
+    for (const auto& d : neighborhood26) {
+        runs.clear();
+        planExchangeRuns<D3Q19>(ExchangeMode::TwoGrid, block.from, block.to, d, block.mask(d),
+                                RunEnds::Copy, runs);
+        plan.add(block.from, block.to, runs);
+    }
+    const int threads = int(state.range(0));
+    for (auto _ : state) {
+#pragma omp parallel num_threads(threads)
+        plan.run();
+        benchmark::DoNotOptimize(block.to.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["threads"] = threads;
+    state.counters["runs"] = double(plan.numRuns());
+    state.SetBytesProcessed(state.iterations() * std::int64_t(plan.numSlots()) *
+                            std::int64_t(sizeof(real_t)));
+}
+BENCHMARK(BM_LocalGhostCopySparse)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // ---- fluid-run construction and the core/shell split ------------------------
 

@@ -120,10 +120,17 @@ public:
     /// so applying shell links late never starves the core sweep.
     template <typename Pred>
     void partitionForOverlap(Pred&& isShell) {
+        // Sized up front: a simulation set up per job (walb::serve) would
+        // otherwise free a chain of doubling buffers per list, and those
+        // frees make glibc trim the heap that the next job re-faults.
         auto split = [&](const std::vector<Link>& all, std::vector<Link>& core,
                          std::vector<Link>& shell) {
+            std::size_t numShell = 0;
+            for (const Link& l : all) numShell += isShell(l.boundary) ? 1 : 0;
             core.clear();
             shell.clear();
+            core.reserve(all.size() - numShell);
+            shell.reserve(numShell);
             for (const Link& l : all) (isShell(l.boundary) ? shell : core).push_back(l);
         };
         split(noSlipLinks_, coreNoSlip_, shellNoSlip_);

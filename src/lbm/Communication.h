@@ -2,16 +2,33 @@
 /// \file Communication.h
 /// Ghost-layer PDF exchange between neighboring blocks.
 ///
-/// A block sends, for each of its (up to) 26 neighbors, the post-collision
-/// PDFs of the interior cell slice adjacent to that neighbor; the receiver
-/// stores them in its ghost layer, where the next stream-pull sweep picks
-/// them up. Two packing modes:
-///  * direction-sliced (default): only the PDFs that actually stream across
-///    the interface are sent — 5 of 19 per face cell, 1 per edge cell, and
-///    nothing at all for corner neighbors (D3Q19 has no corner links).
-///  * full: all Q PDFs per cell — simpler, 2.7x the volume; kept as the
-///    baseline for the communication-volume ablation benchmark.
+/// A block receives, from each of its (up to) 26 neighbors, post-collision
+/// PDFs of the neighbor's interior slice adjacent to it, stored in its
+/// ghost layer where the next stream-pull sweep picks them up. Two layers
+/// of selection decide which slots move:
+///  * direction slicing: only the PDFs that stream across the interface —
+///    5 of 19 per face cell, 1 per edge cell, none for corner neighbors
+///    (D3Q19 has no corner links). The free packPdfs/unpackPdfs and the
+///    addLocalCopy* functions move these full slices; packPdfs can also
+///    ship all Q PDFs per cell (the communication-volume ablation).
+///  * the reader rule (planExchangeRuns): of those, only the slots a fluid
+///    cell of the *receiver* reads before the next exchange — a ghost slot
+///    is read by exactly one pull, and in a sparse block most pullers are
+///    solid. The distributed exchange (sim::PdfCommScheme) moves exactly
+///    these slots, as strided runs planned once per block assignment from
+///    the receiver's flags (ReceiveMask).
+///
+/// Invariant of the fluid-aware exchange: every slot a fluid cell reads is
+/// delivered, and boundary links still overwrite theirs afterwards (after
+/// the exchange in the synchronous schedule, after finishExchange for the
+/// overlap shell), because a link's slot is read by its fluid cell and
+/// therefore delivered first, as with full slices. Ghost slots no fluid
+/// cell reads keep stale values. Nothing reads them: the sweeps touch
+/// fluid cells only, and the state digest, checkpoint canonicalization and
+/// migration read interior cells (the AA tiers only fluid cells, through
+/// the canonical view).
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -220,99 +237,322 @@ void unpackPdfs(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf,
                     buf >> f.get(x, y, z, cell_idx_c(a));
 }
 
-// ---- same-process ghost copies ---------------------------------------------
+// ---- exchange modes ----------------------------------------------------------
+//
+// The AA kernels (KernelAa.h) keep one grid whose slot layout alternates
+// with step parity, so the ghost exchange needs two parity-specific modes
+// next to the classic two-grid ghost fill. All of them ship physical
+// post-collision populations P that cross the block interface — the wire
+// format stays layout-independent and, for the forward mode,
+// byte-identical to the two-grid exchange.
+//
+//  * FORWARD (before an odd step; storage pdf(x, abar) = P(x, a)): same
+//    intervals and population sets as the two-grid exchange, but both the
+//    sender's reads and the receiver's ghost writes use the opposing slot.
+//    The next odd sweep pulls f_a from (x - e_a, abar), so a ghost cell g
+//    must carry P(g, a) at slot abar.
+//  * REVERSE (before an even step; storage pdf(x, a) = P(x - e_a, a)): the
+//    preceding odd step *pushed* boundary-crossing populations into the
+//    sender's own ghost layer — the reverse exchange ships those ghost
+//    slots back to the interior cells of the block that owns them. Natural
+//    slots on both sides. Per population a the shipped slice is *trimmed*
+//    on every zero axis of the exchange direction: the slot (g, a) is
+//    valid only if its producer g - e_a is sender-interior, and the trim
+//    makes each (cell, slot) arrive from exactly one neighbor — so the
+//    unpack is deterministic under any message arrival order. Slots whose
+//    producer is a wall cell carry garbage either way; the even-step
+//    boundary prep overwrites them before any kernel read.
 
-/// One slot-to-slot slice copy of a same-process ghost exchange: slot
-/// `toSlot` of the cells `dst` of `to` receives slot `fromSlot` of the
-/// equally shaped cells `src` of `from`.
-struct SliceCopy {
-    const PdfField* from = nullptr;
-    cell_idx_t fromSlot = 0;
-    CellInterval src;
-    PdfField* to = nullptr;
-    cell_idx_t toSlot = 0;
-    CellInterval dst;
+/// What one ghost exchange moves: the two-grid ghost fill, or one of the
+/// two parity-specific exchanges of the in-place tiers.
+enum class ExchangeMode : std::uint8_t { TwoGrid = 0, AaForward = 1, AaReverse = 2 };
 
-    /// Copies the z-plane `z` (in `to`'s frame) of the slice, row by row:
-    /// one bulk copy per contiguous x-row (fzyx), element-wise otherwise
-    /// (zyxf rows and the single-cell rows of x-faces).
-    void copyPlane(cell_idx_t z) const {
-        const Cell o = src.min() - dst.min();
-        real_t* d = to->dataAt(dst.min().x, dst.min().y, z, toSlot);
-        const real_t* s = from->dataAt(src.min().x, src.min().y, z + o.z, fromSlot);
-        const cell_idx_t nx = dst.xSize(), ny = dst.ySize();
-        const cell_idx_t dx = to->xStride(), sx = from->xStride();
-        const cell_idx_t dy = to->yStride(), sy = from->yStride();
-        const bool bulk = nx > 1 && dx == 1 && sx == 1;
-        for (cell_idx_t y = 0; y < ny; ++y, d += dy, s += sy) {
-            if (bulk) {
-                std::memcpy(d, s, std::size_t(nx) * sizeof(real_t));
-            } else {
-                for (cell_idx_t x = 0; x < nx; ++x) d[x * dx] = s[x * sx];
-            }
-        }
-    }
+/// Trims `base` (a one-cell-thick slice toward direction d) to the cells
+/// whose producing cell g - e_a stays inside the slice's span on every
+/// zero axis of d. May produce an empty interval (min > max).
+template <LatticeModel M>
+CellInterval aaReverseTrim(CellInterval base, const std::array<int, 3>& d, uint_t a) {
+    auto adjust = [](int dj, int cj, cell_idx_t& lo, cell_idx_t& hi) {
+        if (dj != 0) return;
+        if (cj == 1) ++lo;
+        if (cj == -1) --hi;
+    };
+    adjust(d[0], M::c[a][0], base.min().x, base.max().x);
+    adjust(d[1], M::c[a][1], base.min().y, base.max().y);
+    adjust(d[2], M::c[a][2], base.min().z, base.max().z);
+    return base;
+}
+
+// ---- fluid-aware exchange plans ------------------------------------------------
+
+/// One run of an exchange plan: `count` PDF values from element offset
+/// `src` to element offset `dst`. A field end steps `stride` elements per
+/// value (1 along an fzyx x-row, yStride down an x-face column); a payload
+/// end (the message of a remote exchange) is contiguous.
+struct StridedRun {
+    std::int64_t src = 0;
+    std::int64_t dst = 0;
+    std::uint32_t count = 0;
+    std::int32_t stride = 1;
 };
 
-/// The slice copies of one same-process exchange, run as one job. Every
-/// list the add*LocalCopy functions below build for a single exchange mode
-/// writes pairwise-disjoint (cell, slot)s that no copy of the list reads
-/// (ghost fills read interiors and write ghosts; the AA reverse copies read
-/// ghosts and write trimmed interiors, each slot from exactly one
-/// neighbor), so the copies may run in any order and on any threads.
-class LocalCopyPlan {
+/// Which ends of a run are field offsets and which are payload positions:
+/// a same-process copy (field to field), a pack (field to payload) or an
+/// unpack (payload to field).
+enum class RunEnds : std::uint8_t { Copy, Pack, Unpack };
+
+namespace detail {
+
+inline void copyRun(const real_t* from, real_t* to, const StridedRun& r) {
+    const real_t* s = from + r.src;
+    real_t* d = to + r.dst;
+    if (r.stride == 1) {
+        std::memcpy(d, s, std::size_t(r.count) * sizeof(real_t));
+        return;
+    }
+    for (std::uint32_t i = 0; i < r.count; ++i)
+        d[std::ptrdiff_t(i) * r.stride] = s[std::ptrdiff_t(i) * r.stride];
+}
+
+/// Payload ends are byte-addressed: a message payload need not be aligned.
+inline void packRun(const real_t* field, std::uint8_t* payload, const StridedRun& r) {
+    const real_t* s = field + r.src;
+    std::uint8_t* d = payload + std::size_t(r.dst) * sizeof(real_t);
+    if (r.stride == 1) {
+        std::memcpy(d, s, std::size_t(r.count) * sizeof(real_t));
+        return;
+    }
+    for (std::uint32_t i = 0; i < r.count; ++i)
+        std::memcpy(d + std::size_t(i) * sizeof(real_t), s + std::ptrdiff_t(i) * r.stride,
+                    sizeof(real_t));
+}
+
+inline void unpackRun(const std::uint8_t* payload, real_t* field, const StridedRun& r) {
+    const std::uint8_t* s = payload + std::size_t(r.src) * sizeof(real_t);
+    real_t* d = field + r.dst;
+    if (r.stride == 1) {
+        std::memcpy(d, s, std::size_t(r.count) * sizeof(real_t));
+        return;
+    }
+    for (std::uint32_t i = 0; i < r.count; ++i)
+        std::memcpy(d + std::ptrdiff_t(i) * r.stride, s + std::size_t(i) * sizeof(real_t),
+                    sizeof(real_t));
+}
+
+} // namespace detail
+
+/// The fluid cells of a receiving block's boundary slab facing one
+/// neighbor — the only cells that can read what that neighbor sends (see
+/// planExchangeRuns). The receiver builds it from its own flags; a remote
+/// sender gets it over the wire once per block assignment. all() is the
+/// full-slice exchange: every slot counts as read.
+class ReceiveMask {
 public:
-    /// Appends one copy; empty slices (the AA reverse trim can empty one)
-    /// are dropped.
-    void add(const SliceCopy& c) {
-        if (c.dst.empty()) return;
-        WALB_DASSERT(c.src.numCells() == c.dst.numCells());
-        for (cell_idx_t z = c.dst.min().z; z <= c.dst.max().z; ++z)
-            planes_.push_back({copies_.size(), z});
-        copies_.push_back(c);
+    static ReceiveMask all() {
+        ReceiveMask m;
+        m.all_ = m.any_ = true;
+        return m;
     }
 
-    /// Work items of run(): the (copy, z-plane) pairs of all copies.
-    std::size_t numPlanes() const { return planes_.size(); }
+    /// One bit per cell of the slab of `layout` facing d (z, y, x order),
+    /// set where isFluid(cell).
+    template <typename T, typename IsFluid>
+    static ReceiveMask fromCells(const field::Field<T>& layout, const std::array<int, 3>& d,
+                                 IsFluid&& isFluid) {
+        ReceiveMask m;
+        m.slab_ = sendInterval(layout, d);
+        m.bits_.assign(numBytes(m.slab_), 0);
+        std::size_t i = 0;
+        for (cell_idx_t z = m.slab_.min().z; z <= m.slab_.max().z; ++z)
+            for (cell_idx_t y = m.slab_.min().y; y <= m.slab_.max().y; ++y)
+                for (cell_idx_t x = m.slab_.min().x; x <= m.slab_.max().x; ++x, ++i)
+                    if (isFluid(Cell{x, y, z})) m.bits_[i >> 3] |= std::uint8_t(1u << (i & 7));
+        m.any_ = std::any_of(m.bits_.begin(), m.bits_.end(), [](std::uint8_t v) { return v != 0; });
+        return m;
+    }
 
-    /// Executes every copy as one orphaned worksharing loop over the
-    /// (copy, z-plane) pairs: called by every thread of a parallel region it
-    /// shares them over that team (static schedule, closing barrier);
-    /// called outside a region it copies serially, in list order. Strided
-    /// x-face planes are latency-bound, so a larger team keeps
-    /// proportionally more misses in flight.
+    /// Reads the bits toWire wrote for the slab of `layout` facing d
+    /// (throws BufferError on a short buffer).
+    template <typename T>
+    static ReceiveMask fromWire(const field::Field<T>& layout, const std::array<int, 3>& d,
+                                RecvBuffer& buf) {
+        ReceiveMask m;
+        m.slab_ = sendInterval(layout, d);
+        m.bits_.resize(numBytes(m.slab_));
+        buf.getBytes(m.bits_.data(), m.bits_.size());
+        m.any_ = std::any_of(m.bits_.begin(), m.bits_.end(), [](std::uint8_t v) { return v != 0; });
+        return m;
+    }
+    void toWire(SendBuffer& buf) const { buf.putBytes(bits_.data(), bits_.size()); }
+
+    /// False for a default-constructed mask (none received yet).
+    bool valid() const { return all_ || !bits_.empty(); }
+    /// False when no cell of the slab is fluid: nothing crosses the link.
+    bool any() const { return any_; }
+
+    /// True when the cell c (receiver frame) is a fluid cell of the slab.
+    bool isReader(const Cell& c) const {
+        if (all_) return true;
+        if (!slab_.contains(c)) return false;
+        const std::size_t i =
+            (std::size_t(c.z - slab_.min().z) * std::size_t(slab_.ySize()) +
+             std::size_t(c.y - slab_.min().y)) *
+                std::size_t(slab_.xSize()) +
+            std::size_t(c.x - slab_.min().x);
+        return (bits_[i >> 3] >> (i & 7)) & 1u;
+    }
+
+private:
+    static std::size_t numBytes(const CellInterval& slab) { return (slab.numCells() + 7) / 8; }
+
+    CellInterval slab_;
+    std::vector<std::uint8_t> bits_;
+    bool all_ = false;
+    bool any_ = false;
+};
+
+/// Plans the exchange `mode` from block `from` into block `to`, which
+/// receives from direction d (its direction toward `from`; both fields have
+/// the same shape and layout). The slots are those of the full-slice
+/// exchange, in wire order (population, z, y, x in `to`'s frame), minus
+/// every slot that no reader of `mask` reads before the next exchange:
+///
+///   TwoGrid:   ghost slot (g, a) is read only by the pull of g + c_a;
+///   AaForward: the same cells, at slot abar;
+///   AaReverse: interior slot (g, a) is read only by g itself (the even
+///              step reads a cell's own slots).
+///
+/// Consecutive slots along the innermost axis the slice extends along
+/// merge into one StridedRun appended to `out`; `ends` selects field
+/// offsets or payload positions for each end. Returns the number of
+/// planned slots — the payload length of a remote exchange.
+template <LatticeModel M>
+std::size_t planExchangeRuns(ExchangeMode mode, const PdfField& from, const PdfField& to,
+                             const std::array<int, 3>& d, const ReceiveMask& mask,
+                             RunEnds ends, std::vector<StridedRun>& out) {
+    WALB_DASSERT(from.xSize() == to.xSize() && from.ySize() == to.ySize() &&
+                 from.zSize() == to.zSize() && from.layout() == to.layout());
+    if (!mask.any()) return 0;
+    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
+    // Cell g of `to` is cell g + shift of `from`.
+    const Cell shift{-d[0] * to.xSize(), -d[1] * to.ySize(), -d[2] * to.zSize()};
+    const bool reverse = mode == ExchangeMode::AaReverse;
+    const std::size_t first = out.size();
+    std::int64_t k = 0; // payload position of the next planned slot
+    for (uint_t a : commDirections<M>(senderDir)) {
+        const CellInterval ci =
+            reverse ? aaReverseTrim<M>(sendInterval(to, d), d, a) : recvInterval(to, d);
+        if (ci.empty()) continue;
+        const cell_idx_t slot = cell_idx_c(mode == ExchangeMode::AaForward ? M::inv[a] : a);
+        const Cell reach = reverse ? Cell{0, 0, 0} : Cell{M::c[a][0], M::c[a][1], M::c[a][2]};
+        const auto stride = std::int32_t(ci.xSize() > 1   ? to.xStride()
+                                         : ci.ySize() > 1 ? to.yStride()
+                                                          : to.zStride());
+        for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
+            for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y)
+                for (cell_idx_t x = ci.min().x; x <= ci.max().x; ++x) {
+                    const Cell g{x, y, z};
+                    if (!mask.isReader(g + reach)) continue;
+                    const auto s = ends == RunEnds::Unpack
+                                       ? k
+                                       : std::int64_t(from.index(x + shift.x, y + shift.y,
+                                                                 z + shift.z, slot));
+                    const auto t = ends == RunEnds::Pack ? k : std::int64_t(to.index(x, y, z, slot));
+                    ++k;
+                    // A payload end is always the next position; a field end
+                    // must be the next element along the run's axis.
+                    if (out.size() > first) {
+                        StridedRun& r = out.back();
+                        const std::int64_t step = std::int64_t(r.count) * r.stride;
+                        if (r.stride == stride &&
+                            (ends == RunEnds::Unpack || s == r.src + step) &&
+                            (ends == RunEnds::Pack || t == r.dst + step)) {
+                            ++r.count;
+                            continue;
+                        }
+                    }
+                    out.push_back({s, t, 1, stride});
+                }
+    }
+    return std::size_t(k);
+}
+
+// ---- same-process ghost copies ---------------------------------------------
+
+/// The runs of one same-process exchange, executed as one job. Every plan
+/// built for a single exchange mode writes pairwise-disjoint (cell, slot)s
+/// that no run of the plan reads (ghost fills read interiors and write
+/// ghosts; the AA reverse copies read ghosts and write trimmed interiors,
+/// each slot from exactly one neighbor), so the runs may execute in any
+/// order and on any threads.
+class LocalCopyPlan {
+public:
+    /// Adds the runs planExchangeRuns planned with RunEnds::Copy for the
+    /// block pair (from, to).
+    void add(const PdfField& from, PdfField& to, const std::vector<StridedRun>& runs) {
+        if (runs.empty()) return;
+        const auto pair = std::uint32_t(pairs_.size());
+        pairs_.push_back({&from, &to});
+        for (const StridedRun& r : runs) {
+            items_.push_back({r, pair});
+            slots_ += r.count;
+        }
+    }
+
+    std::size_t numRuns() const { return items_.size(); }
+    /// PDF values one run() copies.
+    std::size_t numSlots() const { return slots_; }
+
+    /// Executes every run as one orphaned worksharing loop: called by every
+    /// thread of a parallel region it shares the runs over that team
+    /// (static schedule, closing barrier); called outside a region it
+    /// copies serially, in list order. Strided x-face runs are
+    /// latency-bound, so a larger team keeps proportionally more misses in
+    /// flight.
     void run() const {
-        const auto n = std::int64_t(planes_.size());
+        const auto n = std::int64_t(items_.size());
 #ifdef _OPENMP
 #pragma omp for schedule(static)
 #endif
         for (std::int64_t i = 0; i < n; ++i) {
-            const Plane& p = planes_[std::size_t(i)];
-            copies_[p.copy].copyPlane(p.z);
+            const Item& it = items_[std::size_t(i)];
+            const Pair& p = pairs_[it.pair];
+            detail::copyRun(p.from->data(), p.to->data(), it.run);
         }
     }
 
 private:
-    struct Plane {
-        std::size_t copy; ///< index into copies_
-        cell_idx_t z;     ///< in the destination's frame
+    struct Pair {
+        const PdfField* from;
+        PdfField* to;
     };
-    std::vector<SliceCopy> copies_;
-    std::vector<Plane> planes_;
+    struct Item {
+        StridedRun run;
+        std::uint32_t pair; ///< index into pairs_
+    };
+    std::vector<Pair> pairs_;
+    std::vector<Item> items_;
+    std::size_t slots_ = 0;
 };
 
-/// Plans the direct block-to-block copy for neighbors living on the same
-/// process ("fast local communication", paper §2.3): the ghost slice of
-/// `to` facing direction d is filled from the interior slice of `from`
-/// facing -d, one copy per population crossing the interface.
+namespace detail {
+template <LatticeModel M>
+void addFullSliceCopy(LocalCopyPlan& plan, ExchangeMode mode, const PdfField& from,
+                      PdfField& to, const std::array<int, 3>& d) {
+    std::vector<StridedRun> runs;
+    planExchangeRuns<M>(mode, from, to, d, ReceiveMask::all(), RunEnds::Copy, runs);
+    plan.add(from, to, runs);
+}
+} // namespace detail
+
+/// Plans the full-slice block-to-block copy for neighbors living on the
+/// same process ("fast local communication", paper §2.3): the ghost slice
+/// of `to` facing direction d is filled from the interior slice of `from`
+/// facing -d, every population crossing the interface.
 template <LatticeModel M>
 void addLocalCopy(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
                   const std::array<int, 3>& d) {
-    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    const CellInterval srcCi = sendInterval(from, senderDir);
-    const CellInterval dstCi = recvInterval(to, d);
-    for (uint_t a : commDirections<M>(senderDir))
-        plan.add({&from, cell_idx_c(a), srcCi, &to, cell_idx_c(a), dstCi});
+    detail::addFullSliceCopy<M>(plan, ExchangeMode::TwoGrid, from, to, d);
 }
 
 /// Runs one addLocalCopy (serially outside a parallel region).
@@ -325,8 +565,7 @@ void copyPdfsLocal(const PdfField& from, PdfField& to, const std::array<int, 3>&
 
 /// Generic whole-slot slice copy for any field type: the ghost slice of
 /// `to` facing direction d is filled from the interior slice of `from`
-/// facing -d. Used for wrapping flag fields periodically and for
-/// full-PDF-set local exchange.
+/// facing -d. Used for wrapping flag fields periodically.
 template <typename T>
 void copySliceLocal(const field::Field<T>& from, field::Field<T>& to,
                     const std::array<int, 3>& d) {
@@ -351,150 +590,13 @@ void applyPeriodicAll(PdfField& f) {
     plan.run();
 }
 
-// ---- AA-pattern (in-place) exchange --------------------------------------
-//
-// The AA kernels (KernelAa.h) keep one grid whose slot layout alternates
-// with step parity, so the ghost exchange needs two parity-specific modes.
-// Both ship exactly the physical post-collision populations P that cross
-// the block interface — the wire format stays layout-independent and, for
-// the forward mode, byte-identical to the two-grid exchange.
-//
-//  * FORWARD (before an odd step; storage pdf(x, abar) = P(x, a)): same
-//    intervals and population sets as the two-grid exchange, but both the
-//    sender's reads and the receiver's ghost writes use the opposing slot.
-//    The next odd sweep pulls f_a from (x - e_a, abar), so a ghost cell g
-//    must carry P(g, a) at slot abar.
-//  * REVERSE (before an even step; storage pdf(x, a) = P(x - e_a, a)): the
-//    preceding odd step *pushed* boundary-crossing populations into the
-//    sender's own ghost layer — the reverse exchange ships those ghost
-//    slots back to the interior cells of the block that owns them. Natural
-//    slots on both sides. Per population a the shipped slice is *trimmed*
-//    on every zero axis of the exchange direction: the slot (g, a) is
-//    valid only if its producer g - e_a is sender-interior, and the trim
-//    makes each (cell, slot) arrive from exactly one neighbor — so the
-//    unpack is deterministic under any message arrival order. Slots whose
-//    producer is a wall cell carry garbage either way; the even-step
-//    boundary prep overwrites them before any kernel read.
-
-/// Trims `base` (a one-cell-thick slice toward direction d) to the cells
-/// whose producing cell g - e_a stays inside the slice's span on every
-/// zero axis of d. May produce an empty interval (min > max).
-template <LatticeModel M>
-CellInterval aaReverseTrim(CellInterval base, const std::array<int, 3>& d, uint_t a) {
-    auto adjust = [](int dj, int cj, cell_idx_t& lo, cell_idx_t& hi) {
-        if (dj != 0) return;
-        if (cj == 1) ++lo;
-        if (cj == -1) --hi;
-    };
-    adjust(d[0], M::c[a][0], base.min().x, base.max().x);
-    adjust(d[1], M::c[a][1], base.min().y, base.max().y);
-    adjust(d[2], M::c[a][2], base.min().z, base.max().z);
-    return base;
-}
-
-namespace detail {
-
-/// Row-wise copy of slice `ci`, slot `slot`, into the buffer.
-inline void packSlice(const PdfField& f, const CellInterval& ci, cell_idx_t slot,
-                      SendBuffer& buf) {
-    if (ci.min().x > ci.max().x || ci.min().y > ci.max().y || ci.min().z > ci.max().z)
-        return;
-    const std::size_t rowBytes =
-        std::size_t(ci.max().x - ci.min().x + 1) * sizeof(real_t);
-    if (f.xStride() == 1) {
-        const std::size_t rows =
-            std::size_t(ci.max().y - ci.min().y + 1) * std::size_t(ci.max().z - ci.min().z + 1);
-        std::uint8_t* out = buf.grow(rows * rowBytes);
-        for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-            for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y) {
-                std::memcpy(out, f.dataAt(ci.min().x, y, z, slot), rowBytes);
-                out += rowBytes;
-            }
-        return;
-    }
-    for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-        for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y)
-            for (cell_idx_t x = ci.min().x; x <= ci.max().x; ++x)
-                buf << f.get(x, y, z, slot);
-}
-
-inline void unpackSlice(PdfField& f, const CellInterval& ci, cell_idx_t slot,
-                        RecvBuffer& buf) {
-    if (ci.min().x > ci.max().x || ci.min().y > ci.max().y || ci.min().z > ci.max().z)
-        return;
-    const std::size_t rowBytes =
-        std::size_t(ci.max().x - ci.min().x + 1) * sizeof(real_t);
-    if (f.xStride() == 1) {
-        const std::size_t rows =
-            std::size_t(ci.max().y - ci.min().y + 1) * std::size_t(ci.max().z - ci.min().z + 1);
-        const std::size_t total = rows * rowBytes;
-        const std::uint8_t* in = buf.cursor();
-        buf.skip(total); // bounds-checked; throws BufferError on short payload
-        for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-            for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y) {
-                std::memcpy(f.dataAt(ci.min().x, y, z, slot), in, rowBytes);
-                in += rowBytes;
-            }
-        return;
-    }
-    for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-        for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y)
-            for (cell_idx_t x = ci.min().x; x <= ci.max().x; ++x)
-                buf >> f.get(x, y, z, slot);
-}
-
-} // namespace detail
-
-/// AA forward pack: interior slice toward d, population set of d, sender
-/// reads slot abar (where the even step parked P(cell, a)). Wire bytes are
-/// identical to packPdfs of a two-grid field holding the same P values.
-template <LatticeModel M>
-void packPdfsAaForward(const PdfField& f, const std::array<int, 3>& d, SendBuffer& buf) {
-    const CellInterval ci = sendInterval(f, d);
-    for (uint_t a : commDirections<M>(d))
-        detail::packSlice(f, ci, cell_idx_c(M::inv[a]), buf);
-}
-
-/// AA forward unpack: ghost slice facing d, writes slot abar.
-template <LatticeModel M>
-void unpackPdfsAaForward(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf) {
-    const CellInterval ci = recvInterval(f, d);
-    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    for (uint_t a : commDirections<M>(senderDir))
-        detail::unpackSlice(f, ci, cell_idx_c(M::inv[a]), buf);
-}
-
-/// AA reverse pack: the sender's *ghost* slice toward the receiver (d =
-/// direction from sender to receiver), natural slots, per-population trim.
-template <LatticeModel M>
-void packPdfsAaReverse(const PdfField& f, const std::array<int, 3>& d, SendBuffer& buf) {
-    const CellInterval base = recvInterval(f, d);
-    for (uint_t a : commDirections<M>(d))
-        detail::packSlice(f, aaReverseTrim<M>(base, d, a), cell_idx_c(a), buf);
-}
-
-/// AA reverse unpack: writes the receiver's *interior* slice facing the
-/// sender (d = direction from receiver toward sender), natural slots, the
-/// same per-population trim as the matching pack.
-template <LatticeModel M>
-void unpackPdfsAaReverse(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf) {
-    const CellInterval base = sendInterval(f, d);
-    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    for (uint_t a : commDirections<M>(senderDir))
-        detail::unpackSlice(f, aaReverseTrim<M>(base, d, a), cell_idx_c(a), buf);
-}
-
 /// AA forward local copy — addLocalCopy with the opposing slot on both
 /// sides: the ghost slice of `to` facing d is filled from the interior
 /// slice of `from` facing -d.
 template <LatticeModel M>
 void addLocalCopyAaForward(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
                            const std::array<int, 3>& d) {
-    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    const CellInterval srcCi = sendInterval(from, senderDir);
-    const CellInterval dstCi = recvInterval(to, d);
-    for (uint_t a : commDirections<M>(senderDir))
-        plan.add({&from, cell_idx_c(M::inv[a]), srcCi, &to, cell_idx_c(M::inv[a]), dstCi});
+    detail::addFullSliceCopy<M>(plan, ExchangeMode::AaForward, from, to, d);
 }
 
 /// AA reverse local copy: d is the direction from `from` toward `to`; the
@@ -503,12 +605,7 @@ void addLocalCopyAaForward(LocalCopyPlan& plan, const PdfField& from, PdfField& 
 template <LatticeModel M>
 void addLocalCopyAaReverse(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
                            const std::array<int, 3>& d) {
-    const CellInterval srcBase = recvInterval(from, d);
-    const std::array<int, 3> back = {-d[0], -d[1], -d[2]};
-    const CellInterval dstBase = sendInterval(to, back);
-    for (uint_t a : commDirections<M>(d))
-        plan.add({&from, cell_idx_c(a), aaReverseTrim<M>(srcBase, d, a), &to, cell_idx_c(a),
-                  aaReverseTrim<M>(dstBase, d, a)});
+    detail::addFullSliceCopy<M>(plan, ExchangeMode::AaReverse, from, to, {-d[0], -d[1], -d[2]});
 }
 
 template <LatticeModel M>

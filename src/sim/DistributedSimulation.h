@@ -8,7 +8,8 @@
 ///   1. ghost-layer PDF exchange — block-to-block copies for local
 ///      neighbors ("fast local communication"), packed BufferSystem
 ///      messages for remote ones, direction-sliced to the 5/1/0 PDFs that
-///      actually cross each face/edge/corner;
+///      actually cross each face/edge/corner and, of those, limited to the
+///      slots a fluid cell of the receiver reads;
 ///   2. boundary handling per block;
 ///   3. fused stream-pull-collide sweep over the fluid intervals;
 ///   4. src/dst swap.
@@ -45,7 +46,22 @@
 
 namespace walb::sim {
 
-/// Exchanges ghost-layer PDFs between all blocks of a forest.
+/// Exchanges ghost-layer PDFs between all blocks of a forest, moving only
+/// the slots a fluid cell of the receiver reads (the reader rule of
+/// lbm/Communication.h).
+///
+/// The receiver's flags decide: each block voxelizes its own ghost layer,
+/// and neighboring blocks' cell centers can differ by rounding, so a sender
+/// never guesses the receiver's fluid cells. Every block builds one
+/// ReceiveMask per neighbor from its own flags; same-rank senders read it
+/// directly, remote senders get it in one neighbor round over a
+/// BufferSystem (tag kExchangePlan). Each exchange mode's plan — same-rank
+/// copy runs, pack runs and unpack runs — is built from the masks on the
+/// mode's first use, and the mask round runs with the first plan: the
+/// first exchange (or plan query) of a scheme is collective over the
+/// neighbor ranks, like every exchange. buildBlockData rebuilds the scheme
+/// on every rank after every block assignment. The constructor itself
+/// never waits for a neighbor.
 class PdfCommScheme {
 public:
     using M = lbm::D3Q19;
@@ -57,44 +73,25 @@ public:
     /// ghost pushes travel back to the interior cells that own them). The
     /// driver re-selects the mode before every exchange from its step
     /// parity.
-    enum class ExchangeMode : std::uint8_t { TwoGrid = 0, AaForward = 1, AaReverse = 2 };
+    using ExchangeMode = lbm::ExchangeMode;
 
-    PdfCommScheme(bf::BlockForest& forest, vmpi::Comm& comm,
-                  bf::BlockForest::BlockDataID srcId, bool fullPdfSet = false)
-        : forest_(forest), comm_(comm), srcId_(srcId), fullPdfSet_(fullPdfSet),
+    PdfCommScheme(bf::BlockForest& forest, vmpi::Comm& comm, bf::BlockForest::BlockDataID srcId,
+                  bf::BlockForest::BlockDataID flagId, field::flag_t fluid)
+        : forest_(forest), comm_(comm), srcId_(srcId), flagId_(flagId), fluid_(fluid),
           bufferSystem_(comm, vmpi::tags::kGhostExchange) {
         bufferSystem_.setReceiverInfo(std::vector<int>(forest.neighborProcesses().begin(),
                                                        forest.neighborProcesses().end()));
-        // Map (sender block id, sender direction) -> local receiving block;
-        // plan the same-rank copies of every exchange mode.
-        for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-            const lbm::PdfField& src = forest_.getData<lbm::PdfField>(b, srcId_);
-            for (const auto& n : forest_.blocks()[b].neighbors) {
+        // Map (sender block id, sender direction) -> receiving link, in the
+        // order plan() lists the receive links.
+        for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
+            for (const auto& n : forest_.blocks()[b].neighbors)
                 if (n.localIndex < 0) {
-                    remoteSources_[{n.id, inverseDirIndex(n.dir)}] = b;
-                    continue;
+                    const std::size_t link = remoteSources_.size();
+                    remoteSources_[{n.id, std::uint8_t(lbm::dirIndex26(negated(n.dir)))}] = link;
                 }
-                lbm::PdfField& dst =
-                    forest_.getData<lbm::PdfField>(std::size_t(n.localIndex), srcId_);
-                // The neighbor's ghost slice facing us is in direction
-                // -n.dir from its perspective; the reverse mode's ghost
-                // pushes of `src` toward n travel into the neighbor's
-                // interior along n.dir.
-                const std::array<int, 3> toMe = {-n.dir[0], -n.dir[1], -n.dir[2]};
-                lbm::addLocalCopy<M>(localCopies(ExchangeMode::TwoGrid), src, dst, toMe);
-                lbm::addLocalCopyAaForward<M>(localCopies(ExchangeMode::AaForward), src, dst,
-                                              toMe);
-                lbm::addLocalCopyAaReverse<M>(localCopies(ExchangeMode::AaReverse), src, dst,
-                                              n.dir);
-            }
-        }
     }
 
-    void setExchangeMode(ExchangeMode mode) {
-        WALB_ASSERT(mode == ExchangeMode::TwoGrid || !fullPdfSet_,
-                    "AA exchange modes are direction-sliced only");
-        mode_ = mode;
-    }
+    void setExchangeMode(ExchangeMode mode) { mode_ = mode; }
     ExchangeMode exchangeMode() const { return mode_; }
 
     /// Direct ghost copies between same-rank neighbor blocks. Pure local
@@ -102,41 +99,33 @@ public:
     /// it separately from the exposed communication time. Must complete
     /// before any cell whose stencil reads a locally-backed ghost slice is
     /// swept (such cells are *core* in the overlap split, so this runs
-    /// before the core sweep). The (neighbor, slot, z) planes of all the
-    /// rank's blocks are shared over the rank's OpenMP team, so a few large
-    /// blocks balance as well as many small ones.
+    /// before the core sweep). The runs of all the rank's blocks are shared
+    /// over the rank's OpenMP team, so a few large blocks balance as well as
+    /// many small ones.
     void copyLocalGhosts() {
-        const lbm::LocalCopyPlan& plan = localCopies(mode_);
+        const lbm::LocalCopyPlan& local = plan(mode_).local;
 #ifdef _OPENMP
 #pragma omp parallel
 #endif
-        plan.run();
+        local.run();
     }
 
     /// Packs one message per remote neighbor rank, ships them all and
     /// starts expecting the incoming ones — the network half of phase 1.
+    /// Every (block, direction) with planned slots contributes a header
+    /// (sender block id, sender direction, slot count) and its payload;
+    /// every neighbor rank gets a message, possibly empty.
     void packAndPost() {
-        bytesLastExchange_ = 0;
-        const auto& blocks = forest_.blocks();
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            lbm::PdfField& src = forest_.getData<lbm::PdfField>(b, srcId_);
-            for (const auto& n : blocks[b].neighbors) {
-                if (n.localIndex >= 0) continue;
-                SendBuffer& buf = bufferSystem_.sendBuffer(int(n.process));
-                blocks[b].id.toWire(buf);
-                buf << std::uint8_t(dirIndex(n.dir));
-                switch (mode_) {
-                    case ExchangeMode::TwoGrid:
-                        lbm::packPdfs<M>(src, n.dir, buf, fullPdfSet_);
-                        break;
-                    case ExchangeMode::AaForward:
-                        lbm::packPdfsAaForward<M>(src, n.dir, buf);
-                        break;
-                    case ExchangeMode::AaReverse:
-                        lbm::packPdfsAaReverse<M>(src, n.dir, buf);
-                        break;
-                }
-            }
+        const ModePlan& p = plan(mode_);
+        for (int rank : forest_.neighborProcesses()) bufferSystem_.sendBuffer(rank);
+        for (const Link& l : p.sends) {
+            SendBuffer& buf = bufferSystem_.sendBuffer(l.process);
+            forest_.blocks()[l.block].id.toWire(buf);
+            buf << l.dir << l.slots;
+            std::uint8_t* out = buf.grow(std::size_t(l.slots) * sizeof(real_t));
+            const real_t* src = field(l.block).data();
+            for (std::size_t r = l.runBegin; r < l.runEnd; ++r)
+                lbm::detail::packRun(src, out, p.runs[r]);
         }
         bytesLastExchange_ = bufferSystem_.totalSendBytes();
         bufferSystem_.beginExchange();
@@ -188,70 +177,218 @@ public:
     /// simulation's metrics counters.
     const vmpi::BufferSystem& bufferSystem() const { return bufferSystem_; }
 
-    static std::size_t dirIndex(const std::array<int, 3>& d) {
-        for (std::size_t i = 0; i < 26; ++i)
-            if (lbm::neighborhood26[i] == d) return i;
-        WALB_ABORT("invalid direction");
+    // ---- plan volume (per exchange of `mode`) ------------------------------
+
+    /// Slots local block `block` receives from its neighbor in direction
+    /// `dir`, by same-rank copy or message payload.
+    std::size_t recvSlots(ExchangeMode mode, std::size_t block, const std::array<int, 3>& dir) {
+        return plan(mode).recvSlots[block][lbm::dirIndex26(dir)];
     }
-    static std::uint8_t inverseDirIndex(const std::array<int, 3>& d) {
-        return std::uint8_t(lbm::neighborhood26Inv[dirIndex(d)]);
+    /// Slots copied between this rank's blocks.
+    std::size_t copiedSlots(ExchangeMode mode) { return plan(mode).local.numSlots(); }
+    /// Slots this rank ships to other ranks.
+    std::size_t shippedSlots(ExchangeMode mode) {
+        std::size_t n = 0;
+        for (const Link& l : plan(mode).sends) n += l.slots;
+        return n;
     }
 
 private:
+    /// One remote (block, neighbor) link of a plan: its runs in
+    /// ModePlan::runs and its payload length.
+    struct Link {
+        std::size_t block = 0;   ///< local packing or unpacking block
+        int process = 0;         ///< peer rank (send links)
+        std::uint8_t dir = 0;    ///< dirIndex26 of the sender's direction (send links)
+        std::uint32_t slots = 0; ///< payload length in PDF values
+        std::size_t runBegin = 0, runEnd = 0;
+    };
+
+    struct ModePlan {
+        bool built = false;
+        lbm::LocalCopyPlan local;
+        std::vector<lbm::StridedRun> runs; ///< pack and unpack runs of all links
+        std::vector<Link> sends;           ///< links with planned slots only
+        std::vector<Link> recvs;           ///< every remote link, see remoteSources_
+        std::vector<std::array<std::uint32_t, 26>> recvSlots; ///< [block][dirIndex26]
+    };
+
+    static std::array<int, 3> negated(const std::array<int, 3>& d) { return {-d[0], -d[1], -d[2]}; }
+
+    lbm::PdfField& field(std::size_t block) {
+        return forest_.getData<lbm::PdfField>(block, srcId_);
+    }
+
+    /// Builds ownMasks_ from this rank's flags and fills peerMasks_: the
+    /// same-rank receivers' masks directly, the remote ones in one neighbor
+    /// round. Collective over the neighbor ranks.
+    void exchangeReceiveMasks() {
+        const auto& blocks = forest_.blocks();
+        const std::vector<int> peers(forest_.neighborProcesses().begin(),
+                                     forest_.neighborProcesses().end());
+        std::map<bf::BlockID, std::size_t> localBlock;
+        ownMasks_.assign(blocks.size(), {});
+        peerMasks_.assign(blocks.size(), {});
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            localBlock[blocks[b].id] = b;
+            const auto& flags = forest_.getData<field::FlagField>(b, flagId_);
+            for (const auto& n : blocks[b].neighbors)
+                ownMasks_[b].push_back(lbm::ReceiveMask::fromCells(
+                    flags, n.dir, [&](const Cell& c) { return (flags.get(c) & fluid_) != 0; }));
+            peerMasks_[b].resize(blocks[b].neighbors.size());
+        }
+        const auto neighborIndex = [&](std::size_t b, const std::array<int, 3>& dir) {
+            const auto& ns = blocks[b].neighbors;
+            for (std::size_t i = 0; i < ns.size(); ++i)
+                if (ns[i].dir == dir) return i;
+            return ns.size();
+        };
+
+        vmpi::BufferSystem round(comm_, vmpi::tags::kExchangePlan);
+        round.setReceiverInfo(peers);
+        for (int rank : peers) round.sendBuffer(rank);
+        for (std::size_t b = 0; b < blocks.size(); ++b)
+            for (std::size_t i = 0; i < blocks[b].neighbors.size(); ++i) {
+                const auto& n = blocks[b].neighbors[i];
+                if (n.localIndex >= 0) {
+                    const auto nb = std::size_t(n.localIndex);
+                    peerMasks_[b][i] = ownMasks_[nb][neighborIndex(nb, negated(n.dir))];
+                    continue;
+                }
+                // Addressed like a ghost message from n: n's id and its
+                // direction toward b.
+                SendBuffer& buf = round.sendBuffer(int(n.process));
+                n.id.toWire(buf);
+                buf << std::uint8_t(lbm::dirIndex26(negated(n.dir)));
+                ownMasks_[b][i].toWire(buf);
+            }
+        round.beginExchange();
+        round.finishExchange([&](int rank, RecvBuffer& buf) {
+            while (!buf.atEnd()) {
+                const bf::BlockID id = bf::BlockID::fromWire(buf);
+                std::uint8_t dir = 0;
+                buf >> dir;
+                const auto it = localBlock.find(id);
+                const std::size_t i =
+                    (dir < 26 && it != localBlock.end())
+                        ? neighborIndex(it->second, lbm::neighborhood26[dir])
+                        : std::size_t(-1);
+                if (i == std::size_t(-1) || i >= blocks[it->second].neighbors.size() ||
+                    int(blocks[it->second].neighbors[i].process) != rank)
+                    throw makeCorruptError(rank, vmpi::tags::kExchangePlan,
+                                           "receive mask for a link this rank does not have");
+                peerMasks_[it->second][i] = lbm::ReceiveMask::fromWire(
+                    field(it->second), negated(lbm::neighborhood26[dir]), buf);
+            }
+        });
+        for (std::size_t b = 0; b < blocks.size(); ++b)
+            for (std::size_t i = 0; i < blocks[b].neighbors.size(); ++i)
+                if (!peerMasks_[b][i].valid())
+                    throw makeCorruptError(int(blocks[b].neighbors[i].process),
+                                           vmpi::tags::kExchangePlan,
+                                           "no receive mask for a neighbor link");
+        masksExchanged_ = true;
+    }
+
+    /// The plan of `mode`, built from the masks on first use (the first
+    /// build runs the collective mask round).
+    ModePlan& plan(ExchangeMode mode) {
+        ModePlan& p = plans_[std::size_t(mode)];
+        if (p.built) return p;
+        if (!masksExchanged_) exchangeReceiveMasks();
+        p.built = true;
+        const auto& blocks = forest_.blocks();
+        p.recvSlots.assign(blocks.size(), {});
+        std::vector<lbm::StridedRun> copyRuns;
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            lbm::PdfField& f = field(b);
+            for (std::size_t i = 0; i < blocks[b].neighbors.size(); ++i) {
+                const auto& n = blocks[b].neighbors[i];
+                // b sends toward n, which receives from direction -n.dir.
+                if (n.localIndex >= 0) {
+                    lbm::PdfField& to = field(std::size_t(n.localIndex));
+                    copyRuns.clear();
+                    p.recvSlots[std::size_t(n.localIndex)][lbm::dirIndex26(negated(n.dir))] =
+                        std::uint32_t(lbm::planExchangeRuns<M>(mode, f, to, negated(n.dir),
+                                                               peerMasks_[b][i],
+                                                               lbm::RunEnds::Copy, copyRuns));
+                    p.local.add(f, to, copyRuns);
+                    continue;
+                }
+                Link send{b, int(n.process), std::uint8_t(lbm::dirIndex26(n.dir)), 0,
+                          p.runs.size(), 0};
+                send.slots = std::uint32_t(lbm::planExchangeRuns<M>(
+                    mode, f, f, negated(n.dir), peerMasks_[b][i], lbm::RunEnds::Pack, p.runs));
+                send.runEnd = p.runs.size();
+                if (send.slots > 0) p.sends.push_back(send);
+                Link recv{b, int(n.process), 0, 0, p.runs.size(), 0};
+                recv.slots = std::uint32_t(lbm::planExchangeRuns<M>(
+                    mode, f, f, n.dir, ownMasks_[b][i], lbm::RunEnds::Unpack, p.runs));
+                recv.runEnd = p.runs.size();
+                p.recvs.push_back(recv);
+                p.recvSlots[b][lbm::dirIndex26(n.dir)] = recv.slots;
+            }
+        }
+        return p;
+    }
+
     /// Unpacks one rank's ghost message into the ghost slices of the
-    /// receiving blocks. A truncated or corrupted payload (BufferError)
+    /// receiving blocks. A truncated or corrupted payload (BufferError), or
+    /// a (block, direction) payload whose length differs from the plan's,
     /// surfaces as CommError{Corrupt} naming the peer, exactly like a
     /// deadline miss — no silent garbage (conversion done by the
     /// BufferSystem's guarded delivery; the structural checks here throw
     /// CommError directly).
     void unpackMessage(int rank, RecvBuffer& buf) {
+        const ModePlan& p = plan(mode_);
         while (!buf.atEnd()) {
             const bf::BlockID senderId = bf::BlockID::fromWire(buf);
             std::uint8_t senderDir = 0;
-            buf >> senderDir;
+            std::uint32_t slots = 0;
+            buf >> senderDir >> slots;
             if (senderDir >= 26)
-                throw makeCorruptError(rank, "ghost message names invalid direction " +
-                                                 std::to_string(int(senderDir)));
+                throw makeCorruptError(rank, vmpi::tags::kGhostExchange,
+                                       "ghost message names invalid direction " +
+                                           std::to_string(int(senderDir)));
             const auto it = remoteSources_.find({senderId, senderDir});
             if (it == remoteSources_.end())
-                throw makeCorruptError(rank, "ghost message for a block this rank "
-                                             "does not border (corrupt block id?)");
-            lbm::PdfField& dst = forest_.getData<lbm::PdfField>(it->second, srcId_);
-            // Receiver-side direction: toward the sender block.
-            const auto& sd = lbm::neighborhood26[senderDir];
-            const std::array<int, 3> d = {-sd[0], -sd[1], -sd[2]};
-            switch (mode_) {
-                case ExchangeMode::TwoGrid:
-                    lbm::unpackPdfs<M>(dst, d, buf, fullPdfSet_);
-                    break;
-                case ExchangeMode::AaForward:
-                    lbm::unpackPdfsAaForward<M>(dst, d, buf);
-                    break;
-                case ExchangeMode::AaReverse:
-                    lbm::unpackPdfsAaReverse<M>(dst, d, buf);
-                    break;
-            }
+                throw makeCorruptError(rank, vmpi::tags::kGhostExchange,
+                                       "ghost message for a block this rank "
+                                       "does not border (corrupt block id?)");
+            const Link& l = p.recvs[it->second];
+            if (slots != l.slots)
+                throw makeCorruptError(rank, vmpi::tags::kGhostExchange,
+                                       "ghost payload of " + std::to_string(slots) +
+                                           " slots from direction " +
+                                           std::to_string(int(senderDir)) +
+                                           "; the exchange plan expects " +
+                                           std::to_string(l.slots));
+            const std::uint8_t* in = buf.cursor();
+            buf.skip(std::size_t(slots) * sizeof(real_t)); // throws BufferError when short
+            real_t* dst = field(l.block).data();
+            for (std::size_t r = l.runBegin; r < l.runEnd; ++r)
+                lbm::detail::unpackRun(in, dst, p.runs[r]);
         }
     }
 
-    lbm::LocalCopyPlan& localCopies(ExchangeMode mode) {
-        return localCopies_[std::size_t(mode)];
-    }
-
-    vmpi::CommError makeCorruptError(int rank, const std::string& detail) const {
-        return vmpi::CommError(vmpi::CommError::Kind::Corrupt, rank,
-                               vmpi::tags::kGhostExchange, 0.0,
-                               detail);
+    vmpi::CommError makeCorruptError(int rank, int tag, const std::string& detail) const {
+        return vmpi::CommError(vmpi::CommError::Kind::Corrupt, rank, tag, 0.0, detail);
     }
 
     bf::BlockForest& forest_;
     vmpi::Comm& comm_;
     bf::BlockForest::BlockDataID srcId_;
-    bool fullPdfSet_;
+    bf::BlockForest::BlockDataID flagId_;
+    field::flag_t fluid_;
     ExchangeMode mode_ = ExchangeMode::TwoGrid;
     vmpi::BufferSystem bufferSystem_;
     std::map<std::pair<bf::BlockID, std::uint8_t>, std::size_t> remoteSources_;
-    std::array<lbm::LocalCopyPlan, 3> localCopies_; ///< indexed by ExchangeMode
+    /// [block][neighbor]: the block's mask as the receiver of that neighbor.
+    std::vector<std::vector<lbm::ReceiveMask>> ownMasks_;
+    /// [block][neighbor]: the neighbor's mask as the receiver of the block.
+    std::vector<std::vector<lbm::ReceiveMask>> peerMasks_;
+    bool masksExchanged_ = false;
+    std::array<ModePlan, 3> plans_; ///< indexed by ExchangeMode
     std::size_t bytesLastExchange_ = 0;
 };
 
@@ -772,6 +909,8 @@ public:
     }
 
     std::size_t bytesLastExchange() const { return comm_scheme_->bytesLastExchange(); }
+    /// The ghost-exchange scheme of the current block assignment.
+    PdfCommScheme& commScheme() { return *comm_scheme_; }
 
     /// Collective checkpoint of the full simulation state (PDF + flag
     /// fields, current step). Thin member wrapper over sim::checkpointSave
@@ -1157,7 +1296,8 @@ private:
                 return remote[lbm::dirIndex26(g)];
             });
         }
-        comm_scheme_ = std::make_unique<PdfCommScheme>(forest_, *comm_, srcId_);
+        comm_scheme_ =
+            std::make_unique<PdfCommScheme>(forest_, *comm_, srcId_, flagId_, masks_.fluid);
         syncExchangeMode();
         blockSweepSeconds_.assign(forest_.blocks().size(), 0.0);
 

@@ -33,6 +33,10 @@ inline constexpr int kEpochTagStride = 1 << 20;
 
 /// Ghost-layer PDF exchange (BufferSystem owned by DistributedSimulation).
 inline constexpr int kGhostExchange = 77;
+/// Exchange-plan handshake: once per block assignment, each rank ships the
+/// receive masks of its blocks to the ranks of their remote neighbors
+/// (sim::PdfCommScheme).
+inline constexpr int kExchangePlan = 78;
 /// Rebalance block migration (Migrator): PDF+flag interiors on the move.
 inline constexpr int kMigration = 91;
 /// Buddy checkpoint store: each rank ships its in-memory checkpoint to

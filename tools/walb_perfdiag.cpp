@@ -45,6 +45,7 @@
 #include "obs/Json.h"
 #include "obs/PerfDiag.h"
 #include "obs/Report.h"
+#include "sim/Checkpoint.h"
 
 using namespace walb;
 
@@ -382,7 +383,7 @@ int checkArtifact(int argc, char** argv) {
                 return 2;
             }
             const std::string path = spec.substr(0, eq);
-            const double bound = std::stod(spec.substr(eq + 1));
+            const double bound = sim::parseFlagValue<double>(arg, spec.substr(eq + 1));
             double v = 0;
             if (!number(path, v)) {
                 std::printf("FAIL %s %s (missing or non-numeric)\n", arg.c_str() + 2,
@@ -417,22 +418,15 @@ int compareArtifacts(int argc, char** argv) {
     for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--tol-rel" && i + 1 < argc) {
-            defaultTol = std::stod(argv[++i]);
+            defaultTol = sim::parseFlagValue<double>("--tol-rel", argv[++i]);
         } else if (arg == "--key" && i + 1 < argc) {
             std::string spec = argv[++i];
             double tol = -1;
             const std::size_t colon = spec.rfind(':');
-            // PATH:R only when the suffix parses as a number (metric names
-            // never contain ':').
+            // Metric names never contain ':', so a suffix is a tolerance.
             if (colon != std::string::npos) {
-                try {
-                    std::size_t used = 0;
-                    tol = std::stod(spec.substr(colon + 1), &used);
-                    if (used == spec.size() - colon - 1) spec = spec.substr(0, colon);
-                    else tol = -1;
-                } catch (...) {
-                    tol = -1;
-                }
+                tol = sim::parseFlagValue<double>("--key", spec.substr(colon + 1));
+                spec = spec.substr(0, colon);
             }
             keys.emplace_back(spec, tol);
         } else {
@@ -656,8 +650,13 @@ int main(int argc, char** argv) {
     if (argc >= 2) {
         const std::string mode = argv[1];
         if (mode == "--selftest") return selftest();
-        if (mode == "check") return checkArtifact(argc, argv);
-        if (mode == "compare") return compareArtifacts(argc, argv);
+        try {
+            if (mode == "check") return checkArtifact(argc, argv);
+            if (mode == "compare") return compareArtifacts(argc, argv);
+        } catch (const walb::sim::OptionError& e) {
+            std::fprintf(stderr, "walb_perfdiag: %s\n", e.what());
+            return 2;
+        }
         if ((mode == "report" || mode == "json") && argc >= 3) {
             std::vector<std::string> paths(argv + 2, argv + argc);
             return mode == "report" ? reportDumps(paths) : jsonDumps(paths);

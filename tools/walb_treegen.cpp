@@ -7,12 +7,12 @@
 /// and <prefix>.vtk (ParaView PolyData) and prints the tree statistics.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "geometry/CoronaryTree.h"
 #include "geometry/MeshIO.h"
 #include "io/VtkOutput.h"
+#include "sim/Checkpoint.h"
 
 int main(int argc, char** argv) {
     using namespace walb;
@@ -21,10 +21,15 @@ int main(int argc, char** argv) {
         return 2;
     }
     geometry::CoronaryTreeParams params;
-    params.seed = std::strtoull(argv[1], nullptr, 10);
+    unsigned resolution = 96;
+    try {
+        params.seed = sim::parseFlagValue<std::uint64_t>("seed", argv[1]);
+        if (argc == 4) resolution = sim::parseFlagValue<unsigned>("meshResolution", argv[3]);
+    } catch (const sim::OptionError& e) {
+        std::fprintf(stderr, "walb_treegen: %s\n", e.what());
+        return 2;
+    }
     params.bounds = AABB(0, 0, 0, 1, 1, 1);
-    const unsigned resolution =
-        argc == 4 ? unsigned(std::strtoul(argv[3], nullptr, 10)) : 96u;
 
     const auto tree = geometry::CoronaryTree::generate(params);
     std::printf("tree (seed %llu): %zu segments, %zu outlets\n",

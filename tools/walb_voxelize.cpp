@@ -9,13 +9,13 @@
 /// ParaView.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "geometry/MeshIO.h"
 #include "geometry/Voxelizer.h"
 #include "io/VtkOutput.h"
 #include "lbm/Boundary.h"
+#include "sim/Checkpoint.h"
 
 int main(int argc, char** argv) {
     using namespace walb;
@@ -25,7 +25,13 @@ int main(int argc, char** argv) {
         return 2;
     }
     const std::string meshPath = argv[1];
-    const auto resolution = cell_idx_t(std::strtol(argv[2], nullptr, 10));
+    cell_idx_t resolution = 0;
+    try {
+        resolution = sim::parseFlagValue<cell_idx_t>("resolution", argv[2]);
+    } catch (const sim::OptionError& e) {
+        std::fprintf(stderr, "walb_voxelize: %s\n", e.what());
+        return 2;
+    }
     if (resolution < 4 || resolution > 1024) {
         std::fprintf(stderr, "error: resolution must be in [4, 1024]\n");
         return 2;
