@@ -6,6 +6,7 @@
 ///   * sparse strategies: conditional vs cell-list vs line-interval,
 ///   * full vs direction-sliced ghost-layer packing,
 ///   * triangle octree vs brute-force closest-triangle queries,
+///   * union-BVH queries and isosurface extraction on the coronary tree,
 ///   * graph partitioner throughput,
 ///   * slice-by-16 vs byte-wise CRC-32 and the one-writer checkpoint save,
 ///   * boundary links and same-rank ghost copies at team sizes 1 and 4,
@@ -20,6 +21,7 @@
 #include "core/Crc32.h"
 #include "core/Random.h"
 #include "core/Timer.h"
+#include "geometry/CoronaryTree.h"
 #include "geometry/Primitives.h"
 #include "lbm/Boundary.h"
 #include "geometry/SignedDistance.h"
@@ -544,6 +546,55 @@ void BM_ClosestTriangle_BruteForce(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_ClosestTriangle_BruteForce);
+
+/// The fig7 coronary tree (403 segments), as the vascular benchmarks build it.
+geometry::CoronaryTree fig7Tree() {
+    geometry::CoronaryTreeParams params;
+    params.seed = 2013;
+    params.bounds = AABB(0, 0, 0, 1, 1, 1);
+    params.rootRadius = 0.04;
+    params.minRadius = 0.006;
+    params.maxDepth = 11;
+    return geometry::CoronaryTree::generate(params);
+}
+
+/// One union query per iteration on the fig7 tree: arg 0 cycles through
+/// the tube midpoints (inside a vessel), arg 1 through random points of the
+/// bounding box outside every vessel.
+void BM_UnionDistanceQuery(benchmark::State& state) {
+    const geometry::CoronaryTree tree = fig7Tree();
+    const auto phi = tree.implicitDistance();
+    std::vector<Vec3> points;
+    if (state.range(0) == 0) {
+        for (const auto& s : tree.segments()) {
+            const auto [a, b] = geometry::tubeEndpoints(s);
+            points.push_back((a + b) * real_c(0.5));
+        }
+    } else {
+        Random rng(5);
+        while (points.size() < 4096) {
+            const Vec3 p(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1));
+            if (phi->signedDistance(p) >= 0) points.push_back(p);
+        }
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(phi->signedDistance(points[i]));
+        i = (i + 1) % points.size();
+    }
+    state.SetLabel(state.range(0) == 0 ? "inside" : "outside");
+}
+BENCHMARK(BM_UnionDistanceQuery)->Arg(0)->Arg(1);
+
+/// The colored watertight surface of the fig7 tree at the given grid
+/// resolution (96 is the vascular benchmark's).
+void BM_SurfaceMesh(benchmark::State& state) {
+    const geometry::CoronaryTree tree = fig7Tree();
+    std::size_t triangles = 0;
+    for (auto _ : state) triangles = tree.surfaceMesh(unsigned(state.range(0))).numTriangles();
+    state.counters["triangles"] = double(triangles);
+}
+BENCHMARK(BM_SurfaceMesh)->Arg(48)->Arg(96)->Unit(benchmark::kMillisecond);
 
 // ---- partitioner ---------------------------------------------------------------
 

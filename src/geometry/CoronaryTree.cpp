@@ -109,18 +109,12 @@ CoronaryTree CoronaryTree::generate(const CoronaryTreeParams& params) {
     return tree;
 }
 
-namespace {
-/// Effective tube endpoints of a segment, shared by the mesh and implicit
-/// representations: non-root segments extend backward into their parent so
-/// joints are sealed; leaf ends extend by half a radius to give the outflow
-/// cap some clearance from the last bifurcation.
 std::pair<Vec3, Vec3> tubeEndpoints(const CoronarySegment& s) {
     const Vec3 dir = (s.b - s.a).normalized();
     const Vec3 a = (s.parent < 0) ? s.a : s.a - dir * (s.radius * real_c(0.5));
     const Vec3 b = s.leaf ? s.b + dir * (s.radius * real_c(0.5)) : s.b;
     return {a, b};
 }
-} // namespace
 
 std::unique_ptr<DistanceFunction> CoronaryTree::implicitDistance() const {
     auto u = std::make_unique<UnionDistance>();
@@ -150,16 +144,17 @@ TriangleMesh CoronaryTree::surfaceMesh(unsigned gridResolution) const {
     // point or to a leaf end point. The cap extraction sits at most ~h off
     // the analytic cap plane, so 1.5 radii catch the full disk.
     const auto [rootA, rootB] = tubeEndpoints(segments_.front());
+    std::vector<std::pair<Vec3, real_t>> outletCaps; // leaf end point, radius
+    for (const CoronarySegment& s : segments_)
+        if (s.leaf) outletCaps.emplace_back(tubeEndpoints(s).second, s.radius);
     for (std::size_t v = 0; v < mesh.numVertices(); ++v) {
         const Vec3& p = mesh.vertex(v);
         if ((p - rootA).length() < real_c(1.5) * segments_.front().radius) {
             mesh.setColor(v, kColorInflow);
             continue;
         }
-        for (const CoronarySegment& s : segments_) {
-            if (!s.leaf) continue;
-            const auto [a, b] = tubeEndpoints(s);
-            if ((p - b).length() < real_c(1.5) * s.radius) {
+        for (const auto& [b, radius] : outletCaps) {
+            if ((p - b).length() < real_c(1.5) * radius) {
                 mesh.setColor(v, kColorOutflow);
                 break;
             }

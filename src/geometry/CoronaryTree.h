@@ -16,6 +16,7 @@
 /// machinery.
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/AABB.h"
@@ -32,6 +33,12 @@ struct CoronarySegment {
     unsigned depth;       ///< bifurcation generation
     bool leaf;            ///< terminates in an outflow
 };
+
+/// Effective tube endpoints of a segment, shared by the mesh and implicit
+/// representations: non-root segments extend backward into their parent so
+/// joints are sealed; leaf ends extend by half a radius to give the outflow
+/// cap some clearance from the last bifurcation.
+std::pair<Vec3, Vec3> tubeEndpoints(const CoronarySegment& s);
 
 struct CoronaryTreeParams {
     std::uint64_t seed = 42;

@@ -1,10 +1,13 @@
 #include "geometry/MarchingTetrahedra.h"
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
 #include "core/Debug.h"
+#include "geometry/Voxelizer.h"
 
 namespace walb::geometry {
 
@@ -16,6 +19,14 @@ constexpr unsigned kTets[6][4] = {
     {0, 1, 3, 7}, {0, 3, 2, 7}, {0, 2, 6, 7},
     {0, 6, 4, 7}, {0, 4, 5, 7}, {0, 5, 1, 7},
 };
+
+/// Grid-point regions of at most this many points evaluate every point.
+constexpr uint_t kLeafPoints = 8;
+
+/// The sphere test decides a region's sign only if |phi| clears the radius
+/// by this fraction of the box's coordinate magnitude, far above the
+/// rounding of the points and of phi.
+constexpr real_t kSafetyMargin = 1e-9;
 
 struct EdgeKeyHash {
     std::size_t operator()(const std::uint64_t& k) const {
@@ -39,12 +50,29 @@ TriangleMesh extractIsosurface(const DistanceFunction& phi, const AABB& box, uns
         return std::uint32_t((k * py + j) * px + i);
     };
 
-    // Sample the SDF at all grid points.
+    // Grid-point signs from the voxelizer's sphere test: a value is exact,
+    // or +-infinity where a whole region's sign was decided at once. Exact
+    // values are filled in on demand, only at the corners of sign-crossing
+    // edges, by the same call at the same point as full sampling would make.
+    constexpr real_t kUnknown = std::numeric_limits<real_t>::infinity();
     std::vector<real_t> values(px * py * pz);
-    for (std::size_t k = 0; k < pz; ++k)
-        for (std::size_t j = 0; j < py; ++j)
-            for (std::size_t i = 0; i < px; ++i)
-                values[gridIndex(i, j, k)] = phi.signedDistance(gridPoint(i, j, k));
+    VoxelizeStats stats;
+    sphereTestRegions(
+        phi,
+        [&](cell_idx_t i, cell_idx_t j, cell_idx_t k) {
+            return gridPoint(std::size_t(i), std::size_t(j), std::size_t(k));
+        },
+        CellInterval(0, 0, 0, cell_idx_c(nx), cell_idx_c(ny), cell_idx_c(nz)),
+        kSafetyMargin * (box.min().length() + box.max().length()), kLeafPoints, stats,
+        [&](cell_idx_t i, cell_idx_t j, cell_idx_t k, real_t d) {
+            values[gridIndex(std::size_t(i), std::size_t(j), std::size_t(k))] = d;
+        },
+        [&](const CellInterval& region, bool inside) {
+            region.forEach([&](cell_idx_t i, cell_idx_t j, cell_idx_t k) {
+                values[gridIndex(std::size_t(i), std::size_t(j), std::size_t(k))] =
+                    inside ? -kUnknown : kUnknown;
+            });
+        });
 
     TriangleMesh mesh;
     // One interpolated vertex per sign-crossing grid edge, shared between
@@ -56,12 +84,22 @@ TriangleMesh extractIsosurface(const DistanceFunction& phi, const AABB& box, uns
         return gridPoint(i, j, k);
     };
 
+    auto valueAt = [&](std::uint32_t g) {
+        real_t& v = values[g];
+        if (std::isinf(v)) {
+            const real_t exact = phi.signedDistance(pointOfIndex(g));
+            WALB_DASSERT((exact < 0) == (v < 0), "sphere test broke the 1-Lipschitz contract");
+            v = exact;
+        }
+        return v;
+    };
+
     auto edgePoint = [&](std::uint32_t a, std::uint32_t b) -> std::uint32_t {
         if (a > b) std::swap(a, b);
         const std::uint64_t key = (std::uint64_t(a) << 32) | b;
         auto it = edgeVertex.find(key);
         if (it != edgeVertex.end()) return it->second;
-        const real_t va = values[a], vb = values[b];
+        const real_t va = valueAt(a), vb = valueAt(b);
         // Callers guarantee strictly opposite signs (va < 0 <= vb or
         // vice versa), so the denominator cannot vanish.
         const real_t t = va / (va - vb);
@@ -85,6 +123,10 @@ TriangleMesh extractIsosurface(const DistanceFunction& phi, const AABB& box, uns
                 for (unsigned c = 0; c < 8; ++c)
                     corner[c] = gridIndex(i + (c & 1u), j + ((c >> 1) & 1u),
                                           k + ((c >> 2) & 1u));
+                // A cube without a sign change has no crossing tetrahedron.
+                bool anyNeg = false, anyPos = false;
+                for (const std::uint32_t g : corner) (values[g] < 0 ? anyNeg : anyPos) = true;
+                if (!anyNeg || !anyPos) continue;
 
                 for (const auto& tet : kTets) {
                     std::uint32_t g[4];

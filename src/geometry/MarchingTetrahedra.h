@@ -22,6 +22,12 @@ namespace walb::geometry {
 /// pointing toward positive phi (outward for our inside-negative
 /// convention). Vertices are indexed/deduplicated; the mesh is watertight
 /// wherever the surface does not leave the box.
+///
+/// Cost follows the surface, not the grid: the voxelizer's hierarchical
+/// sphere test decides the sign of whole regions of grid points at once
+/// (relying on phi being 1-Lipschitz), and exact values are computed only
+/// at the corners of sign-crossing edges. The output is bit-identical to
+/// sampling phi at every grid point.
 TriangleMesh extractIsosurface(const DistanceFunction& phi, const AABB& box, unsigned nx,
                                unsigned ny, unsigned nz);
 

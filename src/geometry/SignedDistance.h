@@ -13,15 +13,25 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/AABB.h"
+#include "core/Debug.h"
 #include "geometry/TriangleOctree.h"
 
 namespace walb::geometry {
 
 /// Interface of all signed distance functions. Negative inside the fluid
 /// domain, positive outside.
+///
+/// Contract: phi is 1-Lipschitz, |phi(p) - phi(q)| <= |p - q| up to
+/// rounding. An exact SDF has it, and so do the union's min (a lower bound
+/// inside overlaps), the complement, and MeshDistance on a closed,
+/// consistently oriented mesh. Everything that decides a whole region from
+/// one evaluation relies on it: if |phi(c)| > R, every point within R of c
+/// has the sign of phi(c). The voxelizer's sphere test and classifyBlock
+/// (Voxelizer.h) and isosurface extraction (MarchingTetrahedra.h) do so.
 class DistanceFunction {
 public:
     virtual ~DistanceFunction() = default;
@@ -147,38 +157,27 @@ private:
 
 /// Union of fluid domains: phi = min over components. Exact outside the
 /// union and sign-exact everywhere (value inside overlaps is a lower bound).
+///
+/// Components added with `bounds` (a box containing the component's entire
+/// surface) go into a bounding-volume hierarchy, so a query evaluates only
+/// the components near the point: O(log parts) instead of O(parts) for the
+/// coronary tree, inside the vessels as well as outside. The hierarchy is
+/// built once, on the first query, under std::call_once, so several threads
+/// may query a fresh union concurrently; adding a part after the first
+/// query is a contract violation.
 class UnionDistance final : public DistanceFunction {
 public:
-    /// Adds a component. If `bounds` (a box containing the component's
-    /// entire surface) is supplied, the component participates in the
-    /// bounding-volume hierarchy built lazily on the first query — for the
-    /// coronary tree with thousands of segments this turns the union
-    /// evaluation from O(parts) into O(log parts).
-    void add(std::unique_ptr<DistanceFunction> f) {
-        parts_.push_back(std::move(f));
-        bounds_.push_back(AABB());
-        hasBounds_.push_back(false);
-        bvh_.clear();
-    }
+    void add(std::unique_ptr<DistanceFunction> f) { addPart(std::move(f), AABB(), false); }
     void add(std::unique_ptr<DistanceFunction> f, const AABB& bounds) {
-        parts_.push_back(std::move(f));
-        bounds_.push_back(bounds);
-        hasBounds_.push_back(true);
-        bvh_.clear();
+        addPart(std::move(f), bounds, true);
     }
     std::size_t size() const { return parts_.size(); }
 
     real_t signedDistance(const Vec3& p) const override {
+        std::call_once(built_, [this] { build(); });
         real_t d = real_c(1e300);
-        // Unbounded components always evaluate.
-        bool anyBounded = false;
-        for (std::size_t i = 0; i < parts_.size(); ++i) {
-            if (hasBounds_[i]) anyBounded = true;
-            else d = std::min(d, parts_[i]->signedDistance(p));
-        }
-        if (!anyBounded) return d;
-        if (bvh_.empty()) buildBvh();
-        queryBvh(0, p, d);
+        for (const std::uint32_t i : unbounded_) d = std::min(d, parts_[i]->signedDistance(p));
+        if (!bvh_.empty()) queryBvh(0, bvh_.front().box.sqrDistance(p), p, d);
         return d;
     }
 
@@ -189,10 +188,19 @@ private:
         std::uint32_t part = 0;             ///< part index (leaves)
     };
 
-    void buildBvh() const {
+    void addPart(std::unique_ptr<DistanceFunction> f, const AABB& bounds, bool hasBounds) {
+        WALB_ASSERT(!frozen_, "UnionDistance::add after the first query");
+        parts_.push_back(std::move(f));
+        bounds_.push_back(bounds);
+        hasBounds_.push_back(hasBounds);
+    }
+
+    void build() const {
+        frozen_ = true;
         std::vector<std::uint32_t> ids;
         for (std::uint32_t i = 0; i < parts_.size(); ++i)
-            if (hasBounds_[i]) ids.push_back(i);
+            (hasBounds_[i] ? ids : unbounded_).push_back(i);
+        if (ids.empty()) return;
         bvh_.reserve(2 * ids.size());
         buildNode(ids, 0, ids.size());
     }
@@ -226,29 +234,34 @@ private:
         return nodeIdx;
     }
 
-    void queryBvh(std::int32_t node, const Vec3& p, real_t& d) const {
+    /// `s` is the squared distance from p to the node's box.
+    void queryBvh(std::int32_t node, real_t s, const Vec3& p, real_t& d) const {
+        // Outside the union (d >= 0) a component's SDF is bounded below by
+        // the distance to its box. Inside (d < 0) only a box containing p
+        // can lower d: outside its box a component's SDF is > 0 > d.
+        if (d >= 0 ? s >= d * d : s > 0) return;
         const BvhNode& n = bvh_[std::size_t(node)];
-        // A component's SDF is bounded below by the distance to its box, so
-        // prune whenever even that exceeds the current minimum.
-        if (d >= 0 && n.box.sqrDistance(p) >= d * d) return;
         if (n.left < 0) {
             d = std::min(d, parts_[n.part]->signedDistance(p));
             return;
         }
-        const real_t dl = bvh_[std::size_t(n.left)].box.sqrDistance(p);
-        const real_t dr = bvh_[std::size_t(n.right)].box.sqrDistance(p);
-        if (dl <= dr) {
-            queryBvh(n.left, p, d);
-            queryBvh(n.right, p, d);
+        const real_t sl = bvh_[std::size_t(n.left)].box.sqrDistance(p);
+        const real_t sr = bvh_[std::size_t(n.right)].box.sqrDistance(p);
+        if (sl <= sr) {
+            queryBvh(n.left, sl, p, d);
+            queryBvh(n.right, sr, p, d);
         } else {
-            queryBvh(n.right, p, d);
-            queryBvh(n.left, p, d);
+            queryBvh(n.right, sr, p, d);
+            queryBvh(n.left, sl, p, d);
         }
     }
 
     std::vector<std::unique_ptr<DistanceFunction>> parts_;
     std::vector<AABB> bounds_;
     std::vector<char> hasBounds_;
+    mutable std::once_flag built_;
+    mutable bool frozen_ = false;
+    mutable std::vector<std::uint32_t> unbounded_; ///< parts without bounds, in add order
     mutable std::vector<BvhNode> bvh_;
 };
 

@@ -6,71 +6,46 @@ namespace walb::geometry {
 
 namespace {
 
-/// Bounding sphere of the cell *centers* of a region (not the full cells).
-struct RegionSphere {
-    Vec3 center;
-    real_t radius;
-};
+/// Cell regions of at most this many cells evaluate every cell center.
+constexpr uint_t kLeafCells = 32;
 
-RegionSphere regionSphere(const CellMapping& m, const CellInterval& ci) {
-    const Vec3 lo = m.cellCenter(ci.min().x, ci.min().y, ci.min().z);
-    const Vec3 hi = m.cellCenter(ci.max().x, ci.max().y, ci.max().z);
-    return {(lo + hi) * real_c(0.5), (hi - lo).length() * real_c(0.5)};
-}
-
-template <typename PerCell, typename FillRegion>
-void recurse(const DistanceFunction& phi, const CellMapping& m, const CellInterval& ci,
-             VoxelizeStats& stats, const PerCell& perCell, const FillRegion& fillRegion) {
-    if (ci.empty()) return;
-    const RegionSphere sphere = regionSphere(m, ci);
-    const real_t d = phi.signedDistance(sphere.center);
-    if (std::abs(d) > sphere.radius) {
-        ++stats.regionsPruned;
-        if (d < 0) fillRegion(ci); // uniformly fluid
-        return;                    // else uniformly outside: nothing to mark
-    }
-    if (ci.numCells() <= 32) {
-        ci.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            ++stats.cellsEvaluated;
-            if (phi.signedDistance(m.cellCenter(x, y, z)) < 0) perCell(x, y, z);
+/// Sphere test over a block's cells; `fluidCell(x, y, z)` for each fluid
+/// cell tested on its own, `fluidRegion(ci)` for each uniformly fluid region.
+template <typename FluidCell, typename FluidRegion>
+VoxelizeStats sphereTestCells(const DistanceFunction& phi, const CellMapping& m,
+                              const CellInterval& ci, const FluidCell& fluidCell,
+                              const FluidRegion& fluidRegion) {
+    VoxelizeStats stats;
+    sphereTestRegions(
+        phi, [&](cell_idx_t x, cell_idx_t y, cell_idx_t z) { return m.cellCenter(x, y, z); },
+        ci, real_c(0), kLeafCells, stats,
+        [&](cell_idx_t x, cell_idx_t y, cell_idx_t z, real_t d) {
+            if (d < 0) fluidCell(x, y, z);
+        },
+        [&](const CellInterval& region, bool inside) {
+            if (inside) fluidRegion(region);
         });
-        return;
-    }
-    // Split along the longest axis.
-    CellInterval a = ci, b = ci;
-    if (ci.xSize() >= ci.ySize() && ci.xSize() >= ci.zSize()) {
-        const cell_idx_t mid = (ci.min().x + ci.max().x) / 2;
-        a.max().x = mid;
-        b.min().x = mid + 1;
-    } else if (ci.ySize() >= ci.zSize()) {
-        const cell_idx_t mid = (ci.min().y + ci.max().y) / 2;
-        a.max().y = mid;
-        b.min().y = mid + 1;
-    } else {
-        const cell_idx_t mid = (ci.min().z + ci.max().z) / 2;
-        a.max().z = mid;
-        b.min().z = mid + 1;
-    }
-    recurse(phi, m, a, stats, perCell, fillRegion);
-    recurse(phi, m, b, stats, perCell, fillRegion);
+    return stats;
 }
 
 } // namespace
 
 VoxelizeStats voxelize(const DistanceFunction& phi, field::FlagField& flags,
                        const CellMapping& mapping, field::flag_t fluidFlag) {
-    VoxelizeStats stats;
-    auto perCell = [&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        flags.addFlag(x, y, z, fluidFlag);
-        ++stats.fluidCells;
-    };
-    auto fillRegion = [&](const CellInterval& ci) {
-        ci.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+    uint_t fluidCells = 0;
+    VoxelizeStats stats = sphereTestCells(
+        phi, mapping, flags.allocRegion(),
+        [&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
             flags.addFlag(x, y, z, fluidFlag);
+            ++fluidCells;
+        },
+        [&](const CellInterval& ci) {
+            ci.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                flags.addFlag(x, y, z, fluidFlag);
+            });
+            fluidCells += ci.numCells();
         });
-        stats.fluidCells += ci.numCells();
-    };
-    recurse(phi, mapping, flags.allocRegion(), stats, perCell, fillRegion);
+    stats.fluidCells = fluidCells;
     return stats;
 }
 
@@ -78,31 +53,20 @@ namespace {
 bool anyFluidRecurse(const DistanceFunction& phi, const CellMapping& m,
                      const CellInterval& ci) {
     if (ci.empty()) return false;
-    const RegionSphere sphere = regionSphere(m, ci);
-    const real_t d = phi.signedDistance(sphere.center);
-    if (d < -sphere.radius) return true;  // uniformly fluid
-    if (d > sphere.radius) return false;  // uniformly outside
-    if (ci.numCells() <= 32) {
+    const Vec3 lo = m.cellCenter(ci.min().x, ci.min().y, ci.min().z);
+    const Vec3 hi = m.cellCenter(ci.max().x, ci.max().y, ci.max().z);
+    const real_t radius = (hi - lo).length() * real_c(0.5);
+    const real_t d = phi.signedDistance((lo + hi) * real_c(0.5));
+    if (d < -radius) return true;  // uniformly fluid
+    if (d > radius) return false;  // uniformly outside
+    if (ci.numCells() <= kLeafCells) {
         bool found = false;
         ci.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
             if (!found && phi.signedDistance(m.cellCenter(x, y, z)) < 0) found = true;
         });
         return found;
     }
-    CellInterval a = ci, b = ci;
-    if (ci.xSize() >= ci.ySize() && ci.xSize() >= ci.zSize()) {
-        const cell_idx_t mid = (ci.min().x + ci.max().x) / 2;
-        a.max().x = mid;
-        b.min().x = mid + 1;
-    } else if (ci.ySize() >= ci.zSize()) {
-        const cell_idx_t mid = (ci.min().y + ci.max().y) / 2;
-        a.max().y = mid;
-        b.min().y = mid + 1;
-    } else {
-        const cell_idx_t mid = (ci.min().z + ci.max().z) / 2;
-        a.max().z = mid;
-        b.min().z = mid + 1;
-    }
+    const auto [a, b] = splitLongestAxis(ci);
     return anyFluidRecurse(phi, m, a) || anyFluidRecurse(phi, m, b);
 }
 } // namespace
@@ -115,12 +79,12 @@ bool anyFluidCell(const DistanceFunction& phi, const CellMapping& mapping, cell_
 
 uint_t countFluidCells(const DistanceFunction& phi, const CellMapping& mapping,
                        cell_idx_t cellsX, cell_idx_t cellsY, cell_idx_t cellsZ) {
-    VoxelizeStats stats;
-    auto perCell = [&](cell_idx_t, cell_idx_t, cell_idx_t) { ++stats.fluidCells; };
-    auto fillRegion = [&](const CellInterval& ci) { stats.fluidCells += ci.numCells(); };
-    recurse(phi, mapping, CellInterval(0, 0, 0, cellsX - 1, cellsY - 1, cellsZ - 1), stats,
-            perCell, fillRegion);
-    return stats.fluidCells;
+    uint_t fluidCells = 0;
+    sphereTestCells(
+        phi, mapping, CellInterval(0, 0, 0, cellsX - 1, cellsY - 1, cellsZ - 1),
+        [&](cell_idx_t, cell_idx_t, cell_idx_t) { ++fluidCells; },
+        [&](const CellInterval& ci) { fluidCells += ci.numCells(); });
+    return fluidCells;
 }
 
 } // namespace walb::geometry

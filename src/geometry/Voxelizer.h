@@ -9,6 +9,9 @@
 /// Block/domain intersection pre-tests use the block barycenter with
 /// circumsphere and insphere radii, exactly as described in the paper.
 
+#include <cmath>
+#include <utility>
+
 #include "core/AABB.h"
 #include "field/FlagField.h"
 #include "geometry/SignedDistance.h"
@@ -51,6 +54,60 @@ struct VoxelizeStats {
     uint_t regionsPruned = 0;  ///< uniform regions decided without per-cell tests
     uint_t cellsEvaluated = 0; ///< individual distance evaluations
 };
+
+/// Splits a region in two halves along its longest axis.
+inline std::pair<CellInterval, CellInterval> splitLongestAxis(const CellInterval& ci) {
+    CellInterval a = ci, b = ci;
+    if (ci.xSize() >= ci.ySize() && ci.xSize() >= ci.zSize()) {
+        const cell_idx_t mid = (ci.min().x + ci.max().x) / 2;
+        a.max().x = mid;
+        b.min().x = mid + 1;
+    } else if (ci.ySize() >= ci.zSize()) {
+        const cell_idx_t mid = (ci.min().y + ci.max().y) / 2;
+        a.max().y = mid;
+        b.min().y = mid + 1;
+    } else {
+        const cell_idx_t mid = (ci.min().z + ci.max().z) / 2;
+        a.max().z = mid;
+        b.min().z = mid + 1;
+    }
+    return {a, b};
+}
+
+/// The paper's hierarchical pruning over an index region, shared by
+/// voxelization (cell centers) and isosurface extraction (grid points).
+/// `pointOf(x, y, z)` maps an index to its point and must be monotone in
+/// each index, so a region's points lie in the box spanned by its two
+/// corner points. If |phi(center)| > radius + margin for that box's
+/// circumsphere, the region has one sign throughout (1-Lipschitz contract,
+/// SignedDistance.h): `uniform(region, phi(center) < 0)`. A region of at
+/// most `leafPoints` points that fails the test evaluates phi at each
+/// point: `exact(x, y, z, phi(pointOf(x, y, z)))`, in memory order.
+template <typename PointOf, typename Exact, typename Uniform>
+void sphereTestRegions(const DistanceFunction& phi, const PointOf& pointOf,
+                       const CellInterval& ci, real_t margin, uint_t leafPoints,
+                       VoxelizeStats& stats, const Exact& exact, const Uniform& uniform) {
+    if (ci.empty()) return;
+    const Vec3 lo = pointOf(ci.min().x, ci.min().y, ci.min().z);
+    const Vec3 hi = pointOf(ci.max().x, ci.max().y, ci.max().z);
+    const real_t radius = (hi - lo).length() * real_c(0.5);
+    const real_t d = phi.signedDistance((lo + hi) * real_c(0.5));
+    if (std::abs(d) > radius + margin) {
+        ++stats.regionsPruned;
+        uniform(ci, d < 0);
+        return;
+    }
+    if (ci.numCells() <= leafPoints) {
+        ci.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            ++stats.cellsEvaluated;
+            exact(x, y, z, phi.signedDistance(pointOf(x, y, z)));
+        });
+        return;
+    }
+    const auto [a, b] = splitLongestAxis(ci);
+    sphereTestRegions(phi, pointOf, a, margin, leafPoints, stats, exact, uniform);
+    sphereTestRegions(phi, pointOf, b, margin, leafPoints, stats, exact, uniform);
+}
 
 /// Sets `fluidFlag` on every cell (interior plus ghost layers) whose center
 /// is inside the domain. Returns pruning statistics. The hierarchical

@@ -1,14 +1,20 @@
 /// Geometry pipeline tests: point-triangle distance, octree queries,
 /// pseudonormal-signed distances vs. analytic ground truth, mesh IO
 /// round-trips, voxelization, and the paper's block-classification
-/// early-outs.
+/// early-outs, the union's bounding-volume pruning and the surface-
+/// proportional isosurface extraction on the coronary tree.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstring>
 #include <fstream>
 #include <map>
+#include <thread>
 
 #include "core/Random.h"
+#include "geometry/CoronaryTree.h"
 #include "geometry/MarchingTetrahedra.h"
 #include "geometry/MeshIO.h"
 #include "geometry/Primitives.h"
@@ -338,6 +344,244 @@ TEST(MarchingTetrahedra, SignedDistanceOfExtractionMatchesSource) {
         const Vec3 p(rng.uniform(-1.1, 1.1), rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9));
         EXPECT_NEAR(meshDist.signedDistance(p), capsule.signedDistance(p), 0.05);
     }
+}
+
+// ---- union distance and extraction on the coronary tree ---------------------
+
+/// The fig7 coronary tree (403 segments), as the vascular benchmarks build it.
+CoronaryTree fig7Tree() {
+    CoronaryTreeParams params;
+    params.seed = 2013;
+    params.bounds = AABB(0, 0, 0, 1, 1, 1);
+    params.rootRadius = 0.04;
+    params.minRadius = 0.006;
+    params.maxDepth = 11;
+    return CoronaryTree::generate(params);
+}
+
+/// Forwards to a distance function and counts the evaluations.
+class CountingDistance final : public DistanceFunction {
+public:
+    CountingDistance(const DistanceFunction& f, std::uint64_t& count) : f_(f), count_(count) {}
+    real_t signedDistance(const Vec3& p) const override {
+        ++count_;
+        return f_.signedDistance(p);
+    }
+
+private:
+    const DistanceFunction& f_;
+    std::uint64_t& count_;
+};
+
+/// phi * 2^-40. The scaling is exact in floating point, and it makes every
+/// value far smaller than any region's sphere, so extraction of the scaled
+/// function never decides a region's sign at once: it samples every grid
+/// point, which makes it the full-sampling reference.
+class ScaledDistance final : public DistanceFunction {
+public:
+    explicit ScaledDistance(const DistanceFunction& f) : f_(f) {}
+    real_t signedDistance(const Vec3& p) const override {
+        return f_.signedDistance(p) * std::ldexp(real_c(1), -40);
+    }
+
+private:
+    const DistanceFunction& f_;
+};
+
+/// The tree's tubes with their union bounds, built as implicitDistance does.
+struct TreeParts {
+    std::vector<std::unique_ptr<DistanceFunction>> parts;
+    std::vector<AABB> bounds;
+};
+
+TreeParts treeParts(const CoronaryTree& tree) {
+    TreeParts t;
+    for (const CoronarySegment& s : tree.segments()) {
+        const auto [a, b] = tubeEndpoints(s);
+        AABB box(a, a);
+        box.merge(b);
+        t.parts.push_back(std::make_unique<CylinderDistance>(a, b, s.radius));
+        t.bounds.push_back(box.expanded(s.radius));
+    }
+    return t;
+}
+
+std::uint64_t bits(real_t v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Tube midpoints (inside one vessel at least).
+std::vector<Vec3> insidePoints(const CoronaryTree& tree) {
+    std::vector<Vec3> points;
+    for (const CoronarySegment& s : tree.segments()) {
+        const auto [a, b] = tubeEndpoints(s);
+        points.push_back((a + b) * real_c(0.5));
+    }
+    return points;
+}
+
+/// Start points of the child segments: inside the parent's tube and the
+/// child's backward-extended one.
+std::vector<Vec3> jointPoints(const CoronaryTree& tree) {
+    std::vector<Vec3> points;
+    for (const CoronarySegment& s : tree.segments())
+        if (s.parent >= 0) points.push_back(s.a);
+    return points;
+}
+
+std::vector<Vec3> randomPoints(std::size_t n, std::uint64_t seed) {
+    Random rng(seed);
+    std::vector<Vec3> points;
+    for (std::size_t i = 0; i < n; ++i)
+        points.emplace_back(rng.uniform(-0.1, 1.1), rng.uniform(-0.1, 1.1),
+                            rng.uniform(-0.1, 1.1));
+    return points;
+}
+
+TEST(UnionDistance, MatchesBruteForceMinBitwise) {
+    const CoronaryTree tree = fig7Tree();
+    const TreeParts t = treeParts(tree);
+    // One unbounded component mixed in among the bounded tubes.
+    const SphereDistance blob(Vec3(0.5, 0.5, 0.5), 0.15);
+    std::uint64_t count = 0;
+    UnionDistance u, withBlob;
+    for (std::size_t i = 0; i < t.parts.size(); ++i) {
+        u.add(std::make_unique<CountingDistance>(*t.parts[i], count), t.bounds[i]);
+        withBlob.add(std::make_unique<CountingDistance>(*t.parts[i], count), t.bounds[i]);
+        if (i == t.parts.size() / 2)
+            withBlob.add(std::make_unique<CountingDistance>(blob, count));
+    }
+    const auto implicit = tree.implicitDistance();
+
+    const std::vector<Vec3> inside = insidePoints(tree), joints = jointPoints(tree),
+                            random = randomPoints(2000, 5);
+    std::size_t numInside = 0, numOverlap = 0, numOutside = 0, numInBlob = 0;
+    for (const auto* set : {&inside, &joints, &random})
+        for (const Vec3& p : *set) {
+            real_t brute = real_c(1e300);
+            int covering = 0;
+            for (const auto& part : t.parts) {
+                const real_t d = part->signedDistance(p);
+                brute = std::min(brute, d);
+                covering += d < 0;
+            }
+            numInside += covering > 0;
+            numOverlap += covering > 1;
+            numOutside += covering == 0;
+            EXPECT_EQ(bits(u.signedDistance(p)), bits(brute)) << p;
+            EXPECT_EQ(bits(implicit->signedDistance(p)), bits(brute)) << p;
+            const real_t b = blob.signedDistance(p);
+            numInBlob += b < 0;
+            EXPECT_EQ(bits(withBlob.signedDistance(p)), bits(std::min(brute, b))) << p;
+        }
+    // The sample covers every case the pruning distinguishes.
+    EXPECT_GE(numInside, inside.size());
+    EXPECT_GE(numOverlap, joints.size());
+    EXPECT_GT(numOutside, 1000u);
+    EXPECT_GT(numInBlob, 10u);
+}
+
+TEST(UnionDistance, InsideQueryEvaluatesFewComponents) {
+    const CoronaryTree tree = fig7Tree();
+    const TreeParts t = treeParts(tree);
+    ASSERT_EQ(t.parts.size(), 403u);
+    std::uint64_t count = 0;
+    UnionDistance u;
+    for (std::size_t i = 0; i < t.parts.size(); ++i)
+        u.add(std::make_unique<CountingDistance>(*t.parts[i], count), t.bounds[i]);
+    std::vector<Vec3> points = insidePoints(tree);
+    const std::vector<Vec3> joints = jointPoints(tree);
+    points.insert(points.end(), joints.begin(), joints.end());
+    for (const Vec3& p : points) {
+        count = 0;
+        ASSERT_LT(u.signedDistance(p), 0) << p;
+        EXPECT_LE(count, 32u) << p;
+    }
+}
+
+TEST(UnionDistance, ConcurrentFirstQueriesMatchSerial) {
+    const CoronaryTree tree = fig7Tree();
+    std::vector<Vec3> points = randomPoints(500, 9);
+    const std::vector<Vec3> inside = insidePoints(tree);
+    points.insert(points.end(), inside.begin(), inside.end());
+    const auto serial = tree.implicitDistance();
+    std::vector<real_t> expected;
+    for (const Vec3& p : points) expected.push_back(serial->signedDistance(p));
+
+    // Four threads make the first queries of a fresh union at once.
+    const auto fresh = tree.implicitDistance();
+    constexpr int kThreads = 4;
+    std::atomic<int> ready{0};
+    std::vector<std::vector<real_t>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) std::this_thread::yield();
+            for (const Vec3& p : points) got[std::size_t(t)].push_back(fresh->signedDistance(p));
+        });
+    for (auto& th : threads) th.join();
+    for (const auto& values : got) {
+        ASSERT_EQ(values.size(), expected.size());
+        for (std::size_t i = 0; i < values.size(); ++i)
+            EXPECT_EQ(bits(values[i]), bits(expected[i])) << points[i];
+    }
+}
+
+TEST(UnionDistanceDeathTest, AddAfterFirstQueryIsRejected) {
+    UnionDistance u;
+    u.add(std::make_unique<SphereDistance>(Vec3(0, 0, 0), 1.0), AABB(-1, -1, -1, 1, 1, 1));
+    EXPECT_LT(u.signedDistance({0, 0, 0}), 0);
+    EXPECT_DEATH(u.add(std::make_unique<SphereDistance>(Vec3(3, 0, 0), 1.0)),
+                 "after the first query");
+}
+
+/// Extraction of phi is byte-identical to the full-sampling reference
+/// (phi * 2^-40), which does evaluate every grid point.
+void expectMatchesFullSampling(const DistanceFunction& phi, const AABB& box, unsigned nx,
+                               unsigned ny, unsigned nz) {
+    const TriangleMesh mesh = extractIsosurface(phi, box, nx, ny, nz);
+    std::uint64_t refEvals = 0;
+    const ScaledDistance scaled(phi);
+    const CountingDistance counted(scaled, refEvals);
+    const TriangleMesh ref = extractIsosurface(counted, box, nx, ny, nz);
+    EXPECT_GE(refEvals, std::uint64_t(nx + 1) * (ny + 1) * (nz + 1));
+    ASSERT_GT(ref.numTriangles(), 0u);
+    ASSERT_EQ(mesh.numVertices(), ref.numVertices());
+    ASSERT_EQ(mesh.numTriangles(), ref.numTriangles());
+    EXPECT_EQ(std::memcmp(mesh.vertices().data(), ref.vertices().data(),
+                          mesh.numVertices() * sizeof(Vec3)),
+              0);
+    EXPECT_EQ(std::memcmp(mesh.triangles().data(), ref.triangles().data(),
+                          mesh.numTriangles() * sizeof(mesh.triangles()[0])),
+              0);
+    EXPECT_EQ(std::memcmp(mesh.colors().data(), ref.colors().data(),
+                          mesh.numVertices() * sizeof(mesh.colors()[0])),
+              0);
+}
+
+/// The sampling box and grid of CoronaryTree::surfaceMesh at resolution 48.
+constexpr real_t kTreeH = real_c(1) / 48;
+const AABB kTreeSampleBox = AABB(0, 0, 0, 1, 1, 1).expanded(2 * kTreeH);
+constexpr unsigned kTreeCells = 52;
+
+TEST(MarchingTetrahedra, PrunedSamplingMatchesFullSamplingBitwise) {
+    expectMatchesFullSampling(SphereDistance({0.1, -0.2, 0.3}, 0.7),
+                              AABB(-1, -1, -1, 1, 1, 1), 32, 32, 32);
+    expectMatchesFullSampling(CapsuleDistance({-0.5, 0, 0}, {0.5, 0, 0}, 0.4),
+                              AABB(-1.2, -1, -1, 1.2, 1, 1), 48, 40, 40);
+    const auto tree = fig7Tree().implicitDistance();
+    expectMatchesFullSampling(*tree, kTreeSampleBox, kTreeCells, kTreeCells, kTreeCells);
+}
+
+TEST(MarchingTetrahedra, TreeExtractionEvaluatesFewGridPoints) {
+    std::uint64_t evals = 0;
+    const auto tree = fig7Tree().implicitDistance();
+    const CountingDistance counted(*tree, evals);
+    const TriangleMesh mesh =
+        extractIsosurface(counted, kTreeSampleBox, kTreeCells, kTreeCells, kTreeCells);
+    ASSERT_GT(mesh.numTriangles(), 1000u);
+    const std::uint64_t gridPoints = std::uint64_t(kTreeCells + 1) * (kTreeCells + 1) *
+                                     (kTreeCells + 1);
+    EXPECT_LT(evals, gridPoints / 4);
 }
 
 TEST(BlockClassification, EarlyOutsAreConservativeAndCorrect) {
