@@ -8,7 +8,8 @@
 ///   * triangle octree vs brute-force closest-triangle queries,
 ///   * union-BVH queries and isosurface extraction on the coronary tree,
 ///   * graph partitioner throughput,
-///   * slice-by-16 vs byte-wise CRC-32 and the one-writer checkpoint save,
+///   * slice-by-16 vs byte-wise CRC-32, the block-record codec and the
+///     one-writer checkpoint save (dense and sparse),
 ///   * boundary links and same-rank ghost copies at team sizes 1 and 4,
 ///   * the fluid-aware exchange plan: its build cost and its sparse copies.
 
@@ -636,31 +637,101 @@ void BM_Crc32(benchmark::State& state) {
 BENCHMARK(BM_Crc32<true>)->Arg(1 << 10)->Arg(64 << 20);
 BENCHMARK(BM_Crc32<false>)->Arg(1 << 10)->Arg(64 << 20)->Unit(benchmark::kMillisecond);
 
-/// One collective checkpoint save of 4 ThreadComm ranks x one 32^3 block:
-/// exact-size contribution, gather to rank 0, streamed write and rename.
-/// Timed on rank 0 from a barrier to the broadcast outcome.
-void BM_CheckpointSave(benchmark::State& state) {
-    constexpr std::uint32_t kRanks = 4;
+/// Flags of the fig7-like tube block (TubeBlock's vessel) for a
+/// DistributedSimulation block: the tube is fluid, its stencil hull
+/// no-slip, everything else outside the flow.
+void tubeFlags(field::FlagField& flags, const BoundaryFlags& masks, const bf::BlockForest::Block&,
+               const geometry::CellMapping&) {
+    const Vec3 p0{0, 6, 4}, axis = Vec3{1, 0.6, 0.8} / std::sqrt(real_c(2));
+    flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        const Vec3 r = Vec3{real_c(x), real_c(y), real_c(z)} - p0;
+        const Vec3 radial = r - axis * r.dot(axis);
+        if (radial.dot(radial) < real_c(25)) flags.addFlag(x, y, z, masks.fluid);
+    });
+    markBoundaryHull<D3Q19>(flags, masks.fluid, 0, masks.noSlip);
+}
+
+void allFluidFlags(field::FlagField& flags, const BoundaryFlags& masks,
+                   const bf::BlockForest::Block&, const geometry::CellMapping&) {
+    flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        flags.addFlag(x, y, z, masks.fluid);
+    });
+}
+
+/// `ranks` x 1 x 1 blocks of 32^3 cells, one per rank.
+bf::SetupBlockForest rowOf32Blocks(std::uint32_t ranks) {
     bf::SetupConfig cfg;
-    cfg.domain = AABB(0, 0, 0, 32.0 * kRanks, 32, 32);
-    cfg.rootBlocksX = kRanks;
+    cfg.domain = AABB(0, 0, 0, 32.0 * ranks, 32, 32);
+    cfg.rootBlocksX = ranks;
     cfg.rootBlocksY = cfg.rootBlocksZ = 1;
     cfg.cellsPerBlockX = cfg.cellsPerBlockY = cfg.cellsPerBlockZ = 32;
     auto setup = bf::SetupBlockForest::create(cfg);
-    setup.balanceMorton(kRanks);
-    const auto allFluid = [](field::FlagField& flags, const lbm::BoundaryFlags& masks,
-                             const bf::BlockForest::Block&, const geometry::CellMapping&) {
-        flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            flags.addFlag(x, y, z, masks.fluid);
-        });
-    };
+    setup.balanceMorton(ranks);
+    return setup;
+}
+
+/// One block record of the tube block, encoded (appendBlockRecord) after a
+/// few steps moved its state: the codec cost per checkpoint, buddy refresh
+/// and migrated block.
+void BM_BlockRecordEncode(benchmark::State& state) {
+    const auto setup = rowOf32Blocks(1);
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(comm, setup, tubeFlags);
+    simulation.setWallVelocity({0.02, 0, 0});
+    simulation.run(4, TRT::fromOmegaAndMagic(1.6));
+    SendBuffer buf;
+    buf.reserve(sim::blockRecordBytes(simulation, 0));
+    for (auto _ : state) {
+        buf.clear();
+        sim::appendBlockRecord(simulation, 0, buf);
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["record_bytes"] = double(buf.size());
+    state.counters["bytes_per_fluid_cell"] =
+        double(buf.size()) / double(simulation.localFluidCells());
+    state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(buf.size()));
+}
+BENCHMARK(BM_BlockRecordEncode)->Unit(benchmark::kMicrosecond);
+
+/// The matching verify + restore (applyBlockRecord) of that record.
+void BM_BlockRecordDecode(benchmark::State& state) {
+    const auto setup = rowOf32Blocks(1);
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(comm, setup, tubeFlags);
+    simulation.setWallVelocity({0.02, 0, 0});
+    simulation.run(4, TRT::fromOmegaAndMagic(1.6));
+    SendBuffer buf;
+    sim::appendBlockRecord(simulation, 0, buf);
+    for (auto _ : state) {
+        RecvBuffer rb{std::span<const std::uint8_t>(buf.data(), buf.size())};
+        if (sim::applyBlockRecord(simulation, rb) != 1) state.SkipWithError("record rejected");
+        benchmark::DoNotOptimize(simulation.pdfField(0).data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(buf.size()));
+}
+BENCHMARK(BM_BlockRecordDecode)->Unit(benchmark::kMicrosecond);
+
+/// One collective checkpoint save of 4 ThreadComm ranks x one 32^3 block:
+/// exact-size contribution, gather to rank 0, streamed write and rename.
+/// Timed on rank 0 from a barrier to the broadcast outcome. Arg 0: every
+/// cell fluid (dense); arg 1: the tube block (sparse, ~8% fluid). Both
+/// report the file's bytes per fluid cell.
+void BM_CheckpointSave(benchmark::State& state) {
+    constexpr std::uint32_t kRanks = 4;
+    const auto setup = rowOf32Blocks(kRanks);
+    const sim::DistributedSimulation::FlagInitializer flags =
+        state.range(0) == 0 ? allFluidFlags : tubeFlags;
     const std::string path =
         (std::filesystem::temp_directory_path() / "walb_bm_checkpoint.wckp").string();
     std::size_t fileBytes = 0;
+    double fluidCells = 0;
     for (auto _ : state) {
         double seconds = 0;
         vmpi::ThreadCommWorld::launch(int(kRanks), [&](vmpi::Comm& comm) {
-            sim::DistributedSimulation simulation(comm, setup, allFluid);
+            sim::DistributedSimulation simulation(comm, setup, flags);
+            const double fluid = double(simulation.globalFluidCells());
             comm.barrier(); // walb-lint: allow(blocking): benchmark timing rendezvous
             Timer t;
             t.start();
@@ -671,13 +742,16 @@ void BM_CheckpointSave(benchmark::State& state) {
             if (comm.rank() != 0) return;
             seconds = t.total();
             fileBytes = written;
+            fluidCells = fluid;
         });
         state.SetIterationTime(seconds);
     }
     std::remove(path.c_str());
+    state.counters["file_bytes"] = double(fileBytes);
+    state.counters["bytes_per_fluid_cell"] = double(fileBytes) / fluidCells;
     state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(fileBytes));
 }
-BENCHMARK(BM_CheckpointSave)->UseManualTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CheckpointSave)->Arg(0)->Arg(1)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 } // namespace
 

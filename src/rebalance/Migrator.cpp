@@ -1,38 +1,20 @@
 #include "rebalance/Migrator.h"
 
 #include <map>
-#include <unordered_map>
+#include <optional>
+#include <string>
 
 #include "core/Buffer.h"
-#include "core/Crc32.h"
 #include "core/Debug.h"
 #include "core/Random.h"
 #include "core/Timer.h"
+#include "sim/Checkpoint.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/Comm.h"
 
 namespace walb::rebalance {
 
 namespace {
-
-/// Contiguous interior rows (fzyx: xStride == 1), f-plane by f-plane.
-template <typename T>
-void packInterior(const field::Field<T>& f, SendBuffer& buf) {
-    WALB_ASSERT(f.xStride() == 1, "interior packing assumes fzyx layout");
-    for (cell_idx_t c = 0; c < cell_idx_t(f.fSize()); ++c)
-        for (cell_idx_t z = 0; z < f.zSize(); ++z)
-            for (cell_idx_t y = 0; y < f.ySize(); ++y)
-                buf.putBytes(f.dataAt(0, y, z, c), std::size_t(f.xSize()) * sizeof(T));
-}
-
-template <typename T>
-void unpackInterior(field::Field<T>& f, RecvBuffer& buf) {
-    WALB_ASSERT(f.xStride() == 1, "interior unpacking assumes fzyx layout");
-    for (cell_idx_t c = 0; c < cell_idx_t(f.fSize()); ++c)
-        for (cell_idx_t z = 0; z < f.zSize(); ++z)
-            for (cell_idx_t y = 0; y < f.ySize(); ++y)
-                buf.getBytes(f.dataAt(0, y, z, c), std::size_t(f.xSize()) * sizeof(T));
-}
 
 /// Order-sensitive hash of the assignment, for the cross-rank agreement
 /// check — a rank acting on a divergent assignment would silently corrupt
@@ -85,126 +67,72 @@ MigrationStats migrate(sim::DistributedSimulation& sim,
     WALB_ASSERT(setupIdxOfLocal.size() == forest.numLocalBlocks(),
                 "setup assignment and local forest disagree");
 
-    // 1. Pack departing blocks, one message per destination rank. 2. Stash
-    // the full contents of staying blocks (restored bit-exactly below).
-    //
-    // AA tiers: the wire payload carries the *canonical* (parity-normalized)
-    // PDF view instead of src+dst — raw AA storage at parity Even keeps part
-    // of a block's state in its own ghost layer, which an interior-only pack
-    // would lose. The stash path is unaffected: it copies the full src
-    // allocation (ghosts included) and the parity does not change across a
-    // migration, so raw bytes restore bit-exactly. The tier is a global
-    // config, so sender and receiver agree on the payload shape.
-    const bool aa = sim.usesAaPattern();
-    struct Stash {
-        std::vector<real_t> src, dst;
-        std::vector<field::flag_t> flags;
-    };
-    std::unordered_map<bf::BlockID, Stash, bf::BlockIDHash> stash;
+    // 1. Pack each departing block's record into one message per
+    // destination rank. 2. Stash the records of staying blocks: the rebuild
+    // below re-initializes every field, and a record holds exactly the
+    // slots that differ from the initializer (sim/Checkpoint.h).
+    std::map<std::uint32_t, std::uint32_t> outgoingBlocks; // dest rank -> #blocks
+    for (const std::size_t i : setupIdxOfLocal)
+        if (newOwner[i] != myRank) ++outgoingBlocks[newOwner[i]];
     std::map<std::uint32_t, SendBuffer> outgoing; // dest rank -> message
-    std::map<std::uint32_t, std::uint32_t> outgoingBlocks;
+    for (const auto& [dest, count] : outgoingBlocks) outgoing[dest] << count;
+    SendBuffer stash;
+    std::uint32_t stashed = 0;
     for (std::size_t b = 0; b < forest.numLocalBlocks(); ++b) {
-        const std::size_t i = setupIdxOfLocal[b];
-        const lbm::PdfField& src = sim.pdfField(b);
-        const lbm::PdfField& dst = sim.pdfDstField(b);
-        const field::FlagField& flags = sim.flagField(b);
-        if (newOwner[i] == myRank) {
-            Stash& s = stash[forest.blocks()[b].id];
-            s.src.assign(src.data(), src.data() + src.allocCells());
-            s.dst.assign(dst.data(), dst.data() + dst.allocCells());
-            s.flags.assign(flags.data(), flags.data() + flags.allocCells());
-            continue;
-        }
-        SendBuffer payload;
-        if (aa) {
-            packInterior(sim.canonicalPdfField(b), payload);
-        } else {
-            packInterior(src, payload);
-            packInterior(dst, payload);
-        }
-        packInterior(flags, payload);
-        SendBuffer& msg = outgoing[newOwner[i]];
-        forest.blocks()[b].id.toWire(msg);
-        msg << crc32(payload.data(), payload.size()) << std::uint64_t(payload.size());
-        msg.putBytes(payload.data(), payload.size());
-        ++outgoingBlocks[newOwner[i]];
+        const std::uint32_t dest = newOwner[setupIdxOfLocal[b]];
+        stashed += dest == myRank ? 1 : 0;
+        sim::appendBlockRecord(sim, b, dest == myRank ? stash : outgoing[dest]);
     }
 
     // 3. Buffered non-blocking sends — safe to post before any recv, and
     // therefore safe to rebuild the local structure while in flight.
     for (auto& [dest, msg] : outgoing) {
-        SendBuffer framed;
-        framed << outgoingBlocks[dest];
-        framed.putBytes(msg.data(), msg.size());
-        stats.bytesSent += framed.size();
-        comm.send(int(dest), kMigrationTag, framed.release());
+        stats.bytesSent += msg.size();
+        comm.send(int(dest), kMigrationTag, msg.release());
     }
 
     sim.applyBlockAssignment(newOwner);
 
-    // 4a. Restore stayed blocks from the stash.
-    const bf::BlockForest& rebuilt = sim.forest();
-    std::unordered_map<bf::BlockID, std::size_t, bf::BlockIDHash> localOf;
-    for (std::size_t b = 0; b < rebuilt.numLocalBlocks(); ++b)
-        localOf[rebuilt.blocks()[b].id] = b;
-    for (const auto& [id, s] : stash) {
-        const auto it = localOf.find(id);
-        WALB_ASSERT(it != localOf.end(), "stayed block vanished in rebuild");
-        std::copy(s.src.begin(), s.src.end(), sim.pdfField(it->second).data());
-        std::copy(s.dst.begin(), s.dst.end(), sim.pdfDstField(it->second).data());
-        std::copy(s.flags.begin(), s.flags.end(), sim.flagField(it->second).data());
-    }
-
-    // 4b. Receive incoming blocks, in ascending source-rank order (the set
-    // of senders is derived from the same owner vectors on both sides).
+    // 4. Receive incoming blocks, in ascending source-rank order (the set
+    // of senders is derived from the same owner vectors on both sides),
+    // and verify every record — stashed and received — before the first
+    // one is written into a live field: a mangled migration message throws
+    // sim::CheckpointError naming the block and both CRCs.
+    const auto verify = [&](RecvBuffer& rb, std::uint32_t count, const std::string& origin,
+                            std::vector<sim::VerifiedBlockRecord>& out) {
+        for (std::uint32_t k = 0; k < count; ++k) {
+            std::optional<sim::VerifiedBlockRecord> rec;
+            try {
+                rec = sim::verifyBlockRecord(sim, rb);
+            } catch (const sim::CheckpointError& e) {
+                throw sim::CheckpointError(origin + ": " + e.what());
+            }
+            WALB_ASSERT(rec, << origin << " carries a block not assigned here");
+            out.push_back(std::move(*rec));
+        }
+        WALB_ASSERT(rb.atEnd(), "trailing bytes in " << origin);
+    };
+    std::vector<sim::VerifiedBlockRecord> records;
+    RecvBuffer stashView{std::span<const std::uint8_t>(stash.data(), stash.size())};
+    verify(stashView, stashed, "migration stash", records);
     std::map<std::uint32_t, std::uint32_t> expected; // src rank -> #blocks
     for (std::size_t i = 0; i < setup.numBlocks(); ++i)
         if (newOwner[i] == myRank && oldOwner[i] != myRank) ++expected[oldOwner[i]];
+    std::vector<std::vector<std::uint8_t>> messages; // the records borrow from these
+    messages.reserve(expected.size());
     for (const auto& [srcRank, numBlocks] : expected) {
         // walb-lint: allow(blocking): sender set derived from the agreed owner vectors on both sides, so the matching send exists; comm deadline bounds a lost peer
-        RecvBuffer msg(comm.recv(int(srcRank), kMigrationTag));
-        stats.bytesReceived += msg.size();
+        messages.push_back(comm.recv(int(srcRank), kMigrationTag));
+        stats.bytesReceived += messages.back().size();
+        RecvBuffer msg{std::span<const std::uint8_t>(messages.back())};
         std::uint32_t count = 0;
         msg >> count;
         WALB_ASSERT(count == numBlocks, "migration message from rank "
                                            << srcRank << " carries " << count
                                            << " blocks, expected " << numBlocks);
-        for (std::uint32_t k = 0; k < count; ++k) {
-            const bf::BlockID id = bf::BlockID::fromWire(msg);
-            std::uint32_t storedCrc = 0;
-            std::uint64_t payloadBytes = 0;
-            msg >> storedCrc >> payloadBytes;
-            if (msg.remaining() < payloadBytes)
-                throw BufferError(std::size_t(payloadBytes), msg.remaining());
-            // CRC over the raw payload *before* touching live fields — a
-            // mangled migration message must not corrupt the simulation.
-            const std::uint32_t actualCrc =
-                crc32(msg.cursor(), std::size_t(payloadBytes));
-            WALB_ASSERT(actualCrc == storedCrc,
-                        "migration payload CRC mismatch from rank "
-                            << srcRank << " on block " << id.rootIndex() << ":"
-                            << int(id.level()) << ":" << id.path() << ": expected 0x"
-                            << std::hex << storedCrc << " (stored), actual 0x"
-                            << actualCrc << std::dec << " (computed)");
-            const auto it = localOf.find(id);
-            WALB_ASSERT(it != localOf.end(),
-                       "migration message carries a block not assigned here");
-            if (aa) {
-                // Flags must land before the canonical scatter — it walks
-                // the block's fluid cells.
-                lbm::PdfField& canon = sim.canonicalScratch();
-                unpackInterior(canon, msg);
-                unpackInterior(sim.flagField(it->second), msg);
-                sim.applyCanonicalPdf(it->second, canon);
-            } else {
-                unpackInterior(sim.pdfField(it->second), msg);
-                unpackInterior(sim.pdfDstField(it->second), msg);
-                unpackInterior(sim.flagField(it->second), msg);
-            }
-        }
-        WALB_ASSERT(msg.atEnd(), "trailing bytes in migration message from rank "
-                                    << srcRank);
+        verify(msg, count, "migration message from rank " + std::to_string(srcRank), records);
     }
+    for (const sim::VerifiedBlockRecord& rec : records) sim::restoreBlockRecord(sim, rec);
 
     // 5. Ghost layers under the new neighborhood plan.
     sim.refillGhostLayers();

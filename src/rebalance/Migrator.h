@@ -6,24 +6,24 @@
 ///
 /// Protocol (collective; every rank derives the identical move list from
 /// the old/new owner vectors, so no negotiation messages are needed):
-///   1. pack each departing block into one tagged message per destination
-///      rank: BlockID + the interiors of both PDF buffers and the flag
-///      field, CRC-protected. Interiors are the complete physical state —
-///      ghost layers are exchange scratch that is re-filled afterwards;
-///   2. stash the full field contents of blocks that stay local;
+///   1. append each departing block's record (sim/Checkpoint.h: flags plus
+///      the slots that differ from the initializer, CRC-protected) to one
+///      tagged message per destination rank;
+///   2. stash the records of blocks that stay local the same way;
 ///   3. sends are buffered and non-blocking (vmpi contract), so the
 ///      structure can be rebuilt immediately: applyBlockAssignment()
-///      replaces the BlockForest, its per-block data and the BufferSystem
-///      exchange plan;
-///   4. restore stashed blocks, receive + CRC-verify + unpack incoming
-///      blocks (flag interiors are overlaid too, although the rebuilt
-///      fields already re-derived them — flags are a pure function of
-///      global position);
+///      replaces the BlockForest, its per-block data (re-initialized) and
+///      the BufferSystem exchange plan;
+///   4. receive the incoming messages, verify every stashed and received
+///      record, and only then restore them all — a corrupt record throws
+///      sim::CheckpointError (naming the block and both CRCs) before any
+///      live field is written;
 ///   5. one ghost-layer exchange re-fills the ghost layers under the new
 ///      neighborhood plan.
 ///
 /// checkpointDigest() (interior-only by design) is invariant across
-/// migrate(): the bit pattern of every interior cell is preserved.
+/// migrate(), and so is every later step: the records carry every slot
+/// that can differ from the initializer.
 
 #include <cstdint>
 #include <vector>

@@ -60,19 +60,11 @@ bool BuddyCheckpoint::restoreOwnBlocks(sim::DistributedSimulation& sim,
         std::uint32_t rank = 0, numBlocks = 0;
         std::uint64_t step = 0;
         rb >> rank >> step >> numBlocks;
-        // Rewind the step counter before the first record is applied: the
-        // AA-tier restore scatters PDFs by the parity of the checkpointed
-        // step. (The recovery manager's later rewind to the same step is a
-        // no-op after this.)
-        sim.setCurrentStep(step);
+        // Verify every record before the first one is applied.
+        std::vector<sim::VerifiedBlockRecord> records;
         for (std::uint32_t b = 0; b < numBlocks; ++b) {
-            std::string recordError;
-            const int applied = sim::applyBlockRecord(sim, rb, &recordError);
-            if (applied < 0) {
-                setError(error, "buddy checkpoint self copy: " + recordError);
-                return false;
-            }
-            if (applied == 0) {
+            auto rec = sim::verifyBlockRecord(sim, rb);
+            if (!rec) {
                 // Survivors keep their blocks across the recovery re-spread;
                 // a homeless record means the assignment diverged.
                 setError(error,
@@ -82,8 +74,18 @@ bool BuddyCheckpoint::restoreOwnBlocks(sim::DistributedSimulation& sim,
                              std::to_string(numBlocks) + ")");
                 return false;
             }
+            records.push_back(std::move(*rec));
         }
+        // Rewind the step counter before the first record is applied: the
+        // AA-tier restore scatters PDFs by the parity of the checkpointed
+        // step. (The recovery manager's later rewind to the same step is a
+        // no-op after this.)
+        sim.setCurrentStep(step);
+        for (const auto& rec : records) sim::restoreBlockRecord(sim, rec);
         return true;
+    } catch (const sim::CheckpointError& e) {
+        setError(error, std::string("buddy checkpoint self copy: ") + e.what());
+        return false;
     } catch (const BufferError& e) {
         setError(error,
                  std::string("buddy checkpoint self copy truncated: ") + e.what());
@@ -103,16 +105,10 @@ bool BuddyCheckpoint::partnerBlocks(std::vector<BlockRecord>& out,
         std::uint32_t rank = 0, numBlocks = 0;
         std::uint64_t step = 0;
         rb >> rank >> step >> numBlocks;
-        out.reserve(numBlocks);
         for (std::uint32_t b = 0; b < numBlocks; ++b) {
-            const std::uint8_t* start = rb.cursor();
-            BlockRecord rec;
-            std::uint64_t pdfBytes = 0, flagBytes = 0;
-            std::uint32_t crc = 0;
-            rb >> rec.root >> rec.level >> rec.path >> pdfBytes >> flagBytes >> crc;
-            rb.skip(std::size_t(pdfBytes) + std::size_t(flagBytes));
-            rec.bytes.assign(start, rb.cursor());
-            out.push_back(std::move(rec));
+            bf::BlockID id;
+            const auto record = sim::nextBlockRecord(rb, id);
+            out.push_back({id, {record.begin(), record.end()}});
         }
         return true;
     } catch (const BufferError& e) {

@@ -3,9 +3,9 @@
 /// In-memory buddy checkpointing: the rewind source of the self-healing
 /// runtime, with no disk round-trip.
 ///
-/// Every K steps each rank serializes its own blocks — the exact per-block
-/// wire format of the disk checkpoint v2 (BlockID, payload sizes, CRC32,
-/// full-allocation PDF + flag bytes; see sim/Checkpoint.h) — and exchanges
+/// Every K steps each rank serializes its own blocks — the block records
+/// of the disk checkpoint (BlockID, payload size, CRC32, flags and the
+/// stored slots; see sim/Checkpoint.h) — and exchanges
 /// the serialized contribution around a ring: rank r keeps its *own* copy
 /// and receives the copy of its ring predecessor (r-1 mod n). Two live
 /// replicas of every rank's state therefore exist at the refresh step: one
@@ -17,15 +17,16 @@
 /// of a rank *and* its buddy within one refresh interval loses state — then
 /// the RecoveryManager falls back to the last disk checkpoint, if any.
 ///
-/// Restoring the full allocation (ghost layers included) at a step boundary
-/// reproduces the disk-restart state bit-exactly — the same argument that
-/// makes .wckp restarts digest-identical applies unchanged, since both use
-/// the same records.
+/// Restoring the records at a step boundary reproduces the disk-restart
+/// state bit-exactly — the same argument that makes .wckp restarts
+/// digest-identical from the first step on applies unchanged, since both
+/// use the same records.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "blockforest/BlockID.h"
 #include "vmpi/Comm.h"
 #include "vmpi/Tags.h"
 
@@ -43,13 +44,11 @@ inline constexpr int kRestoreTag = vmpi::tags::kBuddyRestore;
 
 class BuddyCheckpoint {
 public:
-    /// One parsed per-block record of a held contribution: the identity for
+    /// One per-block record of a held contribution: the identity for
     /// routing plus the raw record bytes (BlockID..payload) ready to be
     /// re-shipped and applied via sim::applyBlockRecord.
     struct BlockRecord {
-        std::uint32_t root = 0;
-        std::uint8_t level = 0;
-        std::uint64_t path = 0;
+        bf::BlockID id;
         std::vector<std::uint8_t> bytes;
     };
 

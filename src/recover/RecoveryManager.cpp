@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <tuple>
 
 #include "core/Logging.h"
 #include "rebalance/Policy.h"
@@ -256,20 +255,17 @@ bool RecoveryManager::restoreFromBuddy(const std::vector<std::uint32_t>& ownerWo
 
     // When I am a holder: index my held partner records by BlockID.
     std::vector<BuddyCheckpoint::BlockRecord> records;
-    std::map<std::tuple<std::uint32_t, int, std::uint64_t>,
-             const BuddyCheckpoint::BlockRecord*>
-        byId;
+    std::map<bf::BlockID, const BuddyCheckpoint::BlockRecord*> byId;
     bool amHolder = false;
     for (const auto& [key, idxs] : plan) amHolder |= key.first == me;
     if (amHolder) {
         if (!buddy_.partnerBlocks(records, &err))
             throw RecoveryError("rank " + std::to_string(world_.rank()) + ": " + err);
         for (const auto& r : records)
-            byId[{r.root, int(r.level), r.path}] = &r;
+            byId[r.id] = &r;
     }
     auto recordFor = [&](std::size_t i) -> const BuddyCheckpoint::BlockRecord* {
-        const auto& id = blocks[i].id;
-        const auto it = byId.find({id.rootIndex(), int(id.level()), id.path()});
+        const auto it = byId.find(blocks[i].id);
         return it == byId.end() ? nullptr : it->second;
     };
     auto applyRecord = [&](const BuddyCheckpoint::BlockRecord& r) {

@@ -23,8 +23,8 @@
 ///                ghost layers are refilled, the error dump is re-armed and
 ///                a fresh buddy checkpoint is taken on the new ring.
 ///
-/// The rewind is bit-exact: buddy records are the disk checkpoint's v2
-/// per-block records, so a kill-and-heal run reaches the same
+/// The rewind is bit-exact: buddy records are the disk checkpoint's
+/// block records (sim/Checkpoint.h), so a kill-and-heal run reaches the same
 /// checkpointDigest as an uninterrupted run of the same step count.
 ///
 /// Constraints: the health monitor and straggler detection must be off

@@ -4,43 +4,66 @@
 /// the production frameworks treat as table stakes (waLBerla's
 /// checkpoint-based resilience, OpenLB's save/load of the lattice state).
 ///
-/// Format (version 2, file extension .wckp by convention), written through
+/// Format (version 3, file extension .wckp by convention), written through
 /// core/BinaryIO's endian-independent buffers:
 ///
 ///   u32 magic 'WCKP'   u32 version   u32 worldSize
 ///   u32 cellsPerBlock{X,Y,Z}         u64 step      u32 numRankContributions
+///   u32 crc32(magic .. numRankContributions)
 ///   repeat numRankContributions times:  byte-vector (length-prefixed)
 ///
-/// Each rank contribution holds the writing rank, its block assignment and
-/// per block a versioned record:
+/// Each rank contribution holds its block count and one record per block,
+/// in the block-record format shared with the in-memory buddy copy
+/// (walb::recover) and live migration (walb::rebalance):
 ///
-///   u32 rank   u32 numBlocks
+///   u32 numBlocks
 ///   per block: BlockID{u32 root, u8 level, u64 path}
-///              u64 pdfBytes   u64 flagBytes   u32 crc32(pdf ++ flags)
-///              raw PDF field bytes (full allocation incl. ghost layers)
-///              raw flag field bytes
+///              u64 payloadBytes   u32 crc32(BlockID ++ payloadBytes ++ payload)
+///              payload:
+///                u32 fluidCells   u32 linkSlots   u32 flagRuns
+///                flagRuns x {u8 flags, u32 cells}   (whole flag allocation,
+///                                                    ghost layers included)
+///                Q x fluidCells reals  (direction-major; each direction
+///                                       gathered along the interior fluid
+///                                       runs in z, y, x order)
+///                linkSlots reals of src, then linkSlots reals of dst
 ///
-/// The per-block CRC32 is verified *before* a payload is applied, so a
-/// corrupted file never clobbers a live simulation state. Restoring the
-/// full allocation (ghost layers included) makes a restart bit-exact: a run
-/// of N steps with a save/load cycle in the middle produces byte-identical
-/// densities to the uninterrupted run.
+/// The record stores only the slots that can differ from what the
+/// constructor's initializer wrote (the *stored set*, see blockStoredSet):
+/// the PDFs of the interior fluid cells, and — two-grid tiers — the slots
+/// the boundary links write at interior hull cells, in both PDF fields.
+/// dst is needed because the field the digest hashes after the next swap
+/// holds the previous step's boundary values. Every other interior slot is
+/// never written after construction, so the restore leaves it at the
+/// initializer's value; the two-grid dst at fluid cells is rewritten by
+/// the next sweep before anything reads it; ghost slots are exchange
+/// scratch refilled before they are read. A restart is therefore
+/// digest-exact from its first step on.
 ///
-/// The AA kernel tiers write the *canonical* (parity-normalized) PDF view
-/// into the same full-size record — interior fluid cells carry the physical
-/// post-collision values, everything else is zero — and the restore path
-/// scatters it back under the parity of the restored step. The wire format
-/// is therefore identical across tiers.
+/// The AA kernel tiers store the *canonical* (parity-normalized) view at
+/// the fluid cells, which is zero everywhere else by definition, and no
+/// link slots (linkSlots = 0); the restore scatters it back under the
+/// parity of the restored step. A two-grid reader of such a record resets
+/// the hull slots to the initializer's value, an AA reader ignores stored
+/// link slots, so a restart may use a different tier than the save.
+///
+/// The record CRC is verified *before* a payload is applied, so a
+/// corrupted file never clobbers a live simulation state; so is the flag
+/// run-length code, and every count is checked against the geometry and
+/// flags of the local block before it sizes anything. A version-2 file
+/// (full-allocation records) is rejected with an error naming version 2.
 ///
 /// Writing follows the paper's one-writer file strategy (§2.2): rank 0
 /// gathers all contributions and streams them into `<path>.tmp`, which is
 /// renamed over `path` only when every write succeeded — a failed or
-/// interrupted save leaves the previous checkpoint intact. Loading reads the
-/// file once on rank 0 and broadcasts; every rank then parses it in place,
-/// verifies all of its records and only then applies them, so a truncated
-/// or corrupted file leaves the live state untouched. Blocks are matched by
-/// BlockID, not by rank, so a restart may use a different load balancing
-/// than the save.
+/// interrupted save leaves the previous checkpoint intact. Loading keeps
+/// the one-reader strategy at O(own blocks) memory per rank: rank 0 reads
+/// the file once, learns every rank's BlockIDs from a small gather and
+/// sends each rank only its own records. Every rank verifies all of its
+/// records, the ranks agree on the outcome, and only then does any rank
+/// apply anything, so a truncated or corrupted file leaves the live state
+/// of every rank untouched. Blocks are matched by BlockID, not by rank, so
+/// a restart may use a different load balancing than the save.
 
 #include <charconv>
 #include <cmath>
@@ -50,15 +73,30 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
+#include "blockforest/BlockID.h"
 #include "core/Buffer.h"
+#include "field/FlagField.h"
+#include "lbm/Boundary.h"
+#include "lbm/Sparse.h"
 
 namespace walb::sim {
 
 class DistributedSimulation;
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x57434b50; // "WCKP"
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
+
+/// A checkpoint file or block record that fails verification: unsupported
+/// version, header or record CRC mismatch, or counts that contradict the
+/// local block. The message names the version, or the block and (for a
+/// CRC failure) the stored and the computed CRC. Truncation surfaces as
+/// BufferError instead.
+class CheckpointError : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
 
 /// Parsed fixed-size prefix of a checkpoint file.
 struct CheckpointHeader {
@@ -76,10 +114,12 @@ bool checkpointSave(DistributedSimulation& sim, const std::string& path,
                     std::uint64_t step, std::size_t* bytesWritten = nullptr,
                     std::string* error = nullptr);
 
-/// Collective: rank 0 reads the file with one read operation and broadcasts;
-/// every rank restores its own blocks (CRC-verified) and the simulation's
-/// step counter. Returns false — with a diagnosis in `error` — on a missing
-/// file, bad magic/version, geometry mismatch, CRC failure, or truncation.
+/// Collective: rank 0 reads the file with one read operation and sends
+/// every rank its own records; every rank verifies them (CRC, flags,
+/// sizes), the ranks agree, and then each restores its blocks and the
+/// simulation's step counter. Returns false on every rank — with a
+/// diagnosis in `error` — on a missing file, bad magic/version, header or
+/// record CRC failure, geometry mismatch, missing block, or truncation.
 bool checkpointLoad(DistributedSimulation& sim, const std::string& path,
                     std::uint64_t* stepOut = nullptr, std::string* error = nullptr);
 
@@ -87,11 +127,27 @@ bool checkpointLoad(DistributedSimulation& sim, const std::string& path,
 bool checkpointPeek(const std::string& path, CheckpointHeader& out,
                     std::string* error = nullptr);
 
-/// Appends one local block's record in the v2 per-block wire format
-/// (BlockID, payload sizes, CRC32 over pdf ++ flags, full-allocation PDF +
-/// flag bytes) to `buf`. Shared by the disk checkpoint writer and the
-/// in-memory buddy checkpoint of walb::recover — one format, one CRC
-/// discipline.
+// ---- the block-record codec ------------------------------------------------
+
+/// The slots of one block that can differ from the initializer's values,
+/// derived from its flags alone: the interior fluid runs (all Q slots of
+/// each fluid cell) and, in ascending index order, the PDF-field indices of
+/// the slots a boundary link writes at an interior hull cell — (xb, a) for
+/// every interior boundary cell xb whose neighbor xb + e_a is an interior
+/// fluid cell. The link indices are the same in the src and dst fields.
+struct BlockStoredSet {
+    lbm::FluidRunList fluid;
+    std::vector<std::size_t> linkSlots;
+};
+
+BlockStoredSet blockStoredSet(const field::FlagField& flags, const lbm::BoundaryFlags& masks,
+                              const lbm::PdfField& pdf);
+
+/// Appends one local block's record (see the file comment) to `buf`.
+/// Shared by the disk checkpoint writer, the in-memory buddy checkpoint of
+/// walb::recover and the migrator of walb::rebalance — one format, one CRC
+/// discipline. Debug builds assert that every interior slot outside the
+/// stored set still holds the initializer's value.
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
                        SendBuffer& buf);
 
@@ -99,12 +155,40 @@ void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
 /// can size a buffer once instead of letting it regrow.
 std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block);
 
-/// Consumes one block record from `rb`. When the named block is local, the
-/// CRC is verified *before* the payload touches the live fields and the
-/// block is restored; a record for a block owned elsewhere is skipped.
-/// Returns +1 applied, 0 skipped, -1 failure — on failure `error` names the
-/// offending BlockID and the expected vs. actual CRC. May throw BufferError
-/// on a truncated record (callers wrap the whole stream parse).
+/// Advances `rb` past the next record without verifying its payload and
+/// returns the record's bytes (BlockID through payload); `id` receives its
+/// BlockID. Throws BufferError when the record runs past the end of `rb`.
+std::span<const std::uint8_t> nextBlockRecord(RecvBuffer& rb, bf::BlockID& id);
+
+/// A record of a local block whose CRC, flag code and sizes have been
+/// verified, decoded as far as possible without touching the simulation.
+/// The PDF values are borrowed from the buffer the record was read from,
+/// which must outlive this object.
+struct VerifiedBlockRecord {
+    std::size_t block = 0;   ///< local block index
+    field::FlagField flags;  ///< the decoded flag allocation
+    BlockStoredSet stored;   ///< derived from `flags`
+    const std::uint8_t* fluidPdfs = nullptr;
+    const std::uint8_t* linkPdfs = nullptr; ///< null: the record stores no link slots
+};
+
+/// Consumes one record from `rb` without touching the simulation. Returns
+/// nullopt for a block owned elsewhere (skipped unverified). Throws
+/// CheckpointError on a CRC, flag-code or size mismatch — before anything
+/// is decoded into a live field — and BufferError on truncation.
+std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
+                                                     RecvBuffer& rb);
+
+/// Writes a verified record into its block: the flags, the stored slots,
+/// and the initializer's value into every hull link slot the record does
+/// not store. The AA tiers scatter the canonical view under the current
+/// parity, so the caller restores the step counter first.
+void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& rec);
+
+/// verifyBlockRecord + restoreBlockRecord. Returns +1 applied, 0 skipped
+/// (block owned elsewhere), -1 failure — on failure `error` holds the
+/// CheckpointError message. May throw BufferError on a truncated record
+/// (callers wrap the whole stream parse).
 int applyBlockRecord(DistributedSimulation& sim, RecvBuffer& rb,
                      std::string* error = nullptr);
 

@@ -426,8 +426,8 @@ public:
     /// stored flag initializer — flags are a pure function of global
     /// position), boundary handlings, fluid runs and the ghost-exchange
     /// BufferSystem plan. Carries *no* PDF state over: callers (the
-    /// migrator) stash/transfer field payloads around this call. Must be
-    /// invoked with the identical `ownerBySetupIndex` on every rank.
+    /// migrator, the recovery restore) re-apply block records after it.
+    /// Must be invoked with the identical `ownerBySetupIndex` on every rank.
     void applyBlockAssignment(const std::vector<std::uint32_t>& ownerBySetupIndex) {
         WALB_ASSERT(ownerBySetupIndex.size() == setup_.numBlocks(),
                     "assignment covers " << ownerBySetupIndex.size() << " of "
@@ -498,11 +498,11 @@ public:
     lbm::PdfField& pdfField(std::size_t block) {
         return forest_.getData<lbm::PdfField>(block, srcId_);
     }
-    /// The destination PDF field (post-swap history buffer). Migration must
-    /// move it along with pdfField(): boundary handling writes into whichever
-    /// buffer is src each step, so both buffers carry live state. The AA
-    /// tiers have no shadow grid — this is a token 1-cell allocation there,
-    /// and checkpoint/migration skip it.
+    /// The destination PDF field (post-swap history buffer). Block records
+    /// carry its boundary-link slots along with pdfField()'s: boundary
+    /// handling writes into whichever buffer is src each step, so both
+    /// buffers hold live hull values. The AA tiers have no shadow grid —
+    /// this is a token 1-cell allocation there, and block records skip it.
     lbm::PdfField& pdfDstField(std::size_t block) {
         return forest_.getData<lbm::PdfField>(block, dstId_);
     }
@@ -556,6 +556,16 @@ public:
             if (!(flags.get(x, y, z) & masks_.fluid)) return;
             lbm::aaSetCanonicalPdfs(dst, parity, x, y, z, lbm::getPdfs<M>(canon, x, y, z));
         });
+    }
+
+    /// The PDF set every slot of a block holds after construction or
+    /// applyBlockAssignment(): the rest equilibrium at unit density. Slots
+    /// that no kernel, boundary link or exchange writes keep it for the
+    /// whole run — the block-record codec relies on it (sim/Checkpoint.h).
+    static std::array<real_t, M::Q> initialPdfs() {
+        std::array<real_t, M::Q> eq{};
+        lbm::setEquilibrium<M>(eq, kInitialDensity, Vec3{0, 0, 0});
+        return eq;
     }
 
     /// The lazily-allocated block-sized staging field behind
@@ -1244,7 +1254,7 @@ private:
         // before any sweep runs. One pass per field on the rank's team.
         const auto makeEquilibrium = [&] {
             return std::make_unique<lbm::PdfField>(
-                lbm::makePdfField<M>(cx, cy, cz, real_c(1), Vec3{0, 0, 0}));
+                lbm::makePdfField<M>(cx, cy, cz, kInitialDensity, Vec3{0, 0, 0}));
         };
         srcId_ = forest_.addBlockData<lbm::PdfField>(
             [&](const auto&) { return makeEquilibrium(); });
@@ -1338,6 +1348,8 @@ private:
                                vmpi::CommError::kindName(e.kind));
         });
     }
+
+    static constexpr real_t kInitialDensity = 1; ///< see initialPdfs()
 
     vmpi::Comm* comm_;
     bf::SetupBlockForest setup_; ///< global structure, kept current by migrations

@@ -17,6 +17,9 @@
 ///                 corrupted frame). Deserialization raises BufferError,
 ///                 which the exchange path converts into
 ///                 CommError{Corrupt}.
+///   * Corrupt   — one payload byte is flipped in flight (a bit error the
+///                 transport did not catch); only the application's own
+///                 checksums, e.g. the block-record CRC, can detect it.
 ///   * KillRank  — beginStep(k) throws CommError{RankKilled} on the doomed
 ///                 rank, simulating a node loss at time step k.
 ///
@@ -54,7 +57,8 @@ namespace walb::vmpi {
 /// Declarative description of the faults to inject, shared (read-only) by
 /// all ranks' FaultyComm handles of one world.
 struct FaultPlan {
-    enum class Action : std::uint8_t { Drop, Delay, Duplicate, Truncate };
+    /// FaultPlan::randomized draws only the first four actions.
+    enum class Action : std::uint8_t { Drop, Delay, Duplicate, Truncate, Corrupt };
 
     static const char* actionName(Action a) {
         switch (a) {
@@ -62,6 +66,7 @@ struct FaultPlan {
             case Action::Delay: return "delay";
             case Action::Duplicate: return "duplicate";
             case Action::Truncate: return "truncate";
+            case Action::Corrupt: return "corrupt";
         }
         return "?";
     }
@@ -76,6 +81,7 @@ struct FaultPlan {
         int tag = -1;                  ///< tag filter (-1: any)
         std::uint64_t matchIndex = 0;  ///< fire on the N-th matching send
         std::size_t truncateToBytes = 0;   ///< Truncate: bytes kept
+        std::size_t corruptFromEnd = 0;    ///< Corrupt: flipped byte, counted from the end
         std::uint64_t delayBySends = 1;    ///< Delay: held back this many sends
     };
 
@@ -114,9 +120,10 @@ struct FaultCounts {
     std::uint64_t delayed = 0;
     std::uint64_t duplicated = 0;
     std::uint64_t truncated = 0;
+    std::uint64_t corrupted = 0;
     std::uint64_t killed = 0;
     std::uint64_t total() const {
-        return dropped + delayed + duplicated + truncated + killed;
+        return dropped + delayed + duplicated + truncated + corrupted + killed;
     }
 };
 
@@ -235,6 +242,14 @@ public:
                     ++counts_.truncated;
                     noteInjection("truncate");
                     data.resize(std::min(data.size(), fault->truncateToBytes));
+                    forward(dest, tag, std::move(data));
+                    break;
+                }
+                case FaultPlan::Action::Corrupt: {
+                    ++counts_.corrupted;
+                    noteInjection("corrupt");
+                    if (fault->corruptFromEnd < data.size())
+                        data[data.size() - 1 - fault->corruptFromEnd] ^= 0x5a;
                     forward(dest, tag, std::move(data));
                     break;
                 }

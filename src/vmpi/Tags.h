@@ -37,8 +37,11 @@ inline constexpr int kGhostExchange = 77;
 /// receive masks of its blocks to the ranks of their remote neighbors
 /// (sim::PdfCommScheme).
 inline constexpr int kExchangePlan = 78;
-/// Rebalance block migration (Migrator): PDF+flag interiors on the move.
+/// Rebalance block migration (Migrator): block records on the move.
 inline constexpr int kMigration = 91;
+/// Checkpoint load: rank 0 sends every rank the records of its own blocks
+/// (sim::checkpointLoad).
+inline constexpr int kCheckpointScatter = 92;
 /// Buddy checkpoint store: each rank ships its in-memory checkpoint to
 /// its +1 neighbor (recover::BuddyCheckpoint).
 inline constexpr int kBuddyStore = 93;

@@ -475,9 +475,10 @@ struct TwoBlocksPerRank {
 };
 
 TEST(CheckpointFormat, FileIsByteIdenticalToTheSendBufferLayout) {
-    // The streaming writer must produce exactly the bytes of the original
-    // assembly: each contribution grown in a SendBuffer from
-    // appendBlockRecord, the file built with the vector operator<<.
+    // The streaming writer must produce exactly the bytes of the v3 layout
+    // assembled by hand: the CRC-protected header, then each contribution
+    // (block count plus appendBlockRecord records) grown in a SendBuffer
+    // and added with the vector operator<<.
     const TRT op = TRT::fromOmegaAndMagic(1.4);
     for (const sim::KernelTier tier : {sim::KernelTier::Simd, sim::KernelTier::AaSimd}) {
         for (const std::uint32_t ranks : {1u, 2u, 4u}) {
@@ -494,7 +495,7 @@ TEST(CheckpointFormat, FileIsByteIdenticalToTheSendBufferLayout) {
 
                 const bf::BlockForest& forest = simulation.forest();
                 SendBuffer mine;
-                mine << std::uint32_t(comm.rank()) << std::uint32_t(forest.numLocalBlocks());
+                mine << std::uint32_t(forest.numLocalBlocks());
                 for (std::size_t b = 0; b < forest.numLocalBlocks(); ++b)
                     sim::appendBlockRecord(simulation, b, mine);
                 const auto all =
@@ -505,6 +506,7 @@ TEST(CheckpointFormat, FileIsByteIdenticalToTheSendBufferLayout) {
                      << std::uint32_t(comm.size()) << std::uint32_t(forest.cellsX())
                      << std::uint32_t(forest.cellsY()) << std::uint32_t(forest.cellsZ())
                      << simulation.currentStep() << std::uint32_t(all.size());
+                file << crc32(file.data(), file.size());
                 for (const auto& contribution : all) file << contribution;
                 reference = file.release();
             });
@@ -518,32 +520,32 @@ TEST(CheckpointFormat, FileIsByteIdenticalToTheSendBufferLayout) {
 }
 
 /// Offsets of every record boundary of a checkpoint file: the end of the
-/// header, of each contribution's length prefix and rank/block-count words,
-/// and of each block record's fixed header and payload. The file's own end
-/// is excluded.
+/// header, of each contribution's length prefix and block-count word, and
+/// of each block record's fixed header and payload. The file's own end is
+/// excluded.
 std::vector<std::size_t> recordBoundaries(const std::vector<std::uint8_t>& bytes) {
     RecvBuffer file{std::span<const std::uint8_t>(bytes)};
     sim::CheckpointHeader h;
-    std::uint32_t magic = 0;
+    std::uint32_t magic = 0, headerCrc = 0;
     file >> magic >> h.version >> h.worldSize >> h.cellsX >> h.cellsY >> h.cellsZ >> h.step >>
-        h.numRankContributions;
+        h.numRankContributions >> headerCrc;
     std::vector<std::size_t> cuts;
     const auto here = [&] { return bytes.size() - file.remaining(); };
     cuts.push_back(here());
     for (std::uint32_t c = 0; c < h.numRankContributions; ++c) {
         std::uint64_t length = 0;
-        std::uint32_t rank = 0, numBlocks = 0;
+        std::uint32_t numBlocks = 0;
         file >> length;
         cuts.push_back(here());
-        file >> rank >> numBlocks;
+        file >> numBlocks;
         cuts.push_back(here());
         for (std::uint32_t b = 0; b < numBlocks; ++b) {
             std::uint32_t root = 0, crc = 0;
             std::uint8_t level = 0;
-            std::uint64_t path = 0, pdfBytes = 0, flagBytes = 0;
-            file >> root >> level >> path >> pdfBytes >> flagBytes >> crc;
+            std::uint64_t path = 0, payloadBytes = 0;
+            file >> root >> level >> path >> payloadBytes >> crc;
             cuts.push_back(here());
-            file.skip(std::size_t(pdfBytes + flagBytes));
+            file.skip(std::size_t(payloadBytes));
             cuts.push_back(here());
         }
     }
@@ -721,7 +723,7 @@ TEST(HealthMonitorTest, SeededNaNIsCaughtAndEmergencyCheckpointed) {
     }
     EXPECT_EQ(simulation.metrics().counter("health.violations").value(), 1u);
     // The emergency checkpoint was written (under its rank/step-decorated
-    // name) and is a parseable v2 file.
+    // name) and is a parseable v3 file.
     const std::string written = simulation.healthMonitor()->lastEmergencyPath();
     ASSERT_FALSE(written.empty());
     EXPECT_NE(written.find(".r0.s"), std::string::npos) << written;
