@@ -32,15 +32,6 @@ using namespace walb::perf;
 
 namespace {
 
-const char* tierName(KernelTier tier) {
-    switch (tier) {
-        case KernelTier::Generic: return "Generic";
-        case KernelTier::D3Q19: return "D3Q19";
-        case KernelTier::Simd: return "SIMD";
-        default: return "AA";
-    }
-}
-
 void printMachineSweep(const MachineSpec& machine) {
     std::printf("\n[%s] modeled MLUPS vs cores (TRT ~ SRT when memory bound)\n",
                 machine.name.c_str());
@@ -49,7 +40,7 @@ void printMachineSweep(const MachineSpec& machine) {
     const EcmModel generic(machine, KernelTier::Generic);
     const EcmModel d3q19(machine, KernelTier::D3Q19);
     const EcmModel simd(machine, KernelTier::Simd);
-    const EcmModel aa(machine, KernelTier::Aa);
+    const EcmModel aa(machine, KernelTier::AaSimd);
     for (unsigned c = 1; c <= machine.coresPerChip; ++c) {
         std::printf("%6u %10.1f %10.1f %10.1f %10.1f %10.1f %10.1f\n", c,
                     generic.predictMLUPS(c), d3q19.predictMLUPS(c), simd.predictMLUPS(c),
@@ -78,18 +69,19 @@ int main(int argc, char** argv) {
     std::printf("%-10s %8s %8s %12s\n", "kernel", "SRT", "TRT", "bytes/LUP");
     TierResult generic, d3q19, simdTier, aaTier;
     for (KernelTier tier : {KernelTier::Generic, KernelTier::D3Q19, KernelTier::Simd,
-                            KernelTier::Aa}) {
+                            KernelTier::AaSimd}) {
         TierResult r;
         r.srt = measureKernelMLUPS(tier, false).mlups;
         r.trt = measureKernelMLUPS(tier, true).mlups;
-        const double bytes = tier == KernelTier::Aa ? kAaBytesPerLUP : kBytesPerLUP;
-        std::printf("%-10s %7.1f %8.1f  MLUPS %6.0f\n", tierName(tier), r.srt, r.trt,
+        const double bytes = isAaTier(tier) ? kAaBytesPerLUP : kBytesPerLUP;
+        std::printf("%-10s %7.1f %8.1f  MLUPS %6.0f\n", kernelTierName(tier), r.srt, r.trt,
                     bytes);
         switch (tier) {
             case KernelTier::Generic: generic = r; break;
             case KernelTier::D3Q19: d3q19 = r; break;
             case KernelTier::Simd: simdTier = r; break;
-            case KernelTier::Aa: aaTier = r; break;
+            case KernelTier::AaSimd: aaTier = r; break;
+            case KernelTier::Aa: break; // the scalar AA tier is not part of the figure
         }
     }
     std::printf("SIMD/Generic speedup (TRT): %.2fx (paper: SIMD +20%% over scalar D3Q19 "
@@ -117,7 +109,7 @@ int main(int argc, char** argv) {
 
     if (!metricsPath.empty()) {
         const EcmModel smSimd(superMUCSocket(), KernelTier::Simd);
-        const EcmModel smAa(superMUCSocket(), KernelTier::Aa);
+        const EcmModel smAa(superMUCSocket(), KernelTier::AaSimd);
         {
             std::ofstream os(metricsPath, std::ios::binary);
             if (!os) {

@@ -54,11 +54,6 @@ std::uint64_t counterSum(const obs::ReducedMetrics& m, const std::string& name) 
     return it == m.counters.end() ? 0 : it->second.sum;
 }
 
-double gaugeAvg(const obs::ReducedMetrics& m, const std::string& name) {
-    auto it = m.gauges.find(name);
-    return it == m.gauges.end() ? 0.0 : it->second.avg();
-}
-
 void writeRunJson(obs::json::Writer& w, const RunRecord& r) {
     w.beginObject();
     w.kv("ranks", r.ranks).kv("steps", std::uint64_t(r.steps));
@@ -70,15 +65,15 @@ void writeRunJson(obs::json::Writer& w, const RunRecord& r) {
     w.kv("bytes_received", counterSum(r.metrics, "comm.bytesReceived"));
     w.kv("messages_sent", counterSum(r.metrics, "comm.messagesSent"));
     w.kv("messages_received", counterSum(r.metrics, "comm.messagesReceived"));
-    w.kv("comm.hidden_seconds", gaugeAvg(r.metrics, "comm.hidden_seconds"));
-    w.kv("comm.exposed_seconds", gaugeAvg(r.metrics, "comm.exposed_seconds"));
-    w.kv("comm.hidden_fraction", gaugeAvg(r.metrics, "comm.hidden_fraction"));
-    w.kv("perf.predicted_mlups", gaugeAvg(r.metrics, "perf.predicted_mlups"));
-    w.kv("perf.efficiency", gaugeAvg(r.metrics, "perf.efficiency"));
+    w.kv("comm.hidden_seconds", r.metrics.gaugeAvg("comm.hidden_seconds"));
+    w.kv("comm.exposed_seconds", r.metrics.gaugeAvg("comm.exposed_seconds"));
+    w.kv("comm.hidden_fraction", r.metrics.gaugeAvg("comm.hidden_fraction"));
+    w.kv("perf.predicted_mlups", r.metrics.gaugeAvg("perf.predicted_mlups"));
+    w.kv("perf.efficiency", r.metrics.gaugeAvg("perf.efficiency"));
     // Zero unless a self-healing run published them; present so downstream
     // gates can --require the key family unconditionally.
-    w.kv("recover.attempts", gaugeAvg(r.metrics, "recover.attempts"));
-    w.kv("recover.retries", gaugeAvg(r.metrics, "recover.retries"));
+    w.kv("recover.attempts", r.metrics.gaugeAvg("recover.attempts"));
+    w.kv("recover.retries", r.metrics.gaugeAvg("recover.retries"));
     w.key("phases");
     obs::writePhasesJson(w, r.phases);
     w.endObject();
@@ -336,11 +331,11 @@ int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
             const obs::ReducedMetrics metrics = simulation.reduceMetrics();
             if (comm.rank() == 0) {
                 res.digest = d;
-                res.exposedSeconds = gaugeAvg(metrics, "comm.exposed_seconds");
-                res.hiddenSeconds = gaugeAvg(metrics, "comm.hidden_seconds");
-                res.hiddenFraction = gaugeAvg(metrics, "comm.hidden_fraction");
-                res.beginSeconds = gaugeAvg(metrics, "comm.begin_seconds");
-                res.finishSeconds = gaugeAvg(metrics, "comm.finish_seconds");
+                res.exposedSeconds = metrics.gaugeAvg("comm.exposed_seconds");
+                res.hiddenSeconds = metrics.gaugeAvg("comm.hidden_seconds");
+                res.hiddenFraction = metrics.gaugeAvg("comm.hidden_fraction");
+                res.beginSeconds = metrics.gaugeAvg("comm.begin_seconds");
+                res.finishSeconds = metrics.gaugeAvg("comm.finish_seconds");
                 const double seconds = reduced.grandTotalAvg();
                 res.mlupsTotal = seconds > 0 ? cells * double(kSteps) / seconds / 1e6 : 0;
             }
@@ -592,8 +587,8 @@ int perfdiagSmokeRun(const std::string& metricsPath, const std::string& wfrPrefi
         if (comm.rank() == 0) {
             detectStep = first;
             flaggedRank1 = verdict.isStraggler(1);
-            predictedMlups = gaugeAvg(metrics, "perf.predicted_mlups");
-            efficiency = gaugeAvg(metrics, "perf.efficiency");
+            predictedMlups = metrics.gaugeAvg("perf.predicted_mlups");
+            efficiency = metrics.gaugeAvg("perf.efficiency");
             if (wfrPath.empty()) std::fprintf(stderr, "perfdiag smoke: dump failed\n");
         }
     });

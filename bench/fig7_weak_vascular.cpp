@@ -334,16 +334,12 @@ int main(int argc, char** argv) {
                 };
                 w.kv("bytes_sent", counterSum("comm.bytesSent"));
                 w.kv("bytes_received", counterSum("comm.bytesReceived"));
-                auto gaugeAvg = [&](const char* name) -> double {
-                    auto it = r.metrics.gauges.find(name);
-                    return it == r.metrics.gauges.end() ? 0.0 : it->second.avg();
-                };
-                w.kv("perf.predicted_mlups", gaugeAvg("perf.predicted_mlups"));
-                w.kv("perf.efficiency", gaugeAvg("perf.efficiency"));
+                w.kv("perf.predicted_mlups", r.metrics.gaugeAvg("perf.predicted_mlups"));
+                w.kv("perf.efficiency", r.metrics.gaugeAvg("perf.efficiency"));
                 // Zero outside a --recover drill; present so downstream
                 // gates can --require the key family unconditionally.
-                w.kv("recover.attempts", gaugeAvg("recover.attempts"));
-                w.kv("recover.retries", gaugeAvg("recover.retries"));
+                w.kv("recover.attempts", r.metrics.gaugeAvg("recover.attempts"));
+                w.kv("recover.retries", r.metrics.gaugeAvg("recover.retries"));
                 w.key("phases");
                 obs::writePhasesJson(w, r.phases);
                 w.endObject();

@@ -184,8 +184,8 @@ void BM_AaSimdKernel_Odd(benchmark::State& state) {
 BENCHMARK(BM_AaSimdKernel_Odd<simd::BestD>)->Unit(benchmark::kMillisecond);
 
 // ---- observability overhead --------------------------------------------------
-// The per-step instrumentation of the simulation drivers is one TimingPool
-// ScopedTimer + one ScopedTrace per phase plus a few counter increments.
+// The per-step instrumentation of the simulation drivers is one PhaseClock
+// lap per phase (TimingPool + trace span) plus a few counter increments.
 // Comparing this pair quantifies the overhead against the bare SIMD sweep
 // (acceptance bar: < 5% per step).
 
@@ -211,11 +211,9 @@ void BM_Sweep_ObsInstrumented(benchmark::State& state) {
     obs::Counter& steps = metrics.counter("sim.steps");
     obs::Counter& bytes = metrics.counter("comm.bytesSent");
     for (auto _ : state) {
-        {
-            ScopedTimer t(timing["collideStream"]);
-            obs::ScopedTrace tr(trace, "collideStream");
-            kernel.sweep(src, dst, op);
-        }
+        obs::PhaseClock clock(timing, trace);
+        kernel.sweep(src, dst, op);
+        clock.lap("collideStream");
         src.swapDataWith(dst);
         steps.inc();
         bytes.inc(456);

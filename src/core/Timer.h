@@ -71,18 +71,6 @@ private:
     bool running_ = false;
 };
 
-/// RAII scope guard for a timer.
-class ScopedTimer {
-public:
-    explicit ScopedTimer(Timer& t) : t_(t) { t_.start(); }
-    ~ScopedTimer() { t_.stop(); }
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-private:
-    Timer& t_;
-};
-
 /// Named collection of timers, e.g. {"collideStream", "communication",
 /// "boundary"}. Supports merging pools from different ranks.
 class TimingPool {

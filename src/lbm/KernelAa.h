@@ -54,6 +54,22 @@ constexpr AaParity aaParityOfStep(std::uint64_t step) {
     return (step % 2 == 0) ? AaParity::Even : AaParity::Odd;
 }
 
+/// The storage pattern one time step runs under: the two-grid pull scheme,
+/// or the single grid of an even or odd AA step. It selects the step's
+/// ghost exchange, boundary link map and kernel.
+enum class StepPattern : std::uint8_t { TwoGrid, AaEven, AaOdd };
+
+/// Pattern of step `step` for a two-grid (`inPlace` false) or AA tier.
+constexpr StepPattern stepPatternOf(bool inPlace, std::uint64_t step) {
+    if (!inPlace) return StepPattern::TwoGrid;
+    return aaParityOfStep(step) == AaParity::Even ? StepPattern::AaEven : StepPattern::AaOdd;
+}
+
+/// The AA kernel a pattern runs (Even for TwoGrid, which runs none).
+constexpr AaParity aaParityOf(StepPattern p) {
+    return p == StepPattern::AaOdd ? AaParity::Odd : AaParity::Even;
+}
+
 /// Even-step update of one cell: read local, collide, write back with the
 /// opposing-direction swap.
 template <typename Op>

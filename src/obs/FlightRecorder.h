@@ -35,34 +35,17 @@ struct StepSample {
     double collideSeconds = 0;    ///< fluid sweep, all subsets (core + shell)
     double shellSeconds = 0;      ///< shell share of the sweep (overlap mode)
     double boundarySeconds = 0;   ///< boundary-condition handling
-    double packSeconds = 0;       ///< local ghost copies + pack + post sends
+    double packSeconds = 0;       ///< pack + post sends (local ghost copies excluded)
     double exchangeSeconds = 0;   ///< blocking drain / unpack of halo messages
     double totalSeconds = 0;      ///< whole step on this rank
     double mlups = 0;             ///< this rank's rate for this step
     double imbalance = 1.0;       ///< rank EWMA / fleet median (1 = on fleet)
     std::uint64_t bytesMoved = 0; ///< ghost-exchange bytes sent + received
     std::uint64_t messages = 0;   ///< ghost-exchange messages sent + received
-    std::uint8_t kernelTier = 0;  ///< numeric sim::KernelTier of the sweep
+    std::uint8_t kernelTier = 0;  ///< numeric walb::KernelTier of the sweep
     std::uint8_t aaParity = 0;    ///< AA storage parity at the step's start
                                   ///< (0 even, 1 odd; always 0 on two-grid tiers)
 };
-
-/// Human-readable name of a StepSample::kernelTier value. Mirrors the
-/// numeric order of sim::KernelTier (this header cannot include the driver).
-inline const char* kernelTierName(std::uint8_t tier) {
-    switch (tier) {
-        case 0: return "generic";
-        case 1: return "d3q19";
-        case 2: return "simd";
-        case 3: return "aa";
-        case 4: return "aa-simd";
-        default: return "unknown";
-    }
-}
-
-/// True when the tier value names an in-place AA-pattern tier (whose
-/// samples carry a meaningful aaParity).
-inline bool isAaKernelTier(std::uint8_t tier) { return tier == 3 || tier == 4; }
 
 /// Bounded per-rank ring of the most recent StepSamples. Not thread-safe —
 /// owned by the rank's driver, same model as MetricsRegistry/TimingPool.

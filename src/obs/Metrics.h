@@ -170,6 +170,12 @@ struct ReducedMetrics {
     std::map<std::string, ReducedGauge> gauges;
     std::map<std::string, Histogram> histograms; ///< bucket-wise summed
 
+    /// Cross-rank mean of gauge `name`; `fallback` when no rank set it.
+    double gaugeAvg(const std::string& name, double fallback = 0) const {
+        const auto it = gauges.find(name);
+        return it == gauges.end() ? fallback : it->second.avg();
+    }
+
     /// Writes the reduced snapshot as one JSON object.
     void writeJson(std::ostream& os) const;
 };

@@ -9,12 +9,15 @@
 
 namespace walb::obs {
 
-double TraceRecorder::nowUs() {
-    using Clock = std::chrono::steady_clock;
-    // Process-wide epoch: all ranks of a ThreadComm world are threads of
-    // this process, so their timestamps share this origin.
-    static const Clock::time_point epoch = Clock::now();
-    return std::chrono::duration<double, std::micro>(Clock::now() - epoch).count();
+namespace {
+// Process-wide epoch, taken at static initialization so that no clock read
+// of a span predates it: all ranks of a ThreadComm world are threads of
+// this process, so their timestamps share this origin.
+const TraceRecorder::Clock::time_point kEpoch = TraceRecorder::Clock::now();
+} // namespace
+
+double TraceRecorder::toUs(Clock::time_point t) {
+    return std::chrono::duration<double, std::micro>(t - kEpoch).count();
 }
 
 std::vector<TraceEvent> TraceRecorder::gather(vmpi::Comm& comm, const TraceRecorder& local) {

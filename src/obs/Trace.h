@@ -12,7 +12,8 @@
 /// across ranks — precisely the property a cross-rank overlap visualization
 /// needs. Event recording costs two clock reads and one vector push_back;
 /// a cap bounds memory for long runs (excess events are counted, not
-/// stored).
+/// stored). The drivers time their step phases with PhaseClock, whose one
+/// clock read per phase boundary feeds the trace and the TimingPool alike.
 
 #include <chrono>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/Debug.h"
+#include "core/Timer.h"
 
 namespace walb::vmpi {
 class Comm;
@@ -45,12 +47,15 @@ public:
     int rank() const { return rank_; }
     void setRank(int r) { rank_ = r; }
 
-    /// Tracing is on by default; disable to make begin()/end() no-ops.
+    /// Tracing is on by default; disable to make begin()/end()/span() no-ops.
     void setEnabled(bool on) { enabled_ = on; }
     bool enabled() const { return enabled_; }
 
-    /// Microseconds since the process-wide trace epoch (first call wins).
-    static double nowUs();
+    using Clock = std::chrono::steady_clock;
+
+    /// Microseconds from the process-wide trace epoch to `t`, resp. to now.
+    static double toUs(Clock::time_point t);
+    static double nowUs() { return toUs(Clock::now()); }
 
     void begin(const std::string& name) {
         if (!enabled_) return;
@@ -62,12 +67,15 @@ public:
         WALB_ASSERT(!open_.empty(), "TraceRecorder::end() without begin()");
         const Open o = std::move(open_.back());
         open_.pop_back();
-        if (events_.size() >= maxEvents_) {
-            ++dropped_;
-            return;
-        }
-        events_.push_back(
-            {o.name, rank_, o.beginUs, nowUs() - o.beginUs, std::uint32_t(open_.size())});
+        push({o.name, rank_, o.beginUs, nowUs() - o.beginUs, std::uint32_t(open_.size())});
+    }
+
+    /// Records a completed span [begin, end] at the current nesting depth,
+    /// for a phase whose clock reads were taken by the caller.
+    void span(const std::string& name, Clock::time_point begin, Clock::time_point end) {
+        if (!enabled_) return;
+        const double beginUs = toUs(begin);
+        push({name, rank_, beginUs, toUs(end) - beginUs, std::uint32_t(open_.size())});
     }
 
     const std::vector<TraceEvent>& events() const { return events_; }
@@ -97,6 +105,11 @@ public:
                                 std::uint64_t droppedEvents = 0);
 
 private:
+    void push(TraceEvent e) {
+        if (events_.size() >= maxEvents_) ++dropped_;
+        else events_.push_back(std::move(e));
+    }
+
     struct Open {
         std::string name;
         double beginUs;
@@ -108,6 +121,36 @@ private:
     std::vector<TraceEvent> events_;
     std::vector<Open> open_;
     std::size_t dropped_ = 0;
+};
+
+/// Times the consecutive phases of one step: every phase ends at a single
+/// clock read, which is also where the next phase begins, and that read
+/// feeds both the phase's TimingPool timer and its trace span — so the two
+/// cannot disagree.
+class PhaseClock {
+public:
+    using Clock = TraceRecorder::Clock;
+
+    PhaseClock(TimingPool& pool, TraceRecorder& trace)
+        : pool_(pool), trace_(trace), last_(Clock::now()) {}
+
+    /// End of the last phase (construction time before the first).
+    Clock::time_point last() const { return last_; }
+
+    /// Closes phase `name` at `end` (a fresh read by default) and returns
+    /// its seconds.
+    double lap(const std::string& name, Clock::time_point end = Clock::now()) {
+        const double seconds = std::chrono::duration<double>(end - last_).count();
+        pool_[name].addMeasurement(seconds);
+        trace_.span(name, last_, end);
+        last_ = end;
+        return seconds;
+    }
+
+private:
+    TimingPool& pool_;
+    TraceRecorder& trace_;
+    Clock::time_point last_;
 };
 
 /// RAII phase scope: begin on construction, end on destruction.

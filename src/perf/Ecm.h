@@ -15,17 +15,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/KernelTier.h"
 #include "perf/Machine.h"
 
 namespace walb::perf {
 
-/// Which LBM kernel tier the model describes (Figure 3's three curves,
-/// plus the in-place AA-pattern tier of lbm/KernelAa.h).
-enum class KernelTier { Generic, D3Q19, Simd, Aa };
+using walb::KernelTier;
 
 class EcmModel {
 public:
-    /// Model for a kernel tier on a machine at a given core frequency.
+    /// Model for a kernel tier (Figure 3's three curves, plus the in-place
+    /// AA-pattern tiers) on a machine at a given core frequency. Both AA
+    /// tiers are modeled as the vectorized AA kernel.
     /// `smtThreadsPerCore` scales T_core down (an s-way occupied in-order
     /// core retires s instruction streams; Figure 5).
     EcmModel(const MachineSpec& machine, KernelTier tier = KernelTier::Simd,
@@ -42,7 +43,7 @@ public:
         // (T_core unchanged), but the single grid drops the write-allocate
         // stream — 304 instead of 456 B/LUP through memory, and the
         // cache-transfer term shrinks by the same 2/3 stream ratio.
-        if (tier == KernelTier::Aa) {
+        if (isAaTier(tier)) {
             bytesPerLUP_ = kAaBytesPerLUP;
             tCache_ *= kAaBytesPerLUP / kBytesPerLUP;
         }

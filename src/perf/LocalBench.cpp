@@ -38,8 +38,10 @@ KernelBenchResult measureKernelMLUPS(KernelTier tier, bool trt, cell_idx_t n,
                 if (trt) simdKernel.sweep(src, dst, trtOp);
                 else simdKernel.sweep(src, dst, srt);
                 break;
+            // Both AA tiers run the vectorized AA kernel, the one EcmModel
+            // describes. In place — the second grid is never touched, no swap.
             case KernelTier::Aa:
-                // In place — the second grid is never touched, no swap.
+            case KernelTier::AaSimd:
                 if (trt) aaKernel.sweep(src, aaParityOfStep(aaStep), trtOp);
                 else aaKernel.sweep(src, aaParityOfStep(aaStep), srt);
                 ++aaStep;

@@ -5,7 +5,8 @@
 /// communication excluded, exactly like the paper's Figure 3 methodology).
 /// The figure benches anchor the machine models with these measurements.
 
-#include "perf/Ecm.h" // KernelTier
+#include "core/KernelTier.h"
+#include "core/Types.h"
 
 namespace walb::perf {
 

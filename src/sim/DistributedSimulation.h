@@ -12,10 +12,20 @@
 ///      slots a fluid cell of the receiver reads;
 ///   2. boundary handling per block;
 ///   3. fused stream-pull-collide sweep over the fluid intervals;
-///   4. src/dst swap.
+///   4. src/dst swap (two-grid tiers only).
 ///
-/// A TimingPool records communication vs. compute time — the quantity
-/// behind the "% MPI communication" curves of Figure 6.
+/// One function, step(), runs this sequence for every kernel tier and both
+/// schedules. The step's storage pattern (two-grid, AA even or AA odd) is
+/// computed once and selects the exchange mode, the boundary link map and
+/// the kernel. The synchronous schedule finishes the exchange before
+/// boundary handling and sweeps each whole block; the overlapped schedule
+/// (setOverlapCommunication) sweeps the core cells while the halos are in
+/// flight and the shell after they landed.
+///
+/// Each phase is timed once (obs::PhaseClock), and that measurement feeds
+/// the TimingPool — communication vs. compute time, the quantity behind
+/// the "% MPI communication" curves of Figure 6 — the phase trace and the
+/// flight recorder's StepSample alike.
 
 #include <algorithm>
 #include <fstream>
@@ -92,7 +102,12 @@ public:
     }
 
     void setExchangeMode(ExchangeMode mode) { mode_ = mode; }
-    ExchangeMode exchangeMode() const { return mode_; }
+    /// The exchange that opens a step of storage pattern `p`.
+    static ExchangeMode modeFor(lbm::StepPattern p) {
+        constexpr ExchangeMode kByPattern[] = {ExchangeMode::TwoGrid, ExchangeMode::AaReverse,
+                                               ExchangeMode::AaForward};
+        return kByPattern[std::size_t(p)];
+    }
 
     /// Direct ghost copies between same-rank neighbor blocks. Pure local
     /// memory traffic — no message leaves the rank — so the drivers account
@@ -131,16 +146,6 @@ public:
         bufferSystem_.beginExchange();
     }
 
-    /// Phase 1 of the split exchange: local ghost copies, then pack + ship
-    /// one message per remote neighbor rank and start expecting the
-    /// incoming ones. After this call the *core* cells (stencil never
-    /// reaches a remote-backed ghost slice) are ready to sweep; shell cells
-    /// must wait for finishExchange().
-    void beginExchange() {
-        copyLocalGhosts();
-        packAndPost();
-    }
-
     /// Non-blocking: unpacks whatever ghost messages have already arrived
     /// (each message writes only its own remote-backed ghost slices, which
     /// core cells never read — safe to call between core sweeps). Returns
@@ -166,7 +171,8 @@ public:
     /// src fields. Message unpacks are disjoint per sender, so draining in
     /// arrival order is bit-identical to any fixed order.
     void communicate() {
-        beginExchange();
+        copyLocalGhosts();
+        packAndPost();
         finishExchange();
     }
 
@@ -458,7 +464,7 @@ public:
     /// in both cases the same exchange the next step would open with, so an
     /// extra refill is idempotent. Collective.
     void refillGhostLayers() {
-        syncExchangeMode();
+        comm_scheme_->setExchangeMode(PdfCommScheme::modeFor(stepPattern()));
         comm_scheme_->communicate();
     }
 
@@ -517,6 +523,10 @@ public:
     bool usesAaPattern() const { return isAaTier(tier_); }
     /// Current AA storage layout == parity of the next step to run.
     lbm::AaParity aaParity() const { return lbm::aaParityOfStep(currentStep_); }
+    /// Storage pattern of the next step to run.
+    lbm::StepPattern stepPattern() const {
+        return lbm::stepPatternOf(usesAaPattern(), currentStep_);
+    }
 
     /// The canonical (physical post-collision, parity-normalized) PDF view
     /// of block `block`. Two-grid tiers: the live src field itself. AA
@@ -720,26 +730,13 @@ public:
     void setOverlapCommunication(bool on) { overlap_ = on; }
     bool overlapCommunication() const { return overlap_; }
 
-    /// Core/shell split sizes of the current block assignment (rebuilt by
+    /// Shell cells of the current core/shell split (rebuilt by
     /// buildBlockData after every migration).
-    uint_t localCoreCells() const {
-        uint_t n = 0;
-        for (const auto& cs : coreShellRuns_) n += cs.core.fluidCells;
-        return n;
-    }
     uint_t localShellCells() const {
         uint_t n = 0;
         for (const auto& cs : coreShellRuns_) n += cs.shell.fluidCells;
         return n;
     }
-
-    /// Cumulative seconds of ghost-exchange latency that were overlapped
-    /// with (hidden behind) the core sweep, resp. left exposed on the
-    /// critical path (pack/send + blocking drain). Sync schedule: all
-    /// exposed. Feeds `comm.hidden_seconds` / `comm.exposed_seconds` /
-    /// `comm.hidden_fraction`.
-    double commHiddenSeconds() const { return commHiddenSeconds_; }
-    double commExposedSeconds() const { return commExposedSeconds_; }
 
     template <typename Op>
     void run(uint_t numSteps, const Op& op) {
@@ -751,26 +748,18 @@ public:
         obs::Counter& msgsRecv = metrics_.counter("comm.messagesReceived");
         obs::Histogram& stepSecondsHist = metrics_.histogram(
             "sim.step_seconds", obs::logHistogramEdges(1e-6, 10.0, 4));
-        // Timer handles are stable for the pool's lifetime (node-based map),
-        // so the per-step phase deltas below cost two subtractions.
-        Timer& boundaryTimer = timing_["boundary"];
-        Timer& collideTimer = timing_["collideStream"];
 
         Timer wall;
         wall.start();
-        for (uint_t step = 0; step < numSteps; ++step) {
+        for (uint_t i = 0; i < numSteps; ++i) {
             if (preStep_) preStep_(currentStep_);
             // The structural hook may replace forest_/comm_scheme_ (block
             // migration), so per-step state is re-read below, never cached
             // across iterations.
             if (stepHook_) stepHook_(currentStep_);
-            const double boundary0 = boundaryTimer.total();
-            const double collide0 = collideTimer.total();
-            const auto step0 = std::chrono::steady_clock::now();
-            if (overlap_) stepOverlapped(op);
-            else stepSynchronous(op);
-            const double stepSeconds =
-                elapsedSeconds(step0, std::chrono::steady_clock::now());
+            const auto step0 = Clock::now();
+            obs::StepSample sample = step(op);
+            const double stepSeconds = elapsedSeconds(step0, Clock::now());
             const vmpi::BufferSystem& bs = comm_scheme_->bufferSystem();
             bytesSent.inc(bs.lastSendBytes());
             bytesRecv.inc(bs.lastRecvBytes());
@@ -778,30 +767,20 @@ public:
             msgsRecv.inc(bs.lastRecvMessages());
             steps.inc();
 
-            obs::StepSample sample;
             sample.step = currentStep_;
-            sample.collideSeconds = collideTimer.total() - collide0;
-            sample.shellSeconds = stepShellSeconds_;
-            sample.boundarySeconds = boundaryTimer.total() - boundary0;
-            sample.packSeconds = stepPackSeconds_;
-            sample.exchangeSeconds = stepExchangeSeconds_;
             sample.totalSeconds = stepSeconds;
             sample.mlups =
                 stepSeconds > 0 ? double(localFluidCells()) / stepSeconds / 1e6 : 0.0;
             sample.imbalance = straggler_.lastImbalance();
             sample.bytesMoved = bs.lastSendBytes() + bs.lastRecvBytes();
             sample.messages = bs.lastSendMessages() + bs.lastRecvMessages();
-            sample.kernelTier = std::uint8_t(tier_);
-            // currentStep_ still indexes the step that just ran, so this is
-            // the parity that step's kernels executed under.
-            sample.aaParity = usesAaPattern() ? std::uint8_t(aaParity()) : 0;
             flight_.record(sample);
             stepSecondsHist.record(stepSeconds);
             // The detector smooths this rank's *work* share, not the whole
             // step: bulk-synchronous stepping equalizes total step times (a
             // slow rank surfaces as exchange wait on every fast rank), so
             // only the non-wait share separates a straggler from its fleet.
-            straggler_.record(std::max(stepSeconds - stepExchangeSeconds_, 0.0));
+            straggler_.record(std::max(stepSeconds - sample.exchangeSeconds, 0.0));
 
             ++currentStep_;
             if (stragglerEnabled_ && stragglerOptions_.detectEvery > 0 &&
@@ -818,11 +797,12 @@ public:
         metrics_.gauge("sim.fluidCells").set(double(localFluidCells()));
         if (usesAaPattern())
             metrics_.gauge("perf.aa_parity").set(double(std::uint8_t(aaParity())));
+        const double exposed = commBeginSeconds_ + commFinishSeconds_;
         metrics_.gauge("comm.hidden_seconds").set(commHiddenSeconds_);
-        metrics_.gauge("comm.exposed_seconds").set(commExposedSeconds_);
+        metrics_.gauge("comm.exposed_seconds").set(exposed);
         metrics_.gauge("comm.begin_seconds").set(commBeginSeconds_);
         metrics_.gauge("comm.finish_seconds").set(commFinishSeconds_);
-        const double commTotal = commHiddenSeconds_ + commExposedSeconds_;
+        const double commTotal = commHiddenSeconds_ + exposed;
         metrics_.gauge("comm.hidden_fraction")
             .set(commTotal > 0 ? commHiddenSeconds_ / commTotal : 0.0);
         if (perfReferenceMlups_ > 0.0) {
@@ -846,16 +826,10 @@ public:
         const obs::ReducedTimingPool reduced = reduceTiming();
         const obs::ReducedMetrics metrics = reduceMetrics();
         if (comm_->rank() != 0) return;
-        const auto it = metrics.gauges.find("sim.mlups");
-        auto gaugeAvg = [&](const char* name, double fallback) {
-            const auto g = metrics.gauges.find(name);
-            return g != metrics.gauges.end() ? g->second.avg() : fallback;
-        };
         const auto hist = metrics.histograms.find("sim.step_seconds");
-        obs::printFigure6Report(os, reduced, "communication",
-                                it != metrics.gauges.end() ? it->second.avg() : 0.0,
-                                gaugeAvg("comm.hidden_seconds", -1.0),
-                                gaugeAvg("comm.exposed_seconds", -1.0),
+        obs::printFigure6Report(os, reduced, "communication", metrics.gaugeAvg("sim.mlups"),
+                                metrics.gaugeAvg("comm.hidden_seconds", -1.0),
+                                metrics.gaugeAvg("comm.exposed_seconds", -1.0),
                                 hist != metrics.histograms.end() ? &hist->second
                                                                  : nullptr);
     }
@@ -957,33 +931,38 @@ private:
     Vec3 wallVelocity_{0, 0, 0};
     real_t pressureDensity_ = real_c(1);
 
-    static double elapsedSeconds(std::chrono::steady_clock::time_point a,
-                                 std::chrono::steady_clock::time_point b) {
+    using Clock = std::chrono::steady_clock;
+
+    static double elapsedSeconds(Clock::time_point a, Clock::time_point b) {
         return std::chrono::duration<double>(b - a).count();
     }
 
-    /// One fluid sweep of block b restricted to the given run/cell subset
-    /// (whole block, core or shell), dispatched by kernel tier. The Generic
-    /// tier runs its per-cell kernel over the run list — the run lists hold
-    /// exactly the flag-tested fluid cells, so results are bit-identical to
-    /// the whole-interior flag-tested sweep.
+    /// One fluid sweep of `region` of block b (whole block, core or
+    /// shell), dispatched by kernel tier; the AA tiers run the kernel of
+    /// `pattern`. The Generic tier runs its per-cell kernel over the run
+    /// list — the run lists hold exactly the flag-tested fluid cells, so
+    /// results are bit-identical to the whole-interior flag-tested sweep.
     ///
-    /// `chunk`/`numChunks` select a contiguous slice of the subset (runs for
-    /// the interval tiers, cells for the cell-list tier); the overlapped
-    /// schedule sweeps in several chunks so it can poll for halo arrivals
-    /// between them. The union over all chunks is exactly the full subset,
+    /// `chunk`/`numChunks` select a contiguous slice of the region (runs
+    /// for the interval tiers, cells for the cell-list tiers); the core
+    /// sweep runs in several chunks so it can poll for halo arrivals
+    /// between them. The union over all chunks is exactly the full region,
     /// and every cell is updated by the same kernel either way.
     template <typename Op>
-    void sweepSubset(std::size_t b, const lbm::FluidRunList& runs,
-                     const std::vector<Cell>& cells, const Op& op,
-                     std::size_t chunk = 0, std::size_t numChunks = 1) {
+    void sweepSubset(std::size_t b, lbm::Region region, lbm::StepPattern pattern, const Op& op,
+                     std::size_t chunk, std::size_t numChunks) {
+        const bool all = region == lbm::Region::All, core = region == lbm::Region::Core;
+        const lbm::FluidRunList& runs =
+            all ? runs_[b] : core ? coreShellRuns_[b].core : coreShellRuns_[b].shell;
+        const std::vector<Cell>& cells =
+            all ? cellLists_[b] : core ? coreShellCells_[b].core : coreShellCells_[b].shell;
         auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
         auto& dst = forest_.getData<lbm::PdfField>(b, dstId_);
         const auto slice = [&](std::size_t n) {
             return std::pair<std::size_t, std::size_t>{n * chunk / numChunks,
                                                        n * (chunk + 1) / numChunks};
         };
-        const auto sweepBegin = std::chrono::steady_clock::now();
+        const auto sweepBegin = Clock::now();
         switch (tier_) {
             case KernelTier::Generic: {
                 const auto [lo, hi] = slice(runs.runs.size());
@@ -1007,18 +986,18 @@ private:
             }
             case KernelTier::Aa: {
                 const auto [lo, hi] = slice(cells.size());
-                lbm::aaCollideCellList(src, aaParity(), cells.data() + lo, hi - lo, op);
+                lbm::aaCollideCellList(src, lbm::aaParityOf(pattern), cells.data() + lo, hi - lo,
+                                       op);
                 break;
             }
             case KernelTier::AaSimd: {
                 const auto [lo, hi] = slice(runs.runs.size());
-                lbm::aaCollideRuns(src, aaParity(), runs.runs.data() + lo, hi - lo, op,
-                                   aaSimdKernel_);
+                lbm::aaCollideRuns(src, lbm::aaParityOf(pattern), runs.runs.data() + lo, hi - lo,
+                                   op, aaSimdKernel_);
                 break;
             }
         }
-        blockSweepSeconds_[b] +=
-            elapsedSeconds(sweepBegin, std::chrono::steady_clock::now());
+        blockSweepSeconds_[b] += elapsedSeconds(sweepBegin, Clock::now());
     }
 
     /// One collective straggler-detection epoch (enableStragglerDetection):
@@ -1061,183 +1040,99 @@ private:
         WALB_LOG_ERROR("step " << currentStep_ << ": ghost exchange failed: " << e.what());
     }
 
-    /// The original blocking schedule: full ghost exchange, then boundary
-    /// handling, then the fluid sweep. All communication time is exposed.
+    /// One time step (see the file comment); returns its phase seconds.
+    /// The synchronous schedule finishes the exchange in the first
+    /// communication phase and covers whole blocks. The overlapped one
+    /// handles and sweeps the core while the halos are in flight, draining
+    /// arrivals between sweep chunks (unpack writes only remote-backed
+    /// ghost slices, which no core cell reads), then finishes the exchange
+    /// and does the shell, whose boundary slots unpack would clobber and
+    /// whose cells read the halos. The two are bit-exact; so is deferring
+    /// the two-grid swap, since blocks never read each other's fields.
+    ///
+    /// Exposed communication is pack + wait; hidden is the part of the
+    /// halo-arrival window (posting end -> last arrival) covered by the
+    /// core sweep. Same-rank ghost copies are memory traffic and count
+    /// towards neither, so sync and overlap numbers stay comparable.
     template <typename Op>
-    void stepSynchronous(const Op& op) {
-        stepPackSeconds_ = stepExchangeSeconds_ = stepShellSeconds_ = 0.0;
-        syncExchangeMode();
+    obs::StepSample step(const Op& op) {
+        const lbm::StepPattern pattern = stepPattern();
+        comm_scheme_->setExchangeMode(PdfCommScheme::modeFor(pattern));
+        const lbm::Region first = overlap_ ? lbm::Region::Core : lbm::Region::All;
+        obs::StepSample s;
+        s.kernelTier = std::uint8_t(tier_);
+        s.aaParity = std::uint8_t(pattern == lbm::StepPattern::AaOdd);
         try {
-            ScopedTimer t(timing_["communication"]);
-            obs::ScopedTrace tr(trace_, "communication");
-            // Local same-rank ghost copies are memory traffic, not exposed
-            // network time — excluded from the exposed gauge in both
-            // schedules so sync and overlap numbers stay comparable.
+            obs::PhaseClock clock(timing_, trace_);
             comm_scheme_->copyLocalGhosts();
-            const auto t0 = std::chrono::steady_clock::now();
+            const auto packBegin = Clock::now();
             comm_scheme_->packAndPost();
-            const auto t1 = std::chrono::steady_clock::now();
-            comm_scheme_->finishExchange();
-            const auto t2 = std::chrono::steady_clock::now();
-            stepPackSeconds_ = elapsedSeconds(t0, t1);
-            stepExchangeSeconds_ = elapsedSeconds(t1, t2);
-            commExposedSeconds_ += elapsedSeconds(t0, t2);
+            const auto posted = Clock::now();
+            s.packSeconds = elapsedSeconds(packBegin, posted);
+            auto lastArrival = posted;
+            // Blocks for the halos still in flight; returns the end read.
+            const auto drain = [&](Clock::time_point begin) {
+                const bool pending = comm_scheme_->pendingReceives() > 0;
+                comm_scheme_->finishExchange();
+                const auto end = Clock::now();
+                if (pending) lastArrival = end;
+                s.exchangeSeconds = elapsedSeconds(begin, end);
+                return end;
+            };
+            clock.lap("communication", overlap_ ? posted : drain(posted));
+            applyBoundaries(first, pattern);
+            s.boundarySeconds = clock.lap("boundary");
+            sweep(first, pattern, op, lastArrival);
+            s.collideSeconds = clock.lap("collideStream");
+            if (overlap_) {
+                clock.lap("communication", drain(clock.last()));
+                applyBoundaries(lbm::Region::Shell, pattern);
+                s.boundarySeconds += clock.lap("boundary");
+                sweep(lbm::Region::Shell, pattern, op, lastArrival);
+                s.shellSeconds = clock.lap("collideStream");
+                s.collideSeconds += s.shellSeconds;
+            }
+            commBeginSeconds_ += s.packSeconds;
+            commFinishSeconds_ += s.exchangeSeconds;
+            commHiddenSeconds_ +=
+                std::max(0.0, elapsedSeconds(posted, lastArrival) - s.exchangeSeconds);
         } catch (const vmpi::CommError& e) {
             logExchangeError(e);
             throw;
         }
-        {
-            ScopedTimer t(timing_["boundary"]);
-            obs::ScopedTrace tr(trace_, "boundary");
-            // One team region for all blocks: each entry point shares its
-            // links over the team (Boundary.h).
-#ifdef _OPENMP
-#pragma omp parallel
-#endif
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
-                if (usesAaPattern()) boundaries_[b]->applyAa(src, aaParity());
-                else boundaries_[b]->apply(src);
-            }
-        }
-        {
-            ScopedTimer t(timing_["collideStream"]);
-            obs::ScopedTrace tr(trace_, "collideStream");
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                sweepSubset(b, runs_[b], cellLists_[b], op);
-                if (!usesAaPattern())
-                    forest_.getData<lbm::PdfField>(b, srcId_)
-                        .swapDataWith(forest_.getData<lbm::PdfField>(b, dstId_));
-            }
-            applySweepThrottle();
-        }
+        if (pattern == lbm::StepPattern::TwoGrid)
+            for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
+                pdfField(b).swapDataWith(pdfDstField(b));
+        return s;
     }
 
-    /// The communication-hiding schedule (tentpole of the overlap issue):
-    ///
-    ///   1. beginExchange — local ghost copies, pack + post remote sends,
-    ///      start expecting the halo messages;
-    ///   2. core boundary links + core sweep while halos are in flight,
-    ///      draining arrivals opportunistically between blocks (unpack
-    ///      writes only remote-backed ghost slices, which no core cell
-    ///      reads);
-    ///   3. finishExchange — block for the remaining halos, then shell
-    ///      boundary links (their slots would be clobbered by unpack, and
-    ///      their readers are provably shell cells) and the shell sweep.
-    ///
-    /// src/dst swap happens at the very end: a pull-scheme step only reads
-    /// src and writes dst, and blocks never read each other's fields
-    /// directly, so deferring the per-block swap is bit-exact.
-    ///
-    /// Accounting: exposed = pack/send + blocking-drain time on the
-    /// critical path; hidden = the part of the halo-arrival window
-    /// (beginExchange end -> last arrival) covered by the core sweep.
+    /// Boundary handling of `region` on every block, in one team region:
+    /// apply() shares each block's links over the team (lbm/Boundary.h).
+    void applyBoundaries(lbm::Region region, lbm::StepPattern pattern) {
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
+        for (std::size_t b = 0; b < boundaries_.size(); ++b)
+            boundaries_[b]->apply(pdfField(b), region, pattern);
+    }
+
+    /// Sweeps `region` of every block. The core sweep runs in chunks and
+    /// drains halo arrivals between them: the earlier an arrival is
+    /// drained, the more of the exchange latency the sweep hides.
+    /// `lastArrival` records the last drain that made progress. The step's
+    /// final sweep (all or shell) also spends the sweep throttle.
     template <typename Op>
-    void stepOverlapped(const Op& op) {
-        stepPackSeconds_ = stepExchangeSeconds_ = stepShellSeconds_ = 0.0;
-        syncExchangeMode();
-        std::chrono::steady_clock::time_point beginEnd;
-        double exposed = 0;
-        try {
-            ScopedTimer t(timing_["communication"]);
-            obs::ScopedTrace tr(trace_, "communication");
-            // Local copies excluded from the exposed gauge, as in
-            // stepSynchronous.
-            comm_scheme_->copyLocalGhosts();
-            const auto t0 = std::chrono::steady_clock::now();
-            comm_scheme_->packAndPost();
-            beginEnd = std::chrono::steady_clock::now();
-            exposed += elapsedSeconds(t0, beginEnd);
-            commBeginSeconds_ += elapsedSeconds(t0, beginEnd);
-            stepPackSeconds_ = elapsedSeconds(t0, beginEnd);
-        } catch (const vmpi::CommError& e) {
-            logExchangeError(e);
-            throw;
-        }
-        auto lastArrival = beginEnd;
-
-        {
-            ScopedTimer t(timing_["boundary"]);
-            obs::ScopedTrace tr(trace_, "boundary");
-#ifdef _OPENMP
-#pragma omp parallel
-#endif
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
-                if (usesAaPattern()) {
-                    // The in-place core sweep rewrites the slots the shell
-                    // pressure links' velocity gather reads, so the gather
-                    // runs now, from the pre-sweep state; applyAaShell
-                    // writes the stashed values after finishExchange.
-                    boundaries_[b]->precomputeAaShellPressure(src, aaParity());
-                    boundaries_[b]->applyAaCore(src, aaParity());
-                } else {
-                    boundaries_[b]->applyCore(src);
-                }
+    void sweep(lbm::Region region, lbm::StepPattern pattern, const Op& op,
+               Clock::time_point& lastArrival) {
+        constexpr std::size_t kArrivalPollChunks = 8;
+        const std::size_t chunks = region == lbm::Region::Core ? kArrivalPollChunks : 1;
+        for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
+            for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+                sweepSubset(b, region, pattern, op, chunk, chunks);
+                if (comm_scheme_->exchangeInProgress() && comm_scheme_->progress() > 0)
+                    lastArrival = Clock::now();
             }
-        }
-        {
-            ScopedTimer t(timing_["collideStream"]);
-            obs::ScopedTrace tr(trace_, "collideStream");
-            // Sweep each block's core in chunks, polling for halo arrivals
-            // in between: the earlier an arrival is drained, the more of the
-            // exchange latency the sweep hides.
-            constexpr std::size_t kArrivalPollChunks = 8;
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                for (std::size_t chunk = 0; chunk < kArrivalPollChunks; ++chunk) {
-                    sweepSubset(b, coreShellRuns_[b].core, coreShellCells_[b].core, op,
-                                chunk, kArrivalPollChunks);
-                    if (comm_scheme_->exchangeInProgress() &&
-                        comm_scheme_->progress() > 0)
-                        lastArrival = std::chrono::steady_clock::now();
-                }
-            }
-        }
-        try {
-            ScopedTimer t(timing_["communication"]);
-            obs::ScopedTrace tr(trace_, "communication");
-            const bool pendingBefore = comm_scheme_->pendingReceives() > 0;
-            const auto f0 = std::chrono::steady_clock::now();
-            comm_scheme_->finishExchange();
-            const auto f1 = std::chrono::steady_clock::now();
-            if (pendingBefore) lastArrival = f1;
-            const double finishSeconds = elapsedSeconds(f0, f1);
-            exposed += finishSeconds;
-            commFinishSeconds_ += finishSeconds;
-            stepExchangeSeconds_ = finishSeconds;
-            commHiddenSeconds_ +=
-                std::max(0.0, elapsedSeconds(beginEnd, lastArrival) - finishSeconds);
-        } catch (const vmpi::CommError& e) {
-            logExchangeError(e);
-            throw;
-        }
-        commExposedSeconds_ += exposed;
-
-        {
-            ScopedTimer t(timing_["boundary"]);
-            obs::ScopedTrace tr(trace_, "boundary");
-#ifdef _OPENMP
-#pragma omp parallel
-#endif
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
-                if (usesAaPattern()) boundaries_[b]->applyAaShell(src, aaParity());
-                else boundaries_[b]->applyShell(src);
-            }
-        }
-        {
-            ScopedTimer t(timing_["collideStream"]);
-            obs::ScopedTrace tr(trace_, "collideStream");
-            const auto shell0 = std::chrono::steady_clock::now();
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
-                sweepSubset(b, coreShellRuns_[b].shell, coreShellCells_[b].shell, op);
-            applySweepThrottle();
-            stepShellSeconds_ = elapsedSeconds(shell0, std::chrono::steady_clock::now());
-        }
-        if (!usesAaPattern())
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
-                forest_.getData<lbm::PdfField>(b, srcId_)
-                    .swapDataWith(forest_.getData<lbm::PdfField>(b, dstId_));
+        if (region != lbm::Region::Core) applySweepThrottle();
     }
 
     /// (Re)creates every per-block datum of the current forest_: PDF fields
@@ -1308,7 +1203,6 @@ private:
         }
         comm_scheme_ =
             std::make_unique<PdfCommScheme>(forest_, *comm_, srcId_, flagId_, masks_.fluid);
-        syncExchangeMode();
         blockSweepSeconds_.assign(forest_.blocks().size(), 0.0);
 
         std::size_t pdfBytes = 0;
@@ -1323,16 +1217,6 @@ private:
     /// the fluid runs.
     bool sweepsCellLists() const {
         return tier_ == KernelTier::D3Q19 || tier_ == KernelTier::Aa;
-    }
-
-    /// Points the ghost-exchange scheme at the mode matching the kernel
-    /// tier and (for AA) the current step parity. Called before every
-    /// exchange — parity advances every step.
-    void syncExchangeMode() {
-        if (!usesAaPattern()) return; // schemes default to TwoGrid
-        comm_scheme_->setExchangeMode(aaParity() == lbm::AaParity::Odd
-                                          ? PdfCommScheme::ExchangeMode::AaForward
-                                          : PdfCommScheme::ExchangeMode::AaReverse);
     }
 
     /// Last-breath diagnostics: when a CommError surfaces on this rank
@@ -1364,10 +1248,12 @@ private:
     std::vector<lbm::CoreShellRuns> coreShellRuns_;
     std::vector<lbm::CoreShellCells> coreShellCells_;
     bool overlap_ = false;
+    // Cumulative ghost-exchange seconds (see step()): exposed = begin
+    // (pack + send posting) + finish (blocking drain / unpack); hidden
+    // behind the core sweep.
     double commHiddenSeconds_ = 0.0;
-    double commExposedSeconds_ = 0.0;
-    double commBeginSeconds_ = 0.0;  ///< pack + send posting (overlap mode)
-    double commFinishSeconds_ = 0.0; ///< blocking drain (overlap mode)
+    double commBeginSeconds_ = 0.0;
+    double commFinishSeconds_ = 0.0;
     lbm::KernelD3Q19Simd<> simdKernel_;
     lbm::KernelAaSimd<> aaSimdKernel_;
     std::unique_ptr<lbm::PdfField> canonScratch_; ///< AA canonicalization staging
@@ -1393,11 +1279,6 @@ private:
     std::int64_t firstStragglerStep_ = -1;
     double perfReferenceMlups_ = 0.0;
     std::chrono::microseconds sweepThrottle_{0};
-    // Per-step phase scratch, reset at the top of each step schedule and
-    // harvested into the StepSample by run().
-    double stepPackSeconds_ = 0.0;
-    double stepExchangeSeconds_ = 0.0;
-    double stepShellSeconds_ = 0.0;
 };
 
 /// Drives a simulation under the CheckpointOptions command-line contract:

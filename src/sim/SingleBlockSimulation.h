@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 
+#include "core/KernelTier.h"
 #include "core/Timer.h"
 #include "lbm/Boundary.h"
 #include "lbm/Communication.h"
@@ -30,21 +31,8 @@
 
 namespace walb::sim {
 
-/// Which optimization tier performs the sweep. Aa and AaSimd are the
-/// in-place AA-pattern tiers (lbm/KernelAa.h): a single PDF grid — half the
-/// PDF memory — with the even/odd kernels alternating by step parity.
-enum class KernelTier { Generic, D3Q19, Simd, Aa, AaSimd };
-
-/// True for the single-grid AA-pattern tiers (no shadow buffer, no swap).
-constexpr bool isAaTier(KernelTier t) {
-    return t == KernelTier::Aa || t == KernelTier::AaSimd;
-}
-
-// The numeric values are part of the .wfr v2 flight-recorder format
-// (StepSample::kernelTier, decoded by obs::kernelTierName) — keep stable.
-static_assert(int(KernelTier::Generic) == 0 && int(KernelTier::D3Q19) == 1 &&
-              int(KernelTier::Simd) == 2 && int(KernelTier::Aa) == 3 &&
-              int(KernelTier::AaSimd) == 4);
+using walb::isAaTier;
+using walb::KernelTier;
 
 class SingleBlockSimulation {
 public:
@@ -122,24 +110,15 @@ public:
         Timer wall;
         wall.start();
         for (uint_t step = 0; step < n; ++step) {
-            const lbm::AaParity parity = lbm::aaParityOfStep(currentStep_);
-            {
-                ScopedTimer t(timing_["communication"]);
-                obs::ScopedTrace tr(trace_, "communication");
-                applyPeriodicity(parity);
-            }
-            {
-                ScopedTimer t(timing_["boundary"]);
-                obs::ScopedTrace tr(trace_, "boundary");
-                if (isAaTier(cfg_.tier)) boundary_->applyAa(src_, parity);
-                else boundary_->apply(src_);
-            }
-            {
-                ScopedTimer t(timing_["collideStream"]);
-                obs::ScopedTrace tr(trace_, "collideStream");
-                sweep(op, parity);
-            }
-            if (!isAaTier(cfg_.tier)) src_.swapDataWith(dst_);
+            const lbm::StepPattern pattern = lbm::stepPatternOf(isAaTier(cfg_.tier), currentStep_);
+            obs::PhaseClock clock(timing_, trace_);
+            applyPeriodicity(pattern);
+            clock.lap("communication");
+            boundary_->apply(src_, lbm::Region::All, pattern);
+            clock.lap("boundary");
+            sweep(op, lbm::aaParityOf(pattern));
+            clock.lap("collideStream");
+            if (pattern == lbm::StepPattern::TwoGrid) src_.swapDataWith(dst_);
             ++currentStep_;
             steps.inc();
         }
@@ -188,14 +167,15 @@ public:
     }
 
 private:
-    void applyPeriodicity(lbm::AaParity parity) {
+    void applyPeriodicity(lbm::StepPattern pattern) {
         if (!cfg_.periodicX && !cfg_.periodicY && !cfg_.periodicZ) return;
         for (const auto& d : lbm::neighborhood26) {
             if (d[0] != 0 && !cfg_.periodicX) continue;
             if (d[1] != 0 && !cfg_.periodicY) continue;
             if (d[2] != 0 && !cfg_.periodicZ) continue;
-            if (!isAaTier(cfg_.tier)) lbm::copyPdfsLocal<M>(src_, src_, d);
-            else if (parity == lbm::AaParity::Odd) lbm::aaCopyPdfsLocalForward<M>(src_, src_, d);
+            using lbm::StepPattern;
+            if (pattern == StepPattern::TwoGrid) lbm::copyPdfsLocal<M>(src_, src_, d);
+            else if (pattern == StepPattern::AaOdd) lbm::aaCopyPdfsLocalForward<M>(src_, src_, d);
             else lbm::aaCopyPdfsLocalReverse<M>(src_, src_, d);
         }
     }

@@ -524,8 +524,8 @@ TEST(Report, ValidateMetricsJsonChecksKeys) {
 
 // ---- overhead guard --------------------------------------------------------
 
-/// Per-step instrumentation cost of the drivers: one timer scope, one trace
-/// scope and a few counter increments. The acceptance bar is < 5% of a
+/// Per-step instrumentation cost of the drivers: one PhaseClock lap per
+/// phase (TimingPool timer + trace span) and a few counter increments. The acceptance bar is < 5% of a
 /// micro_kernels sweep (~ms); we assert a generous absolute bound that is
 /// orders of magnitude tighter than that while robust to CI noise.
 TEST(Overhead, PerStepInstrumentationIsCheap) {
@@ -541,10 +541,8 @@ TEST(Overhead, PerStepInstrumentationIsCheap) {
         trace.clear();
         const double t0 = TraceRecorder::nowUs();
         for (int i = 0; i < kSteps; ++i) {
-            {
-                ScopedTimer t(timing["collideStream"]);
-                ScopedTrace tr(trace, "collideStream");
-            }
+            PhaseClock clock(timing, trace);
+            clock.lap("collideStream");
             steps.inc();
             bytes.inc(456);
         }

@@ -168,8 +168,8 @@ struct BoundaryFixture {
         });
         bh.setPressureDensity(real_c(1.01));
         bh.partitionForOverlap([](const Cell& c) { return c.x < 0 || c.x >= nx || c.z >= nz; });
-        EXPECT_GT(bh.numCoreLinks(), 0u);
-        EXPECT_GT(bh.numShellLinks(), 0u);
+        EXPECT_GT(bh.numLinks(Region::Core), 0u);
+        EXPECT_GT(bh.numLinks(Region::Shell), 0u);
         PdfField f = start;
         if (threads == 0) {
             op(bh, f);
@@ -190,34 +190,24 @@ TEST(OpenMP, BoundaryEntryPointsAreTeamSizeInvariant) {
         ASSERT_GT(bh.pressureLinks().size(), 0u);
     }
     using BH = BoundaryHandling<D3Q19>;
-    const auto apply = [](const BH& bh, PdfField& f) { bh.apply(f); };
-    const auto coreShell = [](const BH& bh, PdfField& f) {
-        bh.applyCore(f);
-        bh.applyShell(f);
-    };
-    const PdfField ref = fx.run(0, apply);
-    EXPECT_FALSE(bytesEqual(ref, fx.start));
-    EXPECT_TRUE(bytesEqual(fx.run(1, apply), ref)) << "apply, 1 thread";
-    EXPECT_TRUE(bytesEqual(fx.run(4, apply), ref)) << "apply, 4 threads";
-    EXPECT_TRUE(bytesEqual(fx.run(1, coreShell), ref)) << "applyCore + applyShell, 1 thread";
-    EXPECT_TRUE(bytesEqual(fx.run(4, coreShell), ref)) << "applyCore + applyShell, 4 threads";
-
-    for (const auto parity : {AaParity::Even, AaParity::Odd}) {
-        const std::string name = parity == AaParity::Even ? "even" : "odd";
-        const auto applyAa = [parity](const BH& bh, PdfField& f) { bh.applyAa(f, parity); };
-        const auto aaCoreShell = [parity](const BH& bh, PdfField& f) {
-            bh.precomputeAaShellPressure(f, parity);
-            bh.applyAaCore(f, parity);
-            bh.applyAaShell(f, parity);
+    for (const auto pattern : {StepPattern::TwoGrid, StepPattern::AaEven, StepPattern::AaOdd}) {
+        const std::string name = pattern == StepPattern::TwoGrid ? "two-grid"
+                                 : pattern == StepPattern::AaEven ? "AA even"
+                                                                  : "AA odd";
+        const auto all = [pattern](const BH& bh, PdfField& f) {
+            bh.apply(f, Region::All, pattern);
         };
-        const PdfField aaRef = fx.run(0, applyAa);
-        EXPECT_FALSE(bytesEqual(aaRef, fx.start)) << name;
-        EXPECT_TRUE(bytesEqual(fx.run(1, applyAa), aaRef)) << "applyAa, 1 thread, " << name;
-        EXPECT_TRUE(bytesEqual(fx.run(4, applyAa), aaRef)) << "applyAa, 4 threads, " << name;
-        EXPECT_TRUE(bytesEqual(fx.run(1, aaCoreShell), aaRef))
-            << "precompute + applyAaCore + applyAaShell, 1 thread, " << name;
-        EXPECT_TRUE(bytesEqual(fx.run(4, aaCoreShell), aaRef))
-            << "precompute + applyAaCore + applyAaShell, 4 threads, " << name;
+        const auto coreShell = [pattern](const BH& bh, PdfField& f) {
+            bh.apply(f, Region::Core, pattern);
+            bh.apply(f, Region::Shell, pattern);
+        };
+        const PdfField ref = fx.run(0, all);
+        EXPECT_FALSE(bytesEqual(ref, fx.start)) << name;
+        EXPECT_TRUE(bytesEqual(fx.run(1, all), ref)) << "all, 1 thread, " << name;
+        EXPECT_TRUE(bytesEqual(fx.run(4, all), ref)) << "all, 4 threads, " << name;
+        EXPECT_TRUE(bytesEqual(fx.run(0, coreShell), ref)) << "core + shell, serial, " << name;
+        EXPECT_TRUE(bytesEqual(fx.run(1, coreShell), ref)) << "core + shell, 1 thread, " << name;
+        EXPECT_TRUE(bytesEqual(fx.run(4, coreShell), ref)) << "core + shell, 4 threads, " << name;
     }
 }
 
@@ -294,8 +284,10 @@ TEST(OpenMP, DistributedDigestIsTeamAndDecompositionInvariant) {
     using sim::KernelTier;
     for (const auto tier : {KernelTier::Generic, KernelTier::D3Q19, KernelTier::Simd,
                             KernelTier::Aa, KernelTier::AaSimd}) {
+        const std::uint64_t syncRef = cavityDigest(tier, false, 4, 1);
         for (const bool overlap : {false, true}) {
-            const std::uint64_t ref = cavityDigest(tier, overlap, 4, 1);
+            const std::uint64_t ref = overlap ? cavityDigest(tier, true, 4, 1) : syncRef;
+            EXPECT_EQ(ref, syncRef) << "tier " << int(tier) << " overlap vs sync";
             for (const auto& [ranks, threads] : {std::pair{1, 1}, {1, 4}, {2, 2}})
                 EXPECT_EQ(cavityDigest(tier, overlap, ranks, threads), ref)
                     << "tier " << int(tier) << (overlap ? " overlap " : " sync ") << ranks

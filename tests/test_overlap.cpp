@@ -6,6 +6,8 @@
 /// and the headline property: the overlapped schedule is bit-exact with the
 /// synchronous one on random voxelized geometries across 1-8 virtual ranks,
 /// including across a live migration and under injected message latency.
+/// Also checks that both schedules time each phase once, feeding the
+/// TimingPool, the trace and the flight recorder from the same clock reads.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +15,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -425,6 +429,69 @@ TEST(OverlapScheduleTest, ReportsHiddenAndExposedGauges) {
             ++ok;
     });
     EXPECT_EQ(ok.load(), int(ranks));
+}
+
+// ---- one measurement per phase ---------------------------------------------
+
+TEST(StepTiming, OneMeasurementFeedsPoolTraceAndRecorder) {
+    const std::uint32_t ranks = 2;
+    bf::SetupConfig cfg;
+    cfg.domain = AABB(0, 0, 0, 16, 8, 8);
+    cfg.rootBlocksX = 2;
+    cfg.rootBlocksY = cfg.rootBlocksZ = 1;
+    cfg.cellsPerBlockX = cfg.cellsPerBlockY = cfg.cellsPerBlockZ = 8;
+    auto setup = bf::SetupBlockForest::create(cfg);
+    setup.balanceMorton(ranks);
+    const auto flagInit = voxelFlags(16, 8, 8, 999);
+    constexpr std::size_t kSteps = 6;
+    constexpr double kNs = 1e-9;
+
+    for (const auto tier : {sim::KernelTier::Simd, sim::KernelTier::AaSimd}) {
+        for (const bool overlap : {false, true}) {
+            SCOPED_TRACE(std::string(kernelTierName(tier)) + (overlap ? " overlap" : " sync"));
+            vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
+                sim::DistributedSimulation simulation(comm, setup, flagInit, tier);
+                simulation.setWallVelocity({0.04, 0, 0});
+                simulation.setOverlapCommunication(overlap);
+                simulation.run(uint_t(kSteps), TRT::fromOmegaAndMagic(1.6));
+
+                // Under overlap every step has a core and a shell span of
+                // each phase, in that order.
+                const std::size_t perStep = overlap ? 2 : 1;
+                std::map<std::string, double> traced;
+                std::map<std::string, std::size_t> spans;
+                std::vector<double> sweepSpans;
+                for (const obs::TraceEvent& e : simulation.trace().events()) {
+                    traced[e.name] += e.durUs * 1e-6;
+                    ++spans[e.name];
+                    if (e.name == "collideStream") sweepSpans.push_back(e.durUs * 1e-6);
+                }
+                std::map<std::string, double> pool;
+                for (const char* phase : {"communication", "boundary", "collideStream"}) {
+                    const Timer* t = simulation.timing().find(phase);
+                    ASSERT_NE(t, nullptr) << phase;
+                    pool[phase] = t->total();
+                    EXPECT_EQ(spans[phase], kSteps * perStep) << phase;
+                    EXPECT_NEAR(traced[phase], pool[phase], kNs * double(spans[phase]))
+                        << phase;
+                }
+
+                const auto samples = simulation.flightRecorder().samples();
+                ASSERT_EQ(samples.size(), kSteps);
+                double collide = 0, boundary = 0, packAndWait = 0;
+                for (std::size_t i = 0; i < kSteps; ++i) {
+                    collide += samples[i].collideSeconds;
+                    boundary += samples[i].boundarySeconds;
+                    packAndWait += samples[i].packSeconds + samples[i].exchangeSeconds;
+                    const double shellSpan = overlap ? sweepSpans[2 * i + 1] : 0.0;
+                    EXPECT_NEAR(samples[i].shellSeconds, shellSpan, kNs) << "step " << i;
+                }
+                EXPECT_NEAR(collide, pool["collideStream"], kNs * double(kSteps));
+                EXPECT_NEAR(boundary, pool["boundary"], kNs * double(kSteps));
+                EXPECT_LE(packAndWait, pool["communication"] + kNs * double(kSteps));
+            });
+        }
+    }
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "blockforest/SetupBlockForest.h"
+#include "core/KernelTier.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 
@@ -159,7 +160,7 @@ int printJson(const walb::bf::SetupBlockForest& forest, const char* path,
         w.key("flight").beginObject();
         w.kv("rank", flight.rank);
         w.kv("last_step", flight.lastStep);
-        w.kv("kernel_tier", obs::kernelTierName(flight.kernelTier));
+        w.kv("kernel_tier", kernelTierName(KernelTier(flight.kernelTier)));
         w.kv("aa_parity", std::uint64_t(flight.aaParity));
         w.endObject();
     }
@@ -240,9 +241,9 @@ int main(int argc, char** argv) {
         std::printf("    %3u block(s): %llu process(es)\n", n, (unsigned long long)procs);
     if (flight.present) {
         std::printf("  kernel tier      %s (rank %u flight dump, last step %llu%s)\n",
-                    obs::kernelTierName(flight.kernelTier), flight.rank,
+                    kernelTierName(KernelTier(flight.kernelTier)), flight.rank,
                     (unsigned long long)flight.lastStep,
-                    obs::isAaKernelTier(flight.kernelTier)
+                    isAaTier(KernelTier(flight.kernelTier))
                         ? (flight.aaParity ? ", parity odd" : ", parity even")
                         : "");
     }

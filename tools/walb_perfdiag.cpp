@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "core/KernelTier.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 #include "obs/PerfDiag.h"
@@ -225,8 +226,8 @@ int reportDumps(const std::vector<std::string>& paths) {
         const RankSummary s = summarizeRank(d);
         std::printf("%-6u %8zu %12.4f %12.4f %12.4f %12.4f %12.4f %10.2f %12.3e %8s %6s\n",
                     s.rank, s.steps, s.collide, s.pack, s.exchange, s.boundary, s.shell,
-                    s.meanMlups, s.p95, obs::kernelTierName(s.kernelTier),
-                    obs::isAaKernelTier(s.kernelTier) ? (s.lastAaParity ? "odd" : "even")
+                    s.meanMlups, s.p95, kernelTierName(KernelTier(s.kernelTier)),
+                    isAaTier(KernelTier(s.kernelTier)) ? (s.lastAaParity ? "odd" : "even")
                                                       : "-");
     }
     const auto timeline = stragglerTimeline(dumps);
@@ -283,7 +284,7 @@ int jsonDumps(const std::vector<std::string>& paths) {
         w.kv("p50_step_seconds", s.p50).kv("p95_step_seconds", s.p95);
         w.kv("p99_step_seconds", s.p99);
         w.kv("bytes_moved", s.bytes).kv("messages", s.messages);
-        w.kv("kernel_tier", obs::kernelTierName(s.kernelTier));
+        w.kv("kernel_tier", kernelTierName(KernelTier(s.kernelTier)));
         w.kv("aa_parity", std::uint64_t(s.lastAaParity));
         w.endObject();
     }
