@@ -6,11 +6,9 @@
 /// single PDF grid — half the PDF memory — with the even/odd kernels
 /// alternating by step parity.
 
-#include <cstdint>
-
 namespace walb {
 
-enum class KernelTier : std::uint8_t { Generic, D3Q19, Simd, Aa, AaSimd };
+enum class KernelTier { Generic, D3Q19, Simd, Aa, AaSimd };
 
 // The numeric values are part of the .wfr v2 flight-recorder format
 // (obs::StepSample::kernelTier) — keep stable.
