@@ -29,6 +29,7 @@
 #include "obs/Report.h"
 #include "perf/Ecm.h"
 #include "perf/Scaling.h"
+#include "sim/ChunkedRun.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/FaultyComm.h"
 #include "vmpi/ThreadComm.h"
@@ -156,7 +157,7 @@ std::vector<RunRecord> realSmallScaleRun(bool overlap) {
 
 /// Checkpoint/restart drill (activated by any --checkpoint-* / --restart-from
 /// / --stop-after / --steps flag): a 4-rank enclosed-box run under the
-/// sim::runWithCheckpoints contract. `--stop-after N` simulates a killed
+/// sim::runCheckpointed contract. `--stop-after N` simulates a killed
 /// process mid-run; a later invocation with `--restart-from` resumes from the
 /// last periodic checkpoint and must reproduce the uninterrupted run
 /// bit-exactly — the exported `state_digest` / `final_mass_bits` are the
@@ -199,8 +200,8 @@ int checkpointRun(const sim::CheckpointOptions& opt, const std::string& metricsP
         simulation.setWallVelocity({0.05, 0, 0}); // lid drive: state evolves
         std::uint64_t executed = 0;
         try {
-            executed = sim::runWithCheckpoints(simulation, opt, /*numSteps=*/30,
-                                               lbm::TRT::fromOmegaAndMagic(1.5));
+            executed = sim::runCheckpointed(simulation, opt, /*lastStep=*/30,
+                                            lbm::TRT::fromOmegaAndMagic(1.5));
         } catch (const std::runtime_error& e) {
             if (comm.rank() == 0) {
                 std::fprintf(stderr, "checkpoint run failed: %s\n", e.what());

@@ -23,6 +23,7 @@
 #include "perf/Scaling.h"
 #include "rebalance_drill.h"
 #include "recovery_drill.h"
+#include "sim/ChunkedRun.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/ThreadComm.h"
 
@@ -148,8 +149,8 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
         if (ckptOpt.any()) {
             // Checkpoint/restart contract (see sim/Checkpoint.h): restart,
             // periodic saves, simulated kill via --stop-after.
-            steps = uint_t(sim::runWithCheckpoints(simulation, ckptOpt, steps,
-                                                   lbm::TRT::fromOmegaAndMagic(1.5)));
+            steps = uint_t(sim::runCheckpointed(simulation, ckptOpt, steps,
+                                                lbm::TRT::fromOmegaAndMagic(1.5)));
         } else {
             simulation.run(steps, lbm::TRT::fromOmegaAndMagic(1.5));
         }

@@ -692,7 +692,7 @@ void BM_BlockRecordEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockRecordEncode)->Unit(benchmark::kMicrosecond);
 
-/// The matching verify + restore (applyBlockRecord) of that record.
+/// The matching verify + restore of that record.
 void BM_BlockRecordDecode(benchmark::State& state) {
     const auto setup = rowOf32Blocks(1);
     vmpi::SerialComm comm;
@@ -703,7 +703,9 @@ void BM_BlockRecordDecode(benchmark::State& state) {
     sim::appendBlockRecord(simulation, 0, buf);
     for (auto _ : state) {
         RecvBuffer rb{std::span<const std::uint8_t>(buf.data(), buf.size())};
-        if (sim::applyBlockRecord(simulation, rb) != 1) state.SkipWithError("record rejected");
+        const auto rec = sim::verifyBlockRecord(simulation, rb);
+        if (!rec) state.SkipWithError("record rejected");
+        else sim::restoreBlockRecord(simulation, *rec);
         benchmark::DoNotOptimize(simulation.pdfField(0).data());
         benchmark::ClobberMemory();
     }

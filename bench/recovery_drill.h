@@ -132,7 +132,7 @@ inline RecoveryDrillRecord runRecoveryDrill(const bf::SetupBlockForest& forest,
                 [&](std::uint64_t step) { faulty.beginStep(step); });
             recover::RecoveryManager manager(simulation, opt);
             try {
-                manager.runWithRecovery(steps, lbm::TRT::fromOmegaAndMagic(1.5));
+                manager.chunkedRun().run(steps, lbm::TRT::fromOmegaAndMagic(1.5));
             } catch (const vmpi::CommError& e) {
                 // The doomed rank's own death sentence: exit the driver
                 // quietly, the survivors carry the run to completion.
@@ -165,7 +165,7 @@ inline RecoveryDrillRecord runRecoveryDrill(const bf::SetupBlockForest& forest,
             simulation.setPreStepCallback(
                 [&](std::uint64_t step) { faulty.beginStep(step); });
             recover::RecoveryManager manager(simulation, opt);
-            manager.runWithRecovery(steps, lbm::TRT::fromOmegaAndMagic(1.5));
+            manager.chunkedRun().run(steps, lbm::TRT::fromOmegaAndMagic(1.5));
             const std::uint64_t digest = simulation.stateDigest();
             // Retries land on the rank that missed a deadline, injections on
             // the rank that sent — sum both across the (intact) world.

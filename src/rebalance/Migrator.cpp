@@ -32,6 +32,50 @@ std::uint64_t assignmentHash(const std::vector<std::uint32_t>& owner) {
 
 } // namespace
 
+std::size_t deliverBlockRecords(sim::DistributedSimulation& sim, vmpi::Comm& comm, int tag,
+                                const std::string& label, std::map<int, SendBuffer> outgoing,
+                                std::span<const std::uint8_t> local,
+                                const std::map<int, std::uint32_t>& expected) {
+    // Buffered non-blocking sends first: deadlock-free in any plan shape.
+    for (auto& [dest, msg] : outgoing) comm.send(dest, tag, msg.release());
+
+    std::vector<sim::VerifiedBlockRecord> records;
+    const auto verifyAll = [&](std::span<const std::uint8_t> view, const std::string& origin) {
+        RecvBuffer rb{view};
+        std::uint32_t count = 0;
+        while (!rb.atEnd()) {
+            std::optional<sim::VerifiedBlockRecord> rec;
+            try {
+                rec = sim::verifyBlockRecord(sim, rb);
+            } catch (const sim::CheckpointError& e) {
+                throw sim::CheckpointError(origin + ": " + e.what());
+            } catch (const BufferError& e) {
+                throw sim::CheckpointError(origin + " truncated: " + e.what());
+            }
+            if (!rec) throw sim::CheckpointError(origin + " carries a block not assigned here");
+            records.push_back(std::move(*rec));
+            ++count;
+        }
+        return count;
+    };
+    verifyAll(local, label + " stash");
+    std::vector<std::vector<std::uint8_t>> messages; // the records borrow from these
+    messages.reserve(expected.size());
+    std::size_t received = 0;
+    for (const auto& [src, count] : expected) {
+        // walb-lint: allow(blocking): sender set derived from agreed data on both sides, so the matching send exists; comm deadline bounds a lost peer
+        messages.push_back(comm.recv(src, tag));
+        received += messages.back().size();
+        const std::string origin = label + " message from rank " + std::to_string(src);
+        const std::uint32_t got = verifyAll(messages.back(), origin);
+        if (got != count)
+            throw sim::CheckpointError(origin + " carries " + std::to_string(got) +
+                                       " block(s), expected " + std::to_string(count));
+    }
+    for (const sim::VerifiedBlockRecord& rec : records) sim::restoreBlockRecord(sim, rec);
+    return received;
+}
+
 MigrationStats migrate(sim::DistributedSimulation& sim,
                        const std::vector<std::uint32_t>& newOwner) {
     Timer wall;
@@ -50,89 +94,44 @@ MigrationStats migrate(sim::DistributedSimulation& sim,
     WALB_ASSERT(hashes[0] == hashes[1],
                "migration assignment differs across ranks (collective broken)");
 
-    std::vector<std::uint32_t> oldOwner(setup.numBlocks());
-    for (std::size_t i = 0; i < setup.numBlocks(); ++i)
-        oldOwner[i] = setup.blocks()[i].process;
-
-    MigrationStats stats;
-    for (std::size_t i = 0; i < setup.numBlocks(); ++i)
-        if (oldOwner[i] != newOwner[i]) ++stats.blocksMoved;
-
     // Local block b <-> setup index: the BlockForest constructor extracts
-    // this rank's blocks in setup storage order.
+    // this rank's blocks in setup storage order. The senders of incoming
+    // blocks follow from the same owner vectors on every rank.
     const bf::BlockForest& forest = sim.forest();
+    MigrationStats stats;
     std::vector<std::size_t> setupIdxOfLocal;
-    for (std::size_t i = 0; i < setup.numBlocks(); ++i)
-        if (oldOwner[i] == myRank) setupIdxOfLocal.push_back(i);
+    std::map<int, std::uint32_t> expected; // src rank -> #blocks
+    for (std::size_t i = 0; i < setup.numBlocks(); ++i) {
+        const std::uint32_t oldOwner = setup.blocks()[i].process;
+        if (oldOwner != newOwner[i]) ++stats.blocksMoved;
+        if (oldOwner == myRank) setupIdxOfLocal.push_back(i);
+        else if (newOwner[i] == myRank) ++expected[int(oldOwner)];
+    }
     WALB_ASSERT(setupIdxOfLocal.size() == forest.numLocalBlocks(),
                 "setup assignment and local forest disagree");
 
-    // 1. Pack each departing block's record into one message per
+    // 1. Append each departing block's record to one message per
     // destination rank. 2. Stash the records of staying blocks: the rebuild
     // below re-initializes every field, and a record holds exactly the
     // slots that differ from the initializer (sim/Checkpoint.h).
-    std::map<std::uint32_t, std::uint32_t> outgoingBlocks; // dest rank -> #blocks
-    for (const std::size_t i : setupIdxOfLocal)
-        if (newOwner[i] != myRank) ++outgoingBlocks[newOwner[i]];
-    std::map<std::uint32_t, SendBuffer> outgoing; // dest rank -> message
-    for (const auto& [dest, count] : outgoingBlocks) outgoing[dest] << count;
+    std::map<int, SendBuffer> outgoing; // dest rank -> message
     SendBuffer stash;
-    std::uint32_t stashed = 0;
     for (std::size_t b = 0; b < forest.numLocalBlocks(); ++b) {
         const std::uint32_t dest = newOwner[setupIdxOfLocal[b]];
-        stashed += dest == myRank ? 1 : 0;
-        sim::appendBlockRecord(sim, b, dest == myRank ? stash : outgoing[dest]);
+        sim::appendBlockRecord(sim, b, dest == myRank ? stash : outgoing[int(dest)]);
     }
 
-    // 3. Buffered non-blocking sends — safe to post before any recv, and
-    // therefore safe to rebuild the local structure while in flight.
-    for (auto& [dest, msg] : outgoing) {
-        stats.bytesSent += msg.size();
-        comm.send(int(dest), kMigrationTag, msg.release());
-    }
-
+    // 3. The records are packed, so the structure can be rebuilt before
+    // delivery starts.
+    for (const auto& [dest, msg] : outgoing) stats.bytesSent += msg.size();
     sim.applyBlockAssignment(newOwner);
 
-    // 4. Receive incoming blocks, in ascending source-rank order (the set
-    // of senders is derived from the same owner vectors on both sides),
-    // and verify every record — stashed and received — before the first
-    // one is written into a live field: a mangled migration message throws
-    // sim::CheckpointError naming the block and both CRCs.
-    const auto verify = [&](RecvBuffer& rb, std::uint32_t count, const std::string& origin,
-                            std::vector<sim::VerifiedBlockRecord>& out) {
-        for (std::uint32_t k = 0; k < count; ++k) {
-            std::optional<sim::VerifiedBlockRecord> rec;
-            try {
-                rec = sim::verifyBlockRecord(sim, rb);
-            } catch (const sim::CheckpointError& e) {
-                throw sim::CheckpointError(origin + ": " + e.what());
-            }
-            WALB_ASSERT(rec, << origin << " carries a block not assigned here");
-            out.push_back(std::move(*rec));
-        }
-        WALB_ASSERT(rb.atEnd(), "trailing bytes in " << origin);
-    };
-    std::vector<sim::VerifiedBlockRecord> records;
-    RecvBuffer stashView{std::span<const std::uint8_t>(stash.data(), stash.size())};
-    verify(stashView, stashed, "migration stash", records);
-    std::map<std::uint32_t, std::uint32_t> expected; // src rank -> #blocks
-    for (std::size_t i = 0; i < setup.numBlocks(); ++i)
-        if (newOwner[i] == myRank && oldOwner[i] != myRank) ++expected[oldOwner[i]];
-    std::vector<std::vector<std::uint8_t>> messages; // the records borrow from these
-    messages.reserve(expected.size());
-    for (const auto& [srcRank, numBlocks] : expected) {
-        // walb-lint: allow(blocking): sender set derived from the agreed owner vectors on both sides, so the matching send exists; comm deadline bounds a lost peer
-        messages.push_back(comm.recv(int(srcRank), kMigrationTag));
-        stats.bytesReceived += messages.back().size();
-        RecvBuffer msg{std::span<const std::uint8_t>(messages.back())};
-        std::uint32_t count = 0;
-        msg >> count;
-        WALB_ASSERT(count == numBlocks, "migration message from rank "
-                                           << srcRank << " carries " << count
-                                           << " blocks, expected " << numBlocks);
-        verify(msg, count, "migration message from rank " + std::to_string(srcRank), records);
-    }
-    for (const sim::VerifiedBlockRecord& rec : records) sim::restoreBlockRecord(sim, rec);
+    // 4. Deliver: every record is verified before the first one is written
+    // into a live field.
+    stats.bytesReceived =
+        deliverBlockRecords(sim, comm, kMigrationTag, "migration", std::move(outgoing),
+                            std::span<const std::uint8_t>(stash.data(), stash.size()),
+                            expected);
 
     // 5. Ghost layers under the new neighborhood plan.
     sim.refillGhostLayers();

@@ -8,26 +8,33 @@
 /// the old/new owner vectors, so no negotiation messages are needed):
 ///   1. append each departing block's record (sim/Checkpoint.h: flags plus
 ///      the slots that differ from the initializer, CRC-protected) to one
-///      tagged message per destination rank;
+///      message per destination rank;
 ///   2. stash the records of blocks that stay local the same way;
-///   3. sends are buffered and non-blocking (vmpi contract), so the
-///      structure can be rebuilt immediately: applyBlockAssignment()
-///      replaces the BlockForest, its per-block data (re-initialized) and
-///      the BufferSystem exchange plan;
-///   4. receive the incoming messages, verify every stashed and received
-///      record, and only then restore them all — a corrupt record throws
-///      sim::CheckpointError (naming the block and both CRCs) before any
-///      live field is written;
+///   3. applyBlockAssignment() replaces the BlockForest, its per-block data
+///      (re-initialized) and the BufferSystem exchange plan;
+///   4. deliverBlockRecords() sends the messages, receives the incoming
+///      ones, verifies every stashed and received record, and only then
+///      restores them all — a corrupt record throws sim::CheckpointError
+///      (naming the block and both CRCs) before any live field is written;
 ///   5. one ghost-layer exchange re-fills the ghost layers under the new
 ///      neighborhood plan.
+///
+/// deliverBlockRecords() is also the recovery pipeline's lost-block
+/// transport (recover::RecoveryManager): one path ships block records
+/// between ranks, whoever planned the moves.
 ///
 /// checkpointDigest() (interior-only by design) is invariant across
 /// migrate(), and so is every later step: the records carry every slot
 /// that can differ from the initializer.
 
 #include <cstdint>
+#include <map>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "core/Buffer.h"
+#include "vmpi/Comm.h"
 #include "vmpi/Tags.h"
 
 namespace walb::sim {
@@ -46,6 +53,21 @@ struct MigrationStats {
     std::size_t bytesReceived = 0; ///< this rank's incoming payload bytes
     double seconds = 0.0;          ///< wall time of the whole epoch, this rank
 };
+
+/// The deliver → verify-all → apply path of every block-record transfer
+/// between ranks. Sends each `outgoing[dest]` (block records back to back)
+/// as one `tag` message, receives one message from every source rank in
+/// `expected` holding exactly that many records, verifies every record —
+/// the `local` ones and the received ones — and only then restores them
+/// all. A corrupt, truncated, miscounted or misrouted record throws
+/// sim::CheckpointError naming `label` and the record's origin before any
+/// live field is written. The caller has applied the new block assignment
+/// already and, for the AA tiers, the step the records were taken at.
+/// Returns the bytes this rank received.
+std::size_t deliverBlockRecords(sim::DistributedSimulation& sim, vmpi::Comm& comm, int tag,
+                                const std::string& label, std::map<int, SendBuffer> outgoing,
+                                std::span<const std::uint8_t> local,
+                                const std::map<int, std::uint32_t>& expected);
 
 /// Collective live migration to `newOwner` (indexed like
 /// sim.setup().blocks(); identical on every rank — asserted via an

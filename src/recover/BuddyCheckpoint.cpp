@@ -2,12 +2,16 @@
 
 #include "core/Buffer.h"
 #include "core/Debug.h"
+#include "rebalance/Migrator.h"
 #include "sim/Checkpoint.h"
 #include "sim/DistributedSimulation.h"
 
 namespace walb::recover {
 
 namespace {
+
+/// Copy header: ring rank (u32), step (u64), block count (u32).
+constexpr std::size_t kHeaderBytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
 void setError(std::string* error, const std::string& msg) {
     if (error) *error = msg;
@@ -20,7 +24,7 @@ void BuddyCheckpoint::refresh(sim::DistributedSimulation& sim, vmpi::Comm& comm,
     const int n = comm.size();
     const int me = comm.rank();
 
-    std::size_t bytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    std::size_t bytes = kHeaderBytes;
     for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b)
         bytes += sim::blockRecordBytes(sim, b);
     SendBuffer mine;
@@ -45,7 +49,6 @@ void BuddyCheckpoint::refresh(sim::DistributedSimulation& sim, vmpi::Comm& comm,
 
     step_ = step;
     ringSize_ = n;
-    ringRank_ = me;
     valid_ = true;
 }
 
@@ -55,40 +58,21 @@ bool BuddyCheckpoint::restoreOwnBlocks(sim::DistributedSimulation& sim,
         setError(error, "buddy checkpoint: no refresh to restore from");
         return false;
     }
+    // Rewind the step counter before the first record is applied: the
+    // AA-tier restore scatters PDFs by the parity of the checkpointed step.
+    // (The recovery manager's later rewind to the same step is a no-op
+    // after this.) Survivors keep their blocks across the recovery
+    // re-spread, so every record must have a local home.
+    const std::uint64_t current = sim.currentStep();
+    sim.setCurrentStep(step_);
     try {
-        RecvBuffer rb{std::span<const std::uint8_t>(selfCopy_)};
-        std::uint32_t rank = 0, numBlocks = 0;
-        std::uint64_t step = 0;
-        rb >> rank >> step >> numBlocks;
-        // Verify every record before the first one is applied.
-        std::vector<sim::VerifiedBlockRecord> records;
-        for (std::uint32_t b = 0; b < numBlocks; ++b) {
-            auto rec = sim::verifyBlockRecord(sim, rb);
-            if (!rec) {
-                // Survivors keep their blocks across the recovery re-spread;
-                // a homeless record means the assignment diverged.
-                setError(error,
-                         "buddy checkpoint self copy holds a block this rank "
-                         "no longer owns (record " +
-                             std::to_string(b) + " of " +
-                             std::to_string(numBlocks) + ")");
-                return false;
-            }
-            records.push_back(std::move(*rec));
-        }
-        // Rewind the step counter before the first record is applied: the
-        // AA-tier restore scatters PDFs by the parity of the checkpointed
-        // step. (The recovery manager's later rewind to the same step is a
-        // no-op after this.)
-        sim.setCurrentStep(step);
-        for (const auto& rec : records) sim::restoreBlockRecord(sim, rec);
+        rebalance::deliverBlockRecords(
+            sim, sim.comm(), kRestoreTag, "buddy checkpoint self copy", {},
+            std::span<const std::uint8_t>(selfCopy_).subspan(kHeaderBytes), {});
         return true;
     } catch (const sim::CheckpointError& e) {
-        setError(error, std::string("buddy checkpoint self copy: ") + e.what());
-        return false;
-    } catch (const BufferError& e) {
-        setError(error,
-                 std::string("buddy checkpoint self copy truncated: ") + e.what());
+        sim.setCurrentStep(current);
+        setError(error, e.what());
         return false;
     }
 }

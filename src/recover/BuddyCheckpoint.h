@@ -37,16 +37,17 @@ class DistributedSimulation;
 namespace walb::recover {
 
 /// Tag of the ring exchange (plain user tag: epoch-shifted automatically
-/// when the active comm is a ShrunkComm).
+/// when the active comm is a recovery epoch's SubComm).
 inline constexpr int kBuddyTag = vmpi::tags::kBuddyStore;
-/// Tag of recovery-time lost-block shipping (RecoveryManager).
+/// Tag of recovery-time lost-block shipping (RecoveryManager, through
+/// rebalance::deliverBlockRecords).
 inline constexpr int kRestoreTag = vmpi::tags::kBuddyRestore;
 
 class BuddyCheckpoint {
 public:
     /// One per-block record of a held contribution: the identity for
     /// routing plus the raw record bytes (BlockID..payload) ready to be
-    /// re-shipped and applied via sim::applyBlockRecord.
+    /// re-shipped through rebalance::deliverBlockRecords.
     struct BlockRecord {
         bf::BlockID id;
         std::vector<std::uint8_t> bytes;
@@ -63,8 +64,6 @@ public:
     std::uint64_t step() const { return step_; }
     /// Size of the ring at the last refresh (the comm's size then).
     int ringSize() const { return ringSize_; }
-    /// My rank in the refresh ring.
-    int ringRank() const { return ringRank_; }
     /// Ring rank whose contribution partnerCopy holds (-1 for a 1-rank
     /// world, which has no partner).
     int partnerRingRank() const { return partnerRank_; }
@@ -94,7 +93,6 @@ private:
     std::vector<std::uint8_t> partnerCopy_;
     std::uint64_t step_ = 0;
     int ringSize_ = 0;
-    int ringRank_ = -1;
     int partnerRank_ = -1;
     bool valid_ = false;
 };

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/Logging.h"
+#include "rebalance/Migrator.h"
 #include "rebalance/Policy.h"
 #include "sim/Checkpoint.h"
 
@@ -46,23 +47,47 @@ RecoveryOptions RecoveryOptions::fromArgs(int argc, char** argv) {
     return opt;
 }
 
-void RecoveryManager::ensureRecoverable(const vmpi::CommError& e) {
-    // My own death sentence (FaultPlan kill or agreement excommunication):
-    // get out of the survivors' way — the driver catches this and exits the
-    // rank function quietly.
-    if (isSelfDeath(e, world_.rank())) throw e;
-    if (!opt_.enabled) throw e;
-    if (int(history_.size()) >= opt_.maxRecoveries)
-        throw RecoveryError("recovery budget exhausted (" +
-                            std::to_string(opt_.maxRecoveries) +
-                            " recoveries); last failure: " + e.what());
+sim::ChunkedRun RecoveryManager::chunkedRun() {
+    WALB_ASSERT(!opt_.enabled || !sim_.healthMonitor() ||
+                    sim_.healthMonitor()->policy().checkEvery == 0,
+                "recovery mode requires the health monitor off (its "
+                "collectives hang on a dying world)");
+    const std::uint64_t every = opt_.enabled ? opt_.buddyEvery : 0;
+    if (every > 0 && !buddy_.valid()) buddy_.refresh(sim_, activeComm(), sim_.currentStep());
+    const auto boundary = [this, every](std::uint64_t step) {
+        if (every > 0 && step % every == 0) buddy_.refresh(sim_, activeComm(), step);
+        publishMetrics();
+        return true;
+    };
+    const auto rewind = [this](const vmpi::CommError& e) {
+        // A second failure surfacing inside the recovery pipeline feeds
+        // back into another recovery attempt.
+        for (vmpi::CommError cur = e;;) {
+            // Failures recovery must not absorb: my own death sentence
+            // (FaultPlan kill or agreement excommunication — the driver
+            // catches it and exits the rank function quietly), a disabled
+            // recovery mode, or an exhausted recovery budget.
+            if (isSelfDeath(cur, world_.rank()) || !opt_.enabled) throw cur;
+            if (recoveries() >= opt_.maxRecoveries)
+                throw RecoveryError("recovery budget exhausted (" +
+                                    std::to_string(opt_.maxRecoveries) +
+                                    " recoveries); last failure: " + cur.what());
+            try {
+                performRecovery(cur);
+                return;
+            } catch (const vmpi::CommError& again) {
+                cur = again;
+            }
+        }
+    };
+    return sim::ChunkedRun(sim_, every, boundary, rewind);
 }
 
 void RecoveryManager::performRecovery(const vmpi::CommError& trigger) {
     const auto t0 = std::chrono::steady_clock::now();
     RecoveryRecord rec;
     rec.failStep = sim_.currentStep();
-    rec.epoch = epoch_ + 1;
+    rec.epoch = epoch() + 1;
 
     WALB_LOG_WARNING("rank " << world_.rank() << ": step " << rec.failStep
                              << ": entering recovery epoch " << rec.epoch << " ("
@@ -77,15 +102,11 @@ void RecoveryManager::performRecovery(const vmpi::CommError& trigger) {
     vmpi::AgreementResult verdict;
     {
         obs::ScopedTrace tr(sim_.trace(), "recover-agree");
-        std::vector<std::uint8_t> suspects(deadWorld_.size(), 0);
-        if (trigger.peer >= 0 && trigger.peer < int(deadWorld_.size()))
-            suspects[std::size_t(trigger.peer)] = 1;
         vmpi::AgreementOptions aopt;
         aopt.window = opt_.agreeTimeout;
         aopt.maxAttempts = opt_.agreeMaxAttempts;
         try {
-            verdict = vmpi::agreeOnDeadRanks(world_, deadWorld_, suspects, aopt,
-                                             rec.epoch);
+            verdict = vmpi::agreeAndShrink(world_, trigger.peer, deadWorld_, aopt, rec.epoch);
         } catch (const vmpi::AgreementError& e) {
             throw RecoveryError(std::string("failure agreement failed: ") + e.what());
         }
@@ -93,7 +114,6 @@ void RecoveryManager::performRecovery(const vmpi::CommError& trigger) {
     for (std::size_t r = 0; r < verdict.dead.size(); ++r)
         if (verdict.dead[r] && !deadWorld_[r]) rec.deadWorldRanks.push_back(int(r));
     deadWorld_ = verdict.dead;
-
     std::vector<int> survivors;
     for (std::size_t r = 0; r < deadWorld_.size(); ++r)
         if (!deadWorld_[r]) survivors.push_back(int(r));
@@ -107,13 +127,13 @@ void RecoveryManager::performRecovery(const vmpi::CommError& trigger) {
     // Even a verdict with no *new* deaths shrinks to a fresh epoch: the
     // abandoned time step may have left half-delivered ghost messages in the
     // mailboxes, and the epoch's tag band is what isolates them.
-    const std::vector<int> prevRing = prevSurvivors_;
+    std::vector<int> prevRing(std::size_t(activeComm().size())); // failed epoch -> world
+    for (std::size_t r = 0; r < prevRing.size(); ++r)
+        prevRing[r] = epochs_.empty() ? int(r) : epochs_.back()->parentRank(int(r));
     {
         obs::ScopedTrace tr(sim_.trace(), "recover-shrink");
-        epochs_.push_back(
-            std::make_unique<vmpi::ShrunkComm>(world_, survivors, ++epoch_));
+        epochs_.push_back(std::make_unique<vmpi::SubComm>(world_, survivors, rec.epoch));
         sim_.rebindComm(*epochs_.back());
-        prevSurvivors_ = survivors;
     }
 
     // ---- restore: re-spread the orphans, rebuild, refill the state ---------
@@ -140,12 +160,10 @@ void RecoveryManager::performRecovery(const vmpi::CommError& trigger) {
         const std::vector<std::uint32_t> ownerWorldNew =
             rebalance::spreadLostBlocks(sim_.setup(), ownerWorldOld, weights,
                                         deadWorld_);
-        for (std::size_t i = 0; i < blocks.size(); ++i)
-            if (deadWorld_[ownerWorldOld[i]]) ++rec.lostBlocks;
-
         std::vector<std::uint32_t> assignment(blocks.size());
         for (std::size_t i = 0; i < blocks.size(); ++i) {
-            const int newRank = epochs_.back()->newRankOf(int(ownerWorldNew[i]));
+            if (deadWorld_[ownerWorldOld[i]]) ++rec.lostBlocks;
+            const int newRank = epochs_.back()->subRankOf(int(ownerWorldNew[i]));
             WALB_ASSERT(newRank >= 0, "spread assigned a block to dead rank "
                                           << ownerWorldNew[i]);
             assignment[i] = std::uint32_t(newRank);
@@ -212,15 +230,18 @@ bool RecoveryManager::restoreFromBuddy(const std::vector<std::uint32_t>& ownerWo
         return false;
     }
 
-    vmpi::ShrunkComm& comm = *epochs_.back();
+    vmpi::SubComm& comm = *epochs_.back();
     const auto& blocks = sim_.setup().blocks();
     const int nPrev = int(prevRing.size());
 
     // Deterministic shipping plan, computed identically on every survivor:
     // each lost block is held by its dead owner's ring successor at the
     // last refresh and travels to the survivor the spread assigned it to.
-    // One message per (holder, destination) pair.
-    std::map<std::pair<int, int>, std::vector<std::size_t>> plan;
+    struct Move {
+        std::size_t block;
+        int holder, dest; // epoch ranks
+    };
+    std::vector<Move> moves;
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         const int ownWorld = int(ownerWorldOld[i]);
         if (!deadWorld_[std::size_t(ownWorld)]) continue;
@@ -230,104 +251,57 @@ bool RecoveryManager::restoreFromBuddy(const std::vector<std::uint32_t>& ownerWo
                    " was not part of the buddy refresh ring";
             return false;
         }
-        const int holderPrev = int(it - prevRing.begin() + 1) % nPrev;
-        const int holderWorld = prevRing[std::size_t(holderPrev)];
+        const int holderWorld = prevRing[std::size_t(int(it - prevRing.begin() + 1) % nPrev)];
         if (deadWorld_[std::size_t(holderWorld)]) {
             *why = "rank " + std::to_string(ownWorld) + " and its buddy " +
                    std::to_string(holderWorld) +
                    " died within one refresh interval";
             return false;
         }
-        const int holderNew = comm.newRankOf(holderWorld);
-        const int destNew = comm.newRankOf(int(ownerWorldNew[i]));
-        WALB_ASSERT(holderNew >= 0 && destNew >= 0, "ship plan names a dead rank");
-        plan[{holderNew, destNew}].push_back(i);
+        moves.push_back({i, comm.subRankOf(holderWorld),
+                         comm.subRankOf(int(ownerWorldNew[i]))});
+        WALB_ASSERT(moves.back().holder >= 0 && moves.back().dest >= 0,
+                    "ship plan names a dead rank");
     }
 
     // From here on the buddy path is committed on every survivor alike; any
     // local failure is a hard RecoveryError, never a divergent fallback.
+    const auto fail = [&](const std::string& what) {
+        return RecoveryError("rank " + std::to_string(world_.rank()) + ": " + what);
+    };
     std::string err;
-    if (!buddy_.restoreOwnBlocks(sim_, &err))
-        throw RecoveryError("rank " + std::to_string(world_.rank()) + ": " + err);
-    if (plan.empty()) return true;
+    if (!buddy_.restoreOwnBlocks(sim_, &err)) throw fail(err);
 
+    // Holders route the partner copy's records, one message per
+    // destination; the rest of the lost-block path is migration's.
     const int me = comm.rank();
-
-    // When I am a holder: index my held partner records by BlockID.
-    std::vector<BuddyCheckpoint::BlockRecord> records;
+    std::vector<BuddyCheckpoint::BlockRecord> held;
     std::map<bf::BlockID, const BuddyCheckpoint::BlockRecord*> byId;
-    bool amHolder = false;
-    for (const auto& [key, idxs] : plan) amHolder |= key.first == me;
-    if (amHolder) {
-        if (!buddy_.partnerBlocks(records, &err))
-            throw RecoveryError("rank " + std::to_string(world_.rank()) + ": " + err);
-        for (const auto& r : records)
-            byId[r.id] = &r;
-    }
-    auto recordFor = [&](std::size_t i) -> const BuddyCheckpoint::BlockRecord* {
-        const auto it = byId.find(blocks[i].id);
-        return it == byId.end() ? nullptr : it->second;
-    };
-    auto applyRecord = [&](const BuddyCheckpoint::BlockRecord& r) {
-        RecvBuffer rb{std::span<const std::uint8_t>(r.bytes)};
-        std::string recordError;
-        if (sim::applyBlockRecord(sim_, rb, &recordError) != 1)
-            throw RecoveryError("rank " + std::to_string(world_.rank()) +
-                                ": shipped block record failed to apply: " +
-                                recordError);
-    };
-
-    // Ship: sends are buffered and non-blocking, so post them all first,
-    // then drain the receives — deadlock-free in any plan shape.
-    for (const auto& [key, idxs] : plan) {
-        if (key.first != me) continue;
-        if (key.second == me) {
-            for (std::size_t i : idxs) {
-                const auto* r = recordFor(i);
-                if (!r)
-                    throw RecoveryError("buddy copy of rank " +
-                                        std::to_string(buddy_.partnerRingRank()) +
-                                        " lacks a block the spread expects");
-                applyRecord(*r);
-            }
+    std::map<int, SendBuffer> outgoing;
+    SendBuffer local;
+    std::map<int, std::uint32_t> expected;
+    for (const Move& m : moves) {
+        if (m.holder != me) {
+            if (m.dest == me) ++expected[m.holder];
             continue;
         }
-        SendBuffer sb;
-        sb << std::uint32_t(idxs.size());
-        for (std::size_t i : idxs) {
-            const auto* r = recordFor(i);
-            if (!r)
-                throw RecoveryError("buddy copy of rank " +
-                                    std::to_string(buddy_.partnerRingRank()) +
-                                    " lacks a block the spread expects");
-            sb.putBytes(r->bytes.data(), r->bytes.size());
+        if (held.empty()) {
+            if (!buddy_.partnerBlocks(held, &err)) throw fail(err);
+            for (const auto& r : held) byId[r.id] = &r;
         }
-        comm.send(key.second, kRestoreTag, sb.release());
+        const auto it = byId.find(blocks[m.block].id);
+        if (it == byId.end())
+            throw fail("buddy copy of rank " + std::to_string(buddy_.partnerRingRank()) +
+                       " lacks a block the spread expects");
+        const auto& bytes = it->second->bytes;
+        (m.dest == me ? local : outgoing[m.dest]).putBytes(bytes.data(), bytes.size());
     }
-    for (const auto& [key, idxs] : plan) {
-        if (key.second != me || key.first == me) continue;
-        try {
-            // walb-lint: allow(blocking): restore plan is agreed collectively, so the matching send exists; the recovery comm carries a deadline
-            RecvBuffer rb(comm.recv(key.first, kRestoreTag));
-            std::uint32_t count = 0;
-            rb >> count;
-            if (count != idxs.size())
-                throw RecoveryError("restore message from rank " +
-                                    std::to_string(key.first) + " carries " +
-                                    std::to_string(count) + " block(s), expected " +
-                                    std::to_string(idxs.size()));
-            for (std::uint32_t c = 0; c < count; ++c) {
-                std::string recordError;
-                if (sim::applyBlockRecord(sim_, rb, &recordError) != 1)
-                    throw RecoveryError("rank " + std::to_string(world_.rank()) +
-                                        ": shipped block record failed to apply: " +
-                                        recordError);
-            }
-        } catch (const BufferError& e) {
-            throw RecoveryError("restore message from rank " +
-                                std::to_string(key.first) +
-                                " truncated: " + e.what());
-        }
+    try {
+        rebalance::deliverBlockRecords(
+            sim_, comm, kRestoreTag, "buddy restore", std::move(outgoing),
+            std::span<const std::uint8_t>(local.data(), local.size()), expected);
+    } catch (const sim::CheckpointError& e) {
+        throw fail(e.what());
     }
     return true;
 }
@@ -340,7 +314,7 @@ void RecoveryManager::publishMetrics() {
     int deadTotal = 0;
     for (std::uint8_t d : deadWorld_) deadTotal += d;
     m.gauge("recover.dead_ranks").set(double(deadTotal));
-    m.gauge("recover.epoch").set(double(epoch_));
+    m.gauge("recover.epoch").set(double(epoch()));
     if (auto* rc = dynamic_cast<vmpi::ReliableComm*>(&world_)) {
         m.gauge("recover.retries").set(double(rc->retries()));
         m.gauge("recover.resends").set(double(rc->resends()));

@@ -8,7 +8,8 @@
 ///   1. agree   — ULFM-style failure agreement (vmpi/Agreement.h): every
 ///                survivor reaches the identical verdict on who is dead,
 ///                using point-to-point polling only;
-///   2. shrink  — a ShrunkComm presents the survivors as a fresh, densely
+///   2. shrink  — a SubComm of the survivors (its generation is the
+///                recovery epoch) presents them as a fresh, densely
 ///                renumbered world with all collectives rebuilt on p2p and
 ///                the whole epoch isolated in its own tag band;
 ///   3. restore — the dead ranks' blocks are re-spread over the survivors
@@ -17,8 +18,10 @@
 ///                in-memory buddy checkpoint: every survivor rewinds its own
 ///                blocks from its self copy, and each dead rank's blocks are
 ///                shipped from the dead rank's ring buddy to their new
-///                owners (falling back to the last disk checkpoint only when
-///                a rank *and* its buddy died inside one refresh interval);
+///                owners through rebalance::deliverBlockRecords, the
+///                migration transport (falling back to the last disk
+///                checkpoint only when a rank *and* its buddy died inside
+///                one refresh interval);
 ///   4. rewind  — the step counter returns to the buddy-refresh step, the
 ///                ghost layers are refilled, the error dump is re-armed and
 ///                a fresh buddy checkpoint is taken on the new ring.
@@ -27,9 +30,13 @@
 /// block records (sim/Checkpoint.h), so a kill-and-heal run reaches the same
 /// checkpointDigest as an uninterrupted run of the same step count.
 ///
+/// Steps 1 and 2 are vmpi::agreeAndShrink(), which runs over any Comm:
+/// the serve scheduler applies it to a job's gang SubComm, and the gang is
+/// then requeued from its disk checkpoint instead of restored in place.
+///
 /// Constraints: the health monitor and straggler detection must be off
 /// (their collectives run on the *unshrunken* world while a rank is dying
-/// and would hang in ThreadComm's full-world barrier); runWithRecovery
+/// and would hang in ThreadComm's full-world barrier); chunkedRun()
 /// asserts this. Observability: phases emit `recover-agree` /
 /// `recover-shrink` / `recover-restore` / `recover-rewind` trace markers,
 /// the flight recorder dumps at the failure moment (the simulation's
@@ -44,10 +51,11 @@
 #include "core/Debug.h"
 #include "obs/Trace.h"
 #include "recover/BuddyCheckpoint.h"
+#include "sim/ChunkedRun.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/Agreement.h"
 #include "vmpi/ReliableComm.h"
-#include "vmpi/ShrunkComm.h"
+#include "vmpi/SubComm.h"
 
 namespace walb::recover {
 
@@ -91,19 +99,15 @@ struct RecoveryRecord {
 class RecoveryManager {
 public:
     /// Takes the simulation's *current* comm as the immutable world handle:
-    /// every ShrunkComm epoch wraps it directly. When it is a ReliableComm,
+    /// every epoch's SubComm wraps it directly. When it is a ReliableComm,
     /// publishMetrics() also exports the transient-fault counters.
     RecoveryManager(sim::DistributedSimulation& sim, RecoveryOptions opt)
         : sim_(sim), world_(sim.comm()), opt_(opt),
-          deadWorld_(std::size_t(world_.size()), 0) {
-        prevSurvivors_.resize(std::size_t(world_.size()));
-        for (int r = 0; r < world_.size(); ++r)
-            prevSurvivors_[std::size_t(r)] = r;
-    }
+          deadWorld_(std::size_t(world_.size()), 0) {}
 
     /// Rebinds the simulation back to the original world comm so the
-    /// simulation never outlives the comm it points at (the ShrunkComm
-    /// epochs die with this manager).
+    /// simulation never outlives the comm it points at (the epoch
+    /// SubComms die with this manager).
     ~RecoveryManager() {
         if (!epochs_.empty()) sim_.rebindComm(world_);
     }
@@ -113,11 +117,11 @@ public:
 
     const RecoveryOptions& options() const { return opt_; }
     int recoveries() const { return int(history_.size()); }
-    int epoch() const { return epoch_; }
+    int epoch() const { return int(epochs_.size()); }
     const std::vector<RecoveryRecord>& history() const { return history_; }
     BuddyCheckpoint& buddy() { return buddy_; }
-    /// The comm the simulation currently steps on: the latest ShrunkComm,
-    /// or the original world before the first recovery.
+    /// The comm the simulation currently steps on: the latest epoch's
+    /// SubComm, or the original world before the first recovery.
     vmpi::Comm& activeComm() {
         return epochs_.empty() ? world_ : *epochs_.back();
     }
@@ -127,62 +131,25 @@ public:
         return e.kind == vmpi::CommError::Kind::RankKilled && e.peer == myWorldRank;
     }
 
-    /// Drives `sim.run(numSteps, op)` chunked to buddy-checkpoint
-    /// boundaries, healing escalated communication failures in flight.
-    /// Throws RecoveryError when the world cannot be healed, and rethrows
+    /// The recovery use of sim::ChunkedRun: chunks end at multiples of
+    /// `buddyEvery`, where the boundary refreshes the buddy copy and
+    /// publishes the recover.* gauges, and the rewind hook heals a
+    /// CommError in flight before the loop resumes from the rewound step.
+    /// Takes the first buddy copy (collective); the returned loop must not
+    /// outlive this manager. Its run() throws
+    /// RecoveryError when the world cannot be healed and rethrows
     /// CommError{RankKilled, self} so a dead rank's driver can exit — the
-    /// survivors complete the full step count regardless.
-    template <typename Op>
-    void runWithRecovery(uint_t numSteps, const Op& op) {
-        WALB_ASSERT(!opt_.enabled || !sim_.healthMonitor() ||
-                        sim_.healthMonitor()->policy().checkEvery == 0,
-                    "recovery mode requires the health monitor off (its "
-                    "collectives hang on a dying world)");
-        const std::uint64_t target = sim_.currentStep() + numSteps;
-        if (opt_.enabled && opt_.buddyEvery > 0 && !buddy_.valid())
-            buddy_.refresh(sim_, activeComm(), sim_.currentStep());
-        while (sim_.currentStep() < target) {
-            std::uint64_t next = target;
-            if (opt_.enabled && opt_.buddyEvery > 0) {
-                const std::uint64_t boundary =
-                    (sim_.currentStep() / opt_.buddyEvery + 1) * opt_.buddyEvery;
-                next = std::min(next, boundary);
-            }
-            try {
-                sim_.run(uint_t(next - sim_.currentStep()), op);
-                if (opt_.enabled && opt_.buddyEvery > 0 &&
-                    sim_.currentStep() % opt_.buddyEvery == 0)
-                    buddy_.refresh(sim_, activeComm(), sim_.currentStep());
-            } catch (const vmpi::CommError& e) {
-                // Heal, then continue the while loop from the rewound step.
-                // A *second* failure surfacing inside the recovery pipeline
-                // feeds back into another recovery attempt.
-                vmpi::CommError cur = e;
-                for (;;) {
-                    ensureRecoverable(cur);
-                    try {
-                        performRecovery(cur);
-                        break;
-                    } catch (const vmpi::CommError& e2) {
-                        cur = e2;
-                    }
-                }
-            }
-        }
-        publishMetrics();
-    }
+    /// survivors reach the target regardless.
+    sim::ChunkedRun chunkedRun();
 
     /// Exports the `recover.*` gauges into the simulation's metrics
     /// registry (attempts, seconds, lost_blocks, dead_ranks, epoch, and —
     /// when the world comm is a ReliableComm — retries, resends,
-    /// backoff_seconds). Called by runWithRecovery; callable any time.
+    /// backoff_seconds). Called at every chunkedRun() boundary and after
+    /// each recovery; callable any time.
     void publishMetrics();
 
 private:
-    /// Rethrows failures recovery must not absorb: this rank's own death
-    /// sentence, a disabled recovery mode, or an exhausted recovery budget.
-    void ensureRecoverable(const vmpi::CommError& e);
-
     /// The agree → shrink → restore → rewind pipeline (see file comment).
     void performRecovery(const vmpi::CommError& trigger);
 
@@ -197,10 +164,8 @@ private:
     vmpi::Comm& world_;
     RecoveryOptions opt_;
     BuddyCheckpoint buddy_;
-    std::vector<std::unique_ptr<vmpi::ShrunkComm>> epochs_;
-    int epoch_ = 0;
+    std::vector<std::unique_ptr<vmpi::SubComm>> epochs_;
     std::vector<std::uint8_t> deadWorld_; ///< cumulative verdict, world space
-    std::vector<int> prevSurvivors_;      ///< current epoch rank -> world rank
     std::vector<RecoveryRecord> history_;
     double totalSeconds_ = 0.0;
     int totalLostBlocks_ = 0;

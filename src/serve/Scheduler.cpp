@@ -8,9 +8,9 @@
 #include "core/Logging.h"
 #include "core/Timer.h"
 #include "obs/PerfDiag.h"
-#include "recover/GangRecovery.h"
 #include "recover/RecoveryManager.h"
 #include "serve/Scenario.h"
+#include "sim/ChunkedRun.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/SubComm.h"
 #include "vmpi/Tags.h"
@@ -94,31 +94,25 @@ std::string checkpointPath(const ServeOptions& opt, std::uint64_t jobId) {
 
 // ---- one job attempt on a gang ---------------------------------------------
 
-struct JobOutcome {
-    enum class Kind { Completed, Preempted, Failed, SelfDead };
-    Kind kind = Kind::Completed;
-    std::uint64_t step = 0;
-    std::uint64_t digest = 0;
-    bool hasCheckpoint = false;
-    std::uint64_t checkpointStep = 0;
-    double cellSeconds = 0;
-    std::vector<int> survivors; ///< Failed: pool ranks still alive
-};
-
 /// Runs one attempt of `spec` on the gang, all members calling in. The
-/// per-attempt SubComm generation isolates this attempt's traffic; the
-/// leader (sub rank 0) polls the dispatcher between chunks and broadcasts
-/// the continue/preempt word so every member stops at the same step.
-JobOutcome runJob(vmpi::Comm& pool, const std::vector<int>& members, int generation,
-                  const JobSpec& spec, bool resume, const ServeOptions& opt,
-                  std::uint64_t& cumStep) {
-    JobOutcome out;
+/// per-attempt SubComm generation isolates this attempt's traffic. The
+/// serve use of sim::ChunkedRun: at each chunk end the leader (sub rank 0)
+/// polls the dispatcher and broadcasts the continue/preempt word, so every
+/// member stops at the same step; the boundary saves the job's checkpoint
+/// every `checkpointEvery` steps and on preemption. The completed state is
+/// saved once more as the checkpoint of record. Returns the attempt's
+/// event (Failed carries the surviving pool ranks), or nullopt when this
+/// rank is dead and must stop serving.
+std::optional<EventMsg> runJob(vmpi::Comm& pool, const std::vector<int>& members,
+                               int generation, const JobSpec& spec, bool resume,
+                               const ServeOptions& opt, std::uint64_t& cumStep) {
+    EventMsg out;
+    out.jobId = spec.id;
     vmpi::SubComm sub(pool, members, generation);
     sub.setRecvDeadline(opt.recvDeadline);
     const std::string ckpt = checkpointPath(opt, spec.id);
     std::optional<sim::DistributedSimulation> sim;
-    sim::ResumableRunResult progress;
-    bool resumed = false;
+    std::optional<sim::ChunkedRun> run;
     try {
         const auto setup = makeScenarioSetup(spec, std::uint32_t(sub.size()));
         const auto flags = scenarioFlags(spec);
@@ -136,7 +130,7 @@ JobOutcome runJob(vmpi::Comm& pool, const std::vector<int>& members, int generat
         if (resume) {
             std::string err;
             if (sim->loadCheckpoint(ckpt, &err)) {
-                resumed = true;
+                out.hasCheckpoint = true;
             } else {
                 // Torn/corrupt checkpoint (e.g. the previous attempt died
                 // mid-save): rebuild pristine and rerun from step 0 — the
@@ -146,39 +140,43 @@ JobOutcome runJob(vmpi::Comm& pool, const std::vector<int>& members, int generat
                 makeSim();
             }
         }
+        out.checkpointStep = sim->currentStep();
         const lbm::TRT op = scenarioCollision(spec);
         const std::uint64_t fluid = sim->globalFluidCells();
         Timer timer;
         timer.start();
-        const auto control = [&](std::uint64_t) -> sim::ChunkControl {
-            std::uint8_t word = 0;
-            if (sub.rank() == 0) {
-                std::vector<std::uint8_t> raw;
-                while (pool.tryRecv(kDispatcher, vmpi::tags::kServeCtrl, raw)) {
-                    const CtrlMsg c = decodeCtrl(std::move(raw));
-                    raw.clear();
-                    // Only a Preempt for THIS job counts; anything else is
-                    // a stale frame from an earlier attempt — dropped.
-                    if (c.kind == CtrlKind::Preempt && c.jobId == spec.id) word = 1;
-                }
-                for (int r = 1; r < sub.size(); ++r)
-                    sub.send(r, vmpi::tags::kServeChunkWord, {word});
-            } else {
-                const auto w = sub.recv(0, vmpi::tags::kServeChunkWord);
-                word = w.empty() ? std::uint8_t(0) : w[0];
+        const auto boundary = [&](std::uint64_t step) {
+            std::vector<std::uint8_t> word{0};
+            std::vector<std::uint8_t> raw;
+            while (sub.rank() == 0 && pool.tryRecv(kDispatcher, vmpi::tags::kServeCtrl, raw)) {
+                const CtrlMsg c = decodeCtrl(std::move(raw));
+                raw.clear();
+                // Only a Preempt for THIS job counts; anything else is a
+                // stale frame from an earlier attempt — dropped.
+                if (c.kind == CtrlKind::Preempt && c.jobId == spec.id) word[0] = 1;
             }
-            return word != 0 ? sim::ChunkControl::Preempt : sim::ChunkControl::Continue;
+            sub.broadcast(word, 0);
+            if (step >= spec.steps) return true; // done: the final save follows
+            const bool preempt = !word.empty() && word[0] != 0;
+            if (preempt || (opt.checkpointEvery > 0 && step % opt.checkpointEvery == 0)) {
+                std::string err;
+                if (!sim->saveCheckpoint(ckpt, &err)) {
+                    WALB_LOG_ERROR("job " << spec.id << ": checkpoint to '" << ckpt
+                                          << "' failed: " << err);
+                } else {
+                    out.hasCheckpoint = true;
+                    out.checkpointStep = step;
+                }
+            }
+            return !preempt;
         };
-        const auto res = sim::runResumableChunks(*sim, ckpt, spec.steps,
-                                                 opt.checkpointEvery, opt.chunkSteps,
-                                                 op, control, &progress);
+        run.emplace(*sim, opt.chunkSteps, boundary);
+        const bool finished = run->run(spec.steps, op);
         timer.stop();
-        out.step = res.step;
-        out.hasCheckpoint = res.hasCheckpoint || resumed;
-        out.checkpointStep = res.checkpointStep;
+        out.step = run->boundaryStep;
         out.cellSeconds = double(fluid) * timer.total();
-        if (res.preempted) {
-            out.kind = JobOutcome::Kind::Preempted;
+        if (!finished) {
+            out.kind = EventKind::Preempted;
             return out;
         }
         out.digest = sim->stateDigest();
@@ -189,24 +187,35 @@ JobOutcome runJob(vmpi::Comm& pool, const std::vector<int>& members, int generat
             WALB_LOG_ERROR("job " << spec.id << ": final checkpoint failed: " << err);
         out.hasCheckpoint = true;
         out.checkpointStep = out.step;
-        out.kind = JobOutcome::Kind::Completed;
+        out.kind = EventKind::Done;
         return out;
     } catch (const vmpi::CommError& e) {
         if (sim) sim->abortGhostExchange();
-        out.step = progress.step;
-        out.hasCheckpoint = progress.hasCheckpoint || resumed;
-        out.checkpointStep = progress.checkpointStep;
-        if (recover::RecoveryManager::isSelfDeath(e, pool.rank())) {
-            out.kind = JobOutcome::Kind::SelfDead;
-            return out;
+        if (run) out.step = run->boundaryStep;
+        if (recover::RecoveryManager::isSelfDeath(e, pool.rank())) return std::nullopt;
+        // Epoch 0 is safe even across repeated gang failures: the gang
+        // SubComm's per-attempt generation shift already isolates this
+        // agreement's gossip from every other attempt's.
+        try {
+            const vmpi::AgreementResult verdict = vmpi::agreeAndShrink(
+                sub, sub.subRankOf(e.peer), {}, opt.agreement, /*epoch=*/0);
+            for (int r = 0; r < sub.size(); ++r)
+                if (!verdict.dead[std::size_t(r)]) out.members.push_back(sub.parentRank(r));
+        } catch (const vmpi::CommError& excommunicated) {
+            if (!recover::RecoveryManager::isSelfDeath(excommunicated, sub.rank())) throw;
+            WALB_LOG_ERROR("gang agreement excommunicated this rank (pool rank "
+                           << pool.rank() << "): " << excommunicated.what());
+            return std::nullopt;
+        } catch (const vmpi::AgreementError& lonely) {
+            // "Heard nobody, would bury everyone" — the agreement refuses to
+            // trust this rank's own connectivity. Stop serving: wedging the
+            // whole pool on an unkillable exception is the one unacceptable
+            // outcome, and the dispatcher requeues the job either way.
+            WALB_LOG_ERROR("gang agreement gave up on pool rank " << pool.rank() << ": "
+                                                                  << lonely.what());
+            return std::nullopt;
         }
-        const auto verdict = recover::recoverGang(sub, e, opt.agreement);
-        if (verdict.selfDead) {
-            out.kind = JobOutcome::Kind::SelfDead;
-            return out;
-        }
-        out.kind = JobOutcome::Kind::Failed;
-        out.survivors = verdict.survivors;
+        out.kind = EventKind::Failed;
         return out;
     }
 }
@@ -276,37 +285,15 @@ void Scheduler::work(vmpi::Comm& pool, const ServeOptions& opt) {
             members.assign(msg.members.begin(), msg.members.end());
             generation = msg.generation;
         }
-        const JobOutcome out = runJob(pool, members, generation, msg.spec,
-                                      msg.resume, opt, cumStep);
-        EventMsg ev;
-        ev.jobId = msg.spec.id;
-        ev.gangId = myGang;
-        ev.step = out.step;
-        ev.digest = out.digest;
-        ev.hasCheckpoint = out.hasCheckpoint;
-        ev.checkpointStep = out.checkpointStep;
-        ev.cellSeconds = out.cellSeconds;
-        switch (out.kind) {
-            case JobOutcome::Kind::SelfDead:
-                return; // this rank is dead: stop serving, peers shrink around it
-            case JobOutcome::Kind::Completed:
-                ev.kind = EventKind::Done;
-                if (leader) pool.send(kDispatcher, vmpi::tags::kServeEvent, encodeEvent(ev));
-                break;
-            case JobOutcome::Kind::Preempted:
-                ev.kind = EventKind::Preempted;
-                if (leader) pool.send(kDispatcher, vmpi::tags::kServeEvent, encodeEvent(ev));
-                break;
-            case JobOutcome::Kind::Failed: {
-                members = out.survivors;
-                ev.kind = EventKind::Failed;
-                ev.members.assign(members.begin(), members.end());
-                // The NEW leader reports — the old one may be the corpse.
-                if (pool.rank() == members.front())
-                    pool.send(kDispatcher, vmpi::tags::kServeEvent, encodeEvent(ev));
-                break;
-            }
-        }
+        std::optional<EventMsg> ev =
+            runJob(pool, members, generation, msg.spec, msg.resume, opt, cumStep);
+        if (!ev) return; // this rank is dead: stop serving, peers shrink around it
+        ev->gangId = myGang;
+        // After a failure the NEW leader reports — the old one may be the
+        // corpse.
+        if (ev->kind == EventKind::Failed) members.assign(ev->members.begin(), ev->members.end());
+        if (pool.rank() == members.front())
+            pool.send(kDispatcher, vmpi::tags::kServeEvent, encodeEvent(*ev));
     }
 }
 
@@ -510,13 +497,13 @@ ServeReport Scheduler::runInline(vmpi::Comm& pool, const ServeOptions& opt,
         const auto id = queue.claim(queue.completedCount());
         WALB_ASSERT(id, "inline serve stalled with jobs still queued");
         JobRecord& rec = queue.record(*id);
-        const JobOutcome out = runJob(pool, self, ++generation, rec.spec,
-                                      rec.hasCheckpoint, opt, cumStep);
-        WALB_ASSERT(out.kind == JobOutcome::Kind::Completed,
+        const std::optional<EventMsg> out = runJob(pool, self, ++generation, rec.spec,
+                                                   rec.hasCheckpoint, opt, cumStep);
+        WALB_ASSERT(out && out->kind == EventKind::Done,
                     "inline job " << *id << " did not complete");
-        rec.cellSeconds += out.cellSeconds;
+        rec.cellSeconds += out->cellSeconds;
         rec.hasCheckpoint = true;
-        queue.complete(*id, out.digest, out.step);
+        queue.complete(*id, out->digest, out->step);
         auto& stats = report.tenants[rec.spec.tenant];
         ++stats.jobs;
         stats.cellSeconds += rec.cellSeconds;

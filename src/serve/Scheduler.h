@@ -22,14 +22,15 @@
 /// reports, carrying the survivor list so the dispatcher can update its
 /// gang map and requeue the job from its last checkpoint.
 ///
-/// Preemption is checkpoint-backed and chunk-aligned: the leader polls for
-/// a Preempt verdict between step chunks and broadcasts a continue/preempt
-/// word to the gang (kServeChunkWord over the job SubComm), so every
-/// member stops at the identical step, writes the collective checkpoint,
-/// and the job resumes later — on any gang, at any size — bit-exactly.
+/// Preemption is checkpoint-backed and chunk-aligned: a job attempt is a
+/// sim::ChunkedRun whose boundary callable has the leader poll for a
+/// Preempt verdict and broadcast a continue/preempt word to the gang (over
+/// the job SubComm), so every member stops at the identical step, writes the collective checkpoint, and the job resumes
+/// later — on any gang, at any size — bit-exactly.
 ///
-/// Failure handling is gang-scoped (recover::recoverGang): survivors agree
-/// on the dead, shrink the gang, and the job is requeued. A gang whose
+/// Failure handling is gang-scoped: the survivors run the recovery
+/// pipeline's agree-and-shrink (vmpi::agreeAndShrink) over the gang
+/// SubComm, and the job is requeued. A gang whose
 /// every member dies cannot report — keep gangs ≥ 2 ranks when injecting
 /// faults, or accept that such jobs need an external watchdog.
 

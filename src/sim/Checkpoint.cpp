@@ -363,18 +363,6 @@ void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& r
     }
 }
 
-int applyBlockRecord(DistributedSimulation& sim, RecvBuffer& rb, std::string* error) {
-    try {
-        const auto rec = verifyBlockRecord(sim, rb);
-        if (!rec) return 0;
-        restoreBlockRecord(sim, *rec);
-        return 1;
-    } catch (const CheckpointError& e) {
-        setError(error, e.what());
-        return -1;
-    }
-}
-
 // ---- the file ----------------------------------------------------------------
 
 bool checkpointSave(DistributedSimulation& sim, const std::string& path,

@@ -185,13 +185,6 @@ std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
 /// parity, so the caller restores the step counter first.
 void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& rec);
 
-/// verifyBlockRecord + restoreBlockRecord. Returns +1 applied, 0 skipped
-/// (block owned elsewhere), -1 failure — on failure `error` holds the
-/// CheckpointError message. May throw BufferError on a truncated record
-/// (callers wrap the whole stream parse).
-int applyBlockRecord(DistributedSimulation& sim, RecvBuffer& rb,
-                     std::string* error = nullptr);
-
 /// Collective: order-independent fingerprint of the physical PDF state
 /// (sum over blocks of each block's interior-cell CRC32, allreduced).
 /// Interior cells are the complete physical state — ghost slots are

@@ -485,8 +485,8 @@ public:
     vmpi::Comm& comm() { return *comm_; }
 
     /// Swaps the communicator under a live simulation — the recovery shrink
-    /// (walb::recover): after a rank failure the survivors rebind to their
-    /// ShrunkComm and carry on. Moves the last-breath error observer to the
+    /// (walb::recover): after a rank failure the survivors rebind to the
+    /// SubComm of the agreed survivors and carry on. Moves the last-breath error observer to the
     /// new comm. The caller MUST follow up with applyBlockAssignment()
     /// (which rebuilds the ghost-exchange BufferSystem on the new comm)
     /// before the next step or collective.
@@ -1280,128 +1280,5 @@ private:
     double perfReferenceMlups_ = 0.0;
     std::chrono::microseconds sweepThrottle_{0};
 };
-
-/// Drives a simulation under the CheckpointOptions command-line contract:
-/// optionally restarts from `opt.restartFrom`, then advances to `numSteps`
-/// total steps (or `opt.steps` when given), saving a checkpoint every
-/// `opt.every` steps and at the end, and stopping early after
-/// `opt.stopAfter` steps (simulated process death — no final checkpoint
-/// beyond the last periodic one). Returns the number of steps executed in
-/// this process. Throws std::runtime_error if a requested restart file
-/// cannot be loaded.
-template <typename Op>
-std::uint64_t runWithCheckpoints(DistributedSimulation& sim, const CheckpointOptions& opt,
-                                 uint_t numSteps, const Op& op) {
-    if (opt.steps > 0) numSteps = uint_t(opt.steps);
-    if (!opt.restartFrom.empty()) {
-        std::string err;
-        if (!sim.loadCheckpoint(opt.restartFrom, &err))
-            throw std::runtime_error("restart from '" + opt.restartFrom + "' failed: " + err);
-        WALB_LOG_INFO("restarted from '" << opt.restartFrom << "' at step "
-                                         << sim.currentStep());
-    }
-
-    const std::uint64_t target =
-        opt.stopAfter > 0 ? std::min<std::uint64_t>(numSteps, opt.stopAfter)
-                          : std::uint64_t(numSteps);
-    std::uint64_t executed = 0;
-    while (sim.currentStep() < target) {
-        // Next stop: the upcoming checkpoint boundary or the target.
-        std::uint64_t next = target;
-        if (opt.every > 0) {
-            const std::uint64_t boundary =
-                (sim.currentStep() / opt.every + 1) * opt.every;
-            next = std::min(next, boundary);
-        }
-        const uint_t chunk = uint_t(next - sim.currentStep());
-        sim.run(chunk, op);
-        executed += chunk;
-        const bool atPeriodicBoundary =
-            opt.every > 0 && sim.currentStep() % opt.every == 0;
-        const bool atEnd = sim.currentStep() >= target;
-        if (atPeriodicBoundary || (atEnd && opt.every > 0)) {
-            std::string err;
-            if (!sim.saveCheckpoint(opt.path, &err))
-                WALB_LOG_ERROR("checkpoint save to '" << opt.path << "' failed: " << err);
-            else
-                WALB_LOG_INFO("checkpoint written to '" << opt.path << "' at step "
-                                                        << sim.currentStep());
-        }
-    }
-    return executed;
-}
-
-/// Verdict of the between-chunk control callback of runResumableChunks().
-enum class ChunkControl : std::uint8_t { Continue = 0, Preempt = 1 };
-
-/// Result of one runResumableChunks() leg.
-struct ResumableRunResult {
-    bool preempted = false;          ///< stopped early on a Preempt verdict
-    std::uint64_t step = 0;          ///< sim step when the leg ended
-    std::uint64_t checkpointStep = 0;///< step of the newest on-disk checkpoint
-    bool hasCheckpoint = false;      ///< false when no checkpoint was written
-};
-
-/// Resumable job entry point (walb::serve): advances the simulation to
-/// `targetStep` total steps in chunks of `chunkSteps`, consulting `control`
-/// between chunks so an external scheduler can preempt the job at a
-/// deterministic step. `control(currentStep)` MUST return the identical
-/// verdict on every rank of the simulation's communicator (serve's gang
-/// leader broadcasts the word before returning it) — a split verdict
-/// deadlocks the next ghost exchange. Checkpoints are written every
-/// `checkpointEvery` steps and on preemption, so the job can later resume
-/// from `checkpointStep` via DistributedSimulation::loadCheckpoint. The
-/// final completed state is NOT checkpointed here — callers digest/persist
-/// it themselves. Propagates CommError from the step loop (rank failure);
-/// `liveProgress`, when given, tracks the result so far and stays valid
-/// across such a throw (the serve scheduler reads the last checkpoint step
-/// off it when a gang member dies mid-job).
-template <typename Op, typename Control>
-ResumableRunResult runResumableChunks(DistributedSimulation& sim,
-                                      const std::string& checkpointPath,
-                                      std::uint64_t targetStep,
-                                      std::uint64_t checkpointEvery,
-                                      std::uint64_t chunkSteps, const Op& op,
-                                      const Control& control,
-                                      ResumableRunResult* liveProgress = nullptr) {
-    WALB_ASSERT(chunkSteps > 0, "chunkSteps must be positive");
-    ResumableRunResult local;
-    ResumableRunResult& res = liveProgress ? *liveProgress : local;
-    res = {};
-    res.step = sim.currentStep();
-    res.checkpointStep = res.step;
-    res.hasCheckpoint = false;
-    while (sim.currentStep() < targetStep) {
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(chunkSteps, targetStep - sim.currentStep());
-        sim.run(uint_t(chunk), op);
-        res.step = sim.currentStep();
-        const bool done = sim.currentStep() >= targetStep;
-        const ChunkControl word = control(sim.currentStep());
-        if (word == ChunkControl::Preempt && !done) {
-            std::string err;
-            if (!sim.saveCheckpoint(checkpointPath, &err))
-                WALB_LOG_ERROR("preemption checkpoint to '" << checkpointPath
-                                                            << "' failed: " << err);
-            else {
-                res.checkpointStep = sim.currentStep();
-                res.hasCheckpoint = true;
-            }
-            res.preempted = true;
-            return res;
-        }
-        if (!done && checkpointEvery > 0 && sim.currentStep() % checkpointEvery == 0) {
-            std::string err;
-            if (!sim.saveCheckpoint(checkpointPath, &err))
-                WALB_LOG_ERROR("periodic checkpoint to '" << checkpointPath
-                                                          << "' failed: " << err);
-            else {
-                res.checkpointStep = sim.currentStep();
-                res.hasCheckpoint = true;
-            }
-        }
-    }
-    return res;
-}
 
 } // namespace walb::sim

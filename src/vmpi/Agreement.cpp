@@ -38,14 +38,11 @@ AgreeState decode(std::vector<std::uint8_t> bytes) {
 
 AgreementResult agreeOnDeadRanks(Comm& comm,
                                  const std::vector<std::uint8_t>& knownDead,
-                                 const std::vector<std::uint8_t>& suspects,
                                  const AgreementOptions& opt, int epoch) {
     const int n = comm.size();
     const int me = comm.rank();
     WALB_ASSERT(int(knownDead.size()) == n || knownDead.empty(),
                 "knownDead must be empty or world-sized");
-    WALB_ASSERT(int(suspects.size()) == n || suspects.empty(),
-                "suspects must be empty or world-sized");
 
     const auto wallStart = std::chrono::steady_clock::now();
     auto wallSeconds = [&] {
@@ -71,12 +68,6 @@ AgreementResult agreeOnDeadRanks(Comm& comm,
     std::vector<int> participants;
     for (int r = 0; r < n; ++r)
         if (!result.dead[std::size_t(r)]) participants.push_back(r);
-
-    // Suspects get no special treatment beyond documentation: round 1 IS
-    // the roll call, and a suspect clears itself the same way every rank
-    // proves life — by speaking within the window. (The parameter still
-    // matters to callers as the structured record of *why* agreement ran.)
-    (void)suspects;
 
     auto window = opt.window;
     for (int attempt = 1; attempt <= opt.maxAttempts; ++attempt, window *= 2) {
@@ -152,8 +143,7 @@ AgreementResult agreeOnDeadRanks(Comm& comm,
             }
 
             // Timeout judgment: a live-believed peer that stayed silent for
-            // the whole window (and is not suspect-exempt — suspects get no
-            // exemption, the window IS their roll call) is dead to me now.
+            // the whole window is dead to me now.
             for (int r : participants) {
                 if (r == me || myDead[std::size_t(r)]) continue;
                 if (!freshThisRound[std::size_t(r)] && !peerDone[std::size_t(r)]) {
@@ -218,6 +208,17 @@ AgreementResult agreeOnDeadRanks(Comm& comm,
     throw AgreementError("failure agreement did not converge after " +
                          std::to_string(opt.maxAttempts) + " attempts (" +
                          std::to_string(wallSeconds()) + "s)");
+}
+
+AgreementResult agreeAndShrink(Comm& comm, int suspect, std::vector<std::uint8_t> knownDead,
+                               const AgreementOptions& opt, int epoch) {
+    const int n = comm.size();
+    if (knownDead.empty()) knownDead.assign(std::size_t(n), 0);
+    const auto live = std::count(knownDead.begin(), knownDead.end(), std::uint8_t(0));
+    if (live == 2 && suspect >= 0 && suspect < n && suspect != comm.rank() &&
+        !knownDead[std::size_t(suspect)])
+        knownDead[std::size_t(suspect)] = 1; // the trigger is the roll call
+    return agreeOnDeadRanks(comm, knownDead, opt, epoch);
 }
 
 } // namespace walb::vmpi

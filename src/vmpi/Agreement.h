@@ -17,8 +17,8 @@
 ///     * receiving a peer's state unions its dead set into mine (monotone
 ///       growth — the iteration can only converge);
 ///     * a peer that stays silent for a whole window is added to my dead
-///       set (round 1 doubles as the roll call: a rank merely *suspected*
-///       by the caller proves itself alive simply by participating);
+///       set (round 1 doubles as the roll call: a rank the caller merely
+///       suspects proves itself alive simply by participating);
 ///     * seeing MY OWN rank in a received dead set means the fleet has
 ///       already excommunicated me — I throw CommError{RankKilled} and get
 ///       out of the survivors' way;
@@ -76,18 +76,36 @@ struct AgreementResult {
 /// Runs the failure-agreement protocol over `comm` (world rank space).
 ///
 /// `knownDead` are ranks already agreed dead in earlier epochs — they are
-/// not polled and stay dead in the verdict. `suspects` seed the roll call
-/// (typically the peer named by the escalated CommError); a suspect that
-/// participates is cleared. `epoch` isolates the message tag per recovery
-/// epoch so stale agreement traffic of a previous recovery can never leak
-/// into this one.
+/// not polled and stay dead in the verdict. Every other rank answers the
+/// round-1 roll call or is declared dead; a rank the caller merely
+/// suspects clears itself by participating. `epoch` isolates the message
+/// tag per recovery epoch so stale agreement traffic of a previous
+/// recovery can never leak into this one.
 ///
 /// All participants return the exact same `dead` vector; a rank that learns
 /// it has been excommunicated throws CommError{RankKilled, self} instead.
 /// Degenerate cases: a 1-rank world returns immediately with `knownDead`.
 AgreementResult agreeOnDeadRanks(Comm& comm,
                                  const std::vector<std::uint8_t>& knownDead,
-                                 const std::vector<std::uint8_t>& suspects,
                                  const AgreementOptions& opt = {}, int epoch = 0);
+
+/// Agree and shrink, the first two steps of every recovery, over any comm:
+/// the recovery pipeline (recover::RecoveryManager) runs it over its
+/// world, the serve scheduler over a job's gang SubComm. Runs
+/// agreeOnDeadRanks() after a CommError that named `suspect` (a rank of
+/// `comm`, -1 for none) and
+/// returns the verdict; the ranks it leaves alive are the shrunken
+/// membership. `knownDead` (empty, or one entry per rank) stay dead;
+/// `epoch` isolates the agreement's tag.
+///
+/// With two live ranks the trigger is the verdict: the lone survivor has
+/// no third party to poll, and the agreement rightly refuses to bury the
+/// rest of the world on silence alone, so the suspect is agreed dead on
+/// the spot (fail-stop model: a spurious deadline costs a recovery, never
+/// the answer). Throws CommError{RankKilled, comm.rank()} when the
+/// agreement excommunicated this rank and AgreementError when it reached
+/// no verdict.
+AgreementResult agreeAndShrink(Comm& comm, int suspect, std::vector<std::uint8_t> knownDead,
+                               const AgreementOptions& opt, int epoch);
 
 } // namespace walb::vmpi

@@ -38,7 +38,7 @@
 /// as the `recover.retries` / `recover.backoff_seconds` metrics via
 /// RecoveryManager::publishMetrics. Collectives pass through unchanged —
 /// they are either pre-failure (ThreadComm barriers) or already rebuilt on
-/// point-to-point by ShrunkComm, whose traffic goes through send/recv here
+/// point-to-point by SubComm, whose traffic goes through send/recv here
 /// and therefore enjoys the same protection.
 
 #include <chrono>

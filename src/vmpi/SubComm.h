@@ -4,9 +4,9 @@
 ///
 /// Two subsystems need "a subset of the world that looks like a whole
 /// world": the post-failure recovery pipeline (the agreed survivors of a
-/// failed world, `ShrunkComm`) and the scenario service (gangs of ranks
-/// each running an independent job, `walb::serve`). SubComm is the shared
-/// mechanism:
+/// failed world, whose generation is the recovery epoch) and the scenario
+/// service (gangs of ranks each running an independent job,
+/// `walb::serve`). SubComm is the shared mechanism:
 ///
 ///   * `members` is a sorted list of parent ranks, identical on every
 ///     participating rank; rank()/size() are the *dense* numbering (index
@@ -21,7 +21,8 @@
 ///     healing; a member failure surfaces as a CommError from one of the
 ///     p2p legs.
 ///   * Generation tag isolation: every tag (user and internal collective)
-///     is shifted by `generation * kGenerationTagStride`. An abandoned
+///     is shifted by `generation * tags::kEpochTagStride` (a recovery
+///     epoch >= 1 is the generation; 0 is the unshrunken world). An abandoned
 ///     generation — a recovery epoch's half-delivered time step, or a
 ///     preempted/killed job attempt whose ghost-exchange frames still sit
 ///     in mailboxes — can never pollute a later one, because each
@@ -39,11 +40,6 @@ namespace walb::vmpi {
 
 class SubComm : public Comm {
 public:
-    /// Tag distance between generations. User tags are small (ghost
-    /// exchange 77, migration 91, buddy 93/94, serve band ≤ 2047); one
-    /// band comfortably holds them all plus the internal collective tags.
-    static constexpr int kGenerationTagStride = tags::kEpochTagStride;
-
     /// `members` must be identical (and sorted ascending) on every
     /// participating rank. The calling rank's parent rank must be in the
     /// list. `generation` numbers the carve: 0 shares the parent's tag
@@ -55,7 +51,6 @@ public:
     int size() const override { return int(members_.size()); }
 
     int generation() const { return generation_; }
-    const std::vector<int>& members() const { return members_; }
     /// Dense sub rank → parent rank.
     int parentRank(int subRank) const { return members_[std::size_t(subRank)]; }
     /// Parent rank → dense sub rank, -1 for ranks outside the subset.
@@ -77,12 +72,13 @@ public:
     std::vector<std::vector<std::uint8_t>> gatherv(std::span<const std::uint8_t> mine,
                                                    int root) override;
 
-    Comm& parent() { return parent_; }
-
 protected:
     /// Shifts a tag into this generation's band (applied uniformly,
-    /// internal collective tags included).
-    int shift(int tag) const { return tag + generation_ * kGenerationTagStride; }
+    /// internal collective tags included). User tags are small (ghost
+    /// exchange 77, migration 91, buddy 93/94, serve band ≤ 2047); one band
+    /// of tags::kEpochTagStride comfortably holds them all plus the internal
+    /// collective tags.
+    int shift(int tag) const { return tag + generation_ * tags::kEpochTagStride; }
 
 private:
     /// Hub-reduce worker shared by both allreduce element types.

@@ -15,14 +15,14 @@
 ///   * every tag lies inside its declared band,
 ///   * no two bands overlap, and no two tags share a value,
 ///   * no band shifted by one or more recovery epochs
-///     (`kEpochTagStride`, see ShrunkComm) can land inside another band.
+///     (`kEpochTagStride`, see SubComm) can land inside another band.
 ///
 /// The `tag-band(name, lo, hi)` walb-lint markers below are machine
 /// parsed — keep each marker directly above the constants of its band.
 
 namespace walb::vmpi::tags {
 
-/// Tag distance between recovery epochs. ShrunkComm shifts every tag
+/// Tag distance between recovery epochs. SubComm shifts every tag
 /// (user and control) by `epoch * kEpochTagStride` so stale frames of an
 /// abandoned epoch can never match a current receive.
 // walb-lint: tag-stride
@@ -60,11 +60,9 @@ inline constexpr int kServeEvent = 1024;
 /// pool comm.
 inline constexpr int kServeCtrl = 1025;
 /// Gang-leader → member job launch and shutdown fan-out on the pool comm;
-/// per-attempt traffic then moves onto a fresh-generation SubComm.
+/// per-attempt traffic (the chunk-boundary continue/preempt word included:
+/// a SubComm broadcast) then moves onto a fresh-generation SubComm.
 inline constexpr int kServeGangCtrl = 1026;
-/// Chunk-boundary continue/preempt word the leader broadcasts to the gang
-/// (sent through the job's SubComm, i.e. generation-shifted).
-inline constexpr int kServeChunkWord = 1027;
 
 // ---- reliable band: ReliableComm control traffic -------------------------
 // walb-lint: tag-band(reliable, -9117, -9117)
@@ -80,10 +78,11 @@ inline constexpr int kNack = -9117;
 /// 0..199 fit in the band), so concurrent agreement generations never mix.
 inline constexpr int kAgreeBase = -9300;
 
-// ---- shrunk band: ShrunkComm tree collectives ----------------------------
+// ---- shrunk band: SubComm tree collectives -------------------------------
 // walb-lint: tag-band(shrunk, -9504, -9501)
 
-/// Fan-in/fan-out collective legs of the post-recovery communicator.
+/// Fan-in/fan-out collective legs of SubComm (recovery epochs and serve
+/// gangs).
 inline constexpr int kShrunkBarrier = -9501;
 inline constexpr int kShrunkBcast = -9502;
 inline constexpr int kShrunkReduce = -9503;

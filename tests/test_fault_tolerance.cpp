@@ -22,6 +22,7 @@
 #include "core/Buffer.h"
 #include "core/Crc32.h"
 #include "sim/Checkpoint.h"
+#include "sim/ChunkedRun.h"
 #include "sim/DistributedSimulation.h"
 #include "sim/Health.h"
 #include "vmpi/BufferSystem.h"
@@ -814,7 +815,7 @@ TEST(FaultDrill, KilledRankTerminatesTheWorldStructurally) {
         opt.every = 5;
         opt.path = ckpt;
         try {
-            sim::runWithCheckpoints(simulation, opt, 20, op);
+            sim::runCheckpointed(simulation, opt, 20, op);
             ADD_FAILURE() << "rank " << comm.rank() << " finished despite the kill";
         } catch (const vmpi::CommError& e) {
             EXPECT_TRUE(e.kind == vmpi::CommError::Kind::RankKilled ||
@@ -850,7 +851,7 @@ TEST(FaultDrill, KilledRankTerminatesTheWorldStructurally) {
         simulation.setWallVelocity({0.03, 0, 0});
         sim::CheckpointOptions opt;
         opt.restartFrom = ckpt;
-        const std::uint64_t executed = sim::runWithCheckpoints(simulation, opt, 20, op);
+        const std::uint64_t executed = sim::runCheckpointed(simulation, opt, 20, op);
         EXPECT_EQ(executed, 10u);
         EXPECT_EQ(simulation.currentStep(), 20u);
         const std::uint64_t d = simulation.stateDigest();

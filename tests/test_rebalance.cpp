@@ -23,6 +23,7 @@
 #include "rebalance/Policy.h"
 #include "rebalance/Rebalancer.h"
 #include "sim/Checkpoint.h"
+#include "sim/ChunkedRun.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/FaultyComm.h"
 #include "vmpi/SerialComm.h"
@@ -482,7 +483,7 @@ TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
         opt.every = 5;
         opt.path = ckpt;
         try {
-            sim::runWithCheckpoints(simulation, opt, 20, op);
+            sim::runCheckpointed(simulation, opt, 20, op);
             ADD_FAILURE() << "rank " << comm.rank() << " finished despite the kill";
         } catch (const vmpi::CommError& e) {
             EXPECT_TRUE(e.kind == vmpi::CommError::Kind::RankKilled ||
@@ -516,7 +517,7 @@ TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
         simulation.setWallVelocity({0.03, 0, 0});
         sim::CheckpointOptions opt;
         opt.restartFrom = ckpt;
-        const std::uint64_t executed = sim::runWithCheckpoints(simulation, opt, 20, op);
+        const std::uint64_t executed = sim::runCheckpointed(simulation, opt, 20, op);
         EXPECT_EQ(executed, 5u);
         EXPECT_EQ(simulation.currentStep(), 20u);
         const std::uint64_t d = simulation.stateDigest();

@@ -1,7 +1,9 @@
 /// Tests for the self-healing runtime (walb::recover): ReliableComm's
 /// transient-fault healing (sequencing, NACK/resend, bounded escalation),
 /// the ULFM-style failure agreement, the shrunken survivor communicator,
-/// the in-memory buddy checkpoint — and the end-to-end acceptance drills:
+/// the in-memory buddy checkpoint, the one chunked run loop
+/// (sim::ChunkedRun) in each of its uses — and the end-to-end acceptance
+/// drills:
 /// a 4-rank run whose rank is killed mid-run heals in flight and reaches
 /// the uninterrupted run's exact state digest, while a fault plan of
 /// drops/delays below the escalation threshold completes with zero
@@ -12,16 +14,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "recover/RecoveryManager.h"
+#include "sim/ChunkedRun.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/Agreement.h"
 #include "vmpi/FaultyComm.h"
 #include "vmpi/ReliableComm.h"
 #include "vmpi/SerialComm.h"
-#include "vmpi/ShrunkComm.h"
+#include "vmpi/SubComm.h"
 #include "vmpi/Tags.h"
 #include "vmpi/ThreadComm.h"
 
@@ -166,7 +171,7 @@ TEST(AgreementTest, AllAliveWorldConvergesOnAnEmptyVerdict) {
     vmpi::ThreadCommWorld::launch(3, [&](vmpi::Comm& comm) {
         vmpi::AgreementOptions opt;
         opt.window = 250ms;
-        const auto r = vmpi::agreeOnDeadRanks(comm, {}, {}, opt);
+        const auto r = vmpi::agreeOnDeadRanks(comm, {}, opt);
         EXPECT_EQ(r.attempts, 1);
         std::lock_guard<std::mutex> lk(mu);
         verdicts.push_back(r.dead);
@@ -182,7 +187,7 @@ TEST(AgreementTest, SilentRankIsAgreedDeadByEverySurvivor) {
         if (comm.rank() == 2) return; // dies without a word
         vmpi::AgreementOptions opt;
         opt.window = 250ms;
-        const auto r = vmpi::agreeOnDeadRanks(comm, {}, {}, opt);
+        const auto r = vmpi::agreeOnDeadRanks(comm, {}, opt);
         std::lock_guard<std::mutex> lk(mu);
         verdicts.push_back(r.dead);
     });
@@ -195,11 +200,10 @@ TEST(AgreementTest, SuspectThatParticipatesIsCleared) {
     // The escalated CommError names a peer, but the peer was merely slow:
     // participating in round 1 (the roll call) must clear the suspicion.
     vmpi::ThreadCommWorld::launch(3, [&](vmpi::Comm& comm) {
-        std::vector<std::uint8_t> suspects(3, 0);
-        suspects[1] = 1; // everyone suspects rank 1...
         vmpi::AgreementOptions opt;
         opt.window = 250ms;
-        const auto r = vmpi::agreeOnDeadRanks(comm, {}, suspects, opt);
+        // Everyone suspects rank 1 (three live ranks: no 2-member rule)...
+        const auto r = vmpi::agreeAndShrink(comm, /*suspect=*/1, {}, opt, /*epoch=*/0);
         // ...but rank 1 is right here, agreeing.
         EXPECT_EQ(r.dead, std::vector<std::uint8_t>({0, 0, 0}));
     });
@@ -212,7 +216,7 @@ TEST(AgreementTest, KnownDeadStayDeadWithoutBeingPolled) {
         knownDead[3] = 1;
         vmpi::AgreementOptions opt;
         opt.window = 250ms;
-        const auto r = vmpi::agreeOnDeadRanks(comm, knownDead, {}, opt, /*epoch=*/1);
+        const auto r = vmpi::agreeOnDeadRanks(comm, knownDead, opt, /*epoch=*/1);
         EXPECT_EQ(r.dead, std::vector<std::uint8_t>({0, 0, 0, 1}));
         // Nobody waited a liveness window for the already-dead rank.
         EXPECT_EQ(r.attempts, 1);
@@ -221,7 +225,7 @@ TEST(AgreementTest, KnownDeadStayDeadWithoutBeingPolled) {
 
 TEST(AgreementTest, SerialWorldReturnsImmediately) {
     vmpi::SerialComm comm;
-    const auto r = vmpi::agreeOnDeadRanks(comm, {0}, {});
+    const auto r = vmpi::agreeOnDeadRanks(comm, {0});
     EXPECT_EQ(r.dead, std::vector<std::uint8_t>({0}));
     EXPECT_EQ(r.rounds, 0);
 }
@@ -231,14 +235,14 @@ TEST(AgreementTest, SerialWorldReturnsImmediately) {
 TEST(ShrunkCommTest, RankMapAndPointToPointWorkOnSurvivorsOnly) {
     vmpi::ThreadCommWorld::launch(4, [&](vmpi::Comm& base) {
         if (base.rank() == 2) return; // the dead rank never joins the epoch
-        vmpi::ShrunkComm sc(base, {0, 1, 3}, /*epoch=*/1);
+        vmpi::SubComm sc(base, {0, 1, 3}, /*generation=*/1); // recovery epoch 1
         EXPECT_EQ(sc.size(), 3);
-        EXPECT_EQ(sc.epoch(), 1);
-        EXPECT_EQ(sc.newRankOf(0), 0);
-        EXPECT_EQ(sc.newRankOf(1), 1);
-        EXPECT_EQ(sc.newRankOf(2), -1); // dead
-        EXPECT_EQ(sc.newRankOf(3), 2);
-        EXPECT_EQ(sc.worldRank(sc.rank()), base.rank());
+        EXPECT_EQ(sc.generation(), 1);
+        EXPECT_EQ(sc.subRankOf(0), 0);
+        EXPECT_EQ(sc.subRankOf(1), 1);
+        EXPECT_EQ(sc.subRankOf(2), -1); // dead
+        EXPECT_EQ(sc.subRankOf(3), 2);
+        EXPECT_EQ(sc.parentRank(sc.rank()), base.rank());
 
         // p2p in the dense numbering: 0 -> 2 (world 0 -> world 3).
         if (sc.rank() == 0) sc.send(2, 7, payload(42));
@@ -252,7 +256,7 @@ TEST(ShrunkCommTest, RankMapAndPointToPointWorkOnSurvivorsOnly) {
 TEST(ShrunkCommTest, CollectivesAreRebuiltOverTheSurvivors) {
     vmpi::ThreadCommWorld::launch(4, [&](vmpi::Comm& base) {
         if (base.rank() == 2) return;
-        vmpi::ShrunkComm sc(base, {0, 1, 3}, 1);
+        vmpi::SubComm sc(base, {0, 1, 3}, 1);
 
         double v[1] = {double(base.rank())};
         sc.allreduce(std::span<double>(v, 1), vmpi::ReduceOp::Sum);
@@ -454,7 +458,7 @@ TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigest) {
             [&](std::uint64_t step) { faulty.beginStep(step); });
         recover::RecoveryManager manager(simulation, opt);
         try {
-            manager.runWithRecovery(steps, TRT::fromOmegaAndMagic(1.5));
+            manager.chunkedRun().run(steps, TRT::fromOmegaAndMagic(1.5));
         } catch (const vmpi::CommError& e) {
             if (recover::RecoveryManager::isSelfDeath(e, base.rank())) return;
             throw;
@@ -522,14 +526,14 @@ TEST(RecoverEndToEnd, TransientFaultsHealWithZeroRecoveriesAndNonzeroRetries) {
         simulation.setPreStepCallback(
             [&](std::uint64_t step) { faulty.beginStep(step); });
         recover::RecoveryManager manager(simulation, opt);
-        manager.runWithRecovery(steps, TRT::fromOmegaAndMagic(1.5));
+        manager.chunkedRun().run(steps, TRT::fromOmegaAndMagic(1.5));
         const std::uint64_t d = simulation.stateDigest();
         retries += vmpi::allreduceSum(base, reliable.retries());
         injected += vmpi::allreduceSum(base, faulty.faultsInjected());
         if (base.rank() == 0) {
             digest = d;
             recoveries = manager.recoveries();
-            // publishMetrics ran inside runWithRecovery: this rank's own
+            // publishMetrics ran at the run's last boundary: this rank's own
             // retry count must surface under the recover.* gauge family.
             const obs::Gauge* g = simulation.metrics().findGauge("recover.retries");
             ASSERT_NE(g, nullptr);
@@ -543,6 +547,274 @@ TEST(RecoverEndToEnd, TransientFaultsHealWithZeroRecoveriesAndNonzeroRetries) {
     EXPECT_GE(retries.load(), 1u) << "faults were planned but never retried";
     EXPECT_GE(publishedRetries.load(), 0.0);
     EXPECT_EQ(digest.load(), reference);
+}
+
+TEST(RecoverEndToEnd, DiskFallbackHealsWhenNoBuddyCopyIsHeld) {
+    // No buddy ring (buddyEvery = 0): the lost blocks can only come back
+    // from the fallback .wckp the same 4-rank world saved at step 4.
+    const int ranks = 4;
+    const uint_t steps = 12;
+    auto setup = makeCavitySetup(std::uint32_t(ranks));
+    const std::uint64_t reference = uninterruptedDigest(setup, ranks, steps);
+    const std::string fallback = testing::TempDir() + "/walb_recover_fallback.wckp";
+    std::remove(fallback.c_str());
+
+    vmpi::FaultPlan plan;
+    plan.killRank = 1;
+    plan.killAtStep = 6;
+    recover::RecoveryOptions opt;
+    opt.enabled = true;
+    opt.buddyEvery = 0;
+    opt.diskFallback = fallback;
+
+    std::atomic<std::uint64_t> healed{0}, rewindStep{0};
+    std::atomic<int> survivors{0}, recoveries{-1};
+    std::atomic<bool> usedDisk{false};
+    vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& base) {
+        vmpi::FaultyComm faulty(base, plan);
+        vmpi::ReliableComm reliable(faulty);
+        reliable.setRecvDeadline(250ms);
+        sim::DistributedSimulation simulation(reliable, setup,
+                                              cavityFlags(std::uint32_t(ranks)));
+        simulation.setWallVelocity({0.05, 0, 0});
+        simulation.setFlightRecorderDumpPrefix(testing::TempDir() + "/walb_recover_disk");
+        simulation.setPreStepCallback(
+            [&](std::uint64_t step) { faulty.beginStep(step); });
+        simulation.run(4, TRT::fromOmegaAndMagic(1.5));
+        std::string err;
+        ASSERT_TRUE(simulation.saveCheckpoint(fallback, &err)) << err;
+        recover::RecoveryManager manager(simulation, opt);
+        try {
+            manager.chunkedRun().run(steps, TRT::fromOmegaAndMagic(1.5));
+        } catch (const vmpi::CommError& e) {
+            if (recover::RecoveryManager::isSelfDeath(e, base.rank())) return;
+            throw;
+        }
+        ++survivors;
+        const std::uint64_t digest = simulation.stateDigest();
+        EXPECT_EQ(simulation.currentStep(), steps);
+        if (manager.activeComm().rank() == 0) {
+            healed = digest;
+            recoveries = manager.recoveries();
+            ASSERT_EQ(manager.history().size(), 1u);
+            usedDisk = manager.history()[0].usedDiskFallback;
+            rewindStep = manager.history()[0].rewindStep;
+        }
+    });
+    std::remove(fallback.c_str());
+
+    EXPECT_EQ(survivors.load(), ranks - 1);
+    EXPECT_EQ(recoveries.load(), 1);
+    EXPECT_TRUE(usedDisk.load());
+    EXPECT_EQ(rewindStep.load(), 4u); // the fallback file's step
+    EXPECT_EQ(healed.load(), reference) << "disk-healed run diverged from reference";
+}
+
+TEST(RecoverEndToEnd, TwoRankWorldHealsToTheUninterruptedDigest) {
+    // The lone survivor has no third party to poll: the trigger is the
+    // verdict, as in a 2-member serve gang.
+    const int ranks = 2;
+    const uint_t steps = 12;
+    auto setup = makeCavitySetup(std::uint32_t(ranks));
+    const std::uint64_t reference = uninterruptedDigest(setup, ranks, steps);
+
+    vmpi::FaultPlan plan;
+    plan.killRank = 1;
+    plan.killAtStep = 6;
+    recover::RecoveryOptions opt;
+    opt.enabled = true;
+    opt.buddyEvery = 4;
+
+    std::atomic<std::uint64_t> healed{0};
+    std::atomic<int> survivors{0}, recoveries{-1};
+    vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& base) {
+        vmpi::FaultyComm faulty(base, plan);
+        vmpi::ReliableComm reliable(faulty);
+        reliable.setRecvDeadline(250ms);
+        sim::DistributedSimulation simulation(reliable, setup,
+                                              cavityFlags(std::uint32_t(ranks)));
+        simulation.setWallVelocity({0.05, 0, 0});
+        simulation.setFlightRecorderDumpPrefix(testing::TempDir() + "/walb_recover_pair");
+        simulation.setPreStepCallback(
+            [&](std::uint64_t step) { faulty.beginStep(step); });
+        recover::RecoveryManager manager(simulation, opt);
+        try {
+            manager.chunkedRun().run(steps, TRT::fromOmegaAndMagic(1.5));
+        } catch (const vmpi::CommError& e) {
+            if (recover::RecoveryManager::isSelfDeath(e, base.rank())) return;
+            throw;
+        }
+        ++survivors;
+        const std::uint64_t digest = simulation.stateDigest();
+        EXPECT_EQ(simulation.currentStep(), steps);
+        EXPECT_EQ(manager.activeComm().size(), 1);
+        healed = digest;
+        recoveries = manager.recoveries();
+    });
+
+    EXPECT_EQ(survivors.load(), 1);
+    EXPECT_EQ(recoveries.load(), 1);
+    EXPECT_EQ(healed.load(), reference) << "healed run diverged from reference";
+}
+
+// ---- ChunkedRun: the one chunked run loop, one case per use ----------------
+
+TEST(ChunkedRun, BoundariesFallOnMultiplesAfterAResumeOffTheGrid) {
+    auto setup = makeCavitySetup(1);
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(comm, setup, cavityFlags(1));
+    simulation.run(5, TRT::fromOmegaAndMagic(1.5)); // resumed at 5: off the grid
+    std::vector<std::uint64_t> seen;
+    sim::ChunkedRun run(simulation, 4, [&](std::uint64_t step) {
+        EXPECT_EQ(step, simulation.currentStep());
+        seen.push_back(step);
+        return true;
+    });
+    EXPECT_TRUE(run.run(14, TRT::fromOmegaAndMagic(1.5)));
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{8, 12, 14}));
+    EXPECT_EQ(run.boundaryStep, 14u);
+    // A target already reached steps nothing and calls nothing.
+    seen.clear();
+    EXPECT_TRUE(run.run(14, TRT::fromOmegaAndMagic(1.5)));
+    EXPECT_TRUE(seen.empty());
+}
+
+TEST(ChunkedRun, DiskSavesOnTheGridAndAtTheLastStepButNotAtAStopAfter) {
+    // --checkpoint-every 8 --stop-after 13: the simulated death at step 13
+    // leaves the step-8 checkpoint, and a restart from it reaches the
+    // uninterrupted 30-step digest, saving at 16, 24 and the last step.
+    const int ranks = 2;
+    auto setup = makeCavitySetup(std::uint32_t(ranks));
+    const std::uint64_t reference = uninterruptedDigest(setup, ranks, 30);
+    const std::string ckpt = testing::TempDir() + "/walb_chunked_disk.wckp";
+    std::remove(ckpt.c_str());
+    sim::CheckpointOptions opt;
+    opt.every = 8;
+    opt.path = ckpt;
+
+    std::atomic<std::uint64_t> firstLeg{0}, secondLeg{0}, digest{0};
+    const auto leg = [&](const sim::CheckpointOptions& o, std::atomic<std::uint64_t>& executed) {
+        vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& comm) {
+            sim::DistributedSimulation simulation(comm, setup,
+                                                  cavityFlags(std::uint32_t(ranks)));
+            simulation.setWallVelocity({0.05, 0, 0});
+            const std::uint64_t n =
+                sim::runCheckpointed(simulation, o, 30, TRT::fromOmegaAndMagic(1.5));
+            const std::uint64_t d = simulation.stateDigest();
+            if (comm.rank() == 0) {
+                executed = n;
+                digest = d;
+            }
+        });
+    };
+    sim::CheckpointOptions killed = opt;
+    killed.stopAfter = 13;
+    leg(killed, firstLeg);
+    EXPECT_EQ(firstLeg.load(), 13u);
+    sim::CheckpointHeader h;
+    std::string err;
+    ASSERT_TRUE(sim::checkpointPeek(ckpt, h, &err)) << err;
+    EXPECT_EQ(h.step, 8u) << "a checkpoint was written at the simulated death step";
+
+    sim::CheckpointOptions restarted = opt;
+    restarted.restartFrom = ckpt;
+    leg(restarted, secondLeg);
+    EXPECT_EQ(secondLeg.load(), 22u);
+    EXPECT_EQ(digest.load(), reference);
+    ASSERT_TRUE(sim::checkpointPeek(ckpt, h, &err)) << err;
+    EXPECT_EQ(h.step, 30u); // the last step saves although 30 % 8 != 0
+    std::remove(ckpt.c_str());
+}
+
+TEST(ChunkedRun, RecoveryRefreshesTheBuddyCopyOnlyOnTheGrid) {
+    auto setup = makeCavitySetup(2);
+    vmpi::ThreadCommWorld::launch(2, [&](vmpi::Comm& comm) {
+        sim::DistributedSimulation simulation(comm, setup, cavityFlags(2));
+        simulation.setWallVelocity({0.05, 0, 0});
+        simulation.run(6, TRT::fromOmegaAndMagic(1.5));
+        recover::RecoveryOptions opt;
+        opt.enabled = true;
+        opt.buddyEvery = 4;
+        recover::RecoveryManager manager(simulation, opt);
+        sim::ChunkedRun run = manager.chunkedRun();
+        EXPECT_EQ(manager.buddy().step(), 6u); // the first copy, where the run starts
+        EXPECT_TRUE(run.run(10, TRT::fromOmegaAndMagic(1.5)));
+        EXPECT_EQ(simulation.currentStep(), 10u);
+        EXPECT_EQ(manager.buddy().step(), 8u); // refreshed at 8, not at the target 10
+        // The boundary published the recover.* gauges.
+        const obs::Gauge* g = simulation.metrics().findGauge("recover.attempts");
+        ASSERT_NE(g, nullptr);
+        EXPECT_DOUBLE_EQ(g->value(), 0.0);
+    });
+}
+
+TEST(ChunkedRun, PreemptStopsAtTheWordStep) {
+    // The serve use: the word arrives at some boundary and the run stops
+    // right there, resumable from that step; a word at the target is moot.
+    auto setup = makeCavitySetup(1);
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(comm, setup, cavityFlags(1));
+    std::uint64_t saved = 0;
+    const auto preemptAt = [&](std::uint64_t wordStep) {
+        return [&, wordStep](std::uint64_t step) {
+            if (step != wordStep) return true;
+            saved = step; // serve saves its checkpoint here
+            return false;
+        };
+    };
+    sim::ChunkedRun first(simulation, 4, preemptAt(8));
+    EXPECT_FALSE(first.run(18, TRT::fromOmegaAndMagic(1.5)));
+    EXPECT_EQ(simulation.currentStep(), 8u);
+    EXPECT_EQ(first.boundaryStep, 8u);
+    EXPECT_EQ(saved, 8u);
+    sim::ChunkedRun second(simulation, 4, preemptAt(18));
+    EXPECT_TRUE(second.run(18, TRT::fromOmegaAndMagic(1.5)));
+    EXPECT_EQ(simulation.currentStep(), 18u);
+}
+
+TEST(ChunkedRun, ProgressIsReadableAfterACommErrorAndARewindResumesOnTheGrid) {
+    auto setup = makeCavitySetup(1);
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(comm, setup, cavityFlags(1));
+    simulation.setWallVelocity({0.05, 0, 0});
+    const std::string ckpt = testing::TempDir() + "/walb_chunked_rewind.wckp";
+    simulation.run(5, TRT::fromOmegaAndMagic(1.5));
+    std::string err;
+    ASSERT_TRUE(simulation.saveCheckpoint(ckpt, &err)) << err;
+    // A failure surfaces once, inside step 10.
+    bool failed = false;
+    simulation.setPreStepCallback([&](std::uint64_t step) {
+        if (step != 10 || failed) return;
+        failed = true;
+        throw vmpi::CommError(vmpi::CommError::Kind::DeadlineExceeded, 0, 0, 0.0,
+                              "injected");
+    });
+    std::vector<std::uint64_t> seen;
+    const auto record = [&](std::uint64_t step) {
+        seen.push_back(step);
+        return true;
+    };
+
+    // Without a rewind hook the error escapes; the progress stays readable.
+    sim::ChunkedRun plain(simulation, 4, record);
+    EXPECT_THROW(plain.run(16, TRT::fromOmegaAndMagic(1.5)), vmpi::CommError);
+    EXPECT_EQ(plain.boundaryStep, 8u);
+
+    // With one, the run rewinds to the step-5 file and steps to the next
+    // multiple, not to 5 + 4.
+    ASSERT_TRUE(simulation.loadCheckpoint(ckpt, &err)) << err;
+    failed = false;
+    seen.clear();
+    int rewinds = 0;
+    sim::ChunkedRun healing(simulation, 4, record, [&](const vmpi::CommError&) {
+        ++rewinds;
+        std::string why;
+        ASSERT_TRUE(simulation.loadCheckpoint(ckpt, &why)) << why;
+    });
+    EXPECT_TRUE(healing.run(16, TRT::fromOmegaAndMagic(1.5)));
+    EXPECT_EQ(rewinds, 1);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{8, 8, 12, 16}));
+    std::remove(ckpt.c_str());
 }
 
 } // namespace

@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <vector>
 
-#include "recover/GangRecovery.h"
 #include "serve/JobQueue.h"
 #include "serve/Scenario.h"
 #include "serve/ServeDriver.h"
@@ -127,7 +126,8 @@ TEST(SubCommTest, GenerationShiftIsolatesStaleFrames) {
 
 TEST(SubCommTest, ErrorsCarryParentRanks) {
     // A deadline inside the sub must name the PARENT rank of the silent
-    // peer — that is what recoverGang translates back into the pool space.
+    // peer — that is what the gang's agree-and-shrink translates back into
+    // the gang space.
     vmpi::ThreadCommWorld::launch(3, [&](vmpi::Comm& base) {
         if (base.rank() == 0) return;
         vmpi::SubComm sub(base, {1, 2}, 3);
