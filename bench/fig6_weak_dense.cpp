@@ -122,10 +122,12 @@ std::vector<RunRecord> realSmallScaleRun(bool overlap) {
         vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& comm) {
             sim::DistributedSimulation simulation(comm, setup, flagInit);
             simulation.setOverlapCommunication(overlap);
-            // Model-vs-measured gauges: the ECM single-core prediction for
-            // the paper's SuperMUC socket is the fixed reference; the run
-            // exports perf.predicted_mlups and perf.efficiency against it.
-            simulation.setPerfReference(EcmModel(superMUCSocket()).singleCoreMLUPS());
+            // Model-vs-measured gauges: the ECM single-core prediction of
+            // the run's kernel tier on the paper's SuperMUC socket is the
+            // reference; the run exports perf.predicted_mlups and
+            // perf.efficiency against it.
+            simulation.setPerfReference(
+                EcmModel(superMUCSocket(), simulation.kernelTier()).singleCoreMLUPS());
             const uint_t steps = 30;
             simulation.run(steps, lbm::TRT::fromOmegaAndMagic(1.5));
             // Collectives: every rank must participate.
@@ -567,7 +569,8 @@ int perfdiagSmokeRun(const std::string& metricsPath, const std::string& wfrPrefi
         sim::DistributedSimulation simulation(comm, setup, flagInit);
         simulation.setWallVelocity({0.05, 0, 0});
         simulation.setFlightRecorderDumpPrefix(wfrPrefix);
-        simulation.setPerfReference(EcmModel(superMUCSocket()).singleCoreMLUPS());
+        simulation.setPerfReference(
+            EcmModel(superMUCSocket(), simulation.kernelTier()).singleCoreMLUPS());
         simulation.run(kWarmup, trt);
         // Rank 1 becomes the slow node: a busy-spin equal to its own mean
         // step time roughly doubles every subsequent step. Detection starts

@@ -142,9 +142,11 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
     vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& comm) {
         sim::DistributedSimulation simulation(comm, search.forest, flagInit);
         simulation.setOverlapCommunication(overlap);
-        // ECM reference for the live model-vs-measured gauges
-        // (perf.predicted_mlups / perf.efficiency in the exported metrics).
-        simulation.setPerfReference(EcmModel(superMUCSocket()).singleCoreMLUPS());
+        // ECM reference of the run's kernel tier for the live
+        // model-vs-measured gauges (perf.predicted_mlups / perf.efficiency
+        // in the exported metrics).
+        simulation.setPerfReference(
+            EcmModel(superMUCSocket(), simulation.kernelTier()).singleCoreMLUPS());
         uint_t steps = 20;
         if (ckptOpt.any()) {
             // Checkpoint/restart contract (see sim/Checkpoint.h): restart,

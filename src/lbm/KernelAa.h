@@ -125,33 +125,35 @@ void aaCollideCellList(PdfField& pdf, AaParity parity, const std::vector<Cell>& 
     aaCollideCellList(pdf, parity, cells.data(), cells.size(), op);
 }
 
-/// Reads the canonical (physical, post-collision) PDF set P of one cell
-/// from AA storage — the parity-independent view used by macroscopic
-/// accessors, checkpoints, and digests. At parity Even this reads the
-/// cell's push targets, which may be ghost or boundary-cell slots; both
-/// hold the pushed value (see the storage invariants above).
-inline std::array<real_t, D3Q19::Q> aaCanonicalPdfs(const PdfField& pdf, AaParity parity,
-                                                    cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+/// Storage slot of the canonical (physical, post-collision) value P(x, a)
+/// under step pattern `p`: the slot itself for the two-grid pattern; at
+/// AaOdd slot abar of the same cell; at AaEven slot a of the cell x + e_a,
+/// which may be a ghost or boundary cell — x's own odd-step push put P(x, a)
+/// there (see the storage invariants above). Along x the map is a shift,
+/// so the canonical values of an x-run in one direction are one contiguous
+/// fzyx storage row starting at this slot: checkpoints, digests and health
+/// scans copy or hash them in one piece, and no parity or neighbor ever
+/// has to be consulted.
+template <typename Pdf>
+auto* canonicalSlot(Pdf& pdf, StepPattern p, cell_idx_t x, cell_idx_t y, cell_idx_t z,
+                    uint_t a) {
     using M = D3Q19;
-    std::array<real_t, M::Q> p{};
-    if (parity == AaParity::Odd)
-        for (uint_t a = 0; a < M::Q; ++a) p[a] = pdf.get(x, y, z, cell_idx_c(M::inv[a]));
-    else
-        for (uint_t a = 0; a < M::Q; ++a)
-            p[a] = pdf.get(x + M::c[a][0], y + M::c[a][1], z + M::c[a][2], cell_idx_c(a));
-    return p;
+    switch (p) {
+        case StepPattern::AaOdd: return pdf.dataAt(x, y, z, cell_idx_c(M::inv[a]));
+        case StepPattern::AaEven:
+            return pdf.dataAt(x + M::c[a][0], y + M::c[a][1], z + M::c[a][2], cell_idx_c(a));
+        case StepPattern::TwoGrid: break;
+    }
+    return pdf.dataAt(x, y, z, cell_idx_c(a));
 }
 
-/// Scatters a canonical PDF set back into AA storage under the given
-/// parity — the inverse of aaCanonicalPdfs. Used by checkpoint restore.
-inline void aaSetCanonicalPdfs(PdfField& pdf, AaParity parity, cell_idx_t x, cell_idx_t y,
-                               cell_idx_t z, const std::array<real_t, D3Q19::Q>& p) {
-    using M = D3Q19;
-    if (parity == AaParity::Odd)
-        for (uint_t a = 0; a < M::Q; ++a) pdf.get(x, y, z, cell_idx_c(M::inv[a])) = p[a];
-    else
-        for (uint_t a = 0; a < M::Q; ++a)
-            pdf.get(x + M::c[a][0], y + M::c[a][1], z + M::c[a][2], cell_idx_c(a)) = p[a];
+/// The canonical PDF set P of one cell under step pattern `p` — the
+/// parity-independent view used by macroscopic accessors.
+inline std::array<real_t, D3Q19::Q> canonicalPdfs(const PdfField& pdf, StepPattern p,
+                                                  cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+    std::array<real_t, D3Q19::Q> out{};
+    for (uint_t a = 0; a < D3Q19::Q; ++a) out[a] = *canonicalSlot(pdf, p, x, y, z, a);
+    return out;
 }
 
 /// Dense flag-conditional sweep over the whole interior (the single-block

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "core/BinaryIO.h"
 #include "core/Crc32.h"
@@ -135,16 +136,21 @@ struct ByteWriter {
 
 std::uint32_t readU32(const std::uint8_t* p) { return std::uint32_t(detail::getLE(p, 4)); }
 
-/// Copies every fluid run of every direction between a PDF field and a
-/// packed array: the gather of appendBlockRecord and the scatter of
-/// restoreBlockRecord.
+/// Calls fn(row, offset, n) for every fluid run of every direction of a
+/// block, in payload order (direction-major, each direction along the
+/// runs): `row` is the run's n canonical values of that direction in
+/// storage under `pattern` — one contiguous row for every step pattern
+/// (lbm::canonicalSlot) — and `offset` their position in the payload. The
+/// gather of appendBlockRecord, the scatter of restoreBlockRecord and the
+/// state digest.
 template <typename Pdf, typename Fn>
-void forEachFluidRow(Pdf& pdf, const lbm::FluidRunList& fluid, Fn&& fn) {
+void forEachFluidRow(Pdf& pdf, lbm::StepPattern pattern, const lbm::FluidRunList& fluid,
+                     Fn&& fn) {
     std::size_t offset = 0;
-    for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f)
+    for (uint_t a = 0; a < M::Q; ++a)
         for (const lbm::FluidRun& r : fluid.runs) {
             const std::size_t n = std::size_t(r.xEnd - r.xBegin + 1);
-            fn(pdf.dataAt(r.xBegin, r.y, r.z, f), offset, n);
+            fn(lbm::canonicalSlot(pdf, pattern, r.xBegin, r.y, r.z, a), offset, n);
             offset += n;
         }
 }
@@ -212,9 +218,7 @@ std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block) {
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block, SendBuffer& buf) {
     const field::FlagField& flags = sim.flagField(block);
     const bool aa = sim.usesAaPattern();
-    // Canonical view: the live src field for the two-grid tiers, the
-    // parity-normalized scratch for the AA tiers.
-    const lbm::PdfField& pdf = sim.canonicalPdfField(block);
+    const lbm::PdfField& pdf = sim.pdfField(block);
     const BlockStoredSet set = blockStoredSet(flags, sim.masks(), pdf);
 #ifndef NDEBUG
     if (!aa) assertStoredSetIsComplete(sim, block, set);
@@ -243,9 +247,10 @@ void appendBlockRecord(DistributedSimulation& sim, std::size_t block, SendBuffer
         out.u32(j - i);
         i = j;
     }
-    forEachFluidRow(pdf, set.fluid, [&](const real_t* row, std::size_t, std::size_t cells) {
-        out.bytes(row, cells * sizeof(real_t));
-    });
+    forEachFluidRow(pdf, sim.stepPattern(), set.fluid,
+                    [&](const real_t* row, std::size_t, std::size_t cells) {
+                        out.bytes(row, cells * sizeof(real_t));
+                    });
     if (links > 0)
         for (const lbm::PdfField* field : {&sim.pdfField(block), &sim.pdfDstField(block)})
             for (const std::size_t i : set.linkSlots) out.bytes(&field->data()[i], sizeof(real_t));
@@ -333,21 +338,25 @@ std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
 void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& rec) {
     field::FlagField& flags = sim.flagField(rec.block);
     std::memcpy(flags.data(), rec.flags.data(), flags.allocCells() * sizeof(field::flag_t));
+    // The AA storage is zeroed first, so no slot keeps a value of the state
+    // being replaced: the canonical rows below re-create the block's own
+    // values, including its pushes into ghost and boundary slots at parity
+    // Even; the edge slots a neighbor block pushes stay zero until
+    // refillGhostLayers() or the next step's exchange completes them. The
+    // caller has already restored the step counter, so the rows are those
+    // of the saved parity.
     const bool aa = sim.usesAaPattern();
-    lbm::PdfField& pdf = aa ? sim.canonicalScratch() : sim.pdfField(rec.block);
-    forEachFluidRow(pdf, rec.stored.fluid, [&](real_t* row, std::size_t offset, std::size_t n) {
-        std::memcpy(row, rec.fluidPdfs + offset * sizeof(real_t), n * sizeof(real_t));
-    });
-    // Flags first, then the canonical scatter: it walks the block's fluid
-    // cells, so it must see the restored flags. The caller has already
-    // restored the step counter, so the scatter's parity matches the save.
-    if (aa) {
-        sim.applyCanonicalPdf(rec.block, pdf);
-        return;
-    }
+    lbm::PdfField& pdf = sim.pdfField(rec.block);
+    if (aa) pdf.fill(real_c(0));
+    forEachFluidRow(pdf, sim.stepPattern(), rec.stored.fluid,
+                    [&](real_t* row, std::size_t offset, std::size_t n) {
+                        std::memcpy(row, rec.fluidPdfs + offset * sizeof(real_t),
+                                    n * sizeof(real_t));
+                    });
+    if (aa) return;
     const std::vector<std::size_t>& slots = rec.stored.linkSlots;
     const auto init = DistributedSimulation::initialPdfs();
-    lbm::PdfField* fields[2] = {&sim.pdfField(rec.block), &sim.pdfDstField(rec.block)};
+    lbm::PdfField* fields[2] = {&pdf, &sim.pdfDstField(rec.block)};
     for (std::size_t k = 0; k < 2; ++k) {
         real_t* data = fields[k]->data();
         if (rec.linkPdfs) {
@@ -601,22 +610,16 @@ bool checkpointPeek(const std::string& path, CheckpointHeader& out, std::string*
 std::uint64_t checkpointDigest(DistributedSimulation& sim) {
     std::uint64_t local = 0;
     for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b) {
-        const lbm::PdfField& pdf = sim.canonicalPdfField(b);
-        // Interior cells only: ghost slots are transient exchange scratch
-        // (refilled from neighbor interiors every step), so hashing them
-        // would make the digest depend on exchange history rather than on
-        // the physical state. Interior-only hashing is what lets a block
-        // migration — which moves interiors and re-fills ghosts — be
-        // digest-invariant. The AA tiers hash the parity-normalized
-        // canonical view for the same reason: raw AA storage depends on the
-        // parity and on which neighbor backs each edge slot, the canonical
-        // view does not. fzyx layout: each interior x-row is contiguous.
+        // The canonical PDFs of the interior fluid cells, in payload order:
+        // everything else is derived — ghost slots are refilled by the
+        // exchange, two-grid hull slots by the boundary pass, AA slot
+        // layout by the parity — so the digest is invariant under block
+        // migration, storage parity and kernel tier.
         std::uint32_t crc = 0;
-        for (cell_idx_t f = 0; f < cell_idx_t(pdf.fSize()); ++f)
-            for (cell_idx_t z = 0; z < pdf.zSize(); ++z)
-                for (cell_idx_t y = 0; y < pdf.ySize(); ++y)
-                    crc = crc32(pdf.dataAt(0, y, z, f),
-                                std::size_t(pdf.xSize()) * sizeof(real_t), crc);
+        forEachFluidRow(std::as_const(sim.pdfField(b)), sim.stepPattern(), sim.fluidRuns(b),
+                        [&](const auto* row, std::size_t, std::size_t n) {
+                            crc = crc32(row, n * sizeof(*row), crc);
+                        });
         local += crc;
     }
     // walb-lint: allow(blocking): digest reduction, reached by all ranks

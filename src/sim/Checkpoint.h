@@ -30,22 +30,24 @@
 ///
 /// The record stores only the slots that can differ from what the
 /// constructor's initializer wrote (the *stored set*, see blockStoredSet):
-/// the PDFs of the interior fluid cells, and — two-grid tiers — the slots
-/// the boundary links write at interior hull cells, in both PDF fields.
-/// dst is needed because the field the digest hashes after the next swap
-/// holds the previous step's boundary values. Every other interior slot is
-/// never written after construction, so the restore leaves it at the
-/// initializer's value; the two-grid dst at fluid cells is rewritten by
-/// the next sweep before anything reads it; ghost slots are exchange
-/// scratch refilled before they are read. A restart is therefore
+/// the canonical PDFs of the interior fluid cells, and — two-grid tiers —
+/// the slots the boundary links write at interior hull cells, in both PDF
+/// fields, so a two-grid restart reproduces even those derived slots
+/// (the next boundary pass rewrites them before any read). Every other
+/// interior slot is never written after construction, so the restore
+/// leaves it at the initializer's value; the two-grid dst at fluid cells is
+/// rewritten by the next sweep before anything reads it; ghost slots are
+/// exchange scratch refilled before they are read. A restart is therefore
 /// digest-exact from its first step on.
 ///
-/// The AA kernel tiers store the *canonical* (parity-normalized) view at
-/// the fluid cells, which is zero everywhere else by definition, and no
-/// link slots (linkSlots = 0); the restore scatters it back under the
-/// parity of the restored step. A two-grid reader of such a record resets
-/// the hull slots to the initializer's value, an AA reader ignores stored
-/// link slots, so a restart may use a different tier than the save.
+/// For every tier the fluid PDFs are gathered from and scattered to the
+/// storage rows that hold the canonical values under the current step
+/// pattern (lbm::canonicalSlot: one contiguous row per direction and fluid
+/// run, at either AA parity), so neither side stages a block-sized copy.
+/// The AA tiers store no link slots (linkSlots = 0). A two-grid reader of
+/// such a record resets the hull slots to the initializer's value, an AA
+/// reader ignores stored link slots, so a restart may use a different
+/// tier than the save.
 ///
 /// The record CRC is verified *before* a payload is applied, so a
 /// corrupted file never clobbers a live simulation state; so is the flag
@@ -181,20 +183,21 @@ std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
 
 /// Writes a verified record into its block: the flags, the stored slots,
 /// and the initializer's value into every hull link slot the record does
-/// not store. The AA tiers scatter the canonical view under the current
-/// parity, so the caller restores the step counter first.
+/// not store. The AA tiers zero the block's storage and write the
+/// canonical rows of the current parity, so the caller restores the step
+/// counter first.
 void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& rec);
 
-/// Collective: order-independent fingerprint of the physical PDF state
-/// (sum over blocks of each block's interior-cell CRC32, allreduced).
-/// Interior cells are the complete physical state — ghost slots are
-/// exchange scratch refilled from neighbor interiors every step — so two
-/// runs with equal digests have bit-exact equal fields everywhere that is
-/// ever read, and the digest is invariant across a rebalance migration
-/// (which moves interiors and re-fills ghosts). AA tiers are hashed through
-/// the canonical parity-normalized view, so the digest is also invariant
-/// under the AA storage parity; note it hashes zeros at non-fluid cells
-/// there, so AA and two-grid digests of the same state differ by design.
+/// Collective: order-independent fingerprint of the fluid state — per
+/// block the CRC32 of the canonical PDFs of its interior fluid cells, in
+/// the order a block record stores them, summed over blocks and ranks.
+/// Everything else is derived state: ghost slots are exchange scratch
+/// refilled from neighbor interiors, two-grid hull slots are rewritten by
+/// BoundaryHandling::apply from fluid cells before any read, the AA slot
+/// layout follows the parity. So equal digests mean bit-exact equal fluid
+/// states, and the digest is invariant under block migration, AA storage
+/// parity, schedule and kernel tier: a two-grid Simd run and an AaSimd run
+/// of the same setup give equal digests at every step.
 std::uint64_t checkpointDigest(DistributedSimulation& sim);
 
 // ---- driver wiring ---------------------------------------------------------

@@ -409,9 +409,14 @@ public:
         std::function<void(field::FlagField&, const lbm::BoundaryFlags&,
                            const bf::BlockForest::Block&, const geometry::CellMapping&)>;
 
+    /// The default tier is the in-place AaSimd step: one PDF grid and
+    /// 304 B per cell update instead of two grids and 456 B. Its fluid
+    /// state, and so stateDigest(), is bit-identical to the two-grid Simd
+    /// tier, which stays selectable here (the kernel figures, and the
+    /// reference a tier-invariance test compares against).
     DistributedSimulation(vmpi::Comm& comm, const bf::SetupBlockForest& setup,
                           const FlagInitializer& initFlags,
-                          KernelTier tier = KernelTier::Simd)
+                          KernelTier tier = KernelTier::AaSimd)
         : comm_(&comm), setup_(setup), initFlags_(initFlags),
           forest_(setup_, std::uint32_t(comm.rank())), tier_(tier) {
         buildBlockData();
@@ -528,45 +533,12 @@ public:
         return lbm::stepPatternOf(usesAaPattern(), currentStep_);
     }
 
-    /// The canonical (physical post-collision, parity-normalized) PDF view
-    /// of block `block`. Two-grid tiers: the live src field itself. AA
-    /// tiers: a rank-wide scratch field holding P(x, a) for every interior
-    /// fluid cell and zeros elsewhere — consumed by checkpoint save,
-    /// digests and migration, and invalidated by the next call. The AA view
-    /// is migration- and schedule-invariant: it never depends on which
-    /// neighbor currently backs a ghost region.
-    const lbm::PdfField& canonicalPdfField(std::size_t block) {
-        if (!usesAaPattern()) return pdfField(block);
-        lbm::PdfField& canon = canonicalScratch();
-        canon.fill(real_c(0));
-        const lbm::PdfField& src = pdfField(block);
-        const auto& flags = flagField(block);
-        const lbm::AaParity parity = aaParity();
-        flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            if (!(flags.get(x, y, z) & masks_.fluid)) return;
-            lbm::setPdfs<M>(canon, x, y, z, lbm::aaCanonicalPdfs(src, parity, x, y, z));
-        });
-        return canon;
-    }
-
-    /// Scatters a canonical PDF field (same layout as canonicalPdfField
-    /// returns) into block `block`'s live AA storage under the current
-    /// parity: the whole allocation is zeroed, fluid-cell values land in
-    /// their parity slots — at parity Even this also re-creates the block's
-    /// own ghost pushes. Interior edge slots produced by *neighbor* blocks
-    /// stay zero until refillGhostLayers() (or the next step's exchange)
-    /// completes them. AA tiers only.
-    void applyCanonicalPdf(std::size_t block, const lbm::PdfField& canon) {
-        WALB_ASSERT(usesAaPattern(), "canonical scatter is an AA-tier operation");
-        lbm::PdfField& dst = pdfField(block);
-        dst.fill(real_c(0));
-        const auto& flags = flagField(block);
-        const lbm::AaParity parity = aaParity();
-        flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            if (!(flags.get(x, y, z) & masks_.fluid)) return;
-            lbm::aaSetCanonicalPdfs(dst, parity, x, y, z, lbm::getPdfs<M>(canon, x, y, z));
-        });
-    }
+    /// The interior fluid x-runs of block `block` (rebuilt with the block
+    /// data after every assignment). Block records, the state digest and
+    /// the health scan walk the canonical PDFs along them: for every
+    /// direction a run's canonical values are one contiguous storage row
+    /// (lbm::canonicalSlot under stepPattern()).
+    const lbm::FluidRunList& fluidRuns(std::size_t block) const { return runs_[block]; }
 
     /// The PDF set every slot of a block holds after construction or
     /// applyBlockAssignment(): the rest equilibrium at unit density. Slots
@@ -576,16 +548,6 @@ public:
         std::array<real_t, M::Q> eq{};
         lbm::setEquilibrium<M>(eq, kInitialDensity, Vec3{0, 0, 0});
         return eq;
-    }
-
-    /// The lazily-allocated block-sized staging field behind
-    /// canonicalPdfField — exposed so checkpoint load / migration unpack
-    /// can deserialize into it before applyCanonicalPdf.
-    lbm::PdfField& canonicalScratch() {
-        if (!canonScratch_)
-            canonScratch_ = std::make_unique<lbm::PdfField>(lbm::makePdfField<M>(
-                forest_.cellsX(), forest_.cellsY(), forest_.cellsZ()));
-        return *canonScratch_;
     }
 
     /// Measured sweep (collide+stream) seconds per local block, accumulated
@@ -887,9 +849,7 @@ public:
     /// all tiers report physically comparable values.
     std::array<real_t, M::Q> cellCanonicalPdfs(std::size_t block, cell_idx_t x, cell_idx_t y,
                                                cell_idx_t z) {
-        const auto& src = forest_.getData<lbm::PdfField>(block, srcId_);
-        if (usesAaPattern()) return lbm::aaCanonicalPdfs(src, aaParity(), x, y, z);
-        return lbm::getPdfs<M>(src, x, y, z);
+        return lbm::canonicalPdfs(pdfField(block), stepPattern(), x, y, z);
     }
 
     std::size_t bytesLastExchange() const { return comm_scheme_->bytesLastExchange(); }
@@ -921,8 +881,10 @@ public:
         return checkpointLoad(*this, path, nullptr, error);
     }
 
-    /// Order-independent fingerprint of the complete distributed PDF state
-    /// (collective). Equal digests <=> bit-exact equal states.
+    /// Order-independent fingerprint of the distributed fluid state
+    /// (collective): the canonical PDFs of every interior fluid cell, so
+    /// equal digests <=> bit-exact equal fluid states, whatever the kernel
+    /// tier, AA parity, schedule or block assignment (sim/Checkpoint.h).
     std::uint64_t stateDigest() { return checkpointDigest(*this); }
 
 private:
@@ -1256,7 +1218,6 @@ private:
     double commFinishSeconds_ = 0.0;
     lbm::KernelD3Q19Simd<> simdKernel_;
     lbm::KernelAaSimd<> aaSimdKernel_;
-    std::unique_ptr<lbm::PdfField> canonScratch_; ///< AA canonicalization staging
     std::unique_ptr<PdfCommScheme> comm_scheme_;
     TimingPool timing_;
     obs::MetricsRegistry metrics_;

@@ -16,10 +16,12 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/Logging.h"
-#include "field/FlagField.h"
+#include "lbm/KernelAa.h"
 #include "lbm/PdfField.h"
+#include "lbm/Sparse.h"
 #include "sim/Checkpoint.h"
 
 namespace walb::sim {
@@ -79,23 +81,6 @@ public:
 
     HealthReport report;
 };
-
-/// Counts interior fluid cells carrying at least one non-finite PDF value.
-template <typename M>
-std::uint64_t countNonFiniteCells(const lbm::PdfField& pdf, const field::FlagField& flags,
-                                  field::flag_t fluidMask) {
-    std::uint64_t n = 0;
-    flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (!(flags.get(x, y, z) & fluidMask)) return;
-        for (uint_t a = 0; a < M::Q; ++a) {
-            if (!std::isfinite(pdf.get(x, y, z, cell_idx_c(a)))) {
-                ++n;
-                return;
-            }
-        }
-    });
-    return n;
-}
 
 /// Periodic watchdog over a DistributedSimulation (passed as a template so
 /// this header stays independent of the simulation driver's definition).
@@ -188,22 +173,34 @@ public:
 
 private:
     /// Local scan + one combined allreduce: {non-finite cells, total mass}.
+    /// Walks the canonical PDFs of every fluid run (lbm::canonicalSlot: one
+    /// storage row per direction and run, for every tier and AA parity), so
+    /// the densities are physical without a parity-normalized copy.
     template <typename Sim>
     std::pair<std::uint64_t, double> measure(Sim& sim) {
         using M = typename Sim::M;
         double vals[2] = {0.0, 0.0};
+        std::vector<real_t> rho;
+        std::vector<bool> finite;
         for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b) {
-            // Canonical view: for the AA tiers the raw field mixes parities
-            // and neighbors' push slots, so densities are only meaningful
-            // after parity normalization. Two-grid tiers get the live field.
-            const lbm::PdfField& pdf = sim.canonicalPdfField(b);
-            const field::FlagField& flags = sim.flagField(b);
-            vals[0] +=
-                double(countNonFiniteCells<M>(pdf, flags, sim.masks().fluid));
-            flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-                if (flags.get(x, y, z) & sim.masks().fluid)
-                    vals[1] += lbm::cellDensity<M>(pdf, x, y, z);
-            });
+            const lbm::PdfField& pdf = sim.pdfField(b);
+            for (const lbm::FluidRun& r : sim.fluidRuns(b).runs) {
+                const std::size_t n = std::size_t(r.xEnd - r.xBegin + 1);
+                rho.assign(n, real_c(0));
+                finite.assign(n, true);
+                for (uint_t a = 0; a < M::Q; ++a) {
+                    const real_t* row =
+                        lbm::canonicalSlot(pdf, sim.stepPattern(), r.xBegin, r.y, r.z, a);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        rho[i] += row[i];
+                        if (!std::isfinite(row[i])) finite[i] = false;
+                    }
+                }
+                for (std::size_t i = 0; i < n; ++i) {
+                    vals[0] += finite[i] ? 0.0 : 1.0;
+                    vals[1] += rho[i];
+                }
+            }
         }
         // walb-lint: allow(blocking): invariant-check collective, reached by all ranks
         sim.comm().allreduce(std::span<double>(vals, 2), vmpi::ReduceOp::Sum);

@@ -145,8 +145,8 @@ public:
     /// The canonical (physical) PDF set of one cell — parity-normalized for
     /// the AA tiers, a plain read otherwise.
     std::array<real_t, M::Q> cellPdfs(cell_idx_t x, cell_idx_t y, cell_idx_t z) const {
-        if (isAaTier(cfg_.tier)) return lbm::aaCanonicalPdfs(src_, aaParity(), x, y, z);
-        return lbm::getPdfs<M>(src_, x, y, z);
+        return lbm::canonicalPdfs(src_, lbm::stepPatternOf(isAaTier(cfg_.tier), currentStep_), x,
+                                  y, z);
     }
 
     real_t density(cell_idx_t x, cell_idx_t y, cell_idx_t z) const {

@@ -2,10 +2,11 @@
 /// shared by the .wckp file, the buddy copy and live migration: the stored
 /// set is complete for every kernel tier and schedule, a restart is
 /// digest-exact from its first step on through all three carriers, the
-/// scatter load hands each rank only its own records, a deterministic
-/// mutation fuzzer finds no input that aborts or half-applies the reader,
-/// and the migrator rejects a corrupt record with a typed error before any
-/// live field is written.
+/// digest is equal on the two-grid and the in-place tier, the scatter
+/// load hands each rank only its own records, a deterministic mutation
+/// fuzzer finds no input that aborts or half-applies the reader, and the
+/// migrator rejects a corrupt record with a typed error before any live
+/// field is written.
 
 #include <gtest/gtest.h>
 
@@ -122,22 +123,28 @@ TEST_P(StoredSetCompleteness, EverySlotOutsideItHoldsTheInitializersValue) {
                 for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f)
                     for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
                         stored[pdf.index(x, r.y, r.z, f)] = fluid[pdf.index(x, r.y, r.z, f)] = true;
-            // The AA tiers store no link slots: their canonical view is zero
-            // outside the fluid cells by definition.
-            if (!run.usesAaPattern()) {
-                for (const std::size_t i : set.linkSlots) stored[i] = true;
-                linkSlots += set.linkSlots.size();
-            }
-            // Two-grid: src and dst, where dst fluid cells are rewritten by
-            // the next sweep before any read. AA: the canonical view.
-            std::vector<std::pair<const lbm::PdfField*, const lbm::PdfField*>> fields;
+            // The AA tiers store no link slots: their canonical view holds the
+            // fluid cells only, read per cell under the current parity.
             if (run.usesAaPattern()) {
-                fields.push_back({&run.canonicalPdfField(b), &fresh.canonicalPdfField(b)});
-            } else {
-                fields.push_back({&run.pdfField(b), &fresh.pdfField(b)});
-                fields.push_back({&run.pdfDstField(b), &fresh.pdfDstField(b)});
+                for (const lbm::FluidRun& r : set.fluid.runs)
+                    for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x) {
+                        const auto got = run.cellCanonicalPdfs(b, x, r.y, r.z);
+                        const auto init = fresh.cellCanonicalPdfs(b, x, r.y, r.z);
+                        for (std::size_t f = 0; f < M::Q; ++f)
+                            if (std::bit_cast<std::uint64_t>(got[f]) !=
+                                std::bit_cast<std::uint64_t>(init[f]))
+                                ++storedChanged;
+                    }
+                continue;
             }
-            for (std::size_t k = 0; k < fields.size(); ++k) {
+            for (const std::size_t i : set.linkSlots) stored[i] = true;
+            linkSlots += set.linkSlots.size();
+            // src and dst, where dst fluid cells are rewritten by the next
+            // sweep before any read.
+            const std::pair<const lbm::PdfField*, const lbm::PdfField*> fields[] = {
+                {&run.pdfField(b), &fresh.pdfField(b)},
+                {&run.pdfDstField(b), &fresh.pdfDstField(b)}};
+            for (std::size_t k = 0; k < 2; ++k) {
                 const auto& [got, init] = fields[k];
                 pdf.interior().forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
                     for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f) {
@@ -274,6 +281,49 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(p.param));
     });
 
+// ---- the digest is tier-invariant -------------------------------------------------
+
+/// (overlapped schedule, ranks).
+using TierInvarianceParam = std::tuple<bool, std::uint32_t>;
+
+class DigestTierInvariance : public testing::TestWithParam<TierInvarianceParam> {};
+
+TEST_P(DigestTierInvariance, SimdAndAaSimdDigestsAreEqualAtBothParities) {
+    // The digest hashes the canonical PDFs of the fluid cells only, and
+    // the two tiers compute bit-identical fluid states, so the two-grid
+    // and the in-place run digest equal after an even (AA storage at
+    // parity Even) and an odd (parity Odd) step count — with noSlip, UBB
+    // and pressure links at block faces.
+    const auto [overlap, ranks] = GetParam();
+    const auto setup = channelSetup(ranks);
+    const auto flags = channelFlags(kSeed);
+    constexpr uint_t kSteps[] = {0, 4, 5};
+    std::array<std::array<std::atomic<std::uint64_t>, 3>, 2> digest{};
+    for (const KernelTier tier : {KernelTier::Simd, KernelTier::AaSimd}) {
+        vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
+            sim::DistributedSimulation s(comm, setup, flags, tier);
+            configure(s, overlap);
+            for (std::size_t k = 0; k < 3; ++k) {
+                s.run(kSteps[k] - s.currentStep(), kOp);
+                const std::uint64_t d = s.stateDigest();
+                if (comm.rank() == 0) digest[sim::isAaTier(tier) ? 1 : 0][k] = d;
+            }
+        });
+    }
+    for (std::size_t k = 0; k < 3; ++k)
+        EXPECT_EQ(digest[0][k].load(), digest[1][k].load()) << "after " << kSteps[k] << " steps";
+    EXPECT_NE(digest[0][1].load(), digest[0][0].load()) << "the run did not move the state";
+    EXPECT_NE(digest[0][2].load(), digest[0][1].load()) << "the odd step did not move the state";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, DigestTierInvariance,
+    testing::Combine(testing::Bool(), testing::Values(std::uint32_t(1), std::uint32_t(4))),
+    [](const testing::TestParamInfo<TierInvarianceParam>& p) {
+        return std::string(std::get<0>(p.param) ? "Overlap" : "Sync") + "_" +
+               std::to_string(std::get<1>(p.param)) + "Ranks";
+    });
+
 // ---- the record is fluid-proportional ---------------------------------------------
 
 TEST(BlockRecordCodec, RecordSizeFollowsTheStoredSet) {
@@ -354,11 +404,14 @@ TEST(BlockRecordCodec, RestartAcrossTiersKeepsTheFluidState) {
     const auto flags = channelFlags(kSeed);
     FluidState want;
     std::mutex mu;
+    std::atomic<std::uint64_t> wantDigest{0};
     vmpi::ThreadCommWorld::launch(2, [&](vmpi::Comm& comm) {
         sim::DistributedSimulation s(comm, setup, flags, KernelTier::Simd);
         configure(s);
         s.run(7, kOp);
         collectFluidState(s, want, mu);
+        const std::uint64_t d = s.stateDigest();
+        if (comm.rank() == 0) wantDigest = d;
     });
     for (const auto& [saver, loader] : {std::pair{KernelTier::AaSimd, KernelTier::Simd},
                                         std::pair{KernelTier::Simd, KernelTier::AaSimd}}) {
@@ -366,6 +419,7 @@ TEST(BlockRecordCodec, RestartAcrossTiersKeepsTheFluidState) {
         const std::string path =
             testing::TempDir() + "/walb_cross_tier_" + tierName(saver) + ".wckp";
         FluidState got;
+        std::atomic<std::uint64_t> gotDigest{0};
         vmpi::ThreadCommWorld::launch(2, [&](vmpi::Comm& comm) {
             sim::DistributedSimulation save(comm, setup, flags, saver);
             configure(save);
@@ -377,6 +431,8 @@ TEST(BlockRecordCodec, RestartAcrossTiersKeepsTheFluidState) {
             ASSERT_TRUE(load.loadCheckpoint(path, &err)) << err;
             load.run(2, kOp);
             collectFluidState(load, got, mu);
+            const std::uint64_t d = load.stateDigest();
+            if (comm.rank() == 0) gotDigest = d;
         });
         EXPECT_EQ(got.size(), want.size());
         std::size_t mismatches = 0;
@@ -385,6 +441,8 @@ TEST(BlockRecordCodec, RestartAcrossTiersKeepsTheFluidState) {
             if (it == got.end() || it->second != pdfs) ++mismatches;
         }
         EXPECT_EQ(mismatches, 0u);
+        // The digest hashes exactly this fluid state, whatever the tier.
+        EXPECT_EQ(gotDigest.load(), wantDigest.load());
         std::remove(path.c_str());
     }
 }

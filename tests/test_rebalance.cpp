@@ -355,7 +355,10 @@ TEST(RebalancerTest, HysteresisSkipsHealthyRunsAndMigratesSkewedOnes) {
 
 // ---- live migration --------------------------------------------------------
 
-TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConverges) {
+/// Rotates every block to the next rank after step 5 of a 10-step run on
+/// `tier`: the migration is digest-invariant and the trajectory continues
+/// bit-exactly.
+void forcedMigrationDrill(sim::KernelTier tier) {
     const std::uint32_t ranks = 4;
     const auto setup = makeRowSetup(ranks, ranks);
     const auto flagInit = rowCavityFlags(ranks);
@@ -364,7 +367,7 @@ TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConverges) {
     // Reference: 10 uninterrupted steps, never migrated.
     std::atomic<std::uint64_t> wantDigest{0};
     vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
-        sim::DistributedSimulation simulation(comm, setup, flagInit);
+        sim::DistributedSimulation simulation(comm, setup, flagInit, tier);
         simulation.setWallVelocity({0.03, 0, 0});
         simulation.run(10, op);
         const std::uint64_t d = simulation.stateDigest();
@@ -375,7 +378,7 @@ TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConverges) {
     // every block moves, the hardest case for the pack/unpack protocol.
     std::atomic<std::uint64_t> gotDigest{0};
     vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
-        sim::DistributedSimulation simulation(comm, setup, flagInit);
+        sim::DistributedSimulation simulation(comm, setup, flagInit, tier);
         simulation.setWallVelocity({0.03, 0, 0});
         simulation.run(5, op);
         const std::uint64_t before = simulation.stateDigest();
@@ -394,6 +397,14 @@ TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConverges) {
         if (comm.rank() == 0) gotDigest = d;
     });
     EXPECT_EQ(gotDigest.load(), wantDigest.load());
+}
+
+TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConverges) {
+    forcedMigrationDrill(sim::KernelTier::AaSimd); // the default tier
+}
+
+TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConvergesOnTwoGrid) {
+    forcedMigrationDrill(sim::KernelTier::Simd);
 }
 
 TEST(MigrationTest, NeighborListsStaySymmetricAcrossRanks) {
@@ -448,14 +459,14 @@ TEST(MigrationTest, NeighborListsStaySymmetricAcrossRanks) {
 
 // ---- migration + restart fault drill ---------------------------------------
 
-TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
-    // Timeline of the "killed" run: checkpoint every 5 steps, a forced
-    // full-rotation migration at step 12, rank 2 dies at step 17. The last
-    // surviving checkpoint (step 15) was therefore written under the
-    // *migrated* assignment; the restart reconstructs the original one, so
-    // matching file blocks to local blocks must go through BlockIDs.
+/// Timeline of the "killed" run on `tier`: checkpoint every 5 steps, a
+/// forced full-rotation migration at step 12, rank 2 dies at step 17. The
+/// last surviving checkpoint (step 15) was therefore written under the
+/// *migrated* assignment; the restart reconstructs the original one, so
+/// matching file blocks to local blocks must go through BlockIDs.
+void postMigrationRestartDrill(sim::KernelTier tier, const std::string& name) {
     const std::uint32_t ranks = 4;
-    const std::string ckpt = testing::TempDir() + "/walb_rebalance_drill.wckp";
+    const std::string ckpt = testing::TempDir() + "/" + name + ".wckp";
     std::remove(ckpt.c_str());
     const auto setup = makeRowSetup(ranks, ranks);
     const auto flagInit = rowCavityFlags(ranks);
@@ -469,7 +480,7 @@ TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
     vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
         vmpi::FaultyComm faulty(comm, plan);
         faulty.setRecvDeadline(2000ms);
-        sim::DistributedSimulation simulation(faulty, setup, flagInit);
+        sim::DistributedSimulation simulation(faulty, setup, flagInit, tier);
         simulation.setWallVelocity({0.03, 0, 0});
         simulation.setPreStepCallback(
             [&](std::uint64_t step) { faulty.beginStep(step); });
@@ -502,7 +513,7 @@ TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
     // Reference: the uninterrupted, never-migrated 20-step run.
     std::atomic<std::uint64_t> wantDigest{0};
     vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
-        sim::DistributedSimulation simulation(comm, setup, flagInit);
+        sim::DistributedSimulation simulation(comm, setup, flagInit, tier);
         simulation.setWallVelocity({0.03, 0, 0});
         simulation.run(20, op);
         const std::uint64_t d = simulation.stateDigest();
@@ -513,7 +524,7 @@ TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
     // checkpoint and finish: the trajectory must be bit-exact.
     std::atomic<std::uint64_t> gotDigest{0};
     vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
-        sim::DistributedSimulation simulation(comm, setup, flagInit);
+        sim::DistributedSimulation simulation(comm, setup, flagInit, tier);
         simulation.setWallVelocity({0.03, 0, 0});
         sim::CheckpointOptions opt;
         opt.restartFrom = ckpt;
@@ -525,6 +536,14 @@ TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
     });
     EXPECT_EQ(gotDigest.load(), wantDigest.load());
     std::remove(ckpt.c_str());
+}
+
+TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
+    postMigrationRestartDrill(sim::KernelTier::AaSimd, "walb_rebalance_drill"); // default tier
+}
+
+TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterruptedOnTwoGrid) {
+    postMigrationRestartDrill(sim::KernelTier::Simd, "walb_rebalance_drill_two_grid");
 }
 
 } // namespace

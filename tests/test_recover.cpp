@@ -415,11 +415,12 @@ TEST(RecoveryOptionsTest, RejectsMalformedValuesNamingTheFlag) {
 // ---- end-to-end: kill-and-heal and transient-only drills -------------------
 
 std::uint64_t uninterruptedDigest(const bf::SetupBlockForest& setup, int ranks,
-                                  uint_t steps) {
+                                  uint_t steps,
+                                  sim::KernelTier tier = sim::KernelTier::AaSimd) {
     std::atomic<std::uint64_t> digest{0};
     vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& comm) {
         sim::DistributedSimulation simulation(comm, setup,
-                                              cavityFlags(std::uint32_t(ranks)));
+                                              cavityFlags(std::uint32_t(ranks)), tier);
         simulation.setWallVelocity({0.05, 0, 0});
         simulation.run(steps, TRT::fromOmegaAndMagic(1.5));
         const std::uint64_t d = simulation.stateDigest(); // collective: all call
@@ -428,11 +429,14 @@ std::uint64_t uninterruptedDigest(const bf::SetupBlockForest& setup, int ranks,
     return digest.load();
 }
 
-TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigest) {
+/// Rank 1 of a 4-rank run on `tier` dies at step 6; the survivors heal
+/// from the step-4 buddy copies and finish at the digest of the
+/// uninterrupted run on the same tier.
+void killedRankHealDrill(sim::KernelTier tier) {
     const int ranks = 4;
     const uint_t steps = 12;
     auto setup = makeCavitySetup(std::uint32_t(ranks));
-    const std::uint64_t reference = uninterruptedDigest(setup, ranks, steps);
+    const std::uint64_t reference = uninterruptedDigest(setup, ranks, steps, tier);
     ASSERT_NE(reference, 0u);
 
     vmpi::FaultPlan plan;
@@ -450,7 +454,7 @@ TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigest) {
         vmpi::ReliableComm reliable(faulty);
         reliable.setRecvDeadline(250ms);
         sim::DistributedSimulation simulation(reliable, setup,
-                                              cavityFlags(std::uint32_t(ranks)));
+                                              cavityFlags(std::uint32_t(ranks)), tier);
         simulation.setWallVelocity({0.05, 0, 0});
         // Keep the failure-moment .wfr dumps out of the working directory.
         simulation.setFlightRecorderDumpPrefix(testing::TempDir() + "/walb_recover_kill");
@@ -480,6 +484,14 @@ TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigest) {
     EXPECT_GE(lostBlocks.load(), 1);
     EXPECT_EQ(rewindStep.load(), 4u); // last buddy refresh before the kill
     EXPECT_EQ(healed.load(), reference) << "healed run diverged from reference";
+}
+
+TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigest) {
+    killedRankHealDrill(sim::KernelTier::AaSimd); // the default tier
+}
+
+TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigestOnTwoGrid) {
+    killedRankHealDrill(sim::KernelTier::Simd);
 }
 
 TEST(RecoverEndToEnd, TransientFaultsHealWithZeroRecoveriesAndNonzeroRetries) {
