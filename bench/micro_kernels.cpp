@@ -1,7 +1,7 @@
 /// Micro-benchmarks (google-benchmark) for the design-choice ablations
 /// called out in DESIGN.md:
 ///   * AoS vs SoA field layout under the generic kernel,
-///   * by-cell (tier 2) vs by-direction split-loop SIMD (tier 3) update,
+///   * scalar by-cell (tier 2) vs fused SIMD (tier 3) update,
 ///   * SIMD backend width (scalar / SSE2 / AVX2),
 ///   * sparse strategies: conditional vs cell-list vs line-interval,
 ///   * full vs direction-sliced ghost-layer packing,

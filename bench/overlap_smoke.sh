@@ -8,20 +8,25 @@
 #
 #   1. all four runs produce the same state digest — the overlapped
 #      schedule (and the injected latency) are bit-exact, and
-#   2. under the injected delay the overlapped schedule's exposed
-#      communication time is lower than the synchronous schedule's by at
-#      least the CI floor below.
+#   2. under the injected delay the overlapped schedule hides at least the
+#      floor below of what it can hide. It can hide at most
+#      min(injected latency, core-sweep seconds): the exposed time the
+#      delay adds to the synchronous schedule (at least the delay per
+#      step), or the window the core
+#      sweep offers, whichever is shorter. `hidden_of_hideable` is the
+#      hidden seconds over that bound.
 #
-# The committed BENCH_overlap.json artifact documents the >= 2x headline
-# ratio measured for the acceptance run; the CI floor is deliberately looser
-# (the 4 virtual ranks timeshare one core on this machine, so individual
-# runs see multi-ms scheduler noise) — it guards against the overlap path
-# regressing to "no better than synchronous" without flaking the suite.
+# The floor holds on any host and for any kernel speed: a faster core
+# sweep shrinks the bound together with what it can hide, where the old
+# gate (synchronous over overlapped exposed time >= 1.25) fell once the
+# core sweep got shorter than the delay it hides. An overlap path that
+# stopped hiding reads ~0. The exposed ratio is still printed and
+# recorded (BENCH_overlap.json).
 #
 # Usage: overlap_smoke.sh <fig6_weak_dense binary> <scratch dir>
 set -u
 
-ci_ratio_floor=1.25
+hidden_floor=0.5
 
 bin="$1"
 dir="$2"
@@ -45,7 +50,9 @@ dsync=$(kv digest_sync)
 dover=$(kv digest_overlap)
 ratio=$(kv exposed_ratio)
 hidden=$(kv hidden_fraction)
-for v in dsync dover ratio hidden; do
+hiding=$(grep 'hidden_of_hideable' "$log") || fail "no parseable 'hiding:' line"
+of_hideable=$(echo "$hiding" | sed -n "s/.* hidden_of_hideable \([0-9.][0-9.]*\).*/\1/p")
+for v in dsync dover ratio hidden of_hideable; do
     eval "val=\$$v"
     [ -n "$val" ] || fail "field '$v' missing from smoke line: $line"
 done
@@ -54,17 +61,19 @@ done
     || fail "digests differ: sync=$dsync overlap=$dover (overlap not bit-exact)"
 echo "   digest: $dsync == $dover"
 
-awk "BEGIN { exit !($ratio >= $ci_ratio_floor) }" \
-    || fail "exposed ratio $ratio below CI floor $ci_ratio_floor"
-echo "   exposed ratio: $ratio (floor $ci_ratio_floor; headline artifact: BENCH_overlap.json)"
+awk "BEGIN { exit !($of_hideable >= $hidden_floor) }" \
+    || fail "hidden $of_hideable of min(injected, core sweep), below floor $hidden_floor"
+echo "   hidden of min(injected, core sweep): $of_hideable (floor $hidden_floor);" \
+     "exposed ratio $ratio (artifact: BENCH_overlap.json)"
 
 # The metrics JSON must carry the overlap observability fields.
 [ -f "$json" ] || fail "no metrics JSON written"
 for key in digest_sync digest_overlap exposed_sync_seconds \
-           exposed_overlap_seconds exposed_ratio comm.hidden_fraction; do
+           exposed_overlap_seconds exposed_ratio comm.hidden_fraction \
+           injected_seconds core_sweep_overlap_seconds hidden_of_hideable; do
     grep -q "\"$key\"" "$json" || fail "key '$key' missing from $json"
 done
 echo "   metrics JSON: ok ($json)"
 
-echo "overlap_smoke: PASS (overlap bit-exact, exposed communication reduced)"
+echo "overlap_smoke: PASS (overlap bit-exact, communication hidden behind the core sweep)"
 exit 0

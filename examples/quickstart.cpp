@@ -18,7 +18,7 @@ int main() {
     constexpr cell_idx_t N = 48;
     SingleBlockSimulation::Config config;
     config.xSize = config.ySize = config.zSize = N;
-    config.tier = sim::KernelTier::Simd; // the optimized SoA split-loop kernel
+    config.tier = sim::KernelTier::Simd; // the fused SoA SIMD kernel
     SingleBlockSimulation simulation(config);
 
     // 2. Flag the geometry: a moving lid on top, walls everywhere else,

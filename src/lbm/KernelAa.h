@@ -70,6 +70,22 @@ constexpr AaParity aaParityOf(StepPattern p) {
     return p == StepPattern::AaOdd ? AaParity::Odd : AaParity::Even;
 }
 
+/// The pattern of the AA kernel of parity `parity`.
+constexpr StepPattern aaPatternOf(AaParity parity) {
+    return parity == AaParity::Odd ? StepPattern::AaOdd : StepPattern::AaEven;
+}
+
+/// The pattern the storage is in after a step of pattern p: an AA step
+/// flips the parity, a two-grid step keeps its pattern.
+constexpr StepPattern patternAfter(StepPattern p) {
+    switch (p) {
+        case StepPattern::AaEven: return StepPattern::AaOdd;
+        case StepPattern::AaOdd: return StepPattern::AaEven;
+        case StepPattern::TwoGrid: break;
+    }
+    return StepPattern::TwoGrid;
+}
+
 /// Even-step update of one cell: read local, collide, write back with the
 /// opposing-direction swap.
 template <typename Op>

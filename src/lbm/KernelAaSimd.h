@@ -1,338 +1,44 @@
 #pragma once
 /// \file KernelAaSimd.h
-/// SIMD variant of the in-place AA-pattern kernels (KernelAa.h), built on
-/// the same split-loop structure as the two-grid SIMD kernel
-/// (KernelD3Q19Simd.h): pass 1 accumulates the row's macroscopic moments
-/// one direction at a time, pass 2 collides and stores one direction pair
-/// at a time. Only the load/store index maps differ:
+/// SIMD variant of the in-place AA-pattern kernels (KernelAa.h). It runs
+/// the fused collision body of the two-grid SIMD tier (KernelD3Q19Simd.h)
+/// with the AA load/store offsets:
 ///
 ///  * even step — all 19 loads are cell-local (zero spatial offset), and
-///    each pair's stores go to the *opposing* slot of the same cell. The
-///    stores hit lines the moment pass just loaded, which is what removes
-///    the write-allocate stream of the two-grid kernel.
+///    direction a stores to the *opposing* slot abar of the same cell. The
+///    stores hit lines the group just loaded, which is what removes the
+///    write-allocate stream of the two-grid kernel.
 ///  * odd step — direction a loads from (x - e_a, abar) and stores to
-///    (x + e_a, a). Within one pair iteration the two loads complete
-///    before the two stores, and the store pointers alias exactly the two
-///    load pointers of the *same* lanes (the slot (w, s) is read and
-///    written only by the cell w - e_s), so the in-place update is safe
-///    for any row order — including OpenMP over rows/runs.
+///    (x + e_a, a). The slot (w, s) is read and written only by the cell
+///    w - e_s, and a group's 19 loads precede its stores, so the in-place
+///    update is safe for any row order — including OpenMP over rows/runs.
 ///
-/// The collision arithmetic is copied verbatim from KernelD3Q19Simd
-/// (including the fma in eqSym), so the AA SIMD tier is bit-exact against
-/// the two-grid SIMD tier.
+/// One body for both tiers makes the AA SIMD tier bit-exact against the
+/// two-grid SIMD tier by construction.
 
-#include <vector>
-
-#include "field/FlagField.h"
-#include "lbm/Collision.h"
 #include "lbm/KernelAa.h"
-#include "lbm/KernelD3Q19.h"
-#include "lbm/PdfField.h"
+#include "lbm/KernelD3Q19Simd.h"
 #include "lbm/Sparse.h"
-#include "simd/Simd.h"
 
 namespace walb::lbm {
 
 template <typename V = simd::BestD>
 class KernelAaSimd {
 public:
-    /// Dense parity-dispatched sweep over the whole interior; rows are
-    /// independent (each slot belongs to exactly one cell's update), so
-    /// they are distributed over OpenMP threads when available.
+    /// Dense parity-dispatched sweep over the whole interior.
     template <typename Op>
-    void sweep(PdfField& pdf, AaParity parity, const Op& op) {
-        checkField(pdf);
-        const cell_idx_t ny = pdf.ySize(), nz = pdf.zSize();
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
-#endif
-        for (cell_idx_t z = 0; z < nz; ++z)
-            for (cell_idx_t y = 0; y < ny; ++y)
-                processRow(pdf, parity, y, z, 0, pdf.xSize() - 1, op);
-    }
-
-    /// AA-update the cells [x0, x1] (inclusive) of row (y, z). Safe to call
-    /// concurrently from several threads on disjoint rows.
-    template <typename Op>
-    void processRow(PdfField& pdf, AaParity parity, cell_idx_t y, cell_idx_t z,
-                    cell_idx_t x0, cell_idx_t x1, const Op& op) const {
-        const std::size_t n = std::size_t(x1 - x0 + 1);
-        if (n == 0) return;
-        Scratch& s = scratch(n);
-
-        if (parity == AaParity::Even) momentPassEven(pdf, y, z, x0, n, s);
-        else momentPassOdd(pdf, y, z, x0, n, s);
-
-        const std::size_t nVec = n - n % V::width;
-        if (parity == AaParity::Even) {
-            collidePassEven<V>(pdf, y, z, x0, 0, nVec, op, s);
-            collidePassEven<simd::ScalarD>(pdf, y, z, x0, nVec, n, op, s);
-        } else {
-            collidePassOdd<V>(pdf, y, z, x0, 0, nVec, op, s);
-            collidePassOdd<simd::ScalarD>(pdf, y, z, x0, nVec, n, op, s);
-        }
-    }
-
-private:
-    /// Per-thread row buffers, as in KernelD3Q19Simd.
-    struct Scratch {
-        std::vector<real_t> rho, ux, uy, uz, indep;
-    };
-
-    static Scratch& scratch(std::size_t n) {
-        static thread_local Scratch s;
-        if (s.rho.size() < n) {
-            s.rho.resize(n);
-            s.ux.resize(n);
-            s.uy.resize(n);
-            s.uz.resize(n);
-            s.indep.resize(n);
-        }
-        return s;
-    }
-
-    static void checkField(const PdfField& pdf) {
-        WALB_ASSERT(pdf.layout() == field::Layout::fzyx,
-                    "SIMD kernel requires SoA (fzyx) layout");
-        WALB_ASSERT(pdf.ghostLayers() >= 1 && pdf.fSize() == 19);
-    }
-
-    static void normalizeMoments(std::size_t n, Scratch& s) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const real_t invRho = real_c(1) / s.rho[i];
-            s.ux[i] *= invRho;
-            s.uy[i] *= invRho;
-            s.uz[i] *= invRho;
-            s.indep[i] = real_c(1) -
-                         real_c(1.5) * (s.ux[i] * s.ux[i] + s.uy[i] * s.uy[i] + s.uz[i] * s.uz[i]);
-        }
-    }
-
-    /// Even-step pass 1: every direction loads cell-local (zero offset,
-    /// natural slot).
-    static void momentPassEven(const PdfField& pdf, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                               std::size_t n, Scratch& s) {
-        using M = D3Q19;
-        {
-            const real_t* pc = pdf.dataAt(x0, y, z, 0);
-            for (std::size_t i = 0; i < n; ++i) {
-                s.rho[i] = pc[i];
-                s.ux[i] = real_c(0);
-                s.uy[i] = real_c(0);
-                s.uz[i] = real_c(0);
-            }
-        }
-        [&]<std::size_t... A>(std::index_sequence<A...>) {
-            (accumulateDirEven<A + 1>(pdf, y, z, x0, n, s), ...);
-        }(std::make_index_sequence<M::Q - 1>{});
-        normalizeMoments(n, s);
-    }
-
-    template <std::size_t A>
-    static void accumulateDirEven(const PdfField& pdf, cell_idx_t y, cell_idx_t z,
-                                  cell_idx_t x0, std::size_t n, Scratch& s) {
-        using M = D3Q19;
-        constexpr int cx = M::c[A][0], cy = M::c[A][1], cz = M::c[A][2];
-        const real_t* p = pdf.dataAt(x0, y, z, cell_idx_c(A));
-        for (std::size_t i = 0; i < n; ++i) {
-            const real_t v = p[i];
-            s.rho[i] += v;
-            if constexpr (cx == 1) s.ux[i] += v;
-            if constexpr (cx == -1) s.ux[i] -= v;
-            if constexpr (cy == 1) s.uy[i] += v;
-            if constexpr (cy == -1) s.uy[i] -= v;
-            if constexpr (cz == 1) s.uz[i] += v;
-            if constexpr (cz == -1) s.uz[i] -= v;
-        }
-    }
-
-    /// Odd-step pass 1: direction a loads from the neighbor (x - e_a) in the
-    /// *opposing* slot, where the even step parked f_a.
-    static void momentPassOdd(const PdfField& pdf, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                              std::size_t n, Scratch& s) {
-        using M = D3Q19;
-        {
-            const real_t* pc = pdf.dataAt(x0, y, z, 0);
-            for (std::size_t i = 0; i < n; ++i) {
-                s.rho[i] = pc[i];
-                s.ux[i] = real_c(0);
-                s.uy[i] = real_c(0);
-                s.uz[i] = real_c(0);
-            }
-        }
-        [&]<std::size_t... A>(std::index_sequence<A...>) {
-            (accumulateDirOdd<A + 1>(pdf, y, z, x0, n, s), ...);
-        }(std::make_index_sequence<M::Q - 1>{});
-        normalizeMoments(n, s);
-    }
-
-    template <std::size_t A>
-    static void accumulateDirOdd(const PdfField& pdf, cell_idx_t y, cell_idx_t z,
-                                 cell_idx_t x0, std::size_t n, Scratch& s) {
-        using M = D3Q19;
-        constexpr int cx = M::c[A][0], cy = M::c[A][1], cz = M::c[A][2];
-        const real_t* p = pdf.dataAt(x0 - cx, y - cy, z - cz, cell_idx_c(M::inv[A]));
-        for (std::size_t i = 0; i < n; ++i) {
-            const real_t v = p[i];
-            s.rho[i] += v;
-            if constexpr (cx == 1) s.ux[i] += v;
-            if constexpr (cx == -1) s.ux[i] -= v;
-            if constexpr (cy == 1) s.uy[i] += v;
-            if constexpr (cy == -1) s.uy[i] -= v;
-            if constexpr (cz == 1) s.uz[i] += v;
-            if constexpr (cz == -1) s.uz[i] -= v;
-        }
-    }
-
-    /// Even-step pass 2: cell-local loads, opposing-slot stores.
-    template <typename W, typename Op>
-    static void collidePassEven(PdfField& pdf, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                                std::size_t i0, std::size_t i1, const Op& op, Scratch& s) {
-        if (i0 == i1) return;
-        collideCenter<W>(pdf.dataAt(x0, y, z, 0), pdf.dataAt(x0, y, z, 0), i0, i1, op, s);
-        [&]<std::size_t... P>(std::index_sequence<P...>) {
-            (collidePairEven<P, W>(pdf, y, z, x0, i0, i1, op, s), ...);
-        }(std::make_index_sequence<9>{});
-    }
-
-    template <std::size_t P, typename W, typename Op>
-    static void collidePairEven(PdfField& pdf, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                                std::size_t i0, std::size_t i1, const Op& op, Scratch& s) {
-        constexpr auto pr = d3q19::pairs[P];
-        const real_t* pa = pdf.dataAt(x0, y, z, cell_idx_c(pr.a));
-        const real_t* pb = pdf.dataAt(x0, y, z, cell_idx_c(pr.b));
-        // outA parks in the opposing slot b, outB in slot a — the stores
-        // alias exactly the two loads of the same lanes.
-        real_t* da = pdf.dataAt(x0, y, z, cell_idx_c(pr.b));
-        real_t* db = pdf.dataAt(x0, y, z, cell_idx_c(pr.a));
-        collidePairLanes<P, W>(pa, pb, da, db, i0, i1, op, s);
-    }
-
-    /// Odd-step pass 2: pull-offset loads from the opposing slots, push
-    /// stores to the natural slots — the store pointers alias the opposite
-    /// pair member's load pointer, loads first.
-    template <typename W, typename Op>
-    static void collidePassOdd(PdfField& pdf, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                               std::size_t i0, std::size_t i1, const Op& op, Scratch& s) {
-        if (i0 == i1) return;
-        collideCenter<W>(pdf.dataAt(x0, y, z, 0), pdf.dataAt(x0, y, z, 0), i0, i1, op, s);
-        [&]<std::size_t... P>(std::index_sequence<P...>) {
-            (collidePairOdd<P, W>(pdf, y, z, x0, i0, i1, op, s), ...);
-        }(std::make_index_sequence<9>{});
-    }
-
-    template <std::size_t P, typename W, typename Op>
-    static void collidePairOdd(PdfField& pdf, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                               std::size_t i0, std::size_t i1, const Op& op, Scratch& s) {
-        using M = D3Q19;
-        constexpr auto pr = d3q19::pairs[P];
-        // f_a parked by the even step at (x - e_a, slot b); f_b at
-        // (x + e_a, slot a).
-        const real_t* pa = pdf.dataAt(x0 - pr.px, y - pr.py, z - pr.pz, cell_idx_c(pr.b));
-        const real_t* pb = pdf.dataAt(x0 + pr.px, y + pr.py, z + pr.pz, cell_idx_c(pr.a));
-        // Push: P(x, a) -> (x + e_a, slot a) (== pb), P(x, b) -> (x - e_a,
-        // slot b) (== pa).
-        real_t* da = pdf.dataAt(x0 + pr.px, y + pr.py, z + pr.pz, cell_idx_c(pr.a));
-        real_t* db = pdf.dataAt(x0 - pr.px, y - pr.py, z - pr.pz, cell_idx_c(pr.b));
-        static_assert(M::inv[pr.a] == pr.b);
-        collidePairLanes<P, W>(pa, pb, da, db, i0, i1, op, s);
-    }
-
-    /// Center direction: purely even part, in place. Arithmetic identical
-    /// to KernelD3Q19Simd's center block.
-    template <typename W, typename Op>
-    static void collideCenter(const real_t* pc, real_t* dc, std::size_t i0, std::size_t i1,
-                              const Op& op, Scratch& s) {
-        constexpr std::size_t step = W::width;
-        const W wCrho = W::set1(d3q19::wC);
-        for (std::size_t i = i0; i < i1; i += step) {
-            const W f0 = W::loadu(pc + i);
-            const W eq = wCrho * W::loadu(s.rho.data() + i) * W::loadu(s.indep.data() + i);
-            W out{};
-            if constexpr (std::is_same_v<Op, SRT>) {
-                const W om = W::set1(op.omega);
-                out = f0 - om * (f0 - eq);
-            } else {
-                const W le = W::set1(op.lambdaE);
-                out = f0 + le * (f0 - eq);
-            }
-            out.storeu(dc + i);
-        }
-    }
-
-    /// Pair collision over the lanes [i0, i1): loads from pa/pb, stores to
-    /// da/db — loads of a lane block always precede its stores, which is
-    /// what makes the aliased in-place pointers safe. Arithmetic identical
-    /// to KernelD3Q19Simd::collidePair.
-    template <std::size_t P, typename W, typename Op>
-    static void collidePairLanes(const real_t* pa, const real_t* pb, real_t* da, real_t* db,
-                                 std::size_t i0, std::size_t i1, const Op& op, Scratch& s) {
-        constexpr auto pr = d3q19::pairs[P];
-        constexpr real_t wgt = d3q19::pairWeight(P);
-        constexpr std::size_t step = W::width;
-
-        const W w45 = W::set1(real_c(4.5));
-        const W w3 = W::set1(real_c(3));
-        const W wW = W::set1(wgt);
-        const W half = W::set1(real_c(0.5));
-
-        for (std::size_t i = i0; i < i1; i += step) {
-            const W fa = W::loadu(pa + i);
-            const W fb = W::loadu(pb + i);
-
-            W eu = W::set1(real_c(0));
-            if constexpr (pr.px == 1) eu = eu + W::loadu(s.ux.data() + i);
-            if constexpr (pr.px == -1) eu = eu - W::loadu(s.ux.data() + i);
-            if constexpr (pr.py == 1) eu = eu + W::loadu(s.uy.data() + i);
-            if constexpr (pr.py == -1) eu = eu - W::loadu(s.uy.data() + i);
-            if constexpr (pr.pz == 1) eu = eu + W::loadu(s.uz.data() + i);
-            if constexpr (pr.pz == -1) eu = eu - W::loadu(s.uz.data() + i);
-
-            const W wrho = wW * W::loadu(s.rho.data() + i);
-            const W eqSym = wrho * fma(w45, eu * eu, W::loadu(s.indep.data() + i));
-            const W eqAsym = wrho * (w3 * eu);
-
-            W outA{}, outB{};
-            if constexpr (std::is_same_v<Op, SRT>) {
-                const W om = W::set1(op.omega);
-                outA = fa - om * (fa - (eqSym + eqAsym));
-                outB = fb - om * (fb - (eqSym - eqAsym));
-            } else {
-                const W le = W::set1(op.lambdaE);
-                const W lo = W::set1(op.lambdaO);
-                const W fSym = half * (fa + fb);
-                const W fAsym = half * (fa - fb);
-                const W even = le * (fSym - eqSym);
-                const W odd = lo * (fAsym - eqAsym);
-                outA = fa + even + odd;
-                outB = fb + even - odd;
-            }
-            outA.storeu(da + i);
-            outB.storeu(db + i);
-        }
+    void sweep(PdfField& pdf, AaParity parity, const Op& op) const {
+        d3q19simd::collideDense<V>(pdf, pdf, aaPatternOf(parity), op);
     }
 };
 
 /// Vectorized AA sweep over fluid line intervals (sparse strategy 3). Runs
 /// touch pairwise-disjoint slot sets under either parity, so they are
-/// distributed over OpenMP threads exactly like streamCollideRuns.
-template <typename Op, typename V = simd::BestD>
-void aaCollideRuns(PdfField& pdf, AaParity parity, const FluidRun* runs, std::size_t numRuns,
-                   const Op& op, KernelAaSimd<V>& kernel) {
-    const auto n = std::int64_t(numRuns);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::int64_t i = 0; i < n; ++i) {
-        const FluidRun& r = runs[std::size_t(i)];
-        kernel.processRow(pdf, parity, r.y, r.z, r.xBegin, r.xEnd, op);
-    }
-}
-
+/// distributed over OpenMP threads like the two-grid runs (collideRuns).
 template <typename Op, typename V = simd::BestD>
 void aaCollideIntervals(PdfField& pdf, AaParity parity, const FluidRunList& list, const Op& op,
-                       KernelAaSimd<V>& kernel) {
-    aaCollideRuns(pdf, parity, list.runs.data(), list.runs.size(), op, kernel);
+                        const KernelAaSimd<V>&) {
+    collideRuns<V>(pdf, pdf, aaPatternOf(parity), list.runs.data(), list.runs.size(), op);
 }
 
 } // namespace walb::lbm

@@ -1,233 +1,204 @@
 #pragma once
 /// \file KernelD3Q19Simd.h
-/// Optimization tier 3 (paper §4.1): the SIMD-vectorized D3Q19 kernel.
+/// Optimization tier 3 (paper §4.1): the SIMD-vectorized D3Q19 kernel, and
+/// the one fused collision body that both SIMD tiers run — this two-grid
+/// tier and the in-place AA tier of KernelAaSimd.h.
 ///
-/// Requirements and structure follow the paper exactly:
-///  * The PDF fields must use the SoA (fzyx) layout so that all values of
-///    one direction are contiguous in x.
-///  * The innermost loop is *split*: the update runs in a by-direction
-///    rather than a by-cell manner, which reduces the number of concurrent
-///    load/store streams to what the hardware prefetchers can track.
-///    Pass 1 accumulates the macroscopic moments (rho, u) of a row,
-///    pass 2 performs collision + store for one direction *pair* at a time
-///    (2 loads + 2 stores + cached scratch rows).
+///  * The PDF fields must use the SoA (fzyx) layout, so that the values of
+///    one direction are contiguous in x and V::width neighbouring cells of
+///    a row are one vector load per direction.
+///  * The update is fused and register-resident: for each group of
+///    V::width cells the 19 PDFs are loaded, rho and u are computed, the
+///    collision runs per opposite-direction pair (the common subexpression
+///    elimination of the D3Q19 tier) and 19 values are stored. A row's last
+///    partial group is one masked vector iteration (simd loadn/storen), so
+///    a cell's arithmetic never depends on where it falls in a row or run.
+///  * The step patterns (two-grid pull, AA even, AA odd) differ only in
+///    the 19 load and 19 store offsets of StepSlots, computed once per
+///    sweep from the field strides. Both tiers therefore compute
+///    bit-identical states.
 ///  * The code transformation "couldn't be done automatically by any of the
 ///    compilers" — it is performed manually here via the simd:: backends.
 ///
-/// Row scratch buffers are thread-local, so rows (and whole blocks) may be
-/// processed concurrently by OpenMP threads — the intra-process half of the
-/// paper's hybrid MPI/OpenMP parallelization. processRow() is public: the
-/// sparse line-interval kernel (paper §4.3, "compressed storage scheme of a
-/// sparse matrix") drives the very same vectorized row code over fluid runs.
+/// The paper splits the innermost loop by direction instead, so that the
+/// number of concurrent load/store streams stays within what the hardware
+/// prefetchers track. A split loop pays its setup once per direction and
+/// row, and vascular fluid runs average 8 cells, so on sparse blocks that
+/// setup outweighed the arithmetic. On a 4-vCPU AVX-512 Xeon the fused loop
+/// is faster on dense blocks too (EXPERIMENTS.md "One fused SIMD collision
+/// for both SIMD tiers").
+///
+/// Rows are independent, so dense sweeps and run sweeps (Sparse.h) are
+/// distributed over OpenMP threads — the intra-process half of the paper's
+/// hybrid MPI/OpenMP parallelization.
 
-#include <vector>
+#include <array>
+#include <cstddef>
+#include <type_traits>
+#include <utility>
 
 #include "field/FlagField.h"
 #include "lbm/Collision.h"
+#include "lbm/KernelAa.h"
 #include "lbm/KernelD3Q19.h"
 #include "lbm/PdfField.h"
 #include "simd/Simd.h"
 
 namespace walb::lbm {
 
-template <typename V = simd::BestD>
-class KernelD3Q19Simd {
-public:
-    /// Dense sweep over the whole interior of dst; rows are distributed
-    /// over OpenMP threads when compiled with OpenMP (every (y,z) row is
-    /// independent: reads from src, disjoint writes to dst).
-    template <typename Op>
-    void sweep(const PdfField& src, PdfField& dst, const Op& op) {
-        checkFields(src, dst);
-        const cell_idx_t ny = dst.ySize(), nz = dst.zSize();
+/// Storage offsets, relative to the f = 0 slot of the updated cell, of the
+/// 19 loads and 19 stores of one step under pattern p. Direction a loads
+/// the canonical slot of P(x - e_a, a) under p and stores P(x, a) to its
+/// canonical slot under the pattern the step leaves behind:
+///
+///   TwoGrid: load src(x - e_a, a),     store dst(x, a)
+///   AaEven:  load (x, a),              store (x, abar)
+///   AaOdd:   load (x - e_a, abar),     store (x + e_a, a)
+///
+/// Load offsets are in src's strides, store offsets in dst's.
+struct StepSlots {
+    std::array<std::ptrdiff_t, D3Q19::Q> load, store;
+};
+
+inline StepSlots stepSlots(StepPattern p, const PdfField& src, const PdfField& dst) {
+    using M = D3Q19;
+    WALB_ASSERT(src.layout() == field::Layout::fzyx && dst.layout() == field::Layout::fzyx,
+                "SIMD kernel requires SoA (fzyx) layout");
+    WALB_ASSERT(src.ghostLayers() >= 1 && src.fSize() == 19 && dst.fSize() == 19);
+    StepSlots s{};
+    const real_t* s0 = src.dataAt(0, 0, 0);
+    const real_t* d0 = dst.dataAt(0, 0, 0);
+    for (uint_t a = 0; a < M::Q; ++a) {
+        s.load[a] = canonicalSlot(src, p, -M::c[a][0], -M::c[a][1], -M::c[a][2], a) - s0;
+        s.store[a] = canonicalSlot(dst, patternAfter(p), 0, 0, 0, a) - d0;
+    }
+    return s;
+}
+
+namespace d3q19simd {
+
+/// rho += f_A and the momentum components += c[A] f_A, emitting only the
+/// nonzero components.
+template <std::size_t A, typename V>
+inline void accumulate(V f, V& rho, V& mx, V& my, V& mz) {
+    constexpr int cx = D3Q19::c[A][0], cy = D3Q19::c[A][1], cz = D3Q19::c[A][2];
+    rho = rho + f;
+    if constexpr (cx == 1) mx = mx + f;
+    if constexpr (cx == -1) mx = mx - f;
+    if constexpr (cy == 1) my = my + f;
+    if constexpr (cy == -1) my = my - f;
+    if constexpr (cz == 1) mz = mz + f;
+    if constexpr (cz == -1) mz = mz - f;
+}
+
+/// Post-collision values {a, b} of pair P from its pre-collision values.
+template <std::size_t P, typename V, typename Op>
+inline std::pair<V, V> collidePair(V fa, V fb, V rho, V ux, V uy, V uz, V indep, const Op& op) {
+    constexpr auto pr = d3q19::pairs[P];
+    V eu = V::set1(real_c(0));
+    if constexpr (pr.px == 1) eu = eu + ux;
+    if constexpr (pr.px == -1) eu = eu - ux;
+    if constexpr (pr.py == 1) eu = eu + uy;
+    if constexpr (pr.py == -1) eu = eu - uy;
+    if constexpr (pr.pz == 1) eu = eu + uz;
+    if constexpr (pr.pz == -1) eu = eu - uz;
+
+    const V wrho = V::set1(d3q19::pairWeight(P)) * rho;
+    const V eqSym = wrho * fma(V::set1(real_c(4.5)), eu * eu, indep);
+    const V eqAsym = wrho * (V::set1(real_c(3)) * eu);
+    if constexpr (std::is_same_v<Op, SRT>) {
+        const V om = V::set1(op.omega);
+        return {fa - om * (fa - (eqSym + eqAsym)), fb - om * (fb - (eqSym - eqAsym))};
+    } else {
+        const V half = V::set1(real_c(0.5));
+        const V even = V::set1(op.lambdaE) * (half * (fa + fb) - eqSym);
+        const V odd = V::set1(op.lambdaO) * (half * (fa - fb) - eqAsym);
+        return {fa + even + odd, fb + even - odd};
+    }
+}
+
+/// The fused update of one group of cells: `lanes` == V::width, or fewer
+/// on the masked (Partial) last group of a row. All 19 loads precede the
+/// first store, and under every pattern the slots a cell stores are slots
+/// only that cell loads, so src and dst may be the same field.
+template <typename V, bool Partial, typename Op>
+inline void collideGroup(const real_t* src, real_t* dst, const StepSlots& s, std::size_t lanes,
+                         const Op& op) {
+    using M = D3Q19;
+    V f[M::Q];
+    for (uint_t a = 0; a < M::Q; ++a)
+        f[a] = Partial ? V::loadn(src + s.load[a], lanes) : V::loadu(src + s.load[a]);
+
+    // Moments accumulate in direction order 0 .. 18.
+    V rho = f[0], ux = V::set1(real_c(0)), uy = ux, uz = ux;
+    [&]<std::size_t... A>(std::index_sequence<A...>) {
+        (accumulate<A + 1>(f[A + 1], rho, ux, uy, uz), ...);
+    }(std::make_index_sequence<M::Q - 1>{});
+    const V invRho = V::set1(real_c(1)) / rho;
+    ux = ux * invRho;
+    uy = uy * invRho;
+    uz = uz * invRho;
+    const V indep = V::set1(real_c(1)) - V::set1(real_c(1.5)) * (ux * ux + uy * uy + uz * uz);
+
+    const auto store = [&](uint_t a, V v) {
+        if constexpr (Partial) v.storen(dst + s.store[a], lanes);
+        else v.storeu(dst + s.store[a]);
+    };
+    // Center direction: purely even part.
+    const V eq0 = V::set1(d3q19::wC) * rho * indep;
+    if constexpr (std::is_same_v<Op, SRT>) store(0, f[0] - V::set1(op.omega) * (f[0] - eq0));
+    else store(0, f[0] + V::set1(op.lambdaE) * (f[0] - eq0));
+
+    [&]<std::size_t... P>(std::index_sequence<P...>) {
+        (
+            [&] {
+                constexpr auto pr = d3q19::pairs[P];
+                const auto [outA, outB] =
+                    collidePair<P>(f[pr.a], f[pr.b], rho, ux, uy, uz, indep, op);
+                store(pr.a, outA);
+                store(pr.b, outB);
+            }(),
+            ...);
+    }(std::make_index_sequence<9>{});
+}
+
+/// Updates the n cells of a row whose f = 0 slots are src[0..n) and
+/// dst[0..n): full groups, then one masked group for the remainder.
+template <typename V, typename Op>
+inline void collideRow(const real_t* src, real_t* dst, const StepSlots& s, std::size_t n,
+                       const Op& op) {
+    std::size_t i = 0;
+    for (; i + V::width <= n; i += V::width)
+        collideGroup<V, false>(src + i, dst + i, s, V::width, op);
+    if (i < n) collideGroup<V, true>(src + i, dst + i, s, n - i, op);
+}
+
+/// Dense sweep of the whole interior under pattern p (src == dst for the
+/// AA patterns). Every (y, z) row is independent, so rows are distributed
+/// over OpenMP threads.
+template <typename V, typename Op>
+void collideDense(const PdfField& src, PdfField& dst, StepPattern p, const Op& op) {
+    const StepSlots s = stepSlots(p, src, dst);
+    const cell_idx_t ny = dst.ySize(), nz = dst.zSize();
+    const auto nx = std::size_t(dst.xSize());
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static)
 #endif
-        for (cell_idx_t z = 0; z < nz; ++z)
-            for (cell_idx_t y = 0; y < ny; ++y)
-                processRow(src, dst, y, z, 0, dst.xSize() - 1, op);
-    }
+    for (cell_idx_t z = 0; z < nz; ++z)
+        for (cell_idx_t y = 0; y < ny; ++y)
+            collideRow<V>(src.dataAt(0, y, z), dst.dataAt(0, y, z), s, nx, op);
+}
 
-    /// Stream-collide the cells [x0, x1] (inclusive) of row (y, z). Safe to
-    /// call concurrently from several threads on disjoint rows.
+} // namespace d3q19simd
+
+/// The two-grid SIMD tier: stream-pull from src, collide, store to dst.
+template <typename V = simd::BestD>
+class KernelD3Q19Simd {
+public:
     template <typename Op>
-    void processRow(const PdfField& src, PdfField& dst, cell_idx_t y, cell_idx_t z,
-                    cell_idx_t x0, cell_idx_t x1, const Op& op) const {
-        const std::size_t n = std::size_t(x1 - x0 + 1);
-        if (n == 0) return;
-        Scratch& s = scratch(n);
-
-        momentPass(src, y, z, x0, n, s);
-
-        const std::size_t nVec = n - n % V::width;
-        collidePass<V>(src, dst, y, z, x0, 0, nVec, op, s);
-        collidePass<simd::ScalarD>(src, dst, y, z, x0, nVec, n, op, s);
+    void sweep(const PdfField& src, PdfField& dst, const Op& op) const {
+        d3q19simd::collideDense<V>(src, dst, StepPattern::TwoGrid, op);
     }
-
-private:
-    /// Per-thread row buffers: thread-local so concurrent rows don't race.
-    struct Scratch {
-        std::vector<real_t> rho, ux, uy, uz, indep;
-    };
-
-    static Scratch& scratch(std::size_t n) {
-        static thread_local Scratch s;
-        if (s.rho.size() < n) {
-            s.rho.resize(n);
-            s.ux.resize(n);
-            s.uy.resize(n);
-            s.uz.resize(n);
-            s.indep.resize(n);
-        }
-        return s;
-    }
-
-    static void checkFields(const PdfField& src, const PdfField& dst) {
-        WALB_ASSERT(src.layout() == field::Layout::fzyx && dst.layout() == field::Layout::fzyx,
-                    "SIMD kernel requires SoA (fzyx) layout");
-        WALB_ASSERT(src.ghostLayers() >= 1 && src.fSize() == 19 && dst.fSize() == 19);
-    }
-
-    /// Pass 1: accumulate rho and momentum of the row, one direction at a
-    /// time (few concurrent streams), then normalize and precompute the
-    /// direction-independent equilibrium factor 1 - 1.5 u.u .
-    static void momentPass(const PdfField& src, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                           std::size_t n, Scratch& s) {
-        using M = D3Q19;
-        // Initialize with the center direction (c = 0): rho = f_C, m = 0.
-        {
-            const real_t* pc = src.dataAt(x0, y, z, 0);
-            for (std::size_t i = 0; i < n; ++i) {
-                s.rho[i] = pc[i];
-                s.ux[i] = real_c(0);
-                s.uy[i] = real_c(0);
-                s.uz[i] = real_c(0);
-            }
-        }
-        [&]<std::size_t... A>(std::index_sequence<A...>) {
-            (accumulateDir<A + 1>(src, y, z, x0, n, s), ...);
-        }(std::make_index_sequence<M::Q - 1>{});
-
-        for (std::size_t i = 0; i < n; ++i) {
-            const real_t invRho = real_c(1) / s.rho[i];
-            s.ux[i] *= invRho;
-            s.uy[i] *= invRho;
-            s.uz[i] *= invRho;
-            s.indep[i] = real_c(1) -
-                         real_c(1.5) * (s.ux[i] * s.ux[i] + s.uy[i] * s.uy[i] + s.uz[i] * s.uz[i]);
-        }
-    }
-
-    template <std::size_t A>
-    static void accumulateDir(const PdfField& src, cell_idx_t y, cell_idx_t z, cell_idx_t x0,
-                              std::size_t n, Scratch& s) {
-        using M = D3Q19;
-        constexpr int cx = M::c[A][0], cy = M::c[A][1], cz = M::c[A][2];
-        const real_t* p = src.dataAt(x0 - cx, y - cy, z - cz, cell_idx_c(A));
-        for (std::size_t i = 0; i < n; ++i) {
-            const real_t v = p[i];
-            s.rho[i] += v;
-            if constexpr (cx == 1) s.ux[i] += v;
-            if constexpr (cx == -1) s.ux[i] -= v;
-            if constexpr (cy == 1) s.uy[i] += v;
-            if constexpr (cy == -1) s.uy[i] -= v;
-            if constexpr (cz == 1) s.uz[i] += v;
-            if constexpr (cz == -1) s.uz[i] -= v;
-        }
-    }
-
-    /// Pass 2: by-direction collision and store for the index range [i0, i1)
-    /// of the row, with SIMD backend W. (i1 - i0) must be a multiple of
-    /// W::width; the caller splits off the scalar tail.
-    template <typename W, typename Op>
-    static void collidePass(const PdfField& src, PdfField& dst, cell_idx_t y, cell_idx_t z,
-                            cell_idx_t x0, std::size_t i0, std::size_t i1, const Op& op,
-                            Scratch& s) {
-        if (i0 == i1) return;
-        constexpr std::size_t step = W::width;
-
-        // Center direction: purely even part.
-        {
-            const real_t* pc = src.dataAt(x0, y, z, 0);
-            real_t* dc = dst.dataAt(x0, y, z, 0);
-            const W wCrho = W::set1(d3q19::wC);
-            for (std::size_t i = i0; i < i1; i += step) {
-                const W f0 = W::loadu(pc + i);
-                const W eq = wCrho * W::loadu(s.rho.data() + i) * W::loadu(s.indep.data() + i);
-                W out{};
-                if constexpr (std::is_same_v<Op, SRT>) {
-                    const W om = W::set1(op.omega);
-                    out = f0 - om * (f0 - eq);
-                } else {
-                    const W le = W::set1(op.lambdaE);
-                    out = f0 + le * (f0 - eq);
-                }
-                out.storeu(dc + i);
-            }
-        }
-
-        [&]<std::size_t... P>(std::index_sequence<P...>) {
-            (collidePair<P, W>(src, dst, y, z, x0, i0, i1, op, s), ...);
-        }(std::make_index_sequence<9>{});
-    }
-
-    template <std::size_t P, typename W, typename Op>
-    static void collidePair(const PdfField& src, PdfField& dst, cell_idx_t y, cell_idx_t z,
-                            cell_idx_t x0, std::size_t i0, std::size_t i1, const Op& op,
-                            Scratch& s) {
-        constexpr auto pr = d3q19::pairs[P];
-        constexpr real_t wgt = d3q19::pairWeight(P);
-        constexpr std::size_t step = W::width;
-
-        // Pull offsets: direction a pulls from x - c[a]; b = abar pulls from
-        // x + c[a].
-        const real_t* pa = src.dataAt(x0 - pr.px, y - pr.py, z - pr.pz, cell_idx_c(pr.a));
-        const real_t* pb = src.dataAt(x0 + pr.px, y + pr.py, z + pr.pz, cell_idx_c(pr.b));
-        real_t* da = dst.dataAt(x0, y, z, cell_idx_c(pr.a));
-        real_t* db = dst.dataAt(x0, y, z, cell_idx_c(pr.b));
-
-        const W w45 = W::set1(real_c(4.5));
-        const W w3 = W::set1(real_c(3));
-        const W wW = W::set1(wgt);
-        const W half = W::set1(real_c(0.5));
-
-        for (std::size_t i = i0; i < i1; i += step) {
-            const W fa = W::loadu(pa + i);
-            const W fb = W::loadu(pb + i);
-
-            // e_a . u with only the nonzero components emitted.
-            W eu = W::set1(real_c(0));
-            if constexpr (pr.px == 1) eu = eu + W::loadu(s.ux.data() + i);
-            if constexpr (pr.px == -1) eu = eu - W::loadu(s.ux.data() + i);
-            if constexpr (pr.py == 1) eu = eu + W::loadu(s.uy.data() + i);
-            if constexpr (pr.py == -1) eu = eu - W::loadu(s.uy.data() + i);
-            if constexpr (pr.pz == 1) eu = eu + W::loadu(s.uz.data() + i);
-            if constexpr (pr.pz == -1) eu = eu - W::loadu(s.uz.data() + i);
-
-            const W wrho = wW * W::loadu(s.rho.data() + i);
-            const W eqSym = wrho * fma(w45, eu * eu, W::loadu(s.indep.data() + i));
-            const W eqAsym = wrho * (w3 * eu);
-
-            W outA{}, outB{};
-            if constexpr (std::is_same_v<Op, SRT>) {
-                const W om = W::set1(op.omega);
-                outA = fa - om * (fa - (eqSym + eqAsym));
-                outB = fb - om * (fb - (eqSym - eqAsym));
-            } else {
-                const W le = W::set1(op.lambdaE);
-                const W lo = W::set1(op.lambdaO);
-                const W fSym = half * (fa + fb);
-                const W fAsym = half * (fa - fb);
-                const W even = le * (fSym - eqSym);
-                const W odd = lo * (fAsym - eqAsym);
-                outA = fa + even + odd;
-                outB = fb + even - odd;
-            }
-            outA.storeu(da + i);
-            outB.storeu(db + i);
-        }
-    }
-
 };
 
 } // namespace walb::lbm

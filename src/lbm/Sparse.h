@@ -15,7 +15,7 @@
 ///     cells inside those intervals — this enables vectorization and fits
 ///     vascular geometries, which have few but consecutive fluid cells.
 ///
-/// Strategy 3 reuses the vectorized row code of KernelD3Q19Simd verbatim.
+/// Strategy 3 runs the fused row body of KernelD3Q19Simd over each interval.
 
 #include <vector>
 
@@ -189,27 +189,33 @@ void streamCollideCellList(const PdfField& src, PdfField& dst, const std::vector
     streamCollideCellList(src, dst, cells.data(), cells.size(), op);
 }
 
-/// Strategy 3: vectorized execution over fluid line intervals. Runs are
-/// independent (disjoint destination cells), so they are distributed over
-/// OpenMP threads when available. The pointer/count overload sweeps a
-/// contiguous slice of the run list.
-template <typename Op, typename V = simd::BestD>
-void streamCollideRuns(const PdfField& src, PdfField& dst, const FluidRun* runs,
-                       std::size_t numRuns, const Op& op, KernelD3Q19Simd<V>& kernel) {
+/// Strategy 3: vectorized execution over fluid line intervals, under step
+/// pattern p (src == dst for the AA patterns). The load/store offsets are
+/// computed once per call, and each run is one row of the fused SIMD body.
+/// Runs are independent (disjoint destination slots), so they are
+/// distributed over OpenMP threads when available. Sweeping a contiguous
+/// slice of a run list, or a run split into sub-runs, gives bit-identical
+/// results.
+template <typename V = simd::BestD, typename Op>
+void collideRuns(const PdfField& src, PdfField& dst, StepPattern p, const FluidRun* runs,
+                 std::size_t numRuns, const Op& op) {
+    const StepSlots slots = stepSlots(p, src, dst);
     const auto n = std::int64_t(numRuns);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
     for (std::int64_t i = 0; i < n; ++i) {
         const FluidRun& r = runs[std::size_t(i)];
-        kernel.processRow(src, dst, r.y, r.z, r.xBegin, r.xEnd, op);
+        d3q19simd::collideRow<V>(src.dataAt(r.xBegin, r.y, r.z), dst.dataAt(r.xBegin, r.y, r.z),
+                                 slots, std::size_t(r.xEnd - r.xBegin + 1), op);
     }
 }
 
+/// The two-grid SIMD tier over a run list.
 template <typename Op, typename V = simd::BestD>
 void streamCollideIntervals(const PdfField& src, PdfField& dst, const FluidRunList& list,
-                            const Op& op, KernelD3Q19Simd<V>& kernel) {
-    streamCollideRuns(src, dst, list.runs.data(), list.runs.size(), op, kernel);
+                            const Op& op, const KernelD3Q19Simd<V>&) {
+    collideRuns<V>(src, dst, StepPattern::TwoGrid, list.runs.data(), list.runs.size(), op);
 }
 
 } // namespace walb::lbm

@@ -26,6 +26,7 @@
     X("comm.begin_seconds")             \
     X("comm.bytesReceived")             \
     X("comm.bytesSent")                 \
+    X("comm.core_sweep_seconds")        \
     X("comm.deadline_misses")           \
     X("comm.exposed_seconds")           \
     X("comm.faults_injected")           \

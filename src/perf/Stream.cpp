@@ -58,7 +58,7 @@ StreamResult measureStreamBandwidth(std::size_t bytesPerArray, unsigned repetiti
     }
 
     // LBM-like: several concurrent load and store streams (here 4+4),
-    // stressing the prefetchers the way the by-direction kernel loops do.
+    // stressing the prefetchers the way a stream-collide kernel does.
     {
         constexpr unsigned S = 4;
         const std::size_t m = n / S;

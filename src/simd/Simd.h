@@ -6,9 +6,13 @@
 /// paper's SSE kernels on SuperMUC and QPX (width 4) kernels on JUQUEEN.
 ///
 /// Only the operations the kernels need are exposed: aligned/unaligned
-/// load, store, broadcast, +-*/ and fused multiply-add. Every backend is a
-/// value type with `width` elements; scalar code and vector code share the
-/// same source.
+/// load, store, broadcast, +-*/ and fused multiply-add, plus the masked
+/// forms loadn/storen that touch only the first n lanes (0 < n <= width).
+/// The masked forms let a kernel finish a row with one partial vector
+/// iteration instead of a scalar tail: lanes past n are neither read nor
+/// written (they load as 0), so a partial group never touches memory that
+/// belongs to another row or thread. Every backend is a value type with
+/// `width` elements; scalar code and vector code share the same source.
 
 #include <cstddef>
 
@@ -28,8 +32,10 @@ struct ScalarD {
     static ScalarD set1(double s) { return {s}; }
     static ScalarD load(const double* p) { return {*p}; }
     static ScalarD loadu(const double* p) { return {*p}; }
+    static ScalarD loadn(const double* p, std::size_t) { return {*p}; }
     void store(double* p) const { *p = v; }
     void storeu(double* p) const { *p = v; }
+    void storen(double* p, std::size_t) const { *p = v; }
 
     friend ScalarD operator+(ScalarD a, ScalarD b) { return {a.v + b.v}; }
     friend ScalarD operator-(ScalarD a, ScalarD b) { return {a.v - b.v}; }
@@ -49,8 +55,16 @@ struct SseD {
     static SseD set1(double s) { return {_mm_set1_pd(s)}; }
     static SseD load(const double* p) { return {_mm_load_pd(p)}; }
     static SseD loadu(const double* p) { return {_mm_loadu_pd(p)}; }
+    /// The only partial group of width 2 is one lane: movsd.
+    static SseD loadn(const double* p, std::size_t n) {
+        return n == 1 ? SseD{_mm_load_sd(p)} : loadu(p);
+    }
     void store(double* p) const { _mm_store_pd(p, v); }
     void storeu(double* p) const { _mm_storeu_pd(p, v); }
+    void storen(double* p, std::size_t n) const {
+        if (n == 1) _mm_store_sd(p, v);
+        else storeu(p);
+    }
 
     friend SseD operator+(SseD a, SseD b) { return {_mm_add_pd(a.v, b.v)}; }
     friend SseD operator-(SseD a, SseD b) { return {_mm_sub_pd(a.v, b.v)}; }
@@ -79,6 +93,23 @@ struct AvxD {
     static AvxD loadu(const double* p) { return {_mm256_loadu_pd(p)}; }
     void store(double* p) const { _mm256_store_pd(p, v); }
     void storeu(double* p) const { _mm256_storeu_pd(p, v); }
+#if defined(__AVX512VL__)
+    static AvxD loadn(const double* p, std::size_t n) {
+        return {_mm256_maskz_loadu_pd(laneMask(n), p)};
+    }
+    void storen(double* p, std::size_t n) const { _mm256_mask_storeu_pd(p, laneMask(n), v); }
+    static __mmask8 laneMask(std::size_t n) { return __mmask8((1u << n) - 1u); }
+#else
+    static AvxD loadn(const double* p, std::size_t n) {
+        return {_mm256_maskload_pd(p, laneMask(n))};
+    }
+    void storen(double* p, std::size_t n) const { _mm256_maskstore_pd(p, laneMask(n), v); }
+    /// Sign bits of lanes [0, n): a window into {-1 x4, 0 x4}.
+    static __m256i laneMask(std::size_t n) {
+        alignas(32) static constexpr long long bits[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bits + 4 - n));
+    }
+#endif
 
     friend AvxD operator+(AvxD a, AvxD b) { return {_mm256_add_pd(a.v, b.v)}; }
     friend AvxD operator-(AvxD a, AvxD b) { return {_mm256_sub_pd(a.v, b.v)}; }

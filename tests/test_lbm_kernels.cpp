@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/Random.h"
 #include "lbm/Boundary.h"
+#include "lbm/KernelAaSimd.h"
 #include "lbm/KernelD3Q19.h"
 #include "lbm/KernelD3Q19Simd.h"
 #include "lbm/KernelGeneric.h"
@@ -107,6 +110,21 @@ TEST_P(KernelEquivalence, ScalarBackendSimdMatchesGeneric) {
 }
 
 #if defined(__SSE2__)
+TEST_P(KernelEquivalence, SseBackendSimdMatchesGeneric) {
+    const auto p = GetParam();
+    KernelD3Q19Simd<simd::SseD> kernel;
+    compare(
+        [&](const PdfField& s, PdfField& d) {
+            if (p.trt) streamCollideGeneric<D3Q19>(s, d, TRT::fromOmegaAndMagic(p.omega));
+            else streamCollideGeneric<D3Q19>(s, d, SRT(p.omega));
+        },
+        [&](const PdfField& s, PdfField& d) {
+            if (p.trt) kernel.sweep(s, d, TRT::fromOmegaAndMagic(p.omega));
+            else kernel.sweep(s, d, SRT(p.omega));
+        },
+        1e-13);
+}
+
 TEST_P(KernelEquivalence, SseBackendMatchesAvxBackend) {
     const auto p = GetParam();
     KernelD3Q19Simd<simd::SseD> sse;
@@ -123,6 +141,37 @@ TEST_P(KernelEquivalence, SseBackendMatchesAvxBackend) {
         1e-14);
 }
 #endif
+
+/// The AA tier on backend V against the scalar AA kernels (bit-exact with
+/// the scalar two-grid tier): an even step, then an odd one, comparing the
+/// interior storage after each.
+template <typename V>
+void expectAaSimdMatchesScalar(const KernelCase& p, cell_idx_t n) {
+    PdfField ref = makePdfField<D3Q19>(n, n + 2, n - 2, Layout::fzyx);
+    fillRandomState(ref, 5);
+    PdfField opt(ref);
+    const KernelAaSimd<V> kernel;
+    for (const AaParity parity : {AaParity::Even, AaParity::Odd}) {
+        if (p.trt) {
+            aaStreamCollide(ref, parity, TRT::fromOmegaAndMagic(p.omega));
+            kernel.sweep(opt, parity, TRT::fromOmegaAndMagic(p.omega));
+        } else {
+            aaStreamCollide(ref, parity, SRT(p.omega));
+            kernel.sweep(opt, parity, SRT(p.omega));
+        }
+        expectFieldsNear(ref, opt, 1e-13);
+    }
+}
+
+TEST_P(KernelEquivalence, AaSimdMatchesAaScalarOnEveryBackend) {
+    expectAaSimdMatchesScalar<simd::ScalarD>(GetParam(), N);
+#if defined(__SSE2__)
+    expectAaSimdMatchesScalar<simd::SseD>(GetParam(), N);
+#endif
+#if defined(__AVX__)
+    expectAaSimdMatchesScalar<simd::AvxD>(GetParam(), N);
+#endif
+}
 
 TEST_P(KernelEquivalence, GenericKernelWorksOnAoSLayout) {
     const auto p = GetParam();
@@ -150,6 +199,67 @@ INSTANTIATE_TEST_SUITE_P(Operators, KernelEquivalence,
                              return std::string(tinfo.param.trt ? "TRT" : "SRT") + "_omega" +
                                     std::to_string(int(tinfo.param.omega * 10));
                          });
+
+// ---- fused SIMD body: lane grouping ---------------------------------------
+
+template <typename V>
+class LaneGrouping : public ::testing::Test {};
+
+#if defined(__AVX__)
+using SimdBackends = ::testing::Types<simd::ScalarD, simd::SseD, simd::AvxD>;
+#elif defined(__SSE2__)
+using SimdBackends = ::testing::Types<simd::ScalarD, simd::SseD>;
+#else
+using SimdBackends = ::testing::Types<simd::ScalarD>;
+#endif
+TYPED_TEST_SUITE(LaneGrouping, SimdBackends);
+
+/// Every interior row of f cut into consecutive runs of `len` cells (the
+/// last one shorter); len >= xSize gives one run per row.
+std::vector<FluidRun> rowRuns(const PdfField& f, cell_idx_t len) {
+    std::vector<FluidRun> runs;
+    for (cell_idx_t z = 0; z < f.zSize(); ++z)
+        for (cell_idx_t y = 0; y < f.ySize(); ++y)
+            for (cell_idx_t x = 0; x < f.xSize(); x += len)
+                runs.push_back({y, z, x, std::min(x + len, f.xSize()) - 1});
+    return runs;
+}
+
+bool sameBits(const PdfField& a, const PdfField& b) {
+    return std::memcmp(a.data(), b.data(), a.allocCells() * sizeof(real_t)) == 0;
+}
+
+/// A row updated as one run equals, bit for bit, the same row updated as
+/// sub-runs of every length 1 .. 2 width + 1: a cell's arithmetic does not
+/// depend on its lane or on whether its group is masked. Every row spans
+/// x = 0 .. N-1, so masked groups border the ghost layer on both sides, and
+/// the whole allocation is compared (the AA odd step stores into ghosts).
+template <typename V, typename Op>
+void expectLaneGroupingInvariance(StepPattern p, const Op& op) {
+    constexpr cell_idx_t N = 13;
+    PdfField init = makePdfField<D3Q19>(N, 4, 3, Layout::fzyx);
+    fillRandomState(init, 11);
+    const bool inPlace = p != StepPattern::TwoGrid;
+    const auto run = [&](PdfField& src, PdfField& dst, cell_idx_t len) {
+        const std::vector<FluidRun> runs = rowRuns(src, len);
+        collideRuns<V>(src, inPlace ? src : dst, p, runs.data(), runs.size(), op);
+    };
+    PdfField wholeSrc(init), wholeDst(init);
+    run(wholeSrc, wholeDst, N);
+    for (cell_idx_t len = 1; len <= cell_idx_c(2 * V::width + 1); ++len) {
+        PdfField src(init), dst(init);
+        run(src, dst, len);
+        EXPECT_TRUE(sameBits(src, wholeSrc) && sameBits(dst, wholeDst))
+            << "pattern " << int(p) << ", sub-runs of " << len << " cells";
+    }
+}
+
+TYPED_TEST(LaneGrouping, RowEqualsItsSubRunsBitForBit) {
+    for (const StepPattern p : {StepPattern::TwoGrid, StepPattern::AaEven, StepPattern::AaOdd}) {
+        expectLaneGroupingInvariance<TypeParam>(p, SRT(1.3));
+        expectLaneGroupingInvariance<TypeParam>(p, TRT::fromOmegaAndMagic(1.7));
+    }
+}
 
 // ---- sparse kernels --------------------------------------------------------
 

@@ -42,6 +42,21 @@ TYPED_TEST(SimdBackend, UnalignedLoadStore) {
     for (std::size_t i = 1; i <= V::width; ++i) EXPECT_EQ(out[i], buffer[i]);
 }
 
+TYPED_TEST(SimdBackend, MaskedLoadStoreTouchOnlyTheFirstLanes) {
+    using V = TypeParam;
+    double in[8], out[8];
+    for (int i = 0; i < 8; ++i) in[i] = 1.5 + i;
+    for (std::size_t n = 1; n <= V::width; ++n) {
+        alignas(64) double lanes[4] = {-1, -1, -1, -1};
+        V::loadn(in + 1, n).storeu(lanes);
+        for (std::size_t i = 0; i < V::width; ++i) EXPECT_EQ(lanes[i], i < n ? in[1 + i] : 0.0);
+        for (double& o : out) o = -7;
+        V::loadu(in + 1).storen(out + 1, n);
+        for (std::size_t i = 0; i < 8; ++i)
+            EXPECT_EQ(out[i], i >= 1 && i <= n ? in[i] : -7.0) << "n " << n << " slot " << i;
+    }
+}
+
 TYPED_TEST(SimdBackend, ArithmeticMatchesScalar) {
     using V = TypeParam;
     Random rng(3);

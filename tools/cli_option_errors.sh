@@ -35,6 +35,7 @@ expect --min "$tools/walb_perfdiag" check "$artifact" --min gauges.sim.mlups=fas
 expect --max "$tools/walb_perfdiag" check "$artifact" --max gauges.sim.mlups=1e999
 expect --tol-rel "$tools/walb_perfdiag" compare "$artifact" "$artifact" --tol-rel half
 expect --key "$tools/walb_perfdiag" compare "$artifact" "$artifact" --key gauges.sim.mlups:x
+expect --key-min "$tools/walb_perfdiag" compare "$artifact" "$artifact" --key-min gauges.sim.mlups:x
 expect --delay-ms "$bench/fig6_weak_dense" --overlap-smoke --delay-ms 2ms
 expect --kill-rank "$bench/fig7_weak_vascular" --recover --kill-rank two
 expect --kill-step "$bench/fig7_weak_vascular" --recover --kill-step -3

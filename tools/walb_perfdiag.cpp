@@ -18,12 +18,14 @@
 ///       first violation — the engine behind bench/perf_gate.sh.
 ///
 ///   walb_perfdiag compare <baseline.json> <candidate.json>
-///                         [--tol-rel R] [--key PATH[:R]]...
+///                         [--tol-rel R] [--key PATH[:R]]... [--key-min PATH[:R]]...
 ///       compares numeric values at the given JSON paths (dotted, e.g.
 ///       gauges.sim.mlups — longest-key match handles dots inside metric
-///       names); a key fails when |candidate - baseline| exceeds the
+///       names); a --key fails when |candidate - baseline| exceeds the
 ///       relative tolerance (default --tol-rel, per-key override via
-///       PATH:R).
+///       PATH:R). A --key-min is one-sided: it fails only when the
+///       candidate lies more than R below the baseline, so a rate that
+///       got faster never fails it.
 ///
 ///   walb_perfdiag --selftest
 ///       synthesizes a two-rank run with a 2x straggler, round-trips it
@@ -408,28 +410,34 @@ int checkArtifact(int argc, char** argv) {
 int compareArtifacts(int argc, char** argv) {
     if (argc < 4) {
         std::fprintf(stderr, "usage: walb_perfdiag compare <baseline.json> "
-                             "<candidate.json> [--tol-rel R] [--key PATH[:R]]...\n");
+                             "<candidate.json> [--tol-rel R] [--key PATH[:R]]... "
+                             "[--key-min PATH[:R]]...\n");
         return 2;
     }
     obs::json::Value base, cand;
     if (!parseArtifact(argv[2], base) || !parseArtifact(argv[3], cand)) return 1;
 
     double defaultTol = 0.5;
-    std::vector<std::pair<std::string, double>> keys;
+    struct Key {
+        std::string path;
+        double tol;     ///< < 0: --tol-rel
+        bool floorOnly; ///< --key-min: only a drop below the baseline fails
+    };
+    std::vector<Key> keys;
     for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--tol-rel" && i + 1 < argc) {
             defaultTol = sim::parseFlagValue<double>("--tol-rel", argv[++i]);
-        } else if (arg == "--key" && i + 1 < argc) {
+        } else if ((arg == "--key" || arg == "--key-min") && i + 1 < argc) {
             std::string spec = argv[++i];
             double tol = -1;
             const std::size_t colon = spec.rfind(':');
             // Metric names never contain ':', so a suffix is a tolerance.
             if (colon != std::string::npos) {
-                tol = sim::parseFlagValue<double>("--key", spec.substr(colon + 1));
+                tol = sim::parseFlagValue<double>(arg, spec.substr(colon + 1));
                 spec = spec.substr(0, colon);
             }
-            keys.emplace_back(spec, tol);
+            keys.push_back({spec, tol, arg == "--key-min"});
         } else {
             std::fprintf(stderr, "walb_perfdiag: unknown compare option '%s'\n",
                          arg.c_str());
@@ -438,7 +446,7 @@ int compareArtifacts(int argc, char** argv) {
     }
 
     int failures = 0;
-    for (const auto& [path, tolOverride] : keys) {
+    for (const auto& [path, tolOverride, floorOnly] : keys) {
         const double tol = tolOverride >= 0 ? tolOverride : defaultTol;
         const obs::json::Value* b = lookupPath(base, path);
         const obs::json::Value* c = lookupPath(cand, path);
@@ -450,10 +458,11 @@ int compareArtifacts(int argc, char** argv) {
         }
         const double bv = b->number(), cv = c->number();
         const double denom = std::max(std::abs(bv), 1e-300);
-        const double rel = std::abs(cv - bv) / denom;
+        const double rel = (floorOnly ? bv - cv : std::abs(cv - bv)) / denom;
         const bool ok = rel <= tol;
-        std::printf("%s %s: baseline %g, candidate %g (rel dev %.3f, tol %.3f)\n",
-                    ok ? "PASS" : "FAIL", path.c_str(), bv, cv, rel, tol);
+        std::printf("%s %s: baseline %g, candidate %g (rel %s %.3f, tol %.3f)\n",
+                    ok ? "PASS" : "FAIL", path.c_str(), bv, cv, floorOnly ? "drop" : "dev",
+                    rel, tol);
         if (!ok) ++failures;
     }
     if (failures) std::printf("%d key(s) outside tolerance\n", failures);
@@ -620,6 +629,21 @@ int selftest() {
                                  "regression\n");
             return 1;
         }
+        // The one-sided form passes a 2.5x gain and still fails the drop.
+        char* argvFaster[] = {(char*)"walb_perfdiag", (char*)"compare",
+                              (char*)badPath.c_str(), (char*)basePath.c_str(),
+                              (char*)"--key-min", (char*)"gauges.sim.mlups:0.25"};
+        if (compareArtifacts(6, argvFaster) != 0) {
+            std::fprintf(stderr, "walb_perfdiag: selftest --key-min rejected a 2.5x "
+                                 "speedup\n");
+            return 1;
+        }
+        argvBad[4] = (char*)"--key-min";
+        if (compareArtifacts(6, argvBad) == 0) {
+            std::fprintf(stderr, "walb_perfdiag: selftest --key-min accepted a 2.5x "
+                                 "regression\n");
+            return 1;
+        }
         char* argvCheck[] = {(char*)"walb_perfdiag", (char*)"check",
                              (char*)basePath.c_str(), (char*)"--require",
                              (char*)"gauges.perf.straggler_ranks", (char*)"--min",
@@ -669,7 +693,7 @@ int main(int argc, char** argv) {
                  "       walb_perfdiag check <artifact.json> [--require P] [--min P=V] "
                  "[--max P=V]...\n"
                  "       walb_perfdiag compare <baseline.json> <candidate.json> "
-                 "[--tol-rel R] [--key PATH[:R]]...\n"
+                 "[--tol-rel R] [--key PATH[:R]]... [--key-min PATH[:R]]...\n"
                  "       walb_perfdiag --selftest\n");
     return 2;
 }
