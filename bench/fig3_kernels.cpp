@@ -16,8 +16,13 @@
 /// `--metrics-json <path>` exporter writes the AA-vs-two-grid comparison as
 /// a BENCH_aa.json-style artifact (measured MLUP/s per tier, the AA/SIMD
 /// ratio and how much of the ideal 1.5x traffic advantage it realizes) for
-/// the `fig3_aa_smoke` ctest gate.
+/// the `fig3_aa_smoke` ctest gate. The two tiers of that ratio are measured
+/// interleaved, so a slow spell of the host lands on both instead of on
+/// one, and each keeps its best round over several fresh sets of fields:
+/// the two-grid rate also depends on where its two fields land in memory.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 
@@ -57,6 +62,29 @@ struct TierResult {
     double trt = 0;
 };
 
+// On a 4-vCPU VM, fresh allocations of the two-grid fields measured in
+// the same window read 84-125 MLUP/s while the AA rate held within 10%,
+// and one set of fields with 9 interleaved rounds left the AA/SIMD TRT
+// ratio anywhere in 1.40-4.79 (17 runs); the best over 6 sets of 5 rounds
+// read 1.45-1.82 (16 runs).
+constexpr int kPairFieldSets = 6;
+constexpr int kPairRounds = 5;
+
+/// Best SRT and TRT rate of each tier of `pair` over kPairFieldSets fresh
+/// sets of fields, each measured in kPairRounds interleaved rounds.
+std::array<TierResult, 2> measurePair(const std::array<KernelTier, 2>& pair) {
+    std::array<TierResult, 2> best;
+    for (int set = 0; set < kPairFieldSets; ++set)
+        for (bool trt : {false, true}) {
+            const auto r = measureKernelsInterleaved(pair, trt, 64, 8, kPairRounds);
+            for (std::size_t i = 0; i < pair.size(); ++i) {
+                double& rate = trt ? best[i].trt : best[i].srt;
+                rate = std::max(rate, r[i].mlups);
+            }
+        }
+    return best;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -67,23 +95,23 @@ int main(int argc, char** argv) {
                 "kernel time only):\n",
                 simd::backendName<simd::BestD>());
     std::printf("%-10s %8s %8s %12s\n", "kernel", "SRT", "TRT", "bytes/LUP");
-    TierResult generic, d3q19, simdTier, aaTier;
-    for (KernelTier tier : {KernelTier::Generic, KernelTier::D3Q19, KernelTier::Simd,
-                            KernelTier::AaSimd}) {
-        TierResult r;
-        r.srt = measureKernelMLUPS(tier, false).mlups;
-        r.trt = measureKernelMLUPS(tier, true).mlups;
+    const auto print = [](KernelTier tier, const TierResult& r) {
         const double bytes = isAaTier(tier) ? kAaBytesPerLUP : kBytesPerLUP;
         std::printf("%-10s %7.1f %8.1f  MLUPS %6.0f\n", kernelTierName(tier), r.srt, r.trt,
                     bytes);
-        switch (tier) {
-            case KernelTier::Generic: generic = r; break;
-            case KernelTier::D3Q19: d3q19 = r; break;
-            case KernelTier::Simd: simdTier = r; break;
-            case KernelTier::AaSimd: aaTier = r; break;
-            case KernelTier::Aa: break; // the scalar AA tier is not part of the figure
-        }
-    }
+    };
+    const auto measure = [](KernelTier tier) {
+        return TierResult{measureKernelMLUPS(tier, false).mlups,
+                          measureKernelMLUPS(tier, true).mlups};
+    };
+    const TierResult generic = measure(KernelTier::Generic);
+    print(KernelTier::Generic, generic);
+    const TierResult d3q19 = measure(KernelTier::D3Q19);
+    print(KernelTier::D3Q19, d3q19);
+    // The scalar AA tier is not part of the figure.
+    const auto [simdTier, aaTier] = measurePair({KernelTier::Simd, KernelTier::AaSimd});
+    print(KernelTier::Simd, simdTier);
+    print(KernelTier::AaSimd, aaTier);
     std::printf("SIMD/Generic speedup (TRT): %.2fx (paper: SIMD +20%% over scalar D3Q19 "
                 "on SNB; 2.5x over serial on BG/Q)\n",
                 simdTier.trt / generic.trt);

@@ -277,10 +277,14 @@ struct ScheduleResult {
 /// overlapped schedule can hide at most min(injected latency, core-sweep
 /// seconds): the latency the delay adds to the synchronous schedule (at
 /// least the delay per step), or the window the core sweep offers,
-/// whichever is shorter.
-/// `hidden_of_hideable` is the hidden seconds as a fraction of that bound;
-/// unlike the exposed ratio it does not fall when a faster kernel shortens
-/// the core sweep below the delay. The numbers land in the metrics JSON
+/// whichever is shorter. What it did hide is read off the exposed times:
+/// the synchronous minus the overlapped exposed seconds under the delay.
+/// `saved_of_hideable` is that saving as a fraction of the bound; unlike
+/// the exposed ratio it does not fall when a faster kernel shortens the
+/// core sweep below the delay, and unlike the hidden-seconds gauge (which
+/// reads the arrival window the core sweep covered, so it equals the core
+/// sweep whenever the delay outlasts it) it drops to ~0 when the overlapped
+/// schedule waits as long as the synchronous one. The numbers land in the metrics JSON
 /// consumed by bench/overlap_smoke.sh (committed as BENCH_overlap.json).
 int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
     constexpr int kRanks = 4;
@@ -377,8 +381,8 @@ int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
     const double injectedSeconds = std::max(syncD.exposedSeconds - sync0.exposedSeconds,
                                             double(kSteps) * delayMs * 1e-3);
     const double hideableSeconds = std::min(injectedSeconds, overD.coreSweepSeconds);
-    const double hiddenOfHideable =
-        hideableSeconds > 0 ? overD.hiddenSeconds / hideableSeconds : 0.0;
+    const double savedSeconds = syncD.exposedSeconds - overD.exposedSeconds;
+    const double savedOfHideable = hideableSeconds > 0 ? savedSeconds / hideableSeconds : 0.0;
     std::printf("overlap smoke: digest_sync %llu digest_overlap %llu digests_equal %d "
                 "exposed_sync %.6f exposed_overlap %.6f exposed_ratio %.2f "
                 "hidden_fraction %.4f mlups_sync %.2f mlups_overlap %.2f\n",
@@ -388,9 +392,9 @@ int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
     std::printf("overlap smoke: overlap exposed split: begin %.6f s, finish %.6f s\n",
                 overD.beginSeconds, overD.finishSeconds);
     std::printf("overlap smoke: hiding: injected %.6f core_sweep %.6f hidden %.6f "
-                "hidden_of_hideable %.4f\n",
-                injectedSeconds, overD.coreSweepSeconds, overD.hiddenSeconds,
-                hiddenOfHideable);
+                "saved %.6f saved_of_hideable %.4f\n",
+                injectedSeconds, overD.coreSweepSeconds, overD.hiddenSeconds, savedSeconds,
+                savedOfHideable);
     if (!digestsEqual) {
         std::fprintf(stderr,
                      "overlap smoke FAILED: schedules disagree (sync %llu, overlap %llu, "
@@ -425,7 +429,8 @@ int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
         w.kv("hidden_overlap_seconds", overD.hiddenSeconds);
         w.kv("injected_seconds", injectedSeconds);
         w.kv("core_sweep_overlap_seconds", overD.coreSweepSeconds);
-        w.kv("hidden_of_hideable", hiddenOfHideable);
+        w.kv("exposed_saved_seconds", savedSeconds);
+        w.kv("saved_of_hideable", savedOfHideable);
         w.kv("comm.hidden_fraction", overD.hiddenFraction);
         w.endObject();
         os << '\n';

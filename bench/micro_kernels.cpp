@@ -269,9 +269,8 @@ void BM_Sparse_LineIntervals(benchmark::State& state) {
     PdfField src = makeField(field::Layout::fzyx), dst = makeField(field::Layout::fzyx);
     const TRT op = TRT::fromOmegaAndMagic(1.4);
     const auto runs = buildFluidRuns(fx.flags, fx.fluid);
-    KernelD3Q19Simd<> kernel;
     for (auto _ : state) {
-        streamCollideIntervals(src, dst, runs, op, kernel);
+        collideRuns(src, dst, StepPattern::TwoGrid, runs.runs.data(), runs.runs.size(), op);
         src.swapDataWith(dst);
     }
     state.SetItemsProcessed(state.iterations() * runs.fluidCells);
@@ -285,9 +284,10 @@ void BM_AaSparse_LineIntervals(benchmark::State& state) {
     PdfField f = makeField(field::Layout::fzyx);
     const TRT op = TRT::fromOmegaAndMagic(1.4);
     const auto runs = buildFluidRuns(fx.flags, fx.fluid);
-    KernelAaSimd<> kernel;
     std::uint64_t step = 0;
-    for (auto _ : state) aaCollideIntervals(f, aaParityOfStep(step++), runs, op, kernel);
+    for (auto _ : state)
+        collideRuns(f, f, aaPatternOf(aaParityOfStep(step++)), runs.runs.data(),
+                    runs.runs.size(), op);
     state.SetItemsProcessed(state.iterations() * runs.fluidCells);
     state.counters["bytes_per_cell"] = perf::kAaBytesPerLUP;
 }

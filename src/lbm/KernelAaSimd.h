@@ -18,7 +18,6 @@
 
 #include "lbm/KernelAa.h"
 #include "lbm/KernelD3Q19Simd.h"
-#include "lbm/Sparse.h"
 
 namespace walb::lbm {
 
@@ -31,14 +30,5 @@ public:
         d3q19simd::collideDense<V>(pdf, pdf, aaPatternOf(parity), op);
     }
 };
-
-/// Vectorized AA sweep over fluid line intervals (sparse strategy 3). Runs
-/// touch pairwise-disjoint slot sets under either parity, so they are
-/// distributed over OpenMP threads like the two-grid runs (collideRuns).
-template <typename Op, typename V = simd::BestD>
-void aaCollideIntervals(PdfField& pdf, AaParity parity, const FluidRunList& list, const Op& op,
-                        const KernelAaSimd<V>&) {
-    collideRuns<V>(pdf, pdf, aaPatternOf(parity), list.runs.data(), list.runs.size(), op);
-}
 
 } // namespace walb::lbm

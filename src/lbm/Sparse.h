@@ -211,11 +211,4 @@ void collideRuns(const PdfField& src, PdfField& dst, StepPattern p, const FluidR
     }
 }
 
-/// The two-grid SIMD tier over a run list.
-template <typename Op, typename V = simd::BestD>
-void streamCollideIntervals(const PdfField& src, PdfField& dst, const FluidRunList& list,
-                            const Op& op, const KernelD3Q19Simd<V>&) {
-    collideRuns<V>(src, dst, StepPattern::TwoGrid, list.runs.data(), list.runs.size(), op);
-}
-
 } // namespace walb::lbm

@@ -9,65 +9,80 @@
 #include "lbm/KernelGeneric.h"
 
 namespace walb::perf {
+namespace {
 
-KernelBenchResult measureKernelMLUPS(KernelTier tier, bool trt, cell_idx_t n,
-                                     uint_t timeSteps) {
-    using namespace lbm;
-    PdfField src = makePdfField<D3Q19>(n, n, n);
-    PdfField dst = makePdfField<D3Q19>(n, n, n);
-    initEquilibrium<D3Q19>(src, 1.0, {0.01, 0.005, -0.01});
-    initEquilibrium<D3Q19>(dst, 1.0, {0, 0, 0});
-
-    const SRT srt(1.4);
-    const TRT trtOp = TRT::fromOmegaAndMagic(1.4);
-    KernelD3Q19Simd<> simdKernel;
-    KernelAaSimd<> aaKernel;
+/// One tier's fields and step state.
+struct TierSweep {
+    KernelTier tier;
+    lbm::PdfField src, dst;
     std::uint64_t aaStep = 0; // the AA tier alternates even/odd kernels
 
-    auto sweepOnce = [&] {
+    TierSweep(KernelTier t, cell_idx_t n)
+        : tier(t), src(lbm::makePdfField<lbm::D3Q19>(n, n, n)),
+          dst(lbm::makePdfField<lbm::D3Q19>(n, n, n)) {
+        lbm::initEquilibrium<lbm::D3Q19>(src, 1.0, {0.01, 0.005, -0.01});
+        lbm::initEquilibrium<lbm::D3Q19>(dst, 1.0, {0, 0, 0});
+    }
+
+    template <typename Op>
+    void sweepOnce(const Op& op) {
+        using namespace lbm;
         switch (tier) {
-            case KernelTier::Generic:
-                if (trt) streamCollideGeneric<D3Q19>(src, dst, trtOp);
-                else streamCollideGeneric<D3Q19>(src, dst, srt);
-                break;
-            case KernelTier::D3Q19:
-                if (trt) streamCollideD3Q19(src, dst, trtOp);
-                else streamCollideD3Q19(src, dst, srt);
-                break;
-            case KernelTier::Simd:
-                if (trt) simdKernel.sweep(src, dst, trtOp);
-                else simdKernel.sweep(src, dst, srt);
-                break;
+            case KernelTier::Generic: streamCollideGeneric<D3Q19>(src, dst, op); break;
+            case KernelTier::D3Q19: streamCollideD3Q19(src, dst, op); break;
+            case KernelTier::Simd: KernelD3Q19Simd<>().sweep(src, dst, op); break;
             // Both AA tiers run the vectorized AA kernel, the one EcmModel
             // describes. In place — the second grid is never touched, no swap.
             case KernelTier::Aa:
             case KernelTier::AaSimd:
-                if (trt) aaKernel.sweep(src, aaParityOfStep(aaStep), trtOp);
-                else aaKernel.sweep(src, aaParityOfStep(aaStep), srt);
-                ++aaStep;
+                KernelAaSimd<>().sweep(src, aaParityOfStep(aaStep++), op);
                 return;
         }
         src.swapDataWith(dst);
+    }
+};
+
+} // namespace
+
+KernelBenchResult measureKernelMLUPS(KernelTier tier, bool trt, cell_idx_t n,
+                                     uint_t timeSteps) {
+    return measureKernelsInterleaved(std::span(&tier, 1), trt, n, timeSteps).front();
+}
+
+std::vector<KernelBenchResult> measureKernelsInterleaved(std::span<const KernelTier> tiers,
+                                                         bool trt, cell_idx_t n,
+                                                         uint_t timeSteps, int repetitions) {
+    const lbm::SRT srt(1.4);
+    const lbm::TRT trtOp = lbm::TRT::fromOmegaAndMagic(1.4);
+    std::vector<TierSweep> sweeps;
+    sweeps.reserve(tiers.size());
+    for (KernelTier tier : tiers) sweeps.emplace_back(tier, n);
+    const auto sweepOnce = [&](TierSweep& s) {
+        if (trt) s.sweepOnce(trtOp);
+        else s.sweepOnce(srt);
     };
+    for (TierSweep& s : sweeps) sweepOnce(s); // warm up caches / page-fault the fields
 
-    sweepOnce(); // warm up caches / page-fault the fields
-
-    KernelBenchResult result;
-    result.cells = uint_c(n * n * n);
-    result.timeSteps = timeSteps;
-    for (int rep = 0; rep < 3; ++rep) {
-        Timer t;
-        t.start();
-        for (uint_t s = 0; s < timeSteps; ++s) sweepOnce();
-        t.stop();
-        const double mlups =
-            double(result.cells) * double(timeSteps) / t.total() / 1e6;
-        if (mlups > result.mlups) {
-            result.mlups = mlups;
-            result.seconds = t.total();
+    std::vector<KernelBenchResult> results(tiers.size());
+    for (KernelBenchResult& r : results) {
+        r.cells = uint_c(n * n * n);
+        r.timeSteps = timeSteps;
+    }
+    for (int rep = 0; rep < repetitions; ++rep) {
+        for (std::size_t i = 0; i < sweeps.size(); ++i) {
+            Timer t;
+            t.start();
+            for (uint_t s = 0; s < timeSteps; ++s) sweepOnce(sweeps[i]);
+            t.stop();
+            KernelBenchResult& r = results[i];
+            const double mlups = double(r.cells) * double(timeSteps) / t.total() / 1e6;
+            if (mlups > r.mlups) {
+                r.mlups = mlups;
+                r.seconds = t.total();
+            }
         }
     }
-    return result;
+    return results;
 }
 
 } // namespace walb::perf

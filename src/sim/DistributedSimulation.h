@@ -1033,7 +1033,7 @@ private:
                 comm_scheme_->finishExchange();
                 const auto end = Clock::now();
                 if (pending) lastArrival = end;
-                s.exchangeSeconds = elapsedSeconds(begin, end);
+                s.exchangeSeconds += elapsedSeconds(begin, end);
                 return end;
             };
             clock.lap("communication", overlap_ ? posted : drain(posted));

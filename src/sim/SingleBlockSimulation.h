@@ -190,15 +190,23 @@ private:
                 lbm::streamCollideD3Q19(src_, dst_, op, &flags_, masks_.fluid);
                 break;
             case KernelTier::Simd:
-                lbm::streamCollideIntervals(src_, dst_, fluidRuns(), op, simd_);
+                sweepRuns(lbm::StepPattern::TwoGrid, op);
                 break;
             case KernelTier::Aa:
                 lbm::aaStreamCollide(src_, parity, op, &flags_, masks_.fluid);
                 break;
             case KernelTier::AaSimd:
-                lbm::aaCollideIntervals(src_, parity, fluidRuns(), op, simdAa_);
+                sweepRuns(lbm::aaPatternOf(parity), op);
                 break;
         }
+    }
+
+    /// The SIMD tiers: the fused run sweep (lbm/Sparse.h) under `pattern`.
+    template <typename Op>
+    void sweepRuns(lbm::StepPattern pattern, const Op& op) {
+        const lbm::FluidRunList& list = fluidRuns();
+        lbm::collideRuns(src_, pattern == lbm::StepPattern::TwoGrid ? dst_ : src_, pattern,
+                         list.runs.data(), list.runs.size(), op);
     }
 
     const lbm::FluidRunList& fluidRuns() {
@@ -214,8 +222,6 @@ private:
     lbm::BoundaryFlags masks_;
     std::unique_ptr<lbm::BoundaryHandling<M>> boundary_;
     std::unique_ptr<lbm::FluidRunList> runs_;
-    lbm::KernelD3Q19Simd<> simd_;
-    lbm::KernelAaSimd<> simdAa_;
     std::uint64_t currentStep_ = 0;
     uint_t fluidCells_ = 0;
     TimingPool timing_;

@@ -325,9 +325,9 @@ TEST_F(SparseKernels, AllThreeStrategiesMatchConditionalKernel) {
     streamCollideCellList(src, dstList, buildFluidCellList(*flags_, fluid_), op); // strategy 2
 
     PdfField dstRuns = makePdfField<D3Q19>(N, N, N, Layout::fzyx);
-    KernelD3Q19Simd<> simdKernel;
-    streamCollideIntervals(src, dstRuns, buildFluidRuns(*flags_, fluid_), op,
-                           simdKernel); // strategy 3
+    const FluidRunList runs = buildFluidRuns(*flags_, fluid_);
+    collideRuns(src, dstRuns, StepPattern::TwoGrid, runs.runs.data(), runs.runs.size(),
+                op); // strategy 3
 
     // Compare on fluid cells only (non-fluid cells are untouched garbage).
     flags_->forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {

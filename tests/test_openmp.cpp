@@ -70,16 +70,18 @@ TEST(OpenMP, IntervalSweepIsThreadCountInvariant) {
     PdfField src = makePdfField<D3Q19>(N, N, N);
     fillState(src);
     const SRT op(1.6);
-    KernelD3Q19Simd<> kernel;
+    const auto sweep = [&](PdfField& dst) {
+        collideRuns(src, dst, StepPattern::TwoGrid, runs.runs.data(), runs.runs.size(), op);
+    };
 
     const int maxThreads = omp_get_max_threads();
     omp_set_num_threads(1);
     PdfField dst1 = makePdfField<D3Q19>(N, N, N);
-    streamCollideIntervals(src, dst1, runs, op, kernel);
+    sweep(dst1);
 
     omp_set_num_threads(std::max(4, maxThreads));
     PdfField dst4 = makePdfField<D3Q19>(N, N, N);
-    streamCollideIntervals(src, dst4, runs, op, kernel);
+    sweep(dst4);
     omp_set_num_threads(maxThreads);
 
     flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
