@@ -10,7 +10,8 @@
 ///   * graph partitioner throughput,
 ///   * slice-by-16 vs byte-wise CRC-32, the block-record codec and the
 ///     one-writer checkpoint save (dense and sparse),
-///   * boundary links and same-rank ghost copies at team sizes 1 and 4,
+///   * boundary links (dense, and per kind on a vessel block) and same-rank
+///     ghost copies at team sizes 1 and 4,
 ///   * the fluid-aware exchange plan: its build cost and its sparse copies.
 
 #include <benchmark/benchmark.h>
@@ -448,6 +449,46 @@ void BM_LocalGhostCopySparse(benchmark::State& state) {
                             std::int64_t(sizeof(real_t)));
 }
 BENCHMARK(BM_LocalGhostCopySparse)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+/// The boundary phase of the tube block on the in-place AA maps, one link
+/// kind at a time: the vessel's stencil hull is no-slip, except a UBB inlet
+/// at x <= 1 and a pressure outlet at x >= N - 2. Args: pattern (1 = AA
+/// even, 2 = AA odd), team size, kind (0 no-slip, 1 UBB, 2 pressure);
+/// `per_link` is the time per link of that kind.
+void BM_BoundaryApplyTube(benchmark::State& state) {
+    TubeBlock block;
+    auto& flags = block.flags;
+    const BoundaryFlags& m = block.masks;
+    markBoundaryHull<D3Q19>(flags, m.fluid, 0, m.noSlip);
+    flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        if (!flags.isFlagSet(x, y, z, m.noSlip) || (x > 1 && x < TubeBlock::N - 2)) return;
+        flags.removeFlag(x, y, z, m.noSlip);
+        flags.addFlag(x, y, z, x <= 1 ? m.ubb : m.pressure);
+    });
+    const auto kind = state.range(2);
+    const BoundaryFlags only{m.fluid, kind == 0 ? m.noSlip : field::flag_t(0),
+                             kind == 1 ? m.ubb : field::flag_t(0),
+                             kind == 2 ? m.pressure : field::flag_t(0)};
+    BoundaryHandling<D3Q19> bh(flags, only);
+    bh.setWallVelocity({0.05, 0, 0});
+    const auto pattern = StepPattern(state.range(0));
+    const int threads = int(state.range(1));
+    for (auto _ : state) {
+#pragma omp parallel num_threads(threads)
+        bh.apply(block.from, Region::All, pattern);
+        benchmark::DoNotOptimize(block.from.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["links"] = double(bh.numLinks());
+    state.counters["per_link"] =
+        benchmark::Counter(double(bh.numLinks()), benchmark::Counter::kIsIterationInvariantRate |
+                                                      benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BoundaryApplyTube)
+    ->ArgNames({"pattern", "threads", "kind"})
+    ->ArgsProduct({{1, 2}, {1, 4}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // ---- fluid-run construction and the core/shell split ------------------------
 

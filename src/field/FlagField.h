@@ -45,9 +45,6 @@ public:
     bool isFlagSet(cell_idx_t x, cell_idx_t y, cell_idx_t z, flag_t mask) const {
         return (get(x, y, z) & mask) != 0;
     }
-    bool isPartOfMask(cell_idx_t x, cell_idx_t y, cell_idx_t z, flag_t mask) const {
-        return (get(x, y, z) & mask) != 0;
-    }
 
     /// Number of interior cells with any bit of `mask` set.
     uint_t count(flag_t mask) const {

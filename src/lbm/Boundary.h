@@ -14,14 +14,19 @@
 ///   pressure: src(xb, a) = -src(xf, abar)
 ///             + 2 w_a rho_w (1 + 4.5 (e_a . u_f)^2 - 1.5 u_f . u_f)
 ///
-/// so the interior kernel stays branch-free and vectorizable. Link lists
-/// are precomputed from the flag field once after voxelization.
+/// so the interior kernel stays branch-free and vectorizable.
+///
+/// Storage: the flag scan after voxelization turns each link into two pairs
+/// of flat slot indices into the block's fzyx PDF allocation (16 bytes; see
+/// LinkSlots), so a no-slip link is one load and one store. The handling
+/// binds to PDF fields with the flag field's extent and ghost layers, fzyx
+/// layout and M::Q slots: apply() throws BoundaryFieldError for any other
+/// field (outside a parallel region: no exception leaves one), and so does
+/// construction for a block of more than 2^32 PDF slots.
 ///
 /// One entry point, apply(src, region, pattern), serves every storage
-/// pattern and both step schedules. The pattern (lbm::StepPattern) fixes
-/// where a link's boundary value is written and where its wall-leaving
-/// population is read; the region picks the core or shell part of the
-/// links (see partitionForOverlap) or all of them.
+/// pattern and both step schedules; the region picks the core or shell
+/// part of the links (see partitionForOverlap) or all of them.
 ///
 /// Threading: the link loops are orphaned OpenMP worksharing loops. Called
 /// by every thread of a parallel region, apply() shares its links over
@@ -40,8 +45,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -74,6 +82,12 @@ struct BoundaryFlags {
 /// the synchronous schedule covers `All` at once.
 enum class Region : std::uint8_t { All, Core, Shell };
 
+/// A PDF field a boundary handling is not bound to, or a block too large
+/// for its 32-bit slot indices.
+struct BoundaryFieldError : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
+
 template <LatticeModel M>
 class BoundaryHandling {
 public:
@@ -86,19 +100,33 @@ public:
     /// cells of a block may live in its ghost region) and records all
     /// boundary->fluid links whose fluid cell is in the interior.
     BoundaryHandling(const field::FlagField& flags, const BoundaryFlags& masks)
-        : masks_(masks) {
+        : size_{flags.xSize(), flags.ySize(), flags.zSize(), flags.ghostLayers()},
+          fStride_(std::uint32_t(flags.allocCells())) {
+        if (flags.allocCells() * M::Q > (std::size_t(1) << 32))
+            throw BoundaryFieldError("BoundaryHandling: " + std::to_string(flags.allocCells()) +
+                                     " cells exceed the 2^32 PDF slots of 32-bit link indices");
+        const std::size_t F = fStride_;
+        std::array<std::ptrdiff_t, M::Q> step{}; // flat offset of e_a
+        for (uint_t a = 0; a < M::Q; ++a) {
+            step[a] = M::c[a][0] + M::c[a][1] * flags.yStride() + M::c[a][2] * flags.zStride();
+            gather_[0][a] = std::ptrdiff_t(a * F);
+            gather_[1][a] = std::ptrdiff_t(a * F) + step[a];
+            gather_[2][a] = std::ptrdiff_t(M::inv[a] * F);
+        }
         const CellInterval interior = flags.interior();
+        const field::flag_t* fl = flags.data();
         flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            const field::flag_t fl = flags.get(x, y, z);
-            if (!(fl & masks_.boundaryMask())) return;
+            const std::size_t xb = flags.index(x, y, z);
+            const auto kind = field::flag_t(fl[xb] & masks.boundaryMask());
+            if (!kind) return;
+            auto& to = links_[kind & masks.noSlip ? kNoSlip : kind & masks.ubb ? kUbb : kPressure];
             for (uint_t a = 1; a < M::Q; ++a) {
-                const Cell nb{x + M::c[a][0], y + M::c[a][1], z + M::c[a][2]};
-                if (!interior.contains(nb)) continue;
-                if (!(flags.get(nb) & masks_.fluid)) continue;
-                Link link{{x, y, z}, a};
-                if (fl & masks_.noSlip) links_[kNoSlip].push_back(link);
-                else if (fl & masks_.ubb) links_[kUbb].push_back(link);
-                else if (fl & masks_.pressure) links_[kPressure].push_back(link);
+                const std::size_t xf = std::size_t(std::ptrdiff_t(xb) + step[a]);
+                if (!interior.contains(Cell{x + M::c[a][0], y + M::c[a][1], z + M::c[a][2]}) ||
+                    !(fl[xf] & masks.fluid))
+                    continue;
+                to.push_back({{std::uint32_t(xb + a * F), std::uint32_t(xf + M::inv[a] * F)},
+                              {std::uint32_t(xf + a * F), std::uint32_t(xb + M::inv[a] * F)}});
             }
         });
         for (std::size_t k = 0; k < kKinds; ++k) split_[k] = links_[k].size();
@@ -116,9 +144,10 @@ public:
         uWallProfile_ = std::move(profile);
     }
 
-    const std::vector<Link>& noSlipLinks() const { return links_[kNoSlip]; }
-    const std::vector<Link>& ubbLinks() const { return links_[kUbb]; }
-    const std::vector<Link>& pressureLinks() const { return links_[kPressure]; }
+    /// The links of one kind in list order, decoded from their indices.
+    std::vector<Link> noSlipLinks() const { return decodeLinks(kNoSlip); }
+    std::vector<Link> ubbLinks() const { return decodeLinks(kUbb); }
+    std::vector<Link> pressureLinks() const { return decodeLinks(kPressure); }
     std::size_t numLinks(Region region = Region::All) const {
         std::size_t n = 0;
         for (std::size_t k = 0; k < kKinds; ++k) {
@@ -142,8 +171,8 @@ public:
     void partitionForOverlap(Pred&& isShell) {
         for (std::size_t k = 0; k < kKinds; ++k)
             split_[k] = std::size_t(std::partition(links_[k].begin(), links_[k].end(),
-                                                   [&](const Link& l) {
-                                                       return !isShell(l.boundary);
+                                                   [&](const LinkSlots& s) {
+                                                       return !isShell(decode(s).boundary);
                                                    }) -
                                     links_[k].begin());
         pressureStash_.assign(links_[kPressure].size() - split_[kPressure], real_t(0));
@@ -152,7 +181,8 @@ public:
     /// Writes the boundary values of the links in `region` into src for a
     /// step of storage pattern `pattern`, after communication and before
     /// the sweep. The core and shell calls of one step together perform
-    /// exactly the writes of the all call.
+    /// exactly the writes of the all call. Throws BoundaryFieldError if
+    /// src is not a field the handling binds to (see the file comment).
     ///
     /// Except for the shell pressure links' velocity gather: the core call
     /// runs it and stashes the values for the shell call, because the
@@ -164,6 +194,12 @@ public:
     /// static schedule: each thread reads back only its own entries.
     void apply(PdfField& src, Region region = Region::All,
                StepPattern pattern = StepPattern::TwoGrid) const {
+        const std::array<cell_idx_t, 4> got{src.xSize(), src.ySize(), src.zSize(),
+                                            src.ghostLayers()};
+        if (src.layout() != field::Layout::fzyx || src.fSize() != M::Q || got != size_)
+            throw BoundaryFieldError("BoundaryHandling::apply: expected a PDF field " +
+                                     shape(field::Layout::fzyx, size_, M::Q) + ", got " +
+                                     shape(src.layout(), got, src.fSize()));
         switch (pattern) {
             case StepPattern::TwoGrid: return applyLinks<StepPattern::TwoGrid>(src, region);
             case StepPattern::AaEven: return applyLinks<StepPattern::AaEven>(src, region);
@@ -174,69 +210,57 @@ public:
 private:
     enum Kind : std::size_t { kNoSlip, kUbb, kPressure, kKinds };
 
-    /// Where a pattern keeps one slot of a link (x, d): in cell
-    /// x + cellStep * e_d, at slot d itself or, if `inverse`, at dbar.
-    struct SlotRef {
-        cell_idx_t cellStep;
-        bool inverse;
+    /// A link (xb, d) as flat slot indices x + f * fStride_ of the PDF allocation
+    /// (the indirect addressing of list-based LBM kernels, applied to the
+    /// links); a pattern picks a pair and which index is the write. With
+    /// xf = xb + e_d and P the post-collision values of the last completed
+    /// step (KernelAa.h):
+    ///  * two-grid: the pull kernel reads f_d(xf) from (xb, d), the write;
+    ///    P(xf, dbar), the read, is at (xf, dbar) and P(xf, a) at (xf, a).
+    ///  * EVEN AA step: the kernel reads cell-locally, so f_d(xf) is parked
+    ///    at (xf, d). P(xf, dbar) sits at (xb, dbar) — pushed there by the
+    ///    preceding odd step through xf itself, so valid even when xb is a
+    ///    ghost cell — and P(xf, a) at (xf + e_a, a).
+    ///  * ODD AA step: the kernel pulls f_d(xf) from (xb, dbar); P(xf, dbar)
+    ///    sits at (xf, d), P(xf, a) at (xf, abar).
+    /// Every slot the AA maps read is produced by xf itself or its own push
+    /// targets, never by communication.
+    struct LinkSlots {
+        std::array<std::uint32_t, 2> twoGrid; ///< write (xb, d), read (xf, dbar)
+        std::array<std::uint32_t, 2> aa;      ///< even: write (xf, d), read (xb, dbar)
     };
 
-    /// A pattern's link map, applied to a link (xb, d): the slot a boundary
-    /// value is written to and the slot holding the reflected (wall-leaving)
-    /// population; `gather`, applied to (xf, a), is where the pressure
-    /// condition finds P(xf, a).
-    struct LinkMap {
-        SlotRef write, read, gather;
-    };
-
-    // With xb = l.boundary, d = l.dir, xf = xb + e_d and P the
-    // post-collision values of the last completed step (KernelAa.h):
-    //  * two-grid: the pull kernel reads f_d(xf) from (xb, d); P(xf, dbar)
-    //    is at (xf, dbar), P(xf, a) at (xf, a).
-    //  * EVEN AA step: the kernel reads cell-locally, so f_d(xf) is parked
-    //    at (xf, d). P(xf, dbar) sits at (xb, dbar) — pushed there by the
-    //    preceding odd step through xf itself, so valid even when xb is a
-    //    ghost cell — and P(xf, a) at (xf + e_a, a).
-    //  * ODD AA step: the kernel pulls f_d(xf) from (xb, dbar); P(xf, dbar)
-    //    sits at (xf, d), P(xf, a) at (xf, abar).
-    // Every slot the AA maps read is produced by xf itself or its own push
-    // targets, never by communication.
-    static constexpr LinkMap linkMap(StepPattern pattern) {
-        switch (pattern) {
-            case StepPattern::AaEven: return {{1, false}, {0, true}, {1, false}};
-            case StepPattern::AaOdd: return {{0, true}, {1, false}, {0, true}};
-            case StepPattern::TwoGrid: break;
-        }
-        return {{0, false}, {1, true}, {0, false}};
+    /// (write, read) slots of a link under pattern P.
+    template <StepPattern P>
+    static std::pair<std::uint32_t, std::uint32_t> writeRead(const LinkSlots& s) {
+        if constexpr (P == StepPattern::TwoGrid) return {s.twoGrid[0], s.twoGrid[1]};
+        else if constexpr (P == StepPattern::AaEven) return {s.aa[0], s.aa[1]};
+        else return {s.aa[1], s.aa[0]};
     }
 
-    static real_t& at(PdfField& f, SlotRef r, const Cell& x, uint_t d) {
-        return f.get(x.x + r.cellStep * M::c[d][0], x.y + r.cellStep * M::c[d][1],
-                     x.z + r.cellStep * M::c[d][2], cell_idx_c(r.inverse ? M::inv[d] : d));
-    }
-
-    /// apply() for one pattern, whose map is a compile-time constant.
+    /// apply() for one pattern.
     template <StepPattern P>
     void applyLinks(PdfField& src, Region region) const {
-        static constexpr LinkMap m = linkMap(P);
-        forEachLink(kNoSlip, region, [&](std::size_t, const Link& l) {
-            at(src, m.write, l.boundary, l.dir) = at(src, m.read, l.boundary, l.dir);
+        real_t* const data = src.data();
+        forEachLink(kNoSlip, region, [&](std::size_t, const LinkSlots& s) {
+            const auto [w, r] = writeRead<P>(s);
+            data[w] = data[r];
         });
-        forEachLink(kUbb, region, [&](std::size_t, const Link& l) {
-            const Vec3 uw = uWallProfile_ ? uWallProfile_(l.boundary) : uWall_;
-            const real_t eu = real_c(M::c[l.dir][0]) * uw[0] +
-                              real_c(M::c[l.dir][1]) * uw[1] +
-                              real_c(M::c[l.dir][2]) * uw[2];
-            at(src, m.write, l.boundary, l.dir) =
-                at(src, m.read, l.boundary, l.dir) + real_c(6) * M::w[l.dir] * rho0_ * eu;
+        forEachLink(kUbb, region, [&](std::size_t, const LinkSlots& s) {
+            const auto [w, r] = writeRead<P>(s);
+            const uint_t d = s.twoGrid[0] / fStride_;
+            const Vec3 uw = uWallProfile_ ? uWallProfile_(decode(s).boundary) : uWall_;
+            const real_t eu = real_c(M::c[d][0]) * uw[0] + real_c(M::c[d][1]) * uw[1] +
+                              real_c(M::c[d][2]) * uw[2];
+            data[w] = data[r] + real_c(6) * M::w[d] * rho0_ * eu;
         });
-        forEachLink(kPressure, region, [&](std::size_t i, const Link& l) {
-            at(src, m.write, l.boundary, l.dir) =
-                region == Region::Shell ? pressureStash_[i] : pressureValue<P>(src, l);
+        forEachLink(kPressure, region, [&](std::size_t i, const LinkSlots& s) {
+            data[writeRead<P>(s).first] =
+                region == Region::Shell ? pressureStash_[i] : pressureValue<P>(data, s);
         });
         if (region == Region::Core)
-            forEachLink(kPressure, Region::Shell, [&](std::size_t i, const Link& l) {
-                pressureStash_[i] = pressureValue<P>(src, l);
+            forEachLink(kPressure, Region::Shell, [&](std::size_t i, const LinkSlots& s) {
+                pressureStash_[i] = pressureValue<P>(data, s);
             });
     }
 
@@ -252,7 +276,7 @@ private:
     template <typename Fn>
     void forEachLink(std::size_t kind, Region region, Fn&& fn) const {
         const auto [lo, hi] = range(kind, region);
-        const Link* links = links_[kind].data() + lo;
+        const LinkSlots* links = links_[kind].data() + lo;
         const auto n = std::int64_t(hi - lo);
 #ifdef _OPENMP
 #pragma omp for schedule(static) nowait
@@ -263,24 +287,47 @@ private:
     /// Anti-bounce-back value of a pressure link, with the velocity
     /// extrapolated from the adjacent fluid cell.
     template <StepPattern P>
-    real_t pressureValue(PdfField& src, const Link& l) const {
-        static constexpr LinkMap m = linkMap(P);
-        const Cell f{l.boundary.x + M::c[l.dir][0], l.boundary.y + M::c[l.dir][1],
-                     l.boundary.z + M::c[l.dir][2]};
+    real_t pressureValue(const real_t* data, const LinkSlots& s) const {
+        const uint_t d = s.twoGrid[0] / fStride_;
+        const auto xf = std::ptrdiff_t(s.twoGrid[1] - M::inv[d] * fStride_);
         std::array<real_t, M::Q> pdfs;
-        for (uint_t a = 0; a < M::Q; ++a) pdfs[a] = at(src, m.gather, f, a);
+        for (uint_t a = 0; a < M::Q; ++a) pdfs[a] = data[xf + gather_[std::size_t(P)][a]];
         const Vec3 u = momentum<M>(pdfs) / density<M>(pdfs);
-        const real_t eu = real_c(M::c[l.dir][0]) * u[0] + real_c(M::c[l.dir][1]) * u[1] +
-                          real_c(M::c[l.dir][2]) * u[2];
-        return -at(src, m.read, l.boundary, l.dir) +
-               real_c(2) * M::w[l.dir] * rhoWall_ *
+        const real_t eu = real_c(M::c[d][0]) * u[0] + real_c(M::c[d][1]) * u[1] +
+                          real_c(M::c[d][2]) * u[2];
+        return -data[writeRead<P>(s).second] +
+               real_c(2) * M::w[d] * rhoWall_ *
                    (real_c(1) + real_c(4.5) * eu * eu - real_c(1.5) * u.dot(u));
     }
 
-    BoundaryFlags masks_;
-    std::array<std::vector<Link>, kKinds> links_; ///< per kind: [core | shell]
-    std::array<std::size_t, kKinds> split_{};     ///< first shell link per kind
-    mutable std::vector<real_t> pressureStash_;   ///< shell pressure values
+    /// A link's boundary cell and direction, from its two-grid write (xb, d).
+    Link decode(const LinkSlots& s) const {
+        const auto g = std::uint32_t(size_[3]), xa = std::uint32_t(size_[0]) + 2 * g,
+                   ya = std::uint32_t(size_[1]) + 2 * g, xb = s.twoGrid[0] % fStride_;
+        return {{cell_idx_c(xb % xa) - g, cell_idx_c(xb / xa % ya) - g,
+                 cell_idx_c(xb / xa / ya) - g},
+                s.twoGrid[0] / fStride_};
+    }
+
+    std::vector<Link> decodeLinks(std::size_t kind) const {
+        std::vector<Link> links;
+        for (const LinkSlots& s : links_[kind]) links.push_back(decode(s));
+        return links;
+    }
+
+    /// "fzyx(SoA) 12x10x9, 1 ghost, Q=19".
+    static std::string shape(field::Layout layout, const std::array<cell_idx_t, 4>& s, uint_t q) {
+        return std::string(field::layoutName(layout)) + ' ' + std::to_string(s[0]) + 'x' +
+               std::to_string(s[1]) + 'x' + std::to_string(s[2]) + ", " + std::to_string(s[3]) +
+               " ghost, Q=" + std::to_string(q);
+    }
+
+    std::array<cell_idx_t, 4> size_;     ///< bound extent x, y, z and ghost layers
+    std::uint32_t fStride_;              ///< slots per direction: the allocation's cells
+    std::array<std::array<std::ptrdiff_t, M::Q>, 3> gather_{}; ///< by StepPattern: P(xf, a) - xf
+    std::array<std::vector<LinkSlots>, kKinds> links_; ///< per kind: [core | shell]
+    std::array<std::size_t, kKinds> split_{};          ///< first shell link per kind
+    mutable std::vector<real_t> pressureStash_;        ///< shell pressure values
     std::function<Vec3(const Cell&)> uWallProfile_;
     Vec3 uWall_{0, 0, 0};
     real_t rhoWall_ = real_c(1);

@@ -580,16 +580,6 @@ void copySliceLocal(const field::Field<T>& from, field::Field<T>& to,
     });
 }
 
-/// Applies full periodicity to a single block by wrapping every ghost slice
-/// onto the opposite interior slice — the communication pattern of a
-/// one-block periodic domain. Used by single-block physics tests.
-template <LatticeModel M>
-void applyPeriodicAll(PdfField& f) {
-    LocalCopyPlan plan;
-    for (const auto& d : neighborhood26) addLocalCopy<M>(plan, f, f, d);
-    plan.run();
-}
-
 /// AA forward local copy — addLocalCopy with the opposing slot on both
 /// sides: the ghost slice of `to` facing d is filled from the interior
 /// slice of `from` facing -d.
@@ -618,21 +608,6 @@ template <LatticeModel M>
 void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
     LocalCopyPlan plan;
     addLocalCopyAaReverse<M>(plan, from, to, d);
-    plan.run();
-}
-
-/// Single-block periodic wrap under AA parity — the AA counterparts of
-/// applyPeriodicAll, one per exchange mode.
-template <LatticeModel M>
-void applyPeriodicAllAaForward(PdfField& f) {
-    LocalCopyPlan plan;
-    for (const auto& d : neighborhood26) addLocalCopyAaForward<M>(plan, f, f, d);
-    plan.run();
-}
-template <LatticeModel M>
-void applyPeriodicAllAaReverse(PdfField& f) {
-    LocalCopyPlan plan;
-    for (const auto& d : neighborhood26) addLocalCopyAaReverse<M>(plan, f, f, d);
     plan.run();
 }
 

@@ -56,7 +56,7 @@ constexpr AaParity aaParityOfStep(std::uint64_t step) {
 
 /// The storage pattern one time step runs under: the two-grid pull scheme,
 /// or the single grid of an even or odd AA step. It selects the step's
-/// ghost exchange, boundary link map and kernel.
+/// ghost exchange, boundary link slots and kernel.
 enum class StepPattern : std::uint8_t { TwoGrid, AaEven, AaOdd };
 
 /// Pattern of step `step` for a two-grid (`inPlace` false) or AA tier.

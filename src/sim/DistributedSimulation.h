@@ -16,7 +16,7 @@
 ///
 /// One function, step(), runs this sequence for every kernel tier and both
 /// schedules. The step's storage pattern (two-grid, AA even or AA odd) is
-/// computed once and selects the exchange mode, the boundary link map and
+/// computed once and selects the exchange mode, the boundary link slots and
 /// the kernel. The synchronous schedule finishes the exchange before
 /// boundary handling and sweeps each whole block; the overlapped schedule
 /// (setOverlapCommunication) sweeps the core cells while the halos are in

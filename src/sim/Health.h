@@ -89,7 +89,6 @@ public:
     explicit HealthMonitor(HealthPolicy policy) : policy_(std::move(policy)) {}
 
     const HealthPolicy& policy() const { return policy_; }
-    bool hasBaseline() const { return haveBaseline_; }
     double baselineMass() const { return baselineMass_; }
     /// Decorated path of the last successfully written emergency checkpoint
     /// (empty until a violation wrote one).
@@ -101,16 +100,6 @@ public:
     /// telemetry that led up to it. Must not throw and must not communicate.
     void setViolationHook(std::function<void(const HealthReport&)> hook) {
         onViolation_ = std::move(hook);
-    }
-
-    /// Records the current total mass as the drift reference. Collective.
-    /// Optional — the first check() captures a baseline automatically.
-    template <typename Sim>
-    void captureBaseline(Sim& sim) {
-        const auto [nonFinite, mass] = measure(sim);
-        (void)nonFinite;
-        baselineMass_ = mass;
-        haveBaseline_ = true;
     }
 
     /// One collective health check at time step `step`. Updates the obs

@@ -42,17 +42,15 @@ public:
         cell_idx_t xSize = 16, ySize = 16, zSize = 16;
         bool periodicX = false, periodicY = false, periodicZ = false;
         KernelTier tier = KernelTier::Simd;
-        field::Layout layout = field::Layout::fzyx;
     };
 
     explicit SingleBlockSimulation(const Config& cfg)
         : cfg_(cfg),
-          src_(lbm::makePdfField<M>(cfg.xSize, cfg.ySize, cfg.zSize, cfg.layout)),
+          src_(lbm::makePdfField<M>(cfg.xSize, cfg.ySize, cfg.zSize)),
           // The AA tiers update in place — the shadow grid shrinks to a
           // token allocation and the PDF footprint halves.
-          dst_(isAaTier(cfg.tier)
-                   ? lbm::makePdfField<M>(1, 1, 1, cfg.layout)
-                   : lbm::makePdfField<M>(cfg.xSize, cfg.ySize, cfg.zSize, cfg.layout)),
+          dst_(isAaTier(cfg.tier) ? lbm::makePdfField<M>(1, 1, 1)
+                                  : lbm::makePdfField<M>(cfg.xSize, cfg.ySize, cfg.zSize)),
           flags_(cfg.xSize, cfg.ySize, cfg.zSize, 1),
           masks_(lbm::BoundaryFlags::registerOn(flags_)) {}
 

@@ -60,17 +60,6 @@ struct FaultPlan {
     /// FaultPlan::randomized draws only the first four actions.
     enum class Action : std::uint8_t { Drop, Delay, Duplicate, Truncate, Corrupt };
 
-    static const char* actionName(Action a) {
-        switch (a) {
-            case Action::Drop: return "drop";
-            case Action::Delay: return "delay";
-            case Action::Duplicate: return "duplicate";
-            case Action::Truncate: return "truncate";
-            case Action::Corrupt: return "corrupt";
-        }
-        return "?";
-    }
-
     /// One message-level fault rule. A rule fires on the `matchIndex`-th
     /// send (0-based, counted per rule) that matches its src/dest/tag
     /// filters; -1 filters match anything.

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -160,15 +162,18 @@ struct BoundaryFixture {
         });
     }
 
+    static Vec3 wallVelocity(const Cell& c) {
+        return Vec3(0.05 + 0.001 * real_c(c.x), 0.002 * real_c(c.y), 0);
+    }
+    static constexpr real_t rhoWall = 1.01;
+
     /// Applies `op` to a copy of the start state, called by every thread of
     /// a team of `threads`, or outside any parallel region for threads == 0.
     template <typename Op>
     PdfField run(int threads, Op&& op) const {
         BoundaryHandling<D3Q19> bh(flags, masks);
-        bh.setWallVelocityProfile([](const Cell& c) {
-            return Vec3(0.05 + 0.001 * real_c(c.x), 0.002 * real_c(c.y), 0);
-        });
-        bh.setPressureDensity(real_c(1.01));
+        bh.setWallVelocityProfile(wallVelocity);
+        bh.setPressureDensity(rhoWall);
         bh.partitionForOverlap([](const Cell& c) { return c.x < 0 || c.x >= nx || c.z >= nz; });
         EXPECT_GT(bh.numLinks(Region::Core), 0u);
         EXPECT_GT(bh.numLinks(Region::Shell), 0u);
@@ -210,6 +215,108 @@ TEST(OpenMP, BoundaryEntryPointsAreTeamSizeInvariant) {
         EXPECT_TRUE(bytesEqual(fx.run(0, coreShell), ref)) << "core + shell, serial, " << name;
         EXPECT_TRUE(bytesEqual(fx.run(1, coreShell), ref)) << "core + shell, 1 thread, " << name;
         EXPECT_TRUE(bytesEqual(fx.run(4, coreShell), ref)) << "core + shell, 4 threads, " << name;
+    }
+}
+
+/// The fixture's boundary values for one pattern, written through cell
+/// coordinates by the rule of lbm/Boundary.h: per link (xb, d), xf = xb +
+/// e_d, the two-grid step writes (xb, d) from (xf, dbar), the even AA step
+/// (xf, d) from (xb, dbar) and the odd AA step (xb, dbar) from (xf, d).
+/// Every value is read from the start state, since no link reads a slot
+/// that a link writes.
+PdfField cellAddressedBoundary(const BoundaryFixture& fx, StepPattern pattern) {
+    using M = D3Q19;
+    const PdfField& in = fx.start;
+    PdfField out = fx.start;
+    fx.flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        const field::flag_t fl = fx.flags.get(x, y, z);
+        if (!(fl & fx.masks.boundaryMask())) return;
+        const Cell xb{x, y, z};
+        for (uint_t d = 1; d < M::Q; ++d) {
+            const Cell xf{x + M::c[d][0], y + M::c[d][1], z + M::c[d][2]};
+            if (!fx.flags.interior().contains(xf) || !(fx.flags.get(xf) & fx.masks.fluid))
+                continue;
+            const cell_idx_t dd = cell_idx_c(d), db = cell_idx_c(M::inv[d]);
+            Cell wc = xb, rc = xf;
+            cell_idx_t ws = dd, rs = db;
+            if (pattern == StepPattern::AaEven) std::swap(wc, rc);
+            if (pattern == StepPattern::AaOdd) std::swap(ws, rs);
+            const real_t read = in.get(rc, rs);
+            real_t& slot = out.get(wc, ws);
+            if (fl & fx.masks.noSlip) {
+                slot = read;
+            } else if (fl & fx.masks.ubb) {
+                const Vec3 uw = BoundaryFixture::wallVelocity(xb);
+                const real_t eu = real_c(M::c[d][0]) * uw[0] + real_c(M::c[d][1]) * uw[1] +
+                                  real_c(M::c[d][2]) * uw[2];
+                slot = read + real_c(6) * M::w[d] * real_c(1) * eu;
+            } else {
+                std::array<real_t, M::Q> pdfs;
+                for (uint_t a = 0; a < M::Q; ++a) {
+                    const auto& e = M::c[a];
+                    pdfs[a] = pattern == StepPattern::TwoGrid
+                                  ? in.get(xf, cell_idx_c(a))
+                              : pattern == StepPattern::AaEven
+                                  ? in.get(xf.x + e[0], xf.y + e[1], xf.z + e[2], cell_idx_c(a))
+                                  : in.get(xf, cell_idx_c(M::inv[a]));
+                }
+                const Vec3 u = momentum<M>(pdfs) / density<M>(pdfs);
+                const real_t eu = real_c(M::c[d][0]) * u[0] + real_c(M::c[d][1]) * u[1] +
+                                  real_c(M::c[d][2]) * u[2];
+                slot = -read + real_c(2) * M::w[d] * BoundaryFixture::rhoWall *
+                                   (real_c(1) + real_c(4.5) * eu * eu - real_c(1.5) * u.dot(u));
+            }
+        }
+    });
+    return out;
+}
+
+TEST(OpenMP, BoundaryIndexTablesMatchCellAddressing) {
+    const BoundaryFixture fx;
+    using BH = BoundaryHandling<D3Q19>;
+    for (const auto pattern : {StepPattern::TwoGrid, StepPattern::AaEven, StepPattern::AaOdd}) {
+        const PdfField ref = cellAddressedBoundary(fx, pattern);
+        EXPECT_FALSE(bytesEqual(ref, fx.start)) << int(pattern);
+        for (const int threads : {0, 4}) {
+            EXPECT_TRUE(bytesEqual(fx.run(threads,
+                                          [pattern](const BH& bh, PdfField& f) {
+                                              bh.apply(f, Region::All, pattern);
+                                          }),
+                                   ref))
+                << "all, pattern " << int(pattern) << ", " << threads << " threads";
+            EXPECT_TRUE(bytesEqual(fx.run(threads,
+                                          [pattern](const BH& bh, PdfField& f) {
+                                              bh.apply(f, Region::Core, pattern);
+                                              bh.apply(f, Region::Shell, pattern);
+                                          }),
+                                   ref))
+                << "core + shell, pattern " << int(pattern) << ", " << threads << " threads";
+        }
+    }
+}
+
+TEST(OpenMP, BoundaryRejectsPdfFieldsItIsNotBoundTo) {
+    using F = BoundaryFixture;
+    const F fx;
+    const BoundaryHandling<D3Q19> bh(fx.flags, fx.masks);
+    const std::string bound = "fzyx(SoA) 12x10x9, 1 ghost, Q=19";
+    const std::pair<PdfField, std::string> foreign[] = {
+        {makePdfField<D3Q19>(F::nx + 1, F::ny, F::nz), "fzyx(SoA) 13x10x9, 1 ghost, Q=19"},
+        {makePdfField<D3Q19>(F::nx, F::ny, F::nz, field::Layout::zyxf),
+         "zyxf(AoS) 12x10x9, 1 ghost, Q=19"},
+        {makePdfField<D3Q19>(F::nx, F::ny, F::nz, field::Layout::fzyx, 2),
+         "fzyx(SoA) 12x10x9, 2 ghost, Q=19"}};
+    for (const auto& [field, shape] : foreign) {
+        PdfField f = field;
+        try {
+            bh.apply(f, Region::All, StepPattern::AaEven);
+            ADD_FAILURE() << shape << ": no error";
+        } catch (const BoundaryFieldError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("expected a PDF field " + bound), std::string::npos) << what;
+            EXPECT_NE(what.find("got " + shape), std::string::npos) << what;
+        }
+        EXPECT_TRUE(bytesEqual(f, field)) << shape << ": written before the check";
     }
 }
 
