@@ -135,6 +135,7 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
                                      uint_t(ranks) * 16);
     search.forest.assignFluidCellWorkload(phi);
     search.forest.balanceGraph(std::uint32_t(ranks));
+    const auto balance = search.forest.balanceStats();
 
     const auto flagInit = bench::vascularFlagInit(&phi);
 
@@ -163,9 +164,10 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
         if (comm.rank() == 0) {
             const double mflups = fluid * double(steps) /
                                   simulation.timing().grandTotal() / 1e6 / double(ranks);
-            std::printf("%6d %9llu %12.0f %11.2f %7.1f%%\n", ranks,
+            std::printf("%6d %9llu %12.0f %11.2f %7.1f%% %9.3f %9.3f\n", ranks,
                         (unsigned long long)search.blocks, fluid, mflups,
-                        100.0 * simulation.timing().fraction("communication"));
+                        100.0 * simulation.timing().fraction("communication"),
+                        balance.imbalance, balance.costImbalance);
             record = {ranks,  search.blocks,
                       fluid,  mflups,
                       reduced.fraction("communication"), reduced, metrics};
@@ -285,8 +287,8 @@ int main(int argc, char** argv) {
 
     std::printf("\nreal virtual-rank runs (target 2 blocks/rank, %u^3 blocks, TRT%s):\n",
                 kCellsPerBlockEdge, overlap ? ", overlapped comm schedule" : "");
-    std::printf("%6s %9s %12s %11s %8s\n", "ranks", "blocks", "fluid cells",
-                "MFLUPS/rank", "comm%");
+    std::printf("%6s %9s %12s %11s %8s %9s %9s\n", "ranks", "blocks", "fluid cells",
+                "MFLUPS/rank", "comm%", "fluid imb", "cost imb");
     std::vector<RealRunRecord> records;
     // Under a checkpoint/restart drill only the largest world runs (the
     // checkpoint file is per-invocation; three worlds would clobber it).

@@ -1,22 +1,27 @@
-/// Per-block cost split of the fluid sweep on the coronary-tree geometry of
-/// the `vascular_tree` benchmark workload (fig7 tree, 32^3-cell blocks, at
-/// most 128 blocks, balanced on 4 ranks x 1 OpenMP thread).
+/// Per-block cost split of a step's fluid sweep and boundary apply on the
+/// coronary-tree geometry of the `vascular_tree` benchmark workload (fig7
+/// tree, 32^3-cell blocks, at most 128 blocks, balanced on 4 ranks x 1
+/// OpenMP thread).
 ///
 /// Runs the same setup on the two-grid Simd tier and the in-place AaSimd
-/// tier, reads each block's measured sweep seconds
-/// (DistributedSimulation::blockSweepSeconds) and fits, by least squares
-/// over the blocks,
+/// tier. Each block's sweep seconds come from
+/// DistributedSimulation::blockSweepSeconds; its boundary seconds from one
+/// extra, timed apply of its links per step (they write the values the
+/// next step writes again). Least squares over the blocks fit
 ///
 ///     sweep time per step = a * fluid cells + b * fluid x-runs
+///     sweep + boundary    = a * fluid cells + b * fluid x-runs + c * links
 ///
-/// so `a` is the streaming cost per cell and `b` the fixed cost of starting
-/// a run (loop setup, unaligned head and tail, row pointers). Also prints
-/// the geometry's block, fluid-cell, run and boundary-link counts.
+/// with the counts of bf::SetupBlockForest::assignFluidCellWorkload (links
+/// inside the block). The second fit's b/a and c/a are a run's and a
+/// link's cost in fluid cells: the SetupBlock::kRunCost and kLinkCost that
+/// SetupBlockForest::balanceGraph weights blocks by.
 ///
 /// Usage: sweep_cost_split [--seed N] [--steps N]
 /// (the seed draws inlet speed and omega exactly as walb_bench does).
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -33,6 +38,7 @@
 #include "geometry/CoronaryTree.h"
 #include "geometry/SignedDistance.h"
 #include "geometry/Voxelizer.h"
+#include "lbm/Boundary.h"
 #include "sim/DistributedSimulation.h"
 #include "vmpi/ThreadComm.h"
 
@@ -40,25 +46,10 @@ using namespace walb;
 
 namespace {
 
-/// One block's counts and its measured sweep seconds per step.
+/// One block's setup counts and its measured seconds per step.
 struct BlockSample {
-    double cells = 0, runs = 0, links = 0, seconds = 0;
+    double cells = 0, runs = 0, links = 0, sweep = 0, boundary = 0;
 };
-
-/// Boundary links of a block: (fluid cell, direction) pairs whose neighbor
-/// carries a boundary flag.
-double boundaryLinks(sim::DistributedSimulation& s, std::size_t b) {
-    using M = lbm::D3Q19;
-    const field::FlagField& flags = s.flagField(b);
-    const field::flag_t boundary = s.masks().boundaryMask();
-    double n = 0;
-    for (const lbm::FluidRun& r : s.fluidRuns(b).runs)
-        for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
-            for (uint_t a = 1; a < M::Q; ++a)
-                if (flags.get(x + M::c[a][0], r.y + M::c[a][1], r.z + M::c[a][2]) & boundary)
-                    ++n;
-    return n;
-}
 
 /// Runs `steps` timed steps (after 10 warm-up steps) on `tier` and returns
 /// every block's sample, gathered on all ranks.
@@ -66,6 +57,7 @@ std::vector<BlockSample> measure(const bf::SetupBlockForest& setup,
                                  const sim::DistributedSimulation::FlagInitializer& flags,
                                  const Vec3& inlet, real_t omega, KernelTier tier,
                                  std::uint64_t steps) {
+    using Clock = std::chrono::steady_clock;
     std::vector<BlockSample> all;
     vmpi::ThreadCommWorld::launch(4, [&](vmpi::Comm& comm) {
 #ifdef _OPENMP
@@ -76,12 +68,29 @@ std::vector<BlockSample> measure(const bf::SetupBlockForest& setup,
         s.setPressureDensity(1.0);
         const auto op = lbm::TRT::fromOmegaAndMagic(omega);
         s.run(10, op);
+        const std::size_t n = s.forest().numLocalBlocks();
+        std::vector<lbm::BoundaryHandling<lbm::D3Q19>> boundaries;
+        for (std::size_t b = 0; b < n; ++b) {
+            boundaries.emplace_back(s.flagField(b), s.masks());
+            boundaries.back().setWallVelocity(inlet);
+        }
+        std::vector<double> boundary(n, 0.0);
         s.resetBlockSweepSeconds();
-        s.run(steps, op);
+        for (std::uint64_t i = 0; i < steps; ++i) {
+            for (std::size_t b = 0; b < n; ++b) {
+                const auto t0 = Clock::now();
+                boundaries[b].apply(s.pdfField(b), lbm::Region::All, s.stepPattern());
+                boundary[b] += std::chrono::duration<double>(Clock::now() - t0).count();
+            }
+            s.run(1, op);
+        }
         SendBuffer mine;
-        for (std::size_t b = 0; b < s.forest().numLocalBlocks(); ++b)
-            mine << double(s.fluidRuns(b).fluidCells) << double(s.fluidRuns(b).runs.size())
-                 << boundaryLinks(s, b) << s.blockSweepSeconds()[b] / double(steps);
+        for (std::size_t b = 0; b < n; ++b) {
+            const Cell& p = s.forest().blocks()[b].gridPos;
+            const bf::SetupBlock& sb = setup.blocks()[*setup.blockAt(p.x, p.y, p.z)];
+            mine << double(sb.workload) << double(sb.fluidRuns) << double(sb.fluidLinks)
+                 << s.blockSweepSeconds()[b] / double(steps) << boundary[b] / double(steps);
+        }
         // walb-lint: allow(blocking): measurement collective, reached by every rank
         auto gathered = comm.allgatherv(std::span<const std::uint8_t>(mine.data(), mine.size()));
         if (comm.rank() != 0) return;
@@ -89,7 +98,7 @@ std::vector<BlockSample> measure(const bf::SetupBlockForest& setup,
             RecvBuffer rb(std::move(bytes));
             while (!rb.atEnd()) {
                 BlockSample x;
-                rb >> x.cells >> x.runs >> x.links >> x.seconds;
+                rb >> x.cells >> x.runs >> x.links >> x.sweep >> x.boundary;
                 all.push_back(x);
             }
         }
@@ -97,27 +106,41 @@ std::vector<BlockSample> measure(const bf::SetupBlockForest& setup,
     return all;
 }
 
-/// Least-squares fit t = a * cells + b * runs; returns {a, b, R^2}.
-std::array<double, 3> fit(const std::vector<BlockSample>& s) {
-    double cc = 0, cr = 0, rr = 0, ct = 0, rt = 0, tt = 0, t = 0;
+/// Least-squares fit t = sum_k coef_k * x_k over the samples, by the
+/// normal equations; returns the coefficients and R^2 (last).
+template <std::size_t K>
+std::array<double, K + 1> fit(const std::vector<BlockSample>& s,
+                              std::array<double, K> (*features)(const BlockSample&),
+                              double (*seconds)(const BlockSample&)) {
+    std::array<std::array<double, K + 1>, K> m{}; // [X^T X | X^T t]
+    double t = 0;
     for (const BlockSample& x : s) {
-        cc += x.cells * x.cells;
-        cr += x.cells * x.runs;
-        rr += x.runs * x.runs;
-        ct += x.cells * x.seconds;
-        rt += x.runs * x.seconds;
-        t += x.seconds;
+        const auto f = features(x);
+        for (std::size_t i = 0; i < K; ++i) {
+            for (std::size_t j = 0; j < K; ++j) m[i][j] += f[i] * f[j];
+            m[i][K] += f[i] * seconds(x);
+        }
+        t += seconds(x);
     }
-    const double det = cc * rr - cr * cr;
-    const double a = (ct * rr - rt * cr) / det, b = (rt * cc - ct * cr) / det;
+    for (std::size_t i = 0; i < K; ++i) // Gauss-Jordan; X^T X is positive definite
+        for (std::size_t r = 0; r < K; ++r) {
+            if (r == i) continue;
+            const double q = m[r][i] / m[i][i];
+            for (std::size_t j = i; j <= K; ++j) m[r][j] -= q * m[i][j];
+        }
+    std::array<double, K + 1> c{};
+    for (std::size_t i = 0; i < K; ++i) c[i] = m[i][K] / m[i][i];
     const double mean = t / double(s.size());
-    double res = 0;
+    double res = 0, tt = 0;
     for (const BlockSample& x : s) {
-        const double e = x.seconds - a * x.cells - b * x.runs;
+        const auto f = features(x);
+        double e = seconds(x);
+        for (std::size_t i = 0; i < K; ++i) e -= c[i] * f[i];
         res += e * e;
-        tt += (x.seconds - mean) * (x.seconds - mean);
+        tt += (seconds(x) - mean) * (seconds(x) - mean);
     }
-    return {a, b, tt > 0 ? 1.0 - res / tt : 0.0};
+    c[K] = tt > 0 ? 1.0 - res / tt : 0.0;
+    return c;
 }
 
 } // namespace
@@ -157,20 +180,29 @@ int main(int argc, char** argv) {
 
     for (const KernelTier tier : {KernelTier::Simd, KernelTier::AaSimd}) {
         const auto samples = measure(search.forest, flags, inlet, omega, tier, steps);
-        double cells = 0, runs = 0, links = 0, seconds = 0;
+        double cells = 0, runs = 0, links = 0, sweep = 0, boundary = 0;
         for (const BlockSample& x : samples) {
             cells += x.cells;
             runs += x.runs;
             links += x.links;
-            seconds += x.seconds;
+            sweep += x.sweep;
+            boundary += x.boundary;
         }
-        const auto [a, b, r2] = fit(samples);
+        const auto [a, b, r2] = fit<2>(
+            samples, [](const BlockSample& x) { return std::array{x.cells, x.runs}; },
+            [](const BlockSample& x) { return x.sweep; });
+        const auto [ta, tb, tc, tr2] = fit<3>(
+            samples, [](const BlockSample& x) { return std::array{x.cells, x.runs, x.links}; },
+            [](const BlockSample& x) { return x.sweep + x.boundary; });
+        const char* name = tier == KernelTier::Simd ? "Simd" : "AaSimd";
         std::printf("%-6s blocks %zu fluid_cells %.0f runs %.0f mean_run %.2f "
                     "links_per_fluid_cell %.2f sweep_ms_per_step %.3f ns_per_cell %.1f "
                     "ns_per_run %.1f run_share %.2f r2 %.3f\n",
-                    tier == KernelTier::Simd ? "Simd" : "AaSimd", samples.size(), cells, runs,
-                    cells / runs, links / cells, seconds * 1e3, a * 1e9, b * 1e9,
-                    b * runs / seconds, r2);
+                    name, samples.size(), cells, runs, cells / runs, links / cells, sweep * 1e3,
+                    a * 1e9, b * 1e9, b * runs / sweep, r2);
+        std::printf("%-6s sweep+boundary boundary_ms_per_step %.3f ns_per_cell %.1f "
+                    "ns_per_run %.1f ns_per_link %.2f run_cells %.1f link_cells %.2f r2 %.3f\n",
+                    name, boundary * 1e3, ta * 1e9, tb * 1e9, tc * 1e9, tb / ta, tc / ta, tr2);
     }
     return 0;
 }

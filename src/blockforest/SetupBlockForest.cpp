@@ -1,11 +1,14 @@
 #include "blockforest/SetupBlockForest.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <span>
 
 #include "core/BinaryIO.h"
 #include "core/Random.h"
 #include "lbm/Communication.h"
+#include "lbm/LatticeModel.h"
 #include "partition/Partitioner.h"
 
 namespace walb::bf {
@@ -196,16 +199,22 @@ std::vector<std::uint32_t> SetupBlockForest::neighborsOf(std::uint32_t i) const 
 }
 
 void SetupBlockForest::assignFluidCellWorkload(const geometry::DistanceFunction& phi) {
+    const auto& c = lbm::D3Q19::c;
+    const std::span<const std::array<int, 3>> links(c.begin() + 1, c.end());
     for (SetupBlock& b : blocks_) {
         if (b.fullyInside) {
             b.workload = config_.cellsPerBlock();
+            b.fluidRuns = std::uint64_t(config_.cellsPerBlockY) * config_.cellsPerBlockZ;
+            b.fluidLinks = 0;
             continue;
         }
         const geometry::CellMapping mapping{b.aabb, config_.dx()};
-        b.workload = geometry::countFluidCells(phi, mapping,
-                                               cell_idx_c(config_.cellsPerBlockX),
-                                               cell_idx_c(config_.cellsPerBlockY),
-                                               cell_idx_c(config_.cellsPerBlockZ));
+        const geometry::FluidCounts n = geometry::countFluid(
+            phi, mapping, cell_idx_c(config_.cellsPerBlockX), cell_idx_c(config_.cellsPerBlockY),
+            cell_idx_c(config_.cellsPerBlockZ), links);
+        b.workload = n.cells;
+        b.fluidRuns = n.runs;
+        b.fluidLinks = n.links;
     }
 }
 
@@ -269,7 +278,8 @@ void SetupBlockForest::balanceGraph(std::uint32_t numProcesses, std::uint64_t se
 
     partition::Graph graph(blocks_.size());
     for (std::uint32_t v = 0; v < blocks_.size(); ++v)
-        graph.setVertexWeight(v, std::max<std::uint64_t>(1, blocks_[canon[v]].workload));
+        graph.setVertexWeight(
+            v, std::max<std::uint64_t>(1, std::uint64_t(std::llround(blocks_[canon[v]].cost()))));
 
     // Communication volume between face neighbors: 5 of 19 PDFs per
     // interface cell; edge neighbors: 1 PDF per cell; corners: none (D3Q19).
@@ -313,9 +323,13 @@ SetupBlockForest::BalanceStats SetupBlockForest::balanceStats() const {
     BalanceStats stats;
     std::vector<std::uint64_t> workload(numProcesses_, 0);
     std::vector<std::uint32_t> count(numProcesses_, 0);
+    std::vector<double> cost(numProcesses_, 0);
+    double totalCost = 0;
     for (const SetupBlock& b : blocks_) {
         workload[b.process] += b.workload;
         ++count[b.process];
+        cost[b.process] += b.cost();
+        totalCost += b.cost();
     }
     stats.totalWorkload = totalWorkload();
     stats.minWorkload = blocks_.empty() ? 0 : *std::min_element(workload.begin(), workload.end());
@@ -326,6 +340,9 @@ SetupBlockForest::BalanceStats SetupBlockForest::balanceStats() const {
         if (c == 0) ++stats.emptyProcesses;
     const double ideal = double(stats.totalWorkload) / double(numProcesses_);
     stats.imbalance = ideal > 0 ? double(stats.maxWorkload) / ideal : 1.0;
+    const double idealCost = totalCost / double(numProcesses_);
+    stats.costImbalance =
+        idealCost > 0 ? *std::max_element(cost.begin(), cost.end()) / idealCost : 1.0;
     return stats;
 }
 

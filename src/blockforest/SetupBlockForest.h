@@ -37,6 +37,16 @@ struct SetupBlock {
     std::uint64_t workload = 1;///< fluid cells (set by assignWorkload)
     std::uint32_t process = 0; ///< target process (set by balancing)
     bool fullyInside = false;  ///< block certainly contains only fluid cells
+    std::uint64_t fluidRuns = 0;  ///< fluid x-runs (set by assignFluidCellWorkload)
+    std::uint64_t fluidLinks = 0; ///< D3Q19 links to non-fluid cells inside the block (ditto)
+
+    /// Modeled step cost in fluid-cell units: a run and a link cost what
+    /// kRunCost and kLinkCost cells do (fitted per block by
+    /// bench/sweep_cost_split). A block without counts costs its workload.
+    static constexpr double kRunCost = 20, kLinkCost = 0.4;
+    double cost() const {
+        return double(workload) + kRunCost * double(fluidRuns) + kLinkCost * double(fluidLinks);
+    }
 };
 
 struct SetupConfig {
@@ -86,7 +96,8 @@ public:
     std::vector<std::uint32_t> neighborsOf(std::uint32_t i) const;
 
     /// Sets every block's workload to its exact fluid-cell count (dense
-    /// blocks: all cells). Exploits `fullyInside` to skip counting.
+    /// blocks: all cells) and counts its fluid runs and links in the same
+    /// pass (geometry::countFluid). Exploits `fullyInside` to skip counting.
     void assignFluidCellWorkload(const geometry::DistanceFunction& phi);
 
     /// Static load balancing over a weighted Morton space-filling curve:
@@ -95,8 +106,9 @@ public:
     void balanceMorton(std::uint32_t numProcesses);
 
     /// Static load balancing via the multilevel graph partitioner with
-    /// fluid-cell vertex weights and communication-volume edge weights
-    /// (face 5 PDFs/cell, edge 1 PDF/cell, as in the D3Q19 exchange).
+    /// modeled-cost vertex weights (SetupBlock::cost, the fluid cells when a
+    /// block has no run and link counts) and communication-volume edge
+    /// weights (face 5 PDFs/cell, edge 1 PDF/cell, as in the D3Q19 exchange).
     void balanceGraph(std::uint32_t numProcesses, std::uint64_t seed = 12345);
 
     std::uint32_t numProcesses() const { return numProcesses_; }
@@ -105,7 +117,8 @@ public:
     struct BalanceStats {
         std::uint64_t minWorkload = 0, maxWorkload = 0, totalWorkload = 0;
         std::uint32_t maxBlocksPerProcess = 0, emptyProcesses = 0;
-        double imbalance = 1.0; ///< max / ideal
+        double imbalance = 1.0;     ///< fluid cells: max / ideal
+        double costImbalance = 1.0; ///< SetupBlock::cost: max / ideal
     };
     BalanceStats balanceStats() const;
 

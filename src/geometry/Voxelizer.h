@@ -9,7 +9,9 @@
 /// Block/domain intersection pre-tests use the block barycenter with
 /// circumsphere and insphere radii, exactly as described in the paper.
 
+#include <array>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "core/AABB.h"
@@ -123,10 +125,23 @@ VoxelizeStats voxelize(const DistanceFunction& phi, field::FlagField& flags,
 bool anyFluidCell(const DistanceFunction& phi, const CellMapping& mapping, cell_idx_t cellsX,
                   cell_idx_t cellsY, cell_idx_t cellsZ);
 
-/// Counts the fluid cells of a hypothetical block without writing flags —
-/// used for workload estimation during setup/load balancing where only the
-/// count matters. cells* give the interior size (no ghost layers).
-uint_t countFluidCells(const DistanceFunction& phi, const CellMapping& mapping,
-                       cell_idx_t cellsX, cell_idx_t cellsY, cell_idx_t cellsZ);
+/// What a block's sweep and boundary phase cost grows with.
+struct FluidCounts {
+    uint_t cells = 0; ///< fluid cells
+    uint_t runs = 0;  ///< maximal x-runs of fluid cells
+    uint_t links = 0; ///< (fluid cell, stencil offset) pairs whose neighbor is not fluid
+};
+
+/// Counts the fluid cells, x-runs and links of a hypothetical block without
+/// writing flags — the workload estimate of setup and load balancing.
+/// cells* give the interior size (no ghost layers); `stencil` lists the
+/// neighbor offsets a link may take, each component in {-1, 0, 1}. Cells
+/// outside the block count as fluid, so only links inside the block are
+/// counted and no distance is evaluated outside it. One sphere-test pass
+/// marks a bit row of ceil(cellsX / 64) words per (y, z); the counts are
+/// bit operations on those rows.
+FluidCounts countFluid(const DistanceFunction& phi, const CellMapping& mapping,
+                       cell_idx_t cellsX, cell_idx_t cellsY, cell_idx_t cellsZ,
+                       std::span<const std::array<int, 3>> stencil);
 
 } // namespace walb::geometry

@@ -22,7 +22,9 @@
 /// binds to PDF fields with the flag field's extent and ghost layers, fzyx
 /// layout and M::Q slots: apply() throws BoundaryFieldError for any other
 /// field (outside a parallel region: no exception leaves one), and so does
-/// construction for a block of more than 2^32 PDF slots.
+/// construction for a block of more than 2^32 PDF slots. The pressure links
+/// are kept grouped by fluid cell, in both the core and the shell part, so
+/// the 3-5 links of one cell gather its 19 PDFs for the velocity once.
 ///
 /// One entry point, apply(src, region, pattern), serves every storage
 /// pattern and both step schedules; the region picks the core or shell
@@ -129,6 +131,10 @@ public:
                               {std::uint32_t(xf + a * F), std::uint32_t(xb + M::inv[a] * F)}});
             }
         });
+        std::stable_sort(links_[kPressure].begin(), links_[kPressure].end(),
+                         [&](const LinkSlots& a, const LinkSlots& b) {
+                             return fluidCell(a) < fluidCell(b);
+                         });
         for (std::size_t k = 0; k < kKinds; ++k) split_[k] = links_[k].size();
     }
 
@@ -166,15 +172,17 @@ public:
     /// done. A shell link's unique reader (the fluid cell pulling through
     /// it) provably reads a remote-backed ghost region, i.e. is itself a
     /// shell cell — so applying shell links late never starves the core
-    /// sweep. Before this call every link is core.
+    /// sweep. Before this call every link is core. The pressure links are
+    /// split stably, so they stay grouped by fluid cell within each part.
     template <typename Pred>
     void partitionForOverlap(Pred&& isShell) {
-        for (std::size_t k = 0; k < kKinds; ++k)
-            split_[k] = std::size_t(std::partition(links_[k].begin(), links_[k].end(),
-                                                   [&](const LinkSlots& s) {
-                                                       return !isShell(decode(s).boundary);
-                                                   }) -
-                                    links_[k].begin());
+        const auto core = [&](const LinkSlots& s) { return !isShell(decode(s).boundary); };
+        for (std::size_t k = 0; k < kKinds; ++k) {
+            auto& l = links_[k];
+            const auto shell = k == kPressure ? std::stable_partition(l.begin(), l.end(), core)
+                                              : std::partition(l.begin(), l.end(), core);
+            split_[k] = std::size_t(shell - l.begin());
+        }
         pressureStash_.assign(links_[kPressure].size() - split_[kPressure], real_t(0));
     }
 
@@ -254,14 +262,17 @@ private:
                               real_c(M::c[d][2]) * uw[2];
             data[w] = data[r] + real_c(6) * M::w[d] * rho0_ * eu;
         });
-        forEachLink(kPressure, region, [&](std::size_t i, const LinkSlots& s) {
-            data[writeRead<P>(s).first] =
-                region == Region::Shell ? pressureStash_[i] : pressureValue<P>(data, s);
-        });
+        forEachLink(kPressure, region,
+                    [&, last = FluidVelocity{}](std::size_t i, const LinkSlots& s) mutable {
+                        data[writeRead<P>(s).first] = region == Region::Shell
+                                                          ? pressureStash_[i]
+                                                          : pressureValue<P>(data, s, last);
+                    });
         if (region == Region::Core)
-            forEachLink(kPressure, Region::Shell, [&](std::size_t i, const LinkSlots& s) {
-                pressureStash_[i] = pressureValue<P>(data, s);
-            });
+            forEachLink(kPressure, Region::Shell,
+                        [&, last = FluidVelocity{}](std::size_t i, const LinkSlots& s) mutable {
+                            pressureStash_[i] = pressureValue<P>(data, s, last);
+                        });
     }
 
     /// [lo, hi) of the links of `kind` in `region`.
@@ -284,15 +295,30 @@ private:
         for (std::int64_t i = 0; i < n; ++i) fn(std::size_t(i), links[i]);
     }
 
+    /// A link's fluid cell xf as a flat cell index, from (xf, d).
+    std::uint32_t fluidCell(const LinkSlots& s) const { return s.aa[0] % fStride_; }
+
+    /// The velocity of the fluid cell of a thread's last pressure link. The
+    /// links of one cell are adjacent, and a link writes no slot that any
+    /// link reads (file comment), so reusing it is bit-identical.
+    struct FluidVelocity {
+        std::uint32_t xf = ~std::uint32_t(0);
+        Vec3 u;
+    };
+
     /// Anti-bounce-back value of a pressure link, with the velocity
-    /// extrapolated from the adjacent fluid cell.
+    /// extrapolated from the adjacent fluid cell (gathered unless `last`
+    /// already holds that cell's).
     template <StepPattern P>
-    real_t pressureValue(const real_t* data, const LinkSlots& s) const {
+    real_t pressureValue(const real_t* data, const LinkSlots& s, FluidVelocity& last) const {
         const uint_t d = s.twoGrid[0] / fStride_;
-        const auto xf = std::ptrdiff_t(s.twoGrid[1] - M::inv[d] * fStride_);
-        std::array<real_t, M::Q> pdfs;
-        for (uint_t a = 0; a < M::Q; ++a) pdfs[a] = data[xf + gather_[std::size_t(P)][a]];
-        const Vec3 u = momentum<M>(pdfs) / density<M>(pdfs);
+        if (const std::uint32_t xf = fluidCell(s); xf != last.xf) {
+            std::array<real_t, M::Q> pdfs;
+            for (uint_t a = 0; a < M::Q; ++a)
+                pdfs[a] = data[std::ptrdiff_t(xf) + gather_[std::size_t(P)][a]];
+            last = {xf, momentum<M>(pdfs) / density<M>(pdfs)};
+        }
+        const Vec3& u = last.u;
         const real_t eu = real_c(M::c[d][0]) * u[0] + real_c(M::c[d][1]) * u[1] +
                           real_c(M::c[d][2]) * u[2];
         return -data[writeRead<P>(s).second] +

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "blockforest/BlockForest.h"
 #include "blockforest/SetupBlockForest.h"
+#include "lbm/LatticeModel.h"
+#include "lbm/Sparse.h"
 #include "vmpi/SerialComm.h"
 #include "vmpi/ThreadComm.h"
 
@@ -137,6 +141,52 @@ TEST(SetupBlockForest, FluidWorkloadMatchesVoxelCounts) {
     const real_t analytic = 4.0 / 3.0 * 3.14159265 * 1.3 * 1.3 * 1.3;
     const real_t voxelVol = real_c(total) * cfg.dx() * cfg.dx() * cfg.dx();
     EXPECT_NEAR(voxelVol, analytic, 0.05 * analytic);
+}
+
+/// A block's fluid cells, x-runs and D3Q19 links counted on its voxelized
+/// flag field's interior, a neighbor outside the interior counting as fluid.
+geometry::FluidCounts voxelCounts(const geometry::DistanceFunction& phi, const SetupConfig& cfg,
+                                  const SetupBlock& b) {
+    using M = lbm::D3Q19;
+    field::FlagField flags(cell_idx_c(cfg.cellsPerBlockX), cell_idx_c(cfg.cellsPerBlockY),
+                           cell_idx_c(cfg.cellsPerBlockZ), 1);
+    const auto fluid = flags.registerFlag("fluid");
+    geometry::voxelize(phi, flags, {b.aabb, cfg.dx()}, fluid);
+    geometry::FluidCounts n;
+    n.runs = lbm::buildFluidRuns(flags, fluid).runs.size();
+    const CellInterval interior = flags.interior();
+    interior.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        if (!(flags.get(x, y, z) & fluid)) return;
+        ++n.cells;
+        for (uint_t a = 1; a < M::Q; ++a) {
+            const Cell c{x + M::c[a][0], y + M::c[a][1], z + M::c[a][2]};
+            if (interior.contains(c) && !(flags.get(c) & fluid)) ++n.links;
+        }
+    });
+    return n;
+}
+
+TEST(SetupBlockForest, RunAndLinkCountsMatchTheVoxelizedInterior) {
+    const geometry::SphereDistance sphere({2, 2, 2}, 1.9);
+    const geometry::CylinderDistance tube({0.3, 0.6, 0.4}, {3.7, 3.2, 3.5}, 0.45);
+    SetupConfig wide = denseConfig(4, 4, 4, 12); // a 70-cell x-edge: two words per bit row
+    wide.cellsPerBlockX = 70;
+    std::size_t fullyInside = 0, mixed = 0;
+    const std::array<const geometry::DistanceFunction*, 2> shapes{&sphere, &tube};
+    for (const geometry::DistanceFunction* phi : shapes)
+        for (const SetupConfig& cfg : {denseConfig(4, 4, 4, 32), wide}) {
+            auto forest = SetupBlockForest::create(cfg, phi);
+            forest.assignFluidCellWorkload(*phi);
+            for (const SetupBlock& b : forest.blocks()) {
+                const geometry::FluidCounts ref = voxelCounts(*phi, cfg, b);
+                EXPECT_EQ(b.workload, ref.cells) << "block " << b.gridPos;
+                EXPECT_EQ(b.fluidRuns, ref.runs) << "block " << b.gridPos;
+                EXPECT_EQ(b.fluidLinks, ref.links) << "block " << b.gridPos;
+                ++(b.fullyInside ? fullyInside : mixed);
+            }
+        }
+    EXPECT_GT(fullyInside, 0u);
+    EXPECT_GT(mixed, 0u);
 }
 
 class BalancerTest : public ::testing::TestWithParam<std::uint32_t> {};

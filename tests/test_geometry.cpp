@@ -286,7 +286,7 @@ TEST(Voxelizer, CountFluidCellsAgreesWithVoxelize) {
     const auto fluid = flags.registerFlag("fluid");
     const CellMapping mapping{AABB(0, 0, 0, 2, 2, 2), 2.0 / 30};
     voxelize(sphere, flags, mapping, fluid);
-    EXPECT_EQ(countFluidCells(sphere, mapping, 30, 30, 30), flags.count(fluid));
+    EXPECT_EQ(countFluid(sphere, mapping, 30, 30, 30, {}).cells, flags.count(fluid));
 }
 
 // ---- marching tetrahedra ----------------------------------------------------

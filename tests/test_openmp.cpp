@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -136,19 +140,23 @@ TEST(OpenMP, OnePassPdfInitIsByteEqualToFillThenEquilibrium) {
 }
 
 /// One block with all three link kinds, interior and ghost boundary cells,
-/// and a core/shell split in which both partitions hold every kind.
+/// and a core/shell split in which both partitions hold every kind. With
+/// `pressureOnYFace` the y = ny ghost face (core) is a pressure face too,
+/// so the fluid cells of the x = nx - 1, y = ny - 1 edge have pressure
+/// links in both parts.
 struct BoundaryFixture {
     static constexpr cell_idx_t nx = 12, ny = 10, nz = 9;
     field::FlagField flags{nx, ny, nz, 1};
     BoundaryFlags masks = BoundaryFlags::registerOn(flags);
     PdfField start = makePdfField<D3Q19>(nx, ny, nz);
 
-    BoundaryFixture() {
+    explicit BoundaryFixture(bool pressureOnYFace = false) {
         flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
             const bool ghost = !flags.interior().contains(Cell{x, y, z});
             const bool obstacle = x >= 4 && x <= 6 && y >= 3 && y <= 5 && z >= 2 && z <= 4;
             if (ghost && z >= nz) flags.addFlag(x, y, z, masks.ubb);
-            else if (ghost && x >= nx) flags.addFlag(x, y, z, masks.pressure);
+            else if (ghost && (x >= nx || (pressureOnYFace && y >= ny)))
+                flags.addFlag(x, y, z, masks.pressure);
             else if (ghost || obstacle) flags.addFlag(x, y, z, masks.noSlip);
             else flags.addFlag(x, y, z, masks.fluid);
         });
@@ -166,6 +174,8 @@ struct BoundaryFixture {
         return Vec3(0.05 + 0.001 * real_c(c.x), 0.002 * real_c(c.y), 0);
     }
     static constexpr real_t rhoWall = 1.01;
+    /// The core/shell split of run(): the x ghost faces and the z = nz face.
+    static bool isShell(const Cell& c) { return c.x < 0 || c.x >= nx || c.z >= nz; }
 
     /// Applies `op` to a copy of the start state, called by every thread of
     /// a team of `threads`, or outside any parallel region for threads == 0.
@@ -174,7 +184,7 @@ struct BoundaryFixture {
         BoundaryHandling<D3Q19> bh(flags, masks);
         bh.setWallVelocityProfile(wallVelocity);
         bh.setPressureDensity(rhoWall);
-        bh.partitionForOverlap([](const Cell& c) { return c.x < 0 || c.x >= nx || c.z >= nz; });
+        bh.partitionForOverlap(isShell);
         EXPECT_GT(bh.numLinks(Region::Core), 0u);
         EXPECT_GT(bh.numLinks(Region::Shell), 0u);
         PdfField f = start;
@@ -271,8 +281,9 @@ PdfField cellAddressedBoundary(const BoundaryFixture& fx, StepPattern pattern) {
     return out;
 }
 
-TEST(OpenMP, BoundaryIndexTablesMatchCellAddressing) {
-    const BoundaryFixture fx;
+/// apply() of every region split and pattern, serially and on a team of 4,
+/// is byte-equal to cellAddressedBoundary.
+void expectMatchesCellAddressing(const BoundaryFixture& fx) {
     using BH = BoundaryHandling<D3Q19>;
     for (const auto pattern : {StepPattern::TwoGrid, StepPattern::AaEven, StepPattern::AaOdd}) {
         const PdfField ref = cellAddressedBoundary(fx, pattern);
@@ -293,6 +304,32 @@ TEST(OpenMP, BoundaryIndexTablesMatchCellAddressing) {
                 << "core + shell, pattern " << int(pattern) << ", " << threads << " threads";
         }
     }
+}
+
+TEST(OpenMP, BoundaryIndexTablesMatchCellAddressing) { expectMatchesCellAddressing(BoundaryFixture()); }
+
+TEST(OpenMP, PressureLinksStraddlingTheCoreShellSplitMatchCellAddressing) {
+    const BoundaryFixture fx(/*pressureOnYFace=*/true);
+    BoundaryHandling<D3Q19> bh(fx.flags, fx.masks);
+    bh.partitionForOverlap(BoundaryFixture::isShell);
+    // Fluid cells (flat index) with a pressure link in the core / the shell;
+    // within each part, a cell's links are adjacent in list order.
+    std::set<cell_idx_t> core, shell;
+    cell_idx_t previous = -1;
+    for (const auto& l : bh.pressureLinks()) {
+        const Cell xf{l.boundary.x + D3Q19::c[l.dir][0], l.boundary.y + D3Q19::c[l.dir][1],
+                      l.boundary.z + D3Q19::c[l.dir][2]};
+        const cell_idx_t i = (xf.z * BoundaryFixture::ny + xf.y) * BoundaryFixture::nx + xf.x;
+        auto& part = BoundaryFixture::isShell(l.boundary) ? shell : core;
+        EXPECT_TRUE(i == previous || !part.count(i)) << "links of cell " << xf << " not grouped";
+        part.insert(i);
+        previous = i;
+    }
+    std::vector<cell_idx_t> both;
+    std::set_intersection(core.begin(), core.end(), shell.begin(), shell.end(),
+                          std::back_inserter(both));
+    EXPECT_GE(both.size(), 4u) << "no fluid cell has pressure links in both parts";
+    expectMatchesCellAddressing(fx);
 }
 
 TEST(OpenMP, BoundaryRejectsPdfFieldsItIsNotBoundTo) {

@@ -310,6 +310,61 @@ TEST(PartitionerDeterminism, BalanceGraphIsInvariantUnderBlockShuffle) {
     EXPECT_EQ(assignmentById(c), assignmentById(d));
 }
 
+/// A sphere on 4^3 blocks of 8^3 cells with fluid cells, runs and links
+/// counted, so every block's cost exceeds its fluid cells.
+bf::SetupBlockForest countedSphereForest() {
+    bf::SetupConfig cfg;
+    cfg.domain = AABB(0, 0, 0, 4, 4, 4);
+    cfg.rootBlocksX = cfg.rootBlocksY = cfg.rootBlocksZ = 4;
+    cfg.cellsPerBlockX = cfg.cellsPerBlockY = cfg.cellsPerBlockZ = 8;
+    const geometry::SphereDistance sphere({2, 2, 2}, 1.7);
+    auto forest = bf::SetupBlockForest::create(cfg, &sphere);
+    forest.assignFluidCellWorkload(sphere);
+    return forest;
+}
+
+TEST(PartitionerDeterminism, CostWeightedBalanceGraphIsInvariantUnderBlockShuffle) {
+    auto a = countedSphereForest();
+    for (const auto& blk : a.blocks()) ASSERT_GT(blk.cost(), double(blk.workload));
+    auto b = a;
+    b.shuffleBlocks(/*seed=*/7);
+    a.balanceGraph(4);
+    b.balanceGraph(4);
+    EXPECT_EQ(assignmentById(a), assignmentById(b));
+}
+
+TEST(PartitionerDeterminism, ForestWithoutCountsIsBalancedByFluidCells) {
+    const auto counted = countedSphereForest();
+    // Reference: the counted forest with its counts cleared, so every
+    // vertex weighs its fluid cells.
+    auto fluidOnly = counted;
+    for (auto& blk : fluidOnly.blocks()) {
+        blk.fluidRuns = blk.fluidLinks = 0;
+        EXPECT_EQ(blk.cost(), double(blk.workload));
+    }
+    fluidOnly.balanceGraph(4);
+    auto weighted = counted;
+    weighted.balanceGraph(4);
+
+    // The block file stores no counts.
+    SendBuffer sb;
+    counted.save(sb);
+    RecvBuffer rb(sb.release());
+    auto loaded = bf::SetupBlockForest::load(rb);
+    // Counts never set: the same blocks, their workloads written by hand.
+    const geometry::SphereDistance sphere({2, 2, 2}, 1.7);
+    auto unset = bf::SetupBlockForest::create(counted.config(), &sphere);
+    ASSERT_EQ(unset.numBlocks(), counted.numBlocks());
+    for (std::size_t i = 0; i < unset.numBlocks(); ++i)
+        unset.blocks()[i].workload = counted.blocks()[i].workload;
+    loaded.balanceGraph(4);
+    unset.balanceGraph(4);
+    EXPECT_EQ(assignmentById(loaded), assignmentById(fluidOnly));
+    EXPECT_EQ(assignmentById(unset), assignmentById(fluidOnly));
+    EXPECT_NE(assignmentById(weighted), assignmentById(fluidOnly))
+        << "the counts did not change the placement, so this test shows nothing";
+}
+
 // ---- epoch driver (hysteresis) ---------------------------------------------
 
 TEST(RebalancerTest, HysteresisSkipsHealthyRunsAndMigratesSkewedOnes) {
