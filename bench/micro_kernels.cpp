@@ -42,6 +42,7 @@
 #include "vmpi/BufferSystem.h"
 #include "vmpi/SerialComm.h"
 #include "vmpi/ThreadComm.h"
+#include "support/Oracles.h"
 
 namespace {
 

@@ -8,9 +8,8 @@
 /// of selection decide which slots move:
 ///  * direction slicing: only the PDFs that stream across the interface —
 ///    5 of 19 per face cell, 1 per edge cell, none for corner neighbors
-///    (D3Q19 has no corner links). The free packPdfs/unpackPdfs and the
-///    addLocalCopy* functions move these full slices; packPdfs can also
-///    ship all Q PDFs per cell (the communication-volume ablation).
+///    (D3Q19 has no corner links). The addLocalCopy* functions move these
+///    full slices (the single-block driver's periodic wrap).
 ///  * the reader rule (planExchangeRuns): of those, only the slots a fluid
 ///    cell of the *receiver* reads before the next exchange — a ghost slot
 ///    is read by exactly one pull, and in a sparse block most pullers are
@@ -156,85 +155,6 @@ CellInterval recvInterval(const field::Field<T>& f, const std::array<int, 3>& d)
     range(d[1], sy, ci.min().y, ci.max().y);
     range(d[2], sz, ci.min().z, ci.max().z);
     return ci;
-}
-
-namespace detail {
-template <LatticeModel M>
-std::vector<uint_t> allDirections() {
-    std::vector<uint_t> all;
-    for (uint_t a = 0; a < M::Q; ++a) all.push_back(a);
-    return all;
-}
-} // namespace detail
-
-/// Serializes the PDFs streaming toward neighbor direction d into buf.
-///
-/// Wire order: PDF direction outermost, then z, y, x — for a fixed PDF
-/// index the x-row of an fzyx field is contiguous in memory, so each row is
-/// one bulk byte copy instead of per-cell accessor calls. unpackPdfs must
-/// mirror this order exactly.
-template <LatticeModel M>
-void packPdfs(const PdfField& f, const std::array<int, 3>& d, SendBuffer& buf,
-              bool fullPdfSet = false) {
-    const CellInterval ci = sendInterval(f, d);
-    const std::vector<uint_t> dirs =
-        fullPdfSet ? detail::allDirections<M>() : commDirections<M>(d);
-    if (dirs.empty()) return;
-    const std::size_t rowBytes =
-        std::size_t(ci.max().x - ci.min().x + 1) * sizeof(real_t);
-    if (f.xStride() == 1) {
-        // One resize for the whole payload, then row-wise bulk copies.
-        const std::size_t rows =
-            std::size_t(ci.max().y - ci.min().y + 1) * std::size_t(ci.max().z - ci.min().z + 1);
-        std::uint8_t* out = buf.grow(dirs.size() * rows * rowBytes);
-        for (uint_t a : dirs)
-            for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-                for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y) {
-                    std::memcpy(out, f.dataAt(ci.min().x, y, z, cell_idx_c(a)), rowBytes);
-                    out += rowBytes;
-                }
-        return;
-    }
-    for (uint_t a : dirs)
-        for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-            for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y)
-                for (cell_idx_t x = ci.min().x; x <= ci.max().x; ++x)
-                    buf << f.get(x, y, z, cell_idx_c(a));
-}
-
-/// Deserializes PDFs received from the neighbor in direction d into the
-/// ghost slice facing that neighbor. Must mirror packPdfs' PDF/cell order.
-template <LatticeModel M>
-void unpackPdfs(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf,
-                bool fullPdfSet = false) {
-    const CellInterval ci = recvInterval(f, d);
-    // The sender packed toward direction -d from its perspective; the PDF
-    // subset is determined by the *sender's* direction.
-    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    const std::vector<uint_t> dirs =
-        fullPdfSet ? detail::allDirections<M>() : commDirections<M>(senderDir);
-    if (dirs.empty()) return;
-    const std::size_t rowBytes =
-        std::size_t(ci.max().x - ci.min().x + 1) * sizeof(real_t);
-    if (f.xStride() == 1) {
-        const std::size_t rows =
-            std::size_t(ci.max().y - ci.min().y + 1) * std::size_t(ci.max().z - ci.min().z + 1);
-        const std::size_t total = dirs.size() * rows * rowBytes;
-        const std::uint8_t* in = buf.cursor();
-        buf.skip(total); // bounds-checked; throws BufferError on short payload
-        for (uint_t a : dirs)
-            for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-                for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y) {
-                    std::memcpy(f.dataAt(ci.min().x, y, z, cell_idx_c(a)), in, rowBytes);
-                    in += rowBytes;
-                }
-        return;
-    }
-    for (uint_t a : dirs)
-        for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
-            for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y)
-                for (cell_idx_t x = ci.min().x; x <= ci.max().x; ++x)
-                    buf >> f.get(x, y, z, cell_idx_c(a));
 }
 
 // ---- exchange modes ----------------------------------------------------------
@@ -609,16 +529,6 @@ void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array
     LocalCopyPlan plan;
     addLocalCopyAaReverse<M>(plan, from, to, d);
     plan.run();
-}
-
-/// Bytes a block sends toward direction d (for communication-graph edge
-/// weights and the network model).
-template <LatticeModel M>
-std::size_t packedBytes(const PdfField& f, const std::array<int, 3>& d,
-                        bool fullPdfSet = false) {
-    const CellInterval ci = sendInterval(f, d);
-    const std::size_t nd = fullPdfSet ? M::Q : commDirections<M>(d).size();
-    return ci.numCells() * nd * sizeof(real_t);
 }
 
 } // namespace walb::lbm

@@ -121,26 +121,6 @@ inline void aaCell(PdfField& pdf, AaParity parity, cell_idx_t x, cell_idx_t y, c
     else aaOddCell(pdf, x, y, z, op);
 }
 
-/// Cell-list sweeps (sparse strategy 2). The pointer/count overloads sweep
-/// a contiguous slice — the overlapped schedule polls for halo arrivals
-/// between chunks, exactly like the two-grid cell-list kernel.
-template <typename Op>
-void aaCollideCellList(PdfField& pdf, AaParity parity, const Cell* cells,
-                       std::size_t numCells, const Op& op) {
-    if (parity == AaParity::Even)
-        for (std::size_t i = 0; i < numCells; ++i)
-            aaEvenCell(pdf, cells[i].x, cells[i].y, cells[i].z, op);
-    else
-        for (std::size_t i = 0; i < numCells; ++i)
-            aaOddCell(pdf, cells[i].x, cells[i].y, cells[i].z, op);
-}
-
-template <typename Op>
-void aaCollideCellList(PdfField& pdf, AaParity parity, const std::vector<Cell>& cells,
-                       const Op& op) {
-    aaCollideCellList(pdf, parity, cells.data(), cells.size(), op);
-}
-
 /// Storage slot of the canonical (physical, post-collision) value P(x, a)
 /// under step pattern `p`: the slot itself for the two-grid pattern; at
 /// AaOdd slot abar of the same cell; at AaEven slot a of the cell x + e_a,

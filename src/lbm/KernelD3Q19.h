@@ -10,7 +10,8 @@
 /// KernelD3Q19Simd.h.
 ///
 /// The per-cell update is exposed (streamCollideCell) so the sparse-domain
-/// kernels (conditional and cell-list variants, paper §4.3) reuse it.
+/// kernels (the conditional variant, paper §4.3, and the cell-list test
+/// reference) reuse it.
 
 #include <type_traits>
 

@@ -8,20 +8,21 @@
 ///     performance penalty, incompatible with vectorization.
 ///  2. *Cell list*: the coordinates of a block's fluid cells are stored in
 ///     an array and the kernel loops over that array. No conditional, but
-///     still not vectorizable.
+///     still not vectorizable. No driver runs it; it is kept as a test and
+///     micro-benchmark reference (tests/support/Oracles.h).
 ///  3. *Line intervals*: for every line of lattice cells the index range of
 ///     consecutive fluid cells is stored, "similar to the compressed
 ///     storage scheme of a sparse matrix". The kernel executes only on the
 ///     cells inside those intervals — this enables vectorization and fits
 ///     vascular geometries, which have few but consecutive fluid cells.
 ///
-/// Strategy 3 runs the fused row body of KernelD3Q19Simd over each interval.
+/// Strategy 3 runs the fused row body of KernelD3Q19Simd over each interval;
+/// it is the traversal of the distributed driver.
 
 #include <vector>
 
 #include "field/FlagField.h"
 #include "lbm/Communication.h"
-#include "lbm/KernelD3Q19.h"
 #include "lbm/KernelD3Q19Simd.h"
 
 namespace walb::lbm {
@@ -71,31 +72,6 @@ inline FluidRunList buildFluidRuns(const field::FlagField& flags, field::flag_t 
     return list;
 }
 
-/// Reference implementation of buildFluidRuns without the row-pointer fast
-/// path — kept for the equivalence test and the micro benchmark baseline.
-inline FluidRunList buildFluidRunsNaive(const field::FlagField& flags,
-                                        field::flag_t fluidMask) {
-    FluidRunList list;
-    for (cell_idx_t z = 0; z < flags.zSize(); ++z)
-        for (cell_idx_t y = 0; y < flags.ySize(); ++y) {
-            cell_idx_t runStart = -1;
-            for (cell_idx_t x = 0; x < flags.xSize(); ++x) {
-                const bool fluid = (flags.get(x, y, z) & fluidMask) != 0;
-                if (fluid && runStart < 0) runStart = x;
-                if (!fluid && runStart >= 0) {
-                    list.runs.push_back({y, z, runStart, x - 1});
-                    list.fluidCells += uint_c(x - runStart);
-                    runStart = -1;
-                }
-            }
-            if (runStart >= 0) {
-                list.runs.push_back({y, z, runStart, flags.xSize() - 1});
-                list.fluidCells += uint_c(flags.xSize() - runStart);
-            }
-        }
-    return list;
-}
-
 /// Result of splitting a block's run list for the communication-hiding
 /// schedule: `shell` holds the cells whose stream-pull stencil reads a
 /// ghost region marked in the split mask (i.e. backed by a remote
@@ -140,53 +116,6 @@ CoreShellRuns splitFluidRuns(const FluidRunList& all, cell_idx_t xSize, cell_idx
         push(out.core, r.y, r.z, b, e);
     }
     return out;
-}
-
-/// Same split for the explicit cell-list strategy.
-struct CoreShellCells {
-    std::vector<Cell> core;
-    std::vector<Cell> shell;
-};
-
-template <LatticeModel M>
-CoreShellCells splitFluidCellList(const std::vector<Cell>& cells, cell_idx_t xSize,
-                                  cell_idx_t ySize, cell_idx_t zSize,
-                                  const std::array<bool, 26>& remoteGhost) {
-    CoreShellCells out;
-    for (const Cell& c : cells) {
-        const RunGhostReach reach = runGhostReach<M>(
-            c.y == 0, c.y == ySize - 1, c.z == 0, c.z == zSize - 1, remoteGhost);
-        const bool shell = reach.row || (reach.xLo && c.x == 0) ||
-                           (reach.xHi && c.x == xSize - 1);
-        (shell ? out.shell : out.core).push_back(c);
-    }
-    return out;
-}
-
-/// Builds the explicit fluid-cell coordinate list (strategy 2).
-inline std::vector<Cell> buildFluidCellList(const field::FlagField& flags,
-                                            field::flag_t fluidMask) {
-    std::vector<Cell> cells;
-    flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (flags.get(x, y, z) & fluidMask) cells.push_back({x, y, z});
-    });
-    return cells;
-}
-
-/// Strategy 2: loop over the fluid-cell array; scalar per-cell updates.
-/// The pointer/count overload sweeps a contiguous slice — the overlapped
-/// schedule uses it to poll for halo arrivals between chunks.
-template <typename Op>
-void streamCollideCellList(const PdfField& src, PdfField& dst, const Cell* cells,
-                           std::size_t numCells, const Op& op) {
-    for (std::size_t i = 0; i < numCells; ++i)
-        streamCollideCell(src, dst, cells[i].x, cells[i].y, cells[i].z, op);
-}
-
-template <typename Op>
-void streamCollideCellList(const PdfField& src, PdfField& dst, const std::vector<Cell>& cells,
-                           const Op& op) {
-    streamCollideCellList(src, dst, cells.data(), cells.size(), op);
 }
 
 /// Strategy 3: vectorized execution over fluid line intervals, under step

@@ -12,15 +12,16 @@
 ///      slots a fluid cell of the receiver reads;
 ///   2. boundary handling per block;
 ///   3. fused stream-pull-collide sweep over the fluid intervals;
-///   4. src/dst swap (two-grid tiers only).
+///   4. src/dst swap (two-grid Simd tier only).
 ///
-/// One function, step(), runs this sequence for every kernel tier and both
-/// schedules. The step's storage pattern (two-grid, AA even or AA odd) is
-/// computed once and selects the exchange mode, the boundary link slots and
-/// the kernel. The synchronous schedule finishes the exchange before
-/// boundary handling and sweeps each whole block; the overlapped schedule
-/// (setOverlapCommunication) sweeps the core cells while the halos are in
-/// flight and the shell after they landed.
+/// One function, step(), runs this sequence for both driver tiers (Simd,
+/// AaSimd) and both schedules. The step's storage pattern (two-grid, AA
+/// even or AA odd) is computed once and selects the exchange mode, the
+/// boundary link slots and the kernel's load and store slots. The
+/// synchronous schedule finishes the exchange before boundary handling and
+/// sweeps each whole block; the overlapped schedule (setOverlapCommunication)
+/// sweeps the core cells while the halos are in flight and the shell after
+/// they landed.
 ///
 /// Each phase is timed once (obs::PhaseClock), and that measurement feeds
 /// the TimingPool — communication vs. compute time, the quantity behind
@@ -39,7 +40,6 @@
 #include "lbm/Boundary.h"
 #include "lbm/Communication.h"
 #include "lbm/KernelAa.h"
-#include "lbm/KernelGeneric.h"
 #include "lbm/Sparse.h"
 #include "obs/FlightRecorder.h"
 #include "vmpi/Tags.h"
@@ -407,16 +407,19 @@ public:
         std::function<void(field::FlagField&, const lbm::BoundaryFlags&,
                            const bf::BlockForest::Block&, const geometry::CellMapping&)>;
 
-    /// The default tier is the in-place AaSimd step: one PDF grid and
-    /// 304 B per cell update instead of two grids and 456 B. Its fluid
-    /// state, and so stateDigest(), is bit-identical to the two-grid Simd
-    /// tier, which stays selectable here (the kernel figures, and the
-    /// reference a tier-invariance test compares against).
+    /// The driver runs the two SIMD tiers over the fluid x-runs. The
+    /// default is the in-place AaSimd step: one PDF grid and 304 B per
+    /// cell update instead of two grids and 456 B. Its fluid state, and so
+    /// stateDigest(), is bit-identical to the two-grid Simd tier, the
+    /// reference a tier-invariance test compares against. The scalar tiers
+    /// (Generic, D3Q19, Aa) are kernel and single-block tiers: any other
+    /// tier throws OptionError naming it, on every rank before any block
+    /// data is built or any message is sent.
     DistributedSimulation(vmpi::Comm& comm, const bf::SetupBlockForest& setup,
                           const FlagInitializer& initFlags,
                           KernelTier tier = KernelTier::AaSimd)
-        : comm_(&comm), setup_(setup), initFlags_(initFlags),
-          forest_(setup_, std::uint32_t(comm.rank())), tier_(tier) {
+        : comm_(&comm), tier_(driverTier(tier)), setup_(setup), initFlags_(initFlags),
+          forest_(setup_, std::uint32_t(comm.rank())) {
         buildBlockData();
         trace_.setRank(comm.rank());
         installErrorObserver();
@@ -453,9 +456,7 @@ public:
         forest_ = bf::BlockForest(setup_, std::uint32_t(comm_->rank()));
         boundaries_.clear();
         runs_.clear();
-        cellLists_.clear();
         coreShellRuns_.clear();
-        coreShellCells_.clear();
         buildBlockData();
     }
 
@@ -898,62 +899,37 @@ private:
         return std::chrono::duration<double>(b - a).count();
     }
 
+    /// `tier` when the driver runs it (Simd or AaSimd); throws OptionError
+    /// naming any other tier.
+    static KernelTier driverTier(KernelTier tier) {
+        if (tier != KernelTier::Simd && tier != KernelTier::AaSimd)
+            throw OptionError(std::string("kernel tier '") + kernelTierName(tier) +
+                              "': DistributedSimulation runs only 'simd' and 'aa-simd'");
+        return tier;
+    }
+
     /// One fluid sweep of `region` of block b (whole block, core or
-    /// shell), dispatched by kernel tier; the AA tiers run the kernel of
-    /// `pattern`. The Generic tier runs its per-cell kernel over the run
-    /// list — the run lists hold exactly the flag-tested fluid cells, so
-    /// results are bit-identical to the whole-interior flag-tested sweep.
+    /// shell): the fused SIMD body over the region's runs, under `pattern`
+    /// (the AA patterns update src in place).
     ///
-    /// `chunk`/`numChunks` select a contiguous slice of the region (runs
-    /// for the interval tiers, cells for the cell-list tiers); the core
-    /// sweep runs in several chunks so it can poll for halo arrivals
-    /// between them. The union over all chunks is exactly the full region,
-    /// and every cell is updated by the same kernel either way.
+    /// `chunk`/`numChunks` select a contiguous slice of the region's runs;
+    /// the core sweep runs in several chunks so it can poll for halo
+    /// arrivals between them. The union over all chunks is exactly the
+    /// full region, and every cell is updated by the same kernel either way.
     template <typename Op>
     void sweepSubset(std::size_t b, lbm::Region region, lbm::StepPattern pattern, const Op& op,
                      std::size_t chunk, std::size_t numChunks) {
-        const bool all = region == lbm::Region::All, core = region == lbm::Region::Core;
-        const lbm::FluidRunList& runs =
-            all ? runs_[b] : core ? coreShellRuns_[b].core : coreShellRuns_[b].shell;
-        const std::vector<Cell>& cells =
-            all ? cellLists_[b] : core ? coreShellCells_[b].core : coreShellCells_[b].shell;
+        const std::vector<lbm::FluidRun>& runs =
+            region == lbm::Region::All    ? runs_[b].runs
+            : region == lbm::Region::Core ? coreShellRuns_[b].core.runs
+                                          : coreShellRuns_[b].shell.runs;
         auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
         auto& dst = forest_.getData<lbm::PdfField>(b, dstId_);
-        const auto slice = [&](std::size_t n) {
-            return std::pair<std::size_t, std::size_t>{n * chunk / numChunks,
-                                                       n * (chunk + 1) / numChunks};
-        };
+        const std::size_t lo = runs.size() * chunk / numChunks,
+                          hi = runs.size() * (chunk + 1) / numChunks;
         const auto sweepBegin = Clock::now();
-        switch (tier_) {
-            case KernelTier::Generic: {
-                const auto [lo, hi] = slice(runs.runs.size());
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const auto& r = runs.runs[i];
-                    for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
-                        lbm::streamCollideGenericCell<M>(src, dst, x, r.y, r.z, op);
-                }
-                break;
-            }
-            case KernelTier::D3Q19: {
-                const auto [lo, hi] = slice(cells.size());
-                lbm::streamCollideCellList(src, dst, cells.data() + lo, hi - lo, op);
-                break;
-            }
-            case KernelTier::Simd:
-            case KernelTier::AaSimd: {
-                // One SIMD body; the AA patterns update src in place.
-                const auto [lo, hi] = slice(runs.runs.size());
-                lbm::collideRuns(src, pattern == lbm::StepPattern::TwoGrid ? dst : src, pattern,
-                                 runs.runs.data() + lo, hi - lo, op);
-                break;
-            }
-            case KernelTier::Aa: {
-                const auto [lo, hi] = slice(cells.size());
-                lbm::aaCollideCellList(src, lbm::aaParityOf(pattern), cells.data() + lo, hi - lo,
-                                       op);
-                break;
-            }
-        }
+        lbm::collideRuns(src, pattern == lbm::StepPattern::TwoGrid ? dst : src, pattern,
+                         runs.data() + lo, hi - lo, op);
         blockSweepSeconds_[b] += elapsedSeconds(sweepBegin, Clock::now());
     }
 
@@ -1095,7 +1071,7 @@ private:
 
     /// (Re)creates every per-block datum of the current forest_: PDF fields
     /// (equilibrium-initialized), flag fields (derived through initFlags_),
-    /// boundary handlings, fluid runs/cell lists, the ghost-exchange scheme
+    /// boundary handlings, fluid runs, the ghost-exchange scheme
     /// and the per-block sweep-time accumulators. Shared by the constructor
     /// and applyBlockAssignment().
     void buildBlockData() {
@@ -1139,15 +1115,6 @@ private:
                 if (n.localIndex < 0) remote[lbm::dirIndex26(n.dir)] = true;
             coreShellRuns_.push_back(
                 lbm::splitFluidRuns<M>(runs_[b], cx, cy, cz, remote));
-            // Only the cell-list tiers sweep the cell lists; the others keep
-            // them empty (24 bytes per fluid cell, twice, saved).
-            cellLists_.emplace_back();
-            coreShellCells_.emplace_back();
-            if (sweepsCellLists()) {
-                cellLists_.back() = lbm::buildFluidCellList(flags, masks_.fluid);
-                coreShellCells_.back() =
-                    lbm::splitFluidCellList<M>(cellLists_.back(), cx, cy, cz, remote);
-            }
             // Boundary links whose boundary cell sits in a remote-backed
             // ghost slice are overwritten by the unpack: apply them after
             // finishExchange (their unique readers are shell cells).
@@ -1171,12 +1138,6 @@ private:
         metrics_.gauge("mem.pdf_bytes").set(double(pdfBytes));
     }
 
-    /// The tiers whose sweep reads cellLists_/coreShellCells_ rather than
-    /// the fluid runs.
-    bool sweepsCellLists() const {
-        return tier_ == KernelTier::D3Q19 || tier_ == KernelTier::Aa;
-    }
-
     /// Last-breath diagnostics: when a CommError surfaces on this rank
     /// (deadline miss, corrupt payload, killed rank), dump the flight
     /// recorder before the error unwinds — the telemetry survives even when
@@ -1194,17 +1155,15 @@ private:
     static constexpr real_t kInitialDensity = 1; ///< see initialPdfs()
 
     vmpi::Comm* comm_;
+    KernelTier tier_; ///< checked by driverTier() before anything else is built
     bf::SetupBlockForest setup_; ///< global structure, kept current by migrations
     FlagInitializer initFlags_;  ///< retained: migration re-derives flag fields
     bf::BlockForest forest_;
-    KernelTier tier_;
     lbm::BoundaryFlags masks_{};
     bf::BlockForest::BlockDataID srcId_ = 0, dstId_ = 0, flagId_ = 0;
     std::vector<std::unique_ptr<lbm::BoundaryHandling<M>>> boundaries_;
     std::vector<lbm::FluidRunList> runs_;
-    std::vector<std::vector<Cell>> cellLists_;
     std::vector<lbm::CoreShellRuns> coreShellRuns_;
-    std::vector<lbm::CoreShellCells> coreShellCells_;
     bool overlap_ = false;
     // Cumulative ghost-exchange seconds (see step()): exposed = begin
     // (pack + send posting) + finish (blocking drain / unpack); hidden

@@ -85,16 +85,8 @@ void configure(sim::DistributedSimulation& s, bool overlap = false) {
     s.setOverlapCommunication(overlap);
 }
 
-const char* tierName(KernelTier t) {
-    switch (t) {
-        case KernelTier::Generic: return "Generic";
-        case KernelTier::D3Q19: return "D3Q19";
-        case KernelTier::Simd: return "Simd";
-        case KernelTier::Aa: return "Aa";
-        case KernelTier::AaSimd: return "AaSimd";
-    }
-    return "?";
-}
+/// Test-name spelling of the two driver tiers.
+const char* tierName(KernelTier t) { return t == KernelTier::AaSimd ? "AaSimd" : "Simd"; }
 
 // ---- the stored set is complete ---------------------------------------------
 
@@ -170,9 +162,8 @@ TEST_P(StoredSetCompleteness, EverySlotOutsideItHoldsTheInitializersValue) {
 
 INSTANTIATE_TEST_SUITE_P(
     Tiers, StoredSetCompleteness,
-    testing::Combine(testing::Values(KernelTier::Generic, KernelTier::D3Q19, KernelTier::Simd,
-                                     KernelTier::Aa, KernelTier::AaSimd),
-                     testing::Bool(), testing::Values(uint_t(4), uint_t(5))),
+    testing::Combine(testing::Values(KernelTier::Simd, KernelTier::AaSimd), testing::Bool(),
+                     testing::Values(uint_t(4), uint_t(5))),
     [](const testing::TestParamInfo<CompletenessParam>& p) {
         return std::string(tierName(std::get<0>(p.param))) +
                (std::get<1>(p.param) ? "_Overlap" : "_Sync") + "_Steps" +
@@ -273,8 +264,7 @@ TEST_P(RestartDigests, MigrationMatchesTheUninterruptedRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     Tiers, RestartDigests,
-    testing::Values(RestartParam{KernelTier::Generic, 4}, RestartParam{KernelTier::D3Q19, 4},
-                    RestartParam{KernelTier::Simd, 4}, RestartParam{KernelTier::Simd, 5},
+    testing::Values(RestartParam{KernelTier::Simd, 4}, RestartParam{KernelTier::Simd, 5},
                     RestartParam{KernelTier::AaSimd, 4}, RestartParam{KernelTier::AaSimd, 5}),
     [](const testing::TestParamInfo<RestartParam>& p) {
         return std::string(tierName(std::get<0>(p.param))) + "_Steps" +

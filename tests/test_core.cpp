@@ -9,6 +9,7 @@
 #include "core/BinaryIO.h"
 #include "core/Buffer.h"
 #include "core/Cell.h"
+#include "core/KernelTier.h"
 #include "core/Logging.h"
 #include "core/Random.h"
 #include "core/Timer.h"
@@ -336,6 +337,25 @@ TEST(TimingPool, FractionsSumToOne) {
     EXPECT_DOUBLE_EQ(pool.fraction("a"), 0.75);
     EXPECT_DOUBLE_EQ(pool.fraction("b"), 0.25);
     EXPECT_DOUBLE_EQ(pool.fraction("missing"), 0.0);
+}
+
+TEST(KernelTier, NamesAndAaFlagAreStableForEveryWfrByte) {
+    // A .wfr StepSample stores the tier as one byte, and walb_perfdiag and
+    // walb_blockinfo print dumps of older builds too: the distributed
+    // driver writes only 2 (simd) and 4 (aa-simd), but 0, 1 and 3 stay
+    // readable, and any other byte reads as "unknown".
+    const struct {
+        std::uint8_t byte;
+        const char* name;
+        bool aa;
+    } cases[] = {{0, "generic", false}, {1, "d3q19", false}, {2, "simd", false},
+                 {3, "aa", true},       {4, "aa-simd", true}, {5, "unknown", false},
+                 {255, "unknown", false}};
+    for (const auto& c : cases) {
+        const KernelTier t = KernelTier(c.byte);
+        EXPECT_STREQ(kernelTierName(t), c.name) << "byte " << int(c.byte);
+        EXPECT_EQ(isAaTier(t), c.aa) << "byte " << int(c.byte);
+    }
 }
 
 } // namespace

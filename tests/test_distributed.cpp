@@ -106,16 +106,11 @@ INSTANTIATE_TEST_SUITE_P(
                       DistCase{2, 4, false, KernelTier::Simd},   // 8 blocks on 4 ranks
                       DistCase{2, 8, false, KernelTier::Simd},   // one block per rank
                       DistCase{4, 4, false, KernelTier::Simd},   // 64 blocks on 4 ranks
-                      DistCase{2, 4, true, KernelTier::Simd},    // graph-balanced
-                      DistCase{2, 4, false, KernelTier::Generic},
-                      DistCase{2, 4, false, KernelTier::D3Q19}),
+                      DistCase{2, 4, true, KernelTier::Simd}),   // graph-balanced
     [](const auto& tinfo) {
         const auto& p = tinfo.param;
-        std::string name = std::to_string(p.blocksPerAxis) + "x_ranks" +
-                           std::to_string(p.ranks) + (p.graphBalance ? "_graph" : "_morton");
-        name += p.tier == KernelTier::Simd ? "_simd"
-              : p.tier == KernelTier::Generic ? "_generic" : "_celllist";
-        return name;
+        return std::to_string(p.blocksPerAxis) + "x_ranks" + std::to_string(p.ranks) +
+               (p.graphBalance ? "_graph" : "_morton") + "_simd";
     });
 
 TEST(Distributed, MassConservedAcrossRanks) {
@@ -192,6 +187,26 @@ TEST(Distributed, SerialCommBackendWorksToo) {
     sim.run(10, TRT::fromOmegaAndMagic(1.3));
     const Vec3 u = sim.gatherCellVelocity({N / 2, N - 2, N / 2});
     EXPECT_NE(u[0], 0.0); // lid layer is moving
+}
+
+TEST(Distributed, RejectsTiersOtherThanSimdAndAaSimd) {
+    // The tier is checked before any block data is built or any message is
+    // sent, so on a 2-rank world every rank throws and launch returns.
+    const auto expectRejected = [](vmpi::Comm& comm, const bf::SetupBlockForest& setup) {
+        for (const KernelTier tier : {KernelTier::Generic, KernelTier::D3Q19, KernelTier::Aa}) {
+            const std::string name = std::string("'") + kernelTierName(tier) + "'";
+            try {
+                DistributedSimulation sim(comm, setup, distributedCavityFlags(), tier);
+                ADD_FAILURE() << "tier " << name << " was accepted on rank " << comm.rank();
+            } catch (const OptionError& e) {
+                EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+            }
+        }
+    };
+    vmpi::SerialComm serial;
+    expectRejected(serial, cavitySetup(2, 1));
+    const auto setup = cavitySetup(2, 2);
+    vmpi::ThreadCommWorld::launch(2, [&](vmpi::Comm& comm) { expectRejected(comm, setup); });
 }
 
 } // namespace

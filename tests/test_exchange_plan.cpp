@@ -16,6 +16,7 @@
 #include "lbm/Boundary.h"
 #include "rebalance/Migrator.h"
 #include "sim/DistributedSimulation.h"
+#include "support/Oracles.h"
 #include "vmpi/ThreadComm.h"
 
 namespace walb::sim {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "lbm/Communication.h"
+#include "support/Oracles.h"
 
 namespace walb::lbm {
 namespace {

@@ -14,6 +14,7 @@
 #include "lbm/KernelD3Q19Simd.h"
 #include "lbm/KernelGeneric.h"
 #include "lbm/Sparse.h"
+#include "support/Oracles.h"
 
 namespace walb::lbm {
 namespace {
