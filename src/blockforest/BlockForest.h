@@ -19,6 +19,10 @@ namespace walb::bf {
 
 class BlockForest {
 public:
+    /// One link per direction that has a block. On a periodic axis the
+    /// links wrap: `dir` stays the unwrapped offset, so one neighbor can
+    /// be linked twice (+d and -d on a two-block axis), and a block alone
+    /// on its axis is its own neighbor, through its own localIndex.
     struct NeighborInfo {
         BlockID id;
         std::uint32_t process;

@@ -92,7 +92,6 @@ SetupBlockForest SetupBlockForest::create(const SetupConfig& config,
     SetupBlockForest forest;
     forest.config_ = config;
     const std::uint32_t gx = config.blocksX(), gy = config.blocksY(), gz = config.blocksZ();
-    forest.gridToBlock_.assign(std::size_t(gx) * gy * gz, kNoBlock);
 
     for (cell_idx_t z = 0; z < cell_idx_c(gz); ++z)
         for (cell_idx_t y = 0; y < cell_idx_c(gy); ++y)
@@ -101,8 +100,6 @@ SetupBlockForest SetupBlockForest::create(const SetupConfig& config,
                 BlockClass cls{true, true};
                 if (phi) cls = classify(*phi, box, config);
                 if (!cls.keep) continue;
-                forest.gridToBlock_[forest.gridIndex(x, y, z)] =
-                    std::uint32_t(forest.blocks_.size());
                 forest.blocks_.push_back({idForGridPos(config, x, y, z),
                                           Cell{x, y, z},
                                           box,
@@ -110,6 +107,7 @@ SetupBlockForest SetupBlockForest::create(const SetupConfig& config,
                                           0,
                                           cls.fullyInside});
             }
+    forest.indexBlocks();
     return forest;
 }
 
@@ -163,14 +161,11 @@ SetupBlockForest SetupBlockForest::createDistributed(vmpi::Comm& comm,
     // Assemble the forest in canonical (serial) order on every rank.
     SetupBlockForest forest;
     forest.config_ = config;
-    forest.gridToBlock_.assign(total, kNoBlock);
     for (cell_idx_t z = 0; z < cell_idx_c(gz); ++z)
         for (cell_idx_t y = 0; y < cell_idx_c(gy); ++y)
             for (cell_idx_t x = 0; x < cell_idx_c(gx); ++x) {
                 const std::uint8_t cls = classOf[forest.gridIndex(x, y, z)];
                 if (!(cls & 1)) continue;
-                forest.gridToBlock_[forest.gridIndex(x, y, z)] =
-                    std::uint32_t(forest.blocks_.size());
                 forest.blocks_.push_back({idForGridPos(config, x, y, z),
                                           Cell{x, y, z},
                                           forest.blockBox(x, y, z),
@@ -178,16 +173,40 @@ SetupBlockForest SetupBlockForest::createDistributed(vmpi::Comm& comm,
                                           0,
                                           (cls & 2) != 0});
             }
+    forest.indexBlocks();
     return forest;
+}
+
+bool SetupBlockForest::indexBlocks() {
+    gridToBlock_.clear();
+    gridToBlock_.reserve(blocks_.size());
+    for (std::uint32_t b = 0; b < blocks_.size(); ++b) {
+        const Cell& p = blocks_[b].gridPos;
+        gridToBlock_.emplace_back(gridIndex(p.x, p.y, p.z), b);
+    }
+    std::sort(gridToBlock_.begin(), gridToBlock_.end());
+    return std::adjacent_find(gridToBlock_.begin(), gridToBlock_.end(),
+                              [](const auto& a, const auto& b) { return a.first == b.first; }) ==
+           gridToBlock_.end();
 }
 
 std::optional<std::uint32_t> SetupBlockForest::blockAt(cell_idx_t x, cell_idx_t y,
                                                        cell_idx_t z) const {
-    if (x < 0 || y < 0 || z < 0 || uint_c(x) >= config_.blocksX() ||
-        uint_c(y) >= config_.blocksY() || uint_c(z) >= config_.blocksZ())
+    // Wraps c onto [0, n) on a periodic axis; false if it stays outside.
+    const auto onGrid = [](cell_idx_t& c, std::uint32_t n, bool periodic) {
+        const auto size = cell_idx_c(n);
+        if (periodic) c = (c % size + size) % size;
+        return c >= 0 && c < size;
+    };
+    if (!onGrid(x, config_.blocksX(), config_.periodicX) ||
+        !onGrid(y, config_.blocksY(), config_.periodicY) ||
+        !onGrid(z, config_.blocksZ(), config_.periodicZ))
         return std::nullopt;
-    const std::uint32_t b = gridToBlock_[gridIndex(x, y, z)];
-    return b == kNoBlock ? std::nullopt : std::optional<std::uint32_t>(b);
+    const std::uint64_t g = gridIndex(x, y, z);
+    const auto it = std::lower_bound(gridToBlock_.begin(), gridToBlock_.end(),
+                                     std::pair<std::uint64_t, std::uint32_t>(g, 0));
+    if (it == gridToBlock_.end() || it->first != g) return std::nullopt;
+    return it->second;
 }
 
 std::vector<std::uint32_t> SetupBlockForest::neighborsOf(std::uint32_t i) const {
@@ -226,16 +245,13 @@ std::uint64_t SetupBlockForest::totalWorkload() const {
 
 void SetupBlockForest::shuffleBlocks(std::uint64_t seed) {
     Random rng(seed);
-    // Fisher-Yates over the block storage; the dense grid map must follow
+    // Fisher-Yates over the block storage; the grid map must follow
     // the permutation or blockAt()/neighborsOf() would dangle.
     for (std::size_t i = blocks_.size(); i > 1; --i) {
         const std::size_t j = std::size_t(rng.uniformInt(i));
         std::swap(blocks_[i - 1], blocks_[j]);
     }
-    for (std::size_t g = 0; g < gridToBlock_.size(); ++g) gridToBlock_[g] = kNoBlock;
-    for (std::size_t b = 0; b < blocks_.size(); ++b)
-        gridToBlock_[gridIndex(blocks_[b].gridPos.x, blocks_[b].gridPos.y,
-                               blocks_[b].gridPos.z)] = std::uint32_t(b);
+    indexBlocks();
 }
 
 void SetupBlockForest::balanceMorton(std::uint32_t numProcesses) {
@@ -298,16 +314,25 @@ void SetupBlockForest::balanceGraph(std::uint32_t numProcesses, std::uint64_t se
         return 0; // D3Q19 has no corner links
     };
 
+    // (u, weight) of v's edges in first-link order. Across a periodic wrap
+    // a pair can be linked in several directions: it gets one edge, of its
+    // largest weight; a block linked to itself gets none.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> edges;
     for (std::uint32_t v = 0; v < blocks_.size(); ++v) {
         const Cell& p = blocks_[canon[v]].gridPos;
+        edges.clear();
         for (const auto& d : lbm::neighborhood26) {
             const auto n = blockAt(p.x + d[0], p.y + d[1], p.z + d[2]);
             if (!n) continue;
             const std::uint32_t u = vertexOf[*n];
             if (u <= v) continue; // each undirected edge once
-            const std::uint64_t w = commWeight(d);
-            if (w > 0) graph.addEdge(v, u, w);
+            const auto e = std::find_if(edges.begin(), edges.end(),
+                                        [u](const auto& x) { return x.first == u; });
+            if (e == edges.end()) edges.emplace_back(u, commWeight(d));
+            else e->second = std::max(e->second, commWeight(d));
         }
+        for (const auto& [u, w] : edges)
+            if (w > 0) graph.addEdge(v, u, w);
     }
     graph.finalize();
 
@@ -351,8 +376,9 @@ void SetupBlockForest::save(SendBuffer& buf) const {
     buf << config_.domain.min()[0] << config_.domain.min()[1] << config_.domain.min()[2]
         << config_.domain.max()[0] << config_.domain.max()[1] << config_.domain.max()[2];
     buf << config_.rootBlocksX << config_.rootBlocksY << config_.rootBlocksZ
-        << std::uint8_t(config_.refinementLevel) << config_.cellsPerBlockX
-        << config_.cellsPerBlockY << config_.cellsPerBlockZ;
+        << std::uint8_t(config_.refinementLevel)
+        << std::uint8_t(config_.periodicX | config_.periodicY << 1 | config_.periodicZ << 2)
+        << config_.cellsPerBlockX << config_.cellsPerBlockY << config_.cellsPerBlockZ;
     buf << numProcesses_ << std::uint64_t(blocks_.size());
 
     // Low-byte compaction (paper §2.2): widths derived from the maxima and
@@ -381,16 +407,26 @@ void SetupBlockForest::save(SendBuffer& buf) const {
 SetupBlockForest SetupBlockForest::load(RecvBuffer& buf) {
     std::uint32_t magic = 0;
     buf >> magic;
-    WALB_ASSERT(magic == 0x57414c42, "not a walb block-structure stream");
+    if (magic != 0x57414c42) throw ForestFileError("not a walb block-structure stream");
 
     SetupConfig config;
     Vec3 lo, hi;
     buf >> lo[0] >> lo[1] >> lo[2] >> hi[0] >> hi[1] >> hi[2];
     config.domain = AABB(lo, hi);
-    std::uint8_t level = 0;
+    std::uint8_t level = 0, periodic = 0;
     buf >> config.rootBlocksX >> config.rootBlocksY >> config.rootBlocksZ >> level >>
-        config.cellsPerBlockX >> config.cellsPerBlockY >> config.cellsPerBlockZ;
+        periodic >> config.cellsPerBlockX >> config.cellsPerBlockY >> config.cellsPerBlockZ;
+    // Grid limits of the in-memory forest: BlockID paths hold 20 levels and
+    // Morton codes 21 bits per axis, which keeps every grid index in 64 bits.
+    for (const std::uint32_t r : {config.rootBlocksX, config.rootBlocksY, config.rootBlocksZ})
+        if (level > 20 || r == 0 || (std::uint64_t(r) << level) > (1u << 21))
+            throw ForestFileError("block grid out of range");
+    if (periodic > 7)
+        throw ForestFileError("unknown periodic bits " + std::to_string(int(periodic)));
     config.refinementLevel = level;
+    config.periodicX = periodic & 1;
+    config.periodicY = periodic & 2;
+    config.periodicZ = periodic & 4;
 
     SetupBlockForest forest;
     forest.config_ = config;
@@ -398,26 +434,38 @@ SetupBlockForest SetupBlockForest::load(RecvBuffer& buf) {
     buf >> forest.numProcesses_ >> numBlocks;
     std::uint8_t workBytes = 0;
     buf >> workBytes;
+    if (forest.numProcesses_ == 0) throw ForestFileError("forest assigned to 0 processes");
+    if (workBytes > 8)
+        throw ForestFileError("workload width of " + std::to_string(int(workBytes)) + " bytes");
 
     const unsigned posBytesX = bytesNeeded(config.blocksX() - 1);
     const unsigned posBytesY = bytesNeeded(config.blocksY() - 1);
     const unsigned posBytesZ = bytesNeeded(config.blocksZ() - 1);
     const unsigned procBytes = bytesNeeded(forest.numProcesses_ - 1);
 
-    forest.gridToBlock_.assign(
-        std::size_t(config.blocksX()) * config.blocksY() * config.blocksZ(), kNoBlock);
+    // Every record takes at least one byte: a count beyond the stream is a
+    // truncation, reported before anything is reserved for it.
+    if (numBlocks > buf.remaining()) throw BufferError(numBlocks, buf.remaining());
     forest.blocks_.reserve(numBlocks);
     for (std::uint64_t i = 0; i < numBlocks; ++i) {
-        const auto x = cell_idx_c(buf.getCompact(posBytesX));
-        const auto y = cell_idx_c(buf.getCompact(posBytesY));
-        const auto z = cell_idx_c(buf.getCompact(posBytesZ));
-        const auto process = std::uint32_t(buf.getCompact(procBytes));
+        const std::uint64_t x = buf.getCompact(posBytesX);
+        const std::uint64_t y = buf.getCompact(posBytesY);
+        const std::uint64_t z = buf.getCompact(posBytesZ);
+        const std::uint64_t process = buf.getCompact(procBytes);
         const std::uint64_t workload = buf.getCompact(workBytes);
         const bool fullyInside = buf.getCompact(1) != 0;
-        forest.gridToBlock_[forest.gridIndex(x, y, z)] = std::uint32_t(forest.blocks_.size());
-        forest.blocks_.push_back({idForGridPos(config, x, y, z), Cell{x, y, z},
-                                  forest.blockBox(x, y, z), workload, process, fullyInside});
+        if (x >= config.blocksX() || y >= config.blocksY() || z >= config.blocksZ())
+            throw ForestFileError("block " + std::to_string(i) + " outside the grid");
+        if (process >= forest.numProcesses_)
+            throw ForestFileError("block " + std::to_string(i) + " on process " +
+                                  std::to_string(process) + " of " +
+                                  std::to_string(forest.numProcesses_));
+        const Cell pos{cell_idx_c(x), cell_idx_c(y), cell_idx_c(z)};
+        forest.blocks_.push_back({idForGridPos(config, pos.x, pos.y, pos.z), pos,
+                                  forest.blockBox(pos.x, pos.y, pos.z), workload,
+                                  std::uint32_t(process), fullyInside});
     }
+    if (!forest.indexBlocks()) throw ForestFileError("two blocks at one grid position");
     return forest;
 }
 
@@ -435,6 +483,8 @@ std::optional<SetupBlockForest> SetupBlockForest::loadFromFile(const std::string
         return load(buf);
     } catch (const BufferError&) {
         return std::nullopt; // truncated stream must read as "cannot load"
+    } catch (const ForestFileError&) {
+        return std::nullopt;
     }
 }
 

@@ -15,6 +15,8 @@
 
 #include <functional>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "blockforest/BlockID.h"
@@ -29,6 +31,11 @@ namespace walb::bf {
 /// coordinate interleaved. The curve ordering behind balanceMorton() and
 /// the rebalance subsystem's SFC re-split policy.
 std::uint64_t mortonCode3D(const Cell& c);
+
+/// A block-structure stream that no save() writes (see load()).
+struct ForestFileError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
 
 struct SetupBlock {
     BlockID id;
@@ -54,6 +61,9 @@ struct SetupConfig {
     std::uint32_t rootBlocksX = 1, rootBlocksY = 1, rootBlocksZ = 1;
     unsigned refinementLevel = 0; ///< uniform octree refinement of every root
     std::uint32_t cellsPerBlockX = 16, cellsPerBlockY = 16, cellsPerBlockZ = 16;
+    /// Periodic axes: the block grid wraps, so the first and last block of
+    /// the axis are neighbors (a single block is its own neighbor).
+    bool periodicX = false, periodicY = false, periodicZ = false;
 
     std::uint32_t blocksX() const { return rootBlocksX << refinementLevel; }
     std::uint32_t blocksY() const { return rootBlocksY << refinementLevel; }
@@ -89,10 +99,13 @@ public:
     std::vector<SetupBlock>& blocks() { return blocks_; }
     std::size_t numBlocks() const { return blocks_.size(); }
 
-    /// Index of the block at grid position, or nullopt if discarded.
+    /// Index of the block at grid position, or nullopt if discarded or
+    /// outside the grid. A coordinate on a periodic axis wraps first.
     std::optional<std::uint32_t> blockAt(cell_idx_t x, cell_idx_t y, cell_idx_t z) const;
 
-    /// Indices of existing blocks adjacent to block i (26-neighborhood).
+    /// Indices of existing blocks adjacent to block i, one per direction of
+    /// the 26-neighborhood that has a block. Across a periodic wrap a block
+    /// can appear twice (two blocks on the axis) or be block i itself (one).
     std::vector<std::uint32_t> neighborsOf(std::uint32_t i) const;
 
     /// Sets every block's workload to its exact fluid-cell count (dense
@@ -109,6 +122,8 @@ public:
     /// modeled-cost vertex weights (SetupBlock::cost, the fluid cells when a
     /// block has no run and link counts) and communication-volume edge
     /// weights (face 5 PDFs/cell, edge 1 PDF/cell, as in the D3Q19 exchange).
+    /// Periodic wrap links are edges too; a self-link is none, and a pair
+    /// linked in several directions gets one edge of its largest weight.
     void balanceGraph(std::uint32_t numProcesses, std::uint64_t seed = 12345);
 
     std::uint32_t numProcesses() const { return numProcesses_; }
@@ -132,29 +147,32 @@ public:
 
     /// Compact, endian-independent binary serialization (paper §2.2: only
     /// the low-order bytes that carry information are stored; e.g. 2-byte
-    /// process ranks below 65,536 processes).
+    /// process ranks below 65,536 processes). load() throws BufferError on
+    /// a truncated stream and ForestFileError on any other malformed one;
+    /// loadFromFile() returns nullopt for both.
     void save(SendBuffer& buf) const;
     static SetupBlockForest load(RecvBuffer& buf);
     bool saveToFile(const std::string& path) const;
     static std::optional<SetupBlockForest> loadFromFile(const std::string& path);
 
 private:
-    std::uint32_t gridIndex(cell_idx_t x, cell_idx_t y, cell_idx_t z) const {
-        return std::uint32_t((uint_c(z) * config_.blocksY() + uint_c(y)) * config_.blocksX() +
-                             uint_c(x));
+    std::uint64_t gridIndex(cell_idx_t x, cell_idx_t y, cell_idx_t z) const {
+        return (uint_c(z) * config_.blocksY() + uint_c(y)) * config_.blocksX() + uint_c(x);
     }
     AABB blockBox(cell_idx_t x, cell_idx_t y, cell_idx_t z) const;
     static BlockID idForGridPos(const SetupConfig& config, cell_idx_t x, cell_idx_t y,
                                 cell_idx_t z);
+    /// Rebuilds gridToBlock_ from blocks_; false if two blocks share a
+    /// grid position.
+    bool indexBlocks();
 
     SetupConfig config_;
     std::vector<SetupBlock> blocks_;
-    /// Dense grid -> block index map (~4 bytes per grid slot; global setup
-    /// data structure, fine by the paper's memory model for this phase).
-    std::vector<std::uint32_t> gridToBlock_;
+    /// (grid index, block index) of every block, sorted by grid index: one
+    /// entry per block, so a sparse forest's map does not grow with its
+    /// bounding grid (nor does a corrupt file's claimed grid allocate).
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> gridToBlock_;
     std::uint32_t numProcesses_ = 1;
-
-    static constexpr std::uint32_t kNoBlock = ~std::uint32_t(0);
 };
 
 } // namespace walb::bf

@@ -4,9 +4,9 @@
 /// local kernel measurements (perf) and the flight-recorder readers (obs).
 /// Aa and AaSimd are the in-place AA-pattern tiers (lbm/KernelAa.h): a
 /// single PDF grid — half the PDF memory — with the even/odd kernels
-/// alternating by step parity. The distributed driver runs Simd and AaSimd;
-/// Generic, D3Q19 and Aa are kernel tiers of the kernel figures and of the
-/// single-block driver.
+/// alternating by step parity. The driver (sim::DistributedSimulation) runs
+/// Simd and AaSimd; Generic, D3Q19 and Aa are kernel tiers of the kernel
+/// figures and kernel-level tests.
 
 namespace walb {
 

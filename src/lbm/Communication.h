@@ -8,8 +8,8 @@
 /// of selection decide which slots move:
 ///  * direction slicing: only the PDFs that stream across the interface —
 ///    5 of 19 per face cell, 1 per edge cell, none for corner neighbors
-///    (D3Q19 has no corner links). The addLocalCopy* functions move these
-///    full slices (the single-block driver's periodic wrap).
+///    (D3Q19 has no corner links). ReceiveMask::all() plans these full
+///    slices (the full-slice copies of the test oracles).
 ///  * the reader rule (planExchangeRuns): of those, only the slots a fluid
 ///    cell of the *receiver* reads before the next exchange — a ghost slot
 ///    is read by exactly one pull, and in a sparse block most pullers are
@@ -454,81 +454,5 @@ private:
     std::vector<Item> items_;
     std::size_t slots_ = 0;
 };
-
-namespace detail {
-template <LatticeModel M>
-void addFullSliceCopy(LocalCopyPlan& plan, ExchangeMode mode, const PdfField& from,
-                      PdfField& to, const std::array<int, 3>& d) {
-    std::vector<StridedRun> runs;
-    planExchangeRuns<M>(mode, from, to, d, ReceiveMask::all(), RunEnds::Copy, runs);
-    plan.add(from, to, runs);
-}
-} // namespace detail
-
-/// Plans the full-slice block-to-block copy for neighbors living on the
-/// same process ("fast local communication", paper §2.3): the ghost slice
-/// of `to` facing direction d is filled from the interior slice of `from`
-/// facing -d, every population crossing the interface.
-template <LatticeModel M>
-void addLocalCopy(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
-                  const std::array<int, 3>& d) {
-    detail::addFullSliceCopy<M>(plan, ExchangeMode::TwoGrid, from, to, d);
-}
-
-/// Runs one addLocalCopy (serially outside a parallel region).
-template <LatticeModel M>
-void copyPdfsLocal(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
-    LocalCopyPlan plan;
-    addLocalCopy<M>(plan, from, to, d);
-    plan.run();
-}
-
-/// Generic whole-slot slice copy for any field type: the ghost slice of
-/// `to` facing direction d is filled from the interior slice of `from`
-/// facing -d. Used for wrapping flag fields periodically.
-template <typename T>
-void copySliceLocal(const field::Field<T>& from, field::Field<T>& to,
-                    const std::array<int, 3>& d) {
-    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    const CellInterval srcCi = sendInterval(from, senderDir);
-    const CellInterval dstCi = recvInterval(to, d);
-    WALB_DASSERT(srcCi.numCells() == dstCi.numCells());
-    const Cell offset = srcCi.min() - dstCi.min();
-    dstCi.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        for (cell_idx_t ff = 0; ff < cell_idx_c(from.fSize()); ++ff)
-            to.get(x, y, z, ff) = from.get(x + offset.x, y + offset.y, z + offset.z, ff);
-    });
-}
-
-/// AA forward local copy — addLocalCopy with the opposing slot on both
-/// sides: the ghost slice of `to` facing d is filled from the interior
-/// slice of `from` facing -d.
-template <LatticeModel M>
-void addLocalCopyAaForward(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
-                           const std::array<int, 3>& d) {
-    detail::addFullSliceCopy<M>(plan, ExchangeMode::AaForward, from, to, d);
-}
-
-/// AA reverse local copy: d is the direction from `from` toward `to`; the
-/// trimmed ghost slice of `from` facing d lands on the trimmed interior
-/// slice of `to` facing -d, natural slots.
-template <LatticeModel M>
-void addLocalCopyAaReverse(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
-                           const std::array<int, 3>& d) {
-    detail::addFullSliceCopy<M>(plan, ExchangeMode::AaReverse, from, to, {-d[0], -d[1], -d[2]});
-}
-
-template <LatticeModel M>
-void aaCopyPdfsLocalForward(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
-    LocalCopyPlan plan;
-    addLocalCopyAaForward<M>(plan, from, to, d);
-    plan.run();
-}
-template <LatticeModel M>
-void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
-    LocalCopyPlan plan;
-    addLocalCopyAaReverse<M>(plan, from, to, d);
-    plan.run();
-}
 
 } // namespace walb::lbm

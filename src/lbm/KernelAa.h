@@ -152,9 +152,10 @@ inline std::array<real_t, D3Q19::Q> canonicalPdfs(const PdfField& pdf, StepPatte
     return out;
 }
 
-/// Dense flag-conditional sweep over the whole interior (the single-block
-/// driver's scalar AA tier). Either parity's cells touch pairwise-disjoint
-/// slot sets, so the interior traversal order is irrelevant.
+/// Dense flag-conditional sweep over the whole interior (the scalar AA
+/// tier of the kernel figures and kernel tests). Either parity's cells
+/// touch pairwise-disjoint slot sets, so the interior traversal order is
+/// irrelevant.
 template <typename Op>
 void aaStreamCollide(PdfField& pdf, AaParity parity, const Op& op,
                      const field::FlagField* flags = nullptr, field::flag_t fluidMask = 0) {

@@ -14,23 +14,6 @@
 
 namespace walb::lbm {
 
-/// Single-cell fused stream(pull)-collide update — the body of
-/// streamCollideGeneric, exposed so run-scheduled sweeps (the core/shell
-/// split of the overlapped communication schedule) produce bit-identical
-/// results to the whole-interior sweep.
-template <LatticeModel M, CollisionOperator C>
-inline void streamCollideGenericCell(const PdfField& src, PdfField& dst,
-                                     cell_idx_t x, cell_idx_t y, cell_idx_t z,
-                                     const C& collision) {
-    std::array<real_t, M::Q> f{};
-    for (uint_t a = 0; a < M::Q; ++a)
-        f[a] = src.get(x - M::c[a][0], y - M::c[a][1], z - M::c[a][2], cell_idx_c(a));
-
-    collision.template apply<M>(f);
-
-    for (uint_t a = 0; a < M::Q; ++a) dst.get(x, y, z, cell_idx_c(a)) = f[a];
-}
-
 /// Fused stream(pull)-collide over the interior of dst. `flags`/`fluidMask`
 /// restrict processing to fluid cells; pass nullptr to process every cell
 /// (dense domains). src must have at least one ghost layer; src holds
@@ -44,7 +27,11 @@ void streamCollideGeneric(const PdfField& src, PdfField& dst, const C& collision
 
     dst.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
         if (flags && !(flags->get(x, y, z) & fluidMask)) return;
-        streamCollideGenericCell<M>(src, dst, x, y, z, collision);
+        std::array<real_t, M::Q> f{};
+        for (uint_t a = 0; a < M::Q; ++a)
+            f[a] = src.get(x - M::c[a][0], y - M::c[a][1], z - M::c[a][2], cell_idx_c(a));
+        collision.template apply<M>(f);
+        for (uint_t a = 0; a < M::Q; ++a) dst.get(x, y, z, cell_idx_c(a)) = f[a];
     });
 }
 

@@ -1,15 +1,17 @@
 #pragma once
 /// \file DistributedSimulation.h
-/// Multi-block, multi-process LBM driver: the distributed counterpart of
-/// SingleBlockSimulation. Each virtual-MPI rank owns the blocks assigned to
-/// it by the setup/load-balancing phase, allocates PDF/flag fields for
-/// those blocks only, and advances the canonical time step:
+/// The LBM driver, from one block on one rank to many blocks on many
+/// virtual-MPI ranks. Each rank owns the blocks assigned to it by the
+/// setup/load-balancing phase, allocates PDF/flag fields for those blocks
+/// only, and advances the canonical time step:
 ///
 ///   1. ghost-layer PDF exchange — block-to-block copies for local
 ///      neighbors ("fast local communication"), packed BufferSystem
 ///      messages for remote ones, direction-sliced to the 5/1/0 PDFs that
 ///      actually cross each face/edge/corner and, of those, limited to the
-///      slots a fluid cell of the receiver reads;
+///      slots a fluid cell of the receiver reads. A periodic domain is a
+///      forest whose links wrap (bf::SetupConfig): the wrap is exchanged
+///      like any other link, down to a block that is its own neighbor;
 ///   2. boundary handling per block;
 ///   3. fused stream-pull-collide sweep over the fluid intervals;
 ///   4. src/dst swap (two-grid Simd tier only).
@@ -35,6 +37,7 @@
 
 #include "blockforest/BlockForest.h"
 #include "core/BinaryIO.h"
+#include "core/KernelTier.h"
 #include "core/Logging.h"
 #include "core/Timer.h"
 #include "lbm/Boundary.h"
@@ -49,7 +52,6 @@
 #include "obs/Trace.h"
 #include "sim/Checkpoint.h"
 #include "sim/Health.h"
-#include "sim/SingleBlockSimulation.h"
 #include "vmpi/BufferSystem.h"
 
 namespace walb::sim {
@@ -402,7 +404,9 @@ public:
 
     /// Fills the flag field of one block (interior *and* ghost layers —
     /// flags are a pure function of global position, so neighboring blocks
-    /// agree on the shared cells without communication).
+    /// agree on the shared cells without communication). On a periodic
+    /// axis that function is periodic: a ghost cell across the wrap holds
+    /// the flags of its image on the other side of the domain.
     using FlagInitializer =
         std::function<void(field::FlagField&, const lbm::BoundaryFlags&,
                            const bf::BlockForest::Block&, const geometry::CellMapping&)>;
@@ -412,9 +416,9 @@ public:
     /// cell update instead of two grids and 456 B. Its fluid state, and so
     /// stateDigest(), is bit-identical to the two-grid Simd tier, the
     /// reference a tier-invariance test compares against. The scalar tiers
-    /// (Generic, D3Q19, Aa) are kernel and single-block tiers: any other
-    /// tier throws OptionError naming it, on every rank before any block
-    /// data is built or any message is sent.
+    /// (Generic, D3Q19, Aa) are kernel tiers only: any other tier throws
+    /// OptionError naming it, on every rank before any block data is built
+    /// or any message is sent.
     DistributedSimulation(vmpi::Comm& comm, const bf::SetupBlockForest& setup,
                           const FlagInitializer& initFlags,
                           KernelTier tier = KernelTier::AaSimd)

@@ -8,7 +8,12 @@
 ///    flag-conditional and line-interval kernels;
 ///  * full-slice ghost packing (packPdfs, unpackPdfs, packedBytes): every
 ///    PDF that crosses a block face, or all Q per cell — the volume the
-///    fluid-aware exchange plan of lbm/Communication.h is measured against.
+///    fluid-aware exchange plan of lbm/Communication.h is measured against;
+///  * full-slice local copies (addLocalCopy, addLocalCopyAaForward/Reverse,
+///    copyPdfsLocal, aaCopyPdfsLocalForward/Reverse, copySliceLocal): the
+///    same slices moved block to block in each exchange mode — the
+///    reference of the exchange-plan and team-size tests and the
+///    single-field periodic wrap of the D2Q9 tests.
 ///
 /// The tests and bench/micro_kernels include it as "support/Oracles.h".
 
@@ -156,6 +161,84 @@ std::size_t packedBytes(const PdfField& f, const std::array<int, 3>& d,
     const CellInterval ci = sendInterval(f, d);
     const std::size_t nd = fullPdfSet ? M::Q : commDirections<M>(d).size();
     return ci.numCells() * nd * sizeof(real_t);
+}
+
+// ---- full-slice local copies ----------------------------------------------------
+
+namespace detail {
+template <LatticeModel M>
+void addFullSliceCopy(LocalCopyPlan& plan, ExchangeMode mode, const PdfField& from,
+                      PdfField& to, const std::array<int, 3>& d) {
+    std::vector<StridedRun> runs;
+    planExchangeRuns<M>(mode, from, to, d, ReceiveMask::all(), RunEnds::Copy, runs);
+    plan.add(from, to, runs);
+}
+} // namespace detail
+
+/// Plans the full-slice block-to-block copy for neighbors living on the
+/// same process ("fast local communication", paper §2.3): the ghost slice
+/// of `to` facing direction d is filled from the interior slice of `from`
+/// facing -d, every population crossing the interface.
+template <LatticeModel M>
+void addLocalCopy(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
+                  const std::array<int, 3>& d) {
+    detail::addFullSliceCopy<M>(plan, ExchangeMode::TwoGrid, from, to, d);
+}
+
+/// Runs one addLocalCopy (serially outside a parallel region).
+template <LatticeModel M>
+void copyPdfsLocal(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+    LocalCopyPlan plan;
+    addLocalCopy<M>(plan, from, to, d);
+    plan.run();
+}
+
+/// Generic whole-slot slice copy for any field type: the ghost slice of
+/// `to` facing direction d is filled from the interior slice of `from`
+/// facing -d. Wraps flag fields periodically in the D2Q9 tests.
+template <typename T>
+void copySliceLocal(const field::Field<T>& from, field::Field<T>& to,
+                    const std::array<int, 3>& d) {
+    const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
+    const CellInterval srcCi = sendInterval(from, senderDir);
+    const CellInterval dstCi = recvInterval(to, d);
+    WALB_DASSERT(srcCi.numCells() == dstCi.numCells());
+    const Cell offset = srcCi.min() - dstCi.min();
+    dstCi.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        for (cell_idx_t ff = 0; ff < cell_idx_c(from.fSize()); ++ff)
+            to.get(x, y, z, ff) = from.get(x + offset.x, y + offset.y, z + offset.z, ff);
+    });
+}
+
+/// AA forward local copy — addLocalCopy with the opposing slot on both
+/// sides: the ghost slice of `to` facing d is filled from the interior
+/// slice of `from` facing -d.
+template <LatticeModel M>
+void addLocalCopyAaForward(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
+                           const std::array<int, 3>& d) {
+    detail::addFullSliceCopy<M>(plan, ExchangeMode::AaForward, from, to, d);
+}
+
+/// AA reverse local copy: d is the direction from `from` toward `to`; the
+/// trimmed ghost slice of `from` facing d lands on the trimmed interior
+/// slice of `to` facing -d, natural slots.
+template <LatticeModel M>
+void addLocalCopyAaReverse(LocalCopyPlan& plan, const PdfField& from, PdfField& to,
+                           const std::array<int, 3>& d) {
+    detail::addFullSliceCopy<M>(plan, ExchangeMode::AaReverse, from, to, {-d[0], -d[1], -d[2]});
+}
+
+template <LatticeModel M>
+void aaCopyPdfsLocalForward(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+    LocalCopyPlan plan;
+    addLocalCopyAaForward<M>(plan, from, to, d);
+    plan.run();
+}
+template <LatticeModel M>
+void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array<int, 3>& d) {
+    LocalCopyPlan plan;
+    addLocalCopyAaReverse<M>(plan, from, to, d);
+    plan.run();
 }
 
 } // namespace walb::lbm

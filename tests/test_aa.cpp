@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -22,14 +23,14 @@
 #include "rebalance/Migrator.h"
 #include "sim/Checkpoint.h"
 #include "sim/DistributedSimulation.h"
-#include "sim/SingleBlockSimulation.h"
+#include "support/BoxDomain.h"
+#include "vmpi/SerialComm.h"
 #include "vmpi/ThreadComm.h"
 
 namespace walb {
 namespace {
 
 using lbm::TRT;
-using sim::KernelTier;
 
 // ---- shared helpers --------------------------------------------------------
 
@@ -48,56 +49,108 @@ std::uint64_t cellHash(std::uint64_t seed, cell_idx_t x, cell_idx_t y, cell_idx_
 
 /// Random voxel cavity exercising every boundary type: UBB lid on top, a
 /// pressure outlet face at y = 0, no-slip on the remaining walls plus
-/// random interior obstacle voxels.
-void buildCavityFlags(sim::SingleBlockSimulation& s, cell_idx_t n, std::uint64_t seed) {
-    auto& flags = s.flags();
-    const auto& m = s.masks();
-    flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (z == n - 1) flags.addFlag(x, y, z, m.ubb);
-        else if (y == 0) flags.addFlag(x, y, z, m.pressure);
-        else if (x == 0 || x == n - 1 || y == n - 1 || z == 0)
-            flags.addFlag(x, y, z, m.noSlip);
-        else if (cellHash(seed, x, y, z) % 8 == 0)
-            flags.addFlag(x, y, z, m.noSlip); // random obstacle voxel
-    });
-    s.fillRemainingWithFluid();
+/// random interior obstacle voxels. A periodic x axis has no x walls, so
+/// the flow crosses the wrap.
+field::flag_t cavityFlag(const Cell& g, cell_idx_t n, std::uint64_t seed, bool periodicX,
+                         const lbm::BoundaryFlags& m) {
+    if (g.z == n - 1) return m.ubb;
+    if (g.y == 0) return m.pressure;
+    if ((!periodicX && (g.x == 0 || g.x == n - 1)) || g.y == n - 1 || g.z == 0)
+        return m.noSlip;
+    if (cellHash(seed, g.x, g.y, g.z) % 8 == 0) return m.noSlip; // random obstacle voxel
+    return m.fluid;
 }
 
-sim::SingleBlockSimulation::Config cavityConfig(KernelTier tier, cell_idx_t n,
-                                                bool periodicX = false) {
-    sim::SingleBlockSimulation::Config cfg;
-    cfg.xSize = cfg.ySize = cfg.zSize = n;
-    cfg.tier = tier;
-    cfg.periodicX = periodicX;
-    return cfg;
+/// The cavity as a one-block driver run on `tier`, lid and outlet set.
+std::unique_ptr<sim::DistributedSimulation> cavity(vmpi::Comm& comm, KernelTier tier,
+                                                   cell_idx_t n, std::uint64_t seed,
+                                                   bool periodicX = false) {
+    const test::BoxDomain box{{n, n, n}, {1, 1, 1}, {periodicX, false, false}};
+    auto s = std::make_unique<sim::DistributedSimulation>(
+        comm, box.setup(1),
+        box.flags([=](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+            return cavityFlag(g, n, seed, periodicX, m);
+        }),
+        tier);
+    s->setWallVelocity({0.04, 0, 0});
+    s->setPressureDensity(real_c(1.01));
+    return s;
 }
 
-/// Flags, finalize and boundary values — in place, because the finalized
-/// simulation holds internal references and must not be moved.
-void setupCavity(sim::SingleBlockSimulation& s, cell_idx_t n, std::uint64_t seed) {
-    buildCavityFlags(s, n, seed);
-    s.finalize();
-    s.boundary().setWallVelocity({0.04, 0, 0});
-    s.boundary().setPressureDensity(real_c(1.01));
+/// The scalar tiers at kernel level: the cavity's flags, boundary handling
+/// and PDF fields, swept by the dense flag-masked kernels — two-grid D3Q19
+/// or in-place Aa. The cavity is closed, so no ghost exchange runs.
+class ScalarCavity {
+public:
+    using M = lbm::D3Q19;
+
+    ScalarCavity(KernelTier tier, cell_idx_t n, std::uint64_t seed)
+        : aa_(isAaTier(tier)), flags_(n, n, n, 1), masks_(lbm::BoundaryFlags::registerOn(flags_)),
+          src_(lbm::makePdfField<M>(n, n, n, 1.0, {0, 0, 0})),
+          dst_(lbm::makePdfField<M>(n, n, n, 1.0, {0, 0, 0})) {
+        flags_.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            flags_.addFlag(x, y, z, cavityFlag({x, y, z}, n, seed, false, masks_));
+        });
+        boundary_ = std::make_unique<lbm::BoundaryHandling<M>>(flags_, masks_);
+        boundary_->setWallVelocity({0.04, 0, 0});
+        boundary_->setPressureDensity(real_c(1.01));
+    }
+
+    template <typename Op>
+    void run(uint_t steps, const Op& op) {
+        for (uint_t i = 0; i < steps; ++i, ++step_) {
+            const lbm::StepPattern p = pattern();
+            boundary_->apply(src_, lbm::Region::All, p);
+            if (aa_) {
+                lbm::aaStreamCollide(src_, lbm::aaParityOf(p), op, &flags_, masks_.fluid);
+            } else {
+                lbm::streamCollideD3Q19(src_, dst_, op, &flags_, masks_.fluid);
+                src_.swapDataWith(dst_);
+            }
+        }
+    }
+
+    std::array<real_t, M::Q> cellPdfs(cell_idx_t x, cell_idx_t y, cell_idx_t z) const {
+        return lbm::canonicalPdfs(src_, pattern(), x, y, z);
+    }
+    const field::FlagField& flags() const { return flags_; }
+    field::flag_t fluid() const { return masks_.fluid; }
+
+private:
+    lbm::StepPattern pattern() const { return lbm::stepPatternOf(aa_, step_); }
+
+    bool aa_;
+    field::FlagField flags_;
+    lbm::BoundaryFlags masks_;
+    lbm::PdfField src_, dst_;
+    std::unique_ptr<lbm::BoundaryHandling<M>> boundary_;
+    std::uint64_t step_ = 0;
+};
+
+std::array<real_t, lbm::D3Q19::Q> cellPdfs(const ScalarCavity& c, cell_idx_t x, cell_idx_t y,
+                                           cell_idx_t z) {
+    return c.cellPdfs(x, y, z);
+}
+std::array<real_t, lbm::D3Q19::Q> cellPdfs(sim::DistributedSimulation& s, cell_idx_t x,
+                                           cell_idx_t y, cell_idx_t z) {
+    return s.cellCanonicalPdfs(0, x, y, z);
 }
 
-/// Steps both simulations in lockstep and requires bit-exact canonical
-/// PDFs at every fluid cell after every step — both parities of the AA
-/// state machine are probed, not just the natural-storage one.
-void expectLockstepEqual(sim::SingleBlockSimulation& aa,
-                         sim::SingleBlockSimulation& twoGrid, cell_idx_t n,
-                         uint_t steps) {
+/// Steps both runs in lockstep and requires bit-exact canonical PDFs at
+/// every fluid cell after every step — both parities of the AA state
+/// machine are probed, not just the natural-storage one.
+template <typename Run>
+void expectLockstepEqual(Run& aa, Run& twoGrid, const field::FlagField& flags,
+                         field::flag_t fluid, cell_idx_t n, uint_t steps) {
     const TRT op = TRT::fromOmegaAndMagic(1.6);
-    const auto& flags = twoGrid.flags();
-    const auto fluid = twoGrid.masks().fluid;
     for (uint_t s = 0; s < steps; ++s) {
         aa.run(1, op);
         twoGrid.run(1, op);
         uint_t mismatches = 0;
         flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
             if (!(flags.get(x, y, z) & fluid)) return;
-            const auto a = aa.cellPdfs(x, y, z);
-            const auto b = twoGrid.cellPdfs(x, y, z);
+            const auto a = cellPdfs(aa, x, y, z);
+            const auto b = cellPdfs(twoGrid, x, y, z);
             for (uint_t q = 0; q < lbm::D3Q19::Q; ++q)
                 if (a[q] != b[q]) ++mismatches;
         });
@@ -105,73 +158,71 @@ void expectLockstepEqual(sim::SingleBlockSimulation& aa,
     }
 }
 
-// ---- single block: AA == two-grid, bit-exact -------------------------------
+void expectLockstepEqual(sim::DistributedSimulation& aa, sim::DistributedSimulation& twoGrid,
+                         cell_idx_t n, uint_t steps) {
+    expectLockstepEqual(aa, twoGrid, twoGrid.flagField(0), twoGrid.masks().fluid, n, steps);
+}
+
+// ---- one block: AA == two-grid, bit-exact ----------------------------------
 
 TEST(AaEquivalenceTest, ScalarTierMatchesTwoGridScalarBitExactly) {
     // The scalar AA kernels share d3q19::moments/collide with the two-grid
-    // D3Q19 kernel, so equality must be exact to the last bit.
+    // D3Q19 kernel, so equality must be exact to the last bit. The driver
+    // runs only the SIMD tiers, so this compares the kernels on fields.
     for (std::uint64_t seed : {11ull, 22ull}) {
-        sim::SingleBlockSimulation aa(cavityConfig(KernelTier::Aa, 12));
-        sim::SingleBlockSimulation ref(cavityConfig(KernelTier::D3Q19, 12));
-        setupCavity(aa, 12, seed);
-        setupCavity(ref, 12, seed);
-        expectLockstepEqual(aa, ref, 12, 5);
+        ScalarCavity aa(KernelTier::Aa, 12, seed);
+        ScalarCavity ref(KernelTier::D3Q19, 12, seed);
+        expectLockstepEqual(aa, ref, ref.flags(), ref.fluid(), 12, 5);
     }
 }
 
 TEST(AaEquivalenceTest, SimdTierMatchesTwoGridSimdBitExactly) {
+    vmpi::SerialComm comm;
     for (std::uint64_t seed : {33ull, 44ull}) {
-        sim::SingleBlockSimulation aa(cavityConfig(KernelTier::AaSimd, 12));
-        sim::SingleBlockSimulation ref(cavityConfig(KernelTier::Simd, 12));
-        setupCavity(aa, 12, seed);
-        setupCavity(ref, 12, seed);
-        expectLockstepEqual(aa, ref, 12, 5);
+        auto aa = cavity(comm, KernelTier::AaSimd, 12, seed);
+        auto ref = cavity(comm, KernelTier::Simd, 12, seed);
+        expectLockstepEqual(*aa, *ref, 12, 5);
     }
 }
 
 TEST(AaEquivalenceTest, PeriodicWrapMatchesTwoGridBitExactly) {
-    // Periodic x exercises the AA forward/reverse local ghost wraps
-    // (aaCopyPdfsLocalForward/Reverse) instead of the boundary closure.
-    sim::SingleBlockSimulation aa(cavityConfig(KernelTier::AaSimd, 10, true));
-    sim::SingleBlockSimulation ref(cavityConfig(KernelTier::Simd, 10, true));
-    setupCavity(aa, 10, 55);
-    setupCavity(ref, 10, 55);
-    expectLockstepEqual(aa, ref, 10, 6);
+    // Periodic x exercises the AA forward/reverse exchange of a block with
+    // itself (its +x and -x links) instead of the boundary closure.
+    vmpi::SerialComm comm;
+    auto aa = cavity(comm, KernelTier::AaSimd, 10, 55, true);
+    auto ref = cavity(comm, KernelTier::Simd, 10, 55, true);
+    expectLockstepEqual(*aa, *ref, 10, 6);
 }
 
 TEST(AaEquivalenceTest, ConservesMassInClosedBox) {
     // Bounce-back-only closure: total mass is exactly conserved by the
     // two-grid kernels and must stay conserved through the in-place
     // even/odd pair.
-    sim::SingleBlockSimulation::Config cfg;
-    cfg.xSize = cfg.ySize = cfg.zSize = 10;
-    cfg.tier = KernelTier::AaSimd;
-    sim::SingleBlockSimulation s(cfg);
-    auto& flags = s.flags();
-    const auto& m = s.masks();
-    flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (x == 0 || x == 9 || y == 0 || y == 9 || z == 0 || z == 9)
-            flags.addFlag(x, y, z, m.noSlip);
-        else if (cellHash(7, x, y, z) % 8 == 0)
-            flags.addFlag(x, y, z, m.noSlip);
-    });
-    s.fillRemainingWithFluid();
-    s.finalize(1.0, {0.02, 0.01, -0.015});
-    const real_t before = s.totalMass();
+    const test::BoxDomain box{{10, 10, 10}};
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation s(
+        comm, box.setup(1),
+        box.flags([](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+            if (g.x == 0 || g.x == 9 || g.y == 0 || g.y == 9 || g.z == 0 || g.z == 9)
+                return m.noSlip;
+            return cellHash(7, g.x, g.y, g.z) % 8 == 0 ? m.noSlip : m.fluid;
+        }),
+        KernelTier::AaSimd);
+    test::setFluidEquilibrium(s, [](const Cell&) { return Vec3(0.02, 0.01, -0.015); });
+    const real_t before = s.gatherTotalMass();
     s.run(9, TRT::fromOmegaAndMagic(1.6)); // odd count: ends at parity Odd
-    EXPECT_NEAR(s.totalMass() / before, 1.0, 1e-12);
+    EXPECT_NEAR(s.gatherTotalMass() / before, 1.0, 1e-12);
 }
 
 TEST(AaEquivalenceTest, HalvesPdfMemoryGauge) {
-    sim::SingleBlockSimulation aa(cavityConfig(KernelTier::AaSimd, 16));
-    sim::SingleBlockSimulation ref(cavityConfig(KernelTier::Simd, 16));
-    setupCavity(aa, 16, 66);
-    setupCavity(ref, 16, 66);
+    vmpi::SerialComm comm;
+    auto aa = cavity(comm, KernelTier::AaSimd, 16, 66);
+    auto ref = cavity(comm, KernelTier::Simd, 16, 66);
     const TRT op = TRT::fromOmegaAndMagic(1.6);
-    aa.run(2, op);
-    ref.run(2, op);
-    const double aaBytes = aa.metrics().gauge("mem.pdf_bytes").value();
-    const double refBytes = ref.metrics().gauge("mem.pdf_bytes").value();
+    aa->run(2, op);
+    ref->run(2, op);
+    const double aaBytes = aa->metrics().gauge("mem.pdf_bytes").value();
+    const double refBytes = ref->metrics().gauge("mem.pdf_bytes").value();
     EXPECT_GT(aaBytes, 0.0);
     // One full grid plus the token 1^3 shadow allocation vs two full grids.
     EXPECT_LT(aaBytes, 0.55 * refBytes);

@@ -33,7 +33,6 @@ namespace walb {
 namespace {
 
 using lbm::TRT;
-using sim::KernelTier;
 using M = lbm::D3Q19;
 
 // ---- fixture: random voxel channel on 2 x 2 x 1 blocks ----------------------
@@ -155,7 +154,7 @@ TEST_P(StoredSetCompleteness, EverySlotOutsideItHoldsTheInitializersValue) {
     });
     EXPECT_EQ(mismatches.load(), 0u) << "interior slots changed outside the stored set";
     EXPECT_GT(storedChanged.load(), 0u) << "the run did not move the state";
-    if (!sim::isAaTier(tier)) {
+    if (!isAaTier(tier)) {
         EXPECT_GT(linkSlots.load(), 0u);
     }
 }
@@ -296,7 +295,7 @@ TEST_P(DigestTierInvariance, SimdAndAaSimdDigestsAreEqualAtBothParities) {
             for (std::size_t k = 0; k < 3; ++k) {
                 s.run(kSteps[k] - s.currentStep(), kOp);
                 const std::uint64_t d = s.stateDigest();
-                if (comm.rank() == 0) digest[sim::isAaTier(tier) ? 1 : 0][k] = d;
+                if (comm.rank() == 0) digest[isAaTier(tier) ? 1 : 0][k] = d;
             }
         });
     }

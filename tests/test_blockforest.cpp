@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "blockforest/BlockForest.h"
 #include "blockforest/SetupBlockForest.h"
+#include "core/BinaryIO.h"
 #include "lbm/LatticeModel.h"
 #include "lbm/Sparse.h"
 #include "vmpi/SerialComm.h"
@@ -231,7 +237,9 @@ TEST(SetupBlockForest, MortonKeepsCurveLocality) {
 
 TEST(SetupBlockForest, SaveLoadRoundTrip) {
     geometry::SphereDistance sphere({2, 2, 2}, 1.4);
-    auto forest = SetupBlockForest::create(denseConfig(4, 4, 4), &sphere);
+    auto cfg = denseConfig(4, 4, 4);
+    cfg.periodicX = cfg.periodicZ = true;
+    auto forest = SetupBlockForest::create(cfg, &sphere);
     forest.assignFluidCellWorkload(sphere);
     forest.balanceMorton(7);
 
@@ -251,6 +259,102 @@ TEST(SetupBlockForest, SaveLoadRoundTrip) {
         EXPECT_EQ(loaded.blocks()[i].aabb, forest.blocks()[i].aabb);
     }
     EXPECT_NEAR(loaded.config().dx(), forest.config().dx(), 1e-15);
+    EXPECT_TRUE(loaded.config().periodicX);
+    EXPECT_FALSE(loaded.config().periodicY);
+    EXPECT_TRUE(loaded.config().periodicZ);
+}
+
+/// Loads `bytes` and, when they parse, checks that every block is in range:
+/// on the grid, on a process of the forest and found by blockAt. Returns
+/// false when load() rejected the stream with ForestFileError or
+/// BufferError; any other exception escapes.
+bool loadsInRange(const std::vector<std::uint8_t>& bytes, const std::string& what) {
+    RecvBuffer rb(bytes);
+    std::optional<SetupBlockForest> forest;
+    try {
+        forest.emplace(SetupBlockForest::load(rb));
+    } catch (const ForestFileError&) {
+        return false;
+    } catch (const BufferError&) {
+        return false;
+    }
+    const SetupConfig& c = forest->config();
+    for (std::uint32_t i = 0; i < forest->numBlocks(); ++i) {
+        const SetupBlock& b = forest->blocks()[i];
+        EXPECT_TRUE(b.gridPos.x >= 0 && b.gridPos.x < cell_idx_c(c.blocksX()) &&
+                    b.gridPos.y >= 0 && b.gridPos.y < cell_idx_c(c.blocksY()) &&
+                    b.gridPos.z >= 0 && b.gridPos.z < cell_idx_c(c.blocksZ()))
+            << what << ": block " << i << " at " << b.gridPos;
+        EXPECT_LT(b.process, forest->numProcesses()) << what;
+        EXPECT_EQ(forest->blockAt(b.gridPos.x, b.gridPos.y, b.gridPos.z), i) << what;
+    }
+    EXPECT_EQ(forest->balanceStats().totalWorkload, forest->totalWorkload()) << what;
+    return true;
+}
+
+std::vector<std::uint8_t> saved(const SetupBlockForest& forest) {
+    SendBuffer sb;
+    forest.save(sb);
+    return sb.release();
+}
+
+TEST(ForestFileFuzz, EveryMutationFailsCleanly) {
+    // A sparse, periodic forest spread over 5 processes with fluid-cell
+    // workloads: every header field and record width carries information.
+    geometry::SphereDistance sphere({1.5, 1, 1}, 1.1);
+    auto cfg = denseConfig(3, 2, 2);
+    cfg.periodicY = true;
+    auto forest = SetupBlockForest::create(cfg, &sphere);
+    forest.assignFluidCellWorkload(sphere);
+    forest.balanceMorton(5);
+    const std::vector<std::uint8_t> whole = saved(forest);
+    ASSERT_TRUE(loadsInRange(whole, "unmodified"));
+
+    std::size_t loaded = 0, rejected = 0;
+    for (std::size_t at = 0; at < whole.size(); ++at)
+        for (unsigned flip = 1; flip < 256; ++flip) {
+            auto bytes = whole;
+            bytes[at] ^= std::uint8_t(flip);
+            ++(loadsInRange(bytes, "flip " + std::to_string(flip) + " at " +
+                                       std::to_string(at))
+                   ? loaded
+                   : rejected);
+        }
+    for (std::size_t cut = 0; cut < whole.size(); ++cut)
+        EXPECT_FALSE(loadsInRange({whole.begin(), whole.begin() + std::ptrdiff_t(cut)},
+                                  "cut at " + std::to_string(cut)));
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
+
+    // The named defects, on a two-block forest whose layout is pinned:
+    // a 91-byte header (magic 0, domain 4, root grid 52, level 64,
+    // periodic bits 65, cells per block 66, processes 78, blocks 82,
+    // workload width 90), then 7-byte records (x, y, z, process, 2-byte
+    // workload, fully-inside flag).
+    auto two = SetupBlockForest::create(denseConfig(2, 1, 1));
+    two.balanceMorton(2);
+    const std::vector<std::uint8_t> base = saved(two);
+    ASSERT_EQ(base.size(), 91u + 2 * 7);
+    const auto expectRejected = [&](const std::string& what, std::size_t at,
+                                    std::vector<std::uint8_t> value) {
+        auto bytes = base;
+        std::copy(value.begin(), value.end(), bytes.begin() + std::ptrdiff_t(at));
+        RecvBuffer rb(bytes);
+        EXPECT_THROW(SetupBlockForest::load(rb), ForestFileError) << what;
+        const std::string path = testing::TempDir() + "/walb_fuzz_forest.walb";
+        SendBuffer out;
+        out.putBytes(bytes.data(), bytes.size());
+        ASSERT_TRUE(writeFile(path, out));
+        EXPECT_FALSE(SetupBlockForest::loadFromFile(path).has_value()) << what;
+        std::remove(path.c_str());
+    };
+    expectRejected("bad magic", 0, {0x42, 0x4c, 0x41, 0x58});
+    expectRejected("grid x = 200 in a 2-block grid", 91, {200});
+    expectRejected("duplicate grid position", 98, {0});
+    expectRejected("process 2 of 2", 94, {2});
+    expectRejected("0 processes", 78, {0, 0, 0, 0});
+    expectRejected("9-byte workloads", 90, {9});
+    expectRejected("unknown periodic bit", 65, {8});
 }
 
 TEST(SetupBlockForest, FileFormatIsCompact) {
@@ -352,6 +456,56 @@ TEST(BlockForest, BlockDataRegistry) {
     for (std::size_t i = 0; i < forest.numLocalBlocks(); ++i)
         EXPECT_EQ(forest.getData<std::uint64_t>(i, id),
                   forest.blocks()[i].id.rootIndex() + 100);
+}
+
+TEST(BlockForest, PeriodicLinksWrap) {
+    // One block periodic on every axis: each of its 26 links leads to itself.
+    auto cfg = denseConfig(1, 1, 1);
+    cfg.periodicX = cfg.periodicY = cfg.periodicZ = true;
+    const auto one = SetupBlockForest::create(cfg);
+    const BlockForest self(one, 0);
+    ASSERT_EQ(self.blocks()[0].neighbors.size(), 26u);
+    for (const auto& n : self.blocks()[0].neighbors) {
+        EXPECT_EQ(n.localIndex, 0);
+        EXPECT_EQ(n.id, self.blocks()[0].id);
+    }
+    EXPECT_TRUE(self.neighborProcesses().empty());
+    EXPECT_EQ(one.neighborsOf(0), std::vector<std::uint32_t>(26, 0));
+
+    // Two blocks periodic in x, one per process: each has two links to
+    // the other, one at +x and one at -x (the unwrapped offsets).
+    cfg = denseConfig(2, 1, 1);
+    cfg.periodicX = true;
+    auto two = SetupBlockForest::create(cfg);
+    two.balanceMorton(2);
+    ASSERT_NE(two.blocks()[0].process, two.blocks()[1].process);
+    for (std::uint32_t rank = 0; rank < 2; ++rank) {
+        const BlockForest forest(two, rank);
+        const auto& block = forest.blocks()[0];
+        const SetupBlock& other = two.blocks()[block.gridPos.x == 0 ? 1 : 0];
+        ASSERT_EQ(block.neighbors.size(), 2u);
+        std::set<int> dx;
+        for (const auto& n : block.neighbors) {
+            EXPECT_EQ(n.id, other.id);
+            EXPECT_EQ(n.localIndex, -1);
+            EXPECT_EQ(n.dir[1], 0);
+            EXPECT_EQ(n.dir[2], 0);
+            dx.insert(n.dir[0]);
+        }
+        EXPECT_EQ(dx, (std::set<int>{-1, 1}));
+        EXPECT_EQ(forest.neighborProcesses(), std::set<int>{int(other.process)});
+    }
+    // A non-periodic axis does not wrap.
+    EXPECT_FALSE(two.blockAt(0, -1, 0).has_value());
+    EXPECT_EQ(two.blockAt(-1, 0, 0), two.blockAt(1, 0, 0));
+
+    // The graph balancer gets one edge for the doubly linked pair and no
+    // self-edge, and splits the pair.
+    two.balanceGraph(2);
+    EXPECT_NE(two.blocks()[0].process, two.blocks()[1].process);
+    auto alone = one;
+    alone.balanceGraph(1);
+    EXPECT_EQ(alone.blocks()[0].process, 0u);
 }
 
 TEST(BlockForest, FindBlockForGlobalCell) {

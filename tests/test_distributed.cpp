@@ -1,12 +1,19 @@
 /// Integration tests of the full distributed stack: block forest + virtual
 /// MPI + ghost-layer PDF exchange + boundary handling + kernels. The
 /// gold standard: a multi-block, multi-rank run must reproduce the
-/// single-block reference solution of the same global problem.
+/// one-block, one-rank run of the same global problem — also across the
+/// wrapping links of a periodic forest.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
+#include <optional>
+#include <ostream>
+
+#include "core/Crc32.h"
 #include "sim/DistributedSimulation.h"
-#include "sim/SingleBlockSimulation.h"
+#include "support/BoxDomain.h"
 #include "vmpi/SerialComm.h"
 #include "vmpi/ThreadComm.h"
 
@@ -28,22 +35,6 @@ void cavityFlags(field::FlagField& flags, const lbm::BoundaryFlags& masks, const
             flags.addFlag(x, y, z, masks.noSlip);
         else flags.addFlag(x, y, z, masks.fluid);
     });
-}
-
-/// Reference single-block solution.
-std::vector<Vec3> referenceCavity(uint_t steps, const std::vector<Cell>& probes) {
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = N;
-    cfg.ySize = N;
-    cfg.zSize = N;
-    SingleBlockSimulation sim(cfg);
-    cavityFlags(sim.flags(), sim.masks(), {0, 0, 0});
-    sim.finalize();
-    sim.boundary().setWallVelocity({0.04, 0, 0});
-    sim.run(steps, TRT::fromOmegaAndMagic(1.3));
-    std::vector<Vec3> result;
-    for (const Cell& p : probes) result.push_back(sim.velocity(p.x, p.y, p.z));
-    return result;
 }
 
 bf::SetupBlockForest cavitySetup(std::uint32_t blocksPerAxis, std::uint32_t ranks,
@@ -69,12 +60,31 @@ DistributedSimulation::FlagInitializer distributedCavityFlags() {
     };
 }
 
+/// Reference solution: the cavity as one block on one rank.
+std::vector<Vec3> referenceCavity(uint_t steps, const std::vector<Cell>& probes) {
+    vmpi::SerialComm comm;
+    DistributedSimulation sim(comm, cavitySetup(1, 1), distributedCavityFlags(),
+                              KernelTier::Simd);
+    sim.setWallVelocity({0.04, 0, 0});
+    sim.run(steps, TRT::fromOmegaAndMagic(1.3));
+    std::vector<Vec3> result;
+    for (const Cell& p : probes) result.push_back(sim.gatherCellVelocity(p));
+    return result;
+}
+
 struct DistCase {
     std::uint32_t blocksPerAxis;
     int ranks;
     bool graphBalance;
     KernelTier tier;
 };
+
+/// Names the case in test listings; without it gtest prints the struct's
+/// bytes, padding included, which differ from build to build.
+void PrintTo(const DistCase& c, std::ostream* os) {
+    *os << c.blocksPerAxis << "^3 blocks on " << c.ranks << " rank(s), "
+        << (c.graphBalance ? "graph" : "morton") << ", " << kernelTierName(c.tier);
+}
 
 class DistributedEquivalence : public ::testing::TestWithParam<DistCase> {};
 
@@ -207,6 +217,86 @@ TEST(Distributed, RejectsTiersOtherThanSimdAndAaSimd) {
     expectRejected(serial, cavitySetup(2, 1));
     const auto setup = cavitySetup(2, 2);
     vmpi::ThreadCommWorld::launch(2, [&](vmpi::Comm& comm) { expectRejected(comm, setup); });
+}
+
+/// Channel periodic in x and z between a no-slip floor and a lid moving
+/// diagonally, with random obstacle voxels: flow crosses every wrap.
+field::flag_t periodicChannelFlag(const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+    constexpr cell_idx_t kTop = 11;
+    if (g.y == 0) return m.noSlip;
+    if (g.y == kTop) return m.ubb;
+    const auto h = std::uint64_t(g.x * 73856093) ^ std::uint64_t(g.y * 19349663) ^
+                   std::uint64_t(g.z * 83492791);
+    return h % 13 == 0 ? m.noSlip : m.fluid;
+}
+
+TEST(PeriodicForest, ChannelDigestIsLayoutInvariant) {
+    // One block (its own neighbor across both wraps), and 4 x 1 x 2 blocks
+    // on one rank and on four: x wraps to the block at the far end, on
+    // another rank under Morton placement; z links a block twice (+z and
+    // -z) to its one z neighbor. On 4 x 1 x 1 blocks over four ranks each
+    // block is its own z neighbor and has remote x links.
+    struct Layout {
+        std::array<std::uint32_t, 3> blocks;
+        std::uint32_t ranks;
+    };
+    const Layout layouts[] = {
+        {{1, 1, 1}, 1}, {{4, 1, 2}, 1}, {{4, 1, 2}, 4}, {{4, 1, 1}, 4}};
+    const auto box = [](const Layout& l) {
+        return test::BoxDomain{{16, 12, 8}, l.blocks, {true, false, true}};
+    };
+
+    // The layouts hold the links the test is about.
+    const bf::BlockForest single(box(layouts[0]).setup(1), 0);
+    ASSERT_EQ(single.blocks()[0].neighbors.size(), 8u); // the 8 links with no y step
+    for (const auto& n : single.blocks()[0].neighbors) EXPECT_EQ(n.localIndex, 0);
+    const auto spread = box(layouts[2]).setup(4);
+    std::size_t remoteWraps = 0;
+    for (std::uint32_t rank = 0; rank < 4; ++rank) {
+        const bf::BlockForest forest(spread, rank);
+        for (const auto& b : forest.blocks())
+            for (const auto& n : b.neighbors) {
+                const cell_idx_t x = b.gridPos.x + n.dir[0];
+                if (n.localIndex < 0 && (x < 0 || x >= 4)) ++remoteWraps;
+            }
+    }
+    EXPECT_GT(remoteWraps, 0u);
+
+    // The state digest sums per-block row CRCs, so it follows the block
+    // decomposition; this fingerprint hashes the canonical PDFs of every
+    // fluid cell in global cell order instead.
+    std::optional<std::uint32_t> reference;
+    for (const KernelTier tier : {KernelTier::Simd, KernelTier::AaSimd})
+        for (const bool overlap : {false, true})
+            for (const Layout& l : layouts) {
+                const auto setup = box(l).setup(l.ranks);
+                std::map<Cell, std::array<real_t, lbm::D3Q19::Q>> state;
+                std::mutex mu;
+                vmpi::ThreadCommWorld::launch(int(l.ranks), [&](vmpi::Comm& comm) {
+                    DistributedSimulation sim(comm, setup, box(l).flags(periodicChannelFlag), tier);
+                    sim.setOverlapCommunication(overlap);
+                    sim.setWallVelocity({0.05, 0, 0.03});
+                    sim.run(21, TRT::fromOmegaAndMagic(1.4));
+                    const auto& forest = sim.forest();
+                    std::lock_guard<std::mutex> lock(mu);
+                    for (std::size_t b = 0; b < forest.blocks().size(); ++b) {
+                        const Cell offset = forest.globalCellOffset(forest.blocks()[b]);
+                        const auto& flags = sim.flagField(b);
+                        flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                            if (flags.get(x, y, z) & sim.masks().fluid)
+                                state[offset + Cell{x, y, z}] = sim.cellCanonicalPdfs(b, x, y, z);
+                        });
+                    }
+                });
+                std::uint32_t digest = 0;
+                for (const auto& [cell, pdfs] : state)
+                    digest = crc32(pdfs.data(), sizeof(pdfs), digest);
+                if (!reference) reference = digest;
+                EXPECT_EQ(digest, *reference)
+                    << kernelTierName(tier) << (overlap ? " overlap, " : " sync, ")
+                    << l.blocks[0] * l.blocks[1] * l.blocks[2] << " block(s) on " << l.ranks
+                    << " rank(s)";
+            }
 }
 
 } // namespace

@@ -9,7 +9,7 @@
 #include "io/VtkOutput.h"
 #include "lbm/Force.h"
 #include "sim/DistributedSimulation.h"
-#include "sim/SingleBlockSimulation.h"
+#include "support/BoxDomain.h"
 #include "vmpi/SerialComm.h"
 #include "vmpi/ThreadComm.h"
 
@@ -17,44 +17,36 @@ namespace walb {
 namespace {
 
 using lbm::TRT;
-using sim::SingleBlockSimulation;
 
 // ---- momentum exchange force ------------------------------------------------
+
+// These cases apply a boundary handling of their own to the driver's
+// fields, in the two-grid storage, so they run on the Simd tier.
 
 TEST(BoundaryForce, CouetteShearStressMatchesAnalytic) {
     // Couette flow: the wall force per unit area is the shear stress
     // tau = rho * nu * U / H. Compare the momentum-exchange force on the
     // stationary bottom wall with the analytic value.
     const cell_idx_t H = 10, NX = 8, NZ = 8;
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = NX;
-    cfg.ySize = H + 2;
-    cfg.zSize = NZ;
-    cfg.periodicX = cfg.periodicZ = true;
-    SingleBlockSimulation simulation(cfg);
-    auto& ff = simulation.flags();
-    const auto& masks = simulation.masks();
-    ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (y == 0) ff.addFlag(x, y, z, masks.noSlip);
-        else if (y == H + 1) ff.addFlag(x, y, z, masks.ubb);
-    });
-    simulation.fillRemainingWithFluid();
-    simulation.finalize();
+    const test::BoxDomain box{{NX, H + 2, NZ}, {1, 1, 1}, {true, false, true}};
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(
+        comm, box.setup(1),
+        box.flags([&](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+            return g.y == 0 ? m.noSlip : g.y == H + 1 ? m.ubb : m.fluid;
+        }),
+        KernelTier::Simd);
     const real_t U = 0.02;
-    simulation.boundary().setWallVelocity({U, 0, 0});
+    simulation.setWallVelocity({U, 0, 0});
     const TRT op = TRT::fromOmegaAndMagic(1.2);
     simulation.run(4000, op);
 
-    // Evaluate the force right after a boundary sweep.
-    simulation.boundary().apply(simulation.pdfs());
-    const Vec3 force =
-        lbm::computeBoundaryForce<lbm::D3Q19>(simulation.boundary(), simulation.pdfs());
-
-    // The bottom (no-slip) wall is dragged in +x, the moving lid feels -x;
-    // the measured force sums both and the lid's UBB momentum input, so we
-    // compare magnitudes per wall by symmetry: total tangential force on
-    // both walls has magnitude ~0 (balanced), so instead rebuild a handler
-    // for the bottom wall only.
+    // The moving lid feels the opposite force and the lid's UBB momentum
+    // input, so the total over both walls balances to ~0: evaluate the
+    // force on a handling of the bottom wall only, right after its
+    // boundary sweep.
+    const auto& ff = simulation.flagField(0);
+    const auto& masks = simulation.masks();
     field::FlagField bottomOnly(NX, H + 2, NZ, 1);
     auto bm = lbm::BoundaryFlags::registerOn(bottomOnly);
     ff.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
@@ -62,9 +54,9 @@ TEST(BoundaryForce, CouetteShearStressMatchesAnalytic) {
         if (ff.isFlagSet(x, y, z, masks.noSlip)) bottomOnly.addFlag(x, y, z, bm.noSlip);
     });
     lbm::BoundaryHandling<lbm::D3Q19> bottom(bottomOnly, bm);
-    bottom.apply(simulation.pdfs());
+    bottom.apply(simulation.pdfField(0));
     const Vec3 bottomForce =
-        lbm::computeBoundaryForce<lbm::D3Q19>(bottom, simulation.pdfs());
+        lbm::computeBoundaryForce<lbm::D3Q19>(bottom, simulation.pdfField(0));
 
     const real_t area = real_c(NX * NZ);
     // Tangential: the viscous shear stress tau = rho nu U / H.
@@ -74,25 +66,23 @@ TEST(BoundaryForce, CouetteShearStressMatchesAnalytic) {
     // pressure p = rho cs^2 = 1/3.
     EXPECT_NEAR(bottomForce[1] / area, -lbm::D3Q19::csSqr, 1e-6);
     EXPECT_NEAR(bottomForce[2] / area, 0.0, 1e-6);
-    (void)force;
 }
 
 TEST(BoundaryForce, RestFluidExertsNoTangentialForce) {
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = cfg.ySize = cfg.zSize = 10;
-    SingleBlockSimulation simulation(cfg);
-    auto& ff = simulation.flags();
-    const auto& masks = simulation.masks();
-    ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (x == 0 || x == 9 || y == 0 || y == 9 || z == 0 || z == 9)
-            ff.addFlag(x, y, z, masks.noSlip);
-    });
-    simulation.fillRemainingWithFluid();
-    simulation.finalize();
+    const test::BoxDomain box{{10, 10, 10}};
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(
+        comm, box.setup(1),
+        box.flags([](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+            const bool wall =
+                g.x == 0 || g.x == 9 || g.y == 0 || g.y == 9 || g.z == 0 || g.z == 9;
+            return wall ? m.noSlip : m.fluid;
+        }),
+        KernelTier::Simd);
     simulation.run(10, TRT::fromOmegaAndMagic(1.0));
-    simulation.boundary().apply(simulation.pdfs());
-    const Vec3 f =
-        lbm::computeBoundaryForce<lbm::D3Q19>(simulation.boundary(), simulation.pdfs());
+    lbm::BoundaryHandling<lbm::D3Q19> walls(simulation.flagField(0), simulation.masks());
+    walls.apply(simulation.pdfField(0));
+    const Vec3 f = lbm::computeBoundaryForce<lbm::D3Q19>(walls, simulation.pdfField(0));
     // Fluid at rest in a closed box: forces balance to zero.
     EXPECT_NEAR(f[0], 0.0, 1e-12);
     EXPECT_NEAR(f[1], 0.0, 1e-12);
@@ -103,46 +93,44 @@ TEST(BoundaryForce, RestFluidExertsNoTangentialForce) {
 
 TEST(VelocityProfile, ParabolicInletIsImposed) {
     // Drive a channel purely by a parabolic UBB inlet; the downstream flow
-    // approaches the imposed profile shape.
+    // approaches the imposed profile shape. Inlet and outlet are one
+    // test-owned handling on custom flags, applied before each step.
     const cell_idx_t L = 24, H = 10;
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = L + 2;
-    cfg.ySize = H + 2;
-    cfg.zSize = 3;
-    cfg.periodicZ = true;
-    SingleBlockSimulation simulation(cfg);
-    auto& ff = simulation.flags();
-    const auto& masks = simulation.masks();
-    const auto outlet = ff.registerFlag("pressureOut");
-    ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (y == 0 || y == H + 1) ff.addFlag(x, y, z, masks.noSlip);
-        else if (x == 0) ff.addFlag(x, y, z, masks.ubb);
-        else if (x == L + 1) ff.addFlag(x, y, z, outlet);
-    });
-    simulation.fillRemainingWithFluid();
-    simulation.finalize();
+    const test::BoxDomain box{{L + 2, H + 2, 3}, {1, 1, 1}, {false, false, true}};
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(
+        comm, box.setup(1),
+        box.flags([&](const Cell& g, field::FlagField& ff, const lbm::BoundaryFlags& m) {
+            if (g.y == 0 || g.y == H + 1) return m.noSlip;
+            if (g.x == 0) return ff.registerFlag("inlet");
+            if (g.x == L + 1) return ff.registerFlag("pressureOut");
+            return m.fluid;
+        }),
+        KernelTier::Simd);
 
+    auto& ff = simulation.flagField(0);
+    const lbm::BoundaryFlags ends{simulation.masks().fluid, 0, ff.flag("inlet"),
+                                  ff.flag("pressureOut")};
+    lbm::BoundaryHandling<lbm::D3Q19> inletOutlet(ff, ends);
     const real_t uMax = 0.03;
-    simulation.boundary().setWallVelocityProfile([&](const Cell& c) {
+    inletOutlet.setWallVelocityProfile([&](const Cell& c) {
         const real_t y = real_c(c.y) - real_c(0.5); // wall plane at y=0
         const real_t h = real_c(H);
         return Vec3(4 * uMax * y * (h - y) / (h * h), 0, 0);
     });
-    lbm::BoundaryFlags outletMasks{masks.fluid, 0, 0, outlet};
-    lbm::BoundaryHandling<lbm::D3Q19> outletHandling(ff, outletMasks);
-    outletHandling.setPressureDensity(1.0);
+    inletOutlet.setPressureDensity(1.0);
 
     for (int step = 0; step < 6000; ++step) {
-        outletHandling.apply(simulation.pdfs());
+        inletOutlet.apply(simulation.pdfField(0));
         simulation.run(1, TRT::fromOmegaAndMagic(1.0));
     }
     // Centerline fastest, near-wall slowest, profile roughly parabolic.
-    const real_t uMid = simulation.velocity(L / 2, (H + 1) / 2, 1)[0];
-    const real_t uNearWall = simulation.velocity(L / 2, 1, 1)[0];
+    const real_t uMid = simulation.gatherCellVelocity({L / 2, (H + 1) / 2, 1})[0];
+    const real_t uNearWall = simulation.gatherCellVelocity({L / 2, 1, 1})[0];
     EXPECT_GT(uMid, 3 * uNearWall);
     EXPECT_NEAR(uMid, uMax, 0.25 * uMax);
     // Quarter-height point of an ideal parabola carries 3/4 of the peak.
-    const real_t uQuarter = simulation.velocity(L / 2, (H + 2) / 4, 1)[0];
+    const real_t uQuarter = simulation.gatherCellVelocity({L / 2, (H + 2) / 4, 1})[0];
     EXPECT_NEAR(uQuarter / uMid, 0.75, 0.12);
 }
 

@@ -481,7 +481,7 @@ TEST(CheckpointFormat, FileIsByteIdenticalToTheSendBufferLayout) {
     // (block count plus appendBlockRecord records) grown in a SendBuffer
     // and added with the vector operator<<.
     const TRT op = TRT::fromOmegaAndMagic(1.4);
-    for (const sim::KernelTier tier : {sim::KernelTier::Simd, sim::KernelTier::AaSimd}) {
+    for (const walb::KernelTier tier : {walb::KernelTier::Simd, walb::KernelTier::AaSimd}) {
         for (const std::uint32_t ranks : {1u, 2u, 4u}) {
             SCOPED_TRACE("tier " + std::to_string(int(tier)) + ", " +
                          std::to_string(ranks) + " ranks");
@@ -557,7 +557,7 @@ std::vector<std::size_t> recordBoundaries(const std::vector<std::uint8_t>& bytes
 
 TEST(CheckpointFormat, TruncationAtEveryRecordBoundaryLeavesTheStateUntouched) {
     const TRT op = TRT::fromOmegaAndMagic(1.4);
-    for (const sim::KernelTier tier : {sim::KernelTier::Simd, sim::KernelTier::AaSimd}) {
+    for (const walb::KernelTier tier : {walb::KernelTier::Simd, walb::KernelTier::AaSimd}) {
         SCOPED_TRACE("tier " + std::to_string(int(tier)));
         const std::string path = testing::TempDir() + "/walb_truncated.wckp";
         const TwoBlocksPerRank cavity(2);

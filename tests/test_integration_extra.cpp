@@ -8,7 +8,7 @@
 
 #include "geometry/CoronaryTree.h"
 #include "sim/DistributedSimulation.h"
-#include "sim/SingleBlockSimulation.h"
+#include "vmpi/SerialComm.h"
 #include "vmpi/ThreadComm.h"
 
 namespace walb {
@@ -45,20 +45,16 @@ TEST(RefinedForest, DistributedCavityMatchesSingleBlock) {
         });
     };
 
-    // Single-block reference.
-    sim::SingleBlockSimulation::Config scfg;
-    scfg.xSize = scfg.ySize = scfg.zSize = N;
-    sim::SingleBlockSimulation reference(scfg);
-    reference.flags().forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (y == N - 1) reference.flags().addFlag(x, y, z, reference.masks().ubb);
-        else if (x == 0 || x == N - 1 || y == 0 || z == 0 || z == N - 1)
-            reference.flags().addFlag(x, y, z, reference.masks().noSlip);
-    });
-    reference.fillRemainingWithFluid();
-    reference.finalize();
-    reference.boundary().setWallVelocity({0.04, 0, 0});
+    // Reference: the same cavity as one unrefined block on one rank.
+    bf::SetupConfig single = cfg;
+    single.refinementLevel = 0;
+    single.cellsPerBlockX = single.cellsPerBlockY = single.cellsPerBlockZ = N;
+    vmpi::SerialComm serial;
+    sim::DistributedSimulation reference(serial, bf::SetupBlockForest::create(single), flagInit,
+                                         KernelTier::Simd);
+    reference.setWallVelocity({0.04, 0, 0});
     reference.run(25, TRT::fromOmegaAndMagic(1.4));
-    const Vec3 expected = reference.velocity(N / 2, N / 2, N / 2);
+    const Vec3 expected = reference.gatherCellVelocity({N / 2, N / 2, N / 2});
 
     vmpi::ThreadCommWorld::launch(4, [&](vmpi::Comm& comm) {
         sim::DistributedSimulation simulation(comm, setup, flagInit);

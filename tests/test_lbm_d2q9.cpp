@@ -7,6 +7,7 @@
 #include "lbm/Boundary.h"
 #include "lbm/Communication.h"
 #include "lbm/KernelGeneric.h"
+#include "support/Oracles.h"
 
 namespace walb::lbm {
 namespace {

@@ -1,17 +1,28 @@
 /// Physics validation: analytic flow solutions (Couette, pressure-driven
 /// Poiseuille), boundary-condition correctness, mass conservation, and the
 /// TRT magic-parameter wall-placement property. These are the correctness
-/// foundations beneath the paper's performance numbers.
+/// foundations beneath the paper's performance numbers. Every case runs on
+/// the production driver, a one-block DistributedSimulation, with the
+/// periodic axes as wrapping forest links.
 
 #include <gtest/gtest.h>
 
-#include "sim/SingleBlockSimulation.h"
+#include "sim/DistributedSimulation.h"
+#include "support/BoxDomain.h"
+#include "vmpi/SerialComm.h"
 
 namespace walb::sim {
 namespace {
 
 using lbm::SRT;
 using lbm::TRT;
+using test::BoxDomain;
+
+constexpr KernelTier kDriverTiers[] = {KernelTier::Simd, KernelTier::AaSimd};
+
+real_t density(DistributedSimulation& s, cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+    return lbm::density<lbm::D3Q19>(s.cellCanonicalPdfs(0, x, y, z));
+}
 
 /// Couette flow: wall at bottom (no-slip), lid at top moving with U in x,
 /// periodic in x and z. Steady profile is linear; with half-way bounce-back
@@ -20,31 +31,24 @@ class CouetteTest : public ::testing::TestWithParam<KernelTier> {};
 
 TEST_P(CouetteTest, LinearProfile) {
     const cell_idx_t H = 12;
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = 6;
-    cfg.ySize = H + 2; // one boundary row at bottom and top
-    cfg.zSize = 4;
-    cfg.periodicX = cfg.periodicZ = true;
-    cfg.tier = GetParam();
-    SingleBlockSimulation simulation(cfg);
-
-    auto& ff = simulation.flags();
-    const auto& masks = simulation.masks();
-    ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (y == 0) ff.addFlag(x, y, z, masks.noSlip);
-        else if (y == H + 1) ff.addFlag(x, y, z, masks.ubb);
-    });
-    simulation.fillRemainingWithFluid();
-    simulation.finalize();
+    // One boundary row at bottom and top.
+    const BoxDomain box{{6, H + 2, 4}, {1, 1, 1}, {true, false, true}};
+    vmpi::SerialComm comm;
+    DistributedSimulation simulation(
+        comm, box.setup(1),
+        box.flags([&](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+            return g.y == 0 ? m.noSlip : g.y == H + 1 ? m.ubb : m.fluid;
+        }),
+        GetParam());
 
     const real_t U = 0.02;
-    simulation.boundary().setWallVelocity({U, 0, 0});
+    simulation.setWallVelocity({U, 0, 0});
     simulation.run(3000, TRT::fromOmegaAndMagic(1.1));
 
     // Walls sit half a cell outside the first/last fluid rows: the analytic
     // profile at fluid row j (1-based y) is U * (j - 0.5) / H.
     for (cell_idx_t j = 1; j <= H; ++j) {
-        const Vec3 u = simulation.velocity(2, j, 2);
+        const Vec3 u = simulation.gatherCellVelocity({2, j, 2});
         const real_t expected = U * (real_c(j) - real_c(0.5)) / real_c(H);
         EXPECT_NEAR(u[0], expected, 1e-7) << "row " << j;
         EXPECT_NEAR(u[1], 0.0, 1e-9);
@@ -53,14 +57,9 @@ TEST_P(CouetteTest, LinearProfile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTiers, CouetteTest,
-                         ::testing::Values(KernelTier::Generic, KernelTier::D3Q19,
-                                           KernelTier::Simd),
+                         ::testing::Values(KernelTier::Simd, KernelTier::AaSimd),
                          [](const auto& tinfo) {
-                             switch (tinfo.param) {
-                                 case KernelTier::Generic: return "Generic";
-                                 case KernelTier::D3Q19: return "D3Q19";
-                                 default: return "Simd";
-                             }
+                             return tinfo.param == KernelTier::Simd ? "Simd" : "AaSimd";
                          });
 
 /// Pressure-driven Poiseuille flow between two plates: pressure
@@ -69,45 +68,43 @@ INSTANTIATE_TEST_SUITE_P(AllTiers, CouetteTest,
 /// BC imposes pressure with an O(1)-cell effective plane offset, so the
 /// profile *shape* is validated against the measured mid-channel pressure
 /// gradient (tight), and the magnitude against the imposed total drop
-/// (loose).
+/// (loose). The outlet is a test-owned handling applied before each step,
+/// on the two-grid Simd tier.
 TEST(Poiseuille, ParabolicProfileTRT) {
     const cell_idx_t L = 30, H = 14;
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = L + 2; // pressure boundary columns at x = 0 and x = L+1
-    cfg.ySize = H + 2; // no-slip rows at y = 0 and y = H+1
-    cfg.zSize = 3;
-    cfg.periodicZ = true;
-    SingleBlockSimulation simulation(cfg);
-
-    auto& ff = simulation.flags();
-    const auto& masks = simulation.masks();
+    // Pressure boundary columns at x = 0 and x = L+1, no-slip rows at
+    // y = 0 and y = H+1.
+    const BoxDomain box{{L + 2, H + 2, 3}, {1, 1, 1}, {false, false, true}};
+    vmpi::SerialComm comm;
     // Outlet uses a second, custom pressure flag so two densities coexist.
-    const field::flag_t outletFlag = ff.registerFlag("pressureOut");
+    DistributedSimulation simulation(
+        comm, box.setup(1),
+        box.flags([&](const Cell& g, field::FlagField& ff, const lbm::BoundaryFlags& m) {
+            if (g.y == 0 || g.y == H + 1) return m.noSlip;
+            if (g.x == 0) return m.pressure;
+            if (g.x == L + 1) return ff.registerFlag("pressureOut");
+            return m.fluid;
+        }),
+        KernelTier::Simd);
     const real_t rhoIn = 1.002, rhoOut = 1.0;
-    ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (y == 0 || y == H + 1) ff.addFlag(x, y, z, masks.noSlip);
-        else if (x == 0) ff.addFlag(x, y, z, masks.pressure);
-        else if (x == L + 1) ff.addFlag(x, y, z, outletFlag);
-    });
-    simulation.fillRemainingWithFluid();
-    simulation.finalize(1.0, {0, 0, 0});
-    simulation.boundary().setPressureDensity(rhoIn);
+    simulation.setPressureDensity(rhoIn);
 
-    lbm::BoundaryFlags outletMasks{masks.fluid, 0, 0, outletFlag};
+    auto& ff = simulation.flagField(0);
+    lbm::BoundaryFlags outletMasks{simulation.masks().fluid, 0, 0, ff.flag("pressureOut")};
     lbm::BoundaryHandling<lbm::D3Q19> outlet(ff, outletMasks);
     outlet.setPressureDensity(rhoOut);
 
     const TRT op = TRT::fromOmegaAndMagic(1.0);
     const real_t nu = op.viscosity();
     for (int step = 0; step < 10000; ++step) {
-        outlet.apply(simulation.pdfs());
+        outlet.apply(simulation.pdfField(0));
         simulation.run(1, op);
     }
 
     // Effective pressure gradient from the linear mid-channel density drop.
     const cell_idx_t xa = L / 3, xb = 2 * L / 3;
-    const real_t gradRho = (simulation.density(xa, H / 2, 1) -
-                            simulation.density(xb, H / 2, 1)) / real_c(xb - xa);
+    const real_t gradRho = (density(simulation, xa, H / 2, 1) -
+                            density(simulation, xb, H / 2, 1)) / real_c(xb - xa);
     const real_t G = lbm::D3Q19::csSqr * gradRho;
     EXPECT_GT(gradRho, 0.0) << "density must decrease toward the outlet";
 
@@ -117,7 +114,7 @@ TEST(Poiseuille, ParabolicProfileTRT) {
     for (cell_idx_t j = 1; j <= H; ++j) {
         const real_t y = real_c(j) - real_c(0.5); // wall plane at y = 0
         const real_t expected = G / (2 * nu) * y * (h - y);
-        const Vec3 u = simulation.velocity(L / 2, j, 1);
+        const Vec3 u = simulation.gatherCellVelocity({L / 2, j, 1});
         maxRel = std::max(maxRel, std::abs(u[0] - expected) / std::abs(expected));
         EXPECT_NEAR(u[1], 0.0, 2e-6);
         EXPECT_NEAR(u[2], 0.0, 2e-6);
@@ -133,7 +130,7 @@ TEST(Poiseuille, ParabolicProfileTRT) {
     auto flux = [&](cell_idx_t x) {
         real_t q = 0;
         for (cell_idx_t j = 1; j <= H; ++j)
-            for (cell_idx_t k = 0; k < 3; ++k) q += simulation.velocity(x, j, k)[0];
+            for (cell_idx_t k = 0; k < 3; ++k) q += simulation.gatherCellVelocity({x, j, k})[0];
         return q;
     };
     const real_t qMid = flux(L / 2);
@@ -143,57 +140,60 @@ TEST(Poiseuille, ParabolicProfileTRT) {
 }
 
 TEST(MassConservation, ClosedCavityConservesMassExactly) {
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = 12;
-    cfg.ySize = 12;
-    cfg.zSize = 12;
-    SingleBlockSimulation simulation(cfg);
-    auto& ff = simulation.flags();
-    const auto& masks = simulation.masks();
     // Fully enclosed box of no-slip walls.
-    ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (x == 0 || x == 11 || y == 0 || y == 11 || z == 0 || z == 11)
-            ff.addFlag(x, y, z, masks.noSlip);
-    });
-    simulation.fillRemainingWithFluid();
-    simulation.finalize(1.0, {0.01, 0.005, -0.01}); // initial swirl
+    const BoxDomain box{{12, 12, 12}};
+    for (const KernelTier tier : kDriverTiers) {
+        SCOPED_TRACE(kernelTierName(tier));
+        vmpi::SerialComm comm;
+        DistributedSimulation simulation(
+            comm, box.setup(1),
+            box.flags([](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+                const bool wall = g.x == 0 || g.x == 11 || g.y == 0 || g.y == 11 ||
+                                  g.z == 0 || g.z == 11;
+                return wall ? m.noSlip : m.fluid;
+            }),
+            tier);
+        test::setFluidEquilibrium(simulation, [](const Cell&) {
+            return Vec3(0.01, 0.005, -0.01); // initial swirl
+        });
 
-    const real_t m0 = simulation.totalMass();
-    simulation.run(500, TRT::fromOmegaAndMagic(1.5));
-    EXPECT_NEAR(simulation.totalMass(), m0, 1e-9 * m0);
+        const real_t m0 = simulation.gatherTotalMass();
+        simulation.run(500, TRT::fromOmegaAndMagic(1.5));
+        EXPECT_NEAR(simulation.gatherTotalMass(), m0, 1e-9 * m0);
+    }
 }
 
 TEST(LidDrivenCavity, ConvergesToSteadySwirl) {
     const cell_idx_t N = 16;
-    SingleBlockSimulation::Config cfg;
-    cfg.xSize = N;
-    cfg.ySize = N;
-    cfg.zSize = N;
-    SingleBlockSimulation simulation(cfg);
-    auto& ff = simulation.flags();
-    const auto& masks = simulation.masks();
-    ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (y == N - 1) ff.addFlag(x, y, z, masks.ubb);
-        else if (x == 0 || x == N - 1 || y == 0 || z == 0 || z == N - 1)
-            ff.addFlag(x, y, z, masks.noSlip);
-    });
-    simulation.fillRemainingWithFluid();
-    simulation.finalize();
-    simulation.boundary().setWallVelocity({0.05, 0, 0});
+    const BoxDomain box{{N, N, N}};
+    for (const KernelTier tier : kDriverTiers) {
+        SCOPED_TRACE(kernelTierName(tier));
+        vmpi::SerialComm comm;
+        DistributedSimulation simulation(
+            comm, box.setup(1),
+            box.flags([&](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+                if (g.y == N - 1) return m.ubb;
+                if (g.x == 0 || g.x == N - 1 || g.y == 0 || g.z == 0 || g.z == N - 1)
+                    return m.noSlip;
+                return m.fluid;
+            }),
+            tier);
+        simulation.setWallVelocity({0.05, 0, 0});
 
-    const TRT op = TRT::fromOmegaAndMagic(1.2);
-    simulation.run(2000, op);
-    const Vec3 uMid1 = simulation.velocity(N / 2, N / 2, N / 2);
-    simulation.run(2000, op);
-    const Vec3 uMid2 = simulation.velocity(N / 2, N / 2, N / 2);
+        const TRT op = TRT::fromOmegaAndMagic(1.2);
+        simulation.run(2000, op);
+        const Vec3 uMid1 = simulation.gatherCellVelocity({N / 2, N / 2, N / 2});
+        simulation.run(2000, op);
+        const Vec3 uMid2 = simulation.gatherCellVelocity({N / 2, N / 2, N / 2});
 
-    // The lid drags fluid: a nonzero recirculation develops...
-    EXPECT_GT(uMid2.length(), 1e-5);
-    // ...and converges to a steady state.
-    EXPECT_NEAR(uMid1[0], uMid2[0], 5e-5);
-    EXPECT_NEAR(uMid1[1], uMid2[1], 5e-5);
-    // Velocities stay bounded by the lid speed (sanity/stability).
-    EXPECT_LT(uMid2.length(), 0.05);
+        // The lid drags fluid: a nonzero recirculation develops...
+        EXPECT_GT(uMid2.length(), 1e-5);
+        // ...and converges to a steady state.
+        EXPECT_NEAR(uMid1[0], uMid2[0], 5e-5);
+        EXPECT_NEAR(uMid1[1], uMid2[1], 5e-5);
+        // Velocities stay bounded by the lid speed (sanity/stability).
+        EXPECT_LT(uMid2.length(), 0.05);
+    }
 }
 
 /// TRT with magic parameter 3/16 places bounce-back walls exactly at the
@@ -201,36 +201,33 @@ TEST(LidDrivenCavity, ConvergesToSteadySwirl) {
 /// has a tau-dependent wall offset. We verify the *relative* property: the
 /// TRT profile error is substantially smaller than SRT's at large tau.
 TEST(TrtMagicParameter, BeatsSrtAtLargeTau) {
-    auto channelError = [](auto op) {
+    auto channelError = [](KernelTier tier, auto op) {
         const cell_idx_t H = 10;
-        SingleBlockSimulation::Config cfg;
-        cfg.xSize = 4;
-        cfg.ySize = H + 2;
-        cfg.zSize = 4;
-        cfg.periodicX = cfg.periodicZ = true;
-        SingleBlockSimulation simulation(cfg);
-        auto& ff = simulation.flags();
-        const auto& masks = simulation.masks();
-        ff.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            if (y == 0) ff.addFlag(x, y, z, masks.noSlip);
-            else if (y == H + 1) ff.addFlag(x, y, z, masks.ubb);
-        });
-        simulation.fillRemainingWithFluid();
-        simulation.finalize();
-        simulation.boundary().setWallVelocity({0.02, 0, 0});
+        const BoxDomain box{{4, H + 2, 4}, {1, 1, 1}, {true, false, true}};
+        vmpi::SerialComm comm;
+        DistributedSimulation simulation(
+            comm, box.setup(1),
+            box.flags([&](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+                return g.y == 0 ? m.noSlip : g.y == H + 1 ? m.ubb : m.fluid;
+            }),
+            tier);
+        simulation.setWallVelocity({0.02, 0, 0});
         simulation.run(6000, op);
         real_t err = 0;
         for (cell_idx_t j = 1; j <= H; ++j) {
             const real_t expected = 0.02 * (real_c(j) - 0.5) / real_c(H);
-            err = std::max(err, std::abs(simulation.velocity(1, j, 1)[0] - expected));
+            err = std::max(err, std::abs(simulation.gatherCellVelocity({1, j, 1})[0] - expected));
         }
         return err;
     };
-    // tau = 3 (omega = 1/3): strongly over-relaxed regime.
-    const real_t srtErr = channelError(SRT(1.0 / 3.0));
-    const real_t trtErr = channelError(TRT::fromOmegaAndMagic(1.0 / 3.0));
-    // Couette is linear, so both should be decent, but TRT must not be worse.
-    EXPECT_LE(trtErr, srtErr + 1e-12);
+    for (const KernelTier tier : kDriverTiers) {
+        SCOPED_TRACE(kernelTierName(tier));
+        // tau = 3 (omega = 1/3): strongly over-relaxed regime.
+        const real_t srtErr = channelError(tier, SRT(1.0 / 3.0));
+        const real_t trtErr = channelError(tier, TRT::fromOmegaAndMagic(1.0 / 3.0));
+        // Couette is linear, so both should be decent, but TRT must not be worse.
+        EXPECT_LE(trtErr, srtErr + 1e-12);
+    }
 }
 
 } // namespace

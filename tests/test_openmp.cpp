@@ -23,6 +23,7 @@
 #include "lbm/Boundary.h"
 #include "lbm/Sparse.h"
 #include "sim/DistributedSimulation.h"
+#include "support/Oracles.h"
 #include "vmpi/ThreadComm.h"
 
 namespace walb::lbm {
@@ -388,7 +389,7 @@ TEST(OpenMP, LocalCopyPlanIsTeamSizeInvariant) {
 
 /// 4 x 1 x 1 blocks of 8^3 cells: a cavity with no-slip walls, a UBB lid
 /// and a pressure face at x = max, so every link kind runs.
-std::uint64_t cavityDigest(sim::KernelTier tier, bool overlap, int ranks, int threads) {
+std::uint64_t cavityDigest(walb::KernelTier tier, bool overlap, int ranks, int threads) {
     constexpr cell_idx_t E = 8, NX = 4 * E;
     bf::SetupConfig cfg;
     cfg.domain = AABB(0, 0, 0, real_c(NX), real_c(E), real_c(E));
@@ -427,7 +428,6 @@ std::uint64_t cavityDigest(sim::KernelTier tier, bool overlap, int ranks, int th
 }
 
 TEST(OpenMP, DistributedDigestIsTeamAndDecompositionInvariant) {
-    using sim::KernelTier;
     for (const auto tier : {KernelTier::Simd, KernelTier::AaSimd}) {
         const std::uint64_t syncRef = cavityDigest(tier, false, 4, 1);
         for (const bool overlap : {false, true}) {

@@ -435,7 +435,7 @@ TEST(StepTiming, OneMeasurementFeedsPoolTraceAndRecorder) {
     constexpr std::size_t kSteps = 6;
     constexpr double kNs = 1e-9;
 
-    for (const auto tier : {sim::KernelTier::Simd, sim::KernelTier::AaSimd}) {
+    for (const auto tier : {walb::KernelTier::Simd, walb::KernelTier::AaSimd}) {
         for (const bool overlap : {false, true}) {
             SCOPED_TRACE(std::string(kernelTierName(tier)) + (overlap ? " overlap" : " sync"));
             vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {

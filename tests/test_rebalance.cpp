@@ -413,7 +413,7 @@ TEST(RebalancerTest, HysteresisSkipsHealthyRunsAndMigratesSkewedOnes) {
 /// Rotates every block to the next rank after step 5 of a 10-step run on
 /// `tier`: the migration is digest-invariant and the trajectory continues
 /// bit-exactly.
-void forcedMigrationDrill(sim::KernelTier tier) {
+void forcedMigrationDrill(walb::KernelTier tier) {
     const std::uint32_t ranks = 4;
     const auto setup = makeRowSetup(ranks, ranks);
     const auto flagInit = rowCavityFlags(ranks);
@@ -455,11 +455,11 @@ void forcedMigrationDrill(sim::KernelTier tier) {
 }
 
 TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConverges) {
-    forcedMigrationDrill(sim::KernelTier::AaSimd); // the default tier
+    forcedMigrationDrill(walb::KernelTier::AaSimd); // the default tier
 }
 
 TEST(MigrationTest, ForcedMigrationIsDigestInvariantAndConvergesOnTwoGrid) {
-    forcedMigrationDrill(sim::KernelTier::Simd);
+    forcedMigrationDrill(walb::KernelTier::Simd);
 }
 
 TEST(MigrationTest, NeighborListsStaySymmetricAcrossRanks) {
@@ -519,7 +519,7 @@ TEST(MigrationTest, NeighborListsStaySymmetricAcrossRanks) {
 /// last surviving checkpoint (step 15) was therefore written under the
 /// *migrated* assignment; the restart reconstructs the original one, so
 /// matching file blocks to local blocks must go through BlockIDs.
-void postMigrationRestartDrill(sim::KernelTier tier, const std::string& name) {
+void postMigrationRestartDrill(walb::KernelTier tier, const std::string& name) {
     const std::uint32_t ranks = 4;
     const std::string ckpt = testing::TempDir() + "/" + name + ".wckp";
     std::remove(ckpt.c_str());
@@ -594,11 +594,11 @@ void postMigrationRestartDrill(sim::KernelTier tier, const std::string& name) {
 }
 
 TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
-    postMigrationRestartDrill(sim::KernelTier::AaSimd, "walb_rebalance_drill"); // default tier
+    postMigrationRestartDrill(walb::KernelTier::AaSimd, "walb_rebalance_drill"); // default tier
 }
 
 TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterruptedOnTwoGrid) {
-    postMigrationRestartDrill(sim::KernelTier::Simd, "walb_rebalance_drill_two_grid");
+    postMigrationRestartDrill(walb::KernelTier::Simd, "walb_rebalance_drill_two_grid");
 }
 
 } // namespace

@@ -416,7 +416,7 @@ TEST(RecoveryOptionsTest, RejectsMalformedValuesNamingTheFlag) {
 
 std::uint64_t uninterruptedDigest(const bf::SetupBlockForest& setup, int ranks,
                                   uint_t steps,
-                                  sim::KernelTier tier = sim::KernelTier::AaSimd) {
+                                  walb::KernelTier tier = walb::KernelTier::AaSimd) {
     std::atomic<std::uint64_t> digest{0};
     vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& comm) {
         sim::DistributedSimulation simulation(comm, setup,
@@ -432,7 +432,7 @@ std::uint64_t uninterruptedDigest(const bf::SetupBlockForest& setup, int ranks,
 /// Rank 1 of a 4-rank run on `tier` dies at step 6; the survivors heal
 /// from the step-4 buddy copies and finish at the digest of the
 /// uninterrupted run on the same tier.
-void killedRankHealDrill(sim::KernelTier tier) {
+void killedRankHealDrill(walb::KernelTier tier) {
     const int ranks = 4;
     const uint_t steps = 12;
     auto setup = makeCavitySetup(std::uint32_t(ranks));
@@ -487,11 +487,11 @@ void killedRankHealDrill(sim::KernelTier tier) {
 }
 
 TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigest) {
-    killedRankHealDrill(sim::KernelTier::AaSimd); // the default tier
+    killedRankHealDrill(walb::KernelTier::AaSimd); // the default tier
 }
 
 TEST(RecoverEndToEnd, KilledRankIsHealedToTheUninterruptedDigestOnTwoGrid) {
-    killedRankHealDrill(sim::KernelTier::Simd);
+    killedRankHealDrill(walb::KernelTier::Simd);
 }
 
 TEST(RecoverEndToEnd, TransientFaultsHealWithZeroRecoveriesAndNonzeroRetries) {
