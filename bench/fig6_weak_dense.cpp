@@ -164,7 +164,7 @@ std::vector<RunRecord> realSmallScaleRun(bool overlap) {
 /// process mid-run; a later invocation with `--restart-from` resumes from the
 /// last periodic checkpoint and must reproduce the uninterrupted run
 /// bit-exactly — the exported `state_digest` / `final_mass_bits` are the
-/// evidence (compared by bench/checkpoint_smoke.sh).
+/// evidence (compared by bench/gates/fig6_checkpoint_restart.json).
 int checkpointRun(const sim::CheckpointOptions& opt, const std::string& metricsPath) {
     constexpr int kRanks = 4;
     bf::SetupConfig cfg;
@@ -284,8 +284,9 @@ struct ScheduleResult {
 /// core sweep below the delay, and unlike the hidden-seconds gauge (which
 /// reads the arrival window the core sweep covered, so it equals the core
 /// sweep whenever the delay outlasts it) it drops to ~0 when the overlapped
-/// schedule waits as long as the synchronous one. The numbers land in the metrics JSON
-/// consumed by bench/overlap_smoke.sh (committed as BENCH_overlap.json).
+/// schedule waits as long as the synchronous one. The numbers, and whether
+/// all four digests agree (`digests_equal`), land in the metrics JSON gated
+/// by bench/gates/fig6_overlap_smoke.json (committed as BENCH_overlap.json).
 int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
     constexpr int kRanks = 4;
     constexpr uint_t kSteps = 40;
@@ -395,14 +396,11 @@ int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
                 "saved %.6f saved_of_hideable %.4f\n",
                 injectedSeconds, overD.coreSweepSeconds, overD.hiddenSeconds, savedSeconds,
                 savedOfHideable);
-    if (!digestsEqual) {
-        std::fprintf(stderr,
-                     "overlap smoke FAILED: schedules disagree (sync %llu, overlap %llu, "
-                     "sync+delay %llu, overlap+delay %llu)\n",
-                     (unsigned long long)sync0.digest, (unsigned long long)over0.digest,
-                     (unsigned long long)syncD.digest, (unsigned long long)overD.digest);
-        return 1;
-    }
+    if (!digestsEqual)
+        std::printf("overlap smoke: schedules disagree (sync %llu, overlap %llu, "
+                    "sync+delay %llu, overlap+delay %llu)\n",
+                    (unsigned long long)sync0.digest, (unsigned long long)over0.digest,
+                    (unsigned long long)syncD.digest, (unsigned long long)overD.digest);
 
     if (!metricsPath.empty()) {
         {
@@ -448,7 +446,8 @@ int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
 /// Observability drill (activated by --perfdiag-smoke), three parts:
 ///   1. Flight-recorder overhead, measured twice: (a) the gated bound — the
 ///      direct per-call cost of record() against the measured mean step
-///      time (acceptance: <= 2% of a step, gated by bench/perf_gate.sh);
+///      time (acceptance: <= 2% of a step, gated by
+///      bench/gates/fig6_perf_gate.json);
 ///      (b) an end-to-end A/B run with the recorder on/off in interleaved
 ///      paired segments, reported for context (on a shared host the A/B
 ///      delta is dominated by scheduling noise, which is itself evidence
@@ -458,7 +457,7 @@ int overlapSmokeRun(const std::string& metricsPath, int delayMs) {
 ///      the paper's one-slow-node failure mode) and the EWMA + median/MAD
 ///      detector must flag exactly that rank within 20 steps.
 ///   3. Every rank dumps its `.wfr` flight history; the files must read
-///      back CRC-clean (walb_perfdiag consumes them in perf_gate.sh).
+///      back CRC-clean (the same gate runs `walb_perfdiag json` on them).
 int perfdiagSmokeRun(const std::string& metricsPath, const std::string& wfrPrefix) {
     constexpr int kRanks = 4;
     bf::SetupConfig cfg;
@@ -649,8 +648,6 @@ int perfdiagSmokeRun(const std::string& metricsPath, const std::string& wfrPrefi
     std::printf("perfdiag smoke: %d .wfr dumps (prefix '%s') read back %s\n", kRanks,
                 wfrPrefix.c_str(), wfrOk ? "CRC-clean" : "BROKEN");
 
-    const bool stragglerOk =
-        flaggedRank1 && latency >= 0 && latency <= 20;
     if (!metricsPath.empty()) {
         {
             std::ofstream os(metricsPath, std::ios::binary);
@@ -683,12 +680,7 @@ int perfdiagSmokeRun(const std::string& metricsPath, const std::string& wfrPrefi
             return 1;
         std::printf("wrote metrics JSON: %s\n", metricsPath.c_str());
     }
-    if (!stragglerOk) {
-        std::fprintf(stderr, "perfdiag smoke FAILED: straggler not flagged within 20 "
-                             "steps of onset\n");
-        return 1;
-    }
-    return wfrOk ? 0 : 1;
+    return 0;
 }
 
 void modelCurve(const MachineSpec& machine, const NetworkParams& network,

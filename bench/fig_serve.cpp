@@ -1,6 +1,6 @@
 /// \file fig_serve.cpp
-/// Fleet drill of the scenario service (walb::serve) and the acceptance
-/// gate behind bench/serve_smoke.sh: a 100-job parameter study (tenants x
+/// Fleet drill of the scenario service (walb::serve), gated by
+/// bench/gates/serve_smoke.json: a 100-job parameter study (tenants x
 /// geometry families x Reynolds numbers) queued onto a 5-rank pool — one
 /// dispatcher plus two gangs of two — with two injected rank kills (one
 /// per gang, so every gang keeps a survivor and can report) and a burst of
@@ -12,9 +12,11 @@
 /// scenario run alone on a fresh 1-rank world — no matter which gang ran
 /// it, how often it was preempted, or how many ranks died under it.
 ///
-/// Output: one parseable `serve drill:` line (the serve_smoke.sh
-/// contract), the dispatcher's accounting as --out JSON (committed as
-/// BENCH_serve.json), and a gang-shaped block forest dumped to
+/// Output: one `serve drill:` summary line; as --out JSON (committed as
+/// BENCH_serve.json) the dispatcher's accounting plus the drill's `kills`,
+/// `jobs_incomplete` (records not in state Completed), `digest_mismatches`
+/// and `requeues_cover_evictions` (requeues >= failed attempts +
+/// preemptions); and a gang-shaped block forest dumped to
 /// <scratch>/serve_forest.walb for the walb_blockinfo --json check.
 
 #include <chrono>
@@ -173,12 +175,19 @@ int main(int argc, char** argv) {
     if (!forest.saveToFile(scratch + "/serve_forest.walb"))
         std::fprintf(stderr, "fig_serve: warning: forest dump failed\n");
 
-    if (!serve::ServeDriver::writeReportJson(out, report, opt)) {
+    const bool requeuesCover =
+        report.requeues >= report.failedAttempts + report.preemptions;
+    if (!serve::ServeDriver::writeReportJson(
+            out, report, opt,
+            {{"kills", kills.size()},
+             {"jobs_incomplete", std::uint64_t(incomplete)},
+             {"digest_mismatches", std::uint64_t(mismatches)},
+             {"requeues_cover_evictions", requeuesCover ? 1 : 0}})) {
         std::fprintf(stderr, "fig_serve: cannot write %s\n", out.c_str());
         return 1;
     }
 
-    // One parseable line per drill — the serve_smoke.sh contract.
+    // One summary line per drill.
     std::printf("serve drill: ranks=%d gangs=%d jobs=%zu completed=%llu lost=%d "
                 "kills=%zu ranks_lost=%d preemptions=%llu requeued=%llu "
                 "failed_attempts=%llu digest_mismatches=%d baseline_scenarios=%zu "
@@ -189,10 +198,5 @@ int main(int argc, char** argv) {
                 (unsigned long long)report.requeues,
                 (unsigned long long)report.failedAttempts, mismatches,
                 baseline.size(), report.elapsedSeconds);
-
-    const bool ok = incomplete == 0 && mismatches == 0 &&
-                    report.ranksLost == int(kills.size()) &&
-                    report.preemptions >= 1 && report.failedAttempts >= kills.size();
-    if (!ok) std::fprintf(stderr, "fig_serve: FAIL\n");
-    return ok ? 0 : 1;
+    return 0;
 }

@@ -1,9 +1,9 @@
 #pragma once
 /// \file recovery_drill.h
-/// The kill-and-heal drill behind `fig7_weak_vascular --recover` and
-/// bench/recovery_smoke.sh: the executable rehearsal of the self-healing
-/// runtime (recover/RecoveryManager.h). Three legs on the same vascular
-/// partition:
+/// The kill-and-heal drill behind `fig7_weak_vascular --recover` and the
+/// ctest gate bench/gates/fig7_recovery_drill.json: the executable
+/// rehearsal of the self-healing runtime (recover/RecoveryManager.h). Three
+/// legs on the same vascular partition:
 ///
 ///   1. reference — an uninterrupted run of the full step count; its
 ///      checkpointDigest is the ground truth (interior-only, rank-count
@@ -24,9 +24,12 @@
 /// protocol, as they would on a real wire.
 
 #include <cstdio>
+#include <filesystem>
+#include <map>
 
 #include "blockforest/SetupBlockForest.h"
 #include "geometry/SignedDistance.h"
+#include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 #include "rebalance_drill.h"
 #include "recover/RecoveryManager.h"
@@ -56,6 +59,7 @@ struct RecoveryDrillRecord {
     std::uint64_t rewindStep = 0;
     double recoverSeconds = 0.0;
     bool usedDiskFallback = false;
+    std::uint64_t wfrDumps = 0; ///< failure-moment .wfr dumps written, read back CRC-clean
 
     // transient leg
     int transientRecoveries = 0;
@@ -92,6 +96,19 @@ inline vmpi::FaultPlan transientFaultPlan(int ranks) {
     return plan;
 }
 
+/// The `walb.r<rank>.s<step>.wfr` flight-recorder dumps (the default dump
+/// prefix) in the working directory, with their modification times.
+inline std::map<std::string, std::filesystem::file_time_type> flightDumps() {
+    std::map<std::string, std::filesystem::file_time_type> dumps;
+    for (const auto& e : std::filesystem::directory_iterator(".")) {
+        const std::string name = e.path().filename().string();
+        if (name.starts_with("walb.r") && name.find(".s") != std::string::npos &&
+            name.ends_with(".wfr"))
+            dumps[name] = e.last_write_time();
+    }
+    return dumps;
+}
+
 inline RecoveryDrillRecord runRecoveryDrill(const bf::SetupBlockForest& forest,
                                             uint_t numBlocks,
                                             const geometry::DistanceFunction& phi,
@@ -116,7 +133,10 @@ inline RecoveryDrillRecord runRecoveryDrill(const bf::SetupBlockForest& forest,
     });
 
     // Leg 2: kill one rank mid-run, heal in flight, finish the step count.
+    // Every rank of the killed epoch dumps its flight history at the
+    // failure moment; the files this leg wrote must read back CRC-clean.
     {
+        const auto before = flightDumps();
         vmpi::FaultPlan plan;
         plan.killRank = killRank;
         plan.killAtStep = killStep;
@@ -152,6 +172,13 @@ inline RecoveryDrillRecord runRecoveryDrill(const bf::SetupBlockForest& forest,
                 }
             }
         });
+        for (const auto& [name, written] : flightDumps()) {
+            const auto old = before.find(name);
+            obs::FlightRecorder::Dump dump;
+            if ((old == before.end() || old->second != written) &&
+                obs::FlightRecorder::read(name, dump))
+                ++rec.wfrDumps;
+        }
     }
 
     // Leg 3: transient faults only — healed below the recovery layer.
@@ -188,22 +215,22 @@ inline RecoveryDrillRecord runRecoveryDrill(const bf::SetupBlockForest& forest,
         });
     }
 
-    // One parseable line per drill — the recovery_smoke.sh contract.
+    // One summary line per drill.
     std::printf("recovery drill: ranks=%d blocks=%llu kill_rank=%d kill_step=%llu "
                 "steps=%llu recoveries=%d dead_ranks=%d lost_blocks=%d "
                 "rewind_step=%llu digest_match=%d transient_recoveries=%d "
-                "transient_retries=%llu transient_digest_match=%d\n",
+                "transient_retries=%llu transient_digest_match=%d wfr_dumps=%llu\n",
                 rec.ranks, (unsigned long long)rec.blocks, rec.killRank,
                 (unsigned long long)rec.killStep, (unsigned long long)rec.steps,
                 rec.recoveries, rec.deadRanks, rec.lostBlocks,
                 (unsigned long long)rec.rewindStep, rec.healedDigestMatches() ? 1 : 0,
                 rec.transientRecoveries, (unsigned long long)rec.transientRetries,
-                rec.transientDigestMatches() ? 1 : 0);
+                rec.transientDigestMatches() ? 1 : 0, (unsigned long long)rec.wfrDumps);
     return rec;
 }
 
 /// JSON export of one drill (an object under the key "recovery", with the
-/// `recover.*` metric names spelled out so perf gates can --require them).
+/// `recover.*` metric names spelled out so gates can require them).
 inline void writeRecoveryJson(obs::json::Writer& w, const RecoveryDrillRecord& rec,
                               const recover::RecoveryOptions& opt) {
     w.key("recovery").beginObject();
@@ -225,6 +252,7 @@ inline void writeRecoveryJson(obs::json::Writer& w, const RecoveryDrillRecord& r
     w.kv("recover.seconds", rec.recoverSeconds);
     w.kv("recover.rewind_step", rec.rewindStep);
     w.kv("recover.used_disk_fallback", std::uint64_t(rec.usedDiskFallback ? 1 : 0));
+    w.kv("wfr_dumps", rec.wfrDumps);
     w.kv("transient.recoveries", std::uint64_t(rec.transientRecoveries));
     w.kv("recover.retries", rec.transientRetries);
     w.kv("recover.resends", rec.transientResends);

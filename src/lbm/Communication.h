@@ -8,8 +8,7 @@
 /// of selection decide which slots move:
 ///  * direction slicing: only the PDFs that stream across the interface —
 ///    5 of 19 per face cell, 1 per edge cell, none for corner neighbors
-///    (D3Q19 has no corner links). ReceiveMask::all() plans these full
-///    slices (the full-slice copies of the test oracles).
+///    (D3Q19 has no corner links).
 ///  * the reader rule (planExchangeRuns): of those, only the slots a fluid
 ///    cell of the *receiver* reads before the next exchange — a ghost slot
 ///    is read by exactly one pull, and in a sparse block most pullers are
@@ -264,16 +263,9 @@ inline void unpackRun(const std::uint8_t* payload, real_t* field, const StridedR
 /// The fluid cells of a receiving block's boundary slab facing one
 /// neighbor — the only cells that can read what that neighbor sends (see
 /// planExchangeRuns). The receiver builds it from its own flags; a remote
-/// sender gets it over the wire once per block assignment. all() is the
-/// full-slice exchange: every slot counts as read.
+/// sender gets it over the wire once per block assignment.
 class ReceiveMask {
 public:
-    static ReceiveMask all() {
-        ReceiveMask m;
-        m.all_ = m.any_ = true;
-        return m;
-    }
-
     /// One bit per cell of the slab of `layout` facing d (z, y, x order),
     /// set where isFluid(cell).
     template <typename T, typename IsFluid>
@@ -306,13 +298,12 @@ public:
     void toWire(SendBuffer& buf) const { buf.putBytes(bits_.data(), bits_.size()); }
 
     /// False for a default-constructed mask (none received yet).
-    bool valid() const { return all_ || !bits_.empty(); }
+    bool valid() const { return !bits_.empty(); }
     /// False when no cell of the slab is fluid: nothing crosses the link.
     bool any() const { return any_; }
 
     /// True when the cell c (receiver frame) is a fluid cell of the slab.
     bool isReader(const Cell& c) const {
-        if (all_) return true;
         if (!slab_.contains(c)) return false;
         const std::size_t i =
             (std::size_t(c.z - slab_.min().z) * std::size_t(slab_.ySize()) +
@@ -327,7 +318,6 @@ private:
 
     CellInterval slab_;
     std::vector<std::uint8_t> bits_;
-    bool all_ = false;
     bool any_ = false;
 };
 

@@ -118,37 +118,46 @@ bool FlightRecorder::read(const std::string& path, Dump& out, std::string* error
     }
     std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
                                     std::istreambuf_iterator<char>());
-    if (bytes.size() < 4 + 4) {
-        if (error) *error = "'" + path + "' is too short to be a .wfr file";
+    return decode(std::move(bytes), out, error, "'" + path + "'");
+}
+
+bool FlightRecorder::decode(std::vector<std::uint8_t> bytes, Dump& out, std::string* error,
+                            const std::string& name) {
+    const auto fail = [&](const std::string& why) {
+        if (error) *error = name + " " + why;
         return false;
-    }
+    };
+    if (bytes.size() < 4 + 4) return fail("is too short to be a .wfr file");
     // CRC over everything but the 4-byte trailer.
     const std::size_t payload = bytes.size() - 4;
     const std::uint32_t storedCrc =
         std::uint32_t(bytes[payload]) | std::uint32_t(bytes[payload + 1]) << 8 |
         std::uint32_t(bytes[payload + 2]) << 16 | std::uint32_t(bytes[payload + 3]) << 24;
-    if (crc32(bytes.data(), payload) != storedCrc) {
-        if (error) *error = "'" + path + "' failed its CRC check (truncated or corrupted)";
-        return false;
-    }
+    if (crc32(bytes.data(), payload) != storedCrc)
+        return fail("failed its CRC check (truncated or corrupted)");
+    static const std::size_t sampleBytes = [] {
+        SendBuffer sb;
+        serializeSample(sb, StepSample{});
+        return sb.size();
+    }();
     try {
         RecvBuffer rb(std::move(bytes));
         char magic[4];
         rb >> magic[0] >> magic[1] >> magic[2] >> magic[3];
         if (magic[0] != kMagic[0] || magic[1] != kMagic[1] || magic[2] != kMagic[2] ||
-            magic[3] != kMagic[3]) {
-            if (error) *error = "'" + path + "' lacks the WFR1 magic";
-            return false;
-        }
+            magic[3] != kMagic[3])
+            return fail("lacks the WFR1 magic");
         std::uint64_t firstStep = 0, count = 0;
         rb >> out.version >> out.rank >> out.worldSize >> firstStep >> count;
         (void)firstStep;
-        if (out.version != kFormatVersion) {
-            if (error)
-                *error = "'" + path + "' has unsupported .wfr version " +
-                         std::to_string(out.version);
-            return false;
-        }
+        if (out.version != kFormatVersion)
+            return fail("has unsupported .wfr version " + std::to_string(out.version));
+        // The count comes from the file: it must match the bytes between
+        // the header and the CRC trailer before anything is allocated.
+        const std::size_t body = rb.remaining() >= 4 ? rb.remaining() - 4 : 0;
+        if (rb.remaining() < 4 || body % sampleBytes != 0 || count != body / sampleBytes)
+            return fail("declares " + std::to_string(count) + " samples in " +
+                        std::to_string(body) + " bytes");
         out.samples.clear();
         out.samples.reserve(std::size_t(count));
         for (std::uint64_t i = 0; i < count; ++i) {
@@ -157,8 +166,7 @@ bool FlightRecorder::read(const std::string& path, Dump& out, std::string* error
             out.samples.push_back(s);
         }
     } catch (const BufferError& e) {
-        if (error) *error = "'" + path + "' is malformed: " + e.what();
-        return false;
+        return fail(std::string("is malformed: ") + e.what());
     }
     return true;
 }

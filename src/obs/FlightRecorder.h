@@ -92,6 +92,9 @@ public:
     /// Reads and CRC-verifies a `.wfr` file written by dump(). Returns false
     /// with a diagnosis on a missing, truncated or corrupted file.
     static bool read(const std::string& path, Dump& out, std::string* error = nullptr);
+    /// read() on bytes already in memory; `name` prefixes the diagnosis.
+    static bool decode(std::vector<std::uint8_t> bytes, Dump& out,
+                       std::string* error = nullptr, const std::string& name = ".wfr data");
 
     static constexpr std::uint32_t kFormatVersion = 2;
 

@@ -1,6 +1,7 @@
 #include "obs/Json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -279,7 +280,9 @@ private:
 
     Value parseNumber() {
         const std::size_t start = pos_;
+        const bool negative = pos_ < s_.size() && s_[pos_] == '-';
         if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
+        const std::size_t intStart = pos_;
         bool digits = false;
         auto eatDigits = [&] {
             while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
@@ -288,6 +291,7 @@ private:
             }
         };
         eatDigits();
+        const std::size_t intEnd = pos_;
         if (pos_ < s_.size() && s_[pos_] == '.') {
             ++pos_;
             eatDigits();
@@ -300,6 +304,13 @@ private:
         if (!digits) {
             fail("invalid number");
             return Value();
+        }
+        Integer i;
+        const auto exact = std::from_chars(s_.data() + intStart, s_.data() + intEnd,
+                                           i.magnitude);
+        if (intEnd == pos_ && exact.ec == std::errc()) {
+            i.negative = negative && i.magnitude != 0;
+            return Value::makeInteger(i);
         }
         return Value::makeNumber(std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr));
     }

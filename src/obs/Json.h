@@ -80,8 +80,21 @@ private:
 
 // ---- parsed value tree -----------------------------------------------------
 
-/// Parsed JSON value. Numbers are stored as double (sufficient for the
-/// telemetry files the framework emits).
+/// An integral JSON number kept exact: 64-bit digests and bit patterns do
+/// not survive a round trip through double. Zero is never negative.
+struct Integer {
+    bool negative = false;
+    std::uint64_t magnitude = 0;
+
+    bool operator==(const Integer&) const = default;
+    bool operator<(const Integer& o) const {
+        if (negative != o.negative) return negative;
+        return negative ? magnitude > o.magnitude : magnitude < o.magnitude;
+    }
+};
+
+/// Parsed JSON value. Numbers are stored as double; an integral literal
+/// that fits 64 bits also keeps its exact value (isInteger()).
 class Value {
 public:
     enum class Type { Null, Bool, Number, String, Array, Object };
@@ -92,10 +105,15 @@ public:
     bool isArray() const { return type_ == Type::Array; }
     bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
+    bool isInteger() const { return type_ == Type::Number && integral_; }
 
     double number() const {
         WALB_ASSERT(type_ == Type::Number, "JSON value is not a number");
         return num_;
+    }
+    Integer integer() const {
+        WALB_ASSERT(isInteger(), "JSON value is not an integer");
+        return int_;
     }
     bool boolean() const {
         WALB_ASSERT(type_ == Type::Bool, "JSON value is not a bool");
@@ -139,6 +157,12 @@ public:
         v.num_ = d;
         return v;
     }
+    static Value makeInteger(Integer i) {
+        Value v = makeNumber(i.negative ? -double(i.magnitude) : double(i.magnitude));
+        v.integral_ = true;
+        v.int_ = i;
+        return v;
+    }
     static Value makeString(std::string s) {
         Value v;
         v.type_ = Type::String;
@@ -161,6 +185,8 @@ public:
 private:
     Type type_ = Type::Null;
     double num_ = 0.0;
+    bool integral_ = false;
+    Integer int_;
     std::string str_;
     std::vector<Value> arr_;
     std::map<std::string, Value> obj_;

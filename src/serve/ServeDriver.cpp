@@ -57,8 +57,9 @@ std::vector<JobSpec> ServeDriver::makeParameterSweep(const SweepConfig& cfg) {
     return jobs;
 }
 
-bool ServeDriver::writeReportJson(const std::string& path, const ServeReport& report,
-                                  const ServeOptions& opt) {
+bool ServeDriver::writeReportJson(
+    const std::string& path, const ServeReport& report, const ServeOptions& opt,
+    const std::vector<std::pair<std::string, std::uint64_t>>& extra) {
     std::ofstream os(path, std::ios::binary);
     if (!os) return false;
     obs::json::Writer w(os);
@@ -78,6 +79,7 @@ bool ServeDriver::writeReportJson(const std::string& path, const ServeReport& re
     w.kv("failed_attempts", report.failedAttempts);
     w.kv("ranks_lost", std::int64_t(report.ranksLost));
     w.kv("elapsed_seconds", report.elapsedSeconds);
+    for (const auto& [key, count] : extra) w.kv(key, count);
     w.key("tenants").beginObject();
     for (const auto& [tenant, stats] : report.tenants) {
         w.key(tenant).beginObject();

@@ -50,10 +50,12 @@ public:
     static std::vector<JobSpec> makeParameterSweep(const SweepConfig& cfg);
 
     /// Writes the dispatcher's report (per-job records, per-tenant
-    /// accounting, fleet totals) as pretty JSON. Returns false on I/O
-    /// failure.
-    static bool writeReportJson(const std::string& path, const ServeReport& report,
-                                const ServeOptions& opt);
+    /// accounting, fleet totals) as pretty JSON, plus the caller's `extra`
+    /// top-level counts (a drill's injected kills, say). Returns false on
+    /// I/O failure.
+    static bool writeReportJson(
+        const std::string& path, const ServeReport& report, const ServeOptions& opt,
+        const std::vector<std::pair<std::string, std::uint64_t>>& extra = {});
 };
 
 } // namespace walb::serve

@@ -87,10 +87,10 @@ private:
 
     /// Internal collective tags, placed well below zero so they can never
     /// collide with shifted user tags of any generation.
-    static constexpr int kBarrierTag = tags::kShrunkBarrier;
-    static constexpr int kBcastTag = tags::kShrunkBcast;
-    static constexpr int kReduceTag = tags::kShrunkReduce;
-    static constexpr int kGatherTag = tags::kShrunkGather;
+    static constexpr int kBarrierTag = tags::kSubCommBarrier;
+    static constexpr int kBcastTag = tags::kSubCommBcast;
+    static constexpr int kReduceTag = tags::kSubCommReduce;
+    static constexpr int kGatherTag = tags::kSubCommGather;
 
     Comm& parent_;
     std::vector<int> members_;

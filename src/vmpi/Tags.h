@@ -4,7 +4,7 @@
 ///
 /// Five concurrency-heavy subsystems (ghost exchange, rebalance migration,
 /// buddy checkpointing, ReliableComm NACK traffic, failure agreement and
-/// the post-shrink collectives) multiplex one tag space per rank pair. A
+/// the SubComm collectives) multiplex one tag space per rank pair. A
 /// collision between two subsystems' tags is the worst kind of bug: a
 /// migration frame consumed as a ghost message corrupts state silently and
 /// only on the runs where both are in flight. This header is therefore the
@@ -78,14 +78,14 @@ inline constexpr int kNack = -9117;
 /// 0..199 fit in the band), so concurrent agreement generations never mix.
 inline constexpr int kAgreeBase = -9300;
 
-// ---- shrunk band: SubComm tree collectives -------------------------------
-// walb-lint: tag-band(shrunk, -9504, -9501)
+// ---- subcomm band: SubComm tree collectives ------------------------------
+// walb-lint: tag-band(subcomm, -9504, -9501)
 
-/// Fan-in/fan-out collective legs of SubComm (recovery epochs and serve
-/// gangs).
-inline constexpr int kShrunkBarrier = -9501;
-inline constexpr int kShrunkBcast = -9502;
-inline constexpr int kShrunkReduce = -9503;
-inline constexpr int kShrunkGather = -9504;
+/// Fan-in/fan-out collective legs of every SubComm (recovery epochs and
+/// serve gangs).
+inline constexpr int kSubCommBarrier = -9501;
+inline constexpr int kSubCommBcast = -9502;
+inline constexpr int kSubCommReduce = -9503;
+inline constexpr int kSubCommGather = -9504;
 
 } // namespace walb::vmpi::tags

@@ -166,11 +166,24 @@ std::size_t packedBytes(const PdfField& f, const std::array<int, 3>& d,
 // ---- full-slice local copies ----------------------------------------------------
 
 namespace detail {
+/// lbm::planExchangeRuns as if every cell of `to` read every slot: the
+/// full slices of exchange `mode` from `from` into `to` (which receives
+/// from direction d), one run per slot.
 template <LatticeModel M>
 void addFullSliceCopy(LocalCopyPlan& plan, ExchangeMode mode, const PdfField& from,
                       PdfField& to, const std::array<int, 3>& d) {
+    const Cell shift{-d[0] * to.xSize(), -d[1] * to.ySize(), -d[2] * to.zSize()};
+    const bool reverse = mode == ExchangeMode::AaReverse;
     std::vector<StridedRun> runs;
-    planExchangeRuns<M>(mode, from, to, d, ReceiveMask::all(), RunEnds::Copy, runs);
+    for (uint_t a : commDirections<M>({-d[0], -d[1], -d[2]})) {
+        const cell_idx_t slot = cell_idx_c(mode == ExchangeMode::AaForward ? M::inv[a] : a);
+        const CellInterval ci =
+            reverse ? aaReverseTrim<M>(sendInterval(to, d), d, a) : recvInterval(to, d);
+        ci.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            runs.push_back({std::int64_t(from.index(x + shift.x, y + shift.y, z + shift.z, slot)),
+                            std::int64_t(to.index(x, y, z, slot)), 1, 1});
+        });
+    }
     plan.add(from, to, runs);
 }
 } // namespace detail

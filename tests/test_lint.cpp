@@ -62,7 +62,7 @@ TEST(Lint, RealRegistriesAreSelfConsistent) {
     EXPECT_TRUE(lint.hasTagRegistry());
     EXPECT_TRUE(lint.hasMetricNames());
     EXPECT_EQ(lint.tagBands().size(), 5u)
-        << "user/reliable/agreement/shrunk/serve";
+        << "user/reliable/agreement/subcomm/serve";
     EXPECT_GE(lint.tagConstants().size(), 13u);
     EXPECT_TRUE(lint.metricNames().count("sim.steps"));
     EXPECT_TRUE(lint.metricNames().count("sim.step_seconds"));

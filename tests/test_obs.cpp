@@ -83,6 +83,24 @@ TEST(Json, ParserAcceptsScalarsAndNesting) {
     EXPECT_TRUE(v.array()[5].at("k").array().empty());
 }
 
+TEST(Json, IntegralLiteralsStayExact) {
+    const json::Value v = json::parseOrAbort(
+        "[4638387860618067969, 18446744073709551615, -9223372036854775808, -0, 2.0, "
+        "1e3, 18446744073709551616]");
+    const auto& a = v.array();
+    ASSERT_TRUE(a[0].isInteger());
+    EXPECT_EQ(a[0].integer().magnitude, 4638387860618067969ull);
+    EXPECT_EQ(a[1].integer().magnitude, ~0ull);
+    EXPECT_TRUE(a[2].integer().negative);
+    EXPECT_EQ(a[2].integer().magnitude, 1ull << 63);
+    EXPECT_FALSE(a[3].integer().negative); // zero is never negative
+    EXPECT_TRUE(a[2].integer() < a[3].integer());
+    EXPECT_TRUE(a[3].integer() < a[0].integer());
+    // A fraction, an exponent or more than 64 bits: double only.
+    for (std::size_t i = 4; i < a.size(); ++i) EXPECT_FALSE(a[i].isInteger()) << i;
+    EXPECT_DOUBLE_EQ(a[6].number(), 18446744073709551616.0);
+}
+
 // ---- metrics primitives ----------------------------------------------------
 
 TEST(Counter, IncrementAndSaturatingOverflow) {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/Crc32.h"
 #include "obs/FlightRecorder.h"
 #include "obs/PerfDiag.h"
 #include "obs/Trace.h"
@@ -179,6 +180,68 @@ TEST(WfrFormat, MissingAndTruncatedFilesAreDiagnosed) {
     EXPECT_FALSE(obs::FlightRecorder::read(path, dump, &err));
     EXPECT_FALSE(err.empty());
     std::remove(path.c_str());
+}
+
+// ---- .wfr reader fuzz ------------------------------------------------------
+
+/// decode() of a mutated dump: false with a diagnosis, never an exception.
+bool decodes(const std::vector<std::uint8_t>& bytes) {
+    obs::FlightRecorder::Dump dump;
+    std::string err;
+    const bool ok = obs::FlightRecorder::decode(bytes, dump, &err);
+    EXPECT_TRUE(ok || !err.empty());
+    return ok;
+}
+
+/// `bytes` with its CRC trailer recomputed, so the parser runs past the CRC.
+std::vector<std::uint8_t> withCrc(std::vector<std::uint8_t> bytes) {
+    const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+    for (std::size_t i = 0; i < 4; ++i) bytes[bytes.size() - 4 + i] = std::uint8_t(crc >> (8 * i));
+    return bytes;
+}
+
+TEST(FlightRecorderFuzz, EveryMutationFailsCleanly) {
+    const std::string path = testing::TempDir() + "/walb_fuzz.wfr";
+    obs::FlightRecorder fr(8);
+    for (std::uint64_t step = 0; step < 3; ++step) fr.record(sampleAt(step));
+    ASSERT_TRUE(fr.dump(path, 1, 4));
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> whole((std::istreambuf_iterator<char>(in)),
+                                          std::istreambuf_iterator<char>());
+    in.close();
+    std::remove(path.c_str());
+    ASSERT_TRUE(decodes(whole));
+
+    for (std::size_t at = 0; at < whole.size(); ++at)
+        for (unsigned flip = 1; flip < 256; ++flip) {
+            auto bytes = whole;
+            bytes[at] ^= std::uint8_t(flip);
+            EXPECT_FALSE(decodes(bytes)) << "flip " << flip << " at " << at;
+        }
+    for (std::size_t cut = 0; cut < whole.size(); ++cut)
+        EXPECT_FALSE(decodes({whole.begin(), whole.begin() + std::ptrdiff_t(cut)}))
+            << "cut at " << cut;
+
+    // Past the CRC: header fields (magic 0, version 4, sample count 24) and
+    // the record stream, each mutated with the trailer recomputed.
+    const auto field = [](std::vector<std::uint8_t> bytes, std::size_t at,
+                          std::uint64_t value, std::size_t width) {
+        for (std::size_t i = 0; i < width; ++i) bytes[at + i] = std::uint8_t(value >> (8 * i));
+        return withCrc(std::move(bytes));
+    };
+    EXPECT_FALSE(decodes(field(whole, 0, 0x58524657, 4))) << "magic WFRX";
+    for (const std::uint64_t version : {1u, 3u, 0xffffffffu})
+        EXPECT_FALSE(decodes(field(whole, 4, version, 4))) << "version " << version;
+    for (const std::uint64_t count : {0ull, 2ull, 4ull, 1ull << 62, ~0ull})
+        EXPECT_FALSE(decodes(field(whole, 24, count, 8))) << "count " << count;
+    auto shortRecord = whole;
+    shortRecord.erase(shortRecord.end() - 5);
+    EXPECT_FALSE(decodes(withCrc(shortRecord))) << "last record one byte short";
+    // A header alone that declares 2^62 samples must not reach the
+    // allocator.
+    std::vector<std::uint8_t> header(whole.begin(), whole.begin() + 32);
+    header.resize(36);
+    EXPECT_FALSE(decodes(field(header, 24, 1ull << 62, 8))) << "header-only 2^62 samples";
 }
 
 // ---- PerfDiag statistics helpers -------------------------------------------
