@@ -14,10 +14,13 @@
 /// the calibrated machine models; the smallest scales also run for real on
 /// virtual-MPI ranks.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "blockforest/ScalingSetup.h"
+#include "core/Timer.h"
 #include "geometry/CoronaryTree.h"
 #include "obs/Report.h"
 #include "perf/Scaling.h"
@@ -117,6 +120,14 @@ void modelCurves(const std::vector<VascularPoint>& points) {
     }
 }
 
+/// Set-up seconds of one real run: the partition search, the workload
+/// counts and the balancing on the calling thread's team, then the
+/// slowest rank's simulation construction (voxelization, boundary flags,
+/// fields).
+struct SetupSeconds {
+    double search = 0, workload = 0, balance = 0, constructMax = 0;
+};
+
 /// Telemetry of one real virtual-rank run, for the JSON exporter.
 struct RealRunRecord {
     int ranks = 0;
@@ -124,24 +135,40 @@ struct RealRunRecord {
     double fluidCells = 0;
     double mflupsPerRank = 0;
     double commFraction = 0;
+    SetupSeconds setup;
     obs::ReducedTimingPool phases;
     obs::ReducedMetrics metrics;
 };
 
 RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool overlap,
                       const sim::CheckpointOptions& ckptOpt = {}) {
-    auto search =
-        bf::findWeakScalingPartition(phi, AABB(0, 0, 0, 1, 1, 1), kCellsPerBlockEdge,
-                                     uint_t(ranks) * 16);
-    search.forest.assignFluidCellWorkload(phi);
-    search.forest.balanceGraph(std::uint32_t(ranks));
+    SetupSeconds setup;
+    const auto timed = [](double& seconds, const auto& phase) {
+        Timer t;
+        t.start();
+        phase();
+        t.stop();
+        seconds = t.total();
+    };
+    bf::ScalingSearchResult search;
+    timed(setup.search, [&] {
+        search = bf::findWeakScalingPartition(phi, AABB(0, 0, 0, 1, 1, 1), kCellsPerBlockEdge,
+                                              uint_t(ranks) * 16);
+    });
+    timed(setup.workload, [&] { search.forest.assignFluidCellWorkload(phi); });
+    timed(setup.balance, [&] { search.forest.balanceGraph(std::uint32_t(ranks)); });
     const auto balance = search.forest.balanceStats();
 
     const auto flagInit = bench::vascularFlagInit(&phi);
 
     RealRunRecord record;
+    std::vector<double> constructSeconds(std::size_t(ranks), 0.0);
     vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& comm) {
+        Timer construct;
+        construct.start();
         sim::DistributedSimulation simulation(comm, search.forest, flagInit);
+        construct.stop();
+        constructSeconds[std::size_t(comm.rank())] = construct.total();
         simulation.setOverlapCommunication(overlap);
         // ECM reference of the run's kernel tier for the live
         // model-vs-measured gauges (perf.predicted_mlups / perf.efficiency
@@ -170,9 +197,11 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
                         balance.imbalance, balance.costImbalance);
             record = {ranks,  search.blocks,
                       fluid,  mflups,
-                      reduced.fraction("communication"), reduced, metrics};
+                      reduced.fraction("communication"), {}, reduced, metrics};
         }
     });
+    setup.constructMax = *std::max_element(constructSeconds.begin(), constructSeconds.end());
+    record.setup = setup;
     return record;
 }
 
@@ -342,6 +371,11 @@ int main(int argc, char** argv) {
                 // gates can --require the key family unconditionally.
                 w.kv("recover.attempts", r.metrics.gaugeAvg("recover.attempts"));
                 w.kv("recover.retries", r.metrics.gaugeAvg("recover.retries"));
+                w.key("setup").beginObject();
+                w.kv("search_s", r.setup.search).kv("workload_s", r.setup.workload);
+                w.kv("balance_s", r.setup.balance);
+                w.kv("construct_max_s", r.setup.constructMax);
+                w.endObject();
                 w.key("phases");
                 obs::writePhasesJson(w, r.phases);
                 w.endObject();

@@ -36,9 +36,12 @@ namespace {
 
 using namespace walb;
 
+/// Rank `rank` dies at the top of step `jobStep` of job `jobId`: the same
+/// job fails at the same point on every run, however the queue interleaved.
 struct KillPlan {
     int rank;
-    std::uint64_t atServeStep; ///< cumulative per-rank serve step (stepProbe)
+    std::uint64_t jobId;
+    std::uint64_t jobStep;
 };
 
 std::vector<serve::JobSpec> buildWorkload() {
@@ -108,7 +111,11 @@ int main(int argc, char** argv) {
     }
 
     const int ranks = 5; // dispatcher + 2 gangs of 2
-    const std::vector<KillPlan> kills = {{1, 131}, {3, 263}}; // one per gang
+    // One per gang, each in the background study its gang is granted first
+    // (job 1 on gang {1, 2}, job 2 on gang {3, 4}), before job 1 completes
+    // and releases the urgent burst: both studies are requeued, and job 2 is
+    // still mid-run when job 1 completes, so the forced preemption stands.
+    const std::vector<KillPlan> kills = {{1, 1, 60}, {3, 2, 20}};
 
     const std::vector<serve::JobSpec> jobs = buildWorkload();
 
@@ -127,19 +134,21 @@ int main(int argc, char** argv) {
     serve::ServeReport report;
     vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& base) {
         vmpi::FaultPlan plan;
+        std::uint64_t doomedJob = 0;
         for (const KillPlan& k : kills) {
             if (k.rank == base.rank()) {
                 plan.killRank = k.rank;
-                plan.killAtStep = k.atServeStep;
+                plan.killAtStep = k.jobStep;
+                doomedJob = k.jobId;
             }
         }
         vmpi::FaultyComm faulty(base, plan);
         vmpi::ReliableComm reliable(faulty);
         serve::ServeOptions mine = opt;
-        // The drill seam: the cumulative per-rank serve step drives the
-        // kill plan, so rank deaths strike mid-job at a deterministic
-        // point no matter how the queue was interleaved.
-        mine.stepProbe = [&faulty](std::uint64_t cum) { faulty.beginStep(cum); };
+        // The drill seam: only the doomed job's steps reach the kill plan.
+        mine.stepProbe = [&faulty, doomedJob](std::uint64_t job, std::uint64_t step) {
+            if (job == doomedJob) faulty.beginStep(step);
+        };
         const serve::ServeReport rep =
             serve::ServeDriver::run(reliable, mine, jobs);
         if (base.rank() == 0) report = rep;
@@ -187,16 +196,22 @@ int main(int argc, char** argv) {
         return 1;
     }
 
+    // The jobs a kill struck: requeued more often than preempted.
+    std::string failedJobs;
+    for (const serve::JobRecord& rec : report.jobs)
+        if (rec.requeues > rec.preemptions)
+            failedJobs += (failedJobs.empty() ? "" : ",") + std::to_string(rec.spec.id);
+
     // One summary line per drill.
     std::printf("serve drill: ranks=%d gangs=%d jobs=%zu completed=%llu lost=%d "
                 "kills=%zu ranks_lost=%d preemptions=%llu requeued=%llu "
-                "failed_attempts=%llu digest_mismatches=%d baseline_scenarios=%zu "
-                "elapsed=%.2f\n",
+                "failed_attempts=%llu failed_jobs=%s digest_mismatches=%d "
+                "baseline_scenarios=%zu elapsed=%.2f\n",
                 ranks, report.gangs, report.jobs.size(),
                 (unsigned long long)report.completed, incomplete, kills.size(),
                 report.ranksLost, (unsigned long long)report.preemptions,
                 (unsigned long long)report.requeues,
-                (unsigned long long)report.failedAttempts, mismatches,
+                (unsigned long long)report.failedAttempts, failedJobs.c_str(), mismatches,
                 baseline.size(), report.elapsedSeconds);
     return 0;
 }

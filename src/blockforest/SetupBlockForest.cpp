@@ -92,17 +92,32 @@ SetupBlockForest SetupBlockForest::create(const SetupConfig& config,
     SetupBlockForest forest;
     forest.config_ = config;
     const std::uint32_t gx = config.blocksX(), gy = config.blocksY(), gz = config.blocksZ();
+    const auto total = std::ptrdiff_t(std::size_t(gx) * gy * gz);
 
+    // Each grid position classifies into its own slot on the caller's team;
+    // the forest is assembled in grid order afterwards.
+    std::vector<BlockClass> classOf;
+    if (phi) {
+        classOf.resize(std::size_t(total));
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic)
+#endif
+        for (std::ptrdiff_t g = 0; g < total; ++g) {
+            const auto x = cell_idx_c(std::size_t(g) % gx);
+            const auto y = cell_idx_c(std::size_t(g) / gx % gy);
+            const auto z = cell_idx_c(std::size_t(g) / (std::size_t(gx) * gy));
+            classOf[std::size_t(g)] = classify(*phi, forest.blockBox(x, y, z), config);
+        }
+    }
     for (cell_idx_t z = 0; z < cell_idx_c(gz); ++z)
         for (cell_idx_t y = 0; y < cell_idx_c(gy); ++y)
             for (cell_idx_t x = 0; x < cell_idx_c(gx); ++x) {
-                const AABB box = forest.blockBox(x, y, z);
-                BlockClass cls{true, true};
-                if (phi) cls = classify(*phi, box, config);
+                const BlockClass cls =
+                    phi ? classOf[forest.gridIndex(x, y, z)] : BlockClass{true, true};
                 if (!cls.keep) continue;
                 forest.blocks_.push_back({idForGridPos(config, x, y, z),
                                           Cell{x, y, z},
-                                          box,
+                                          forest.blockBox(x, y, z),
                                           config.cellsPerBlock(),
                                           0,
                                           cls.fullyInside});
@@ -220,7 +235,13 @@ std::vector<std::uint32_t> SetupBlockForest::neighborsOf(std::uint32_t i) const 
 void SetupBlockForest::assignFluidCellWorkload(const geometry::DistanceFunction& phi) {
     const auto& c = lbm::D3Q19::c;
     const std::span<const std::array<int, 3>> links(c.begin() + 1, c.end());
-    for (SetupBlock& b : blocks_) {
+    const auto numBlocks = std::ptrdiff_t(blocks_.size());
+    // One block per iteration, each writing only its own counts.
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic)
+#endif
+    for (std::ptrdiff_t i = 0; i < numBlocks; ++i) {
+        SetupBlock& b = blocks_[std::size_t(i)];
         if (b.fullyInside) {
             b.workload = config_.cellsPerBlock();
             b.fluidRuns = std::uint64_t(config_.cellsPerBlockY) * config_.cellsPerBlockZ;

@@ -81,6 +81,19 @@ public:
         return d;
     }
 
+    /// Squared distance between this box and o (0 if they touch): a lower
+    /// bound of sqrDistance(p) for every p in o.
+    constexpr real_t sqrDistance(const AABB& o) const {
+        real_t d = 0;
+        for (std::size_t i = 0; i < 3; ++i) {
+            const real_t lo = min_[i] - o.max_[i];
+            const real_t hi = o.min_[i] - max_[i];
+            if (lo > 0) d += lo * lo;
+            if (hi > 0) d += hi * hi;
+        }
+        return d;
+    }
+
     /// Radius of the circumsphere around the box center. Together with the
     /// insphere radius this drives the block/domain intersection early-outs
     /// of Section 2.3 of the paper.

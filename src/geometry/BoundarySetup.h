@@ -23,32 +23,19 @@ struct BoundaryAssignmentStats {
 /// Classifies every cell of `flags` carrying `hullMask` (interior and ghost
 /// layers) by the dominant vertex color of the closest triangle: the hull
 /// flag is replaced by the matching boundary flag from `masks`.
-inline BoundaryAssignmentStats assignBoundaryConditionsFromColors(
-    field::FlagField& flags, const lbm::BoundaryFlags& masks, field::flag_t hullMask,
-    const MeshDistance& mesh, const CellMapping& mapping) {
-    BoundaryAssignmentStats stats;
-    flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (!(flags.get(x, y, z) & hullMask)) return;
-        const auto closest = mesh.closestTriangle(mapping.cellCenter(x, y, z));
-        const auto& tri = mesh.mesh().triangle(closest.triangle);
-        unsigned inflow = 0, outflow = 0;
-        for (unsigned v = 0; v < 3; ++v) {
-            if (mesh.mesh().color(tri[v]) == kColorInflow) ++inflow;
-            if (mesh.mesh().color(tri[v]) == kColorOutflow) ++outflow;
-        }
-        flags.removeFlag(x, y, z, hullMask);
-        if (inflow >= 2) {
-            flags.addFlag(x, y, z, masks.ubb);
-            ++stats.inflowCells;
-        } else if (outflow >= 2) {
-            flags.addFlag(x, y, z, masks.pressure);
-            ++stats.outflowCells;
-        } else {
-            flags.addFlag(x, y, z, masks.noSlip);
-            ++stats.noSlipCells;
-        }
-    });
-    return stats;
-}
+///
+/// Only whether the closest triangle is *colored* (>= 2 inflow or >= 2
+/// outflow vertices) matters for a wall, so most cells skip the octree
+/// search: a cell is certified no-slip if some triangle — the closest one
+/// of an already classified neighbor or of the last search — is nearer,
+/// by a margin far above rounding, than every colored triangle. Then the
+/// closest triangle, ties included, is uncolored. Every other cell gets the
+/// full closest-triangle query, so the flags are those of one query per
+/// cell. Single-threaded (a flag initializer runs it per block).
+BoundaryAssignmentStats assignBoundaryConditionsFromColors(field::FlagField& flags,
+                                                           const lbm::BoundaryFlags& masks,
+                                                           field::flag_t hullMask,
+                                                           const MeshDistance& mesh,
+                                                           const CellMapping& mapping);
 
 } // namespace walb::geometry

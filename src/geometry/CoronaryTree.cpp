@@ -147,20 +147,23 @@ TriangleMesh CoronaryTree::surfaceMesh(unsigned gridResolution) const {
     std::vector<std::pair<Vec3, real_t>> outletCaps; // leaf end point, radius
     for (const CoronarySegment& s : segments_)
         if (s.leaf) outletCaps.emplace_back(tubeEndpoints(s).second, s.radius);
-    for (std::size_t v = 0; v < mesh.numVertices(); ++v) {
-        const Vec3& p = mesh.vertex(v);
+    const auto numVertices = std::ptrdiff_t(mesh.numVertices());
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+    for (std::ptrdiff_t v = 0; v < numVertices; ++v) {
+        const Vec3& p = mesh.vertex(std::size_t(v));
         if ((p - rootA).length() < real_c(1.5) * segments_.front().radius) {
-            mesh.setColor(v, kColorInflow);
+            mesh.setColor(std::size_t(v), kColorInflow);
             continue;
         }
         for (const auto& [b, radius] : outletCaps) {
             if ((p - b).length() < real_c(1.5) * radius) {
-                mesh.setColor(v, kColorOutflow);
+                mesh.setColor(std::size_t(v), kColorOutflow);
                 break;
             }
         }
     }
-    mesh.computeNormals();
     return mesh;
 }
 

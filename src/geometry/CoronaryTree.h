@@ -66,7 +66,10 @@ public:
     /// marching tetrahedra on a grid with `gridResolution` cells along the
     /// longest bounding-box axis (the analog of a segmented CTA surface:
     /// one closed surface, no internal walls). Inlet-cap vertices are
-    /// colored kColorInflow, outlet caps kColorOutflow.
+    /// colored kColorInflow, outlet caps kColorOutflow. No normals are
+    /// computed (MeshDistance does on its first signed-distance query).
+    /// Runs on the caller's OpenMP team; the mesh is the same at any team
+    /// size.
     TriangleMesh surfaceMesh(unsigned gridResolution = 96) const;
 
     /// Analytic vessel volume (sum of cylinders; overlaps double-counted,

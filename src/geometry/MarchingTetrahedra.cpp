@@ -28,6 +28,10 @@ constexpr uint_t kLeafPoints = 8;
 /// rounding of the points and of phi.
 constexpr real_t kSafetyMargin = 1e-9;
 
+/// Recursion levels of the grid-point sphere test run before the regions
+/// are shared over the team: up to 64 regions.
+constexpr unsigned kSerialSplits = 6;
+
 struct EdgeKeyHash {
     std::size_t operator()(const std::uint64_t& k) const {
         return std::hash<std::uint64_t>()(k);
@@ -54,25 +58,39 @@ TriangleMesh extractIsosurface(const DistanceFunction& phi, const AABB& box, uns
     // or +-infinity where a whole region's sign was decided at once. Exact
     // values are filled in on demand, only at the corners of sign-crossing
     // edges, by the same call at the same point as full sampling would make.
+    // The top kSerialSplits levels of the recursion run here; the regions
+    // below them are sampled on the caller's team, each writing only its
+    // own grid points.
     constexpr real_t kUnknown = std::numeric_limits<real_t>::infinity();
     std::vector<real_t> values(px * py * pz);
-    VoxelizeStats stats;
-    sphereTestRegions(
-        phi,
-        [&](cell_idx_t i, cell_idx_t j, cell_idx_t k) {
-            return gridPoint(std::size_t(i), std::size_t(j), std::size_t(k));
-        },
-        CellInterval(0, 0, 0, cell_idx_c(nx), cell_idx_c(ny), cell_idx_c(nz)),
-        kSafetyMargin * (box.min().length() + box.max().length()), kLeafPoints, stats,
-        [&](cell_idx_t i, cell_idx_t j, cell_idx_t k, real_t d) {
-            values[gridIndex(std::size_t(i), std::size_t(j), std::size_t(k))] = d;
-        },
-        [&](const CellInterval& region, bool inside) {
-            region.forEach([&](cell_idx_t i, cell_idx_t j, cell_idx_t k) {
-                values[gridIndex(std::size_t(i), std::size_t(j), std::size_t(k))] =
-                    inside ? -kUnknown : kUnknown;
-            });
+    const auto pointOf = [&](cell_idx_t i, cell_idx_t j, cell_idx_t k) {
+        return gridPoint(std::size_t(i), std::size_t(j), std::size_t(k));
+    };
+    const real_t margin = kSafetyMargin * (box.min().length() + box.max().length());
+    const auto sampled = [&](cell_idx_t i, cell_idx_t j, cell_idx_t k, real_t d) {
+        values[gridIndex(std::size_t(i), std::size_t(j), std::size_t(k))] = d;
+    };
+    const auto uniform = [&](const CellInterval& region, bool inside) {
+        region.forEach([&](cell_idx_t i, cell_idx_t j, cell_idx_t k) {
+            values[gridIndex(std::size_t(i), std::size_t(j), std::size_t(k))] =
+                inside ? -kUnknown : kUnknown;
         });
+    };
+    std::vector<CellInterval> deferred;
+    VoxelizeStats stats;
+    sphereTestRegionsTo(phi, pointOf,
+                        CellInterval(0, 0, 0, cell_idx_c(nx), cell_idx_c(ny), cell_idx_c(nz)),
+                        margin, kLeafPoints, stats, sampled, uniform, kSerialSplits,
+                        [&](const CellInterval& region) { deferred.push_back(region); });
+    const auto numDeferred = std::ptrdiff_t(deferred.size());
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic)
+#endif
+    for (std::ptrdiff_t r = 0; r < numDeferred; ++r) {
+        VoxelizeStats regionStats;
+        sphereTestRegions(phi, pointOf, deferred[std::size_t(r)], margin, kLeafPoints,
+                          regionStats, sampled, uniform);
+    }
 
     TriangleMesh mesh;
     // One interpolated vertex per sign-crossing grid edge, shared between

@@ -27,7 +27,9 @@ namespace walb::geometry {
 /// sphere test decides the sign of whole regions of grid points at once
 /// (relying on phi being 1-Lipschitz), and exact values are computed only
 /// at the corners of sign-crossing edges. The output is bit-identical to
-/// sampling phi at every grid point.
+/// sampling phi at every grid point. The sampling runs on the caller's
+/// OpenMP team (call it outside a parallel region), so phi is evaluated
+/// concurrently; the output does not depend on the team size.
 TriangleMesh extractIsosurface(const DistanceFunction& phi, const AABB& box, unsigned nx,
                                unsigned ny, unsigned nz);
 

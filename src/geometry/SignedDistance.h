@@ -32,6 +32,10 @@ namespace walb::geometry {
 /// one evaluation relies on it: if |phi(c)| > R, every point within R of c
 /// has the sign of phi(c). The voxelizer's sphere test and classifyBlock
 /// (Voxelizer.h) and isosurface extraction (MarchingTetrahedra.h) do so.
+///
+/// Set-up before launch (block classification, workload counts, isosurface
+/// sampling) calls signedDistance from every thread of the caller's OpenMP
+/// team, so it must be safe to call concurrently.
 class DistanceFunction {
 public:
     virtual ~DistanceFunction() = default;
@@ -43,14 +47,16 @@ public:
 /// mesh interior).
 class MeshDistance final : public DistanceFunction {
 public:
-    /// The mesh must outlive this object; normals are computed on demand.
+    /// The mesh must outlive this object. Its normals are computed on
+    /// demand, by the first signedDistance() call if the mesh has none: a
+    /// user of closestTriangle() alone (color assignment) never needs them.
     explicit MeshDistance(TriangleMesh& mesh, std::size_t maxTrianglesPerLeaf = 16)
-        : mesh_(mesh) {
-        if (!mesh.normalsComputed()) mesh.computeNormals();
-        octree_ = std::make_unique<TriangleOctree>(mesh, maxTrianglesPerLeaf);
-    }
+        : mesh_(mesh), octree_(std::make_unique<TriangleOctree>(mesh, maxTrianglesPerLeaf)) {}
 
     real_t signedDistance(const Vec3& p) const override {
+        std::call_once(normals_, [this] {
+            if (!mesh_.normalsComputed()) mesh_.computeNormals();
+        });
         const ClosestTriangleResult r = octree_->closestTriangle(p);
         return std::copysign(std::sqrt(r.sqrDistance), pseudonormal(r).dot(p - r.point));
     }
@@ -68,9 +74,9 @@ private:
         const auto& tri = mesh_.triangle(r.triangle);
         switch (r.feature) {
             case TriFeature::Face: return mesh_.faceNormal(r.triangle);
-            case TriFeature::Edge01: return mesh_.edgeNormal(tri[0], tri[1]);
-            case TriFeature::Edge12: return mesh_.edgeNormal(tri[1], tri[2]);
-            case TriFeature::Edge20: return mesh_.edgeNormal(tri[2], tri[0]);
+            case TriFeature::Edge01: return mesh_.edgeNormal(r.triangle, 0);
+            case TriFeature::Edge12: return mesh_.edgeNormal(r.triangle, 1);
+            case TriFeature::Edge20: return mesh_.edgeNormal(r.triangle, 2);
             case TriFeature::Vert0: return mesh_.vertexNormal(tri[0]);
             case TriFeature::Vert1: return mesh_.vertexNormal(tri[1]);
             case TriFeature::Vert2: return mesh_.vertexNormal(tri[2]);
@@ -80,6 +86,7 @@ private:
 
     TriangleMesh& mesh_;
     std::unique_ptr<TriangleOctree> octree_;
+    mutable std::once_flag normals_;
 };
 
 /// Sphere of radius r around c; inside is fluid.

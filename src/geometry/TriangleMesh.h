@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/AABB.h"
@@ -85,31 +84,29 @@ public:
 
     /// Precomputes unit face normals plus angle-weighted vertex and edge
     /// pseudonormals. Must be called (again) after the mesh was modified and
-    /// before signed-distance queries.
+    /// before signed-distance queries. Runs on the caller's OpenMP team (call
+    /// it outside a parallel region); each normal sums its incident faces in
+    /// ascending triangle order, so the result is the same at any team size.
     void computeNormals();
     bool normalsComputed() const { return !faceNormals_.empty(); }
 
     const Vec3& faceNormal(std::size_t t) const { return faceNormals_[t]; }
     const Vec3& vertexNormal(std::size_t v) const { return vertexNormals_[v]; }
-    /// Pseudonormal of the edge between vertices a and b (order-insensitive).
-    const Vec3& edgeNormal(std::uint32_t a, std::uint32_t b) const;
+    /// Pseudonormal of edge e of triangle t, the edge from corner e to
+    /// corner (e + 1) % 3; both triangles of an edge hold the same value.
+    const Vec3& edgeNormal(std::size_t t, unsigned e) const { return edgeNormals_[3 * t + e]; }
 
     /// Appends all geometry of another mesh (vertices re-indexed).
     void append(const TriangleMesh& other);
 
 private:
-    static std::uint64_t edgeKey(std::uint32_t a, std::uint32_t b) {
-        if (a > b) std::swap(a, b);
-        return (std::uint64_t(a) << 32) | b;
-    }
-
     std::vector<Vec3> vertices_;
     std::vector<Color> colors_;
     std::vector<Triangle> triangles_;
 
     std::vector<Vec3> faceNormals_;
     std::vector<Vec3> vertexNormals_;
-    std::unordered_map<std::uint64_t, Vec3> edgeNormals_;
+    std::vector<Vec3> edgeNormals_; ///< 3 per triangle, see edgeNormal()
 };
 
 } // namespace walb::geometry

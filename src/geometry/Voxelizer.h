@@ -85,11 +85,21 @@ inline std::pair<CellInterval, CellInterval> splitLongestAxis(const CellInterval
 /// SignedDistance.h): `uniform(region, phi(center) < 0)`. A region of at
 /// most `leafPoints` points that fails the test evaluates phi at each
 /// point: `exact(x, y, z, phi(pointOf(x, y, z)))`, in memory order.
-template <typename PointOf, typename Exact, typename Uniform>
-void sphereTestRegions(const DistanceFunction& phi, const PointOf& pointOf,
-                       const CellInterval& ci, real_t margin, uint_t leafPoints,
-                       VoxelizeStats& stats, const Exact& exact, const Uniform& uniform) {
+///
+/// The recursion stops `depth` splits below `ci`: each region it reaches
+/// there goes to `deferred(region)` untested, in recursion order. The
+/// deferred regions are disjoint; running sphereTestRegions on each, in any
+/// order or concurrently, makes the same calls as one full recursion.
+template <typename PointOf, typename Exact, typename Uniform, typename Deferred>
+void sphereTestRegionsTo(const DistanceFunction& phi, const PointOf& pointOf,
+                         const CellInterval& ci, real_t margin, uint_t leafPoints,
+                         VoxelizeStats& stats, const Exact& exact, const Uniform& uniform,
+                         unsigned depth, const Deferred& deferred) {
     if (ci.empty()) return;
+    if (depth == 0) {
+        deferred(ci);
+        return;
+    }
     const Vec3 lo = pointOf(ci.min().x, ci.min().y, ci.min().z);
     const Vec3 hi = pointOf(ci.max().x, ci.max().y, ci.max().z);
     const real_t radius = (hi - lo).length() * real_c(0.5);
@@ -107,8 +117,19 @@ void sphereTestRegions(const DistanceFunction& phi, const PointOf& pointOf,
         return;
     }
     const auto [a, b] = splitLongestAxis(ci);
-    sphereTestRegions(phi, pointOf, a, margin, leafPoints, stats, exact, uniform);
-    sphereTestRegions(phi, pointOf, b, margin, leafPoints, stats, exact, uniform);
+    sphereTestRegionsTo(phi, pointOf, a, margin, leafPoints, stats, exact, uniform, depth - 1,
+                        deferred);
+    sphereTestRegionsTo(phi, pointOf, b, margin, leafPoints, stats, exact, uniform, depth - 1,
+                        deferred);
+}
+
+/// The full recursion of sphereTestRegionsTo (nothing deferred).
+template <typename PointOf, typename Exact, typename Uniform>
+void sphereTestRegions(const DistanceFunction& phi, const PointOf& pointOf,
+                       const CellInterval& ci, real_t margin, uint_t leafPoints,
+                       VoxelizeStats& stats, const Exact& exact, const Uniform& uniform) {
+    sphereTestRegionsTo(phi, pointOf, ci, margin, leafPoints, stats, exact, uniform,
+                        ~0u, [](const CellInterval&) {});
 }
 
 /// Sets `fluidFlag` on every cell (interior plus ghost layers) whose center

@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -364,23 +365,69 @@ private:
 /// fluid cell through the stencil — the "hull of the fluid cells computed
 /// using a morphological dilation operator w.r.t. the LBM stencil"
 /// (paper §2.3). Cells already flagged (e.g. colored inflow/outflow) keep
-/// their flag; the rest receive `hullFlag`.
+/// their flag; the rest receive `hullFlag`, which shares no bit with
+/// `fluidMask`.
+///
+/// Bit rows, as geometry::countFluid: one pass over the allocation sets a
+/// fluid bit and a free (neither fluid nor occupied) bit per cell, ceil(x
+/// extent / 64) words per (y, z) row. A row's hull is its free bits AND the
+/// stencil's neighbor rows' fluid bits shifted by c_x, so a mostly empty
+/// block costs one read per cell, and a mostly fluid one skips every row
+/// without a free cell.
 template <LatticeModel M>
 void markBoundaryHull(field::FlagField& flags, field::flag_t fluidMask,
                       field::flag_t occupiedMask, field::flag_t hullFlag) {
-    flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (flags.get(x, y, z) & (fluidMask | occupiedMask)) return;
-        for (uint_t a = 1; a < M::Q; ++a) {
-            const cell_idx_t nx = x + M::c[a][0];
-            const cell_idx_t ny = y + M::c[a][1];
-            const cell_idx_t nz = z + M::c[a][2];
-            if (!flags.coordinatesValid(nx, ny, nz)) continue;
-            if (flags.get(nx, ny, nz) & fluidMask) {
-                flags.addFlag(x, y, z, hullFlag);
-                return;
+    const CellInterval all = flags.allocRegion();
+    const auto nx = std::size_t(flags.xAllocSize());
+    const cell_idx_t ny = flags.yAllocSize(), nz = flags.zAllocSize();
+    const std::size_t words = (nx + 63) / 64;
+    const auto rowAt = [&](cell_idx_t y, cell_idx_t z) {
+        return (std::size_t(z) * std::size_t(ny) + std::size_t(y)) * words;
+    };
+    std::vector<std::uint64_t> fluidBits(rowAt(0, nz), 0), freeBits(rowAt(0, nz), 0);
+    std::vector<char> rowHasFluid(std::size_t(ny) * std::size_t(nz), 0);
+    for (cell_idx_t z = 0; z < nz; ++z)
+        for (cell_idx_t y = 0; y < ny; ++y) {
+            const field::flag_t* cell = flags.dataAt(all.min().x, all.min().y + y, all.min().z + z);
+            std::uint64_t* f = fluidBits.data() + rowAt(y, z);
+            std::uint64_t* o = freeBits.data() + rowAt(y, z);
+            for (std::size_t x = 0; x < nx; ++x) {
+                const std::uint64_t bit = std::uint64_t(1) << (x % 64);
+                if (cell[x] & fluidMask) f[x / 64] |= bit;
+                else if (!(cell[x] & occupiedMask)) o[x / 64] |= bit;
             }
+            for (std::size_t i = 0; i < words; ++i)
+                if (f[i]) rowHasFluid[std::size_t(z) * std::size_t(ny) + std::size_t(y)] = 1;
         }
-    });
+
+    std::vector<std::uint64_t> reach(words);
+    for (cell_idx_t z = 0; z < nz; ++z)
+        for (cell_idx_t y = 0; y < ny; ++y) {
+            const std::uint64_t* o = freeBits.data() + rowAt(y, z);
+            if (std::all_of(o, o + words, [](std::uint64_t w) { return w == 0; })) continue;
+            std::fill(reach.begin(), reach.end(), 0);
+            for (uint_t a = 1; a < M::Q; ++a) {
+                const cell_idx_t by = y + M::c[a][1], bz = z + M::c[a][2];
+                if (by < 0 || by >= ny || bz < 0 || bz >= nz) continue;
+                if (!rowHasFluid[std::size_t(bz) * std::size_t(ny) + std::size_t(by)]) continue;
+                const std::uint64_t* nb = fluidBits.data() + rowAt(by, bz);
+                const auto word = [&](std::ptrdiff_t i) {
+                    return i < 0 || std::size_t(i) >= words ? 0 : nb[i];
+                };
+                for (std::size_t i = 0; i < words; ++i) {
+                    const auto j = std::ptrdiff_t(i);
+                    // Bit x of the shifted row is cell (x + c_x, by, bz).
+                    reach[i] |= M::c[a][0] == 0 ? nb[i]
+                                : M::c[a][0] > 0 ? (nb[i] >> 1) | (word(j + 1) << 63)
+                                                 : (nb[i] << 1) | (word(j - 1) >> 63);
+                }
+            }
+            for (std::size_t i = 0; i < words; ++i)
+                for (std::uint64_t hull = o[i] & reach[i]; hull != 0; hull &= hull - 1) {
+                    const auto x = cell_idx_c(i * 64 + std::size_t(std::countr_zero(hull)));
+                    flags.addFlag(all.min().x + x, all.min().y + y, all.min().z + z, hullFlag);
+                }
+        }
 }
 
 } // namespace walb::lbm

@@ -105,7 +105,7 @@ std::string checkpointPath(const ServeOptions& opt, std::uint64_t jobId) {
 /// rank is dead and must stop serving.
 std::optional<EventMsg> runJob(vmpi::Comm& pool, const std::vector<int>& members,
                                int generation, const JobSpec& spec, bool resume,
-                               const ServeOptions& opt, std::uint64_t& cumStep) {
+                               const ServeOptions& opt) {
     EventMsg out;
     out.jobId = spec.id;
     vmpi::SubComm sub(pool, members, generation);
@@ -121,10 +121,10 @@ std::optional<EventMsg> runJob(vmpi::Comm& pool, const std::vector<int>& members
             sim->setWallVelocity({real_c(spec.lidVelocity), 0, 0});
             sim->setFlightRecorderDumpPrefix(opt.checkpointDir + "/serve_job" +
                                              std::to_string(spec.id));
-            sim->setPreStepCallback([&cumStep, probe = opt.stepProbe](std::uint64_t) {
-                ++cumStep;
-                if (probe) probe(cumStep);
-            });
+            if (opt.stepProbe)
+                sim->setPreStepCallback([probe = opt.stepProbe, id = spec.id](std::uint64_t step) {
+                    probe(id, step);
+                });
         };
         makeSim();
         if (resume) {
@@ -254,7 +254,6 @@ void Scheduler::work(vmpi::Comm& pool, const ServeOptions& opt) {
     if (myGang < 0) return; // dispatcher, or an uncarved rank
     std::vector<int> members = layout.gangs[std::size_t(myGang)];
     int generation = 0;
-    std::uint64_t cumStep = 0;
     for (;;) {
         const bool leader = pool.rank() == members.front();
         std::vector<std::uint8_t> raw;
@@ -286,7 +285,7 @@ void Scheduler::work(vmpi::Comm& pool, const ServeOptions& opt) {
             generation = msg.generation;
         }
         std::optional<EventMsg> ev =
-            runJob(pool, members, generation, msg.spec, msg.resume, opt, cumStep);
+            runJob(pool, members, generation, msg.spec, msg.resume, opt);
         if (!ev) return; // this rank is dead: stop serving, peers shrink around it
         ev->gangId = myGang;
         // After a failure the NEW leader reports — the old one may be the
@@ -489,7 +488,6 @@ ServeReport Scheduler::runInline(vmpi::Comm& pool, const ServeOptions& opt,
         queue.setTenantQuota(tenant, quota);
     const std::vector<int> self{pool.rank()};
     int generation = 0;
-    std::uint64_t cumStep = 0;
     const auto t0 = std::chrono::steady_clock::now();
     ServeReport report;
     report.gangs = 1;
@@ -498,7 +496,7 @@ ServeReport Scheduler::runInline(vmpi::Comm& pool, const ServeOptions& opt,
         WALB_ASSERT(id, "inline serve stalled with jobs still queued");
         JobRecord& rec = queue.record(*id);
         const std::optional<EventMsg> out = runJob(pool, self, ++generation, rec.spec,
-                                                   rec.hasCheckpoint, opt, cumStep);
+                                                   rec.hasCheckpoint, opt);
         WALB_ASSERT(out && out->kind == EventKind::Done,
                     "inline job " << *id << " did not complete");
         rec.cellSeconds += out->cellSeconds;

@@ -72,10 +72,11 @@ struct ServeOptions {
     /// Dispatcher/worker idle-poll sleep.
     std::chrono::microseconds idlePoll{200};
     /// Fault-drill seam: called on every rank at the top of every simulated
-    /// step with that rank's cumulative serve step count (across all jobs
-    /// it ever ran) — wire FaultyComm::beginStep here to kill a rank
-    /// mid-job at a deterministic point.
-    std::function<void(std::uint64_t)> stepProbe;
+    /// step with the job's id and the step index (a resumed attempt goes on
+    /// from its checkpoint's step) — wire FaultyComm::beginStep here to
+    /// kill a rank at the same point of the same job on every run, however
+    /// the queue was interleaved.
+    std::function<void(std::uint64_t jobId, std::uint64_t step)> stepProbe;
     /// Dispatcher-side metrics sink (serve.* series, per-tenant
     /// cell-second gauges). Optional.
     obs::MetricsRegistry* metrics = nullptr;

@@ -13,7 +13,11 @@
 ///    copyPdfsLocal, aaCopyPdfsLocalForward/Reverse, copySliceLocal): the
 ///    same slices moved block to block in each exchange mode — the
 ///    reference of the exchange-plan and team-size tests and the
-///    single-field periodic wrap of the D2Q9 tests.
+///    single-field periodic wrap of the D2Q9 tests;
+///  * markBoundaryHullPull — the per-cell pull rule lbm::markBoundaryHull's
+///    bit rows must match;
+///  * geometry::assignBoundaryConditionsPerCell — one closest-triangle
+///    query per hull cell, the reference of the color certification.
 ///
 /// The tests and bench/micro_kernels include it as "support/Oracles.h".
 
@@ -23,6 +27,7 @@
 
 #include "core/Buffer.h"
 #include "field/FlagField.h"
+#include "geometry/BoundarySetup.h"
 #include "lbm/Communication.h"
 #include "lbm/KernelD3Q19.h"
 #include "lbm/Sparse.h"
@@ -254,4 +259,60 @@ void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array
     plan.run();
 }
 
+// ---- geometry set-up references ------------------------------------------------
+
+/// lbm::markBoundaryHull as one stencil scan per non-fluid cell: a free
+/// cell (neither fluid nor occupied) with a fluid neighbor becomes hull.
+template <LatticeModel M>
+void markBoundaryHullPull(field::FlagField& flags, field::flag_t fluidMask,
+                          field::flag_t occupiedMask, field::flag_t hullFlag) {
+    flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        if (flags.get(x, y, z) & (fluidMask | occupiedMask)) return;
+        for (uint_t a = 1; a < M::Q; ++a) {
+            const cell_idx_t nx = x + M::c[a][0];
+            const cell_idx_t ny = y + M::c[a][1];
+            const cell_idx_t nz = z + M::c[a][2];
+            if (!flags.coordinatesValid(nx, ny, nz)) continue;
+            if (flags.get(nx, ny, nz) & fluidMask) {
+                flags.addFlag(x, y, z, hullFlag);
+                return;
+            }
+        }
+    });
+}
+
 } // namespace walb::lbm
+
+namespace walb::geometry {
+
+/// geometry::assignBoundaryConditionsFromColors without the certification:
+/// every hull cell takes the colors of its closest triangle's vertices.
+inline BoundaryAssignmentStats assignBoundaryConditionsPerCell(
+    field::FlagField& flags, const lbm::BoundaryFlags& masks, field::flag_t hullMask,
+    const MeshDistance& mesh, const CellMapping& mapping) {
+    BoundaryAssignmentStats stats;
+    flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        if (!(flags.get(x, y, z) & hullMask)) return;
+        const auto closest = mesh.closestTriangle(mapping.cellCenter(x, y, z));
+        const auto& tri = mesh.mesh().triangle(closest.triangle);
+        unsigned inflow = 0, outflow = 0;
+        for (unsigned v = 0; v < 3; ++v) {
+            if (mesh.mesh().color(tri[v]) == kColorInflow) ++inflow;
+            if (mesh.mesh().color(tri[v]) == kColorOutflow) ++outflow;
+        }
+        flags.removeFlag(x, y, z, hullMask);
+        if (inflow >= 2) {
+            flags.addFlag(x, y, z, masks.ubb);
+            ++stats.inflowCells;
+        } else if (outflow >= 2) {
+            flags.addFlag(x, y, z, masks.pressure);
+            ++stats.outflowCells;
+        } else {
+            flags.addFlag(x, y, z, masks.noSlip);
+            ++stats.noSlipCells;
+        }
+    });
+    return stats;
+}
+
+} // namespace walb::geometry

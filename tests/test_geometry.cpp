@@ -359,12 +359,14 @@ CoronaryTree fig7Tree() {
     return CoronaryTree::generate(params);
 }
 
-/// Forwards to a distance function and counts the evaluations.
+/// Forwards to a distance function and counts the evaluations. Set-up
+/// code evaluates a distance function from every thread of the caller's
+/// team, so the count is atomic.
 class CountingDistance final : public DistanceFunction {
 public:
     CountingDistance(const DistanceFunction& f, std::uint64_t& count) : f_(f), count_(count) {}
     real_t signedDistance(const Vec3& p) const override {
-        ++count_;
+        std::atomic_ref<std::uint64_t>(count_).fetch_add(1, std::memory_order_relaxed);
         return f_.signedDistance(p);
     }
 

@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "blockforest/ScalingSetup.h"
+#include "core/Random.h"
 #include "geometry/BoundarySetup.h"
+#include "geometry/CoronaryTree.h"
 #include "geometry/Primitives.h"
 #include "lbm/Boundary.h"
 #include "lbm/KernelD3Q19.h"
+#include "support/Oracles.h"
 
 namespace walb::lbm {
 namespace {
@@ -153,7 +159,115 @@ TEST(BoundaryHull, RespectsAlreadyOccupiedCells) {
     EXPECT_TRUE(flags.isFlagSet(2, 1, 2, hull));
 }
 
+TEST(BoundaryHull, BitRowsMatchPullRuleOnRandomFields) {
+    // Rows of one and of two words, one and two ghost layers; random fluid,
+    // pre-occupied (ubb) and unrelated (pressure) bits.
+    const std::array<std::array<cell_idx_t, 4>, 3> shapes{
+        {{9, 7, 6, 1}, {70, 5, 4, 1}, {61, 6, 5, 2}}};
+    Random rng(2013);
+    for (const auto& [nx, ny, nz, ghost] : shapes)
+        for (const double fluidFraction : {0.0, 0.04, 0.5, 1.0}) {
+            FlagField flags(nx, ny, nz, ghost);
+            const auto masks = BoundaryFlags::registerOn(flags);
+            const flag_t hull = flags.registerFlag("hull");
+            flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                if (rng.uniform(0, 1) < fluidFraction) flags.addFlag(x, y, z, masks.fluid);
+                else if (rng.uniform(0, 1) < 0.1) flags.addFlag(x, y, z, masks.ubb);
+                if (rng.uniform(0, 1) < 0.2) flags.addFlag(x, y, z, masks.pressure);
+            });
+            FlagField reference(flags);
+            markBoundaryHull<D3Q19>(flags, masks.fluid, masks.ubb, hull);
+            markBoundaryHullPull<D3Q19>(reference, masks.fluid, masks.ubb, hull);
+            EXPECT_EQ(std::memcmp(flags.data(), reference.data(), flags.allocCells()), 0)
+                << nx << 'x' << ny << 'x' << nz << " ghost " << ghost << ", fluid fraction "
+                << fluidFraction;
+            if (fluidFraction == 0.04) {
+                EXPECT_GT(reference.count(hull), 0u);
+            }
+        }
+}
+
 // ---- color-based assignment ---------------------------------------------------
+
+/// Runs the certified assignment and the per-cell oracle on copies of the
+/// same hull-marked flags; both must write the same flags and counts.
+void expectCertifiedMatchesPerCell(const FlagField& marked, const BoundaryFlags& masks,
+                                   flag_t hull, const geometry::MeshDistance& dist,
+                                   const geometry::CellMapping& mapping) {
+    FlagField certified(marked), reference(marked);
+    const auto got =
+        geometry::assignBoundaryConditionsFromColors(certified, masks, hull, dist, mapping);
+    const auto want =
+        geometry::assignBoundaryConditionsPerCell(reference, masks, hull, dist, mapping);
+    EXPECT_EQ(got.noSlipCells, want.noSlipCells);
+    EXPECT_EQ(got.inflowCells, want.inflowCells);
+    EXPECT_EQ(got.outflowCells, want.outflowCells);
+    EXPECT_EQ(std::memcmp(certified.data(), reference.data(), certified.allocCells()), 0);
+}
+
+TEST(ColorAssignment, CertificationMatchesPerCellQueriesOnEveryFig7Block) {
+    // The fig7 tree at the benchmark's smoke size: 12^3 blocks, <= 24 blocks,
+    // mesh resolution 48.
+    geometry::CoronaryTreeParams params;
+    params.seed = 2013;
+    params.rootRadius = 0.04;
+    params.minRadius = 0.006;
+    params.maxDepth = 11;
+    const auto tree = geometry::CoronaryTree::generate(params);
+    const auto phi = tree.implicitDistance();
+    geometry::TriangleMesh mesh = tree.surfaceMesh(48);
+    const geometry::MeshDistance dist(mesh);
+    const auto search = bf::findWeakScalingPartition(*phi, params.bounds, 12, 24);
+    ASSERT_GT(search.blocks, 0u);
+    uint_t inflow = 0, outflow = 0;
+    for (const bf::SetupBlock& b : search.forest.blocks()) {
+        FlagField flags(12, 12, 12, 1);
+        const auto masks = BoundaryFlags::registerOn(flags);
+        const flag_t hull = flags.registerFlag("hull");
+        const geometry::CellMapping mapping{b.aabb, search.forest.config().dx()};
+        geometry::voxelize(*phi, flags, mapping, masks.fluid);
+        markBoundaryHull<D3Q19>(flags, masks.fluid, 0, hull);
+        expectCertifiedMatchesPerCell(flags, masks, hull, dist, mapping);
+        FlagField counted(flags);
+        const auto stats =
+            geometry::assignBoundaryConditionsPerCell(counted, masks, hull, dist, mapping);
+        inflow += stats.inflowCells;
+        outflow += stats.outflowCells;
+    }
+    // Both cap colors occur, so the certification was tested next to them.
+    EXPECT_GT(inflow, 0u);
+    EXPECT_GT(outflow, 0u);
+}
+
+TEST(ColorAssignment, CertificationMatchesPerCellWhereOutletCapMeetsWall) {
+    using namespace geometry;
+    TriangleMesh mesh = makeTubeMesh({0, 0, 0}, {4, 0, 0}, 1.0, 1.0, 16, true, true,
+                                     kColorWall, kColorInflow, kColorOutflow);
+    const MeshDistance dist(mesh);
+    for (const cell_idx_t n : {16, 24, 31}) {
+        FlagField flags(n, n, n, 1);
+        const auto masks = BoundaryFlags::registerOn(flags);
+        const flag_t hull = flags.registerFlag("hull");
+        const CellMapping mapping{AABB(-1, -2, -2, 5, 2, 2), 6.0 / real_c(n)};
+        voxelize(dist, flags, mapping, masks.fluid);
+        markBoundaryHull<D3Q19>(flags, masks.fluid, 0, hull);
+        expectCertifiedMatchesPerCell(flags, masks, hull, dist, mapping);
+
+        // The outlet cap meets the wall at a hull cell: a pressure cell has
+        // a no-slip stencil neighbor.
+        FlagField assigned(flags);
+        assignBoundaryConditionsPerCell(assigned, masks, hull, dist, mapping);
+        bool meets = false;
+        assigned.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            if (!assigned.isFlagSet(x, y, z, masks.pressure)) return;
+            for (uint_t a = 1; a < D3Q19::Q; ++a)
+                if (assigned.isFlagSet(x + D3Q19::c[a][0], y + D3Q19::c[a][1],
+                                       z + D3Q19::c[a][2], masks.noSlip))
+                    meets = true;
+        });
+        EXPECT_TRUE(meets) << n << "^3 cells";
+    }
+}
 
 TEST(ColorAssignment, TubeCapsBecomeInflowAndOutflow) {
     using namespace geometry;

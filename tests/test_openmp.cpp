@@ -1,8 +1,9 @@
 /// Hybrid-parallelism tests: with OpenMP enabled, every phase a rank runs
 /// on its team — sweeps, boundary links, same-rank ghost copies, PDF
-/// initialization — must produce bitwise-identical results regardless of
-/// the team size (each work item writes its own slots and performs
-/// identical arithmetic).
+/// initialization — and the set-up before launch (mesh, octree, forest
+/// classification and workload) must produce bitwise-identical results
+/// regardless of the team size (each work item writes its own slots and
+/// performs identical arithmetic).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,8 @@
 #include <omp.h>
 #endif
 
+#include "blockforest/ScalingSetup.h"
+#include "geometry/CoronaryTree.h"
 #include "lbm/KernelD3Q19Simd.h"
 #include "lbm/Boundary.h"
 #include "lbm/Sparse.h"
@@ -439,6 +442,97 @@ TEST(OpenMP, DistributedDigestIsTeamAndDecompositionInvariant) {
                     << "P" << threads << "T";
         }
     }
+}
+
+/// What the set-up before launch builds for the fig7 tree at the
+/// benchmark's smoke size (12^3 blocks, <= 24 blocks, mesh resolution 48).
+struct Fig7Setup {
+    std::unique_ptr<geometry::DistanceFunction> phi;
+    std::unique_ptr<geometry::TriangleMesh> mesh;
+    std::unique_ptr<geometry::MeshDistance> dist;
+    bf::SetupBlockForest forest;
+};
+
+Fig7Setup buildFig7Setup(int threads) {
+    const int maxThreads = omp_get_max_threads();
+    omp_set_num_threads(threads);
+    geometry::CoronaryTreeParams params;
+    params.seed = 2013;
+    params.rootRadius = 0.04;
+    params.minRadius = 0.006;
+    params.maxDepth = 11;
+    const auto tree = geometry::CoronaryTree::generate(params);
+    Fig7Setup s;
+    s.phi = tree.implicitDistance();
+    s.mesh = std::make_unique<geometry::TriangleMesh>(tree.surfaceMesh(48));
+    s.mesh->computeNormals();
+    s.dist = std::make_unique<geometry::MeshDistance>(*s.mesh);
+    s.forest = bf::findWeakScalingPartition(*s.phi, params.bounds, 12, 24).forest;
+    s.forest.assignFluidCellWorkload(*s.phi);
+    omp_set_num_threads(maxThreads);
+    return s;
+}
+
+template <typename T>
+bool sameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool sameBytes(const Vec3& a, const Vec3& b) { return std::memcmp(&a, &b, sizeof(Vec3)) == 0; }
+
+TEST(OpenMP, SetupIsTeamSizeInvariant) {
+    const Fig7Setup one = buildFig7Setup(1);
+    const Fig7Setup four = buildFig7Setup(std::max(4, omp_get_max_threads()));
+
+    // Mesh: vertices, triangles, colors and every normal, bitwise.
+    const geometry::TriangleMesh& m1 = *one.mesh;
+    const geometry::TriangleMesh& m4 = *four.mesh;
+    ASSERT_GT(m1.numTriangles(), 1000u);
+    EXPECT_TRUE(sameBytes(m1.vertices(), m4.vertices()));
+    EXPECT_TRUE(sameBytes(m1.triangles(), m4.triangles()));
+    EXPECT_TRUE(sameBytes(m1.colors(), m4.colors()));
+    ASSERT_EQ(m1.numTriangles(), m4.numTriangles());
+    for (std::size_t t = 0; t < m1.numTriangles(); ++t) {
+        EXPECT_TRUE(sameBytes(m1.faceNormal(t), m4.faceNormal(t))) << "triangle " << t;
+        for (unsigned e = 0; e < 3; ++e)
+            EXPECT_TRUE(sameBytes(m1.edgeNormal(t, e), m4.edgeNormal(t, e)))
+                << "triangle " << t << " edge " << e;
+    }
+    for (std::size_t v = 0; v < m1.numVertices(); ++v)
+        EXPECT_TRUE(sameBytes(m1.vertexNormal(v), m4.vertexNormal(v))) << "vertex " << v;
+
+    // Forest: every block's id, counts and coverage.
+    const auto& b1 = one.forest.blocks();
+    const auto& b4 = four.forest.blocks();
+    ASSERT_EQ(b1.size(), b4.size());
+    ASSERT_GT(b1.size(), 0u);
+    for (std::size_t i = 0; i < b1.size(); ++i) {
+        EXPECT_EQ(b1[i].id, b4[i].id) << "block " << i;
+        EXPECT_EQ(b1[i].workload, b4[i].workload) << "block " << i;
+        EXPECT_EQ(b1[i].fluidRuns, b4[i].fluidRuns) << "block " << i;
+        EXPECT_EQ(b1[i].fluidLinks, b4[i].fluidLinks) << "block " << i;
+        EXPECT_EQ(b1[i].fullyInside, b4[i].fullyInside) << "block " << i;
+    }
+
+    // Octree: node count, and the closest triangle of every hull-cell center.
+    EXPECT_EQ(one.dist->octree().numNodes(), four.dist->octree().numNodes());
+    std::size_t hullCells = 0;
+    for (const bf::SetupBlock& b : b1) {
+        field::FlagField flags(12, 12, 12, 1);
+        const auto masks = BoundaryFlags::registerOn(flags);
+        const field::flag_t hull = flags.registerFlag("hull");
+        const geometry::CellMapping mapping{b.aabb, one.forest.config().dx()};
+        geometry::voxelize(*one.phi, flags, mapping, masks.fluid);
+        markBoundaryHull<D3Q19>(flags, masks.fluid, 0, hull);
+        flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            if (!flags.isFlagSet(x, y, z, hull)) return;
+            ++hullCells;
+            const Vec3 p = mapping.cellCenter(x, y, z);
+            EXPECT_EQ(one.dist->closestTriangle(p).triangle,
+                      four.dist->closestTriangle(p).triangle);
+        });
+    }
+    EXPECT_GT(hullCells, 1000u);
 }
 
 #else

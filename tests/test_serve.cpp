@@ -325,7 +325,7 @@ TEST(ServeTest, FaultDrillRequeuesKilledJobWithUnchangedDigest) {
 
     vmpi::FaultPlan plan;
     plan.killRank = 1;   // the gang leader
-    plan.killAtStep = 20; // cumulative serve step: mid second job
+    plan.killAtStep = 3; // step 3 of job 2: mid second job
 
     serve::ServeReport report;
     std::atomic<int> selfDeaths{0};
@@ -333,7 +333,9 @@ TEST(ServeTest, FaultDrillRequeuesKilledJobWithUnchangedDigest) {
         vmpi::FaultyComm faulty(base, plan);
         vmpi::ReliableComm reliable(faulty);
         serve::ServeOptions mine = opt;
-        mine.stepProbe = [&faulty](std::uint64_t cum) { faulty.beginStep(cum); };
+        mine.stepProbe = [&faulty](std::uint64_t job, std::uint64_t step) {
+            if (job == 2) faulty.beginStep(step);
+        };
         const auto rep = serve::ServeDriver::run(reliable, mine, jobs);
         if (base.rank() == 0) report = rep;
         if (base.rank() == plan.killRank) ++selfDeaths;
