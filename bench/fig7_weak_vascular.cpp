@@ -19,6 +19,10 @@
 #include <fstream>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "blockforest/ScalingSetup.h"
 #include "core/Timer.h"
 #include "geometry/CoronaryTree.h"
@@ -164,6 +168,12 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
     RealRunRecord record;
     std::vector<double> constructSeconds(std::size_t(ranks), 0.0);
     vmpi::ThreadCommWorld::launch(ranks, [&](vmpi::Comm& comm) {
+#ifdef _OPENMP
+        // One OpenMP thread per rank, as in fig6's 4P1T runs: with the
+        // default team of nproc threads each, 8 ranks oversubscribe a
+        // 4-core host eightfold and MFLUPS/rank swings from run to run.
+        omp_set_num_threads(1);
+#endif
         Timer construct;
         construct.start();
         sim::DistributedSimulation simulation(comm, search.forest, flagInit);

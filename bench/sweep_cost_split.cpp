@@ -71,7 +71,7 @@ std::vector<BlockSample> measure(const bf::SetupBlockForest& setup,
         const std::size_t n = s.forest().numLocalBlocks();
         std::vector<lbm::BoundaryHandling<lbm::D3Q19>> boundaries;
         for (std::size_t b = 0; b < n; ++b) {
-            boundaries.emplace_back(s.flagField(b), s.masks());
+            boundaries.emplace_back(s.flagField(b), s.masks(), s.pdfField(b));
             boundaries.back().setWallVelocity(inlet);
         }
         std::vector<double> boundary(n, 0.0);

@@ -54,7 +54,7 @@ real_t runChannel(const char* name, const Op& op, real_t nu) {
 
     auto& flags = simulation.flagField(0);
     lbm::BoundaryFlags outletMasks{simulation.masks().fluid, 0, 0, flags.flag("pressureOut")};
-    lbm::BoundaryHandling<lbm::D3Q19> outlet(flags, outletMasks);
+    lbm::BoundaryHandling<lbm::D3Q19> outlet(flags, outletMasks, simulation.pdfField(0));
     outlet.setPressureDensity(rhoOut);
 
     for (int step = 0; step < 14000; ++step) {

@@ -35,7 +35,9 @@ public:
     void addVector(const std::string& name,
                    const std::function<Vec3(cell_idx_t, cell_idx_t, cell_idx_t)>& f);
 
-    /// Density and velocity of a PDF field (post-collision convention).
+    /// Density and velocity of a PDF field (post-collision convention)
+    /// that stores every interior cell, e.g. a full field (a driver block's
+    /// field stores only the rows its fluid cells reach).
     template <lbm::LatticeModel M>
     void addPdfField(const lbm::PdfField& pdfs) {
         addScalar("density", [&pdfs](cell_idx_t x, cell_idx_t y, cell_idx_t z) {

@@ -17,14 +17,18 @@
 /// so the interior kernel stays branch-free and vectorizable.
 ///
 /// Storage: the flag scan after voxelization turns each link into two pairs
-/// of flat slot indices into the block's fzyx PDF allocation (16 bytes; see
-/// LinkSlots), so a no-slip link is one load and one store. The handling
-/// binds to PDF fields with the flag field's extent and ghost layers, fzyx
-/// layout and M::Q slots: apply() throws BoundaryFieldError for any other
-/// field (outside a parallel region: no exception leaves one), and so does
-/// construction for a block of more than 2^32 PDF slots. The pressure links
-/// are kept grouped by fluid cell, in both the core and the shell part, so
-/// the 3-5 links of one cell gather its 19 PDFs for the velocity once.
+/// of slot indices into the PDF storage (16 bytes; see LinkSlots), so a
+/// no-slip link is one load and one store. The indices are those of a
+/// storage layout, a field::RowTable: a full fzyx allocation of the flag
+/// field's extent, or the stored rows of a given PDF field (a driver block
+/// stores only the rows its fluid cells reach). The handling binds to PDF
+/// fields with that extent, ghost layers, layout, stored rows and M::Q
+/// slots: apply() throws BoundaryFieldError for any other field (outside a
+/// parallel region: no exception leaves one), and so does construction for
+/// a storage of more than 2^32 PDF slots or a link slot it does not store.
+/// The pressure links are kept grouped by fluid cell, in both the core and
+/// the shell part, so the 3-5 links of one cell gather its 19 PDFs for the
+/// velocity once.
 ///
 /// One entry point, apply(src, region, pattern), serves every storage
 /// pattern and both step schedules; the region picks the core or shell
@@ -51,6 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -101,43 +106,18 @@ public:
 
     /// Scans the flag field (interior plus ghost layers, since boundary
     /// cells of a block may live in its ghost region) and records all
-    /// boundary->fluid links whose fluid cell is in the interior.
+    /// boundary->fluid links whose fluid cell is in the interior, as slots
+    /// of a full fzyx PDF allocation of the flags' extent.
     BoundaryHandling(const field::FlagField& flags, const BoundaryFlags& masks)
-        : size_{flags.xSize(), flags.ySize(), flags.zSize(), flags.ghostLayers()},
-          fStride_(std::uint32_t(flags.allocCells())) {
-        if (flags.allocCells() * M::Q > (std::size_t(1) << 32))
-            throw BoundaryFieldError("BoundaryHandling: " + std::to_string(flags.allocCells()) +
-                                     " cells exceed the 2^32 PDF slots of 32-bit link indices");
-        const std::size_t F = fStride_;
-        std::array<std::ptrdiff_t, M::Q> step{}; // flat offset of e_a
-        for (uint_t a = 0; a < M::Q; ++a) {
-            step[a] = M::c[a][0] + M::c[a][1] * flags.yStride() + M::c[a][2] * flags.zStride();
-            gather_[0][a] = std::ptrdiff_t(a * F);
-            gather_[1][a] = std::ptrdiff_t(a * F) + step[a];
-            gather_[2][a] = std::ptrdiff_t(M::inv[a] * F);
-        }
-        const CellInterval interior = flags.interior();
-        const field::flag_t* fl = flags.data();
-        flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            const std::size_t xb = flags.index(x, y, z);
-            const auto kind = field::flag_t(fl[xb] & masks.boundaryMask());
-            if (!kind) return;
-            auto& to = links_[kind & masks.noSlip ? kNoSlip : kind & masks.ubb ? kUbb : kPressure];
-            for (uint_t a = 1; a < M::Q; ++a) {
-                const std::size_t xf = std::size_t(std::ptrdiff_t(xb) + step[a]);
-                if (!interior.contains(Cell{x + M::c[a][0], y + M::c[a][1], z + M::c[a][2]}) ||
-                    !(fl[xf] & masks.fluid))
-                    continue;
-                to.push_back({{std::uint32_t(xb + a * F), std::uint32_t(xf + M::inv[a] * F)},
-                              {std::uint32_t(xf + a * F), std::uint32_t(xb + M::inv[a] * F)}});
-            }
-        });
-        std::stable_sort(links_[kPressure].begin(), links_[kPressure].end(),
-                         [&](const LinkSlots& a, const LinkSlots& b) {
-                             return fluidCell(a) < fluidCell(b);
-                         });
-        for (std::size_t k = 0; k < kKinds; ++k) split_[k] = links_[k].size();
-    }
+        : BoundaryHandling(flags, masks,
+                           field::RowTable::full(flags.xSize(), flags.ySize(), flags.zSize(),
+                                                 flags.ghostLayers())) {}
+
+    /// The same links as slots of the storage of `pdf`, an fzyx field of
+    /// the flags' extent and ghost layers with M::Q slots.
+    BoundaryHandling(const field::FlagField& flags, const BoundaryFlags& masks,
+                     const PdfField& pdf)
+        : BoundaryHandling(flags, masks, storageOf(pdf, flags)) {}
 
     void setWallVelocity(const Vec3& u) { uWall_ = u; }
     void setPressureDensity(real_t rho) { rhoWall_ = rho; }
@@ -184,6 +164,7 @@ public:
                                               : std::partition(l.begin(), l.end(), core);
             split_[k] = std::size_t(shell - l.begin());
         }
+        indexPressureRows();
         pressureStash_.assign(links_[kPressure].size() - split_[kPressure], real_t(0));
     }
 
@@ -209,6 +190,9 @@ public:
             throw BoundaryFieldError("BoundaryHandling::apply: expected a PDF field " +
                                      shape(field::Layout::fzyx, size_, M::Q) + ", got " +
                                      shape(src.layout(), got, src.fSize()));
+        if (src.rowTable() != rows_ && !(*src.rowTable() == *rows_))
+            throw BoundaryFieldError("BoundaryHandling::apply: the PDF field stores other rows "
+                                     "than the storage the links index");
         switch (pattern) {
             case StepPattern::TwoGrid: return applyLinks<StepPattern::TwoGrid>(src, region);
             case StepPattern::AaEven: return applyLinks<StepPattern::AaEven>(src, region);
@@ -219,8 +203,76 @@ public:
 private:
     enum Kind : std::size_t { kNoSlip, kUbb, kPressure, kKinds };
 
-    /// A link (xb, d) as flat slot indices x + f * fStride_ of the PDF allocation
-    /// (the indirect addressing of list-based LBM kernels, applied to the
+    BoundaryHandling(const field::FlagField& flags, const BoundaryFlags& masks,
+                     std::shared_ptr<const field::RowTable> rows)
+        : size_{flags.xSize(), flags.ySize(), flags.zSize(), flags.ghostLayers()},
+          rows_(std::move(rows)), fStride_(std::uint32_t(rows_->slotStride())) {
+        if (rows_->slotStride() * M::Q > (std::size_t(1) << 32))
+            throw BoundaryFieldError("BoundaryHandling: " + std::to_string(rows_->slotStride()) +
+                                     " cells exceed the 2^32 PDF slots of 32-bit link indices");
+        const std::size_t F = fStride_;
+        std::array<std::ptrdiff_t, M::Q> step{}; // flag-field offset of e_a
+        for (uint_t a = 0; a < M::Q; ++a)
+            step[a] = M::c[a][0] + M::c[a][1] * flags.yStride() + M::c[a][2] * flags.zStride();
+        const CellInterval interior = flags.interior();
+        const field::flag_t* fl = flags.data();
+        const bool full = rows_->isFull();
+        bool allStored = true;
+        flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            const std::size_t fb = flags.index(x, y, z);
+            const auto kind = field::flag_t(fl[fb] & masks.boundaryMask());
+            if (!kind) return;
+            auto& to = links_[kind & masks.noSlip ? kNoSlip : kind & masks.ubb ? kUbb : kPressure];
+            // A full table's cell offsets are the flag field's (same extent).
+            const auto xb = full ? fb : std::size_t(rows_->rowOffset(y, z) + x);
+            const bool boundaryStored = full || rows_->stored(x, y, z);
+            for (uint_t a = 1; a < M::Q; ++a) {
+                const cell_idx_t fx = x + M::c[a][0], fy = y + M::c[a][1], fz = z + M::c[a][2];
+                if (!interior.contains(Cell{fx, fy, fz}) ||
+                    !(fl[std::ptrdiff_t(fb) + step[a]] & masks.fluid))
+                    continue;
+                if (!full) allStored = allStored && boundaryStored && rows_->stored(fx, fy, fz);
+                const auto xf = full ? std::size_t(std::ptrdiff_t(fb) + step[a])
+                                     : std::size_t(rows_->rowOffset(fy, fz) + fx);
+                to.push_back({{std::uint32_t(xb + a * F), std::uint32_t(xf + M::inv[a] * F)},
+                              {std::uint32_t(xf + a * F), std::uint32_t(xb + M::inv[a] * F)}});
+            }
+        });
+        if (!allStored)
+            throw BoundaryFieldError("BoundaryHandling: a link cell is outside the PDF storage");
+        std::stable_sort(links_[kPressure].begin(), links_[kPressure].end(),
+                         [&](const LinkSlots& a, const LinkSlots& b) {
+                             return fluidCell(a) < fluidCell(b);
+                         });
+        for (std::size_t k = 0; k < kKinds; ++k) split_[k] = links_[k].size();
+        indexPressureRows();
+    }
+
+    /// pressureRow_ for the current order of the pressure links.
+    void indexPressureRows() {
+        pressureRow_.clear();
+        for (const LinkSlots& s : links_[kPressure]) {
+            const Cell c = rows_->cellAt(fluidCell(s));
+            pressureRow_.push_back(std::uint32_t(rows_->row(c.y, c.z)));
+        }
+    }
+
+    /// The stored rows of `pdf`, which must be a field of the flags' shape.
+    static std::shared_ptr<const field::RowTable> storageOf(const PdfField& pdf,
+                                                            const field::FlagField& flags) {
+        const std::array<cell_idx_t, 4> want{flags.xSize(), flags.ySize(), flags.zSize(),
+                                             flags.ghostLayers()},
+            got{pdf.xSize(), pdf.ySize(), pdf.zSize(), pdf.ghostLayers()};
+        if (pdf.layout() != field::Layout::fzyx || pdf.fSize() != M::Q || got != want)
+            throw BoundaryFieldError("BoundaryHandling: expected a PDF field " +
+                                     shape(field::Layout::fzyx, want, M::Q) + ", got " +
+                                     shape(pdf.layout(), got, pdf.fSize()));
+        return pdf.rowTable();
+    }
+
+    /// A link (xb, d) as slot indices pos(x) + f * fStride_ of the PDF storage,
+    /// pos(x) the cell's offset in its f-slot (rows_->rowOffset(y, z) + x;
+    /// the indirect addressing of list-based LBM kernels, applied to the
     /// links); a pattern picks a pair and which index is the write. With
     /// xf = xb + e_d and P the post-collision values of the last completed
     /// step (KernelAa.h):
@@ -263,17 +315,21 @@ private:
                               real_c(M::c[d][2]) * uw[2];
             data[w] = data[r] + real_c(6) * M::w[d] * rho0_ * eu;
         });
+        const std::uint32_t* rows = pressureRow_.data() + range(kPressure, region).first;
         forEachLink(kPressure, region,
                     [&, last = FluidVelocity{}](std::size_t i, const LinkSlots& s) mutable {
-                        data[writeRead<P>(s).first] = region == Region::Shell
-                                                          ? pressureStash_[i]
-                                                          : pressureValue<P>(data, s, last);
+                        data[writeRead<P>(s).first] =
+                            region == Region::Shell ? pressureStash_[i]
+                                                    : pressureValue<P>(data, s, rows[i], last);
                     });
-        if (region == Region::Core)
+        if (region == Region::Core) {
+            const std::uint32_t* shellRows =
+                pressureRow_.data() + range(kPressure, Region::Shell).first;
             forEachLink(kPressure, Region::Shell,
                         [&, last = FluidVelocity{}](std::size_t i, const LinkSlots& s) mutable {
-                            pressureStash_[i] = pressureValue<P>(data, s, last);
+                            pressureStash_[i] = pressureValue<P>(data, s, shellRows[i], last);
                         });
+        }
     }
 
     /// [lo, hi) of the links of `kind` in `region`.
@@ -296,7 +352,7 @@ private:
         for (std::int64_t i = 0; i < n; ++i) fn(std::size_t(i), links[i]);
     }
 
-    /// A link's fluid cell xf as a flat cell index, from (xf, d).
+    /// A link's fluid cell xf as its offset in an f-slot, from (xf, d).
     std::uint32_t fluidCell(const LinkSlots& s) const { return s.aa[0] % fStride_; }
 
     /// The velocity of the fluid cell of a thread's last pressure link. The
@@ -308,15 +364,29 @@ private:
     };
 
     /// Anti-bounce-back value of a pressure link, with the velocity
-    /// extrapolated from the adjacent fluid cell (gathered unless `last`
-    /// already holds that cell's).
+    /// extrapolated from the adjacent fluid cell, whose row index is `row`
+    /// (gathered unless `last` already holds that cell's).
     template <StepPattern P>
-    real_t pressureValue(const real_t* data, const LinkSlots& s, FluidVelocity& last) const {
+    real_t pressureValue(const real_t* data, const LinkSlots& s, std::uint32_t row,
+                         FluidVelocity& last) const {
         const uint_t d = s.twoGrid[0] / fStride_;
         if (const std::uint32_t xf = fluidCell(s); xf != last.xf) {
             std::array<real_t, M::Q> pdfs;
-            for (uint_t a = 0; a < M::Q; ++a)
-                pdfs[a] = data[std::ptrdiff_t(xf) + gather_[std::size_t(P)][a]];
+            const std::ptrdiff_t own = rows_->rowOffsetAt(row);
+            for (uint_t a = 0; a < M::Q; ++a) {
+                std::ptrdiff_t at = std::ptrdiff_t(xf);
+                if constexpr (P == StepPattern::AaOdd) {
+                    at += std::ptrdiff_t(M::inv[a] * fStride_);
+                } else {
+                    at += std::ptrdiff_t(a * fStride_);
+                    // At AA Even P(xf, a) sits at (xf + e_a, a), in a neighbor row.
+                    if constexpr (P == StepPattern::AaEven)
+                        at += rows_->rowOffsetAt(std::size_t(
+                                  std::ptrdiff_t(row) + rows_->rowStep(M::c[a][1], M::c[a][2]))) -
+                              own + M::c[a][0];
+                }
+                pdfs[a] = data[at];
+            }
             last = {xf, momentum<M>(pdfs) / density<M>(pdfs)};
         }
         const Vec3& u = last.u;
@@ -329,11 +399,7 @@ private:
 
     /// A link's boundary cell and direction, from its two-grid write (xb, d).
     Link decode(const LinkSlots& s) const {
-        const auto g = std::uint32_t(size_[3]), xa = std::uint32_t(size_[0]) + 2 * g,
-                   ya = std::uint32_t(size_[1]) + 2 * g, xb = s.twoGrid[0] % fStride_;
-        return {{cell_idx_c(xb % xa) - g, cell_idx_c(xb / xa % ya) - g,
-                 cell_idx_c(xb / xa / ya) - g},
-                s.twoGrid[0] / fStride_};
+        return {rows_->cellAt(s.twoGrid[0] % fStride_), s.twoGrid[0] / fStride_};
     }
 
     std::vector<Link> decodeLinks(std::size_t kind) const {
@@ -350,10 +416,11 @@ private:
     }
 
     std::array<cell_idx_t, 4> size_;     ///< bound extent x, y, z and ghost layers
-    std::uint32_t fStride_;              ///< slots per direction: the allocation's cells
-    std::array<std::array<std::ptrdiff_t, M::Q>, 3> gather_{}; ///< by StepPattern: P(xf, a) - xf
+    std::shared_ptr<const field::RowTable> rows_; ///< the storage the slots index
+    std::uint32_t fStride_;              ///< slots per direction: the slot stride
     std::array<std::vector<LinkSlots>, kKinds> links_; ///< per kind: [core | shell]
     std::array<std::size_t, kKinds> split_{};          ///< first shell link per kind
+    std::vector<std::uint32_t> pressureRow_; ///< per pressure link: its fluid cell's row
     mutable std::vector<real_t> pressureStash_;        ///< shell pressure values
     std::function<Vec3(const Cell&)> uWallProfile_;
     Vec3 uWall_{0, 0, 0};

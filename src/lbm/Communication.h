@@ -321,34 +321,17 @@ private:
     bool any_ = false;
 };
 
-/// Plans the exchange `mode` from block `from` into block `to`, which
-/// receives from direction d (its direction toward `from`; both fields have
-/// the same shape and layout). The slots are those of the full-slice
-/// exchange, in wire order (population, z, y, x in `to`'s frame), minus
-/// every slot that no reader of `mask` reads before the next exchange:
-///
-///   TwoGrid:   ghost slot (g, a) is read only by the pull of g + c_a;
-///   AaForward: the same cells, at slot abar;
-///   AaReverse: interior slot (g, a) is read only by g itself (the even
-///              step reads a cell's own slots).
-///
-/// Consecutive slots along the innermost axis the slice extends along
-/// merge into one StridedRun appended to `out`; `ends` selects field
-/// offsets or payload positions for each end. Returns the number of
-/// planned slots — the payload length of a remote exchange.
-template <LatticeModel M>
-std::size_t planExchangeRuns(ExchangeMode mode, const PdfField& from, const PdfField& to,
-                             const std::array<int, 3>& d, const ReceiveMask& mask,
-                             RunEnds ends, std::vector<StridedRun>& out) {
-    WALB_DASSERT(from.xSize() == to.xSize() && from.ySize() == to.ySize() &&
-                 from.zSize() == to.zSize() && from.layout() == to.layout());
-    if (!mask.any()) return 0;
+/// Calls fn(g, slot, stride) for every slot the exchange `mode` into block
+/// `to` from direction d moves (see planExchangeRuns), in wire order: slot
+/// `slot` of cell g of `to`, the sender's cell g + exchangeShift(to, d).
+/// `stride` is the full allocation's stride along the innermost axis the
+/// slice extends along.
+template <LatticeModel M, typename Fn>
+void forEachExchangeSlot(ExchangeMode mode, const PdfField& to, const std::array<int, 3>& d,
+                         const ReceiveMask& mask, Fn&& fn) {
+    if (!mask.any()) return;
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    // Cell g of `to` is cell g + shift of `from`.
-    const Cell shift{-d[0] * to.xSize(), -d[1] * to.ySize(), -d[2] * to.zSize()};
     const bool reverse = mode == ExchangeMode::AaReverse;
-    const std::size_t first = out.size();
-    std::int64_t k = 0; // payload position of the next planned slot
     for (uint_t a : commDirections<M>(senderDir)) {
         const CellInterval ci =
             reverse ? aaReverseTrim<M>(sendInterval(to, d), d, a) : recvInterval(to, d);
@@ -360,30 +343,64 @@ std::size_t planExchangeRuns(ExchangeMode mode, const PdfField& from, const PdfF
                                                           : to.zStride());
         for (cell_idx_t z = ci.min().z; z <= ci.max().z; ++z)
             for (cell_idx_t y = ci.min().y; y <= ci.max().y; ++y)
-                for (cell_idx_t x = ci.min().x; x <= ci.max().x; ++x) {
-                    const Cell g{x, y, z};
-                    if (!mask.isReader(g + reach)) continue;
-                    const auto s = ends == RunEnds::Unpack
-                                       ? k
-                                       : std::int64_t(from.index(x + shift.x, y + shift.y,
-                                                                 z + shift.z, slot));
-                    const auto t = ends == RunEnds::Pack ? k : std::int64_t(to.index(x, y, z, slot));
-                    ++k;
-                    // A payload end is always the next position; a field end
-                    // must be the next element along the run's axis.
-                    if (out.size() > first) {
-                        StridedRun& r = out.back();
-                        const std::int64_t step = std::int64_t(r.count) * r.stride;
-                        if (r.stride == stride &&
-                            (ends == RunEnds::Unpack || s == r.src + step) &&
-                            (ends == RunEnds::Pack || t == r.dst + step)) {
-                            ++r.count;
-                            continue;
-                        }
-                    }
-                    out.push_back({s, t, 1, stride});
-                }
+                for (cell_idx_t x = ci.min().x; x <= ci.max().x; ++x)
+                    if (const Cell g{x, y, z}; mask.isReader(g + reach)) fn(g, slot, stride);
     }
+}
+
+/// Cell g of a block receiving from direction d is cell g + shift of the
+/// sending block.
+template <typename T>
+Cell exchangeShift(const field::Field<T>& to, const std::array<int, 3>& d) {
+    return {-d[0] * to.xSize(), -d[1] * to.ySize(), -d[2] * to.zSize()};
+}
+
+/// Plans the exchange `mode` from block `from` into block `to`, which
+/// receives from direction d (its direction toward `from`; both fields have
+/// the same shape and layout). The slots are those of the full-slice
+/// exchange, in wire order (population, z, y, x in `to`'s frame), minus
+/// every slot that no reader of `mask` reads before the next exchange:
+///
+///   TwoGrid:   ghost slot (g, a) is read only by the pull of g + c_a;
+///   AaForward: the same cells, at slot abar;
+///   AaReverse: interior slot (g, a) is read only by g itself (the even
+///              step reads a cell's own slots).
+///
+/// Field ends are indices into the fields' storage (Field::index), so both
+/// must store every planned slot. Consecutive slots along the innermost
+/// axis the slice extends along merge into one StridedRun appended to
+/// `out` where their storage is evenly strided (always, between full-width
+/// rows); `ends` selects field offsets or payload positions for each end.
+/// Returns the number of planned slots — the payload length of a remote
+/// exchange.
+template <LatticeModel M>
+std::size_t planExchangeRuns(ExchangeMode mode, const PdfField& from, const PdfField& to,
+                             const std::array<int, 3>& d, const ReceiveMask& mask,
+                             RunEnds ends, std::vector<StridedRun>& out) {
+    WALB_DASSERT(from.xSize() == to.xSize() && from.ySize() == to.ySize() &&
+                 from.zSize() == to.zSize() && from.layout() == to.layout());
+    const Cell shift = exchangeShift(to, d);
+    const std::size_t first = out.size();
+    std::int64_t k = 0; // payload position of the next planned slot
+    forEachExchangeSlot<M>(mode, to, d, mask,
+                           [&](const Cell& g, cell_idx_t slot, std::int32_t stride) {
+        const Cell c = g + shift;
+        const auto s = ends == RunEnds::Unpack ? k : std::int64_t(from.index(c.x, c.y, c.z, slot));
+        const auto t = ends == RunEnds::Pack ? k : std::int64_t(to.index(g.x, g.y, g.z, slot));
+        ++k;
+        // A payload end is always the next position; a field end must be
+        // the next element along the run's axis.
+        if (out.size() > first) {
+            StridedRun& r = out.back();
+            const std::int64_t step = std::int64_t(r.count) * r.stride;
+            if (r.stride == stride && (ends == RunEnds::Unpack || s == r.src + step) &&
+                (ends == RunEnds::Pack || t == r.dst + step)) {
+                ++r.count;
+                return;
+            }
+        }
+        out.push_back({s, t, 1, stride});
+    });
     return std::size_t(k);
 }
 

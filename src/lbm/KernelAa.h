@@ -121,26 +121,36 @@ inline void aaCell(PdfField& pdf, AaParity parity, cell_idx_t x, cell_idx_t y, c
     else aaOddCell(pdf, x, y, z, op);
 }
 
-/// Storage slot of the canonical (physical, post-collision) value P(x, a)
+/// Storage location of the canonical (physical, post-collision) value P(x, a)
 /// under step pattern `p`: the slot itself for the two-grid pattern; at
 /// AaOdd slot abar of the same cell; at AaEven slot a of the cell x + e_a,
 /// which may be a ghost or boundary cell — x's own odd-step push put P(x, a)
 /// there (see the storage invariants above). Along x the map is a shift,
 /// so the canonical values of an x-run in one direction are one contiguous
-/// fzyx storage row starting at this slot: checkpoints, digests and health
+/// stretch of a stored fzyx row starting at this slot: checkpoints, digests and health
 /// scans copy or hash them in one piece, and no parity or neighbor ever
 /// has to be consulted.
+struct CanonicalLocation {
+    Cell shift;      ///< the storing cell is x + shift
+    cell_idx_t slot; ///< and this its f-slot
+};
+
+constexpr CanonicalLocation canonicalLocation(StepPattern p, uint_t a) {
+    using M = D3Q19;
+    switch (p) {
+        case StepPattern::AaOdd: return {{0, 0, 0}, cell_idx_c(M::inv[a])};
+        case StepPattern::AaEven: return {{M::c[a][0], M::c[a][1], M::c[a][2]}, cell_idx_c(a)};
+        case StepPattern::TwoGrid: break;
+    }
+    return {{0, 0, 0}, cell_idx_c(a)};
+}
+
+/// Pointer to the slot of canonicalLocation(p, a) for cell (x, y, z).
 template <typename Pdf>
 auto* canonicalSlot(Pdf& pdf, StepPattern p, cell_idx_t x, cell_idx_t y, cell_idx_t z,
                     uint_t a) {
-    using M = D3Q19;
-    switch (p) {
-        case StepPattern::AaOdd: return pdf.dataAt(x, y, z, cell_idx_c(M::inv[a]));
-        case StepPattern::AaEven:
-            return pdf.dataAt(x + M::c[a][0], y + M::c[a][1], z + M::c[a][2], cell_idx_c(a));
-        case StepPattern::TwoGrid: break;
-    }
-    return pdf.dataAt(x, y, z, cell_idx_c(a));
+    const CanonicalLocation l = canonicalLocation(p, a);
+    return pdf.dataAt(x + l.shift.x, y + l.shift.y, z + l.shift.z, l.slot);
 }
 
 /// The canonical PDF set P of one cell under step pattern `p` — the

@@ -14,9 +14,9 @@
 ///    partial group is one masked vector iteration (simd loadn/storen), so
 ///    a cell's arithmetic never depends on where it falls in a row or run.
 ///  * The step patterns (two-grid pull, AA even, AA odd) differ only in
-///    the 19 load and 19 store offsets of StepSlots, computed once per
-///    sweep from the field strides. Both tiers therefore compute
-///    bit-identical states.
+///    the 19 load and 19 store offsets of StepSlots, which StepStencil
+///    resolves per (y, z) row from the row offsets of the field's stored
+///    rows. Both tiers therefore compute bit-identical states.
 ///  * The code transformation "couldn't be done automatically by any of the
 ///    compilers" — it is performed manually here via the simd:: backends.
 ///
@@ -55,25 +55,70 @@ namespace walb::lbm {
 ///   AaEven:  load (x, a),              store (x, abar)
 ///   AaOdd:   load (x - e_a, abar),     store (x + e_a, a)
 ///
-/// Load offsets are in src's strides, store offsets in dst's.
+/// Load offsets are in src's storage, store offsets in dst's. They hold
+/// for the cells of one (y, z) row.
 struct StepSlots {
     std::array<std::ptrdiff_t, D3Q19::Q> load, store;
 };
 
-inline StepSlots stepSlots(StepPattern p, const PdfField& src, const PdfField& dst) {
-    using M = D3Q19;
-    WALB_ASSERT(src.layout() == field::Layout::fzyx && dst.layout() == field::Layout::fzyx,
-                "SIMD kernel requires SoA (fzyx) layout");
-    WALB_ASSERT(src.ghostLayers() >= 1 && src.fSize() == 19 && dst.fSize() == 19);
-    StepSlots s{};
-    const real_t* s0 = src.dataAt(0, 0, 0);
-    const real_t* d0 = dst.dataAt(0, 0, 0);
-    for (uint_t a = 0; a < M::Q; ++a) {
-        s.load[a] = canonicalSlot(src, p, -M::c[a][0], -M::c[a][1], -M::c[a][2], a) - s0;
-        s.store[a] = canonicalSlot(dst, patternAfter(p), 0, 0, 0, a) - d0;
+/// The accesses of a step under pattern p, resolved per row: each of the
+/// 38 goes to a fixed slot-and-x offset in one of the 9 rows (y + dy,
+/// z + dz), dy, dz in {-1, 0, 1}, so the slots of a row cost 9 row-offset
+/// lookups per field. A full field gives every row the same slots.
+class StepStencil {
+public:
+    StepStencil(StepPattern p, const PdfField& src, const PdfField& dst) : src_(src), dst_(dst) {
+        using M = D3Q19;
+        WALB_ASSERT(src.layout() == field::Layout::fzyx && dst.layout() == field::Layout::fzyx,
+                    "SIMD kernel requires SoA (fzyx) layout");
+        WALB_ASSERT(src.ghostLayers() >= 1 && src.fSize() == 19 && dst.fSize() == 19);
+        const auto resolve = [](const CanonicalLocation& l, const Cell& cell,
+                                const PdfField& f, std::ptrdiff_t& fixed, std::uint8_t& row) {
+            const Cell c = cell + l.shift;
+            fixed = l.slot * f.fStride() + c.x;
+            row = std::uint8_t((c.y + 1) + 3 * (c.z + 1));
+        };
+        for (uint_t a = 0; a < M::Q; ++a) {
+            resolve(canonicalLocation(p, a), {-M::c[a][0], -M::c[a][1], -M::c[a][2]}, src,
+                    loadFixed_[a], loadRow_[a]);
+            resolve(canonicalLocation(patternAfter(p), a), {0, 0, 0}, dst, storeFixed_[a],
+                    storeRow_[a]);
+        }
     }
-    return s;
-}
+
+    /// The slots of the cells of interior row (y, z).
+    StepSlots at(cell_idx_t y, cell_idx_t z) const {
+        std::array<std::ptrdiff_t, 9> srcRow{}, dstRow{};
+        rowDeltas(src_, y, z, srcRow);
+        if (&dst_ == &src_) dstRow = srcRow;
+        else rowDeltas(dst_, y, z, dstRow);
+        StepSlots s;
+        for (uint_t a = 0; a < D3Q19::Q; ++a) {
+            s.load[a] = loadFixed_[a] + srcRow[loadRow_[a]];
+            s.store[a] = storeFixed_[a] + dstRow[storeRow_[a]];
+        }
+        return s;
+    }
+
+private:
+    /// Offset of each of the 9 rows around (y, z) relative to row (y, z).
+    static void rowDeltas(const PdfField& f, cell_idx_t y, cell_idx_t z,
+                          std::array<std::ptrdiff_t, 9>& out) {
+        const field::RowTable& rows = *f.rowTable();
+        const std::size_t own = rows.row(y, z);
+        const std::ptrdiff_t ownOffset = rows.rowOffsetAt(own);
+        for (cell_idx_t k = 0; k < 9; ++k)
+            out[std::size_t(k)] =
+                rows.rowOffsetAt(std::size_t(std::ptrdiff_t(own) +
+                                             rows.rowStep(k % 3 - 1, k / 3 - 1))) -
+                ownOffset;
+    }
+
+    const PdfField& src_;
+    const PdfField& dst_;
+    std::array<std::ptrdiff_t, D3Q19::Q> loadFixed_{}, storeFixed_{};
+    std::array<std::uint8_t, D3Q19::Q> loadRow_{}, storeRow_{};
+};
 
 namespace d3q19simd {
 
@@ -178,7 +223,7 @@ inline void collideRow(const real_t* src, real_t* dst, const StepSlots& s, std::
 /// over OpenMP threads.
 template <typename V, typename Op>
 void collideDense(const PdfField& src, PdfField& dst, StepPattern p, const Op& op) {
-    const StepSlots s = stepSlots(p, src, dst);
+    const StepStencil stencil(p, src, dst);
     const cell_idx_t ny = dst.ySize(), nz = dst.zSize();
     const auto nx = std::size_t(dst.xSize());
 #ifdef _OPENMP
@@ -186,7 +231,7 @@ void collideDense(const PdfField& src, PdfField& dst, StepPattern p, const Op& o
 #endif
     for (cell_idx_t z = 0; z < nz; ++z)
         for (cell_idx_t y = 0; y < ny; ++y)
-            collideRow<V>(src.dataAt(0, y, z), dst.dataAt(0, y, z), s, nx, op);
+            collideRow<V>(src.dataAt(0, y, z), dst.dataAt(0, y, z), stencil.at(y, z), nx, op);
 }
 
 } // namespace d3q19simd

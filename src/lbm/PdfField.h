@@ -37,7 +37,7 @@ void setPdfs(PdfField& f, cell_idx_t x, cell_idx_t y, cell_idx_t z,
     for (uint_t a = 0; a < M::Q; ++a) f.get(x, y, z, cell_idx_c(a)) = pdfs[a];
 }
 
-/// Sets every slot of every cell (including ghost layers) to equilibrium at
+/// Sets every stored slot (ghost layers included) to equilibrium at
 /// (rho, u). The allocation's z-planes are shared over the calling thread's
 /// OpenMP team with the static schedule the sweeps use for their rows, so
 /// on a freshly allocated field each page is first touched by the thread
@@ -56,8 +56,12 @@ void initEquilibrium(PdfField& f, real_t rho, const Vec3& u) {
 #endif
     for (cell_idx_t z = -g; z < f.zSize() + g; ++z) {
         if (soa) {
+            // The stored rows of a z-plane are contiguous in each f-slot
+            // (the last plane takes the slot's padding along).
+            const field::RowTable& rows = *f.rowTable();
+            const std::size_t begin = rows.rowStart(-g, z), end = rows.rowStart(-g, z + 1);
             for (uint_t a = 0; a < M::Q; ++a)
-                std::fill_n(f.dataAt(-g, -g, z, cell_idx_c(a)), planeCells, eq[a]);
+                std::fill_n(f.data() + a * rows.slotStride() + begin, end - begin, eq[a]);
         } else {
             real_t* cell = f.dataAt(-g, -g, z);
             for (std::size_t c = 0; c < planeCells; ++c, cell += M::Q)
@@ -74,6 +78,16 @@ template <LatticeModel M>
 PdfField makePdfField(cell_idx_t xs, cell_idx_t ys, cell_idx_t zs, real_t rho, const Vec3& u,
                       field::Layout layout = field::Layout::fzyx, cell_idx_t ghost = 1) {
     PdfField f(xs, ys, zs, M::Q, layout, field::noFill, ghost);
+    initEquilibrium<M>(f, rho, u);
+    return f;
+}
+
+/// A PDF field storing the rows of `rows`, at equilibrium (rho, u) like
+/// the full-allocation overload above.
+template <LatticeModel M>
+PdfField makePdfField(const std::shared_ptr<const field::RowTable>& rows, real_t rho,
+                      const Vec3& u) {
+    PdfField f(rows, M::Q, field::noFill);
     initEquilibrium<M>(f, rho, u);
     return f;
 }

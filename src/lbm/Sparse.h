@@ -17,8 +17,13 @@
 ///     vascular geometries, which have few but consecutive fluid cells.
 ///
 /// Strategy 3 runs the fused row body of KernelD3Q19Simd over each interval;
-/// it is the traversal of the distributed driver.
+/// it is the traversal of the distributed driver. The intervals also size
+/// the driver's storage: pdfRowTable stores of each row only the stretch
+/// the intervals' stencils reach, so a block's PDF memory follows its fluid
+/// cells rather than its extent.
 
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "field/FlagField.h"
@@ -119,25 +124,110 @@ CoreShellRuns splitFluidRuns(const FluidRunList& all, cell_idx_t xSize, cell_idx
 }
 
 /// Strategy 3: vectorized execution over fluid line intervals, under step
-/// pattern p (src == dst for the AA patterns). The load/store offsets are
-/// computed once per call, and each run is one row of the fused SIMD body.
-/// Runs are independent (disjoint destination slots), so they are
-/// distributed over OpenMP threads when available. Sweeping a contiguous
-/// slice of a run list, or a run split into sub-runs, gives bit-identical
-/// results.
+/// pattern p (src == dst for the AA patterns). Each run is one row of the
+/// fused SIMD body, with the load/store offsets of the run's (y, z) row
+/// (StepStencil; resolved again only when the row changes). Runs are
+/// independent (disjoint destination slots), so they are distributed over
+/// OpenMP threads when available. Sweeping a contiguous slice of a run
+/// list, or a run split into sub-runs, gives bit-identical results.
 template <typename V = simd::BestD, typename Op>
 void collideRuns(const PdfField& src, PdfField& dst, StepPattern p, const FluidRun* runs,
                  std::size_t numRuns, const Op& op) {
-    const StepSlots slots = stepSlots(p, src, dst);
+    const StepStencil stencil(p, src, dst);
     const auto n = std::int64_t(numRuns);
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel
 #endif
-    for (std::int64_t i = 0; i < n; ++i) {
-        const FluidRun& r = runs[std::size_t(i)];
-        d3q19simd::collideRow<V>(src.dataAt(r.xBegin, r.y, r.z), dst.dataAt(r.xBegin, r.y, r.z),
-                                 slots, std::size_t(r.xEnd - r.xBegin + 1), op);
+    {
+        StepSlots slots{};
+        cell_idx_t y = 0, z = 0;
+        bool resolved = false;
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+        for (std::int64_t i = 0; i < n; ++i) {
+            const FluidRun& r = runs[std::size_t(i)];
+            if (!resolved || r.y != y || r.z != z) {
+                slots = stencil.at(r.y, r.z);
+                y = r.y;
+                z = r.z;
+                resolved = true;
+            }
+            d3q19simd::collideRow<V>(src.dataAt(r.xBegin, r.y, r.z),
+                                     dst.dataAt(r.xBegin, r.y, r.z), slots,
+                                     std::size_t(r.xEnd - r.xBegin + 1), op);
+        }
     }
+}
+
+/// The storage rows of a block's PDF field: per (y, z) row of the
+/// allocation, the x-interval covering every slot a step of any pattern
+/// reads or writes. That is the stencil dilation of the block's fluid
+/// cells — the interior ones (`interior`, the block's run list) and the
+/// fluid cells of the flags' ghost layer, whose dilation covers the
+/// interior slots a neighbor block's exchange reads when the two blocks
+/// agree on their shared cells. A run [b, e] of row (y, z) reaches row
+/// (y + dy, z + dz) over [b - r, e + r], r the largest |c_x| of the
+/// velocities with (c_y, c_z) = (dy, dz); rows no velocity reaches, and
+/// rows no fluid cell reaches, are not stored. O(runs x 9), plus one scan
+/// of the ghost layer's flags.
+///
+/// A block at least half fluid, or whose intervals would cover at least
+/// 3/4 of the allocation, gets the full table instead: intervals would
+/// save little there, and the full layout keeps the dense sweep's memory
+/// layout (uniform row pitch, x-face columns merged into strided exchange
+/// runs) and the set-up cost of small mostly-fluid blocks exactly as
+/// measured with full fields (EXPERIMENTS.md).
+template <LatticeModel M>
+std::shared_ptr<const field::RowTable> pdfRowTable(const field::FlagField& flags,
+                                                   field::flag_t fluidMask,
+                                                   const FluidRunList& interior) {
+    using Interval = field::RowTable::Interval;
+    const cell_idx_t g = flags.ghostLayers(), nx = flags.xSize(), ny = flags.ySize(),
+                     nz = flags.zSize();
+    if (2 * interior.fluidCells >= uint_c(nx * ny * nz)) return field::RowTable::full(nx, ny, nz, g);
+    // reach[(dy + 1) + 3 (dz + 1)]: largest |c_x| reaching that row, -1 if none.
+    std::array<cell_idx_t, 9> reach;
+    reach.fill(-1);
+    for (uint_t a = 0; a < M::Q; ++a) {
+        cell_idx_t& r = reach[std::size_t((M::c[a][1] + 1) + 3 * (M::c[a][2] + 1))];
+        r = std::max(r, cell_idx_c(std::abs(M::c[a][0])));
+    }
+    std::vector<Interval> rows(std::size_t((ny + 2 * g) * (nz + 2 * g)));
+    const auto cover = [&](cell_idx_t y, cell_idx_t z, cell_idx_t b, cell_idx_t e) {
+        for (cell_idx_t k = 0; k < 9; ++k) {
+            const cell_idx_t r = reach[std::size_t(k)], ry = y + k % 3 - 1, rz = z + k / 3 - 1;
+            if (r < 0 || ry < -g || ry >= ny + g || rz < -g || rz >= nz + g) continue;
+            Interval& iv = rows[std::size_t((rz + g) * (ny + 2 * g) + ry + g)];
+            const cell_idx_t lo = std::max(b - r, -g), hi = std::min(e + r, nx + g - 1);
+            iv = iv.empty() ? Interval{lo, hi} : Interval{std::min(iv.lo, lo), std::max(iv.hi, hi)};
+        }
+    };
+    for (const FluidRun& r : interior.runs) cover(r.y, r.z, r.xBegin, r.xEnd);
+    // Fluid runs of the ghost layer: whole ghost rows, and the ghost ends of
+    // interior rows.
+    for (cell_idx_t z = -g; z < nz + g; ++z)
+        for (cell_idx_t y = -g; y < ny + g; ++y) {
+            const bool ghostRow = y < 0 || y >= ny || z < 0 || z >= nz;
+            const field::flag_t* row = flags.dataAt(-g, y, z) + g;
+            cell_idx_t start = -g - 1;
+            for (cell_idx_t x = -g; x <= nx + g; ++x) {
+                if (!ghostRow && x == 0) {
+                    if (start >= -g) cover(y, z, start, -1);
+                    start = -g - 1;
+                    x = nx;
+                }
+                const bool fluid = x < nx + g && (row[x] & fluidMask) != 0;
+                if (fluid && start < -g) start = x;
+                if (!fluid && start >= -g) {
+                    cover(y, z, start, x - 1);
+                    start = -g - 1;
+                }
+            }
+        }
+    auto table = std::make_shared<const field::RowTable>(nx, ny, nz, g, std::move(rows));
+    const auto full = std::size_t((nx + 2 * g) * (ny + 2 * g) * (nz + 2 * g));
+    return 4 * table->cells() >= 3 * full ? field::RowTable::full(nx, ny, nz, g) : table;
 }
 
 } // namespace walb::lbm

@@ -1,5 +1,6 @@
 #include "sim/Checkpoint.h"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdio>
@@ -171,6 +172,7 @@ void assertStoredSetIsComplete(DistributedSimulation& sim, std::size_t block,
                 stored[src.index(x, r.y, r.z, f)] = true;
     const auto init = DistributedSimulation::initialPdfs();
     src.interior().forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        if (!src.isStored(x, y, z)) return;
         for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f) {
             const std::size_t i = src.index(x, y, z, f);
             if (stored[i]) continue;
@@ -318,6 +320,16 @@ std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
         fail("flag runs cover " + std::to_string(filled) + " of " + std::to_string(cells) +
              " cells");
 
+    // The block's storage follows its fluid cells (runs), so a record must
+    // hold the same fluid cells: flags are a function of position.
+    const auto& liveRuns = sim.fluidRuns(std::size_t(local)).runs;
+    const lbm::FluidRunList recordRuns = lbm::buildFluidRuns(flags, sim.masks().fluid);
+    if (!std::equal(recordRuns.runs.begin(), recordRuns.runs.end(), liveRuns.begin(),
+                    liveRuns.end(), [](const lbm::FluidRun& a, const lbm::FluidRun& b) {
+                        return a.y == b.y && a.z == b.z && a.xBegin == b.xBegin &&
+                               a.xEnd == b.xEnd;
+                    }))
+        fail("has other fluid cells than the block");
     BlockStoredSet stored = blockStoredSet(flags, sim.masks(), sim.pdfField(std::size_t(local)));
     if (fluidCells != stored.fluid.fluidCells)
         fail("holds " + std::to_string(fluidCells) + " fluid cells, its flags " +

@@ -52,7 +52,10 @@
 /// The record CRC is verified *before* a payload is applied, so a
 /// corrupted file never clobbers a live simulation state; so is the flag
 /// run-length code, and every count is checked against the geometry and
-/// flags of the local block before it sizes anything. A version-2 file
+/// flags of the local block before it sizes anything. The record's fluid
+/// cells must be the local block's, whose PDF storage follows them
+/// (DistributedSimulation stores only the rows its fluid cells reach).
+/// A version-2 file
 /// (full-allocation records) is rejected with an error naming version 2.
 ///
 /// Writing follows the paper's one-writer file strategy (§2.2): rank 0

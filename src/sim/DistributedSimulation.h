@@ -25,6 +25,10 @@
 /// sweeps the core cells while the halos are in flight and the shell after
 /// they landed.
 ///
+/// A block's PDF fields store only the rows its fluid cells reach
+/// (lbm::pdfRowTable over the block's fluid runs, interior and ghost layer),
+/// so PDF memory follows the fluid cells, not the block extent.
+///
 /// Each phase is timed once (obs::PhaseClock), and that measurement feeds
 /// the TimingPool — communication vs. compute time, the quantity behind
 /// the "% MPI communication" curves of Figure 6 — the phase trace and the
@@ -72,9 +76,21 @@ namespace walb::sim {
 /// neighbor ranks, like every exchange. buildBlockData rebuilds the scheme
 /// on every rank after every block assignment. The constructor itself
 /// never waits for a neighbor.
+///
+/// Every slot a plan names must be stored. A block's storage covers the
+/// dilation of its ghost-layer fluid cells, which holds every slot its
+/// sends read wherever it agrees with the receiver on their shared cells.
+/// Where it does not (rounding), the mask round computes the missing cells
+/// of all three modes at once, before any plan exists, and hands each
+/// such block's widened row table to `grow`, which re-lays the block's
+/// fields out on it.
 class PdfCommScheme {
 public:
     using M = lbm::D3Q19;
+    /// Re-lays block `block`'s PDF fields out on `rows`, a superset of the
+    /// rows they store.
+    using GrowStorage =
+        std::function<void(std::size_t block, std::shared_ptr<const field::RowTable> rows)>;
 
     /// What the exchange ships. TwoGrid is the classic post-collision ghost
     /// fill; the AA modes are the parity-specific exchanges of the in-place
@@ -86,9 +102,9 @@ public:
     using ExchangeMode = lbm::ExchangeMode;
 
     PdfCommScheme(bf::BlockForest& forest, vmpi::Comm& comm, bf::BlockForest::BlockDataID srcId,
-                  bf::BlockForest::BlockDataID flagId, field::flag_t fluid)
+                  bf::BlockForest::BlockDataID flagId, field::flag_t fluid, GrowStorage grow)
         : forest_(forest), comm_(comm), srcId_(srcId), flagId_(flagId), fluid_(fluid),
-          bufferSystem_(comm, vmpi::tags::kGhostExchange) {
+          grow_(std::move(grow)), bufferSystem_(comm, vmpi::tags::kGhostExchange) {
         bufferSystem_.setReceiverInfo(std::vector<int>(forest.neighborProcesses().begin(),
                                                        forest.neighborProcesses().end()));
         // Map (sender block id, sender direction) -> receiving link, in the
@@ -294,6 +310,30 @@ private:
                                            vmpi::tags::kExchangePlan,
                                            "no receive mask for a neighbor link");
         masksExchanged_ = true;
+        storeSentSlots();
+    }
+
+    /// Widens the storage of every local block that does not store a slot
+    /// one of its sends reads, under any mode (AaForward reads the cells of
+    /// TwoGrid). Runs before any plan is built.
+    void storeSentSlots() {
+        const auto& blocks = forest_.blocks();
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            const lbm::PdfField& f = field(b);
+            std::vector<Cell> missing;
+            for (std::size_t i = 0; i < blocks[b].neighbors.size(); ++i) {
+                // b sends toward n, which receives from direction -n.dir.
+                const std::array<int, 3> d = negated(blocks[b].neighbors[i].dir);
+                const Cell shift = lbm::exchangeShift(f, d);
+                for (const ExchangeMode mode : {ExchangeMode::TwoGrid, ExchangeMode::AaReverse})
+                    lbm::forEachExchangeSlot<M>(
+                        mode, f, d, peerMasks_[b][i], [&](const Cell& g, cell_idx_t, std::int32_t) {
+                            if (const Cell c = g + shift; !f.isStored(c.x, c.y, c.z))
+                                missing.push_back(c);
+                        });
+            }
+            if (!missing.empty()) grow_(b, f.rowTable()->including(missing));
+        }
     }
 
     /// The plan of `mode`, built from the masks on first use (the first
@@ -386,6 +426,7 @@ private:
     bf::BlockForest::BlockDataID srcId_;
     bf::BlockForest::BlockDataID flagId_;
     field::flag_t fluid_;
+    GrowStorage grow_;
     ExchangeMode mode_ = ExchangeMode::TwoGrid;
     vmpi::BufferSystem bufferSystem_;
     std::map<std::pair<bf::BlockID, std::uint8_t>, std::size_t> remoteSources_;
@@ -850,10 +891,19 @@ public:
 
     /// Canonical PDF set of one local cell — parity-normalized for the AA
     /// tiers, a plain read otherwise. Macroscopic accessors build on this so
-    /// all tiers report physically comparable values.
+    /// all tiers report physically comparable values. A slot outside the
+    /// block's storage is one nothing writes, so it reads as the
+    /// initializer's value.
     std::array<real_t, M::Q> cellCanonicalPdfs(std::size_t block, cell_idx_t x, cell_idx_t y,
                                                cell_idx_t z) {
-        return lbm::canonicalPdfs(pdfField(block), stepPattern(), x, y, z);
+        const lbm::PdfField& pdf = pdfField(block);
+        std::array<real_t, M::Q> out = initialPdfs();
+        for (uint_t a = 0; a < M::Q; ++a) {
+            const lbm::CanonicalLocation l = lbm::canonicalLocation(stepPattern(), a);
+            const Cell c = Cell{x, y, z} + l.shift;
+            if (pdf.isStored(c.x, c.y, c.z)) out[a] = pdf.get(c, l.slot);
+        }
+        return out;
     }
 
     std::size_t bytesLastExchange() const { return comm_scheme_->bytesLastExchange(); }
@@ -1080,65 +1130,101 @@ private:
     /// and applyBlockAssignment().
     void buildBlockData() {
         const cell_idx_t cx = forest_.cellsX(), cy = forest_.cellsY(), cz = forest_.cellsZ();
-        // Uniform equilibrium including ghosts is also a valid AA state at
-        // the initial parity (Even): pdf(x, a) = P(x - e_a, a) holds
-        // trivially when every cell carries the same PDF set. After a
-        // mid-run rebuild the migrator restores the real state on top
-        // before any sweep runs. One pass per field on the rank's team.
-        const auto makeEquilibrium = [&] {
-            return std::make_unique<lbm::PdfField>(
-                lbm::makePdfField<M>(cx, cy, cz, kInitialDensity, Vec3{0, 0, 0}));
-        };
-        srcId_ = forest_.addBlockData<lbm::PdfField>(
-            [&](const auto&) { return makeEquilibrium(); });
-        // The AA tiers update in place — the shadow grid shrinks to a token
-        // allocation and the per-block PDF footprint halves.
-        dstId_ = forest_.addBlockData<lbm::PdfField>([&](const auto&) {
-            return usesAaPattern()
-                       ? std::make_unique<lbm::PdfField>(lbm::makePdfField<M>(1, 1, 1))
-                       : makeEquilibrium();
-        });
+        const auto& blocks = forest_.blocks();
         flagId_ = forest_.addBlockData<field::FlagField>([&](const bf::BlockForest::Block& b) {
             auto ff = std::make_unique<field::FlagField>(cx, cy, cz, 1);
             masks_ = lbm::BoundaryFlags::registerOn(*ff);
             initFlags_(*ff, masks_, b, geometry::CellMapping{b.aabb, forest_.dx()});
             return ff;
         });
-        for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
+        std::vector<std::shared_ptr<const field::RowTable>> rows;
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
             auto& flags = forest_.getData<field::FlagField>(b, flagId_);
-            boundaries_.push_back(std::make_unique<lbm::BoundaryHandling<M>>(flags, masks_));
-            boundaries_.back()->setWallVelocity(wallVelocity_);
-            boundaries_.back()->setPressureDensity(pressureDensity_);
             runs_.push_back(lbm::buildFluidRuns(flags, masks_.fluid));
+            rows.push_back(lbm::pdfRowTable<M>(flags, masks_.fluid, runs_[b]));
             // Split plan for the overlapped schedule (always built — cheap,
-            // and rebalance migrations rebuild it here automatically). A
-            // ghost region backed by a block on *another rank* is filled by
-            // a halo message; everything it feeds is shell.
-            std::array<bool, 26> remote{};
-            for (const auto& n : forest_.blocks()[b].neighbors)
-                if (n.localIndex < 0) remote[lbm::dirIndex26(n.dir)] = true;
+            // and rebalance migrations rebuild it here automatically).
             coreShellRuns_.push_back(
-                lbm::splitFluidRuns<M>(runs_[b], cx, cy, cz, remote));
-            // Boundary links whose boundary cell sits in a remote-backed
-            // ghost slice are overwritten by the unpack: apply them after
-            // finishExchange (their unique readers are shell cells).
-            boundaries_.back()->partitionForOverlap([&](const Cell& c) {
-                const std::array<int, 3> g = {c.x < 0 ? -1 : (c.x >= cx ? 1 : 0),
-                                              c.y < 0 ? -1 : (c.y >= cy ? 1 : 0),
-                                              c.z < 0 ? -1 : (c.z >= cz ? 1 : 0)};
-                if (g[0] == 0 && g[1] == 0 && g[2] == 0) return false;
-                return remote[lbm::dirIndex26(g)];
-            });
+                lbm::splitFluidRuns<M>(runs_[b], cx, cy, cz, remoteGhostRegions(b)));
         }
-        comm_scheme_ =
-            std::make_unique<PdfCommScheme>(forest_, *comm_, srcId_, flagId_, masks_.fluid);
-        blockSweepSeconds_.assign(forest_.blocks().size(), 0.0);
+        // Uniform equilibrium including ghosts is also a valid AA state at
+        // the initial parity (Even): pdf(x, a) = P(x - e_a, a) holds
+        // trivially when every cell carries the same PDF set. After a
+        // mid-run rebuild the migrator restores the real state on top
+        // before any sweep runs. One pass per field on the rank's team.
+        const auto makeEquilibrium = [&](const bf::BlockForest::Block& b) {
+            return std::make_unique<lbm::PdfField>(lbm::makePdfField<M>(
+                rows[std::size_t(&b - blocks.data())], kInitialDensity, Vec3{0, 0, 0}));
+        };
+        srcId_ = forest_.addBlockData<lbm::PdfField>(makeEquilibrium);
+        // The AA tiers update in place — the shadow grid shrinks to a token
+        // allocation and the per-block PDF footprint halves.
+        dstId_ = forest_.addBlockData<lbm::PdfField>([&](const bf::BlockForest::Block& b) {
+            return usesAaPattern()
+                       ? std::make_unique<lbm::PdfField>(lbm::makePdfField<M>(1, 1, 1))
+                       : makeEquilibrium(b);
+        });
+        for (std::size_t b = 0; b < blocks.size(); ++b) boundaries_.push_back(makeBoundary(b));
+        comm_scheme_ = std::make_unique<PdfCommScheme>(
+            forest_, *comm_, srcId_, flagId_, masks_.fluid,
+            [this](std::size_t b, std::shared_ptr<const field::RowTable> grown) {
+                growPdfStorage(b, std::move(grown));
+            });
+        blockSweepSeconds_.assign(blocks.size(), 0.0);
+        setPdfBytesGauge();
+    }
 
+    /// Ghost regions of block b backed by a block on *another rank*: a halo
+    /// message fills them, so everything they feed is shell.
+    std::array<bool, 26> remoteGhostRegions(std::size_t b) const {
+        std::array<bool, 26> remote{};
+        for (const auto& n : forest_.blocks()[b].neighbors)
+            if (n.localIndex < 0) remote[lbm::dirIndex26(n.dir)] = true;
+        return remote;
+    }
+
+    /// The boundary handling of block b, on the storage of its PDF fields.
+    std::unique_ptr<lbm::BoundaryHandling<M>> makeBoundary(std::size_t b) {
+        auto handling = std::make_unique<lbm::BoundaryHandling<M>>(
+            forest_.getData<field::FlagField>(b, flagId_), masks_, pdfField(b));
+        handling->setWallVelocity(wallVelocity_);
+        handling->setPressureDensity(pressureDensity_);
+        // Boundary links whose boundary cell sits in a remote-backed ghost
+        // slice are overwritten by the unpack: apply them after
+        // finishExchange (their unique readers are shell cells).
+        const cell_idx_t cx = forest_.cellsX(), cy = forest_.cellsY(), cz = forest_.cellsZ();
+        const std::array<bool, 26> remote = remoteGhostRegions(b);
+        handling->partitionForOverlap([&](const Cell& c) {
+            const std::array<int, 3> g = {c.x < 0 ? -1 : (c.x >= cx ? 1 : 0),
+                                          c.y < 0 ? -1 : (c.y >= cy ? 1 : 0),
+                                          c.z < 0 ? -1 : (c.z >= cz ? 1 : 0)};
+            if (g[0] == 0 && g[1] == 0 && g[2] == 0) return false;
+            return remote[lbm::dirIndex26(g)];
+        });
+        return handling;
+    }
+
+    /// PdfCommScheme's GrowStorage: block b's PDF fields move to `rows`,
+    /// the new slots holding the initializer's value (what a slot outside
+    /// storage stands for: nothing writes it), and its boundary handling is
+    /// rebuilt on the new storage.
+    void growPdfStorage(std::size_t b, std::shared_ptr<const field::RowTable> rows) {
+        for (const auto id : {srcId_, dstId_}) {
+            if (id == dstId_ && usesAaPattern()) continue;
+            lbm::PdfField& f = forest_.getData<lbm::PdfField>(b, id);
+            lbm::PdfField grown = lbm::makePdfField<M>(rows, kInitialDensity, Vec3{0, 0, 0});
+            grown.copyStoredRowsFrom(f);
+            f = std::move(grown);
+        }
+        boundaries_[b] = makeBoundary(b);
+        setPdfBytesGauge();
+    }
+
+    /// mem.pdf_bytes: the stored slots of every local PDF field, src and dst.
+    void setPdfBytesGauge() {
         std::size_t pdfBytes = 0;
         for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
-            pdfBytes += (forest_.getData<lbm::PdfField>(b, srcId_).allocCells() +
-                         forest_.getData<lbm::PdfField>(b, dstId_).allocCells()) *
-                        sizeof(real_t);
+            pdfBytes += (pdfField(b).allocCells() + pdfDstField(b).allocCells()) * sizeof(real_t);
         metrics_.gauge("mem.pdf_bytes").set(double(pdfBytes));
     }
 

@@ -138,6 +138,7 @@ TEST_P(StoredSetCompleteness, EverySlotOutsideItHoldsTheInitializersValue) {
             for (std::size_t k = 0; k < 2; ++k) {
                 const auto& [got, init] = fields[k];
                 pdf.interior().forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                    if (!pdf.isStored(x, y, z)) return;
                     for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f) {
                         const std::size_t i = pdf.index(x, y, z, f);
                         const bool same = std::bit_cast<std::uint64_t>(got->data()[i]) ==
@@ -338,7 +339,10 @@ TEST(BlockRecordCodec, RecordSizeFollowsTheStoredSet) {
                 const std::size_t pdfBytes =
                     (M::Q * set.fluid.fluidCells + 2 * links) * sizeof(real_t);
                 EXPECT_EQ(buf.size(), 25 + 12 + 5 * flagRuns + pdfBytes);
-                EXPECT_LT(buf.size(), s.pdfField(b).allocCells() * sizeof(real_t) / 2);
+                const lbm::PdfField& pdf = s.pdfField(b);
+                EXPECT_LT(buf.size(), std::size_t(pdf.xAllocSize() * pdf.yAllocSize() *
+                                                  pdf.zAllocSize()) *
+                                          M::Q * sizeof(real_t) / 2);
             }
         });
     }
@@ -365,6 +369,31 @@ TEST(BlockRecordCodec, VersionTwoFileIsRejectedNamingTheVersion) {
         EXPECT_NE(err.find("version 2"), std::string::npos) << err;
     });
     std::remove(path.c_str());
+}
+
+/// A block stores its PDFs for the rows its fluid cells reach, so a record
+/// of another geometry (other obstacles) is rejected before anything is
+/// written, not scattered outside the storage.
+TEST(BlockRecordCodec, RecordOfOtherFluidCellsIsRejected) {
+    const auto setup = channelSetup(1);
+    vmpi::ThreadCommWorld::launch(1, [&](vmpi::Comm& comm) {
+        sim::DistributedSimulation other(comm, setup, channelFlags(kSeed + 1));
+        SendBuffer buf;
+        sim::appendBlockRecord(other, 0, buf);
+        sim::DistributedSimulation s(comm, setup, channelFlags(kSeed));
+        configure(s);
+        s.run(2, kOp);
+        const std::uint64_t digest = s.stateDigest();
+        RecvBuffer rb{std::span<const std::uint8_t>(buf.data(), buf.size())};
+        try {
+            (void)sim::verifyBlockRecord(s, rb);
+            ADD_FAILURE() << "record of other fluid cells was accepted";
+        } catch (const sim::CheckpointError& e) {
+            EXPECT_NE(std::string(e.what()).find("other fluid cells"), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(s.stateDigest(), digest);
+    });
 }
 
 /// Canonical PDFs of every fluid cell, keyed by global cell.
@@ -704,6 +733,7 @@ TEST(BlockRecordCodec, MigrationRejectsACorruptRecordBeforeWritingAnyField) {
         ASSERT_EQ(s.forest().numLocalBlocks(), 3u);
         for (std::size_t b = 0; b < 3; ++b)
             s.pdfField(b).interior().forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                if (!s.pdfField(b).isStored(x, y, z)) return;
                 for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f)
                     changed += s.pdfField(b).get(x, y, z, f) != init[std::size_t(f)] ? 1 : 0;
             });

@@ -299,5 +299,31 @@ TEST(PeriodicForest, ChannelDigestIsLayoutInvariant) {
             }
 }
 
+/// mem.pdf_bytes counts the stored slots of a block's PDF fields, which on
+/// a sparse block are a small part of the full allocation: a tube of radius
+/// 4 through a 32^3 block (5% fluid).
+TEST(PdfStorage, GaugeCountsTheStoredSlotsOfASparseBlock) {
+    const test::BoxDomain box{{32, 32, 32}};
+    const auto tube = box.flags([](const Cell& g, field::FlagField&, const lbm::BoundaryFlags& m) {
+        const real_t dy = real_c(g.y) - 15.5, dz = real_c(g.z) - 15.5;
+        return dy * dy + dz * dz < 16 ? m.fluid : m.noSlip;
+    });
+    for (const KernelTier tier : {KernelTier::Simd, KernelTier::AaSimd}) {
+        SCOPED_TRACE(kernelTierName(tier));
+        vmpi::SerialComm comm;
+        DistributedSimulation s(comm, box.setup(1), tube, tier);
+        s.run(2, TRT::fromOmegaAndMagic(1.2));
+        const lbm::PdfField& src = s.pdfField(0);
+        const lbm::PdfField& dst = s.pdfDstField(0);
+        const auto full = [](const lbm::PdfField& f) {
+            return double(f.xAllocSize() * f.yAllocSize() * f.zAllocSize()) * double(f.fSize());
+        };
+        const double gauge = s.metrics().gauge("mem.pdf_bytes").value();
+        EXPECT_EQ(gauge, double((src.allocCells() + dst.allocCells()) * sizeof(real_t)));
+        EXPECT_LE(gauge, 0.15 * (full(src) + full(dst)) * double(sizeof(real_t)));
+        EXPECT_GT(s.localFluidCells(), 0u);
+    }
+}
+
 } // namespace
 } // namespace walb::sim

@@ -3,7 +3,9 @@
 /// fluid cell reads after one exchange equals what the full-slice exchange
 /// writes there, the plan moves exactly one slot per (slot, fluid reader)
 /// pair, all-solid faces ship nothing, malformed payload lengths surface as
-/// CommError{Corrupt}, and the receive masks survive block migration.
+/// CommError{Corrupt}, the receive masks survive block migration, and a
+/// sender that disagrees with its receiver on a shared cell stores the
+/// slots the receiver's plan names.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "lbm/Boundary.h"
 #include "rebalance/Migrator.h"
 #include "sim/DistributedSimulation.h"
+#include "support/BoxDomain.h"
 #include "support/Oracles.h"
 #include "vmpi/ThreadComm.h"
 
@@ -81,7 +84,8 @@ void fillDistinct(PdfField& f, const Cell& gridPos) {
         for (cell_idx_t z = -1; z <= CZ; ++z)
             for (cell_idx_t y = -1; y <= CY; ++y)
                 for (cell_idx_t x = -1; x <= CX; ++x)
-                    f.get(x, y, z, a) = real_c(
+                    if (f.isStored(x, y, z))
+                        f.get(x, y, z, a) = real_c(
                         hashCell(std::uint64_t(a) * 7919 + 1,
                                  {gridPos.x * 97 + x, gridPos.y * 89 + y, gridPos.z * 83 + z}) %
                         1000003);
@@ -172,6 +176,9 @@ TEST_P(ExchangePlanReaders, ReadSlotsMatchFullSliceExchange) {
             DistributedSimulation sim(comm, setup, randomFlags(seed, seed != 2024));
             PdfCommScheme& scheme = sim.commScheme();
             const auto& blocks = sim.forest().blocks();
+            // The first plan query stores every slot a send reads (with empty
+            // ghost flags a block's own fluid reaches fewer), so fill after it.
+            (void)scheme.shippedSlots(mode);
             for (std::size_t b = 0; b < blocks.size(); ++b)
                 fillDistinct(sim.pdfField(b), blocks[b].gridPos);
             scheme.setExchangeMode(mode);
@@ -222,6 +229,59 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PlanCase>& p) {
         return modeName(p.param.mode) + "_ranks" + std::to_string(p.param.ranks);
     });
+
+/// Two blocks along x: a fluid pocket in block 0 touching their shared
+/// face, walls everywhere else. With `disagree`, block 1 sees the shared
+/// cell (4, 1, 1) as a wall although block 0 owns it as fluid: block 1's
+/// own fluid view then does not reach all the slots block 0's cell reads
+/// from it, and the plan build must store them.
+DistributedSimulation::FlagInitializer pocketFlags(bool disagree) {
+    return [disagree](field::FlagField& flags, const lbm::BoundaryFlags& masks,
+                      const bf::BlockForest::Block& b, const geometry::CellMapping&) {
+        flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            const Cell g = globalCell(b, x, y, z);
+            bool fluid = g.x >= 1 && g.x <= 4 && g.y >= 1 && g.y <= 2 && g.z == 1;
+            if (disagree && b.gridPos.x == 1 && g == Cell{4, 1, 1}) fluid = false;
+            flags.addFlag(x, y, z, fluid ? masks.fluid : masks.noSlip);
+        });
+    };
+}
+
+TEST(ExchangePlan, SenderStoresTheSlotsOfAReceiverItDisagreesWith) {
+    const auto run = [](std::uint32_t ranks, KernelTier tier, bool overlap, bool disagree,
+                        std::size_t* grownBy) {
+        std::uint64_t digest = 0;
+        std::atomic<std::size_t> grown{0};
+        vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
+            DistributedSimulation sim(comm, makeSetup(2, 1, 1, ranks), pocketFlags(disagree),
+                                      tier);
+            sim.setOverlapCommunication(overlap);
+            test::setFluidEquilibrium(sim, [](const Cell& g) {
+                return Vec3(0.02 * real_c(g.x), 0.01 * real_c(g.y - 1), 0.0);
+            });
+            std::vector<std::size_t> before;
+            for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b)
+                before.push_back(sim.pdfField(b).rowTable()->cells());
+            sim.run(9, lbm::TRT::fromOmegaAndMagic(1.3));
+            for (std::size_t b = 0; b < before.size(); ++b)
+                grown += sim.pdfField(b).rowTable()->cells() - before[b];
+            const std::uint64_t d = sim.stateDigest();
+            if (comm.rank() == 0) digest = d;
+        });
+        if (grownBy) *grownBy = grown.load();
+        return digest;
+    };
+    const std::uint64_t agreeing = run(1, KernelTier::Simd, false, false, nullptr);
+    for (const std::uint32_t ranks : {1u, 2u})
+        for (const KernelTier tier : {KernelTier::Simd, KernelTier::AaSimd})
+            for (const bool overlap : {false, true}) {
+                SCOPED_TRACE(testing::Message() << ranks << " ranks, " << kernelTierName(tier)
+                                                << (overlap ? ", overlap" : ", sync"));
+                std::size_t grown = 0;
+                EXPECT_EQ(run(ranks, tier, overlap, true, &grown), agreeing);
+                EXPECT_GT(grown, 0u) << "block 1's storage did not grow";
+            }
+}
 
 TEST(ExchangePlan, AllSolidReceivingFaceGetsNoPayload) {
     // Two blocks along x on two ranks; block 1's interior layer facing

@@ -53,7 +53,7 @@ TEST(BoundaryForce, CouetteShearStressMatchesAnalytic) {
         if (ff.isFlagSet(x, y, z, masks.fluid)) bottomOnly.addFlag(x, y, z, bm.fluid);
         if (ff.isFlagSet(x, y, z, masks.noSlip)) bottomOnly.addFlag(x, y, z, bm.noSlip);
     });
-    lbm::BoundaryHandling<lbm::D3Q19> bottom(bottomOnly, bm);
+    lbm::BoundaryHandling<lbm::D3Q19> bottom(bottomOnly, bm, simulation.pdfField(0));
     bottom.apply(simulation.pdfField(0));
     const Vec3 bottomForce =
         lbm::computeBoundaryForce<lbm::D3Q19>(bottom, simulation.pdfField(0));
@@ -80,7 +80,8 @@ TEST(BoundaryForce, RestFluidExertsNoTangentialForce) {
         }),
         KernelTier::Simd);
     simulation.run(10, TRT::fromOmegaAndMagic(1.0));
-    lbm::BoundaryHandling<lbm::D3Q19> walls(simulation.flagField(0), simulation.masks());
+    lbm::BoundaryHandling<lbm::D3Q19> walls(simulation.flagField(0), simulation.masks(),
+                                            simulation.pdfField(0));
     walls.apply(simulation.pdfField(0));
     const Vec3 f = lbm::computeBoundaryForce<lbm::D3Q19>(walls, simulation.pdfField(0));
     // Fluid at rest in a closed box: forces balance to zero.
@@ -111,7 +112,7 @@ TEST(VelocityProfile, ParabolicInletIsImposed) {
     auto& ff = simulation.flagField(0);
     const lbm::BoundaryFlags ends{simulation.masks().fluid, 0, ff.flag("inlet"),
                                   ff.flag("pressureOut")};
-    lbm::BoundaryHandling<lbm::D3Q19> inletOutlet(ff, ends);
+    lbm::BoundaryHandling<lbm::D3Q19> inletOutlet(ff, ends, simulation.pdfField(0));
     const real_t uMax = 0.03;
     inletOutlet.setWallVelocityProfile([&](const Cell& c) {
         const real_t y = real_c(c.y) - real_c(0.5); // wall plane at y=0

@@ -137,5 +137,56 @@ TEST(FlagField, EightFlagsFitOneByte) {
     EXPECT_EQ(ff.flag("f7"), 128);
 }
 
+TEST(RowTable, SparseRowsAddressOnlyTheirCells) {
+    // 3x2x1 cells, one ghost layer: 4 x 3 rows of 5 cells.
+    std::vector<RowTable::Interval> rows(12);
+    rows[1 * 4 + 1] = {0, 2};  // (y, z) = (0, 0)
+    rows[1 * 4 + 2] = {-1, 0}; // (1, 0)
+    rows[2 * 4 + 2] = {3, 3};  // (1, 1), a ghost row
+    const auto table = std::make_shared<const RowTable>(3, 2, 1, 1, rows);
+    EXPECT_EQ(table->cells(), 6u);
+    EXPECT_EQ(table->slotStride() % 512, 8u); // one line past a 4 KiB multiple
+    Field<double> f(table, 2, noFill);
+    EXPECT_EQ(f.allocCells(), 2 * table->slotStride());
+    EXPECT_EQ(f.fStride(), cell_idx_c(table->slotStride()));
+    EXPECT_TRUE(f.isStored(2, 0, 0));
+    EXPECT_FALSE(f.isStored(3, 0, 0));
+    EXPECT_FALSE(f.isStored(0, -1, 0));
+    EXPECT_EQ(f.index(0, 0, 0), 0u);
+    EXPECT_EQ(f.index(-1, 1, 0), 3u);
+    EXPECT_EQ(f.index(3, 1, 1, 1), table->slotStride() + 5);
+    for (std::size_t pos = 0; pos < table->cells(); ++pos) {
+        const Cell c = table->cellAt(pos);
+        EXPECT_EQ(f.index(c.x, c.y, c.z), pos);
+    }
+    // Widening keeps the order of the rows and adds the new cells.
+    const auto wider = table->including({{2, 1, 0}, {0, -1, -1}});
+    EXPECT_EQ(wider->cells(), 9u);
+    EXPECT_EQ(wider->interval(1, 0).lo, -1);
+    EXPECT_EQ(wider->interval(1, 0).hi, 2);
+    Field<double> g(wider, 2, noFill);
+    for (cell_idx_t k = 0; k < 2; ++k)
+        for (std::size_t pos = 0; pos < table->cells(); ++pos) {
+            const Cell c = table->cellAt(pos);
+            f.get(c, k) = double(pos) + 10 * double(k);
+        }
+    g.copyStoredRowsFrom(f);
+    for (cell_idx_t k = 0; k < 2; ++k)
+        for (std::size_t pos = 0; pos < table->cells(); ++pos)
+            EXPECT_EQ(g.get(table->cellAt(pos), k), double(pos) + 10 * double(k));
+}
+
+TEST(RowTable, FullTableIsThePlainAllocation) {
+    const auto full = RowTable::full(4, 3, 2, 1);
+    Field<double> f(4, 3, 2, 19, Layout::fzyx, 0.0, 1);
+    EXPECT_EQ(full->slotStride(), std::size_t(f.fStride()));
+    EXPECT_TRUE(*full == *f.rowTable());
+    for (cell_idx_t z = -1; z <= 2; ++z)
+        for (cell_idx_t y = -1; y <= 3; ++y) {
+            EXPECT_EQ(std::size_t(full->rowOffset(y, z) - 1), f.index(-1, y, z));
+            EXPECT_EQ(full->cellAt(f.index(2, y, z)), (Cell{2, y, z}));
+        }
+}
+
 } // namespace
 } // namespace walb::field

@@ -91,7 +91,7 @@ TEST(Poiseuille, ParabolicProfileTRT) {
 
     auto& ff = simulation.flagField(0);
     lbm::BoundaryFlags outletMasks{simulation.masks().fluid, 0, 0, ff.flag("pressureOut")};
-    lbm::BoundaryHandling<lbm::D3Q19> outlet(ff, outletMasks);
+    lbm::BoundaryHandling<lbm::D3Q19> outlet(ff, outletMasks, simulation.pdfField(0));
     outlet.setPressureDensity(rhoOut);
 
     const TRT op = TRT::fromOmegaAndMagic(1.0);
