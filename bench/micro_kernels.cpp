@@ -34,6 +34,7 @@
 #include "lbm/KernelGeneric.h"
 #include "lbm/Sparse.h"
 #include "perf/Machine.h"
+#include "serve/Scenario.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "partition/Partitioner.h"
@@ -662,8 +663,10 @@ BENCHMARK(BM_GraphPartition)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // ---- checkpoint I/O ------------------------------------------------------------
 
-/// CRC-32 throughput over an in-cache (1 KB) and a memory-bound (64 MB)
-/// buffer: the slice-by-16 implementation against the byte-wise reference.
+/// CRC-32 throughput over a record-header-sized (128 B), an in-cache (1 KB),
+/// a checkpoint-sized (1 MiB) and a memory-bound (64 MB) buffer: crc32()
+/// (the PCLMULQDQ fold where the build has it, else slice-by-16) against
+/// the byte-wise reference.
 template <bool kSliceBy16>
 void BM_Crc32(benchmark::State& state) {
     std::vector<std::uint8_t> data(std::size_t(state.range(0)));
@@ -674,8 +677,13 @@ void BM_Crc32(benchmark::State& state) {
                                             : crc32Bytewise(data.data(), data.size()));
     state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(data.size()));
 }
-BENCHMARK(BM_Crc32<true>)->Arg(1 << 10)->Arg(64 << 20);
-BENCHMARK(BM_Crc32<false>)->Arg(1 << 10)->Arg(64 << 20)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Crc32<true>)->Arg(128)->Arg(1 << 10)->Arg(1 << 20)->Arg(64 << 20);
+BENCHMARK(BM_Crc32<false>)
+    ->Arg(128)
+    ->Arg(1 << 10)
+    ->Arg(1 << 20)
+    ->Arg(64 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 /// Flags of the fig7-like tube block (TubeBlock's vessel) for a
 /// DistributedSimulation block: the tube is fluid, its stencil hull
@@ -794,6 +802,34 @@ void BM_CheckpointSave(benchmark::State& state) {
     state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(fileBytes));
 }
 BENCHMARK(BM_CheckpointSave)->Arg(0)->Arg(1)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+/// The periodic save of a serve_sweep job: a 2 x 16^3 lid-driven cavity on
+/// the default AaSimd tier and a SerialComm, saved over its previous
+/// checkpoint file each iteration (the replace a running job pays). Reports
+/// ms per save; the file size is `file_bytes`.
+void BM_CheckpointSaveServeJob(benchmark::State& state) {
+    serve::JobSpec spec;
+    spec.kind = serve::ScenarioKind::Cavity;
+    spec.blocksX = 2;
+    spec.cellsPerBlock = 16;
+    const auto setup = serve::makeScenarioSetup(spec, 1);
+    vmpi::SerialComm comm;
+    sim::DistributedSimulation simulation(comm, setup, serve::scenarioFlags(spec));
+    simulation.setWallVelocity({real_c(spec.lidVelocity), 0, 0});
+    simulation.run(20, TRT::fromOmegaAndMagic(spec.omega));
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "walb_bm_serve_job.wckp").string();
+    std::size_t fileBytes = 0;
+    if (!sim::checkpointSave(simulation, path, 20, &fileBytes))
+        state.SkipWithError("checkpoint save failed");
+    for (auto _ : state)
+        if (!sim::checkpointSave(simulation, path, 20, &fileBytes))
+            state.SkipWithError("checkpoint save failed");
+    std::remove(path.c_str());
+    state.counters["file_bytes"] = double(fileBytes);
+    state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(fileBytes));
+}
+BENCHMARK(BM_CheckpointSaveServeJob)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1,6 +1,8 @@
 #include "core/BinaryIO.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
@@ -35,7 +37,17 @@ bool FileWriter::commit() {
     if (!file_) return false;
     const bool closed = std::fclose(file_) == 0;
     file_ = nullptr;
-    if (!closed || std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
+    if (!closed) {
+        std::remove(tmpPath_.c_str());
+        return false;
+    }
+    struct stat st{};
+    if (::lstat(path_.c_str(), &st) == 0 && S_ISREG(st.st_mode) &&
+        ::renameat2(AT_FDCWD, tmpPath_.c_str(), AT_FDCWD, path_.c_str(), RENAME_EXCHANGE) == 0) {
+        ::unlink(tmpPath_.c_str()); // the old content
+        return true;
+    }
+    if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
         std::remove(tmpPath_.c_str());
         return false;
     }

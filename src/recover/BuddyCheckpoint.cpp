@@ -24,15 +24,9 @@ void BuddyCheckpoint::refresh(sim::DistributedSimulation& sim, vmpi::Comm& comm,
     const int n = comm.size();
     const int me = comm.rank();
 
-    std::size_t bytes = kHeaderBytes;
-    for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b)
-        bytes += sim::blockRecordBytes(sim, b);
     SendBuffer mine;
-    mine.reserve(bytes);
-    mine << std::uint32_t(me) << std::uint64_t(step)
-         << std::uint32_t(sim.forest().numLocalBlocks());
-    for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b)
-        sim::appendBlockRecord(sim, b, mine);
+    mine << std::uint32_t(me) << std::uint64_t(step);
+    sim::appendLocalBlockRecords(sim, mine);
     selfCopy_ = mine.release();
 
     if (n > 1) {

@@ -158,15 +158,17 @@ void forEachFluidRow(Pdf& pdf, lbm::StepPattern pattern, const lbm::FluidRunList
 
 #ifndef NDEBUG
 /// Debug builds: every interior slot of a two-grid block outside the
-/// stored set holds the initializer's value in src and dst (dst fluid
-/// cells are exempt — the next sweep rewrites them before any read).
+/// stored set (its fluid runs and hull link slots) holds the initializer's
+/// value in src and dst (dst fluid cells are exempt — the next sweep
+/// rewrites them before any read).
 void assertStoredSetIsComplete(DistributedSimulation& sim, std::size_t block,
-                               const BlockStoredSet& set) {
+                               const lbm::FluidRunList& fluid,
+                               const std::vector<std::size_t>& linkSlots) {
     const lbm::PdfField& src = sim.pdfField(block);
     const lbm::PdfField& dst = sim.pdfDstField(block);
     std::vector<bool> stored(src.allocCells(), false);
-    for (const std::size_t i : set.linkSlots) stored[i] = true;
-    for (const lbm::FluidRun& r : set.fluid.runs)
+    for (const std::size_t i : linkSlots) stored[i] = true;
+    for (const lbm::FluidRun& r : fluid.runs)
         for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f)
             for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
                 stored[src.index(x, r.y, r.z, f)] = true;
@@ -186,48 +188,38 @@ void assertStoredSetIsComplete(DistributedSimulation& sim, std::size_t block,
 }
 #endif
 
-} // namespace
+/// What one block's record holds besides its identity: the driver's fluid
+/// runs, the hull link slots (two-grid tiers only — the AA tiers store
+/// none) and the length of the flag code. Derived once per block and
+/// saved record.
+struct RecordLayout {
+    const lbm::FluidRunList& fluid;
+    std::vector<std::size_t> linkSlots;
+    std::size_t flagRuns = 0;
 
-BlockStoredSet blockStoredSet(const field::FlagField& flags, const lbm::BoundaryFlags& masks,
-                              const lbm::PdfField& pdf) {
-    WALB_ASSERT(pdf.layout() == field::Layout::fzyx && pdf.fSize() == M::Q,
-                "block records gather contiguous D3Q19 rows of an fzyx PDF field");
-    BlockStoredSet set;
-    set.fluid = lbm::buildFluidRuns(flags, masks.fluid);
-    const CellInterval interior = flags.interior();
-    std::vector<Cell> hull;
-    interior.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (flags.get(x, y, z) & masks.boundaryMask()) hull.push_back({x, y, z});
-    });
-    // The link rule of lbm::BoundaryHandling, restricted to interior
-    // boundary cells; direction-major, so the indices come out ascending.
-    for (uint_t a = 1; a < M::Q; ++a)
-        for (const Cell& c : hull) {
-            const Cell nb{c.x + M::c[a][0], c.y + M::c[a][1], c.z + M::c[a][2]};
-            if (interior.contains(nb) && (flags.get(nb) & masks.fluid))
-                set.linkSlots.push_back(pdf.index(c.x, c.y, c.z, cell_idx_c(a)));
-        }
-    return set;
-}
+    std::size_t bytes() const {
+        return kRecordHeaderBytes + payloadBytes(fluid.fluidCells, linkSlots.size(), flagRuns);
+    }
+};
 
-std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block) {
+RecordLayout recordLayout(DistributedSimulation& sim, std::size_t block) {
     const field::FlagField& flags = sim.flagField(block);
-    const BlockStoredSet set = blockStoredSet(flags, sim.masks(), sim.pdfField(block));
-    const std::size_t links = sim.usesAaPattern() ? 0 : set.linkSlots.size();
-    return kRecordHeaderBytes + payloadBytes(set.fluid.fluidCells, links, countFlagRuns(flags));
-}
-
-void appendBlockRecord(DistributedSimulation& sim, std::size_t block, SendBuffer& buf) {
-    const field::FlagField& flags = sim.flagField(block);
-    const bool aa = sim.usesAaPattern();
-    const lbm::PdfField& pdf = sim.pdfField(block);
-    const BlockStoredSet set = blockStoredSet(flags, sim.masks(), pdf);
+    RecordLayout layout{sim.fluidRuns(block), {}, countFlagRuns(flags)};
+    if (!sim.usesAaPattern()) {
+        layout.linkSlots = hullLinkSlots(flags, sim.masks(), sim.pdfField(block));
 #ifndef NDEBUG
-    if (!aa) assertStoredSetIsComplete(sim, block, set);
+        assertStoredSetIsComplete(sim, block, layout.fluid, layout.linkSlots);
 #endif
-    const std::size_t links = aa ? 0 : set.linkSlots.size();
-    const std::size_t flagRuns = countFlagRuns(flags);
-    const std::size_t payload = payloadBytes(set.fluid.fluidCells, links, flagRuns);
+    }
+    return layout;
+}
+
+/// Appends the record of `block` laid out as `layout` to `buf`.
+void appendRecord(DistributedSimulation& sim, std::size_t block, const RecordLayout& layout,
+                  SendBuffer& buf) {
+    const field::FlagField& flags = sim.flagField(block);
+    const std::size_t links = layout.linkSlots.size();
+    const std::size_t payload = layout.bytes() - kRecordHeaderBytes;
 
     SendBuffer head;
     head.reserve(kRecordHeaderBytes);
@@ -237,9 +229,9 @@ void appendBlockRecord(DistributedSimulation& sim, std::size_t block, SendBuffer
     ByteWriter out{record};
     out.bytes(head.data(), head.size());
     out.p += sizeof(std::uint32_t); // the CRC, filled in last
-    out.u32(set.fluid.fluidCells);
+    out.u32(layout.fluid.fluidCells);
     out.u32(links);
-    out.u32(flagRuns);
+    out.u32(layout.flagRuns);
     const field::flag_t* f = flags.data();
     const std::size_t n = flags.allocCells();
     for (std::size_t i = 0; i < n;) {
@@ -249,18 +241,63 @@ void appendBlockRecord(DistributedSimulation& sim, std::size_t block, SendBuffer
         out.u32(j - i);
         i = j;
     }
-    forEachFluidRow(pdf, sim.stepPattern(), set.fluid,
+    forEachFluidRow(sim.pdfField(block), sim.stepPattern(), layout.fluid,
                     [&](const real_t* row, std::size_t, std::size_t cells) {
                         out.bytes(row, cells * sizeof(real_t));
                     });
     if (links > 0)
         for (const lbm::PdfField* field : {&sim.pdfField(block), &sim.pdfDstField(block)})
-            for (const std::size_t i : set.linkSlots) out.bytes(&field->data()[i], sizeof(real_t));
+            for (const std::size_t i : layout.linkSlots)
+                out.bytes(&field->data()[i], sizeof(real_t));
     WALB_ASSERT(out.p == record + kRecordHeaderBytes + payload);
     // One CRC over the identity, the size and the payload.
     std::uint32_t crc = crc32(record, head.size());
     crc = crc32(record + kRecordHeaderBytes, payload, crc);
     detail::putLE(record + head.size(), crc, 4);
+}
+
+} // namespace
+
+std::vector<std::size_t> hullLinkSlots(const field::FlagField& flags,
+                                       const lbm::BoundaryFlags& masks, const lbm::PdfField& pdf) {
+    WALB_ASSERT(pdf.layout() == field::Layout::fzyx && pdf.fSize() == M::Q,
+                "block records gather contiguous D3Q19 rows of an fzyx PDF field");
+    const CellInterval interior = flags.interior();
+    std::vector<Cell> hull;
+    interior.forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+        if (flags.get(x, y, z) & masks.boundaryMask()) hull.push_back({x, y, z});
+    });
+    // The link rule of lbm::BoundaryHandling, restricted to interior
+    // boundary cells; direction-major, so the indices come out ascending.
+    std::vector<std::size_t> slots;
+    for (uint_t a = 1; a < M::Q; ++a)
+        for (const Cell& c : hull) {
+            const Cell nb{c.x + M::c[a][0], c.y + M::c[a][1], c.z + M::c[a][2]};
+            if (interior.contains(nb) && (flags.get(nb) & masks.fluid))
+                slots.push_back(pdf.index(c.x, c.y, c.z, cell_idx_c(a)));
+        }
+    return slots;
+}
+
+std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block) {
+    return recordLayout(sim, block).bytes();
+}
+
+void appendBlockRecord(DistributedSimulation& sim, std::size_t block, SendBuffer& buf) {
+    appendRecord(sim, block, recordLayout(sim, block), buf);
+}
+
+void appendLocalBlockRecords(DistributedSimulation& sim, SendBuffer& buf) {
+    const std::size_t blocks = sim.forest().numLocalBlocks();
+    std::vector<RecordLayout> layouts;
+    layouts.reserve(blocks);
+    std::size_t bytes = buf.size() + sizeof(std::uint32_t);
+    for (std::size_t b = 0; b < blocks; ++b)
+        bytes += layouts.emplace_back(recordLayout(sim, b)).bytes();
+    buf.reserve(bytes);
+    buf << std::uint32_t(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) appendRecord(sim, b, layouts[b], buf);
+    WALB_ASSERT(buf.size() == bytes);
 }
 
 std::span<const std::uint8_t> nextBlockRecord(RecvBuffer& rb, bf::BlockID& id) {
@@ -322,28 +359,33 @@ std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
 
     // The block's storage follows its fluid cells (runs), so a record must
     // hold the same fluid cells: flags are a function of position.
-    const auto& liveRuns = sim.fluidRuns(std::size_t(local)).runs;
+    const lbm::FluidRunList& liveRuns = sim.fluidRuns(std::size_t(local));
     const lbm::FluidRunList recordRuns = lbm::buildFluidRuns(flags, sim.masks().fluid);
-    if (!std::equal(recordRuns.runs.begin(), recordRuns.runs.end(), liveRuns.begin(),
-                    liveRuns.end(), [](const lbm::FluidRun& a, const lbm::FluidRun& b) {
+    if (!std::equal(recordRuns.runs.begin(), recordRuns.runs.end(), liveRuns.runs.begin(),
+                    liveRuns.runs.end(), [](const lbm::FluidRun& a, const lbm::FluidRun& b) {
                         return a.y == b.y && a.z == b.z && a.xBegin == b.xBegin &&
                                a.xEnd == b.xEnd;
                     }))
         fail("has other fluid cells than the block");
-    BlockStoredSet stored = blockStoredSet(flags, sim.masks(), sim.pdfField(std::size_t(local)));
-    if (fluidCells != stored.fluid.fluidCells)
+    if (fluidCells != recordRuns.fluidCells)
         fail("holds " + std::to_string(fluidCells) + " fluid cells, its flags " +
-             std::to_string(stored.fluid.fluidCells));
-    if (linkSlots != 0 && linkSlots != stored.linkSlots.size())
-        fail("holds " + std::to_string(linkSlots) + " link slots, its flags " +
-             std::to_string(stored.linkSlots.size()));
+             std::to_string(recordRuns.fluidCells));
+    // Only a two-grid block needs its hull link slots: to check the
+    // record's link count, or to reset them when the record stores none.
+    std::vector<std::size_t> hull;
+    if (!sim.usesAaPattern()) {
+        hull = hullLinkSlots(flags, sim.masks(), sim.pdfField(std::size_t(local)));
+        if (linkSlots != 0 && linkSlots != hull.size())
+            fail("holds " + std::to_string(linkSlots) + " link slots, its flags " +
+                 std::to_string(hull.size()));
+    }
     if (size != payloadBytes(fluidCells, linkSlots, flagRuns))
         fail("payload is " + std::to_string(size) + " bytes, its counts imply " +
              std::to_string(payloadBytes(fluidCells, linkSlots, flagRuns)));
     const std::uint8_t* fluidPdfs = code;
     const std::uint8_t* linkPdfs =
         linkSlots > 0 ? fluidPdfs + M::Q * std::size_t(fluidCells) * sizeof(real_t) : nullptr;
-    return VerifiedBlockRecord{std::size_t(local), std::move(flags), std::move(stored), fluidPdfs,
+    return VerifiedBlockRecord{std::size_t(local), std::move(flags), std::move(hull), fluidPdfs,
                                linkPdfs};
 }
 
@@ -360,13 +402,13 @@ void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& r
     const bool aa = sim.usesAaPattern();
     lbm::PdfField& pdf = sim.pdfField(rec.block);
     if (aa) pdf.fill(real_c(0));
-    forEachFluidRow(pdf, sim.stepPattern(), rec.stored.fluid,
+    forEachFluidRow(pdf, sim.stepPattern(), sim.fluidRuns(rec.block),
                     [&](real_t* row, std::size_t offset, std::size_t n) {
                         std::memcpy(row, rec.fluidPdfs + offset * sizeof(real_t),
                                     n * sizeof(real_t));
                     });
     if (aa) return;
-    const std::vector<std::size_t>& slots = rec.stored.linkSlots;
+    const std::vector<std::size_t>& slots = rec.linkSlots;
     const auto init = DistributedSimulation::initialPdfs();
     lbm::PdfField* fields[2] = {&pdf, &sim.pdfDstField(rec.block)};
     for (std::size_t k = 0; k < 2; ++k) {
@@ -393,28 +435,23 @@ bool checkpointSave(DistributedSimulation& sim, const std::string& path,
 
     // One-writer strategy: gather every rank's contribution on rank 0. The
     // contribution (block count plus CRC-protected records) is sized
-    // exactly before it is filled, so it is one allocation, and it is freed
-    // as soon as the gather has copied it.
-    std::vector<std::vector<std::uint8_t>> all;
-    {
-        std::size_t mineBytes = sizeof(std::uint32_t);
-        for (std::size_t b = 0; b < forest.numLocalBlocks(); ++b)
-            mineBytes += blockRecordBytes(sim, b);
-        SendBuffer mine;
-        mine.reserve(mineBytes);
-        mine << std::uint32_t(forest.numLocalBlocks());
-        for (std::size_t b = 0; b < forest.numLocalBlocks(); ++b)
-            appendBlockRecord(sim, b, mine);
-        WALB_ASSERT(mine.size() == mineBytes);
-        // walb-lint: allow(blocking): checkpoint collective — every rank reaches it unconditionally; the run comm's recv deadline applies
-        all = comm.gatherv(std::span<const std::uint8_t>(mine.data(), mine.size()), 0);
-    }
+    // exactly before it is filled, so it is one allocation. Rank 0 writes
+    // its own from `mine` as contribution 0 and gathers an empty one in its
+    // place; every other rank frees its buffer once the gather has it.
+    const bool writer = comm.rank() == 0;
+    SendBuffer mine;
+    appendLocalBlockRecords(sim, mine);
+    const auto sent = writer ? std::span<const std::uint8_t>()
+                             : std::span<const std::uint8_t>(mine.data(), mine.size());
+    // walb-lint: allow(blocking): checkpoint collective — every rank reaches it unconditionally; the run comm's recv deadline applies
+    std::vector<std::vector<std::uint8_t>> all = comm.gatherv(sent, 0);
+    if (!writer) mine = SendBuffer();
     bool ok = true;
     std::uint64_t fileBytes = 0;
-    if (comm.rank() == 0) {
+    if (writer) {
         // Header, then each contribution as u64 length + bytes (the layout
         // of SendBuffer's vector operator<<), streamed straight from the
-        // gathered buffers into the file: no second full-size copy.
+        // buffers into the file: no second full-size copy.
         CheckpointHeader h;
         h.version = kCheckpointVersion;
         h.worldSize = std::uint32_t(comm.size());
@@ -427,7 +464,10 @@ bool checkpointSave(DistributedSimulation& sim, const std::string& path,
         FileWriter out(path);
         out.write(header.data(), header.size());
         fileBytes = header.size();
-        for (const auto& contribution : all) {
+        for (std::size_t c = 0; c < all.size(); ++c) {
+            const std::span<const std::uint8_t> contribution =
+                c == 0 ? std::span<const std::uint8_t>(mine.data(), mine.size())
+                       : std::span<const std::uint8_t>(all[c]);
             std::uint8_t length[8];
             detail::putLE(length, contribution.size(), 8);
             out.write(length, sizeof(length));

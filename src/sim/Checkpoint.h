@@ -29,7 +29,7 @@
 ///                linkSlots reals of src, then linkSlots reals of dst
 ///
 /// The record stores only the slots that can differ from what the
-/// constructor's initializer wrote (the *stored set*, see blockStoredSet):
+/// constructor's initializer wrote (the *stored set*, see hullLinkSlots):
 /// the canonical PDFs of the interior fluid cells, and — two-grid tiers —
 /// the slots the boundary links write at interior hull cells, in both PDF
 /// fields, so a two-grid restart reproduces even those derived slots
@@ -59,10 +59,11 @@
 /// (full-allocation records) is rejected with an error naming version 2.
 ///
 /// Writing follows the paper's one-writer file strategy (§2.2): rank 0
-/// gathers all contributions and streams them into `<path>.tmp`, which is
-/// renamed over `path` only when every write succeeded — a failed or
-/// interrupted save leaves the previous checkpoint intact. Loading keeps
-/// the one-reader strategy at O(own blocks) memory per rank: rank 0 reads
+/// gathers the other ranks' contributions and streams them, after its own,
+/// into `<path>.tmp`, which replaces `path` (core/BinaryIO's FileWriter)
+/// only when every write succeeded — a failed or interrupted save leaves
+/// the previous checkpoint intact. Loading keeps the one-reader strategy
+/// at O(own blocks) memory per rank: rank 0 reads
 /// the file once, learns every rank's BlockIDs from a small gather and
 /// sends each rank only its own records. Every rank verifies all of its
 /// records, the ranks agree on the outcome, and only then does any rank
@@ -134,31 +135,35 @@ bool checkpointPeek(const std::string& path, CheckpointHeader& out,
 
 // ---- the block-record codec ------------------------------------------------
 
-/// The slots of one block that can differ from the initializer's values,
-/// derived from its flags alone: the interior fluid runs (all Q slots of
-/// each fluid cell) and, in ascending index order, the PDF-field indices of
-/// the slots a boundary link writes at an interior hull cell — (xb, a) for
-/// every interior boundary cell xb whose neighbor xb + e_a is an interior
-/// fluid cell. The link indices are the same in the src and dst fields.
-struct BlockStoredSet {
-    lbm::FluidRunList fluid;
-    std::vector<std::size_t> linkSlots;
-};
-
-BlockStoredSet blockStoredSet(const field::FlagField& flags, const lbm::BoundaryFlags& masks,
-                              const lbm::PdfField& pdf);
+/// The PDF-field indices, in ascending order, of the slots a boundary link
+/// writes at an interior hull cell: (xb, a) for every interior boundary
+/// cell xb whose neighbor xb + e_a is an interior fluid cell. The indices
+/// are the same in the src and dst fields. Together with the fluid runs
+/// (all Q slots of each interior fluid cell) they are the block's stored
+/// set: the slots that can differ from the initializer's values. Only the
+/// two-grid tiers store them.
+std::vector<std::size_t> hullLinkSlots(const field::FlagField& flags,
+                                       const lbm::BoundaryFlags& masks, const lbm::PdfField& pdf);
 
 /// Appends one local block's record (see the file comment) to `buf`.
 /// Shared by the disk checkpoint writer, the in-memory buddy checkpoint of
 /// walb::recover and the migrator of walb::rebalance — one format, one CRC
-/// discipline. Debug builds assert that every interior slot outside the
-/// stored set still holds the initializer's value.
+/// discipline. The fluid runs are the driver's (fluidRuns()); the hull
+/// link slots are derived for the two-grid tiers only. Debug builds assert
+/// that every interior slot of a two-grid block outside the stored set
+/// still holds the initializer's value.
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
                        SendBuffer& buf);
 
 /// Exact number of bytes appendBlockRecord appends for `block`, so callers
 /// can size a buffer once instead of letting it regrow.
 std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block);
+
+/// Appends `u32 numBlocks` and the records of every local block to `buf`,
+/// after growing its capacity to the exact total: one allocation, and each
+/// block's stored set derived once. A rank's contribution to the file and
+/// to the buddy copy.
+void appendLocalBlockRecords(DistributedSimulation& sim, SendBuffer& buf);
 
 /// Advances `rb` past the next record without verifying its payload and
 /// returns the record's bytes (BlockID through payload); `id` receives its
@@ -168,11 +173,14 @@ std::span<const std::uint8_t> nextBlockRecord(RecvBuffer& rb, bf::BlockID& id);
 /// A record of a local block whose CRC, flag code and sizes have been
 /// verified, decoded as far as possible without touching the simulation.
 /// The PDF values are borrowed from the buffer the record was read from,
-/// which must outlive this object.
+/// which must outlive this object. Its fluid runs are the block's
+/// (verified equal, sim.fluidRuns()), so they are not kept.
 struct VerifiedBlockRecord {
     std::size_t block = 0;   ///< local block index
     field::FlagField flags;  ///< the decoded flag allocation
-    BlockStoredSet stored;   ///< derived from `flags`
+    /// hullLinkSlots() of `flags`; empty when the simulation runs an AA
+    /// tier, which neither reads nor resets them.
+    std::vector<std::size_t> linkSlots;
     const std::uint8_t* fluidPdfs = nullptr;
     const std::uint8_t* linkPdfs = nullptr; ///< null: the record stores no link slots
 };

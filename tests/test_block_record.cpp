@@ -21,6 +21,7 @@
 #include "core/BinaryIO.h"
 #include "core/Crc32.h"
 #include "core/Random.h"
+#include "lbm/KernelAa.h"
 #include "rebalance/Migrator.h"
 #include "recover/BuddyCheckpoint.h"
 #include "sim/Checkpoint.h"
@@ -106,18 +107,20 @@ TEST_P(StoredSetCompleteness, EverySlotOutsideItHoldsTheInitializersValue) {
         run.run(steps, kOp);
         sim::DistributedSimulation fresh(comm, setup, flags, tier);
         for (std::size_t b = 0; b < run.forest().numLocalBlocks(); ++b) {
-            const sim::BlockStoredSet set =
-                sim::blockStoredSet(run.flagField(b), run.masks(), run.pdfField(b));
+            const lbm::FluidRunList runs =
+                lbm::buildFluidRuns(run.flagField(b), run.masks().fluid);
+            const std::vector<std::size_t> links =
+                sim::hullLinkSlots(run.flagField(b), run.masks(), run.pdfField(b));
             const lbm::PdfField& pdf = run.pdfField(b);
             std::vector<bool> stored(pdf.allocCells(), false), fluid(pdf.allocCells(), false);
-            for (const lbm::FluidRun& r : set.fluid.runs)
+            for (const lbm::FluidRun& r : runs.runs)
                 for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f)
                     for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
                         stored[pdf.index(x, r.y, r.z, f)] = fluid[pdf.index(x, r.y, r.z, f)] = true;
             // The AA tiers store no link slots: their canonical view holds the
             // fluid cells only, read per cell under the current parity.
             if (run.usesAaPattern()) {
-                for (const lbm::FluidRun& r : set.fluid.runs)
+                for (const lbm::FluidRun& r : runs.runs)
                     for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x) {
                         const auto got = run.cellCanonicalPdfs(b, x, r.y, r.z);
                         const auto init = fresh.cellCanonicalPdfs(b, x, r.y, r.z);
@@ -128,8 +131,8 @@ TEST_P(StoredSetCompleteness, EverySlotOutsideItHoldsTheInitializersValue) {
                     }
                 continue;
             }
-            for (const std::size_t i : set.linkSlots) stored[i] = true;
-            linkSlots += set.linkSlots.size();
+            for (const std::size_t i : links) stored[i] = true;
+            linkSlots += links.size();
             // src and dst, where dst fluid cells are rewritten by the next
             // sweep before any read.
             const std::pair<const lbm::PdfField*, const lbm::PdfField*> fields[] = {
@@ -325,8 +328,12 @@ TEST(BlockRecordCodec, RecordSizeFollowsTheStoredSet) {
             configure(s);
             s.run(3, kOp);
             for (std::size_t b = 0; b < s.forest().numLocalBlocks(); ++b) {
-                const auto set = sim::blockStoredSet(s.flagField(b), s.masks(), s.pdfField(b));
-                const std::size_t links = s.usesAaPattern() ? 0 : set.linkSlots.size();
+                const std::size_t fluidCells =
+                    lbm::buildFluidRuns(s.flagField(b), s.masks().fluid).fluidCells;
+                const std::size_t links =
+                    s.usesAaPattern()
+                        ? 0
+                        : sim::hullLinkSlots(s.flagField(b), s.masks(), s.pdfField(b)).size();
                 SendBuffer buf;
                 sim::appendBlockRecord(s, b, buf);
                 EXPECT_EQ(buf.size(), sim::blockRecordBytes(s, b));
@@ -337,7 +344,7 @@ TEST(BlockRecordCodec, RecordSizeFollowsTheStoredSet) {
                 for (std::size_t i = 1; i < s.flagField(b).allocCells(); ++i)
                     flagRuns += f[i] != f[i - 1] ? 1 : 0;
                 const std::size_t pdfBytes =
-                    (M::Q * set.fluid.fluidCells + 2 * links) * sizeof(real_t);
+                    (M::Q * fluidCells + 2 * links) * sizeof(real_t);
                 EXPECT_EQ(buf.size(), 25 + 12 + 5 * flagRuns + pdfBytes);
                 const lbm::PdfField& pdf = s.pdfField(b);
                 EXPECT_LT(buf.size(), std::size_t(pdf.xAllocSize() * pdf.yAllocSize() *
@@ -345,6 +352,71 @@ TEST(BlockRecordCodec, RecordSizeFollowsTheStoredSet) {
                                           M::Q * sizeof(real_t) / 2);
             }
         });
+    }
+}
+
+/// Writes a value that depends only on `key` into every slot a record
+/// stores: the canonical slots of the fluid cells under the current step
+/// pattern and, on the two-grid tier, the hull link slots of both fields.
+/// Multiples of 1/1024, so the bytes do not depend on how a build rounds
+/// the kernels' arithmetic (optimization level and sanitizers change it).
+void fillStoredSet(sim::DistributedSimulation& s, std::uint64_t salt) {
+    const auto value = [](std::uint64_t key) {
+        return real_c(double(splitmix64(key) % 4096) / 1024.0);
+    };
+    for (std::size_t b = 0; b < s.forest().numLocalBlocks(); ++b) {
+        const std::uint64_t block =
+            salt << 40 ^ std::uint64_t(s.forest().blocks()[b].id.rootIndex()) << 32;
+        lbm::PdfField& pdf = s.pdfField(b);
+        for (const lbm::FluidRun& r : s.fluidRuns(b).runs)
+            for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
+                for (uint_t a = 0; a < M::Q; ++a)
+                    *lbm::canonicalSlot(pdf, s.stepPattern(), x, r.y, r.z, a) =
+                        value(cellHash(block ^ a, x, r.y, r.z));
+        if (s.usesAaPattern()) continue;
+        const std::vector<std::size_t> links = sim::hullLinkSlots(s.flagField(b), s.masks(), pdf);
+        lbm::PdfField* fields[2] = {&pdf, &s.pdfDstField(b)};
+        for (std::uint64_t k = 0; k < 2; ++k)
+            for (const std::size_t i : links) fields[k]->data()[i] = value(block ^ k << 31 ^ i);
+    }
+}
+
+/// Size and CRC-32 of whole .wckp files of the channel (noSlip, UBB and
+/// pressure links), per tier — Simd with link slots, AaSimd without — and
+/// rank count: a save at step 2, then one at step 3 onto the same path
+/// (the other AA parity, and a replace), each after fillStoredSet. The
+/// values were taken from the writer before its save path was cut to one
+/// stored-set derivation per block, rank 0 streaming its own contribution
+/// and exchange-replace: every written byte is unchanged.
+TEST(BlockRecordCodec, WholeFileBytesArePinned) {
+    struct Pin {
+        KernelTier tier;
+        std::uint32_t ranks;
+        std::size_t bytes;
+        std::uint32_t crc;
+    };
+    const Pin pins[] = {{KernelTier::Simd, 1, 233396, 0x298cc86cu},
+                        {KernelTier::Simd, 2, 233408, 0x232ce909u},
+                        {KernelTier::AaSimd, 1, 153108, 0x790a3617u},
+                        {KernelTier::AaSimd, 2, 153120, 0x0dc9c927u}};
+    for (const Pin& pin : pins) {
+        const std::string name = std::string(tierName(pin.tier)) + "_" + std::to_string(pin.ranks);
+        SCOPED_TRACE(name + " rank(s)");
+        const std::string path = testing::TempDir() + "/walb_pinned_" + name + ".wckp";
+        const auto setup = channelSetup(pin.ranks);
+        vmpi::ThreadCommWorld::launch(int(pin.ranks), [&](vmpi::Comm& comm) {
+            sim::DistributedSimulation s(comm, setup, channelFlags(kSeed), pin.tier);
+            for (const std::uint64_t step : {2u, 3u}) {
+                s.setCurrentStep(step);
+                fillStoredSet(s, step);
+                ASSERT_TRUE(s.saveCheckpoint(path));
+            }
+        });
+        std::vector<std::uint8_t> file;
+        ASSERT_TRUE(readFile(path, file));
+        EXPECT_EQ(file.size(), pin.bytes);
+        EXPECT_EQ(crc32Bytewise(file.data(), file.size()), pin.crc);
+        std::remove(path.c_str());
     }
 }
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "core/AABB.h"
@@ -199,6 +204,71 @@ TEST(BinaryIO, FileRoundTrip) {
     EXPECT_EQ(s, "block structure");
     EXPECT_EQ(n, 458752u);
     std::remove(path.c_str());
+}
+
+// ---- FileWriter: a reader sees the old content or the complete new one ----
+
+std::string fileContent(const std::string& path) {
+    std::vector<std::uint8_t> bytes;
+    if (!readFile(path, bytes)) return "<unreadable>";
+    return {bytes.begin(), bytes.end()};
+}
+
+bool writeText(const std::string& path, const std::string& text, bool commit = true) {
+    FileWriter w(path);
+    w.write(text.data(), text.size());
+    return !commit || w.commit();
+}
+
+bool exists(const std::string& path) {
+    struct stat st{};
+    return ::lstat(path.c_str(), &st) == 0;
+}
+
+TEST(FileWriter, CommitOverAnExistingFileReplacesItAndLeavesNoTemporary) {
+    const std::string path = testing::TempDir() + "/walb_filewriter_replace.bin";
+    ASSERT_TRUE(writeText(path, "old content"));
+    // A reader that opened the old file keeps reading the old content.
+    std::ifstream reader(path, std::ios::binary);
+    ASSERT_TRUE(writeText(path, "the complete new content"));
+    EXPECT_EQ(fileContent(path), "the complete new content");
+    EXPECT_FALSE(exists(path + ".tmp"));
+    const std::string before((std::istreambuf_iterator<char>(reader)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_EQ(before, "old content");
+    std::remove(path.c_str());
+}
+
+TEST(FileWriter, CommitWithoutATargetCreatesTheFile) {
+    const std::string path = testing::TempDir() + "/walb_filewriter_new.bin";
+    std::remove(path.c_str());
+    ASSERT_TRUE(writeText(path, "first content"));
+    EXPECT_EQ(fileContent(path), "first content");
+    EXPECT_FALSE(exists(path + ".tmp"));
+    std::remove(path.c_str());
+}
+
+TEST(FileWriter, UncommittedWriterLeavesTheOldContentAndNoTemporary) {
+    const std::string path = testing::TempDir() + "/walb_filewriter_abandon.bin";
+    ASSERT_TRUE(writeText(path, "old content"));
+    writeText(path, "half a new", /*commit=*/false);
+    EXPECT_EQ(fileContent(path), "old content");
+    EXPECT_FALSE(exists(path + ".tmp"));
+    std::remove(path.c_str());
+}
+
+TEST(FileWriter, CommitOntoADirectoryFailsAndLeavesTheDirectory) {
+    // rename(2) refuses to move a file onto a directory; a bare name swap
+    // would move the directory to <path>.tmp instead.
+    const std::string path = testing::TempDir() + "/walb_filewriter_dir";
+    ::rmdir(path.c_str());
+    ASSERT_EQ(::mkdir(path.c_str(), 0700), 0);
+    EXPECT_FALSE(writeText(path, "not a directory"));
+    struct stat st{};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISDIR(st.st_mode));
+    EXPECT_FALSE(exists(path + ".tmp"));
+    ::rmdir(path.c_str());
 }
 
 TEST(Timer, MeasuresAndAccumulates) {

@@ -96,29 +96,55 @@ TEST(Crc32Test, SeedChainingEqualsOneShot) {
     EXPECT_NE(crc32(data, 7), oneShot);
 }
 
+using Crc32Fn = std::uint32_t (*)(const std::uint8_t*, std::size_t, std::uint32_t);
+
+/// Checks one implementation of crc32()'s contract against the bytewise
+/// reference: every length 0..1024 — each tail length of the 16-byte loops
+/// and each residue of the 64-byte fold — at all 16 start misalignments,
+/// each seeded with the previous CRC (chaining); then 1 MiB of random
+/// bytes, in one shot and chained across an unaligned split.
+void expectMatchesBytewise(Crc32Fn impl) {
+    std::mt19937 rng(2013);
+    std::vector<std::uint8_t> data(1024 + 16);
+    for (auto& b : data) b = std::uint8_t(rng());
+    std::uint32_t seed = 0;
+    for (std::size_t n = 0; n <= 1024; ++n)
+        for (std::size_t offset = 0; offset < 16; ++offset) {
+            const std::uint8_t* p = data.data() + offset;
+            const std::uint32_t want = crc32Bytewise(p, n, seed);
+            ASSERT_EQ(impl(p, n, seed), want)
+                << "length " << n << " offset " << offset << " seed " << seed;
+            seed = want;
+        }
+
+    std::vector<std::uint8_t> mib(std::size_t(1) << 20);
+    for (auto& b : mib) b = std::uint8_t(rng());
+    const std::uint32_t want = crc32Bytewise(mib.data(), mib.size());
+    const std::size_t split = 333331;
+    EXPECT_EQ(impl(mib.data(), mib.size(), 0), want) << "1 MiB";
+    EXPECT_EQ(impl(mib.data() + split, mib.size() - split, impl(mib.data(), split, 0)), want)
+        << "1 MiB, chained";
+}
+
 TEST(Crc32Test, SliceBy16MatchesBytewiseReference) {
     constexpr std::uint8_t kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
     static_assert(crc32(kCheck, 9) == 0xCBF43926u);
     static_assert(crc32Bytewise(kCheck, 9) == 0xCBF43926u);
+    static_assert(detail::crc32SliceBy16(kCheck, 9) == 0xCBF43926u);
+    expectMatchesBytewise(&detail::crc32SliceBy16);
+}
 
-    std::mt19937 rng(2013);
-    std::vector<std::uint8_t> data(4096 + 16);
-    for (auto& b : data) b = std::uint8_t(rng());
-    std::uniform_int_distribution<std::size_t> randomLength(0, 4096);
-    // Every length 0..40 (all tail lengths around one and two 16-byte
-    // strides), then random lengths up to 4096; each at all 16 start
-    // misalignments, each check seeded with the previous CRC (chaining).
-    std::uint32_t seed = 0;
-    for (std::size_t trial = 0; trial < 100; ++trial) {
-        const std::size_t n = trial <= 40 ? trial : randomLength(rng);
-        for (std::size_t offset = 0; offset < 16; ++offset) {
-            const std::uint8_t* p = data.data() + offset;
-            const std::uint32_t fast = crc32(p, n, seed);
-            ASSERT_EQ(fast, crc32Bytewise(p, n, seed))
-                << "length " << n << " offset " << offset << " seed " << seed;
-            seed = fast;
-        }
-    }
+TEST(Crc32Test, FoldedMatchesBytewiseReference) {
+#if WALB_CRC32_FOLDED
+    expectMatchesBytewise(&detail::crc32Folded);
+#else
+    GTEST_SKIP() << "built without PCLMULQDQ/SSE4.1: crc32() runs slice-by-16";
+#endif
+}
+
+TEST(Crc32Test, DispatchMatchesBytewiseReference) {
+    expectMatchesBytewise(
+        [](const std::uint8_t* p, std::size_t n, std::uint32_t seed) { return crc32(p, n, seed); });
 }
 
 // ---- recv deadlines --------------------------------------------------------
