@@ -13,7 +13,8 @@
 /// it, how often it was preempted, or how many ranks died under it.
 ///
 /// Output: one `serve drill:` summary line; as --out JSON (committed as
-/// BENCH_serve.json) the dispatcher's accounting plus the drill's `kills`,
+/// BENCH_serve.json) the dispatcher's accounting (`ckpt_save_failures`
+/// counts the job checkpoint saves that failed) plus the drill's `kills`,
 /// `jobs_incomplete` (records not in state Completed), `digest_mismatches`
 /// and `requeues_cover_evictions` (requeues >= failed attempts +
 /// preemptions); and a gang-shaped block forest dumped to
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -108,6 +110,13 @@ int main(int argc, char** argv) {
                          argv[0]);
             return 2;
         }
+    }
+    // Job checkpoints go to the scratch directory; without it every save
+    // fails and the drill would run with no checkpoint to resume from.
+    if (!std::filesystem::is_directory(scratch)) {
+        std::fprintf(stderr, "fig_serve: --scratch: '%s' is not an existing directory\n",
+                     scratch.c_str());
+        return 2;
     }
 
     const int ranks = 5; // dispatcher + 2 gangs of 2

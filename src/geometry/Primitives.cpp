@@ -8,13 +8,6 @@ namespace walb::geometry {
 
 namespace {
 constexpr real_t kPi = real_c(3.14159265358979323846);
-
-/// Any two unit vectors orthogonal to axis (and to each other).
-void orthonormalBasis(const Vec3& axis, Vec3& u, Vec3& v) {
-    const Vec3 helper = std::abs(axis[0]) < real_c(0.9) ? Vec3(1, 0, 0) : Vec3(0, 1, 0);
-    u = axis.cross(helper).normalized();
-    v = axis.cross(u).normalized();
-}
 } // namespace
 
 TriangleMesh makeSphereMesh(const Vec3& center, real_t radius, unsigned slices,
@@ -46,62 +39,6 @@ TriangleMesh makeSphereMesh(const Vec3& center, real_t radius, unsigned slices,
             mesh.addTriangle(ring(s, l), ring(s + 1, l), ring(s + 1, l + 1));
             mesh.addTriangle(ring(s, l), ring(s + 1, l + 1), ring(s, l + 1));
         }
-    return mesh;
-}
-
-TriangleMesh makeTubeMesh(const Vec3& a, const Vec3& b, real_t radiusA, real_t radiusB,
-                          unsigned segments, bool capA, bool capB, Color sideColor,
-                          Color capAColor, Color capBColor) {
-    WALB_ASSERT(segments >= 3);
-    TriangleMesh mesh;
-    const Vec3 axis = (b - a).normalized();
-    const real_t length = (b - a).length();
-    Vec3 u, v;
-    orthonormalBasis(axis, u, v);
-
-    // Subdivide lengthwise so triangles stay compact — long sliver
-    // triangles would be binned into nearly every octree leaf along the
-    // tube and defeat the closest-triangle pruning.
-    const real_t meanRadius = (radiusA + radiusB) * real_c(0.5);
-    const unsigned nRings =
-        1 + unsigned(std::min(real_c(64), std::floor(length / (2 * meanRadius))));
-
-    for (unsigned s = 0; s <= nRings; ++s) {
-        const real_t t = real_c(s) / real_c(nRings);
-        const Vec3 center = a + (b - a) * t;
-        const real_t radius = radiusA + (radiusB - radiusA) * t;
-        const bool isCapRing = (s == 0 && capA) || (s == nRings && capB);
-        const Color ringColor = (s == 0 && capA) ? capAColor
-                              : (s == nRings && capB) ? capBColor
-                                                      : sideColor;
-        for (unsigned l = 0; l < segments; ++l) {
-            const real_t theta = 2 * kPi * real_c(l) / real_c(segments);
-            const Vec3 dir = std::cos(theta) * u + std::sin(theta) * v;
-            mesh.addVertex(center + radius * dir, isCapRing ? ringColor : sideColor);
-        }
-    }
-    auto ring = [&](unsigned s, unsigned l) {
-        return std::uint32_t(s * segments + (l % segments));
-    };
-
-    // Side quads, outward orientation: with the right-handed (u, v, axis)
-    // frame the outward winding is A_l -> B_{l+1} -> B_l.
-    for (unsigned s = 0; s < nRings; ++s)
-        for (unsigned l = 0; l < segments; ++l) {
-            mesh.addTriangle(ring(s, l), ring(s + 1, l + 1), ring(s + 1, l));
-            mesh.addTriangle(ring(s, l), ring(s, l + 1), ring(s + 1, l + 1));
-        }
-
-    if (capA) {
-        const std::uint32_t centerA = mesh.addVertex(a, capAColor);
-        for (unsigned l = 0; l < segments; ++l)
-            mesh.addTriangle(centerA, ring(0, l + 1), ring(0, l)); // faces -axis
-    }
-    if (capB) {
-        const std::uint32_t centerB = mesh.addVertex(b, capBColor);
-        for (unsigned l = 0; l < segments; ++l)
-            mesh.addTriangle(centerB, ring(nRings, l), ring(nRings, l + 1)); // faces +axis
-    }
     return mesh;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 /// \file Primitives.h
-/// Closed triangle-mesh builders for spheres and tubes. Tubes are the
-/// building block of the synthetic coronary tree surface; spheres serve as
+/// Closed triangle-mesh builders for spheres and boxes. Spheres serve as
 /// analytic ground truth for the mesh signed-distance pipeline tests.
 
 #include "geometry/TriangleMesh.h"
@@ -12,15 +11,6 @@ namespace walb::geometry {
 /// orientation.
 TriangleMesh makeSphereMesh(const Vec3& center, real_t radius, unsigned slices = 24,
                             unsigned stacks = 12);
-
-/// Closed tube (cylinder) from a to b with `segments` facets around the
-/// circumference, outward orientation. Side vertices get `sideColor`; the
-/// end-cap fans (emitted only if capA/capB) get their own colors — this is
-/// how inflow/outflow surfaces are "unambiguously colored" (paper §2.3).
-TriangleMesh makeTubeMesh(const Vec3& a, const Vec3& b, real_t radiusA, real_t radiusB,
-                          unsigned segments, bool capA, bool capB,
-                          Color sideColor = kColorWall, Color capAColor = kColorWall,
-                          Color capBColor = kColorWall);
 
 /// Axis-aligned box surface mesh (12 triangles), outward orientation.
 TriangleMesh makeBoxMesh(const AABB& box);

@@ -153,15 +153,6 @@ auto* canonicalSlot(Pdf& pdf, StepPattern p, cell_idx_t x, cell_idx_t y, cell_id
     return pdf.dataAt(x + l.shift.x, y + l.shift.y, z + l.shift.z, l.slot);
 }
 
-/// The canonical PDF set P of one cell under step pattern `p` — the
-/// parity-independent view used by macroscopic accessors.
-inline std::array<real_t, D3Q19::Q> canonicalPdfs(const PdfField& pdf, StepPattern p,
-                                                  cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-    std::array<real_t, D3Q19::Q> out{};
-    for (uint_t a = 0; a < D3Q19::Q; ++a) out[a] = *canonicalSlot(pdf, p, x, y, z, a);
-    return out;
-}
-
 /// Dense flag-conditional sweep over the whole interior (the scalar AA
 /// tier of the kernel figures and kernel tests). Either parity's cells
 /// touch pairwise-disjoint slot sets, so the interior traversal order is

@@ -65,6 +65,7 @@ struct EventMsg {
     std::uint64_t digest = 0;
     bool hasCheckpoint = false;
     std::uint64_t checkpointStep = 0;
+    std::uint32_t checkpointSaveFailures = 0; ///< saves of this attempt that returned false
     double cellSeconds = 0;
     std::vector<std::int32_t> members; ///< Failed: the survivors
 };
@@ -72,8 +73,8 @@ struct EventMsg {
 std::vector<std::uint8_t> encodeEvent(const EventMsg& e) {
     SendBuffer sb;
     sb << std::uint8_t(e.kind) << e.jobId << e.gangId << e.step << e.digest
-       << std::uint8_t(e.hasCheckpoint) << e.checkpointStep << e.cellSeconds
-       << e.members;
+       << std::uint8_t(e.hasCheckpoint) << e.checkpointStep << e.checkpointSaveFailures
+       << e.cellSeconds << e.members;
     return sb.release();
 }
 
@@ -81,8 +82,8 @@ EventMsg decodeEvent(std::vector<std::uint8_t> raw) {
     RecvBuffer rb(std::move(raw));
     EventMsg e;
     std::uint8_t kind = 0, hasCkpt = 0;
-    rb >> kind >> e.jobId >> e.gangId >> e.step >> e.digest >> hasCkpt >>
-        e.checkpointStep >> e.cellSeconds >> e.members;
+    rb >> kind >> e.jobId >> e.gangId >> e.step >> e.digest >> hasCkpt >> e.checkpointStep >>
+        e.checkpointSaveFailures >> e.cellSeconds >> e.members;
     e.kind = EventKind(kind);
     e.hasCheckpoint = hasCkpt != 0;
     return e;
@@ -100,9 +101,10 @@ std::string checkpointPath(const ServeOptions& opt, std::uint64_t jobId) {
 /// polls the dispatcher and broadcasts the continue/preempt word, so every
 /// member stops at the same step; the boundary saves the job's checkpoint
 /// every `checkpointEvery` steps and on preemption. The completed state is
-/// saved once more as the checkpoint of record. Returns the attempt's
-/// event (Failed carries the surviving pool ranks), or nullopt when this
-/// rank is dead and must stop serving.
+/// saved once more as the checkpoint of record; failed saves are counted,
+/// and only a successful one marks the job as having a checkpoint. Returns
+/// the attempt's event (Failed carries the surviving pool ranks), or
+/// nullopt when this rank is dead and must stop serving.
 std::optional<EventMsg> runJob(vmpi::Comm& pool, const std::vector<int>& members,
                                int generation, const JobSpec& spec, bool resume,
                                const ServeOptions& opt) {
@@ -163,6 +165,7 @@ std::optional<EventMsg> runJob(vmpi::Comm& pool, const std::vector<int>& members
                 if (!sim->saveCheckpoint(ckpt, &err)) {
                     WALB_LOG_ERROR("job " << spec.id << ": checkpoint to '" << ckpt
                                           << "' failed: " << err);
+                    ++out.checkpointSaveFailures;
                 } else {
                     out.hasCheckpoint = true;
                     out.checkpointStep = step;
@@ -183,10 +186,13 @@ std::optional<EventMsg> runJob(vmpi::Comm& pool, const std::vector<int>& members
         // Final checkpoint of record: the artifact whose digest the
         // acceptance drill compares against the serial baseline.
         std::string err;
-        if (!sim->saveCheckpoint(ckpt, &err))
+        if (sim->saveCheckpoint(ckpt, &err)) {
+            out.hasCheckpoint = true;
+            out.checkpointStep = out.step;
+        } else {
             WALB_LOG_ERROR("job " << spec.id << ": final checkpoint failed: " << err);
-        out.hasCheckpoint = true;
-        out.checkpointStep = out.step;
+            ++out.checkpointSaveFailures;
+        }
         out.kind = EventKind::Done;
         return out;
     } catch (const vmpi::CommError& e) {
@@ -351,6 +357,7 @@ ServeReport Scheduler::dispatch(vmpi::Comm& pool, const ServeOptions& opt,
         rec.cellSeconds += ev.cellSeconds;
         rec.hasCheckpoint = rec.hasCheckpoint || ev.hasCheckpoint;
         rec.resumeHint = ev.checkpointStep;
+        report.checkpointSaveFailures += ev.checkpointSaveFailures;
         gang.busy = false;
         gang.preemptPending = false;
         switch (ev.kind) {
@@ -500,7 +507,8 @@ ServeReport Scheduler::runInline(vmpi::Comm& pool, const ServeOptions& opt,
         WALB_ASSERT(out && out->kind == EventKind::Done,
                     "inline job " << *id << " did not complete");
         rec.cellSeconds += out->cellSeconds;
-        rec.hasCheckpoint = true;
+        rec.hasCheckpoint = rec.hasCheckpoint || out->hasCheckpoint;
+        report.checkpointSaveFailures += out->checkpointSaveFailures;
         queue.complete(*id, out->digest, out->step);
         auto& stats = report.tenants[rec.spec.tenant];
         ++stats.jobs;

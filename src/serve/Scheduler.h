@@ -106,6 +106,7 @@ struct ServeReport {
     std::uint64_t requeues = 0;        ///< preemptions + failure requeues
     std::uint64_t preemptions = 0;
     std::uint64_t failedAttempts = 0;  ///< gang-failure requeues
+    std::uint64_t checkpointSaveFailures = 0; ///< job checkpoint saves that returned false
     int gangs = 0;                     ///< gangs at carve time
     int ranksLost = 0;                 ///< pool ranks dead at shutdown
     double elapsedSeconds = 0;

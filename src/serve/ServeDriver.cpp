@@ -77,6 +77,7 @@ bool ServeDriver::writeReportJson(
     w.kv("requeues", report.requeues);
     w.kv("preemptions", report.preemptions);
     w.kv("failed_attempts", report.failedAttempts);
+    w.kv("ckpt_save_failures", report.checkpointSaveFailures);
     w.kv("ranks_lost", std::int64_t(report.ranksLost));
     w.kv("elapsed_seconds", report.elapsedSeconds);
     for (const auto& [key, count] : extra) w.kv(key, count);

@@ -14,6 +14,7 @@
 #include "core/Debug.h"
 #include "core/Logging.h"
 #include "sim/DistributedSimulation.h"
+#include "vmpi/Tags.h"
 
 namespace walb::sim {
 

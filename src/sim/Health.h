@@ -23,6 +23,7 @@
 #include "lbm/PdfField.h"
 #include "lbm/Sparse.h"
 #include "sim/Checkpoint.h"
+#include "vmpi/Comm.h"
 
 namespace walb::sim {
 

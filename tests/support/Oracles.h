@@ -17,11 +17,18 @@
 ///  * markBoundaryHullPull — the per-cell pull rule lbm::markBoundaryHull's
 ///    bit rows must match;
 ///  * geometry::assignBoundaryConditionsPerCell — one closest-triangle
-///    query per hull cell, the reference of the color certification.
+///    query per hull cell, the reference of the color certification;
+///  * canonicalPdfs — one cell's canonical PDFs on a full field, the view
+///    of the kernel-level AA tests (the driver reads its row-table storage
+///    through DistributedSimulation::cellCanonicalPdfs);
+///  * geometry::makeTubeMesh — a closed, cap-colored tube surface, the
+///    mesh fixture of the geometry and boundary-coloring tests.
 ///
 /// The tests and bench/micro_kernels include it as "support/Oracles.h".
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -29,6 +36,7 @@
 #include "field/FlagField.h"
 #include "geometry/BoundarySetup.h"
 #include "lbm/Communication.h"
+#include "lbm/KernelAa.h"
 #include "lbm/KernelD3Q19.h"
 #include "lbm/Sparse.h"
 
@@ -281,9 +289,84 @@ void markBoundaryHullPull(field::FlagField& flags, field::flag_t fluidMask,
     });
 }
 
+// ---- AA canonical view ---------------------------------------------------------
+
+/// The canonical PDF set P of one cell under step pattern `p` — the
+/// parity-independent view used by macroscopic accessors.
+inline std::array<real_t, D3Q19::Q> canonicalPdfs(const PdfField& pdf, StepPattern p,
+                                                  cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+    std::array<real_t, D3Q19::Q> out{};
+    for (uint_t a = 0; a < D3Q19::Q; ++a) out[a] = *canonicalSlot(pdf, p, x, y, z, a);
+    return out;
+}
+
 } // namespace walb::lbm
 
 namespace walb::geometry {
+
+/// Closed tube (cylinder) from a to b with `segments` facets around the
+/// circumference, outward orientation. Side vertices get `sideColor`; the
+/// end-cap fans (emitted only if capA/capB) get their own colors — this is
+/// how inflow/outflow surfaces are "unambiguously colored" (paper §2.3).
+inline TriangleMesh makeTubeMesh(const Vec3& a, const Vec3& b, real_t radiusA, real_t radiusB,
+                                 unsigned segments, bool capA, bool capB,
+                                 Color sideColor = kColorWall, Color capAColor = kColorWall,
+                                 Color capBColor = kColorWall) {
+    constexpr real_t kPi = real_c(3.14159265358979323846);
+    WALB_ASSERT(segments >= 3);
+    TriangleMesh mesh;
+    const Vec3 axis = (b - a).normalized();
+    const real_t length = (b - a).length();
+    // Any two unit vectors orthogonal to the axis (and to each other).
+    const Vec3 helper = std::abs(axis[0]) < real_c(0.9) ? Vec3(1, 0, 0) : Vec3(0, 1, 0);
+    const Vec3 u = axis.cross(helper).normalized();
+    const Vec3 v = axis.cross(u).normalized();
+
+    // Subdivide lengthwise so triangles stay compact — long sliver
+    // triangles would be binned into nearly every octree leaf along the
+    // tube and defeat the closest-triangle pruning.
+    const real_t meanRadius = (radiusA + radiusB) * real_c(0.5);
+    const unsigned nRings =
+        1 + unsigned(std::min(real_c(64), std::floor(length / (2 * meanRadius))));
+
+    for (unsigned s = 0; s <= nRings; ++s) {
+        const real_t t = real_c(s) / real_c(nRings);
+        const Vec3 center = a + (b - a) * t;
+        const real_t radius = radiusA + (radiusB - radiusA) * t;
+        const bool isCapRing = (s == 0 && capA) || (s == nRings && capB);
+        const Color ringColor = (s == 0 && capA) ? capAColor
+                              : (s == nRings && capB) ? capBColor
+                                                      : sideColor;
+        for (unsigned l = 0; l < segments; ++l) {
+            const real_t theta = 2 * kPi * real_c(l) / real_c(segments);
+            const Vec3 dir = std::cos(theta) * u + std::sin(theta) * v;
+            mesh.addVertex(center + radius * dir, isCapRing ? ringColor : sideColor);
+        }
+    }
+    auto ring = [&](unsigned s, unsigned l) {
+        return std::uint32_t(s * segments + (l % segments));
+    };
+
+    // Side quads, outward orientation: with the right-handed (u, v, axis)
+    // frame the outward winding is A_l -> B_{l+1} -> B_l.
+    for (unsigned s = 0; s < nRings; ++s)
+        for (unsigned l = 0; l < segments; ++l) {
+            mesh.addTriangle(ring(s, l), ring(s + 1, l + 1), ring(s + 1, l));
+            mesh.addTriangle(ring(s, l), ring(s, l + 1), ring(s + 1, l + 1));
+        }
+
+    if (capA) {
+        const std::uint32_t centerA = mesh.addVertex(a, capAColor);
+        for (unsigned l = 0; l < segments; ++l)
+            mesh.addTriangle(centerA, ring(0, l + 1), ring(0, l)); // faces -axis
+    }
+    if (capB) {
+        const std::uint32_t centerB = mesh.addVertex(b, capBColor);
+        for (unsigned l = 0; l < segments; ++l)
+            mesh.addTriangle(centerB, ring(nRings, l), ring(nRings, l + 1)); // faces +axis
+    }
+    return mesh;
+}
 
 /// geometry::assignBoundaryConditionsFromColors without the certification:
 /// every hull cell takes the colors of its closest triangle's vertices.

@@ -24,6 +24,7 @@
 #include "sim/Checkpoint.h"
 #include "sim/DistributedSimulation.h"
 #include "support/BoxDomain.h"
+#include "support/Oracles.h"
 #include "vmpi/SerialComm.h"
 #include "vmpi/ThreadComm.h"
 

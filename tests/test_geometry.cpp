@@ -20,6 +20,7 @@
 #include "geometry/Primitives.h"
 #include "geometry/SignedDistance.h"
 #include "geometry/Voxelizer.h"
+#include "support/Oracles.h"
 
 namespace walb::geometry {
 namespace {

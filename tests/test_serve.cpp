@@ -20,6 +20,7 @@
 #include "serve/ServeDriver.h"
 #include "vmpi/FaultyComm.h"
 #include "vmpi/ReliableComm.h"
+#include "vmpi/SerialComm.h"
 #include "vmpi/SubComm.h"
 #include "vmpi/Tags.h"
 #include "vmpi/ThreadComm.h"
@@ -303,6 +304,35 @@ TEST(ServeTest, PreemptAndResumeIsBitExact) {
         EXPECT_EQ(rec.digest, serve::ServeDriver::runAlone(rec.spec, dir))
             << rec.spec.name;
     }
+}
+
+TEST(ServeTest, FailedCheckpointSavesAreCountedAndNeverClaimed) {
+    // The checkpoint directory does not exist, so every save fails. The
+    // jobs still complete with their run-alone digests, the report counts
+    // every failed save, and no job claims a checkpoint it does not have.
+    const std::string dir = scratchDir("serve_no_ckpt");
+    const std::string missing = dir + "/missing";
+    std::vector<serve::JobSpec> jobs;
+    for (std::uint64_t seed = 31; seed <= 33; ++seed)
+        jobs.push_back(voxelSpec("nockpt" + std::to_string(seed), seed, 10));
+
+    serve::ServeOptions opt;
+    opt.chunkSteps = 4;
+    opt.checkpointEvery = 4;
+    opt.checkpointDir = missing;
+    vmpi::SerialComm pool;
+    const serve::ServeReport report = serve::Scheduler::runInline(pool, opt, jobs);
+
+    ASSERT_EQ(report.completed, jobs.size());
+    // Chunk ends at steps 4, 8 and 10: periodic saves at 4 and 8, and the
+    // final save of record at 10.
+    EXPECT_EQ(report.checkpointSaveFailures, 3 * jobs.size());
+    for (const auto& rec : report.jobs) {
+        ASSERT_EQ(rec.state, serve::JobState::Completed);
+        EXPECT_FALSE(rec.hasCheckpoint) << rec.spec.name;
+        EXPECT_EQ(rec.digest, serve::ServeDriver::runAlone(rec.spec, dir)) << rec.spec.name;
+    }
+    EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 TEST(ServeTest, FaultDrillRequeuesKilledJobWithUnchangedDigest) {
