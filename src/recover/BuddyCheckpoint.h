@@ -4,8 +4,8 @@
 /// runtime, with no disk round-trip.
 ///
 /// Every K steps each rank serializes its own blocks — the block records
-/// of the disk checkpoint (BlockID, payload size, CRC32, flags and the
-/// stored slots; see sim/Checkpoint.h) — and exchanges
+/// of the disk checkpoint (BlockID, payload size, CRC32, flag CRC and the
+/// canonical fluid PDFs; see sim/Checkpoint.h) — and exchanges
 /// the serialized contribution around a ring: rank r keeps its *own* copy
 /// and receives the copy of its ring predecessor (r-1 mod n). Two live
 /// replicas of every rank's state therefore exist at the refresh step: one

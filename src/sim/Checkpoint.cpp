@@ -1,6 +1,5 @@
 #include "sim/Checkpoint.h"
 
-#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdio>
@@ -71,12 +70,8 @@ CheckpointHeader parseHeader(RecvBuffer& file) {
     CheckpointHeader h;
     file >> h.version;
     if (h.version != kCheckpointVersion)
-        throw CheckpointError(
-            "unsupported checkpoint version " + std::to_string(h.version) + " (expected " +
-            std::to_string(kCheckpointVersion) + ")" +
-            (h.version == 2 ? ": version 2 stored full-allocation block records, which this "
-                              "build no longer reads"
-                            : ""));
+        throw CheckpointError("unsupported checkpoint version " + std::to_string(h.version) +
+                              " (expected " + std::to_string(kCheckpointVersion) + ")");
     std::uint32_t storedCrc = 0;
     file >> h.worldSize >> h.cellsX >> h.cellsY >> h.cellsZ >> h.step >>
         h.numRankContributions >> storedCrc;
@@ -103,23 +98,18 @@ RecvBuffer nextContribution(RecvBuffer& file) {
 /// Bytes in front of a record's payload: BlockID, payload size, CRC.
 constexpr std::size_t kRecordHeaderBytes =
     bf::BlockID::kWireBytes + sizeof(std::uint64_t) + sizeof(std::uint32_t);
-/// The payload's leading counts: fluidCells, linkSlots, flagRuns.
-constexpr std::size_t kCountBytes = 3 * sizeof(std::uint32_t);
-/// One run of the flag code: the flag byte and the number of cells.
-constexpr std::size_t kFlagRunBytes = sizeof(field::flag_t) + sizeof(std::uint32_t);
+/// The payload's leading words: fluidCells, flagsCrc.
+constexpr std::size_t kCountBytes = 2 * sizeof(std::uint32_t);
 
-/// Number of runs of equal bytes in the flag allocation.
-std::size_t countFlagRuns(const field::FlagField& flags) {
-    const field::flag_t* f = flags.data();
-    const std::size_t n = flags.allocCells();
-    std::size_t runs = n > 0 ? 1 : 0;
-    for (std::size_t i = 1; i < n; ++i) runs += f[i] != f[i - 1] ? 1 : 0;
-    return runs;
+std::size_t payloadBytes(std::size_t fluidCells) {
+    return kCountBytes + M::Q * fluidCells * sizeof(real_t);
 }
 
-std::size_t payloadBytes(std::size_t fluidCells, std::size_t linkSlots, std::size_t flagRuns) {
-    return kCountBytes + flagRuns * kFlagRunBytes +
-           (M::Q * fluidCells + 2 * linkSlots) * sizeof(real_t);
+/// CRC-32 of the whole flag allocation, ghost layers included: a record
+/// and a block agree on it exactly when they have the same fluid cells and
+/// the same boundary kinds.
+std::uint32_t flagsCrc(const field::FlagField& flags) {
+    return crc32(flags.data(), flags.allocCells() * sizeof(field::flag_t));
 }
 
 /// Sequential writer into a pre-sized record.
@@ -159,26 +149,26 @@ void forEachFluidRow(Pdf& pdf, lbm::StepPattern pattern, const lbm::FluidRunList
 
 #ifndef NDEBUG
 /// Debug builds: every interior slot of a two-grid block outside the
-/// stored set (its fluid runs and hull link slots) holds the initializer's
-/// value in src and dst (dst fluid cells are exempt — the next sweep
-/// rewrites them before any read).
-void assertStoredSetIsComplete(DistributedSimulation& sim, std::size_t block,
-                               const lbm::FluidRunList& fluid,
-                               const std::vector<std::size_t>& linkSlots) {
+/// stored set (its fluid runs) holds the initializer's value in src and
+/// dst, except the derived slots — the hull link slots, which the next
+/// boundary pass rewrites before any read, and the dst fluid cells, which
+/// the next sweep rewrites.
+void assertStoredSetIsComplete(DistributedSimulation& sim, std::size_t block) {
     const lbm::PdfField& src = sim.pdfField(block);
     const lbm::PdfField& dst = sim.pdfDstField(block);
-    std::vector<bool> stored(src.allocCells(), false);
-    for (const std::size_t i : linkSlots) stored[i] = true;
-    for (const lbm::FluidRun& r : fluid.runs)
+    std::vector<bool> exempt(src.allocCells(), false);
+    for (const std::size_t i : hullLinkSlots(sim.flagField(block), sim.masks(), src))
+        exempt[i] = true;
+    for (const lbm::FluidRun& r : sim.fluidRuns(block).runs)
         for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f)
             for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
-                stored[src.index(x, r.y, r.z, f)] = true;
+                exempt[src.index(x, r.y, r.z, f)] = true;
     const auto init = DistributedSimulation::initialPdfs();
     src.interior().forEach([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
         if (!src.isStored(x, y, z)) return;
         for (cell_idx_t f = 0; f < cell_idx_t(M::Q); ++f) {
             const std::size_t i = src.index(x, y, z, f);
-            if (stored[i]) continue;
+            if (exempt[i]) continue;
             const auto want = std::bit_cast<std::uint64_t>(init[std::size_t(f)]);
             WALB_DASSERT(std::bit_cast<std::uint64_t>(src.data()[i]) == want &&
                              std::bit_cast<std::uint64_t>(dst.data()[i]) == want,
@@ -188,74 +178,6 @@ void assertStoredSetIsComplete(DistributedSimulation& sim, std::size_t block,
     });
 }
 #endif
-
-/// What one block's record holds besides its identity: the driver's fluid
-/// runs, the hull link slots (two-grid tiers only — the AA tiers store
-/// none) and the length of the flag code. Derived once per block and
-/// saved record.
-struct RecordLayout {
-    const lbm::FluidRunList& fluid;
-    std::vector<std::size_t> linkSlots;
-    std::size_t flagRuns = 0;
-
-    std::size_t bytes() const {
-        return kRecordHeaderBytes + payloadBytes(fluid.fluidCells, linkSlots.size(), flagRuns);
-    }
-};
-
-RecordLayout recordLayout(DistributedSimulation& sim, std::size_t block) {
-    const field::FlagField& flags = sim.flagField(block);
-    RecordLayout layout{sim.fluidRuns(block), {}, countFlagRuns(flags)};
-    if (!sim.usesAaPattern()) {
-        layout.linkSlots = hullLinkSlots(flags, sim.masks(), sim.pdfField(block));
-#ifndef NDEBUG
-        assertStoredSetIsComplete(sim, block, layout.fluid, layout.linkSlots);
-#endif
-    }
-    return layout;
-}
-
-/// Appends the record of `block` laid out as `layout` to `buf`.
-void appendRecord(DistributedSimulation& sim, std::size_t block, const RecordLayout& layout,
-                  SendBuffer& buf) {
-    const field::FlagField& flags = sim.flagField(block);
-    const std::size_t links = layout.linkSlots.size();
-    const std::size_t payload = layout.bytes() - kRecordHeaderBytes;
-
-    SendBuffer head;
-    head.reserve(kRecordHeaderBytes);
-    sim.forest().blocks()[block].id.toWire(head);
-    head << std::uint64_t(payload);
-    std::uint8_t* record = buf.grow(kRecordHeaderBytes + payload);
-    ByteWriter out{record};
-    out.bytes(head.data(), head.size());
-    out.p += sizeof(std::uint32_t); // the CRC, filled in last
-    out.u32(layout.fluid.fluidCells);
-    out.u32(links);
-    out.u32(layout.flagRuns);
-    const field::flag_t* f = flags.data();
-    const std::size_t n = flags.allocCells();
-    for (std::size_t i = 0; i < n;) {
-        std::size_t j = i + 1;
-        while (j < n && f[j] == f[i]) ++j;
-        out.bytes(&f[i], sizeof(field::flag_t));
-        out.u32(j - i);
-        i = j;
-    }
-    forEachFluidRow(sim.pdfField(block), sim.stepPattern(), layout.fluid,
-                    [&](const real_t* row, std::size_t, std::size_t cells) {
-                        out.bytes(row, cells * sizeof(real_t));
-                    });
-    if (links > 0)
-        for (const lbm::PdfField* field : {&sim.pdfField(block), &sim.pdfDstField(block)})
-            for (const std::size_t i : layout.linkSlots)
-                out.bytes(&field->data()[i], sizeof(real_t));
-    WALB_ASSERT(out.p == record + kRecordHeaderBytes + payload);
-    // One CRC over the identity, the size and the payload.
-    std::uint32_t crc = crc32(record, head.size());
-    crc = crc32(record + kRecordHeaderBytes, payload, crc);
-    detail::putLE(record + head.size(), crc, 4);
-}
 
 } // namespace
 
@@ -281,23 +203,44 @@ std::vector<std::size_t> hullLinkSlots(const field::FlagField& flags,
 }
 
 std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block) {
-    return recordLayout(sim, block).bytes();
+    return kRecordHeaderBytes + payloadBytes(sim.fluidRuns(block).fluidCells);
 }
 
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block, SendBuffer& buf) {
-    appendRecord(sim, block, recordLayout(sim, block), buf);
+#ifndef NDEBUG
+    if (!sim.usesAaPattern()) assertStoredSetIsComplete(sim, block);
+#endif
+    const lbm::FluidRunList& fluid = sim.fluidRuns(block);
+    const std::size_t payload = payloadBytes(fluid.fluidCells);
+
+    SendBuffer head;
+    head.reserve(kRecordHeaderBytes);
+    sim.forest().blocks()[block].id.toWire(head);
+    head << std::uint64_t(payload);
+    std::uint8_t* record = buf.grow(kRecordHeaderBytes + payload);
+    ByteWriter out{record};
+    out.bytes(head.data(), head.size());
+    out.p += sizeof(std::uint32_t); // the CRC, filled in last
+    out.u32(fluid.fluidCells);
+    out.u32(flagsCrc(sim.flagField(block)));
+    forEachFluidRow(sim.pdfField(block), sim.stepPattern(), fluid,
+                    [&](const real_t* row, std::size_t, std::size_t cells) {
+                        out.bytes(row, cells * sizeof(real_t));
+                    });
+    WALB_ASSERT(out.p == record + kRecordHeaderBytes + payload);
+    // One CRC over the identity, the size and the payload.
+    std::uint32_t crc = crc32(record, head.size());
+    crc = crc32(record + kRecordHeaderBytes, payload, crc);
+    detail::putLE(record + head.size(), crc, 4);
 }
 
 void appendLocalBlockRecords(DistributedSimulation& sim, SendBuffer& buf) {
     const std::size_t blocks = sim.forest().numLocalBlocks();
-    std::vector<RecordLayout> layouts;
-    layouts.reserve(blocks);
     std::size_t bytes = buf.size() + sizeof(std::uint32_t);
-    for (std::size_t b = 0; b < blocks; ++b)
-        bytes += layouts.emplace_back(recordLayout(sim, b)).bytes();
+    for (std::size_t b = 0; b < blocks; ++b) bytes += blockRecordBytes(sim, b);
     buf.reserve(bytes);
     buf << std::uint32_t(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) appendRecord(sim, b, layouts[b], buf);
+    for (std::size_t b = 0; b < blocks; ++b) appendBlockRecord(sim, b, buf);
     WALB_ASSERT(buf.size() == bytes);
 }
 
@@ -333,98 +276,40 @@ std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
         throw CheckpointError("block record of block " + describeBlockId(id) + " " + what);
     };
 
-    // Counts and the flag code, each bounded by the bytes that are there
-    // and by the local block's geometry before it drives any loop.
+    // The block's flags, and with them its PDF storage (only the rows its
+    // fluid cells reach) and its boundary links, were derived by the
+    // initializer; a record fits only a block of the same flags.
     if (size < kCountBytes) fail("is shorter than its counts");
     const std::uint32_t fluidCells = readU32(payload);
-    const std::uint32_t linkSlots = readU32(payload + 4);
-    const std::uint32_t flagRuns = readU32(payload + 8);
-    if (flagRuns > (size - kCountBytes) / kFlagRunBytes)
-        fail("claims " + std::to_string(flagRuns) + " flag runs in " + std::to_string(size) +
-             " bytes");
-    const field::FlagField& live = sim.flagField(std::size_t(local));
-    field::FlagField flags(live.xSize(), live.ySize(), live.zSize(), live.ghostLayers());
-    const std::size_t cells = flags.allocCells();
-    const std::uint8_t* code = payload + kCountBytes;
-    std::size_t filled = 0;
-    for (std::uint32_t r = 0; r < flagRuns; ++r, code += kFlagRunBytes) {
-        const std::uint32_t n = readU32(code + 1);
-        if (n > cells - filled)
-            fail("flag runs overflow the " + std::to_string(cells) + "-cell allocation");
-        std::memset(flags.data() + filled, code[0], n);
-        filled += n;
-    }
-    if (filled != cells)
-        fail("flag runs cover " + std::to_string(filled) + " of " + std::to_string(cells) +
-             " cells");
-
-    // The block's storage follows its fluid cells (runs), so a record must
-    // hold the same fluid cells: flags are a function of position.
-    const lbm::FluidRunList& liveRuns = sim.fluidRuns(std::size_t(local));
-    const lbm::FluidRunList recordRuns = lbm::buildFluidRuns(flags, sim.masks().fluid);
-    if (!std::equal(recordRuns.runs.begin(), recordRuns.runs.end(), liveRuns.runs.begin(),
-                    liveRuns.runs.end(), [](const lbm::FluidRun& a, const lbm::FluidRun& b) {
-                        return a.y == b.y && a.z == b.z && a.xBegin == b.xBegin &&
-                               a.xEnd == b.xEnd;
-                    }))
-        fail("has other fluid cells than the block");
-    if (fluidCells != recordRuns.fluidCells)
-        fail("holds " + std::to_string(fluidCells) + " fluid cells, its flags " +
-             std::to_string(recordRuns.fluidCells));
-    // Only a two-grid block needs its hull link slots: to check the
-    // record's link count, or to reset them when the record stores none.
-    std::vector<std::size_t> hull;
-    if (!sim.usesAaPattern()) {
-        hull = hullLinkSlots(flags, sim.masks(), sim.pdfField(std::size_t(local)));
-        if (linkSlots != 0 && linkSlots != hull.size())
-            fail("holds " + std::to_string(linkSlots) + " link slots, its flags " +
-                 std::to_string(hull.size()));
-    }
-    if (size != payloadBytes(fluidCells, linkSlots, flagRuns))
+    if (readU32(payload + 4) != flagsCrc(sim.flagField(std::size_t(local))))
+        fail("has other fluid cells or boundary flags than the block");
+    const std::size_t blockCells = sim.fluidRuns(std::size_t(local)).fluidCells;
+    if (fluidCells != blockCells)
+        fail("holds " + std::to_string(fluidCells) + " fluid cells, the block " +
+             std::to_string(blockCells));
+    if (size != payloadBytes(fluidCells))
         fail("payload is " + std::to_string(size) + " bytes, its counts imply " +
-             std::to_string(payloadBytes(fluidCells, linkSlots, flagRuns)));
-    const std::uint8_t* fluidPdfs = code;
-    const std::uint8_t* linkPdfs =
-        linkSlots > 0 ? fluidPdfs + M::Q * std::size_t(fluidCells) * sizeof(real_t) : nullptr;
-    return VerifiedBlockRecord{std::size_t(local), std::move(flags), std::move(hull), fluidPdfs,
-                               linkPdfs};
+             std::to_string(payloadBytes(fluidCells)));
+    return VerifiedBlockRecord{std::size_t(local), payload + kCountBytes};
 }
 
 void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& rec) {
-    field::FlagField& flags = sim.flagField(rec.block);
-    std::memcpy(flags.data(), rec.flags.data(), flags.allocCells() * sizeof(field::flag_t));
     // The AA storage is zeroed first, so no slot keeps a value of the state
     // being replaced: the canonical rows below re-create the block's own
     // values, including its pushes into ghost and boundary slots at parity
     // Even; the edge slots a neighbor block pushes stay zero until
     // refillGhostLayers() or the next step's exchange completes them. The
     // caller has already restored the step counter, so the rows are those
-    // of the saved parity.
-    const bool aa = sim.usesAaPattern();
+    // of the saved parity. The two-grid hull link slots and dst field keep
+    // what they hold: the next boundary pass and sweep rewrite them before
+    // any read.
     lbm::PdfField& pdf = sim.pdfField(rec.block);
-    if (aa) pdf.fill(real_c(0));
+    if (sim.usesAaPattern()) pdf.fill(real_c(0));
     forEachFluidRow(pdf, sim.stepPattern(), sim.fluidRuns(rec.block),
                     [&](real_t* row, std::size_t offset, std::size_t n) {
                         std::memcpy(row, rec.fluidPdfs + offset * sizeof(real_t),
                                     n * sizeof(real_t));
                     });
-    if (aa) return;
-    const std::vector<std::size_t>& slots = rec.linkSlots;
-    const auto init = DistributedSimulation::initialPdfs();
-    lbm::PdfField* fields[2] = {&pdf, &sim.pdfDstField(rec.block)};
-    for (std::size_t k = 0; k < 2; ++k) {
-        real_t* data = fields[k]->data();
-        if (rec.linkPdfs) {
-            const std::uint8_t* in = rec.linkPdfs + k * slots.size() * sizeof(real_t);
-            for (std::size_t i = 0; i < slots.size(); ++i)
-                std::memcpy(&data[slots[i]], in + i * sizeof(real_t), sizeof(real_t));
-        } else {
-            // A record without link slots (written by an AA tier): the hull
-            // slots get the initializer's value, as in a fresh block.
-            const auto fStride = std::size_t(fields[k]->fStride());
-            for (const std::size_t i : slots) data[i] = init[i / fStride];
-        }
-    }
 }
 
 // ---- the file ----------------------------------------------------------------

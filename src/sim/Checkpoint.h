@@ -4,7 +4,7 @@
 /// the production frameworks treat as table stakes (waLBerla's
 /// checkpoint-based resilience, OpenLB's save/load of the lattice state).
 ///
-/// Format (version 3, file extension .wckp by convention), written through
+/// Format (version 4, file extension .wckp by convention), written through
 /// core/BinaryIO's endian-independent buffers:
 ///
 ///   u32 magic 'WCKP'   u32 version   u32 worldSize
@@ -20,43 +20,36 @@
 ///   per block: BlockID{u32 root, u8 level, u64 path}
 ///              u64 payloadBytes   u32 crc32(BlockID ++ payloadBytes ++ payload)
 ///              payload:
-///                u32 fluidCells   u32 linkSlots   u32 flagRuns
-///                flagRuns x {u8 flags, u32 cells}   (whole flag allocation,
-///                                                    ghost layers included)
+///                u32 fluidCells   u32 flagsCrc  (crc32 of the whole flag
+///                                                allocation, ghost layers
+///                                                included)
 ///                Q x fluidCells reals  (direction-major; each direction
 ///                                       gathered along the interior fluid
 ///                                       runs in z, y, x order)
-///                linkSlots reals of src, then linkSlots reals of dst
 ///
-/// The record stores only the slots that can differ from what the
-/// constructor's initializer wrote (the *stored set*, see hullLinkSlots):
-/// the canonical PDFs of the interior fluid cells, and — two-grid tiers —
-/// the slots the boundary links write at interior hull cells, in both PDF
-/// fields, so a two-grid restart reproduces even those derived slots
-/// (the next boundary pass rewrites them before any read). Every other
-/// interior slot is never written after construction, so the restore
-/// leaves it at the initializer's value; the two-grid dst at fluid cells is
-/// rewritten by the next sweep before anything reads it; ghost slots are
-/// exchange scratch refilled before they are read. A restart is therefore
-/// digest-exact from its first step on.
+/// A record stores only what the receiving process cannot recompute (the
+/// *stored set*): the canonical PDFs of the interior fluid cells. The rest
+/// is derived. The flags come from the flag initializer of the block, and
+/// flagsCrc only matches a record to them. The two-grid hull link slots
+/// (see hullLinkSlots) and the dst field are rewritten by the next
+/// boundary pass and sweep before any read, and ghost slots are exchange
+/// scratch refilled before they are read. Every other interior slot is
+/// never written after construction, so it keeps the initializer's value.
+/// A restart is therefore digest-exact from its first step on, on either
+/// tier, whichever tier wrote the record.
 ///
-/// For every tier the fluid PDFs are gathered from and scattered to the
-/// storage rows that hold the canonical values under the current step
-/// pattern (lbm::canonicalSlot: one contiguous row per direction and fluid
-/// run, at either AA parity), so neither side stages a block-sized copy.
-/// The AA tiers store no link slots (linkSlots = 0). A two-grid reader of
-/// such a record resets the hull slots to the initializer's value, an AA
-/// reader ignores stored link slots, so a restart may use a different
-/// tier than the save.
+/// The fluid PDFs are gathered from and scattered to the storage rows that
+/// hold the canonical values under the current step pattern
+/// (lbm::canonicalSlot: one contiguous row per direction and fluid run, at
+/// either AA parity), so neither side stages a block-sized copy.
 ///
 /// The record CRC is verified *before* a payload is applied, so a
-/// corrupted file never clobbers a live simulation state; so is the flag
-/// run-length code, and every count is checked against the geometry and
-/// flags of the local block before it sizes anything. The record's fluid
-/// cells must be the local block's, whose PDF storage follows them
-/// (DistributedSimulation stores only the rows its fluid cells reach).
-/// A version-2 file
-/// (full-allocation records) is rejected with an error naming version 2.
+/// corrupted file never clobbers a live simulation state. Then flagsCrc
+/// must equal the CRC of the local block's flags: a record of other fluid
+/// cells (whose PDF storage would not fit) or of other boundary kinds
+/// (whose links the block's BoundaryHandling would not apply) is rejected.
+/// The counts are checked against the block before they size anything. A
+/// file of another version is rejected with an error naming its version.
 ///
 /// Writing follows the paper's one-writer file strategy (§2.2): rank 0
 /// gathers the other ranks' contributions and streams them, after its own,
@@ -92,11 +85,11 @@ namespace walb::sim {
 class DistributedSimulation;
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x57434b50; // "WCKP"
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// A checkpoint file or block record that fails verification: unsupported
-/// version, header or record CRC mismatch, or counts that contradict the
-/// local block. The message names the version, or the block and (for a
+/// version, header or record CRC mismatch, or flags and counts that
+/// contradict the local block. The message names the version, or the block and (for a
 /// CRC failure) the stored and the computed CRC. Truncation surfaces as
 /// BufferError instead.
 class CheckpointError : public std::runtime_error {
@@ -121,7 +114,7 @@ bool checkpointSave(DistributedSimulation& sim, const std::string& path,
                     std::string* error = nullptr);
 
 /// Collective: rank 0 reads the file with one read operation and sends
-/// every rank its own records; every rank verifies them (CRC, flags,
+/// every rank its own records; every rank verifies them (CRC, flag CRC,
 /// sizes), the ranks agree, and then each restores its blocks and the
 /// simulation's step counter. Returns false on every rank — with a
 /// diagnosis in `error` — on a missing file, bad magic/version, header or
@@ -138,20 +131,19 @@ bool checkpointPeek(const std::string& path, CheckpointHeader& out,
 /// The PDF-field indices, in ascending order, of the slots a boundary link
 /// writes at an interior hull cell: (xb, a) for every interior boundary
 /// cell xb whose neighbor xb + e_a is an interior fluid cell. The indices
-/// are the same in the src and dst fields. Together with the fluid runs
-/// (all Q slots of each interior fluid cell) they are the block's stored
-/// set: the slots that can differ from the initializer's values. Only the
-/// two-grid tiers store them.
+/// are the same in the src and dst fields. On the two-grid tiers they are
+/// derived slots outside the stored set: they may differ from the
+/// initializer's values, but the next boundary pass rewrites them before
+/// any read, so no record stores them.
 std::vector<std::size_t> hullLinkSlots(const field::FlagField& flags,
                                        const lbm::BoundaryFlags& masks, const lbm::PdfField& pdf);
 
 /// Appends one local block's record (see the file comment) to `buf`.
 /// Shared by the disk checkpoint writer, the in-memory buddy checkpoint of
 /// walb::recover and the migrator of walb::rebalance — one format, one CRC
-/// discipline. The fluid runs are the driver's (fluidRuns()); the hull
-/// link slots are derived for the two-grid tiers only. Debug builds assert
-/// that every interior slot of a two-grid block outside the stored set
-/// still holds the initializer's value.
+/// discipline. The fluid runs are the driver's (fluidRuns()). Debug builds
+/// assert that every interior slot of a two-grid block outside the stored
+/// set and the derived slots still holds the initializer's value.
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
                        SendBuffer& buf);
 
@@ -160,9 +152,8 @@ void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
 std::size_t blockRecordBytes(DistributedSimulation& sim, std::size_t block);
 
 /// Appends `u32 numBlocks` and the records of every local block to `buf`,
-/// after growing its capacity to the exact total: one allocation, and each
-/// block's stored set derived once. A rank's contribution to the file and
-/// to the buddy copy.
+/// after growing its capacity to the exact total: one allocation. A
+/// rank's contribution to the file and to the buddy copy.
 void appendLocalBlockRecords(DistributedSimulation& sim, SendBuffer& buf);
 
 /// Advances `rb` past the next record without verifying its payload and
@@ -170,33 +161,26 @@ void appendLocalBlockRecords(DistributedSimulation& sim, SendBuffer& buf);
 /// BlockID. Throws BufferError when the record runs past the end of `rb`.
 std::span<const std::uint8_t> nextBlockRecord(RecvBuffer& rb, bf::BlockID& id);
 
-/// A record of a local block whose CRC, flag code and sizes have been
-/// verified, decoded as far as possible without touching the simulation.
-/// The PDF values are borrowed from the buffer the record was read from,
-/// which must outlive this object. Its fluid runs are the block's
-/// (verified equal, sim.fluidRuns()), so they are not kept.
+/// A record of a local block whose CRC, flag CRC and sizes have been
+/// verified. The PDF values are borrowed from the buffer the record was
+/// read from, which must outlive this object. Its fluid runs are the
+/// block's (sim.fluidRuns()), so they are not kept.
 struct VerifiedBlockRecord {
-    std::size_t block = 0;   ///< local block index
-    field::FlagField flags;  ///< the decoded flag allocation
-    /// hullLinkSlots() of `flags`; empty when the simulation runs an AA
-    /// tier, which neither reads nor resets them.
-    std::vector<std::size_t> linkSlots;
+    std::size_t block = 0; ///< local block index
     const std::uint8_t* fluidPdfs = nullptr;
-    const std::uint8_t* linkPdfs = nullptr; ///< null: the record stores no link slots
 };
 
 /// Consumes one record from `rb` without touching the simulation. Returns
 /// nullopt for a block owned elsewhere (skipped unverified). Throws
-/// CheckpointError on a CRC, flag-code or size mismatch — before anything
-/// is decoded into a live field — and BufferError on truncation.
+/// CheckpointError on a CRC, flag CRC or size mismatch — before anything
+/// is written into a live field — and BufferError on truncation.
 std::optional<VerifiedBlockRecord> verifyBlockRecord(DistributedSimulation& sim,
                                                      RecvBuffer& rb);
 
-/// Writes a verified record into its block: the flags, the stored slots,
-/// and the initializer's value into every hull link slot the record does
-/// not store. The AA tiers zero the block's storage and write the
-/// canonical rows of the current parity, so the caller restores the step
-/// counter first.
+/// Writes a verified record's fluid PDFs into its block and nothing else:
+/// the flags stay the initializer's. The AA tiers zero the block's storage
+/// first and write the canonical rows of the current parity, so the caller
+/// restores the step counter first.
 void restoreBlockRecord(DistributedSimulation& sim, const VerifiedBlockRecord& rec);
 
 /// Collective: order-independent fingerprint of the fluid state — per

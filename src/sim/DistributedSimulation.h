@@ -144,10 +144,9 @@ public:
         return forest_.getData<lbm::PdfField>(block, srcId_);
     }
     /// The destination PDF field (post-swap history buffer). Block records
-    /// carry its boundary-link slots along with pdfField()'s: boundary
-    /// handling writes into whichever buffer is src each step, so both
-    /// buffers hold live hull values. The AA tiers have no shadow grid —
-    /// this is a token 1-cell allocation there, and block records skip it.
+    /// skip it: the next sweep rewrites its fluid cells, and boundary
+    /// handling its hull slots, before any read. The AA tiers have no
+    /// shadow grid — this is a token 1-cell allocation there.
     lbm::PdfField& pdfDstField(std::size_t block) {
         return forest_.getData<lbm::PdfField>(block, dstId_);
     }

@@ -24,8 +24,9 @@
 ///                             source, which keeps the recv-deadline
 ///                             semantics of the fault-tolerant runtime.
 ///
-/// exchange() keeps the original collect-into-a-map behavior for callers
-/// without overlap (begin + finish into recvBuffers()).
+/// A caller without overlap calls beginExchange() and finishExchange(fn)
+/// back to back. Either drain path converts a BufferError raised by `fn`
+/// (a truncated or corrupted payload) into CommError{Corrupt, peer, tag}.
 ///
 /// Buffer lifecycle: send-buffer storage moves out with each message and
 /// drained receive storage is reclaimed into a free pool that re-arms the
@@ -81,7 +82,6 @@ public:
         lastSendMessages_ = 0;
         lastRecvBytes_ = 0;
         lastRecvMessages_ = 0;
-        reclaimRecvBuffers();
         for (auto& [rank, sb] : sendBuffers_) {
             lastSendBytes_ += sb.size();
             ++lastSendMessages_;
@@ -121,8 +121,9 @@ public:
     /// wakeup per message, and polling additionally keeps this rank's own
     /// outgoing traffic progressing (tryRecv drives decorators like
     /// FaultyComm's latency queue). The blocking fallback still honors the
-    /// comm's recv deadline (a miss is counted and rethrown, like
-    /// exchange()).
+    /// comm's recv deadline: a miss is counted (deadlineMisses()) and the
+    /// CommError{DeadlineExceeded} rethrown, so the exchange fails as one
+    /// structured diagnosis instead of hanging the world on a dead rank.
     template <typename Fn>
     void finishExchange(Fn&& fn) {
         while (!pending_.empty()) {
@@ -158,45 +159,6 @@ public:
     /// pending set is simply dropped. Any message still arriving later is
     /// never read: the shrunken world talks on an epoch-shifted tag band.
     void abortExchange() { pending_.clear(); }
-
-    // ---- synchronous exchange (collect into recvBuffers()) ---------------
-
-    /// Ships all send buffers and receives one buffer from every rank in the
-    /// receiver set, collecting them for recvBuffers()/forEachRecvBuffer().
-    ///
-    /// Failure semantics: when the comm has a recv deadline configured and a
-    /// peer never delivers, the underlying CommError{DeadlineExceeded} is
-    /// counted (deadlineMisses()) and rethrown — the exchange fails as one
-    /// structured diagnosis instead of hanging the world on a dead rank.
-    void exchange() {
-        beginExchange();
-        finishExchange([&](int rank, RecvBuffer& buf) {
-            // The buffer is kept for recvBuffers(); its storage is harvested
-            // into the pool at the start of the next exchange.
-            recvBuffers_.emplace(rank, std::move(buf));
-        });
-    }
-
-    /// Received buffers of the last exchange(), keyed by source rank.
-    std::map<int, RecvBuffer>& recvBuffers() { return recvBuffers_; }
-
-    /// Drains the received buffers through `fn(srcRank, RecvBuffer&)`,
-    /// converting any BufferError raised while deserializing (truncated or
-    /// corrupted payload) into CommError{Corrupt, peer, tag} — the same
-    /// structured error path a deadline miss takes, so callers handle both
-    /// failure classes uniformly.
-    template <typename Fn>
-    void forEachRecvBuffer(Fn&& fn) {
-        for (auto& [rank, buf] : recvBuffers_) {
-            try {
-                fn(rank, buf);
-            } catch (const BufferError& e) {
-                const CommError err(CommError::Kind::Corrupt, rank, tag_, 0.0, e.what());
-                comm_.reportError(err);
-                throw err;
-            }
-        }
-    }
 
     /// Number of receives that ran into the comm's deadline (and threw).
     std::uint64_t deadlineMisses() const { return deadlineMisses_; }
@@ -279,12 +241,6 @@ private:
                   [](const auto& a, const auto& b) { return a.capacity() < b.capacity(); });
     }
 
-    /// Harvests the storage of a previous exchange()'s kept buffers.
-    void reclaimRecvBuffers() {
-        for (auto& [rank, buf] : recvBuffers_) reclaim(buf.release());
-        recvBuffers_.clear();
-    }
-
     static constexpr std::size_t kMaxPooledBuffers = 64;
     /// Empty poll rounds (with a yield each) before finishExchange falls
     /// back to a blocking recv.
@@ -294,7 +250,6 @@ private:
     int tag_;
     std::map<int, SendBuffer> sendBuffers_;
     std::map<int, std::size_t> armedCapacity_;
-    std::map<int, RecvBuffer> recvBuffers_;
     std::vector<int> recvFrom_;
     std::vector<int> pending_;
     std::vector<std::vector<std::uint8_t>> pool_;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -330,22 +331,12 @@ TEST(BlockRecordCodec, RecordSizeFollowsTheStoredSet) {
             for (std::size_t b = 0; b < s.forest().numLocalBlocks(); ++b) {
                 const std::size_t fluidCells =
                     lbm::buildFluidRuns(s.flagField(b), s.masks().fluid).fluidCells;
-                const std::size_t links =
-                    s.usesAaPattern()
-                        ? 0
-                        : sim::hullLinkSlots(s.flagField(b), s.masks(), s.pdfField(b)).size();
                 SendBuffer buf;
                 sim::appendBlockRecord(s, b, buf);
                 EXPECT_EQ(buf.size(), sim::blockRecordBytes(s, b));
-                // BlockID, payload size and CRC; three counts; 5 bytes per
-                // flag run; the stored PDFs.
-                const field::flag_t* f = s.flagField(b).data();
-                std::size_t flagRuns = 1;
-                for (std::size_t i = 1; i < s.flagField(b).allocCells(); ++i)
-                    flagRuns += f[i] != f[i - 1] ? 1 : 0;
-                const std::size_t pdfBytes =
-                    (M::Q * fluidCells + 2 * links) * sizeof(real_t);
-                EXPECT_EQ(buf.size(), 25 + 12 + 5 * flagRuns + pdfBytes);
+                // BlockID, payload size and CRC; the fluid-cell count and
+                // the flag CRC; the stored PDFs.
+                EXPECT_EQ(buf.size(), 25 + 8 + 8 * M::Q * fluidCells);
                 const lbm::PdfField& pdf = s.pdfField(b);
                 EXPECT_LT(buf.size(), std::size_t(pdf.xAllocSize() * pdf.yAllocSize() *
                                                   pdf.zAllocSize()) *
@@ -357,8 +348,7 @@ TEST(BlockRecordCodec, RecordSizeFollowsTheStoredSet) {
 
 /// Writes a value that depends only on `key` into every slot a record
 /// stores: the canonical slots of the fluid cells under the current step
-/// pattern and, on the two-grid tier, the hull link slots of both fields.
-/// Multiples of 1/1024, so the bytes do not depend on how a build rounds
+/// pattern. Multiples of 1/1024, so the bytes do not depend on how a build rounds
 /// the kernels' arithmetic (optimization level and sanitizers change it).
 void fillStoredSet(sim::DistributedSimulation& s, std::uint64_t salt) {
     const auto value = [](std::uint64_t key) {
@@ -373,21 +363,15 @@ void fillStoredSet(sim::DistributedSimulation& s, std::uint64_t salt) {
                 for (uint_t a = 0; a < M::Q; ++a)
                     *lbm::canonicalSlot(pdf, s.stepPattern(), x, r.y, r.z, a) =
                         value(cellHash(block ^ a, x, r.y, r.z));
-        if (s.usesAaPattern()) continue;
-        const std::vector<std::size_t> links = sim::hullLinkSlots(s.flagField(b), s.masks(), pdf);
-        lbm::PdfField* fields[2] = {&pdf, &s.pdfDstField(b)};
-        for (std::uint64_t k = 0; k < 2; ++k)
-            for (const std::size_t i : links) fields[k]->data()[i] = value(block ^ k << 31 ^ i);
     }
 }
 
 /// Size and CRC-32 of whole .wckp files of the channel (noSlip, UBB and
-/// pressure links), per tier — Simd with link slots, AaSimd without — and
-/// rank count: a save at step 2, then one at step 3 onto the same path
-/// (the other AA parity, and a replace), each after fillStoredSet. The
-/// values were taken from the writer before its save path was cut to one
-/// stored-set derivation per block, rank 0 streaming its own contribution
-/// and exchange-replace: every written byte is unchanged.
+/// pressure links), per tier and rank count: a save at step 2, then one at
+/// step 3 onto the same path (the other AA parity, and a replace), each
+/// after fillStoredSet. Both tiers store the same canonical fluid PDFs, so
+/// their files are equal byte for byte. Any change to a written byte of
+/// the version-4 writer fails this test.
 TEST(BlockRecordCodec, WholeFileBytesArePinned) {
     struct Pin {
         KernelTier tier;
@@ -395,10 +379,10 @@ TEST(BlockRecordCodec, WholeFileBytesArePinned) {
         std::size_t bytes;
         std::uint32_t crc;
     };
-    const Pin pins[] = {{KernelTier::Simd, 1, 233396, 0x298cc86cu},
-                        {KernelTier::Simd, 2, 233408, 0x232ce909u},
-                        {KernelTier::AaSimd, 1, 153108, 0x790a3617u},
-                        {KernelTier::AaSimd, 2, 153120, 0x0dc9c927u}};
+    const Pin pins[] = {{KernelTier::Simd, 1, 147472, 0xd0f30237u},
+                        {KernelTier::Simd, 2, 147484, 0xddec16cfu},
+                        {KernelTier::AaSimd, 1, 147472, 0xd0f30237u},
+                        {KernelTier::AaSimd, 2, 147484, 0xddec16cfu}};
     for (const Pin& pin : pins) {
         const std::string name = std::string(tierName(pin.tier)) + "_" + std::to_string(pin.ranks);
         SCOPED_TRACE(name + " rank(s)");
@@ -468,6 +452,85 @@ TEST(BlockRecordCodec, RecordOfOtherFluidCellsIsRejected) {
     });
 }
 
+/// The channel with its pressure face flagged UBB: the same fluid cells,
+/// only the kind of one boundary differs.
+sim::DistributedSimulation::FlagInitializer ubbOutletFlags(std::uint64_t seed) {
+    return [base = channelFlags(seed)](field::FlagField& flags, const lbm::BoundaryFlags& masks,
+                                       const bf::BlockForest::Block& block,
+                                       const geometry::CellMapping& mapping) {
+        base(flags, masks, block, mapping);
+        flags.forAllIncludingGhost([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+            if (!(flags.get(x, y, z) & masks.pressure)) return;
+            flags.removeFlag(x, y, z, masks.pressure);
+            flags.addFlag(x, y, z, masks.ubb);
+        });
+    };
+}
+
+std::vector<field::flag_t> flagBytes(sim::DistributedSimulation& s) {
+    std::vector<field::flag_t> out;
+    for (std::size_t b = 0; b < s.forest().numLocalBlocks(); ++b) {
+        const field::FlagField& f = s.flagField(b);
+        out.insert(out.end(), f.data(), f.data() + f.allocCells());
+    }
+    return out;
+}
+
+/// A block's boundary links are derived from its own flags, so a record
+/// of a block with other boundary kinds is rejected — on the disk path
+/// and on the in-memory path of migration and the buddy copy — and
+/// leaves the state and the flags as they were.
+TEST(BlockRecordCodec, RecordOfOtherBoundaryKindsIsRejected) {
+    // Each rank owns one block of the y = 0 face, so both see the mismatch.
+    auto setup = channelSetup(2);
+    for (auto& b : setup.blocks()) b.process = std::uint32_t(b.gridPos.x);
+    const std::string path = testing::TempDir() + "/walb_pressure_outlet.wckp";
+    vmpi::ThreadCommWorld::launch(2, [&](vmpi::Comm& comm) {
+        sim::DistributedSimulation pressure(comm, setup, channelFlags(kSeed));
+        configure(pressure);
+        pressure.run(2, kOp);
+        ASSERT_TRUE(pressure.saveCheckpoint(path));
+        SendBuffer records;
+        for (std::size_t b = 0; b < pressure.forest().numLocalBlocks(); ++b)
+            sim::appendBlockRecord(pressure, b, records);
+
+        sim::DistributedSimulation s(comm, setup, ubbOutletFlags(kSeed));
+        configure(s);
+        s.run(3, kOp);
+        const std::uint64_t digest = s.stateDigest();
+        const std::vector<field::flag_t> flags = flagBytes(s);
+        std::string err;
+        EXPECT_FALSE(s.loadCheckpoint(path, &err));
+        EXPECT_NE(err.find("block record of block"), std::string::npos) << err;
+        EXPECT_NE(err.find("boundary flags"), std::string::npos) << err;
+        EXPECT_EQ(s.currentStep(), 3u);
+        EXPECT_EQ(s.stateDigest(), digest);
+        EXPECT_EQ(flagBytes(s), flags);
+
+        RecvBuffer rb{std::span<const std::uint8_t>(records.data(), records.size())};
+        std::size_t rejected = 0;
+        for (std::size_t b = 0; b < pressure.forest().numLocalBlocks(); ++b) {
+            const field::FlagField& mine = s.flagField(b);
+            const field::FlagField& theirs = pressure.flagField(b);
+            const bool same =
+                std::equal(mine.data(), mine.data() + mine.allocCells(), theirs.data());
+            try {
+                EXPECT_TRUE(sim::verifyBlockRecord(s, rb).has_value());
+                EXPECT_TRUE(same) << "block " << b << " of other boundary kinds was accepted";
+            } catch (const sim::CheckpointError& e) {
+                ++rejected;
+                EXPECT_FALSE(same) << e.what();
+                EXPECT_NE(std::string(e.what()).find("boundary flags"), std::string::npos)
+                    << e.what();
+            }
+        }
+        EXPECT_EQ(rejected, 1u);
+        EXPECT_EQ(s.stateDigest(), digest);
+        EXPECT_EQ(flagBytes(s), flags);
+    });
+    std::remove(path.c_str());
+}
+
 /// Canonical PDFs of every fluid cell, keyed by global cell.
 using FluidState = std::map<std::tuple<cell_idx_t, cell_idx_t, cell_idx_t>,
                             std::array<real_t, M::Q>>;
@@ -487,9 +550,9 @@ void collectFluidState(sim::DistributedSimulation& s, FluidState& out, std::mute
 TEST(BlockRecordCodec, RestartAcrossTiersKeepsTheFluidState) {
     // AaSimd and Simd compute bit-identical trajectories, so a restart
     // that switches between them must continue the saved fluid state
-    // exactly: a two-grid reader of an AA record (no link slots) starts
-    // its hull slots from the initializer, an AA reader ignores the link
-    // slots of a two-grid record.
+    // exactly: both store the same canonical fluid PDFs, and a two-grid
+    // reader's hull slots are rewritten by its boundary pass before any
+    // read.
     const auto setup = channelSetup(2);
     const auto flags = channelFlags(kSeed);
     FluidState want;
@@ -629,7 +692,7 @@ TEST(BlockRecordCodec, ScatterLoadSendsEachRankOnlyItsOwnRecords) {
 
 // ---- mutation fuzzer ----------------------------------------------------------------
 
-/// Where the length and count fields of a v3 file sit.
+/// Where the length and count fields of a v4 file sit.
 struct FileLayout {
     std::vector<std::size_t> cuts;          ///< every record boundary but the end
     std::vector<std::size_t> contribLength; ///< u64 contribution lengths
@@ -733,7 +796,7 @@ TEST(CheckpointFuzz, EveryMutationFailsCleanlyAndLeavesTheStateUntouched) {
             inflate("payload length", at, 8, 1ull << 62, true);
         }
         for (const std::size_t at : layout.payloadStart)
-            for (std::size_t field = 0; field < 3; ++field) // fluidCells, linkSlots, flagRuns
+            for (std::size_t field = 0; field < 2; ++field) // fluidCells, flagsCrc
                 for (const std::uint64_t v : {0xffffffffull, 0x10000000ull})
                     inflate("payload count " + std::to_string(field), at + 4 * field, 4, v, true);
 

@@ -193,7 +193,8 @@ TEST(RecvDeadline, BufferSystemCountsMissesAndRethrows) {
         comm.setRecvDeadline(50ms);
         vmpi::BufferSystem bs(comm, /*tag=*/9);
         bs.setReceiverInfo({1}); // rank 1 will never send on tag 9
-        EXPECT_THROW(bs.exchange(), vmpi::CommError);
+        bs.beginExchange();
+        EXPECT_THROW(bs.finishExchange([](int, RecvBuffer&) {}), vmpi::CommError);
         EXPECT_EQ(bs.deadlineMisses(), 1u);
     });
 }
@@ -304,10 +305,10 @@ TEST(FaultyCommTest, TruncateThroughBufferSystemBecomesCommErrorCorrupt) {
         vmpi::BufferSystem bs(faulty, /*tag=*/4);
         bs.setReceiverInfo({1 - comm.rank()});
         bs.sendBuffer(1 - comm.rank()) << std::uint64_t(0x1122334455667788ull);
-        bs.exchange();
+        bs.beginExchange();
         if (comm.rank() == 1) {
             try {
-                bs.forEachRecvBuffer([](int, RecvBuffer& buf) {
+                bs.finishExchange([](int, RecvBuffer& buf) {
                     std::uint64_t v = 0;
                     buf >> v;
                 });
@@ -318,7 +319,7 @@ TEST(FaultyCommTest, TruncateThroughBufferSystemBecomesCommErrorCorrupt) {
                 EXPECT_EQ(e.tag, 4);
             }
         } else {
-            bs.forEachRecvBuffer([](int, RecvBuffer& buf) {
+            bs.finishExchange([](int, RecvBuffer& buf) {
                 std::uint64_t v = 0;
                 buf >> v;
                 EXPECT_EQ(v, 0x1122334455667788ull);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <numeric>
 #include <thread>
 
@@ -265,14 +266,12 @@ TEST(BufferSystem, NeighborExchangeRoundTrip) {
         for (int round = 0; round < 3; ++round) {
             bs.sendBuffer(left) << std::uint64_t(100 * comm.rank() + 1);
             bs.sendBuffer(right) << std::uint64_t(100 * comm.rank() + 2);
-            bs.exchange();
-            auto& recv = bs.recvBuffers();
+            bs.beginExchange();
+            std::map<int, std::uint64_t> recv;
+            bs.finishExchange([&](int src, RecvBuffer& buf) { buf >> recv[src]; });
             ASSERT_EQ(recv.size(), 2u);
-            std::uint64_t fromLeft = 0, fromRight = 0;
-            recv.at(left) >> fromLeft;
-            recv.at(right) >> fromRight;
-            EXPECT_EQ(fromLeft, uint_c(100 * left + 2));
-            EXPECT_EQ(fromRight, uint_c(100 * right + 1));
+            EXPECT_EQ(recv.at(left), uint_c(100 * left + 2));
+            EXPECT_EQ(recv.at(right), uint_c(100 * right + 1));
         }
     });
 }
@@ -283,14 +282,20 @@ TEST(BufferSystem, EmptyBuffersAreDelivered) {
         bs.setReceiverInfo({1 - comm.rank()});
         if (comm.rank() == 0) bs.sendBuffer(1) << 7.0;
         else bs.sendBuffer(0); // empty
-        bs.exchange();
-        if (comm.rank() == 1) {
-            double v = 0;
-            bs.recvBuffers().at(0) >> v;
-            EXPECT_DOUBLE_EQ(v, 7.0);
-        } else {
-            EXPECT_EQ(bs.recvBuffers().at(1).size(), 0u);
-        }
+        bs.beginExchange();
+        std::size_t delivered = 0;
+        bs.finishExchange([&](int src, RecvBuffer& buf) {
+            ++delivered;
+            EXPECT_EQ(src, 1 - comm.rank());
+            if (comm.rank() == 1) {
+                double v = 0;
+                buf >> v;
+                EXPECT_DOUBLE_EQ(v, 7.0);
+            } else {
+                EXPECT_EQ(buf.size(), 0u);
+            }
+        });
+        EXPECT_EQ(delivered, 1u);
     });
 }
 
@@ -304,7 +309,8 @@ TEST(BufferSystem, TrafficCountersUnderSerialComm) {
     bs.sendBuffer(0) << std::uint64_t(7) << 2.5; // 8 + 8 bytes
     EXPECT_EQ(bs.totalSendBytes(), 16u);
 
-    bs.exchange();
+    bs.beginExchange();
+    bs.finishExchange([](int, RecvBuffer&) {});
     EXPECT_EQ(bs.totalSendBytes(), 0u); // staged buffers were cleared
     EXPECT_EQ(bs.lastSendBytes(), 16u);
     EXPECT_EQ(bs.totalRecvBytes(), 16u);
@@ -315,7 +321,8 @@ TEST(BufferSystem, TrafficCountersUnderSerialComm) {
     // Second, smaller exchange: last* reflect only the newest exchange,
     // cumulative* accumulate across both.
     bs.sendBuffer(0) << std::uint8_t(1);
-    bs.exchange();
+    bs.beginExchange();
+    bs.finishExchange([](int, RecvBuffer&) {});
     EXPECT_EQ(bs.lastSendBytes(), 1u);
     EXPECT_EQ(bs.totalRecvBytes(), 1u);
     EXPECT_EQ(bs.cumulativeSendBytes(), 17u);
@@ -347,7 +354,8 @@ TEST(BufferSystem, TrafficCountersUnderThreadComm) {
             bs.sendBuffer(right) << std::uint64_t(comm.rank());
             const std::size_t staged = bs.totalSendBytes();
             EXPECT_EQ(staged, 8u * uint_c(comm.rank() + 1) + 8u);
-            bs.exchange();
+            bs.beginExchange();
+            bs.finishExchange([](int, RecvBuffer&) {});
             EXPECT_EQ(bs.lastSendBytes(), staged);
             // From the right neighbor we receive its left-bound doubles,
             // from the left neighbor its right-bound u64.
